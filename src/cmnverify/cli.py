@@ -3,15 +3,12 @@
 Commands: verify | entropy | periodic | margin | simulate.  Exit codes are
 the stable contract: 0 success/pass, 1 failed or inconclusive
 certification (or a failed operation), 2 unreadable or invalid spec.
-``CMN_THREADS`` caps parallelism; the implementation is single-process and
-vectorized, so any cap >= 1 is honored as-is.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
@@ -28,18 +25,6 @@ from .symbolic import spectral_radius
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INVALID = 2
-
-
-def _threads_cap() -> int:
-    raw = os.environ.get("CMN_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        print(f"warning: ignoring non-integer CMN_THREADS={raw!r}", file=sys.stderr)
-        return 1
-    return max(1, cap)
 
 
 def _load(path: str):
@@ -259,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _threads_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -6,13 +6,28 @@ conjugate to a Kronecker model [a_lm] (x) I.  The two checkers certify,
 for every nonzero entry of the Kronecker product of the node transition
 matrices, a coupled crossing inequality made diagonally dominant by a node
 reassignment tau, found as a bipartite perfect matching.
+
+Both checkers share one entry loop, ``_check_entries``.  A theorem
+supplies only each node's *choices* (a transition (i, j) for theorem 2, a
+source symbol and its permutation image for theorem 1) with the reference
+center and stable radius that a row uses under each choice.  An entry is
+one choice per node.  The loop keeps dense tables: per node, ``umax[m, c]``
+and ``vmax0[m, c]``; per coupling matrix, slot tables indexed
+``[m, c_m, k, c_k]`` (node m's chart form under its choice, scaled by
+a[k, m], against row k's reference under its choice) holding the minimum
+stretch bounds, the stable diagonal term, membership and degree.  Slots
+are filled when an entry first references them, membership and degree
+only where a row reaches those tests, and slots that agree on node, form
+key, exact a[k, m] and exact reference share one geometry call.  The row
+margins of a block of entries are then whole-array operations, and
+``tau_search`` runs once per distinct feasibility matrix.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -239,25 +254,11 @@ def _box_grid(dim: int, per_axis: int = 5) -> np.ndarray:
     return np.array(list(itertools.product(axis, repeat=dim)))
 
 
-def _image_interval(node: NodeSystem, symbol: int) -> tuple[float, float]:
-    """Exact image interval of a 1-d h-set under the local map."""
-    lo, hi = node.hsets[symbol - 1].bounding_box()
-    composed = node.local_map  # 1-d: evaluate at endpoints and interior breakpoints
-    xs = {float(lo[0]), float(hi[0])}
-    for p in composed.pieces:
-        for nrm, b in zip(p.normals[:, 0], p.bounds):
-            if abs(nrm) > 0:
-                t = b / nrm
-                if lo[0] < t < hi[0]:
-                    xs.add(t)
-    vals = [float(composed.apply([t])[0]) for t in sorted(xs)]
-    return min(vals), max(vals)
-
-
 def _image_bbox(node: NodeSystem, symbol: int) -> tuple[np.ndarray, np.ndarray]:
     """Conservative bounding box of the image of an h-set under the local map."""
     if node.dim == 1:
-        lo, hi = _image_interval(node, symbol)
+        lo, hi = node.hsets[symbol - 1].bounding_box()
+        lo, hi = node.local_map.range_1d(float(lo[0]), float(hi[0]))
         return np.array([lo]), np.array([hi])
     corners = node.hsets[symbol - 1].vertices()
     # box hull of the set, then exact piecewise image box of that hull
@@ -547,202 +548,310 @@ class TheoremReport:
         return min(self.entries, key=lambda e: e.slack)
 
 
-class _FormTables:
-    """Per-node stretch/degree tables shared across Kronecker entries."""
+BLOCK = 256  # entries per vectorized block; bounds the (entries, d, d) tensors
 
-    def __init__(self, spec: NetworkSpec, forms: list[dict], resolution: int):
-        self.spec = spec
+_OUT, _UNKNOWN, _IN = -1, 0, 1
+
+
+@dataclass(frozen=True)
+class _Choice:
+    """One node's share of a Kronecker entry, as a theorem supplies it.
+
+    ``key`` picks the node's chart form; ``ref_u``, ``ref_s`` and ``radius``
+    are the target center and stable radius that row k uses when node k
+    takes this choice.
+    """
+
+    key: object
+    source: int
+    target: int
+    ref_u: np.ndarray
+    ref_s: np.ndarray
+    radius: float
+
+
+class _Geometry:
+    """Stretch, degree and membership values of the scaled chart forms.
+
+    Memoized by node, form key, the exact coupling coefficient and the
+    exact reference, so every slot that agrees on those four shares one
+    call.  ``umax[m, c]``, ``vmax0[m, c]`` and ``radius[m, c]`` are the
+    dense per-node tables over node m's choices c.
+    """
+
+    def __init__(self, forms: list[dict], choices: list[list[_Choice]], u: int, s: int,
+                 resolution: int, inflation: float):
         self.forms = forms
+        self.choices = choices
+        self.u, self.s = u, s
         self.resolution = resolution
-        self.u = spec.nodes[0].dim_u
-        self.s = spec.nodes[0].dim_s
-        self._umax: dict = {}
-        self._vmax0: dict = {}
-        self._min: dict = {}
-        self._vdiag: dict = {}
-        self._deg: dict = {}
-        self._rng1d: dict = {}
+        self.inflation = inflation
+        self.d = len(choices)
+        self.width = max(len(c) for c in choices)
+        self._memo: dict = {}
+        shape = (self.d, self.width)
+        self.umax, self.vmax0, self.radius = np.zeros(shape), np.zeros(shape), np.ones(shape)
+        for m, node_choices in enumerate(choices):
+            for c, choice in enumerate(node_choices):
+                form = forms[m][choice.key]
+                self.umax[m, c] = self._memoized(
+                    ("umax", m, choice.key),
+                    lambda: max_stretch(form.U, np.zeros(u)).max_abs)
+                self.vmax0[m, c] = self._memoized(
+                    ("vmax0", m, choice.key),
+                    lambda: 0.0 if form.V is None else max_stretch(form.V, np.zeros(s)).max_abs)
+                self.radius[m, c] = choice.radius
 
-    def umax(self, node: int, key) -> float:
-        k = (node, key)
-        if k not in self._umax:
-            self._umax[k] = max_stretch(self.forms[node][key].U,
-                                        np.zeros(self.u)).max_abs
-        return self._umax[k]
+    def _memoized(self, key, compute):
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
-    def vmax0(self, node: int, key) -> float:
-        k = (node, key)
-        if k not in self._vmax0:
-            V = self.forms[node][key].V
-            self._vmax0[k] = 0.0 if V is None else max_stretch(V, np.zeros(self.s)).max_abs
-        return self._vmax0[k]
+    def min_bounds(self, m: int, key, a: float, ref: np.ndarray):
+        return self._memoized(
+            ("min", m, key, a, tuple(ref.tolist())),
+            lambda: min_stretch(self.forms[m][key].U.scale(a), ref,
+                                resolution=self.resolution))
 
-    def min_bounds(self, node: int, key, a: float, ref: np.ndarray):
-        k = (node, key, round(a, 15), tuple(np.round(ref, 15)))
-        if k not in self._min:
-            scaled = self.forms[node][key].U.scale(a)
-            self._min[k] = min_stretch(scaled, ref, resolution=self.resolution)
-        return self._min[k]
+    def vdiag(self, m: int, key, a: float, ref: np.ndarray) -> float:
+        V = self.forms[m][key].V
+        return self._memoized(
+            ("vdiag", m, key, a, tuple(ref.tolist())),
+            lambda: 0.0 if V is None else max_stretch(V.scale(a), ref).max_abs)
 
-    def vdiag(self, node: int, key, a: float, ref: np.ndarray) -> float:
-        k = (node, key, round(a, 15), tuple(np.round(ref, 15)))
-        if k not in self._vdiag:
-            V = self.forms[node][key].V
-            self._vdiag[k] = 0.0 if V is None else max_stretch(V.scale(a), ref).max_abs
-        return self._vdiag[k]
-
-    def degree(self, node: int, key, a: float, ref: np.ndarray) -> DegreeValue | None:
-        k = (node, key, round(a, 15), tuple(np.round(ref, 15)))
-        if k not in self._deg:
-            scaled = self.forms[node][key].U.scale(a)
+    def degree(self, m: int, key, a: float, ref: np.ndarray) -> DegreeValue | None:
+        def compute():
             try:
-                self._deg[k] = degree_for_map(scaled, ref)
+                return degree_for_map(self.forms[m][key].U.scale(a), ref)
             except (DegreeUndefinedError, GeometryError):
-                self._deg[k] = None
-        return self._deg[k]
+                return None
+        return self._memoized(("degree", m, key, a, tuple(ref.tolist())), compute)
 
-    def image_1d(self, node: int, key, a: float) -> tuple[float, float]:
-        k = (node, key, round(a, 15))
-        if k not in self._rng1d:
-            self._rng1d[k] = self.forms[node][key].U.scale(a).range_1d()
-        return self._rng1d[k]
-
-    def membership(self, node: int, key, a: float, ref: np.ndarray,
-                   inflation: float) -> str:
+    def membership(self, m: int, key, a: float, ref: np.ndarray) -> int:
         """Is ref inside the open image of the scaled unstable factor?
 
-        Returns "in", "out", or "unknown"; exact for one unstable dimension
+        ``_IN``, ``_OUT`` or ``_UNKNOWN``; exact for one unstable dimension
         and for affine factors, degree-based (sufficient only) otherwise.
         """
-        U = self.forms[node][key].U
+        U = self.forms[m][key].U
+        inflation = self.inflation
         if self.u == 1:
-            lo, hi = self.image_1d(node, key, a)
+            lo, hi = self._memoized(("range", m, key, a), lambda: U.scale(a).range_1d())
             p = float(ref[0])
             if lo + inflation + STRICT_MARGIN < p < hi - inflation - STRICT_MARGIN:
-                return "in"
+                return _IN
             if p < lo - STRICT_MARGIN or p > hi + STRICT_MARGIN:
-                return "out"
-            return "unknown"
+                return _OUT
+            return _UNKNOWN
         if U.is_affine and inflation == 0.0:
             piece = U.pieces[0]
             lin = a * piece.matrix
             if abs(np.linalg.det(lin)) < 1e-12:
-                return "unknown"
+                return _UNKNOWN
             pre = np.linalg.solve(lin, ref - a * piece.offset)
             extent = float(np.max(np.abs(pre)))
             if extent < 1.0 - STRICT_MARGIN:
-                return "in"
+                return _IN
             if extent > 1.0 + STRICT_MARGIN:
-                return "out"
-            return "unknown"
-        mb = self.min_bounds(node, key, a, ref)
-        if mb.min_rel > inflation:
-            deg = self.degree(node, key, a, ref)
+                return _OUT
+            return _UNKNOWN
+        if self.min_bounds(m, key, a, ref).min_rel > inflation:
+            deg = self.degree(m, key, a, ref)
             if deg is not None and deg.value != 0:
-                return "in"
-        return "unknown"
+                return _IN
+        return _UNKNOWN
 
 
-def _entry_ids(spec: NetworkSpec, idx: tuple[int, ...]) -> str:
-    return "x".join(spec.nodes[k].hsets[idx[k] - 1].id for k in range(spec.d))
+class _Slots:
+    """Dense slot tables of one check under one coupling matrix ``a``.
+
+    The flat slot of ``[m, c_m, k, c_k]`` is node m under its choice c_m,
+    scaled by a[k, m], against the reference of row k under its choice c_k.
+    ``min_rel``, ``min_attained`` and ``vdiag`` are filled for every slot an
+    evaluated entry references; membership and degree only for slots whose
+    cells reach those tests.
+    """
+
+    def __init__(self, geo: _Geometry, a: np.ndarray):
+        self.geo = geo
+        self.a = a
+        self.abs_a = np.abs(a)
+        n = (geo.d * geo.width) ** 2
+        self.min_rel = np.zeros(n)
+        self.min_attained = np.zeros(n)
+        self.vdiag = np.zeros(n)
+        self.memb = np.full(n, _IN, dtype=np.int8)
+        self.deg = np.zeros(n, dtype=np.int64)
+        self.deg_known = np.zeros(n, dtype=bool)
+        self._bounds_done = np.zeros(n, dtype=bool)
+        self._memb_done = np.zeros(n, dtype=bool)
+        self._deg_done = np.zeros(n, dtype=bool)
+
+    def _claim(self, slots: np.ndarray, done: np.ndarray):
+        """Mark the slots not yet ``done`` as done; yield (slot, node m, its
+        form key, a[k, m], row k's choice) for each of them."""
+        geo = self.geo
+        todo = np.unique(slots[~done[slots]])
+        done[todo] = True
+        mc, kc = np.divmod(todo, geo.d * geo.width)
+        parts = (todo, *np.divmod(mc, geo.width), *np.divmod(kc, geo.width))
+        for t, m, cm, k, ck in zip(*(p.tolist() for p in parts)):
+            yield t, m, geo.choices[m][cm].key, float(self.a[k, m]), geo.choices[k][ck]
+
+    def evaluate(self, ch: np.ndarray, need_membership: bool):
+        """Margins and feasibility of the block of entries ``ch``.
+
+        ``ch[e, m]`` is node m's choice index in entry e.  Returns the
+        (entries, d, d) arrays margin_lo, margin_s, slack, feas_sure,
+        feas_maybe and the slot of every cell; rows are k, columns m.
+        """
+        geo = self.geo
+        d, w = geo.d, geo.width
+        nodes = np.arange(d)
+        flat = nodes * w + ch
+        slots = flat[:, None, :] * (d * w) + flat[:, :, None]
+        for t, m, key, a, row in self._claim(slots, self._bounds_done):
+            mb = geo.min_bounds(m, key, a, row.ref_u)
+            self.min_rel[t], self.min_attained[t] = mb.min_rel, mb.min_attained
+            if geo.s > 0:
+                self.vdiag[t] = geo.vdiag(m, key, a, row.ref_s)
+
+        term_u = self.abs_a * geo.umax[nodes, ch][:, None, :]
+        off_u = _row_sums(term_u)[:, :, None] - term_u
+        margin_lo = self.min_rel[slots] - off_u - 1.0
+        margin_hi = self.min_attained[slots] - off_u - 1.0
+        if geo.s > 0:
+            term_v = self.abs_a * geo.vmax0[nodes, ch][:, None, :]
+            off_v = _row_sums(term_v)[:, :, None] - term_v
+            margin_s = geo.radius[nodes, ch][:, :, None] - (self.vdiag[slots] + off_v)
+        else:
+            margin_s = np.full(margin_lo.shape, math.inf)
+        slack = np.where(margin_s < margin_lo, margin_s, margin_lo) - geo.inflation
+
+        threshold = STRICT_MARGIN + geo.inflation
+        ok_u_sure = margin_lo > threshold
+        ok_u_maybe = margin_hi > threshold
+        ok_s = margin_s > threshold
+        reach = (ok_u_sure | ok_u_maybe) & ok_s
+        memb = np.full(slots.shape, _IN, dtype=np.int8)
+        if need_membership:
+            for t, m, key, a, row in self._claim(slots[reach], self._memb_done):
+                self.memb[t] = geo.membership(m, key, a, row.ref_u)
+            memb[reach] = self.memb[slots[reach]]
+        tested = reach & (memb != _OUT)
+        want_deg = tested & (self.min_rel[slots] > 0)
+        for t, m, key, a, row in self._claim(slots[want_deg], self._deg_done):
+            deg = geo.degree(m, key, a, row.ref_u)
+            self.deg_known[t] = deg is not None
+            self.deg[t] = 0 if deg is None else deg.value
+        known = want_deg & self.deg_known[slots]
+        zero = known & (self.deg[slots] == 0)
+        feas_sure = ok_u_sure & ok_s & (memb == _IN) & (~tested | (known & ~zero))
+        feas_maybe = ok_u_maybe & ok_s & (memb != _OUT) & ~zero
+        return margin_lo, margin_s, slack, feas_sure, feas_maybe, slots
 
 
-def _check_entry(spec: NetworkSpec, tables: _FormTables, i_idx: tuple[int, ...],
-                 j_idx: tuple[int, ...], form_key, refs_u, refs_s, radii,
-                 chart_lip: float, inflation: float,
-                 need_membership: bool) -> EntryResult:
-    """Evaluate the coupled row inequalities for one Kronecker entry.
+def _row_sums(terms: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, left to right as Python's ``sum`` adds the
+    row terms; numpy's pairwise sum rounds differently from eight terms on."""
+    total = terms[..., 0].copy()
+    for col in range(1, terms.shape[-1]):
+        total += terms[..., col]
+    return total
 
-    ``form_key(l)`` picks the chart form of node ``l``; ``refs_u[k]`` /
-    ``refs_s[k]`` / ``radii[k]`` give row k's target center and radius.
+
+def _check_entries(spec: NetworkSpec, forms: list[dict], choices: list[list[_Choice]],
+                   resolution: int, chart_lip: float, pert_amplitude: float,
+                   need_membership: bool) -> list[EntryResult]:
+    """Evaluate the coupled row inequalities for every nonzero Kronecker entry.
+
+    An entry picks one choice per node; entries run in ``itertools.product``
+    order over ``choices``.  Entries under the shared coupling matrix are
+    evaluated in numpy blocks of ``BLOCK``; each entry with its own type-I
+    matrix is a block of one under that matrix.  ``tau_search`` runs once
+    per distinct feasibility matrix; result objects are built after a
+    block's margins and assignments are known.
     """
     d = spec.d
-    a = spec.coupling.matrix_for(i_idx, j_idx)
+    u = spec.nodes[0].dim_u
+    coupling_lip = spec.coupling.lipschitz()
+    inflation = pert_amplitude * chart_lip * (1.0 + coupling_lip)
+    geo = _Geometry(forms, choices, u, spec.nodes[0].dim_s, resolution, inflation)
+    counts = [len(c) for c in choices]
+    total = math.prod(counts)
+    strides = np.array([math.prod(counts[k + 1:]) for k in range(d)])
+    ids = [[(spec.nodes[k].hsets[c.source - 1].id, spec.nodes[k].hsets[c.target - 1].id)
+            for c in cs] for k, cs in enumerate(choices)]
 
-    s_u = [sum(abs(a[k, l]) * tables.umax(l, form_key(l)) for l in range(d))
-           for k in range(d)]
-    s_v = [sum(abs(a[k, l]) * tables.vmax0(l, form_key(l)) for l in range(d))
-           for k in range(d)]
+    def choice_rows(flat: np.ndarray) -> np.ndarray:
+        return flat[:, None] // strides % np.array(counts)
 
-    feas_sure = np.zeros((d, d), dtype=bool)
-    feas_maybe = np.zeros((d, d), dtype=bool)
-    slack = np.full((d, d), -np.inf)
-    notes: list[str] = []
+    def indices(row) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        picked = [choices[k][c] for k, c in enumerate(row)]
+        return tuple(c.source for c in picked), tuple(c.target for c in picked)
 
-    for k in range(d):
-        for m in range(d):
-            key = form_key(m)
-            off_u = s_u[k] - abs(a[k, m]) * tables.umax(m, key)
-            mb = tables.min_bounds(m, key, a[k, m], refs_u[k])
-            margin_lo = mb.min_rel - off_u - 1.0
-            margin_hi = mb.min_attained - off_u - 1.0
-            if tables.s > 0:
-                off_v = s_v[k] - abs(a[k, m]) * tables.vmax0(m, key)
-                vterm = tables.vdiag(m, key, a[k, m], refs_s[k])
-                margin_s = radii[k] - (vterm + off_v)
-            else:
-                margin_s = math.inf
-            slack[k, m] = min(margin_lo, margin_s) - inflation
+    own_matrix: dict[int, np.ndarray] = {}
+    if spec.coupling.per_entry:
+        for flat, row in enumerate(choice_rows(np.arange(total)).tolist()):
+            a = spec.coupling.matrix_for(*indices(row))
+            if a is not spec.coupling.matrix:
+                own_matrix[flat] = a
 
-            ok_u_sure = margin_lo > STRICT_MARGIN + inflation
-            ok_u_maybe = margin_hi > STRICT_MARGIN + inflation
-            ok_s = margin_s > STRICT_MARGIN + inflation
+    taus: dict = {}
 
-            memb = "in"
-            if need_membership and (ok_u_sure or ok_u_maybe) and ok_s:
-                memb = tables.membership(m, key, a[k, m], refs_u[k], inflation)
+    def tau_for(feasibility: np.ndarray) -> tuple[int, ...] | None:
+        key = feasibility.tobytes()
+        if key not in taus:
+            taus[key] = tau_search(feasibility)
+        return taus[key]
 
-            deg_ok_sure = deg_ok_maybe = True
-            if (ok_u_sure or ok_u_maybe) and ok_s and memb != "out":
-                deg = tables.degree(m, key, a[k, m], refs_u[k]) if mb.min_rel > 0 else None
-                if deg is None:
-                    deg_ok_sure = False
-                elif deg.value == 0:
-                    deg_ok_sure = deg_ok_maybe = False
+    entries: list = [None] * total
 
-            feas_sure[k, m] = ok_u_sure and ok_s and memb == "in" and deg_ok_sure
-            feas_maybe[k, m] = ok_u_maybe and ok_s and memb != "out" and deg_ok_maybe
+    def run(slots: _Slots, flat: np.ndarray) -> None:
+        ch = choice_rows(flat)
+        lo, ms, slack, sure, maybe, cells = slots.evaluate(ch, need_membership)
+        best = np.min(np.max(slack, axis=2), axis=1).tolist()
+        found = [tau_for(f) for f in sure]
+        passing = [e for e, tau in enumerate(found) if tau is not None]
+        pe = np.array(passing, dtype=int)[:, None]
+        rows = np.arange(d)
+        cols = np.array([found[e] for e in passing], dtype=int).reshape(-1, d) - 1
+        rowwise = zip(lo[pe, rows, cols].min(axis=1).tolist(),
+                      ms[pe, rows, cols].min(axis=1).tolist(),
+                      np.prod(slots.deg[cells[pe, rows, cols]], axis=1).tolist(),
+                      geo.radius[rows, ch[passing]].min(axis=1).tolist())
+        margins = dict(zip(passing, rowwise))
+        for e, row in enumerate(ch.tolist()):
+            i_idx, j_idx = indices(row)
+            tau = found[e]
+            if tau is None:
+                verdict = "fail" if tau_for(maybe[e]) is None else "inconclusive"
+                notes = (f"no node assignment satisfies every coupled row "
+                         f"(best achievable slack {best[e]:.6g})",)
+                if verdict == "inconclusive":
+                    notes += ("grid bounds too coarse to decide; raise the resolution",)
+                entries[flat[e]] = EntryResult(i_idx, j_idx, None, None, verdict, best[e], notes)
+                continue
+            unstable, stable, degree, radius = margins[e]
+            cert = CoveringCertificate(
+                source_id="x".join(ids[k][c][0] for k, c in enumerate(row)),
+                target_id="x".join(ids[k][c][1] for k, c in enumerate(row)),
+                degree=DegreeValue(_perm_sign(tau) ** u * degree, "composition"),
+                unstable_margin=unstable, stable_margin=stable, target_radius=radius)
+            eps = persistence_bound(cert, chart_lip, coupling_lip, coupling_lip)
+            entries[flat[e]] = EntryResult(i_idx, j_idx, tau, replace(cert, admissible_eps=eps),
+                                           "pass", min(unstable, stable) - inflation, ())
 
-    tau = tau_search(feas_sure)
-    if tau is not None:
-        row_u = []
-        row_s = []
-        degs = []
-        for k in range(d):
-            m = tau[k] - 1
-            key = form_key(m)
-            mb = tables.min_bounds(m, key, a[k, m], refs_u[k])
-            off_u = s_u[k] - abs(a[k, m]) * tables.umax(m, key)
-            row_u.append(mb.min_rel - off_u - 1.0)
-            if tables.s > 0:
-                off_v = s_v[k] - abs(a[k, m]) * tables.vmax0(m, key)
-                row_s.append(radii[k] - (tables.vdiag(m, key, a[k, m], refs_s[k]) + off_v))
-            else:
-                row_s.append(math.inf)
-            degs.append(tables.degree(m, key, a[k, m], refs_u[k]))
-        value = _perm_sign(tau) ** tables.u
-        for dv in degs:
-            value *= dv.value
-        cert = CoveringCertificate(
-            source_id=_entry_ids(spec, i_idx), target_id=_entry_ids(spec, j_idx),
-            degree=DegreeValue(value, "composition"),
-            unstable_margin=min(row_u), stable_margin=min(row_s),
-            target_radius=min(radii) if tables.s > 0 else 1.0)
-        eps = persistence_bound(cert, chart_lip, spec.coupling.lipschitz(),
-                                spec.coupling.lipschitz())
-        cert = CoveringCertificate(cert.source_id, cert.target_id, cert.degree,
-                                   cert.unstable_margin, cert.stable_margin,
-                                   cert.target_radius, admissible_eps=eps)
-        entry_slack = min(min(row_u), min(row_s)) - inflation
-        return EntryResult(i_idx, j_idx, tau, cert, "pass", entry_slack, ())
-
-    best = float(np.min(np.max(slack, axis=1)))
-    notes.append(f"no node assignment satisfies every coupled row "
-                 f"(best achievable slack {best:.6g})")
-    verdict = "inconclusive" if tau_search(feas_maybe) is not None else "fail"
-    if verdict == "inconclusive":
-        notes.append("grid bounds too coarse to decide; raise the resolution")
-    return EntryResult(i_idx, j_idx, None, None, verdict, best, tuple(notes))
+    shared = _Slots(geo, spec.coupling.matrix)
+    skip = np.array(sorted(own_matrix), dtype=int)
+    for start in range(0, total, BLOCK):
+        flat = np.arange(start, min(start + BLOCK, total))
+        flat = flat[~np.isin(flat, skip)]
+        if flat.size:
+            run(shared, flat)
+    for flat, a in own_matrix.items():
+        run(_Slots(geo, a), np.array([flat]))
+    return entries
 
 
 def _require_valid(spec: NetworkSpec, kind: str) -> None:
@@ -770,9 +879,8 @@ def theorem1_check(spec: NetworkSpec, resolution: int = 64,
     _require_valid(spec, TYPE_I)
 
     forms = [_resolve_forms(node, TYPE_I) for node in spec.nodes]
-    tables = _FormTables(spec, forms, resolution)
-    d = spec.d
     u = spec.nodes[0].dim_u
+    s = spec.nodes[0].dim_s
 
     # structural per-transition conditions, independent of the coupling
     structural: list[str] = []
@@ -787,28 +895,23 @@ def theorem1_check(spec: NetworkSpec, resolution: int = 64,
             if degree_for_map(f.U, np.zeros(u)).value == 0:
                 structural.append(f"node {k + 1} transition {i}->{j}: degree 0")
             if f.V is not None:
-                sv = max_stretch(f.V, np.zeros(spec.nodes[0].dim_s))
+                sv = max_stretch(f.V, np.zeros(s))
                 if not sv.max_abs < 1.0 - STRICT_MARGIN:
                     structural.append(f"node {k + 1} transition {i}->{j}: "
                                       f"stable stretch {sv.max_abs:.6g} >= 1")
     if structural:
         raise SpecError("local covering structure fails: " + "; ".join(structural))
 
-    perms = [node.transition.permutation() for node in spec.nodes]
     chart_lip = max(node.hsets[j - 1].chart.lipschitz()
                     for node in spec.nodes for j in range(1, node.count + 1))
-    inflation = pert_amplitude * chart_lip * (1.0 + spec.coupling.lipschitz())
-
-    entries = []
-    zero_u = np.zeros(u)
-    zero_s = np.zeros(spec.nodes[0].dim_s)
-    for i_idx in itertools.product(*[range(1, n.count + 1) for n in spec.nodes]):
-        j_idx = tuple(perms[k][i_idx[k] - 1] for k in range(d))
-        entries.append(_check_entry(
-            spec, tables, i_idx, j_idx,
-            form_key=lambda l, i_idx=i_idx, j_idx=j_idx: (i_idx[l], j_idx[l]),
-            refs_u=[zero_u] * d, refs_s=[zero_s] * d, radii=[1.0] * d,
-            chart_lip=chart_lip, inflation=inflation, need_membership=False))
+    zero_u, zero_s = np.zeros(u), np.zeros(s)
+    choices = []
+    for node in spec.nodes:
+        perm = node.transition.permutation()
+        choices.append([_Choice((i, perm[i - 1]), i, perm[i - 1], zero_u, zero_s, 1.0)
+                        for i in range(1, node.count + 1)])
+    entries = _check_entries(spec, forms, choices, resolution, chart_lip, pert_amplitude,
+                             need_membership=False)
 
     verdict = _aggregate(entries)
     eps = min((e.certificate.admissible_eps for e in entries if e.certificate),
@@ -828,28 +931,18 @@ def theorem2_check(spec: NetworkSpec, resolution: int = 64,
     """
     _require_valid(spec, TYPE_II)
     forms = [_resolve_forms(node, TYPE_II) for node in spec.nodes]
-    tables = _FormTables(spec, forms, resolution)
-    d = spec.d
     s = spec.nodes[0].dim_s
 
-    per_node = [node.transitions() for node in spec.nodes]
     chart_lip = max(node.member_chart(j).lipschitz()
                     for node in spec.nodes for j in range(1, node.count + 1))
-    inflation = pert_amplitude * chart_lip * (1.0 + spec.coupling.lipschitz())
-
-    entries = []
-    for combo in itertools.product(*per_node):
-        i_idx = tuple(i for i, _ in combo)
-        j_idx = tuple(j for _, j in combo)
-        refs_u = [spec.nodes[k].unified.members[j_idx[k] - 1][1].p_u for k in range(d)]
-        refs_s = [spec.nodes[k].unified.members[j_idx[k] - 1][1].p_s for k in range(d)]
-        radii = [spec.nodes[k].unified.members[j_idx[k] - 1][1].r if s > 0 else 1.0
-                 for k in range(d)]
-        entries.append(_check_entry(
-            spec, tables, i_idx, j_idx,
-            form_key=lambda l, i_idx=i_idx: i_idx[l],
-            refs_u=refs_u, refs_s=refs_s, radii=radii,
-            chart_lip=chart_lip, inflation=inflation, need_membership=True))
+    choices = []
+    for node in spec.nodes:
+        targets = [center for _, center in node.unified.members]
+        choices.append([_Choice(i, i, j, targets[j - 1].p_u, targets[j - 1].p_s,
+                                targets[j - 1].r if s > 0 else 1.0)
+                        for i, j in node.transitions()])
+    entries = _check_entries(spec, forms, choices, resolution, chart_lip, pert_amplitude,
+                             need_membership=True)
 
     verdict = _aggregate(entries)
     eps = min((e.certificate.admissible_eps for e in entries if e.certificate),

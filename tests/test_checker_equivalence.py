@@ -1,0 +1,436 @@
+"""The vectorized entry loop of the checkers against the per-entry reference.
+
+The reference below evaluates every Kronecker entry on its own, with
+stretch and degree tables cached under keys rounded to 15 digits.  It calls
+``min_stretch``, ``max_stretch``, ``degree_for_map``, ``tau_search`` and
+``persistence_bound`` through ``cmnverify.network`` so that both sides run
+the same counted functions.  The checkers must produce byte-identical
+certificate documents, with no more geometry or degree calls.
+"""
+
+import itertools
+import math
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from cmnverify import (AffineChart, CenterScale, CouplingSpec, Graph, HSet, NetworkSpec,
+                       NodeSystem, PiecewiseAffineMap, TransitionMatrix, UnifiedSet,
+                       canonical_json, certificate_document, fixtures, theorem1_check,
+                       theorem2_check)
+from cmnverify import network as nw
+from cmnverify.covering import STRICT_MARGIN, CoveringCertificate
+from cmnverify.degree import DegreeUndefinedError, DegreeValue
+from cmnverify.geometry import GeometryError
+from conftest import random_transition_matrix
+from test_network import _planar_fixed_pair, _planar_golden_pair, _sawtooth_spec
+from test_properties import designed_node
+
+
+class _ReferenceTables:
+    """Per-node stretch/degree tables shared across Kronecker entries."""
+
+    def __init__(self, spec, forms, resolution):
+        self.forms = forms
+        self.resolution = resolution
+        self.u = spec.nodes[0].dim_u
+        self.s = spec.nodes[0].dim_s
+        self._umax: dict = {}
+        self._vmax0: dict = {}
+        self._min: dict = {}
+        self._vdiag: dict = {}
+        self._deg: dict = {}
+        self._rng1d: dict = {}
+
+    def umax(self, node, key):
+        k = (node, key)
+        if k not in self._umax:
+            self._umax[k] = nw.max_stretch(self.forms[node][key].U,
+                                           np.zeros(self.u)).max_abs
+        return self._umax[k]
+
+    def vmax0(self, node, key):
+        k = (node, key)
+        if k not in self._vmax0:
+            V = self.forms[node][key].V
+            self._vmax0[k] = 0.0 if V is None else nw.max_stretch(V, np.zeros(self.s)).max_abs
+        return self._vmax0[k]
+
+    def min_bounds(self, node, key, a, ref):
+        k = (node, key, round(a, 15), tuple(np.round(ref, 15)))
+        if k not in self._min:
+            scaled = self.forms[node][key].U.scale(a)
+            self._min[k] = nw.min_stretch(scaled, ref, resolution=self.resolution)
+        return self._min[k]
+
+    def vdiag(self, node, key, a, ref):
+        k = (node, key, round(a, 15), tuple(np.round(ref, 15)))
+        if k not in self._vdiag:
+            V = self.forms[node][key].V
+            self._vdiag[k] = 0.0 if V is None else nw.max_stretch(V.scale(a), ref).max_abs
+        return self._vdiag[k]
+
+    def degree(self, node, key, a, ref):
+        k = (node, key, round(a, 15), tuple(np.round(ref, 15)))
+        if k not in self._deg:
+            scaled = self.forms[node][key].U.scale(a)
+            try:
+                self._deg[k] = nw.degree_for_map(scaled, ref)
+            except (DegreeUndefinedError, GeometryError):
+                self._deg[k] = None
+        return self._deg[k]
+
+    def image_1d(self, node, key, a):
+        k = (node, key, round(a, 15))
+        if k not in self._rng1d:
+            self._rng1d[k] = self.forms[node][key].U.scale(a).range_1d()
+        return self._rng1d[k]
+
+    def membership(self, node, key, a, ref, inflation):
+        U = self.forms[node][key].U
+        if self.u == 1:
+            lo, hi = self.image_1d(node, key, a)
+            p = float(ref[0])
+            if lo + inflation + STRICT_MARGIN < p < hi - inflation - STRICT_MARGIN:
+                return "in"
+            if p < lo - STRICT_MARGIN or p > hi + STRICT_MARGIN:
+                return "out"
+            return "unknown"
+        if U.is_affine and inflation == 0.0:
+            piece = U.pieces[0]
+            lin = a * piece.matrix
+            if abs(np.linalg.det(lin)) < 1e-12:
+                return "unknown"
+            pre = np.linalg.solve(lin, ref - a * piece.offset)
+            extent = float(np.max(np.abs(pre)))
+            if extent < 1.0 - STRICT_MARGIN:
+                return "in"
+            if extent > 1.0 + STRICT_MARGIN:
+                return "out"
+            return "unknown"
+        mb = self.min_bounds(node, key, a, ref)
+        if mb.min_rel > inflation:
+            deg = self.degree(node, key, a, ref)
+            if deg is not None and deg.value != 0:
+                return "in"
+        return "unknown"
+
+
+def _reference_entry(spec, tables, i_idx, j_idx, form_key, refs_u, refs_s, radii,
+                     chart_lip, inflation, need_membership):
+    """The coupled row inequalities of one Kronecker entry."""
+    d = spec.d
+    a = spec.coupling.matrix_for(i_idx, j_idx)
+
+    s_u = [sum(abs(a[k, l]) * tables.umax(l, form_key(l)) for l in range(d))
+           for k in range(d)]
+    s_v = [sum(abs(a[k, l]) * tables.vmax0(l, form_key(l)) for l in range(d))
+           for k in range(d)]
+
+    feas_sure = np.zeros((d, d), dtype=bool)
+    feas_maybe = np.zeros((d, d), dtype=bool)
+    slack = np.full((d, d), -np.inf)
+    for k in range(d):
+        for m in range(d):
+            key = form_key(m)
+            off_u = s_u[k] - abs(a[k, m]) * tables.umax(m, key)
+            mb = tables.min_bounds(m, key, a[k, m], refs_u[k])
+            margin_lo = mb.min_rel - off_u - 1.0
+            margin_hi = mb.min_attained - off_u - 1.0
+            if tables.s > 0:
+                off_v = s_v[k] - abs(a[k, m]) * tables.vmax0(m, key)
+                vterm = tables.vdiag(m, key, a[k, m], refs_s[k])
+                margin_s = radii[k] - (vterm + off_v)
+            else:
+                margin_s = math.inf
+            slack[k, m] = min(margin_lo, margin_s) - inflation
+
+            ok_u_sure = margin_lo > STRICT_MARGIN + inflation
+            ok_u_maybe = margin_hi > STRICT_MARGIN + inflation
+            ok_s = margin_s > STRICT_MARGIN + inflation
+
+            memb = "in"
+            if need_membership and (ok_u_sure or ok_u_maybe) and ok_s:
+                memb = tables.membership(m, key, a[k, m], refs_u[k], inflation)
+
+            deg_ok_sure = deg_ok_maybe = True
+            if (ok_u_sure or ok_u_maybe) and ok_s and memb != "out":
+                deg = tables.degree(m, key, a[k, m], refs_u[k]) if mb.min_rel > 0 else None
+                if deg is None:
+                    deg_ok_sure = False
+                elif deg.value == 0:
+                    deg_ok_sure = deg_ok_maybe = False
+
+            feas_sure[k, m] = ok_u_sure and ok_s and memb == "in" and deg_ok_sure
+            feas_maybe[k, m] = ok_u_maybe and ok_s and memb != "out" and deg_ok_maybe
+
+    tau = nw.tau_search(feas_sure)
+    if tau is not None:
+        row_u, row_s, degs = [], [], []
+        for k in range(d):
+            m = tau[k] - 1
+            key = form_key(m)
+            mb = tables.min_bounds(m, key, a[k, m], refs_u[k])
+            off_u = s_u[k] - abs(a[k, m]) * tables.umax(m, key)
+            row_u.append(mb.min_rel - off_u - 1.0)
+            if tables.s > 0:
+                off_v = s_v[k] - abs(a[k, m]) * tables.vmax0(m, key)
+                row_s.append(radii[k] - (tables.vdiag(m, key, a[k, m], refs_s[k]) + off_v))
+            else:
+                row_s.append(math.inf)
+            degs.append(tables.degree(m, key, a[k, m], refs_u[k]))
+        value = nw._perm_sign(tau) ** tables.u
+        for dv in degs:
+            value *= dv.value
+        ids = ["x".join(spec.nodes[k].hsets[idx[k] - 1].id for k in range(d))
+               for idx in (i_idx, j_idx)]
+        cert = CoveringCertificate(
+            source_id=ids[0], target_id=ids[1], degree=DegreeValue(value, "composition"),
+            unstable_margin=min(row_u), stable_margin=min(row_s),
+            target_radius=min(radii) if tables.s > 0 else 1.0)
+        eps = nw.persistence_bound(cert, chart_lip, spec.coupling.lipschitz(),
+                                   spec.coupling.lipschitz())
+        cert = CoveringCertificate(cert.source_id, cert.target_id, cert.degree,
+                                   cert.unstable_margin, cert.stable_margin,
+                                   cert.target_radius, admissible_eps=eps)
+        entry_slack = min(min(row_u), min(row_s)) - inflation
+        return nw.EntryResult(i_idx, j_idx, tau, cert, "pass", entry_slack, ())
+
+    best = float(np.min(np.max(slack, axis=1)))
+    notes = [f"no node assignment satisfies every coupled row "
+             f"(best achievable slack {best:.6g})"]
+    verdict = "inconclusive" if nw.tau_search(feas_maybe) is not None else "fail"
+    if verdict == "inconclusive":
+        notes.append("grid bounds too coarse to decide; raise the resolution")
+    return nw.EntryResult(i_idx, j_idx, None, None, verdict, best, tuple(notes))
+
+
+def reference_theorem1(spec, resolution=64, pert_amplitude=0.0):
+    for k, node in enumerate(spec.nodes, start=1):
+        if not node.transition.is_permutation():
+            raise nw.SpecError(f"node {k}: transition matrix is not a permutation")
+    nw._require_valid(spec, nw.TYPE_I)
+    forms = [nw._resolve_forms(node, nw.TYPE_I) for node in spec.nodes]
+    tables = _ReferenceTables(spec, forms, resolution)
+    d = spec.d
+    u = spec.nodes[0].dim_u
+
+    structural = []
+    for k, node in enumerate(spec.nodes):
+        for (i, j) in node.transitions():
+            f = forms[k][(i, j)]
+            mb = nw.min_stretch(f.U, np.zeros(u), resolution=resolution)
+            if not mb.min_rel > 1.0 + STRICT_MARGIN:
+                structural.append(f"node {k + 1} transition {i}->{j}: "
+                                  f"min stretch {mb.min_attained:.6g} <= 1")
+                continue
+            if nw.degree_for_map(f.U, np.zeros(u)).value == 0:
+                structural.append(f"node {k + 1} transition {i}->{j}: degree 0")
+            if f.V is not None:
+                sv = nw.max_stretch(f.V, np.zeros(spec.nodes[0].dim_s))
+                if not sv.max_abs < 1.0 - STRICT_MARGIN:
+                    structural.append(f"node {k + 1} transition {i}->{j}: "
+                                      f"stable stretch {sv.max_abs:.6g} >= 1")
+    if structural:
+        raise nw.SpecError("local covering structure fails: " + "; ".join(structural))
+
+    perms = [node.transition.permutation() for node in spec.nodes]
+    chart_lip = max(node.hsets[j - 1].chart.lipschitz()
+                    for node in spec.nodes for j in range(1, node.count + 1))
+    inflation = pert_amplitude * chart_lip * (1.0 + spec.coupling.lipschitz())
+    zero_u = np.zeros(u)
+    zero_s = np.zeros(spec.nodes[0].dim_s)
+    entries = []
+    for i_idx in itertools.product(*[range(1, n.count + 1) for n in spec.nodes]):
+        j_idx = tuple(perms[k][i_idx[k] - 1] for k in range(d))
+        entries.append(_reference_entry(
+            spec, tables, i_idx, j_idx,
+            form_key=lambda l, i_idx=i_idx, j_idx=j_idx: (i_idx[l], j_idx[l]),
+            refs_u=[zero_u] * d, refs_s=[zero_s] * d, radii=[1.0] * d,
+            chart_lip=chart_lip, inflation=inflation, need_membership=False))
+
+    verdict = nw._aggregate(entries)
+    eps = min((e.certificate.admissible_eps for e in entries if e.certificate), default=0.0)
+    period = nw.lcm_period([n.transition.n for n in spec.nodes]) if verdict == "pass" else None
+    return nw.TheoremReport(1, verdict, tuple(entries), eps if verdict == "pass" else 0.0,
+                            period=period)
+
+
+def reference_theorem2(spec, resolution=64, pert_amplitude=0.0):
+    nw._require_valid(spec, nw.TYPE_II)
+    forms = [nw._resolve_forms(node, nw.TYPE_II) for node in spec.nodes]
+    tables = _ReferenceTables(spec, forms, resolution)
+    d = spec.d
+    s = spec.nodes[0].dim_s
+    chart_lip = max(node.member_chart(j).lipschitz()
+                    for node in spec.nodes for j in range(1, node.count + 1))
+    inflation = pert_amplitude * chart_lip * (1.0 + spec.coupling.lipschitz())
+
+    entries = []
+    for combo in itertools.product(*[node.transitions() for node in spec.nodes]):
+        i_idx = tuple(i for i, _ in combo)
+        j_idx = tuple(j for _, j in combo)
+        members = [spec.nodes[k].unified.members[j_idx[k] - 1][1] for k in range(d)]
+        entries.append(_reference_entry(
+            spec, tables, i_idx, j_idx,
+            form_key=lambda l, i_idx=i_idx: i_idx[l],
+            refs_u=[c.p_u for c in members], refs_s=[c.p_s for c in members],
+            radii=[c.r if s > 0 else 1.0 for c in members],
+            chart_lip=chart_lip, inflation=inflation, need_membership=True))
+
+    verdict = nw._aggregate(entries)
+    eps = min((e.certificate.admissible_eps for e in entries if e.certificate), default=0.0)
+    bound = float(sum(math.log(nw.spectral_radius(n.transition)) for n in spec.nodes))
+    return nw.TheoremReport(2, verdict, tuple(entries), eps if verdict == "pass" else 0.0,
+                            entropy_bound=bound if verdict == "pass" else None)
+
+
+# ---------------------------------------------------------------------------
+# cases
+
+
+def _ring(d, alpha):
+    """Diffusive ring coupling: each node mixes in its two neighbours."""
+    a = (1.0 - 2.0 * alpha) * np.eye(d)
+    for k in range(d):
+        a[k, (k + 1) % d] += alpha
+        a[k, (k - 1) % d] += alpha
+    return a
+
+
+def _designed(seed, d, a, unified, n_max=3):
+    """Designed interval nodes with random transition matrices, coupled by ``a``."""
+    rng = np.random.default_rng(seed)
+    nodes = []
+    for k in range(d):
+        n = int(rng.integers(1, n_max + 1))
+        if unified:
+            W = random_transition_matrix(rng, n=n)
+        else:
+            W = TransitionMatrix(np.eye(n, dtype=int)[rng.permutation(n)])
+        nodes.append(designed_node(rng, W, float(rng.uniform(0.15, 0.45)),
+                                   chr(ord("A") + k), unified=unified))
+    kind = "type2" if unified else "type1"
+    return NetworkSpec(Graph.complete(d), tuple(nodes), CouplingSpec(kind, a))
+
+
+def _golden_ring(d, alpha, unified):
+    """A ring of identical golden-mean (or 3-cycle) designed nodes."""
+    rng = np.random.default_rng(d)
+    W = (TransitionMatrix([[1, 1], [1, 0]]) if unified
+         else TransitionMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]]))
+    nodes = tuple(designed_node(rng, W, 0.4, chr(ord("A") + k), unified=unified)
+                  for k in range(d))
+    kind = "type2" if unified else "type1"
+    return NetworkSpec(Graph.complete(d), nodes, CouplingSpec(kind, _ring(d, alpha)))
+
+
+def _fold_spec():
+    """One interval node folding its h-set over the target center: the
+    boundary stays 3 away from it, yet the crossing degree is 0."""
+    fold = PiecewiseAffineMap.from_breakpoints([0.0], [(8.0, 5.0), (-8.0, 5.0)])
+    chart = AffineChart.identity(1, 0)
+    node = NodeSystem(fold, (HSet("F", chart),), TransitionMatrix([[1]]),
+                      unified=UnifiedSet(chart, (("F", CenterScale([0.0], [], 1.0)),)))
+    return NetworkSpec(Graph(1, frozenset()), (node,), CouplingSpec("type2", np.eye(1)))
+
+
+def _with_overrides(spec, picks):
+    """The spec with the entries ``picks`` (pairs of index tuples) coupled by
+    a weak multiple of the identity."""
+    per_entry = tuple((i, j, 0.4 * np.eye(spec.d)) for i, j in picks)
+    coupling = CouplingSpec(spec.coupling.kind, spec.coupling.matrix, per_entry=per_entry)
+    return NetworkSpec(spec.graph, spec.nodes, coupling)
+
+
+CASES = {
+    "example1": lambda: fixtures.example1(),
+    "example1_alpha_0.2": lambda: fixtures.example1(alpha=0.2),
+    "example1_node1": lambda: fixtures.example1_node1(),
+    "example2": lambda: fixtures.example2(),
+    "theorem1_perm23": lambda: fixtures.theorem1_perm23(),
+    "theorem1_perm23_weak": lambda: fixtures.theorem1_perm23(scale=0.4),
+    "planar_golden_pair": lambda: _planar_golden_pair(s_slope=0.3),
+    "planar_golden_overflow": lambda: _planar_golden_pair(s_slope=1.1),
+    "planar_fixed_pair": lambda: _planar_fixed_pair(np.eye(2)),
+    "planar_fixed_mixed": lambda: _planar_fixed_pair(np.array([[0.8, 0.2], [0.2, 0.8]])),
+    "type1_override": lambda: _with_overrides(fixtures.theorem1_perm23(),
+                                              [((1, 1), (2, 2)), ((2, 3), (1, 1))]),
+    "type2_override": lambda: _with_overrides(fixtures.example1(alpha=0.05),
+                                              [((1, 2), (2, 1))]),
+    # 729 entries: three blocks, with overridden entries on either side of
+    # the first block seam
+    "perm_ring6_overrides": lambda: _with_overrides(
+        _golden_ring(6, 0.02, unified=False),
+        [((2, 1, 1, 2, 2, 1), (3, 2, 2, 3, 3, 2)), ((2, 1, 1, 2, 2, 2), (3, 2, 2, 3, 3, 3))]),
+    "golden_ring6": lambda: _golden_ring(6, 0.02, unified=True),
+    # nine-term row sums, where a pairwise sum would round differently
+    "designed1_d9_all_to_all": lambda: _designed(
+        209, 9, 0.973 * np.eye(9) + 0.003 * np.ones((9, 9)), unified=False, n_max=1),
+    "fold": lambda: _fold_spec(),
+}
+for _d in range(1, 6):
+    for _alpha, _tag in ((0.01, "weak"), (0.3, "strong")):
+        CASES[f"designed2_d{_d}_{_tag}"] = \
+            lambda d=_d, alpha=_alpha: _designed(100 + d, d, _ring(d, alpha), unified=True)
+        CASES[f"designed1_d{_d}_{_tag}"] = \
+            lambda d=_d, alpha=_alpha: _designed(200 + d, d, _ring(d, alpha), unified=False)
+
+
+def _check(spec, resolution=64, pert_amplitude=0.0, reference=False):
+    type1 = spec.coupling.kind == nw.TYPE_I
+    if reference:
+        fn = reference_theorem1 if type1 else reference_theorem2
+    else:
+        fn = theorem1_check if type1 else theorem2_check
+    return fn(spec, resolution=resolution, pert_amplitude=pert_amplitude)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of the geometry and degree calls made through the checker module."""
+    counts = Counter()
+    for name in ("min_stretch", "max_stretch", "degree_for_map"):
+        original = getattr(nw, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(nw, name, counted)
+    return counts
+
+
+def _assert_equivalent(calls, spec, **kwargs):
+    calls.clear()
+    want = _check(spec, reference=True, **kwargs)
+    reference_calls = Counter(calls)
+    calls.clear()
+    got = _check(spec, **kwargs)
+    assert (canonical_json(certificate_document(got, "digest", "0"))
+            == canonical_json(certificate_document(want, "digest", "0")))
+    for name in ("min_stretch", "max_stretch", "degree_for_map"):
+        assert calls[name] <= reference_calls[name], name
+    return want
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_matches_reference(name, calls):
+    spec = CASES[name]()
+    report = _assert_equivalent(calls, spec)
+    if report.passed:
+        for factor in (0.9, 10.0):
+            _assert_equivalent(calls, spec, pert_amplitude=factor * report.global_eps)
+
+
+def test_coarse_grid_inconclusive_matches_reference(calls):
+    report = _assert_equivalent(calls, _sawtooth_spec(), resolution=65)
+    assert report.verdict == "inconclusive"
+
+
+def test_overrides_straddle_a_block_seam():
+    spec = CASES["perm_ring6_overrides"]()
+    entries = _check(spec).entries
+    assert len(entries) == 729 > nw.BLOCK
+    overridden = [i for i, _, _ in spec.coupling.per_entry]
+    assert [entries[nw.BLOCK - 1].source_index, entries[nw.BLOCK].source_index] == overridden

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -98,6 +99,27 @@ class TestVerifyCommand:
         assert main(["verify", str(fixdir / "example1.json"), "--theorem", "1"]) == 2
         assert main(["verify", str(fixdir / "theorem1_perm23.json"),
                      "--theorem", "2"]) == 2
+
+    # SHA-256 of each shipped fixture's certificate at the default grid;
+    # certificates may change only with a deliberate format or version bump
+    GOLDEN = {
+        "example1.json":
+            "bf3f5ae42ea0840307c143b58687a76604d3d6b8165fa9d085a532149e60817b",
+        "example1_alpha_0.2.json":
+            "c4d8df294f596f0a0c0624fefdf3685c21e371978043030ccfeb56bf7bb5fd06",
+        "example1_node1.json":
+            "fc899b6de1215f04864b7749dcfd4531c863ca5ab9d31f785ca401a3dc874a89",
+        "example2.json":
+            "e798f690eed48cde8fadc9965bd2cbb291ebc07a3b9d222d6257be6ff6a20833",
+        "theorem1_perm23.json":
+            "7ecf30545e0139ea8879c9fff7cec65cc04f180bf41486f98df700bbcf5f2296",
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_golden_certificate_digest(self, name, tmp_path):
+        out = tmp_path / "cert.json"
+        main(["verify", str(FIXDIR / name), "--out", str(out)])
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.GOLDEN[name]
 
     def test_certificates_are_byte_reproducible(self, fixdir, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

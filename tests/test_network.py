@@ -266,26 +266,7 @@ class TestTheorem2:
         # default face grid cannot separate the bound from the threshold,
         # and the crossing degree of a genuinely piecewise plane map is not
         # computable, so the verdict must stay inconclusive, never fail
-        from cmnverify import CenterScale, UnifiedSet
-        saw = PiecewiseAffineMap.from_breakpoints(
-            [0.0], [(-20.0, 1.05 - 20.0), (20.0, 1.05 - 20.0)])
-        pieces = []
-        for px in saw.pieces:
-            for py in saw.pieces:
-                mat = np.diag([px.matrix[0, 0], py.matrix[0, 0]])
-                offs = np.array([px.offset[0], py.offset[0]])
-                normals = np.vstack([np.hstack([px.normals, np.zeros_like(px.normals)]),
-                                     np.hstack([np.zeros_like(py.normals), py.normals])])
-                bounds = np.concatenate([px.bounds, py.bounds])
-                pieces.append(type(px)(mat, offs, normals, bounds))
-        local = PiecewiseAffineMap(2, 2, tuple(pieces))
-        unified = UnifiedSet(AffineChart.identity(2, 0),
-                             (("S", CenterScale([0.0, 0.0], [], 1.0)),))
-        node = NodeSystem(local, (HSet("S", AffineChart.identity(2, 0)),),
-                          TransitionMatrix([[1]]), unified=unified)
-        spec = NetworkSpec(Graph(1, frozenset()), (node,),
-                           CouplingSpec("type2", np.eye(1)))
-        report = theorem2_check(spec, resolution=65)
+        report = theorem2_check(_sawtooth_spec(), resolution=65)
         assert report.verdict == "inconclusive"
         assert report.entries[0].tau is None
 
@@ -346,20 +327,11 @@ class TestTheorem1:
         assert failed[0].source_index == (1, 1)
 
     def test_stable_factor_enters_rows(self):
-        # one expanding and one contracting direction per node
-        def planar_node(name):
-            t = PiecewiseAffineMap.affine([[3.0, 0.0], [0.0, 0.4]], [0.0, 0.0])
-            return NodeSystem(t, (HSet(name, AffineChart.identity(1, 1)),),
-                              TransitionMatrix([[1]]))
-        spec = NetworkSpec(Graph.complete(2), (planar_node("A"), planar_node("B")),
-                           CouplingSpec("type1", np.eye(2)))
-        report = theorem1_check(spec)
+        report = theorem1_check(_planar_fixed_pair(np.eye(2)))
         assert report.passed
         assert report.entries[0].certificate.stable_margin == pytest.approx(0.6)
         # diffusive mixing adds the foreign stable stretch to each row
-        mixed = NetworkSpec(spec.graph, spec.nodes,
-                            CouplingSpec("type1", _diffusive(0.2)))
-        report2 = theorem1_check(mixed)
+        report2 = theorem1_check(_planar_fixed_pair(_diffusive(0.2)))
         assert report2.passed
         assert report2.entries[0].certificate.stable_margin \
             == pytest.approx(1.0 - 0.4, abs=1e-12)
@@ -367,6 +339,39 @@ class TestTheorem1:
 
 def _diffusive(alpha):
     return np.array([[1 - alpha, alpha], [alpha, 1 - alpha]])
+
+
+def _sawtooth_spec():
+    """One planar node whose map is a sawtooth in each coordinate."""
+    from cmnverify import CenterScale, UnifiedSet
+    saw = PiecewiseAffineMap.from_breakpoints(
+        [0.0], [(-20.0, 1.05 - 20.0), (20.0, 1.05 - 20.0)])
+    pieces = []
+    for px in saw.pieces:
+        for py in saw.pieces:
+            mat = np.diag([px.matrix[0, 0], py.matrix[0, 0]])
+            offs = np.array([px.offset[0], py.offset[0]])
+            normals = np.vstack([np.hstack([px.normals, np.zeros_like(px.normals)]),
+                                 np.hstack([np.zeros_like(py.normals), py.normals])])
+            bounds = np.concatenate([px.bounds, py.bounds])
+            pieces.append(type(px)(mat, offs, normals, bounds))
+    local = PiecewiseAffineMap(2, 2, tuple(pieces))
+    unified = UnifiedSet(AffineChart.identity(2, 0),
+                         (("S", CenterScale([0.0, 0.0], [], 1.0)),))
+    node = NodeSystem(local, (HSet("S", AffineChart.identity(2, 0)),),
+                      TransitionMatrix([[1]]), unified=unified)
+    return NetworkSpec(Graph(1, frozenset()), (node,), CouplingSpec("type2", np.eye(1)))
+
+
+def _planar_fixed_pair(matrix):
+    """Two planar type-I nodes, each expanding by 3 and contracting by 0.4
+    on a single h-set that it maps onto itself."""
+    def planar_node(name):
+        t = PiecewiseAffineMap.affine([[3.0, 0.0], [0.0, 0.4]], [0.0, 0.0])
+        return NodeSystem(t, (HSet(name, AffineChart.identity(1, 1)),),
+                          TransitionMatrix([[1]]))
+    return NetworkSpec(Graph.complete(2), (planar_node("A"), planar_node("B")),
+                       CouplingSpec("type1", matrix))
 
 
 def _planar_golden_pair(s_slope):
