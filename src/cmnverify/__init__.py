@@ -15,8 +15,7 @@ __version__ = "0.1.0"
 
 from .geometry import (AffineChart, CenterScale, GeometryError, HSet,
                        PiecewiseAffineMap, StretchBounds, UnifiedSet,
-                       chart_apply, chart_invert, max_stretch, min_stretch,
-                       split_product, unified_validate)
+                       max_stretch, min_stretch, split_product, unified_validate)
 from .degree import (DegreeUndefinedError, DegreeValue, degree_1d, degree_affine,
                      degree_compose_affine, degree_for_map, degree_product)
 from .covering import (CoveringCertificate, CoveringOutcome, ProductFormMap,

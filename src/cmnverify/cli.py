@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import (LoopError, NeutralCompositionError, Perturbation,
-                       empirical_entropy, periodic_point, step, _locate_batch)
+                       empirical_entropy, locate_batch, periodic_point, step)
 from .geometry import GeometryError
 from .network import SpecError, TYPE_I, conjugacy_audit, theorem1_check, theorem2_check, validate_spec
 from .specio import (SpecFormatError, canonical_json, certificate_document,
@@ -176,7 +176,7 @@ def cmd_simulate(args) -> int:
     pert = Perturbation(args.pert[0], int(args.pert[1])) if args.pert else None
     lines = []
     for t in range(args.steps + 1):
-        symbols, _ = _locate_batch(spec, state.reshape(1, -1))
+        symbols, _ = locate_batch(spec, state.reshape(1, -1))
         lines.append({"t": t, "state": [float(v) for v in state],
                       "symbols": [int(s) for s in symbols[0]]})
         if t < args.steps:

@@ -5,6 +5,17 @@ coupling.  Periodic points come from exact affine composition along a
 declared symbol loop (the piecewise-affine restriction makes the closed
 loop solvable in closed form); perturbed networks refine that solution by
 damped fixed-point iteration.
+
+Stepping and locating read tables built once per spec: each node keeps its
+member charts in a per-symbol table filled on first use
+(``NodeSystem.member_chart``), and the spec keeps its ambient interaction
+map (``NetworkSpec.ambient_map``).  The empirical-entropy sampler picks
+predecessors from a padded per-node table, and its forward extraction
+keeps only the surviving rows with their sample indices, writing each
+step's product symbol as one mixed-radix code; the rows that reach every
+arithmetic expression are the same, in the same order, as when dead rows
+were carried along.  Distinct words are counted exactly: the code rows
+are sorted lexicographically and adjacent differences counted.
 """
 
 from __future__ import annotations
@@ -15,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import GeometryError
-from .network import NetworkSpec
-from .symbolic import TransitionMatrix, is_admissible
+from .network import NetworkSpec, kronecker
+from .symbolic import is_admissible
 
 BOUNDARY_TIE_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
@@ -110,7 +121,7 @@ def _step_batch(spec: NetworkSpec, states: np.ndarray,
         if pert is not None and pert.amplitude:
             img = img + pert.local_bump(k, seg)
         out[:, k * block:(k + 1) * block] = img
-    coupled = spec.coupling.ambient_map(block).apply_batch(out)
+    coupled = spec.ambient_map().apply_batch(out)
     if pert is not None and pert.amplitude:
         coupled = coupled + pert.coupling_bump(out)
     return coupled
@@ -129,7 +140,7 @@ def step(spec: NetworkSpec, x, pert: Perturbation | None = None) -> np.ndarray:
 # itineraries
 
 
-def _locate_batch(spec: NetworkSpec, states: np.ndarray) -> tuple[np.ndarray, int]:
+def locate_batch(spec: NetworkSpec, states: np.ndarray) -> tuple[np.ndarray, int]:
     """Symbols (0 = escape) per node for a batch of states, plus tie count."""
     n = states.shape[0]
     block = spec.block_dim
@@ -137,15 +148,12 @@ def _locate_batch(spec: NetworkSpec, states: np.ndarray) -> tuple[np.ndarray, in
     ties = 0
     for k, node in enumerate(spec.nodes):
         seg = states[:, k * block:(k + 1) * block]
-        found = np.zeros(n, dtype=np.int64)
+        found = symbols[:, k]
         for i in range(1, node.count + 1):
-            chart = node.member_chart(i)
-            ext = np.max(np.abs(chart.apply_batch(seg)), axis=1)
+            ext = np.abs(node.member_chart(i).apply_batch(seg)).max(axis=1)
             inside = ext <= 1.0 + BOUNDARY_TIE_TOL
-            ties += int(np.sum(inside & (np.abs(ext - 1.0) <= BOUNDARY_TIE_TOL)))
-            fresh = inside & (found == 0)
-            found[fresh] = i
-        symbols[:, k] = found
+            ties += int(np.count_nonzero(inside & (np.abs(ext - 1.0) <= BOUNDARY_TIE_TOL)))
+            found[inside & (found == 0)] = i
     return symbols, ties
 
 
@@ -161,7 +169,7 @@ def itinerary(spec: NetworkSpec, x0, n: int) -> Itinerary:
     steps: list[tuple[int, ...]] = []
     ties = 0
     for t in range(n):
-        symbols, tie = _locate_batch(spec, state)
+        symbols, tie = locate_batch(spec, state)
         ties += tie
         if np.any(symbols[0] == 0):
             return Itinerary(tuple(steps), t, ties)
@@ -198,7 +206,7 @@ def _loop_affine(spec: NetworkSpec, loop) -> tuple[np.ndarray, np.ndarray]:
     """Compose the affine branches of the network map along the loop."""
     block = spec.block_dim
     dim = spec.state_dim
-    ambient = spec.coupling.ambient_map(block)
+    ambient = spec.ambient_map()
     if not ambient.is_affine:
         raise GeometryError("loop composition needs an affine interaction map")
     a_lin = ambient.pieces[0].matrix
@@ -332,7 +340,7 @@ def empirical_entropy(spec: NetworkSpec, depth: int, samples: int, seed: int = 0
 
     d = spec.d
     block = spec.block_dim
-    ambient = spec.coupling.ambient_map(block)
+    ambient = spec.ambient_map()
     if not ambient.is_affine:
         raise GeometryError("entropy sampling needs an affine interaction map")
     a_lin = ambient.pieces[0].matrix
@@ -354,36 +362,38 @@ def empirical_entropy(spec: NetworkSpec, depth: int, samples: int, seed: int = 0
     xi = 2.0 * draw[:, d:d + spec.state_dim] - 1.0
     states = np.empty((samples, spec.state_dim))
     for k in range(d):
-        seg = xi[:, k * block:(k + 1) * block] * (1.0 - 1e-9)
+        sl = slice(k * block, (k + 1) * block)
+        seg = xi[:, sl] * (1.0 - 1e-9)
         for i in range(1, spec.nodes[k].count + 1):
             mask = cur[:, k] == i
             if np.any(mask):
-                chart = spec.nodes[k].member_chart(i)
-                states[np.ix_(mask, range(k * block, (k + 1) * block))] = \
-                    chart.invert_batch(seg[mask])
+                states[mask, sl] = spec.nodes[k].member_chart(i).invert_batch(seg[mask])
 
-    preds = [{j: spec.nodes[k].transition.predecessors(j)
-              for j in range(1, spec.nodes[k].count + 1)} for k in range(d)]
+    # per node: predecessors of symbol j in row j - 1, padded with zeros
+    # past pred_len[j - 1] (every symbol has at least one predecessor)
+    pred_rows, pred_len = [], []
+    for node in spec.nodes:
+        bits = node.transition.bits
+        pred_len.append(bits.sum(axis=0))
+        table = np.zeros((node.count, int(pred_len[-1].max())), dtype=np.int64)
+        for j in range(node.count):
+            options = np.flatnonzero(bits[:, j]) + 1
+            table[j, :options.size] = options
+        pred_rows.append(table)
 
     col = d + spec.state_dim
     for _ in range(depth - 1):
         prev = np.empty_like(cur)
         for k in range(d):
-            usel = draw[:, col]
+            row = cur[:, k] - 1
+            count = pred_len[k][row]
+            pick = np.minimum((draw[:, col] * count).astype(np.int64), count - 1)
+            prev[:, k] = pred_rows[k][row, pick]
             col += 1
-            for j in range(1, spec.nodes[k].count + 1):
-                mask = cur[:, k] == j
-                if not np.any(mask):
-                    continue
-                options = preds[k][j]
-                pick = np.minimum((usel[mask] * len(options)).astype(np.int64),
-                                  len(options) - 1)
-                prev[mask, k] = np.asarray(options)[pick]
         pulled = (states - a_off) @ a_inv.T
         inset = 1.0 - 1e-9
         for k in range(d):
             sl = slice(k * block, (k + 1) * block)
-            seg = np.empty((samples, block))
             for i in range(1, spec.nodes[k].count + 1):
                 mask = prev[:, k] == i
                 if not np.any(mask):
@@ -395,41 +405,40 @@ def empirical_entropy(spec: NetworkSpec, depth: int, samples: int, seed: int = 0
                 # contracts (forward extraction re-derives the actual word)
                 chart = spec.nodes[k].member_chart(i)
                 cc = np.clip(chart.apply_batch(back), -inset, inset)
-                seg[mask] = chart.invert_batch(cc)
-            states[:, sl] = seg
+                states[mask, sl] = chart.invert_batch(cc)
         cur = prev
 
-    # forward extraction: the constructed states are ordinary initial states
-    words = np.full((samples, depth, d), -1, dtype=np.int64)
-    alive = np.ones(samples, dtype=bool)
+    # forward extraction: the constructed states are ordinary initial states.
+    # Only the surviving rows are kept (``rows`` holds their sample indices),
+    # and each step writes the mixed-radix code of its product symbol.
+    radix = [node.count for node in spec.nodes]
+    codes = np.empty((samples, depth), dtype=np.int64)
+    rows = np.arange(samples)
     x = states
     for t in range(depth):
-        symbols, _ = _locate_batch(spec, x[alive])
+        symbols, _ = locate_batch(spec, x)
         ok = np.all(symbols > 0, axis=1)
-        idx = np.flatnonzero(alive)
-        words[idx[ok], t] = symbols[ok]
-        alive[idx[~ok]] = False
-        if t + 1 < depth and np.any(alive):
-            nxt = np.full_like(x, np.nan)
-            nxt[alive] = _step_batch(spec, x[alive])
-            x = nxt
-    full = words[np.all(words.reshape(samples, -1) >= 0, axis=1)]
-    if full.shape[0] == 0:
-        raise NoInvariantSamplesError("no invariant set sampled")
+        if not ok.all():
+            rows, x, symbols = rows[ok], x[ok], symbols[ok]
+        if rows.size == 0:
+            raise NoInvariantSamplesError("no invariant set sampled")
+        code = symbols[:, 0] - 1
+        for k in range(1, d):
+            code = code * radix[k] + (symbols[:, k] - 1)
+        codes[rows, t] = code
+        if t + 1 < depth:
+            x = _step_batch(spec, x)
+    codes = codes[rows]
 
-    kron_bits = spec.nodes[0].transition.bits
-    for node in spec.nodes[1:]:
-        kron_bits = np.kron(kron_bits, node.transition.bits)
-    kw = TransitionMatrix(kron_bits)
-    radix = np.array([node.count for node in spec.nodes], dtype=np.int64)
-    codes = np.zeros((full.shape[0], depth), dtype=np.int64)
-    for k in range(d):
-        codes = codes * radix[k] + (full[:, :, k] - 1)
-    ok = np.ones(full.shape[0], dtype=bool)
+    kw = kronecker([node.transition for node in spec.nodes])
+    ok = np.ones(codes.shape[0], dtype=bool)
     for t in range(depth - 1):
         ok &= kw.bits[codes[:, t], codes[:, t + 1]] == 1
     codes = codes[ok]
     if codes.shape[0] == 0:
         raise NoInvariantSamplesError("no invariant set sampled")
-    distinct = np.unique(codes, axis=0).shape[0]
+    # distinct rows, exactly: sort lexicographically (column 0 the primary
+    # key) and count the places where adjacent rows differ
+    codes = codes[np.lexsort(codes.T[::-1])]
+    distinct = 1 + int(np.count_nonzero(np.any(codes[1:] != codes[:-1], axis=1)))
     return math.log(distinct) / (depth - 1)

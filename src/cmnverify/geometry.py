@@ -101,16 +101,6 @@ class AffineChart:
         return AffineChart(1, 0, np.array([[1.0]]), np.array([float(b)]))
 
 
-def chart_apply(chart: AffineChart, point) -> np.ndarray:
-    """Evaluate the chart at a point: linear @ point + offset."""
-    return chart.apply(point)
-
-
-def chart_invert(chart: AffineChart, point) -> np.ndarray:
-    """Map a point back through the chart."""
-    return chart.invert(point)
-
-
 @dataclass(frozen=True)
 class HSet:
     """Compact set carried by an affine chart onto the unit product box.

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -98,11 +98,14 @@ class NodeSystem:
     transition: TransitionMatrix
     unified: UnifiedSet | None = None
     chart_forms: dict | None = None
+    _charts: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.hsets:
             raise SpecError("node needs at least one h-set")
         object.__setattr__(self, "hsets", tuple(self.hsets))
+        members = self.unified.members if self.unified is not None else self.hsets
+        object.__setattr__(self, "_charts", [None] * len(members))
 
     @property
     def count(self) -> int:
@@ -121,10 +124,20 @@ class NodeSystem:
         return self.dim_u + self.dim_s
 
     def member_chart(self, symbol: int) -> AffineChart:
-        """Chart taking h-set ``symbol`` (1-based) onto the unit box."""
-        if self.unified is not None:
-            return self.unified.member_chart(symbol - 1)
-        return self.hsets[symbol - 1].chart
+        """Chart taking h-set ``symbol`` (1-based) onto the unit box.
+
+        Each chart is built on its first request and kept in a per-symbol
+        table, so a chart that cannot be built raises at that request and
+        later ones reuse the same object.  The table is indexed exactly
+        like the member tuple it mirrors.
+        """
+        index = symbol - 1
+        chart = self._charts[index]
+        if chart is None:
+            chart = (self.unified.member_chart(index) if self.unified is not None
+                     else self.hsets[index].chart)
+            self._charts[index] = chart
+        return chart
 
     def transitions(self) -> list[tuple[int, int]]:
         return [(int(i) + 1, int(j) + 1) for i, j in zip(*np.nonzero(self.transition.bits))]
@@ -179,6 +192,8 @@ class NetworkSpec:
     graph: Graph
     nodes: tuple[NodeSystem, ...]
     coupling: CouplingSpec
+    _ambient: PiecewiseAffineMap | None = field(default=None, init=False, repr=False,
+                                                compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
@@ -201,6 +216,13 @@ class NetworkSpec:
 
     def dims(self) -> tuple[int, ...]:
         return tuple(node.transition.n for node in self.nodes)
+
+    def ambient_map(self) -> PiecewiseAffineMap:
+        """The interaction on the full state, ``coupling.ambient_map(block_dim)``,
+        built on first use and kept."""
+        if self._ambient is None:
+            object.__setattr__(self, "_ambient", self.coupling.ambient_map(self.block_dim))
+        return self._ambient
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +329,9 @@ def validate_spec(spec: NetworkSpec) -> ValidationReport:
     mats = [("coupling", a)]
     if spec.coupling.per_entry:
         if spec.coupling.kind == TYPE_II:
-            warnings.append("per-entry coupling matrices are ignored by the "
-                            "unified-family checker (shared model only)")
+            warnings.append("per-entry coupling matrices are applied per entry by the "
+                            "unified-family checker: each replaces the shared model "
+                            "at its own entry only")
         mats += [(f"per-entry {tuple(pi)}->{tuple(pj)}", np.asarray(m, float))
                  for pi, pj, m in spec.coupling.per_entry]
     for name, m in mats:
@@ -987,7 +1010,7 @@ def conjugacy_audit(spec: NetworkSpec, samples: int = 200, tol: float = 1e-9,
     rng = np.random.default_rng(seed)
     d = spec.d
     block = spec.block_dim
-    ambient = spec.coupling.ambient_map(block)
+    ambient = spec.ambient_map()
     worst = 0.0
     bad: list[str] = []
     n_done = 0

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from cmnverify import (AffineChart, CenterScale, GeometryError, HSet,
-                       PiecewiseAffineMap, UnifiedSet, chart_apply,
-                       max_stretch, min_stretch, split_product, unified_validate)
+                       PiecewiseAffineMap, UnifiedSet, max_stretch,
+                       min_stretch, split_product, unified_validate)
 from conftest import random_interval_map
 
 U11 = PiecewiseAffineMap.affine([[3.5]], [1.5])   # expands [-1,1] across [-2,5]
@@ -15,15 +15,15 @@ U12 = PiecewiseAffineMap.affine([[2.0]], [0.0])
 class TestAffineChart:
     def test_identity_fixes_points(self):
         chart = AffineChart.identity(1, 1)
-        assert np.allclose(chart_apply(chart, [0.3, -0.2]), [0.3, -0.2])
+        assert np.allclose(chart.apply([0.3, -0.2]), [0.3, -0.2])
 
     def test_unit_shift_chart(self):
         chart = AffineChart.shift_1d(-3.0)
-        assert chart_apply(chart, [2.0])[0] == pytest.approx(-1.0)
+        assert chart.apply([2.0])[0] == pytest.approx(-1.0)
 
     def test_scale_and_offset(self):
         chart = AffineChart(1, 0, [[2.0]], [1.0])
-        assert chart_apply(chart, [0.5])[0] == pytest.approx(2.0)
+        assert chart.apply([0.5])[0] == pytest.approx(2.0)
 
     def test_round_trip_on_random_points(self, rng):
         for _ in range(10):

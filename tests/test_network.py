@@ -102,6 +102,26 @@ class TestValidateSpec:
         assert not report.ok
         assert any("transposed" in w for w in report.warnings)
 
+    def test_type2_per_entry_warning_and_effect(self):
+        # the warning says what theorem2_check does: the override replaces
+        # the shared model at its entry and nowhere else
+        base = fixtures.example1(alpha=0.05)
+        entry = ((1, 2), (2, 1))
+        coupling = CouplingSpec("type2", base.coupling.matrix,
+                                per_entry=((*entry, 0.4 * np.eye(2)),))
+        spec = NetworkSpec(base.graph, base.nodes, coupling)
+        report = validate_spec(spec)
+        assert report.ok
+        assert report.warnings == ("per-entry coupling matrices are applied per entry "
+                                   "by the unified-family checker: each replaces the "
+                                   "shared model at its own entry only",)
+        slack = {(e.source_index, e.target_index): e.slack
+                 for e in theorem2_check(base).entries}
+        changed = {(e.source_index, e.target_index)
+                   for e in theorem2_check(spec).entries
+                   if e.slack != slack[(e.source_index, e.target_index)]}
+        assert changed == {entry}
+
     def test_disconnected_graph_rejected(self):
         spec = fixtures.example1()
         loose = NetworkSpec(Graph(2, frozenset()), spec.nodes,
