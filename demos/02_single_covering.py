@@ -24,7 +24,7 @@ cert = out.certificate
 print(f"  verdict: {out.verdict}")
 print(f"  unstable margin {cert.unstable_margin:.3f}, degree {cert.degree.value}")
 
-eps = persistence_bound(cert, chart_lip=1.0, coupling_row_l1=1.0, coupling_lip=1.0)
+eps = persistence_bound(cert, chart_lip=1.0, coupling_lip=1.0)
 print(f"  admissible perturbation radius: {eps}")
 
 print("\nchecking the certificate against sinusoidal bumps at 0.9 of the radius:")

@@ -8,6 +8,7 @@ certification (or a failed operation), 2 unreadable or invalid spec.
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import sys
 
@@ -30,7 +31,7 @@ EXIT_INVALID = 2
 def _load(path: str):
     with open(path, "rb") as fh:
         raw = fh.read()
-    spec = load_spec(path)
+    spec = load_spec(io.BytesIO(raw))
     report = validate_spec(spec)
     if not report.ok:
         for err in report.errors:
@@ -41,21 +42,28 @@ def _load(path: str):
     return spec, spec_digest(raw)
 
 
-def _run_check(spec, theorem: int | None, grid: int, pert_eps: float = 0.0):
+def _run_check(spec, theorem: int | None, grid: int):
     if theorem is None:
         theorem = 1 if spec.coupling.kind == TYPE_I else 2
     if theorem == 1:
-        return theorem1_check(spec, resolution=grid, pert_amplitude=pert_eps)
-    return theorem2_check(spec, resolution=grid, pert_amplitude=pert_eps)
+        return theorem1_check(spec, resolution=grid)
+    return theorem2_check(spec, resolution=grid)
 
 
-def _emit(doc: dict, out: str | None) -> None:
-    text = canonical_json(doc)
+def _write(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _orbit_doc(loop, orbit) -> dict:
+    return {"loop": [list(multi) for multi in loop],
+            "period": orbit.period,
+            "point": [float(v) for v in orbit.point],
+            "residual": orbit.residual,
+            "interior_margins": [float(m) for m in orbit.interior_margins]}
 
 
 def cmd_verify(args) -> int:
@@ -70,16 +78,9 @@ def cmd_verify(args) -> int:
                   f"{audit.worst_residual:.3e})", file=sys.stderr)
     if report.theorem == 1 and report.passed:
         loop = _auto_loop(spec)
-        orbit = periodic_point(spec, loop)
-        extras["periodic_orbits"] = [{
-            "loop": [list(multi) for multi in loop],
-            "period": orbit.period,
-            "point": [float(v) for v in orbit.point],
-            "residual": orbit.residual,
-            "interior_margins": [float(m) for m in orbit.interior_margins],
-        }]
+        extras["periodic_orbits"] = [_orbit_doc(loop, periodic_point(spec, loop))]
     doc = certificate_document(report, digest, __version__, extras)
-    _emit(doc, args.out)
+    _write(canonical_json(doc), args.out)
     summary = f"verdict {report.verdict}"
     if report.entropy_bound is not None:
         summary += f", entropy bound {report.entropy_bound:.6f}"
@@ -125,16 +126,8 @@ def cmd_periodic(args) -> int:
         loop = [tuple(int(t) for t in stop.split("."))
                 for stop in args.loop.split(",")]
     cert = periodic_point(spec, loop)
-    doc = {
-        "format_version": "1",
-        "spec_digest": digest,
-        "loop": [list(multi) for multi in loop],
-        "period": cert.period,
-        "point": [float(v) for v in cert.point],
-        "residual": cert.residual,
-        "interior_margins": [float(m) for m in cert.interior_margins],
-    }
-    _emit(doc, args.out)
+    doc = {"format_version": "1", "spec_digest": digest, **_orbit_doc(loop, cert)}
+    _write(canonical_json(doc), args.out)
     print(f"period {cert.period}, residual {cert.residual:.3e}", file=sys.stderr)
     return EXIT_PASS
 
@@ -181,12 +174,7 @@ def cmd_simulate(args) -> int:
                       "symbols": [int(s) for s in symbols[0]]})
         if t < args.steps:
             state = step(spec, state, pert)
-    text = "\n".join(canonical_json(line) for line in lines)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write("\n".join(canonical_json(line) for line in lines), args.out)
     return EXIT_PASS
 
 
@@ -197,30 +185,29 @@ def build_parser() -> argparse.ArgumentParser:
                     "orbits, and perturbation margins of coupled map networks.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("spec", help="path to a network spec file (JSON)")
-        p.add_argument("--tol", type=float, default=1e-12,
-                       help="relative tolerance for Perron-root iteration")
-        p.add_argument("--grid", type=int, default=64,
-                       help="points per face axis for certified grid bounds")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", help="write the result document here")
+    spec_help = "path to a network spec file (JSON)"
+    grid_help = "points per face axis for certified grid bounds"
+    theorem_help = "which check to run (default: inferred from coupling kind)"
 
     p = sub.add_parser("verify", help="run a theorem check, emit a certificate")
-    common(p)
-    p.add_argument("--theorem", type=int, choices=(1, 2),
-                   help="which check to run (default: inferred from coupling kind)")
+    p.add_argument("spec", help=spec_help)
+    p.add_argument("--grid", type=int, default=64, help=grid_help)
+    p.add_argument("--seed", type=int, default=0, help="seed of the conjugacy audit")
+    p.add_argument("--out", help="write the certificate here")
+    p.add_argument("--theorem", type=int, choices=(1, 2), help=theorem_help)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("entropy", help="print the certified entropy lower bound")
-    common(p)
+    p.add_argument("spec", help=spec_help)
+    p.add_argument("--tol", type=float, default=1e-12,
+                   help="relative tolerance for Perron-root iteration")
     p.add_argument("--empirical", nargs=3, metavar=("DEPTH", "SAMPLES", "SEED"),
                    help="also estimate from sampled itineraries")
     p.set_defaults(func=cmd_entropy)
 
     p = sub.add_parser("periodic", help="solve for a periodic orbit on a loop")
-    common(p)
+    p.add_argument("spec", help=spec_help)
+    p.add_argument("--out", help="write the orbit document here")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--loop", help="steps separated by commas, node symbols "
                                       "within a step by dots (e.g. '1.2,2.1')")
@@ -229,16 +216,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_periodic)
 
     p = sub.add_parser("margin", help="print the admissible perturbation radius")
-    common(p)
-    p.add_argument("--theorem", type=int, choices=(1, 2))
+    p.add_argument("spec", help=spec_help)
+    p.add_argument("--grid", type=int, default=64, help=grid_help)
+    p.add_argument("--theorem", type=int, choices=(1, 2), help=theorem_help)
     p.set_defaults(func=cmd_margin)
 
     p = sub.add_parser("simulate", help="iterate the network map")
-    common(p)
+    p.add_argument("spec", help=spec_help)
     p.add_argument("--steps", type=int, default=20)
     p.add_argument("--x0", help="comma-separated initial state")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the random initial state when --x0 is absent")
     p.add_argument("--pert", nargs=2, type=float, metavar=("EPS", "SEED"),
                    help="sinusoidal perturbation amplitude and seed")
+    p.add_argument("--out", help="write the trajectory (JSON lines) here")
     p.set_defaults(func=cmd_simulate)
     return parser
 

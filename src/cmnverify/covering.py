@@ -151,7 +151,7 @@ def check_covering(source: HSet, target: CenterScale, f: ProductFormMap,
 
 
 def persistence_bound(cert: CoveringCertificate, chart_lip: float,
-                      coupling_row_l1: float, coupling_lip: float) -> float:
+                      coupling_lip: float) -> float:
     """Explicit radius under which the certificate survives perturbation.
 
     Any pair of local-map and coupling perturbations of ambient sup-norm
@@ -165,15 +165,13 @@ def persistence_bound(cert: CoveringCertificate, chart_lip: float,
         raise MarginError("persistence radius needs strictly positive margins")
     if chart_lip <= 0 or coupling_lip < 0:
         raise ValueError("Lipschitz factors must be positive")
-    if coupling_row_l1 > coupling_lip + 1e-9:
-        raise ValueError("a single coupling row cannot exceed the coupling operator norm")
     stable_term = cert.stable_margin * cert.target_radius
     margin = min(cert.unstable_margin, stable_term)
     return margin / (chart_lip * (1.0 + coupling_lip))
 
 
 def with_persistence(cert: CoveringCertificate, chart_lip: float,
-                     coupling_row_l1: float, coupling_lip: float) -> CoveringCertificate:
+                     coupling_lip: float) -> CoveringCertificate:
     """Copy of the certificate with its admissible radius filled in."""
-    eps = persistence_bound(cert, chart_lip, coupling_row_l1, coupling_lip)
+    eps = persistence_bound(cert, chart_lip, coupling_lip)
     return replace(cert, admissible_eps=eps)

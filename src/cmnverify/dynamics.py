@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GeometryError
+from .geometry import GeometryError, box_grid
 from .network import NetworkSpec, kronecker
 from .symbolic import is_admissible
 
@@ -191,9 +191,7 @@ def _branch(spec: NetworkSpec, k: int, symbol: int):
     """
     node = spec.nodes[k]
     chart = node.member_chart(symbol)
-    corners = chart.invert_batch(
-        np.array(np.meshgrid(*([[-1.0, 1.0]] * node.dim), indexing="ij"))
-        .reshape(node.dim, -1).T)
+    corners = chart.invert_batch(box_grid(node.dim, 2))
     lo, hi = corners.min(axis=0), corners.max(axis=0)
     try:
         idx = node.local_map.single_piece_on_box(lo, hi)

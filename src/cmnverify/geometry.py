@@ -39,6 +39,16 @@ def _as_matrix(m) -> np.ndarray:
     return a
 
 
+def box_grid(dim: int, per_axis: int) -> np.ndarray:
+    """Grid over the unit box [-1, 1]^dim, ``per_axis`` points per axis.
+
+    Rows run with the last axis fastest (``itertools.product`` order);
+    ``per_axis = 2`` gives the box corners.
+    """
+    axis = np.linspace(-1.0, 1.0, per_axis)
+    return axis[np.indices((per_axis,) * dim).reshape(dim, per_axis ** dim).T]
+
+
 @dataclass(frozen=True)
 class AffineChart:
     """Invertible affine change of coordinates x -> linear @ x + offset.
@@ -129,8 +139,7 @@ class HSet:
 
     def vertices(self) -> np.ndarray:
         """Physical vertices: chart preimages of the unit-box corners."""
-        corners = np.array(list(itertools.product((-1.0, 1.0), repeat=self.dim)))
-        return self.chart.invert_batch(corners)
+        return self.chart.invert_batch(box_grid(self.dim, 2))
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         v = self.vertices()
@@ -421,7 +430,7 @@ class PiecewiseAffineMap:
         """
         lo = _as_vector(lo, self.dim_in)
         hi = _as_vector(hi, self.dim_in)
-        corners = np.array(list(itertools.product(*zip(lo, hi))))
+        corners = np.where(box_grid(self.dim_in, 2) > 0, hi, lo)
         for i, p in enumerate(self.pieces):
             if bool(np.all(p.contains_batch(corners, tol=1e-9))):
                 return i
@@ -559,9 +568,7 @@ def _stretch(F: PiecewiseAffineMap, ref, resolution: int, want_min: bool) -> Str
     if F.dim_in <= 4:
         # cheap totality probe; vertex enumeration alone would silently
         # ignore an uncovered patch of the ball
-        axis = np.linspace(-1.0, 1.0, 5)
-        probe = np.array(list(itertools.product(axis, repeat=F.dim_in)))
-        F.apply_batch(probe)
+        F.apply_batch(box_grid(F.dim_in, 5))
     max_abs = _exact_max(F, ref)
     if not want_min:
         return StretchBounds(0.0, max_abs, True, 0.0)
@@ -639,8 +646,7 @@ def split_product(F: PiecewiseAffineMap, u: int, samples: int = 5,
 
     U = block_pieces(list(range(u)), list(range(u)))
     V = block_pieces(list(range(u, F.dim_in)), list(range(u, F.dim_in)))
-    axis = np.linspace(-1.0, 1.0, samples)
-    grid = np.array(list(itertools.product(axis, repeat=F.dim_in)))
+    grid = box_grid(F.dim_in, samples)
     full = F.apply_batch(grid)
     ux = U.apply_batch(grid[:, :u])
     vy = V.apply_batch(grid[:, u:])

@@ -21,6 +21,11 @@ only where a row reaches those tests, and slots that agree on node, form
 key, exact a[k, m] and exact reference share one geometry call.  The row
 margins of a block of entries are then whole-array operations, and
 ``tau_search`` runs once per distinct feasibility matrix.
+
+The coupling kind decides which charts a chart form composes the local map
+with; ``_form_keys`` and ``_form_charts`` own that decision, and form
+derivation, the declared-form audit and the conjugacy audit all read it
+from them.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import numpy as np
 from .covering import STRICT_MARGIN, CoveringCertificate, ProductFormMap, persistence_bound
 from .degree import DegreeUndefinedError, DegreeValue, degree_for_map
 from .geometry import (AffineChart, GeometryError, HSet, PiecewiseAffineMap, UnifiedSet,
-                       max_stretch, min_stretch, split_product, unified_validate)
+                       box_grid, max_stretch, min_stretch, split_product, unified_validate)
 from .symbolic import TransitionMatrix, lcm_period, spectral_radius
 
 TYPE_I = "type1"
@@ -240,40 +245,40 @@ class ValidationReport:
         return not self.errors
 
 
+def _form_keys(node: NodeSystem, kind: str) -> list:
+    """Keys of the chart forms a node's checks use: source symbols 1..count
+    for a unified family (type II), transitions (i, j) otherwise."""
+    if kind == TYPE_II:
+        if node.unified is None:
+            raise SpecError("unified family required to derive chart forms")
+        return list(range(1, node.count + 1))
+    return node.transitions()
+
+
+def _form_charts(node: NodeSystem, kind: str, key) -> tuple[AffineChart, AffineChart]:
+    """(inner, outer) charts that the chart form ``key`` composes the local
+    map with: a member chart into the shared unified chart (type II), or
+    source h-set chart into target h-set chart (type I)."""
+    if kind == TYPE_II:
+        return node.member_chart(key), node.unified.chart
+    i, j = key
+    return node.hsets[i - 1].chart, node.hsets[j - 1].chart
+
+
 def _resolve_forms(node: NodeSystem, kind: str) -> dict:
     """Chart-coordinate product forms, declared or derived by composition."""
     if node.chart_forms is not None:
         return node.chart_forms
     forms: dict = {}
-    u = node.dim_u
-    if kind == TYPE_II:
-        if node.unified is None:
-            raise SpecError("unified family required to derive chart forms")
-        outer = node.unified.chart
-        for i in range(1, node.count + 1):
-            inner = node.member_chart(i)
-            composed = (node.local_map
-                        .compose_affine_inner(inner.inverse_linear,
-                                              -inner.inverse_linear @ inner.offset)
-                        .compose_affine_outer(outer.linear, outer.offset))
-            U, V = split_product(composed, u)
-            forms[i] = ProductFormMap(U, V)
-    else:
-        for i, j in node.transitions():
-            inner = node.hsets[i - 1].chart
-            outer = node.hsets[j - 1].chart
-            composed = (node.local_map
-                        .compose_affine_inner(inner.inverse_linear,
-                                              -inner.inverse_linear @ inner.offset)
-                        .compose_affine_outer(outer.linear, outer.offset))
-            U, V = split_product(composed, u)
-            forms[(i, j)] = ProductFormMap(U, V)
+    for key in _form_keys(node, kind):
+        inner, outer = _form_charts(node, kind, key)
+        composed = (node.local_map
+                    .compose_affine_inner(inner.inverse_linear,
+                                          -inner.inverse_linear @ inner.offset)
+                    .compose_affine_outer(outer.linear, outer.offset))
+        U, V = split_product(composed, node.dim_u)
+        forms[key] = ProductFormMap(U, V)
     return forms
-
-
-def _box_grid(dim: int, per_axis: int = 5) -> np.ndarray:
-    axis = np.linspace(-1.0, 1.0, per_axis)
-    return np.array(list(itertools.product(axis, repeat=dim)))
 
 
 def _image_bbox(node: NodeSystem, symbol: int) -> tuple[np.ndarray, np.ndarray]:
@@ -285,8 +290,8 @@ def _image_bbox(node: NodeSystem, symbol: int) -> tuple[np.ndarray, np.ndarray]:
     corners = node.hsets[symbol - 1].vertices()
     # box hull of the set, then exact piecewise image box of that hull
     lo, hi = corners.min(axis=0), corners.max(axis=0)
-    pts = np.array(list(itertools.product(*zip(lo, hi))))
-    grid = _box_grid(node.dim, 4) * (hi - lo) / 2 + (hi + lo) / 2
+    pts = np.where(box_grid(node.dim, 2) > 0, hi, lo)
+    grid = box_grid(node.dim, 4) * (hi - lo) / 2 + (hi + lo) / 2
     vals = node.local_map.apply_batch(np.vstack([pts, grid]))
     pad = node.local_map.lipschitz() * float(np.max(hi - lo)) / 6.0
     return vals.min(axis=0) - pad, vals.max(axis=0) + pad
@@ -406,7 +411,7 @@ def _check_member_charts(node: NodeSystem, k: int, errors: list[str],
 
 def _audit_declared_forms(kind: str, node: NodeSystem, k: int, errors: list[str]) -> None:
     """Sampled consistency of declared chart forms with the composed map."""
-    grid = _box_grid(node.dim, 5)
+    grid = box_grid(node.dim, 5)
     u = node.dim_u
     for key, form in node.chart_forms.items():
         if kind == TYPE_II:
@@ -414,17 +419,12 @@ def _audit_declared_forms(kind: str, node: NodeSystem, k: int, errors: list[str]
                 errors.append(f"node {k}: chart forms must be keyed by source "
                               f"symbol for a unified family, got {key!r}")
                 continue
-            inner = node.member_chart(key)
-            outer = node.unified.chart
-        else:
-            if (not isinstance(key, tuple) or len(key) != 2
-                    or not all(1 <= t <= node.count for t in key)):
-                errors.append(f"node {k}: chart forms must be keyed by "
-                              f"(source, target) pairs, got {key!r}")
-                continue
-            i, j = key
-            inner = node.hsets[i - 1].chart
-            outer = node.hsets[j - 1].chart
+        elif (not isinstance(key, tuple) or len(key) != 2
+                or not all(1 <= t <= node.count for t in key)):
+            errors.append(f"node {k}: chart forms must be keyed by "
+                          f"(source, target) pairs, got {key!r}")
+            continue
+        inner, outer = _form_charts(node, kind, key)
         ambient = inner.invert_batch(grid)
         want = outer.apply_batch(node.local_map.apply_batch(ambient))
         got = form.U.apply_batch(grid[:, :u])
@@ -861,7 +861,7 @@ def _check_entries(spec: NetworkSpec, forms: list[dict], choices: list[list[_Cho
                 target_id="x".join(ids[k][c][1] for k, c in enumerate(row)),
                 degree=DegreeValue(_perm_sign(tau) ** u * degree, "composition"),
                 unstable_margin=unstable, stable_margin=stable, target_radius=radius)
-            eps = persistence_bound(cert, chart_lip, coupling_lip, coupling_lip)
+            eps = persistence_bound(cert, chart_lip, coupling_lip)
             entries[flat[e]] = EntryResult(i_idx, j_idx, tau, replace(cert, admissible_eps=eps),
                                            "pass", min(unstable, stable) - inflation, ())
 
@@ -1010,31 +1010,23 @@ def conjugacy_audit(spec: NetworkSpec, samples: int = 200, tol: float = 1e-9,
     rng = np.random.default_rng(seed)
     d = spec.d
     block = spec.block_dim
+    kind = spec.coupling.kind
     ambient = spec.ambient_map()
     worst = 0.0
     bad: list[str] = []
     n_done = 0
 
-    if spec.coupling.kind == TYPE_II:
-        combos = list(itertools.product(*[range(1, n.count + 1) for n in spec.nodes]))
-    else:
-        combos = []
-        for combo in itertools.product(*[n.transitions() for n in spec.nodes]):
-            combos.append(tuple(c for c in combo))
-
+    combos = list(itertools.product(*[_form_keys(n, kind) for n in spec.nodes]))
     per = max(1, samples // max(1, len(combos)))
     for combo in combos:
-        if spec.coupling.kind == TYPE_II:
-            i_idx = combo
-            charts_in = [spec.nodes[k].member_chart(i_idx[k]) for k in range(d)]
-            charts_out = [spec.nodes[k].unified.chart for k in range(d)]
+        charts_in, charts_out = zip(*(_form_charts(n, kind, key)
+                                      for n, key in zip(spec.nodes, combo)))
+        if kind == TYPE_II:
             a = spec.coupling.matrix
-            label = f"sources {i_idx}"
+            label = f"sources {combo}"
         else:
             i_idx = tuple(i for i, _ in combo)
             j_idx = tuple(j for _, j in combo)
-            charts_in = [spec.nodes[k].hsets[i_idx[k] - 1].chart for k in range(d)]
-            charts_out = [spec.nodes[k].hsets[j_idx[k] - 1].chart for k in range(d)]
             a = spec.coupling.matrix_for(i_idx, j_idx)
             label = f"entry {i_idx}->{j_idx}"
         model = np.kron(a, np.eye(block))

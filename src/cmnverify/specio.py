@@ -276,15 +276,6 @@ def serialize_spec(spec: NetworkSpec) -> dict:
     return doc
 
 
-class _CanonicalEncoder(json.JSONEncoder):
-    def default(self, o):
-        if isinstance(o, (np.integer,)):
-            return int(o)
-        if isinstance(o, (np.floating,)):
-            return float(o)
-        return super().default(o)
-
-
 def canonical_json(doc) -> str:
     """Deterministic serialization: sorted keys, fixed separators, "inf"."""
 
@@ -301,8 +292,7 @@ def canonical_json(doc) -> str:
             return int(obj)
         return obj
 
-    return json.dumps(clean(doc), sort_keys=True, separators=(",", ":"),
-                      cls=_CanonicalEncoder, allow_nan=False)
+    return json.dumps(clean(doc), sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def spec_digest(raw: bytes) -> str:

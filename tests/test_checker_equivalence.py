@@ -189,8 +189,7 @@ def _reference_entry(spec, tables, i_idx, j_idx, form_key, refs_u, refs_s, radii
             source_id=ids[0], target_id=ids[1], degree=DegreeValue(value, "composition"),
             unstable_margin=min(row_u), stable_margin=min(row_s),
             target_radius=min(radii) if tables.s > 0 else 1.0)
-        eps = nw.persistence_bound(cert, chart_lip, spec.coupling.lipschitz(),
-                                   spec.coupling.lipschitz())
+        eps = nw.persistence_bound(cert, chart_lip, spec.coupling.lipschitz())
         cert = CoveringCertificate(cert.source_id, cert.target_id, cert.degree,
                                    cert.unstable_margin, cert.stable_margin,
                                    cert.target_radius, admissible_eps=eps)

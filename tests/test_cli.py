@@ -1,10 +1,12 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cmnverify import canonical_json, fixtures, load_spec, parse_spec, serialize_spec, specs_equal
@@ -52,6 +54,11 @@ class TestRoundTrip:
         path.write_text('{"format_version": "1",')
         with pytest.raises(SpecFormatError, match="line"):
             load_spec(path)
+
+    def test_canonical_json_takes_numpy_scalars(self):
+        doc = {"b": np.float64(0.5), "a": [np.int64(3), np.float32(0.25)],
+               "c": math.inf, "d": (np.float64(-math.inf),)}
+        assert canonical_json(doc) == '{"a":[3,0.25],"b":0.5,"c":"inf","d":["-inf"]}'
 
     def test_declared_chart_forms_round_trip(self, tmp_path):
         from cmnverify import NetworkSpec, NodeSystem
@@ -221,11 +228,74 @@ class TestSimulateCommand:
         assert lines[1]["state"][0] != pytest.approx(-0.6, abs=1e-6)
 
 
+class TestOptions:
+    # options that no command reads; each verb rejects them
+    REMOVED = [("verify", "--tol"), ("entropy", "--grid"), ("entropy", "--seed"),
+               ("entropy", "--out"), ("periodic", "--tol"), ("periodic", "--grid"),
+               ("periodic", "--seed"), ("margin", "--tol"), ("margin", "--seed"),
+               ("margin", "--out"), ("simulate", "--tol"), ("simulate", "--grid")]
+
+    @pytest.mark.parametrize("verb, option", REMOVED)
+    def test_removed_option_is_a_usage_error(self, verb, option, fixdir, capsys):
+        argv = [verb, str(fixdir / "example1.json"), option, "1"]
+        if verb == "periodic":
+            argv.append("--auto")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    # every option a verb keeps, in each form the benchmark passes
+    ACCEPTED = [
+        ("verify", "example1.json", ["--grid", "256", "--seed", "1", "--out", "F"]),
+        ("verify", "example1.json", ["--theorem", "2", "--out", "F"]),
+        ("margin", "example1.json", ["--grid", "64", "--theorem", "2"]),
+        ("periodic", "theorem1_perm23.json", ["--auto", "--out", "F"]),
+        ("periodic", "example1_node1.json", ["--loop", "1"]),
+        ("entropy", "example1_node1.json", ["--tol", "1e-12", "--empirical", "3", "64", "1"]),
+        ("simulate", "example1.json", ["--steps", "5", "--seed", "1", "--out", "F"]),
+        ("simulate", "example1.json", ["--steps", "3", "--x0=-0.6,3.6",
+                                       "--pert", "0.01", "4"]),
+    ]
+
+    @pytest.mark.parametrize("verb, name, options", ACCEPTED)
+    def test_kept_options_run(self, verb, name, options, fixdir, tmp_path):
+        argv = [verb, str(fixdir / name)] + [str(tmp_path / "out") if o == "F" else o
+                                              for o in options]
+        assert main(argv) == 0
+
+
+class TestSpecRead:
+    def test_digest_describes_the_parsed_bytes(self, fixdir, tmp_path, monkeypatch):
+        # the file is replaced after its bytes are read; the certificate
+        # must still describe, and be computed from, those bytes
+        import cmnverify.cli as cli
+        path = tmp_path / "spec.json"
+        original = (fixdir / "example1.json").read_bytes()
+        path.write_bytes(original)
+        real = cli.load_spec
+
+        def replacing_load(source):
+            path.write_bytes((fixdir / "example1_alpha_0.2.json").read_bytes())
+            return real(source)
+
+        monkeypatch.setattr(cli, "load_spec", replacing_load)
+        out = tmp_path / "cert.json"
+        assert main(["verify", str(path), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["spec_digest"] == "sha256:" + hashlib.sha256(original).hexdigest()
+        assert doc["verdict"] == "pass"
+
+
 class TestConsoleEntryPoint:
     def test_module_invocation(self, fixdir):
+        # the child finds the package in a plain checkout, not installed
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(FIXDIR.parent / "src"),
+                                                           env.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "cmnverify", "entropy",
              str(fixdir / "example1.json")],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert result.returncode == 0
         assert "bound 0.962424" in result.stdout

@@ -107,32 +107,28 @@ class TestPersistence:
         return CoveringCertificate(**args)
 
     def test_identity_setup_gives_half_margin(self):
-        assert persistence_bound(self.cert(), 1.0, 1.0, 1.0) == pytest.approx(0.5)
+        assert persistence_bound(self.cert(), 1.0, 1.0) == pytest.approx(0.5)
 
     def test_chart_lipschitz_scales_inversely(self):
-        base = persistence_bound(self.cert(), 1.0, 1.0, 1.0)
-        assert persistence_bound(self.cert(), 2.0, 1.0, 1.0) == pytest.approx(base / 2)
+        base = persistence_bound(self.cert(), 1.0, 1.0)
+        assert persistence_bound(self.cert(), 2.0, 1.0) == pytest.approx(base / 2)
 
     def test_stable_margin_scaled_by_radius(self):
         cert = self.cert(unstable_margin=5.0, stable_margin=0.4, target_radius=0.5)
-        assert persistence_bound(cert, 1.0, 1.0, 1.0) == pytest.approx(0.1)
+        assert persistence_bound(cert, 1.0, 1.0) == pytest.approx(0.1)
 
     def test_zero_margin_unconstructible(self):
         with pytest.raises(ValueError):
             self.cert(unstable_margin=0.0)
 
-    def test_row_above_operator_norm_rejected(self):
-        with pytest.raises(ValueError):
-            persistence_bound(self.cert(), 1.0, 3.0, 1.0)
-
     def test_with_persistence_fills_radius(self):
-        cert = with_persistence(self.cert(), 1.0, 1.0, 1.0)
+        cert = with_persistence(self.cert(), 1.0, 1.0)
         assert cert.admissible_eps == pytest.approx(0.5)
 
     def test_survives_bumps_inside_radius(self, rng):
         # perturbations strictly below the radius keep all inequalities
         out = check_covering(SOURCE, target_at(3.0), EXPANDER)
-        eps = persistence_bound(out.certificate, 1.0, 1.0, 1.0)
+        eps = persistence_bound(out.certificate, 1.0, 1.0)
         for seed in range(20):
             gen = np.random.default_rng(seed)
             freq, phase = gen.uniform(0.5, 2.5), gen.uniform(0, 2 * np.pi)

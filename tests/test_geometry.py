@@ -6,6 +6,7 @@ import pytest
 from cmnverify import (AffineChart, CenterScale, GeometryError, HSet,
                        PiecewiseAffineMap, UnifiedSet, max_stretch,
                        min_stretch, split_product, unified_validate)
+from cmnverify.geometry import box_grid
 from conftest import random_interval_map
 
 U11 = PiecewiseAffineMap.affine([[3.5]], [1.5])   # expands [-1,1] across [-2,5]
@@ -268,3 +269,20 @@ class TestHSet:
         lo, hi = HSet("par", chart).bounding_box()
         assert lo == pytest.approx([-2.0, -1.0])
         assert hi == pytest.approx([2.0, 1.0])
+
+
+class TestBoxGrid:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("per_axis", [2, 4, 5])
+    def test_matches_product_order(self, dim, per_axis):
+        axis = np.linspace(-1.0, 1.0, per_axis)
+        oracle = np.array(list(itertools.product(axis, repeat=dim)))
+        assert np.array_equal(box_grid(dim, per_axis), oracle)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_corners_of_a_box(self, dim):
+        gen = np.random.default_rng(dim)
+        lo = gen.uniform(-3.0, 0.0, dim)
+        hi = lo + gen.uniform(0.1, 2.0, dim)
+        oracle = np.array(list(itertools.product(*zip(lo, hi))))
+        assert np.array_equal(np.where(box_grid(dim, 2) > 0, hi, lo), oracle)

@@ -446,6 +446,16 @@ class TestConjugacyAudit:
         audit = conjugacy_audit(fixtures.theorem1_perm23())
         assert audit.ok
 
+    # the audit evaluates one sample at a time; a batched evaluation rounds
+    # differently and would change verify's certificates, so the last bit holds
+    @pytest.mark.parametrize("seed, worst", [(0, 8.881784197001252e-16),
+                                             (1, 1.3322676295501878e-15),
+                                             (2, 1.3322676295501878e-15),
+                                             (3, 1.3322676295501878e-15),
+                                             (4, 1.3322676295501878e-15)])
+    def test_example2_worst_residual_pinned(self, seed, worst):
+        assert conjugacy_audit(fixtures.example2(), seed=seed).worst_residual == worst
+
 
 class TestGraph:
     def test_weak_connectivity(self):
