@@ -5,6 +5,17 @@ the unstable ball is the union of the box faces.  That choice makes every
 bound in this module either exact (interval endpoints, cell vertices,
 per-face linear programs) or conservatively certified (face grids with an
 explicit Lipschitz slack).
+
+A stretch bound needs two kinds of work.  The cell-only part depends on a
+map's cells alone (``dim_in`` and every piece's ``normals`` and
+``bounds``): the totality probe, the vertices of each cell inside the unit
+box, and for a face grid the first piece that holds each grid point.  The
+rest evaluates the pieces' matrices and offsets against a reference.
+``CellGeometry`` keeps the cell-only part keyed by cell content, so maps
+that share their cells (a chart form and all its scalings ``U.scale(a)``)
+share it; a checker keeps one ``CellGeometry`` for the length of one check
+and passes it to ``min_stretch`` and ``max_stretch``.  Called without one,
+those functions compute everything afresh, as for a single query.
 """
 
 from __future__ import annotations
@@ -200,35 +211,15 @@ class UnifiedSet:
     def count(self) -> int:
         return len(self.members)
 
-    def member_ids(self) -> list[str]:
-        return [mid for mid, _ in self.members]
-
     def member_chart(self, index: int) -> AffineChart:
         """Chart of member ``index`` (0-based): recentering after the shared chart."""
         _, cs = self.members[index]
         return cs.compose_chart(self.chart)
 
-    def hull_center(self) -> np.ndarray:
-        """Center of the enclosing unstable ball, ((3d-3)/2, 0, ..., 0)."""
-        q = np.zeros(self.chart.dim_u)
-        q[0] = 1.5 * (self.count - 1)
-        return q
-
-    def hull_radius(self) -> float:
-        return (3.0 * self.count - 1.0) / 2.0
-
 
 @dataclass(frozen=True)
 class UnifiedValidation:
     violations: tuple[str, ...]
-
-    @property
-    def valid(self) -> bool:
-        return not self.violations
-
-    @property
-    def first_violation(self) -> str | None:
-        return self.violations[0] if self.violations else None
 
 
 def unified_validate(n: UnifiedSet, tol: float = 1e-9) -> UnifiedValidation:
@@ -287,6 +278,25 @@ class AffinePiece:
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         return self.matrix @ x + self.offset
+
+
+def _first_match(pieces: tuple[AffinePiece, ...], pts: np.ndarray):
+    """Yield (i, hit) for every piece i that is the first to hold some rows
+    of ``pts``; ``hit`` marks those rows.
+
+    A point on a shared boundary (within EVAL_TIE_TOL) goes to the earlier
+    piece.  Raises after the last piece when some point lies in no cell.
+    """
+    todo = np.ones(pts.shape[0], dtype=bool)
+    for i, p in enumerate(pieces):
+        hit = todo & p.contains_batch(pts)
+        if np.any(hit):
+            yield i, hit
+            todo &= ~hit
+        if not np.any(todo):
+            return
+    raise GeometryError(f"map undefined at {int(np.sum(todo))} of "
+                        f"{pts.shape[0]} points")
 
 
 @dataclass(frozen=True)
@@ -374,18 +384,14 @@ class PiecewiseAffineMap:
 
     def apply_batch(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
+        first = self.pieces[0]
+        if first.normals.shape[0] == 0:
+            # the first piece holds every point
+            return np.ascontiguousarray(pts) @ first.matrix.T + first.offset
         out = np.empty((pts.shape[0], self.dim_out))
-        todo = np.ones(pts.shape[0], dtype=bool)
-        for p in self.pieces:
-            hit = todo & p.contains_batch(pts)
-            if np.any(hit):
-                out[hit] = pts[hit] @ p.matrix.T + p.offset
-                todo &= ~hit
-            if not np.any(todo):
-                break
-        if np.any(todo):
-            raise GeometryError(f"map undefined at {int(np.sum(todo))} of "
-                                f"{pts.shape[0]} points")
+        for i, hit in _first_match(self.pieces, pts):
+            p = self.pieces[i]
+            out[hit] = pts[hit] @ p.matrix.T + p.offset
         return out
 
     def lipschitz(self) -> float:
@@ -497,11 +503,11 @@ def _piece_box_vertices(piece: AffinePiece, dim: int) -> np.ndarray:
     return np.unique(np.round(np.asarray(verts), 12), axis=0)
 
 
-def _exact_max(F: PiecewiseAffineMap, ref: np.ndarray) -> float:
-    """Exact max of |F - ref| over the unit box via cell-vertex enumeration."""
+def _exact_max(F: PiecewiseAffineMap, ref: np.ndarray, vertices: list[np.ndarray]) -> float:
+    """Exact max of |F - ref| over the unit box, from the cell vertices
+    ``vertices[i]`` of each piece i inside the box."""
     best = None
-    for p in F.pieces:
-        verts = _piece_box_vertices(p, F.dim_in)
+    for p, verts in zip(F.pieces, vertices):
         if verts.shape[0] == 0:
             continue
         vals = verts @ p.matrix.T + p.offset - ref
@@ -563,13 +569,84 @@ def _affine_face_min(F: PiecewiseAffineMap, ref: np.ndarray) -> float:
     return best
 
 
-def _stretch(F: PiecewiseAffineMap, ref, resolution: int, want_min: bool) -> StretchBounds:
+class _CellTable:
+    """Cell-only geometry of one cell structure.
+
+    ``vertices[i]`` are the vertices of piece i's cell inside the unit box;
+    ``face_rows(pieces, pts, resolution)`` gives, per piece, the rows of the
+    face grid ``pts`` that the piece is the first to hold.  Built only for a
+    total map: the totality probe raises before anything is kept.
+    """
+
+    def __init__(self, F: PiecewiseAffineMap):
+        if F.dim_in <= 4:
+            # cheap totality probe; vertex enumeration alone would silently
+            # ignore an uncovered patch of the ball
+            for _ in _first_match(F.pieces, box_grid(F.dim_in, 5)):
+                pass
+        self.vertices = [_piece_box_vertices(p, F.dim_in) for p in F.pieces]
+        self._rows: dict[int, list[np.ndarray]] = {}
+
+    def face_rows(self, pieces: tuple[AffinePiece, ...], pts: np.ndarray,
+                  resolution: int) -> list[np.ndarray]:
+        if resolution not in self._rows:
+            rows = [np.zeros(0, dtype=np.intp)] * len(pieces)
+            for i, hit in _first_match(pieces, pts):
+                rows[i] = np.flatnonzero(hit)
+            self._rows[resolution] = rows
+        return self._rows[resolution]
+
+
+class CellGeometry:
+    """Cell-only geometry shared by the maps that have the same cells.
+
+    Tables are keyed by cell content: ``dim_in`` and every piece's
+    ``normals`` and ``bounds``, byte for byte, in piece order.  A map and
+    its scalings ``F.scale(a)`` share one table; ``compose_affine_inner``
+    moves the cells and gets its own.  Face grids are kept per (dimension,
+    resolution) and shared by every table.  Everything lives as long as the
+    ``CellGeometry`` object, which a checker holds for one check.
+    """
+
+    def __init__(self):
+        self._tables: dict = {}
+        self._faces: dict[tuple[int, int], np.ndarray] = {}
+
+    def table(self, F: PiecewiseAffineMap) -> _CellTable:
+        key = (F.dim_in, tuple((a.dtype.str, a.shape, a.tobytes())
+                               for p in F.pieces for a in (p.normals, p.bounds)))
+        if key not in self._tables:
+            self._tables[key] = _CellTable(F)
+        return self._tables[key]
+
+    def face_points(self, dim: int, resolution: int) -> np.ndarray:
+        if (dim, resolution) not in self._faces:
+            self._faces[dim, resolution] = _face_points(dim, resolution)
+        return self._faces[dim, resolution]
+
+
+def _face_min(sub: np.ndarray, piece: AffinePiece, ref: np.ndarray) -> float:
+    """min over the rows of ``sub`` of max |piece(x) - ref|.
+
+    The row max runs column by column: the same values as ``np.max(...,
+    axis=1)``, without numpy's slow reduction along a short last axis.
+    """
+    vals = sub @ piece.matrix.T
+    vals += piece.offset
+    vals -= ref
+    np.abs(vals, out=vals)
+    row_max = vals[:, 0].copy()
+    for j in range(1, vals.shape[1]):
+        np.maximum(row_max, vals[:, j], out=row_max)
+    return np.min(row_max)
+
+
+def _stretch(F: PiecewiseAffineMap, ref, resolution: int, want_min: bool,
+             cells: CellGeometry | None) -> StretchBounds:
     ref = _as_vector(ref, F.dim_out)
-    if F.dim_in <= 4:
-        # cheap totality probe; vertex enumeration alone would silently
-        # ignore an uncovered patch of the ball
-        F.apply_batch(box_grid(F.dim_in, 5))
-    max_abs = _exact_max(F, ref)
+    cells = CellGeometry() if cells is None else cells
+    table = cells.table(F)
+    max_abs = _exact_max(F, ref, table.vertices)
     if not want_min:
         return StretchBounds(0.0, max_abs, True, 0.0)
     dim = F.dim_in
@@ -582,27 +659,30 @@ def _stretch(F: PiecewiseAffineMap, ref, resolution: int, want_min: bool) -> Str
         return StretchBounds(m, max_abs, True, m)
     if resolution < 2:
         raise GeometryError("grid resolution must be at least 2")
-    pts = _face_points(dim, resolution)
-    vals = np.max(np.abs(F.apply_batch(pts) - ref), axis=1)
-    attained = float(np.min(vals))
+    pts = cells.face_points(dim, resolution)
+    mins = [_face_min(np.take(pts, rows, axis=0), p, ref)
+            for p, rows in zip(F.pieces, table.face_rows(F.pieces, pts, resolution))
+            if rows.size]
+    attained = float(np.min(mins))
     spacing = 2.0 / (resolution - 1)
     slack = F.lipschitz() * spacing / 2.0
     return StretchBounds(max(attained - slack, 0.0), max_abs, False, attained)
 
 
-def min_stretch(F: PiecewiseAffineMap, ref, resolution: int = 64) -> StretchBounds:
+def min_stretch(F: PiecewiseAffineMap, ref, resolution: int = 64,
+                cells: CellGeometry | None = None) -> StretchBounds:
     """Lower-bound min |F(x) - ref| over the boundary of the unit box.
 
     Exact for 1-d maps (endpoint evaluation) and for affine maps (per-face
     linear programs); otherwise a face grid with Lipschitz slack, flagged
-    certified=False.
+    certified=False.  ``cells`` holds the cell-only geometry to reuse.
     """
-    return _stretch(F, ref, resolution, want_min=True)
+    return _stretch(F, ref, resolution, True, cells)
 
 
-def max_stretch(F: PiecewiseAffineMap, ref) -> StretchBounds:
+def max_stretch(F: PiecewiseAffineMap, ref, cells: CellGeometry | None = None) -> StretchBounds:
     """Exact max |F(x) - ref| over the closed unit box (cell-vertex maximum)."""
-    return _stretch(F, ref, 0, want_min=False)
+    return _stretch(F, ref, 0, False, cells)
 
 
 def split_product(F: PiecewiseAffineMap, u: int, samples: int = 5,

@@ -38,8 +38,9 @@ import numpy as np
 
 from .covering import STRICT_MARGIN, CoveringCertificate, ProductFormMap, persistence_bound
 from .degree import DegreeUndefinedError, DegreeValue, degree_for_map
-from .geometry import (AffineChart, GeometryError, HSet, PiecewiseAffineMap, UnifiedSet,
-                       box_grid, max_stretch, min_stretch, split_product, unified_validate)
+from .geometry import (AffineChart, CellGeometry, GeometryError, HSet, PiecewiseAffineMap,
+                       UnifiedSet, box_grid, max_stretch, min_stretch, split_product,
+                       unified_validate)
 from .symbolic import TransitionMatrix, lcm_period, spectral_radius
 
 TYPE_I = "type1"
@@ -379,7 +380,10 @@ def validate_spec(spec: NetworkSpec) -> ValidationReport:
                 else:
                     _check_member_charts(node, k, errors, warnings)
 
-        if node.chart_forms is not None:
+        # type-II forms land in the unified chart: without one there is
+        # nothing to audit them against, and the error above says so
+        if node.chart_forms is not None and (spec.coupling.kind == TYPE_I
+                                             or node.unified is not None):
             _audit_declared_forms(spec.coupling.kind, node, k, errors)
 
     if spec.coupling.kind == TYPE_I:
@@ -600,6 +604,12 @@ class _Geometry:
     exact reference, so every slot that agrees on those four shares one
     call.  ``umax[m, c]``, ``vmax0[m, c]`` and ``radius[m, c]`` are the
     dense per-node tables over node m's choices c.
+
+    ``cells`` holds the cell-only geometry (totality probe, cell vertices,
+    face-grid partition) of every chart form this check evaluates.  A
+    form's scalings by the coupling coefficients keep its cells, so each
+    distinct cell structure is worked out once and reused by every
+    stretch call of the check; the store goes away with the check.
     """
 
     def __init__(self, forms: list[dict], choices: list[list[_Choice]], u: int, s: int,
@@ -611,6 +621,7 @@ class _Geometry:
         self.inflation = inflation
         self.d = len(choices)
         self.width = max(len(c) for c in choices)
+        self.cells = CellGeometry()
         self._memo: dict = {}
         shape = (self.d, self.width)
         self.umax, self.vmax0, self.radius = np.zeros(shape), np.zeros(shape), np.ones(shape)
@@ -619,10 +630,11 @@ class _Geometry:
                 form = forms[m][choice.key]
                 self.umax[m, c] = self._memoized(
                     ("umax", m, choice.key),
-                    lambda: max_stretch(form.U, np.zeros(u)).max_abs)
+                    lambda: max_stretch(form.U, np.zeros(u), cells=self.cells).max_abs)
                 self.vmax0[m, c] = self._memoized(
                     ("vmax0", m, choice.key),
-                    lambda: 0.0 if form.V is None else max_stretch(form.V, np.zeros(s)).max_abs)
+                    lambda: 0.0 if form.V is None
+                    else max_stretch(form.V, np.zeros(s), cells=self.cells).max_abs)
                 self.radius[m, c] = choice.radius
 
     def _memoized(self, key, compute):
@@ -634,13 +646,13 @@ class _Geometry:
         return self._memoized(
             ("min", m, key, a, tuple(ref.tolist())),
             lambda: min_stretch(self.forms[m][key].U.scale(a), ref,
-                                resolution=self.resolution))
+                                resolution=self.resolution, cells=self.cells))
 
     def vdiag(self, m: int, key, a: float, ref: np.ndarray) -> float:
         V = self.forms[m][key].V
         return self._memoized(
             ("vdiag", m, key, a, tuple(ref.tolist())),
-            lambda: 0.0 if V is None else max_stretch(V.scale(a), ref).max_abs)
+            lambda: 0.0 if V is None else max_stretch(V.scale(a), ref, cells=self.cells).max_abs)
 
     def degree(self, m: int, key, a: float, ref: np.ndarray) -> DegreeValue | None:
         def compute():

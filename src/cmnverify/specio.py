@@ -48,21 +48,53 @@ def _num(value, path: str) -> float:
     if isinstance(value, bool):
         raise SpecFormatError(f"{path}: booleans are not numbers")
     if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
+        x = float(value)
+    elif isinstance(value, str):
         try:
-            if "/" in value:
-                return float(Fraction(value))
-            return float(value)
+            x = float(Fraction(value)) if "/" in value else float(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise SpecFormatError(f"{path}: cannot read number {value!r}") from exc
-    raise SpecFormatError(f"{path}: expected a number, got {type(value).__name__}")
+    else:
+        raise SpecFormatError(f"{path}: expected a number, got {type(value).__name__}")
+    if not math.isfinite(x):
+        raise SpecFormatError(f"{path}: number must be finite, got {value!r}")
+    return x
+
+
+def _int(value, path: str) -> int:
+    """An integer written as a JSON integer, an integral float, or a string."""
+    if isinstance(value, bool):
+        raise SpecFormatError(f"{path}: booleans are not integers")
+    if isinstance(value, int):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise SpecFormatError(f"{path}: expected an integer, got {value!r}")
+
+
+def _list(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise SpecFormatError(f"{path}: expected a list, got {type(value).__name__}")
+    return value
+
+
+def _pair(value, path: str) -> tuple[int, int]:
+    if len(_list(value, path)) != 2:
+        raise SpecFormatError(f"{path}: expected a pair [a, b], got {len(value)} entries")
+    return _int(value[0], f"{path}[0]"), _int(value[1], f"{path}[1]")
+
+
+def _ints(value, path: str) -> tuple[int, ...]:
+    return tuple(_int(v, f"{path}[{i}]") for i, v in enumerate(_list(value, path)))
 
 
 def _vector(value, path: str) -> np.ndarray:
-    if not isinstance(value, list):
-        raise SpecFormatError(f"{path}: expected a list")
-    return np.array([_num(v, f"{path}[{i}]") for i, v in enumerate(value)])
+    return np.array([_num(v, f"{path}[{i}]") for i, v in enumerate(_list(value, path))])
 
 
 def _matrix(value, path: str) -> np.ndarray:
@@ -74,7 +106,9 @@ def _matrix(value, path: str) -> np.ndarray:
     return np.array(rows)
 
 
-def _get(obj: dict, key: str, path: str):
+def _get(obj, key: str, path: str):
+    if not isinstance(obj, dict):
+        raise SpecFormatError(f"{path}: expected an object, got {type(obj).__name__}")
     if key not in obj:
         raise SpecFormatError(f"{path}: missing key {key!r}")
     return obj[key]
@@ -92,18 +126,19 @@ def _map(obj, path: str) -> PiecewiseAffineMap:
         raise SpecFormatError(f"{path}: expected an object")
     if "breakpoints" in obj:
         bps = [_num(b, f"{path}.breakpoints[{i}]")
-               for i, b in enumerate(_get(obj, "breakpoints", path))]
+               for i, b in enumerate(_list(_get(obj, "breakpoints", path),
+                                           f"{path}.breakpoints"))]
         pieces = []
-        for i, pc in enumerate(_get(obj, "pieces", path)):
+        for i, pc in enumerate(_list(_get(obj, "pieces", path), f"{path}.pieces")):
             if not isinstance(pc, list) or len(pc) != 2:
                 raise SpecFormatError(f"{path}.pieces[{i}]: expected [slope, intercept]")
             pieces.append((_num(pc[0], f"{path}.pieces[{i}][0]"),
                            _num(pc[1], f"{path}.pieces[{i}][1]")))
         return PiecewiseAffineMap.from_breakpoints(bps, pieces)
-    dim_in = int(_get(obj, "dim_in", path))
-    dim_out = int(_get(obj, "dim_out", path))
+    dim_in = _int(_get(obj, "dim_in", path), f"{path}.dim_in")
+    dim_out = _int(_get(obj, "dim_out", path), f"{path}.dim_out")
     pieces = []
-    for i, pc in enumerate(_get(obj, "pieces", path)):
+    for i, pc in enumerate(_list(_get(obj, "pieces", path), f"{path}.pieces")):
         ppath = f"{path}.pieces[{i}]"
         matrix = _matrix(_get(pc, "matrix", ppath), f"{ppath}.matrix")
         offset = _vector(_get(pc, "offset", ppath), f"{ppath}.offset")
@@ -120,11 +155,11 @@ def _map(obj, path: str) -> PiecewiseAffineMap:
 
 
 def _node(obj, path: str) -> NodeSystem:
-    u = int(_get(obj, "u", path))
-    s = int(_get(obj, "s", path))
+    u = _int(_get(obj, "u", path), f"{path}.u")
+    s = _int(_get(obj, "s", path), f"{path}.s")
     local = _map(_get(obj, "map", path), f"{path}.map")
     hsets = []
-    for i, h in enumerate(_get(obj, "hsets", path)):
+    for i, h in enumerate(_list(_get(obj, "hsets", path), f"{path}.hsets")):
         hpath = f"{path}.hsets[{i}]"
         hsets.append(HSet(str(_get(h, "id", hpath)),
                           _chart(_get(h, "chart", hpath), u, s, f"{hpath}.chart")))
@@ -137,7 +172,7 @@ def _node(obj, path: str) -> NodeSystem:
         uobj = obj["unified"]
         chart = _chart(_get(uobj, "chart", upath), u, s, f"{upath}.chart")
         members = []
-        for i, mem in enumerate(_get(uobj, "members", upath)):
+        for i, mem in enumerate(_list(_get(uobj, "members", upath), f"{upath}.members")):
             mpath = f"{upath}.members[{i}]"
             members.append((str(_get(mem, "id", mpath)),
                             CenterScale(_vector(_get(mem, "p_u", mpath), f"{mpath}.p_u"),
@@ -147,9 +182,11 @@ def _node(obj, path: str) -> NodeSystem:
     forms = None
     if obj.get("chart_forms") is not None:
         forms = {}
+        if not isinstance(obj["chart_forms"], dict):
+            raise SpecFormatError(f"{path}.chart_forms: expected an object")
         for key, fobj in obj["chart_forms"].items():
             fpath = f"{path}.chart_forms[{key}]"
-            parts = [int(t) for t in str(key).split(",")]
+            parts = [_int(t, fpath) for t in str(key).split(",")]
             U = _map(_get(fobj, "U", fpath), f"{fpath}.U")
             V = _map(fobj["V"], f"{fpath}.V") if fobj.get("V") else None
             forms[parts[0] if len(parts) == 1 else tuple(parts)] = ProductFormMap(U, V)
@@ -168,10 +205,12 @@ def parse_spec(doc: dict, path: str = "$") -> NetworkSpec:
     if version != FORMAT_VERSION:
         raise SpecFormatError(f"{path}.format_version: unsupported version {version!r}")
     gobj = _get(doc, "graph", path)
-    edges = frozenset((int(e[0]), int(e[1])) for e in _get(gobj, "edges", f"{path}.graph"))
-    graph = Graph(int(_get(gobj, "d", f"{path}.graph")), edges)
+    gpath = f"{path}.graph"
+    edges = frozenset(_pair(e, f"{gpath}.edges[{i}]")
+                      for i, e in enumerate(_list(_get(gobj, "edges", gpath), f"{gpath}.edges")))
+    graph = Graph(_int(_get(gobj, "d", gpath), f"{gpath}.d"), edges)
     nodes = tuple(_node(n, f"{path}.nodes[{i}]")
-                  for i, n in enumerate(_get(doc, "nodes", path)))
+                  for i, n in enumerate(_list(_get(doc, "nodes", path), f"{path}.nodes")))
     cobj = _get(doc, "coupling", path)
     cpath = f"{path}.coupling"
     kind = str(_get(cobj, "kind", cpath))
@@ -181,12 +220,13 @@ def parse_spec(doc: dict, path: str = "$") -> NetworkSpec:
     ambient = _map(cobj["ambient"], f"{cpath}.ambient") if cobj.get("ambient") else None
     per_entry = None
     if cobj.get("per_entry"):
-        per_entry = tuple(
-            (tuple(int(v) for v in _get(pe, "i", f"{cpath}.per_entry[{i}]")),
-             tuple(int(v) for v in _get(pe, "j", f"{cpath}.per_entry[{i}]")),
-             _matrix(_get(pe, "matrix", f"{cpath}.per_entry[{i}]"),
-                     f"{cpath}.per_entry[{i}].matrix"))
-            for i, pe in enumerate(cobj["per_entry"]))
+        per_entry = []
+        for i, pe in enumerate(_list(cobj["per_entry"], f"{cpath}.per_entry")):
+            epath = f"{cpath}.per_entry[{i}]"
+            per_entry.append((_ints(_get(pe, "i", epath), f"{epath}.i"),
+                              _ints(_get(pe, "j", epath), f"{epath}.j"),
+                              _matrix(_get(pe, "matrix", epath), f"{epath}.matrix")))
+        per_entry = tuple(per_entry)
     try:
         return NetworkSpec(graph, nodes, CouplingSpec(kind, matrix, ambient, per_entry))
     except ValueError as exc:

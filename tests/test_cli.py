@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -143,6 +144,70 @@ class TestVerifyCommand:
         spec_path.write_text(spec_path.read_text().replace("3.5", "3.4", 1))
         from cmnverify import spec_digest as compute
         assert compute(spec_path.read_bytes()) != digest
+
+
+def _mutated(doc, path, value):
+    """Copy of ``doc`` with the entry at ``path`` (keys and indices) set to ``value``."""
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+class TestHostileSpec:
+    """Malformed spec files exit 2 with the JSON path, never a traceback."""
+
+    @pytest.mark.parametrize("path, value, where", [
+        (("graph", "edges"), 5, "$.graph.edges"),
+        (("graph", "edges"), [[1]], "$.graph.edges[0]"),
+        (("nodes", 0, "map", "pieces"), None, "$.nodes[0].map.pieces"),
+        (("graph", "d"), "abc", "$.graph.d"),
+        (("nodes", 0, "u"), "x", "$.nodes[0].u"),
+        (("coupling", "matrix", 0, 0), "nan", "$.coupling.matrix[0][0]"),
+    ], ids=["edges-int", "edge-short", "pieces-null", "d-text", "u-text", "matrix-nan"])
+    def test_exit_two_with_path(self, path, value, where, fixdir, tmp_path, capsys):
+        doc = json.loads((fixdir / "example1.json").read_text())
+        spec = tmp_path / "hostile.json"
+        spec.write_text(json.dumps(_mutated(doc, path, value)))
+        with pytest.raises(SpecFormatError, match=re.escape(where + ":")):
+            load_spec(spec)
+        assert main(["verify", str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {where}:" in err
+        assert "Traceback" not in err
+
+    def test_valid_specs_parse_unchanged(self, fixdir):
+        for name in ("example1.json", "example2.json", "theorem1_perm23.json"):
+            doc = json.loads((fixdir / name).read_text())
+            # integers written as integral floats or strings read the same
+            loose = _mutated(_mutated(doc, ("graph", "d"), float(doc["graph"]["d"])),
+                             ("nodes", 0, "u"), str(doc["nodes"][0]["u"]))
+            assert specs_equal(parse_spec(loose), parse_spec(doc))
+            assert canonical_json(serialize_spec(parse_spec(doc))) == canonical_json(doc)
+
+    def test_type2_node_without_unified_family(self, tmp_path):
+        # node 1 declares its chart forms but drops the unified family they map into
+        from cmnverify import NetworkSpec, NodeSystem
+        from cmnverify.network import _resolve_forms
+        spec = fixtures.example1()
+        nodes = (NodeSystem(spec.nodes[0].local_map, spec.nodes[0].hsets,
+                            spec.nodes[0].transition, spec.nodes[0].unified,
+                            chart_forms=_resolve_forms(spec.nodes[0], "type2")),
+                 spec.nodes[1])
+        doc = serialize_spec(NetworkSpec(spec.graph, nodes, spec.coupling))
+        del doc["nodes"][0]["unified"]
+        path = tmp_path / "no_unified.json"
+        path.write_text(json.dumps(doc))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(FIXDIR.parent / "src"),
+                                                           env.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, "-m", "cmnverify", "verify", str(path)],
+                                capture_output=True, text=True, env=env)
+        assert result.returncode == 2
+        assert "node 1: unified family required for this coupling kind" in result.stderr
+        assert "Traceback" not in result.stderr
 
 
 class TestEntropyCommand:
