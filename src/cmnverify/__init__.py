@@ -19,7 +19,7 @@ from .geometry import (AffineChart, CenterScale, GeometryError, HSet,
 from .degree import (DegreeUndefinedError, DegreeValue, degree_1d, degree_affine,
                      degree_compose_affine, degree_for_map, degree_product)
 from .covering import (CoveringCertificate, CoveringOutcome, ProductFormMap,
-                       check_covering, persistence_bound, with_persistence)
+                       check_covering, persistence_bound)
 from .symbolic import (SymbolSequence, TransitionMatrix, TransitionError,
                        closed_loops, count_words, entropy_lower_bound,
                        is_admissible, lcm_period, spectral_radius)

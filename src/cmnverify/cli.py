@@ -42,10 +42,9 @@ def _load(path: str):
     return spec, spec_digest(raw)
 
 
-def _run_check(spec, theorem: int | None, grid: int):
-    if theorem is None:
-        theorem = 1 if spec.coupling.kind == TYPE_I else 2
-    if theorem == 1:
+def _run_check(spec, grid: int):
+    """Theorem 1 for type-I coupling, theorem 2 for type-II."""
+    if spec.coupling.kind == TYPE_I:
         return theorem1_check(spec, resolution=grid)
     return theorem2_check(spec, resolution=grid)
 
@@ -68,7 +67,7 @@ def _orbit_doc(loop, orbit) -> dict:
 
 def cmd_verify(args) -> int:
     spec, digest = _load(args.spec)
-    report = _run_check(spec, args.theorem, args.grid)
+    report = _run_check(spec, args.grid)
     extras = {}
     if spec.coupling.ambient is not None:
         audit = conjugacy_audit(spec, seed=args.seed)
@@ -92,8 +91,7 @@ def cmd_verify(args) -> int:
 
 def cmd_entropy(args) -> int:
     spec, _ = _load(args.spec)
-    bound = sum(math.log(spectral_radius(n.transition, tol=args.tol))
-                for n in spec.nodes)
+    bound = sum(math.log(spectral_radius(n.transition)) for n in spec.nodes)
     print(f"bound {bound:.6f}")
     if args.empirical:
         depth, samples, seed = (int(v) for v in args.empirical)
@@ -134,7 +132,7 @@ def cmd_periodic(args) -> int:
 
 def cmd_margin(args) -> int:
     spec, _ = _load(args.spec)
-    report = _run_check(spec, args.theorem, args.grid)
+    report = _run_check(spec, args.grid)
     if not report.passed:
         binding = report.binding_entry()
         print(f"certification fails: verdict {report.verdict}, binding entry "
@@ -187,20 +185,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     spec_help = "path to a network spec file (JSON)"
     grid_help = "points per face axis for certified grid bounds"
-    theorem_help = "which check to run (default: inferred from coupling kind)"
+    kind_help = "The coupling kind picks the check: theorem 1 for type1, theorem 2 for type2."
 
-    p = sub.add_parser("verify", help="run a theorem check, emit a certificate")
+    p = sub.add_parser("verify", help="run a theorem check, emit a certificate",
+                       description=kind_help)
     p.add_argument("spec", help=spec_help)
     p.add_argument("--grid", type=int, default=64, help=grid_help)
     p.add_argument("--seed", type=int, default=0, help="seed of the conjugacy audit")
     p.add_argument("--out", help="write the certificate here")
-    p.add_argument("--theorem", type=int, choices=(1, 2), help=theorem_help)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("entropy", help="print the certified entropy lower bound")
     p.add_argument("spec", help=spec_help)
-    p.add_argument("--tol", type=float, default=1e-12,
-                   help="relative tolerance for Perron-root iteration")
     p.add_argument("--empirical", nargs=3, metavar=("DEPTH", "SAMPLES", "SEED"),
                    help="also estimate from sampled itineraries")
     p.set_defaults(func=cmd_entropy)
@@ -215,10 +211,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="canonical loop through the first symbols")
     p.set_defaults(func=cmd_periodic)
 
-    p = sub.add_parser("margin", help="print the admissible perturbation radius")
+    p = sub.add_parser("margin", help="print the admissible perturbation radius",
+                       description=kind_help)
     p.add_argument("spec", help=spec_help)
     p.add_argument("--grid", type=int, default=64, help=grid_help)
-    p.add_argument("--theorem", type=int, choices=(1, 2), help=theorem_help)
     p.set_defaults(func=cmd_margin)
 
     p = sub.add_parser("simulate", help="iterate the network map")

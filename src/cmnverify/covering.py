@@ -15,7 +15,7 @@ failures always come with an attained witness value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .degree import DegreeValue, degree_for_map
 from .geometry import CenterScale, GeometryError, HSet, PiecewiseAffineMap, min_stretch, max_stretch
@@ -168,10 +168,3 @@ def persistence_bound(cert: CoveringCertificate, chart_lip: float,
     stable_term = cert.stable_margin * cert.target_radius
     margin = min(cert.unstable_margin, stable_term)
     return margin / (chart_lip * (1.0 + coupling_lip))
-
-
-def with_persistence(cert: CoveringCertificate, chart_lip: float,
-                     coupling_lip: float) -> CoveringCertificate:
-    """Copy of the certificate with its admissible radius filled in."""
-    eps = persistence_bound(cert, chart_lip, coupling_lip)
-    return replace(cert, admissible_eps=eps)

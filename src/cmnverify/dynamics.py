@@ -14,8 +14,11 @@ predecessors from a padded per-node table, and its forward extraction
 keeps only the surviving rows with their sample indices, writing each
 step's product symbol as one mixed-radix code; the rows that reach every
 arithmetic expression are the same, in the same order, as when dead rows
-were carried along.  Distinct words are counted exactly: the code rows
-are sorted lexicographically and adjacent differences counted.
+were carried along.  A word is admissible when each node's symbols follow
+that node's own transition matrix, checked step by step during the
+extraction, so the n^d x n^d product matrix is never built.  Distinct
+words are counted exactly: the code rows are sorted lexicographically
+and adjacent differences counted.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import GeometryError, box_grid
-from .network import NetworkSpec, kronecker
+from .network import NetworkSpec
 from .symbolic import is_admissible
 
 BOUNDARY_TIE_TOL = 1e-12
@@ -408,31 +411,37 @@ def empirical_entropy(spec: NetworkSpec, depth: int, samples: int, seed: int = 0
 
     # forward extraction: the constructed states are ordinary initial states.
     # Only the surviving rows are kept (``rows`` holds their sample indices),
-    # and each step writes the mixed-radix code of its product symbol.
+    # and each step writes the mixed-radix code of its product symbol.  A
+    # row's word stays ``admissible`` while every node's step from its
+    # previous symbol is allowed by that node's own transition matrix.
     radix = [node.count for node in spec.nodes]
+    allowed = [node.transition.bits.ravel() == 1 for node in spec.nodes]
     codes = np.empty((samples, depth), dtype=np.int64)
     rows = np.arange(samples)
+    admissible = np.ones(samples, dtype=bool)
+    prev = None
     x = states
     for t in range(depth):
         symbols, _ = locate_batch(spec, x)
         ok = np.all(symbols > 0, axis=1)
         if not ok.all():
-            rows, x, symbols = rows[ok], x[ok], symbols[ok]
+            rows, x, symbols, admissible = rows[ok], x[ok], symbols[ok], admissible[ok]
+            if prev is not None:
+                prev = prev[ok]
         if rows.size == 0:
             raise NoInvariantSamplesError("no invariant set sampled")
-        code = symbols[:, 0] - 1
+        symbols = symbols - 1
+        if prev is not None:
+            for k in range(d):
+                admissible &= allowed[k][prev[:, k] * radix[k] + symbols[:, k]]
+        prev = symbols
+        code = symbols[:, 0]
         for k in range(1, d):
-            code = code * radix[k] + (symbols[:, k] - 1)
+            code = code * radix[k] + symbols[:, k]
         codes[rows, t] = code
         if t + 1 < depth:
             x = _step_batch(spec, x)
-    codes = codes[rows]
-
-    kw = kronecker([node.transition for node in spec.nodes])
-    ok = np.ones(codes.shape[0], dtype=bool)
-    for t in range(depth - 1):
-        ok &= kw.bits[codes[:, t], codes[:, t + 1]] == 1
-    codes = codes[ok]
+    codes = codes[rows[admissible]]
     if codes.shape[0] == 0:
         raise NoInvariantSamplesError("no invariant set sampled")
     # distinct rows, exactly: sort lexicographically (column 0 the primary

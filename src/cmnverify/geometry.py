@@ -145,8 +145,8 @@ class HSet:
     def dim(self) -> int:
         return self.chart.dim
 
-    def contains(self, point, tol: float = EVAL_TIE_TOL) -> bool:
-        return bool(np.max(np.abs(self.chart.apply(point))) <= 1.0 + tol)
+    def contains(self, point) -> bool:
+        return bool(np.max(np.abs(self.chart.apply(point))) <= 1.0 + EVAL_TIE_TOL)
 
     def vertices(self) -> np.ndarray:
         """Physical vertices: chart preimages of the unit-box corners."""
@@ -222,8 +222,9 @@ class UnifiedValidation:
     violations: tuple[str, ...]
 
 
-def unified_validate(n: UnifiedSet, tol: float = 1e-9) -> UnifiedValidation:
+def unified_validate(n: UnifiedSet) -> UnifiedValidation:
     """Check the unified-family invariants; report every violated clause."""
+    tol = 1e-9  # centers and spacing are compared to this tolerance
     bad: list[str] = []
     d = n.count
     if d < 1:
@@ -266,10 +267,10 @@ class AffinePiece:
     normals: np.ndarray
     bounds: np.ndarray
 
-    def contains(self, x: np.ndarray, tol: float = EVAL_TIE_TOL) -> bool:
+    def contains(self, x: np.ndarray) -> bool:
         if self.normals.shape[0] == 0:
             return True
-        return bool(np.all(self.normals @ x <= self.bounds + tol))
+        return bool(np.all(self.normals @ x <= self.bounds + EVAL_TIE_TOL))
 
     def contains_batch(self, pts: np.ndarray, tol: float = EVAL_TIE_TOL) -> np.ndarray:
         if self.normals.shape[0] == 0:
@@ -519,19 +520,14 @@ def _exact_max(F: PiecewiseAffineMap, ref: np.ndarray, vertices: list[np.ndarray
 
 
 def _face_points(dim: int, resolution: int) -> np.ndarray:
-    """Grid over the boundary of the unit box, resolution points per axis."""
-    axis = np.linspace(-1.0, 1.0, resolution)
-    grids = np.meshgrid(*([axis] * (dim - 1)), indexing="ij") if dim > 1 else []
-    free = np.stack([g.ravel() for g in grids], axis=1) if dim > 1 else np.zeros((1, 0))
-    pts = []
-    for i in range(dim):
-        for sign in (-1.0, 1.0):
-            block = np.empty((free.shape[0], dim))
-            block[:, i] = sign
-            other = [j for j in range(dim) if j != i]
-            block[:, other] = free
-            pts.append(block)
-    return np.vstack(pts)
+    """Grid over the boundary of the unit box, resolution points per axis.
+
+    Face (i, sign) is the grid of the other dim - 1 axes with coordinate i
+    pinned to sign; faces run i-major, sign -1 before +1.
+    """
+    free = np.ascontiguousarray(box_grid(dim - 1, resolution))
+    return np.vstack([np.insert(free, i, sign, axis=1)
+                      for i in range(dim) for sign in (-1.0, 1.0)])
 
 
 def _affine_face_min(F: PiecewiseAffineMap, ref: np.ndarray) -> float:
@@ -685,9 +681,8 @@ def max_stretch(F: PiecewiseAffineMap, ref, cells: CellGeometry | None = None) -
     return _stretch(F, ref, 0, False, cells)
 
 
-def split_product(F: PiecewiseAffineMap, u: int, samples: int = 5,
-                  tol: float = CONTINUITY_TOL) -> tuple[PiecewiseAffineMap,
-                                                        PiecewiseAffineMap | None]:
+def split_product(F: PiecewiseAffineMap, u: int) -> tuple[PiecewiseAffineMap,
+                                                          PiecewiseAffineMap | None]:
     """Split F(x, y) on the unit box into block components (U(x), V(y)).
 
     Requires every piece touching the box to be block diagonal with cell
@@ -695,6 +690,7 @@ def split_product(F: PiecewiseAffineMap, u: int, samples: int = 5,
     on a deterministic sample grid.  Raises GeometryError when F is not of
     product form.
     """
+    tol = CONTINUITY_TOL
     s = F.dim_in - u
     if F.dim_out != F.dim_in:
         raise GeometryError("product split needs a square map")
@@ -726,7 +722,7 @@ def split_product(F: PiecewiseAffineMap, u: int, samples: int = 5,
 
     U = block_pieces(list(range(u)), list(range(u)))
     V = block_pieces(list(range(u, F.dim_in)), list(range(u, F.dim_in)))
-    grid = box_grid(F.dim_in, samples)
+    grid = box_grid(F.dim_in, 5)
     full = F.apply_batch(grid)
     ux = U.apply_batch(grid[:, :u])
     vy = V.apply_batch(grid[:, u:])

@@ -135,8 +135,11 @@ def _map(obj, path: str) -> PiecewiseAffineMap:
             pieces.append((_num(pc[0], f"{path}.pieces[{i}][0]"),
                            _num(pc[1], f"{path}.pieces[{i}][1]")))
         return PiecewiseAffineMap.from_breakpoints(bps, pieces)
-    dim_in = _int(_get(obj, "dim_in", path), f"{path}.dim_in")
-    dim_out = _int(_get(obj, "dim_out", path), f"{path}.dim_out")
+    dim_in, dim_out = (_int(_get(obj, key, path), f"{path}.{key}")
+                       for key in ("dim_in", "dim_out"))
+    for key, dim in (("dim_in", dim_in), ("dim_out", dim_out)):
+        if dim < 1:
+            raise SpecFormatError(f"{path}.{key}: dimension must be positive, got {dim}")
     pieces = []
     for i, pc in enumerate(_list(_get(obj, "pieces", path), f"{path}.pieces")):
         ppath = f"{path}.pieces[{i}]"
@@ -197,8 +200,9 @@ def _node(obj, path: str) -> NodeSystem:
         raise SpecFormatError(f"{path}: {exc}") from exc
 
 
-def parse_spec(doc: dict, path: str = "$") -> NetworkSpec:
+def parse_spec(doc: dict) -> NetworkSpec:
     """Build a network from a parsed JSON document."""
+    path = "$"
     if not isinstance(doc, dict):
         raise SpecFormatError(f"{path}: spec document must be an object")
     version = str(_get(doc, "format_version", path))

@@ -80,7 +80,7 @@ class SymbolSequence:
         return iter(self.symbols)
 
 
-def _power_root(block: np.ndarray, tol: float) -> float:
+def _power_root(block: np.ndarray) -> float:
     """Perron root of an irreducible 0/1 block by power iteration.
 
     Iterates on block + I: the self-loops make the block primitive (no
@@ -95,7 +95,7 @@ def _power_root(block: np.ndarray, tol: float) -> float:
         w = mat @ v
         lam_new = float(np.max(w))
         v = w / lam_new
-        if abs(lam_new - lam) <= tol * max(lam_new, 1.0):
+        if abs(lam_new - lam) <= 1e-12 * max(lam_new, 1.0):
             stable += 1
             if stable >= 3:
                 return lam_new - 1.0
@@ -105,7 +105,7 @@ def _power_root(block: np.ndarray, tol: float) -> float:
     raise TransitionError("power iteration failed to converge")
 
 
-def spectral_radius(W: TransitionMatrix, tol: float = 1e-12) -> float:
+def spectral_radius(W: TransitionMatrix) -> float:
     """Perron root of the transition matrix.
 
     Closed form up to 2x2.  Otherwise the matrix is split into strongly
@@ -139,7 +139,7 @@ def spectral_radius(W: TransitionMatrix, tol: float = 1e-12) -> float:
         if len(comp) == 1:
             best = max(best, float(b[i, i]))
         else:
-            best = max(best, _power_root(b[np.ix_(comp, comp)], tol))
+            best = max(best, _power_root(b[np.ix_(comp, comp)]))
     return best
 
 

@@ -79,8 +79,7 @@ class TestRoundTrip:
 class TestVerifyCommand:
     def test_pass_exit_zero(self, fixdir, tmp_path, capsys):
         out = tmp_path / "cert.json"
-        code = main(["verify", str(fixdir / "example1.json"), "--theorem", "2",
-                     "--out", str(out)])
+        code = main(["verify", str(fixdir / "example1.json"), "--out", str(out)])
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["verdict"] == "pass"
@@ -102,11 +101,6 @@ class TestVerifyCommand:
 
     def test_missing_file_exit_two(self):
         assert main(["verify", "/nonexistent/spec.json"]) == 2
-
-    def test_wrong_theorem_for_kind_exit_two(self, fixdir):
-        assert main(["verify", str(fixdir / "example1.json"), "--theorem", "1"]) == 2
-        assert main(["verify", str(fixdir / "theorem1_perm23.json"),
-                     "--theorem", "2"]) == 2
 
     # SHA-256 of each shipped fixture's certificate at the default grid;
     # certificates may change only with a deliberate format or version bump
@@ -166,7 +160,11 @@ class TestHostileSpec:
         (("graph", "d"), "abc", "$.graph.d"),
         (("nodes", 0, "u"), "x", "$.nodes[0].u"),
         (("coupling", "matrix", 0, 0), "nan", "$.coupling.matrix[0][0]"),
-    ], ids=["edges-int", "edge-short", "pieces-null", "d-text", "u-text", "matrix-nan"])
+        (("nodes", 0, "map", "dim_in"), 0, "$.nodes[0].map.dim_in"),
+        (("nodes", 0, "map", "dim_in"), -1, "$.nodes[0].map.dim_in"),
+        (("nodes", 0, "map", "dim_out"), 0, "$.nodes[0].map.dim_out"),
+    ], ids=["edges-int", "edge-short", "pieces-null", "d-text", "u-text", "matrix-nan",
+            "dim-in-zero", "dim-in-negative", "dim-out-zero"])
     def test_exit_two_with_path(self, path, value, where, fixdir, tmp_path, capsys):
         doc = json.loads((fixdir / "example1.json").read_text())
         spec = tmp_path / "hostile.json"
@@ -298,7 +296,8 @@ class TestOptions:
     REMOVED = [("verify", "--tol"), ("entropy", "--grid"), ("entropy", "--seed"),
                ("entropy", "--out"), ("periodic", "--tol"), ("periodic", "--grid"),
                ("periodic", "--seed"), ("margin", "--tol"), ("margin", "--seed"),
-               ("margin", "--out"), ("simulate", "--tol"), ("simulate", "--grid")]
+               ("margin", "--out"), ("simulate", "--tol"), ("simulate", "--grid"),
+               ("verify", "--theorem"), ("margin", "--theorem"), ("entropy", "--tol")]
 
     @pytest.mark.parametrize("verb, option", REMOVED)
     def test_removed_option_is_a_usage_error(self, verb, option, fixdir, capsys):
@@ -313,11 +312,11 @@ class TestOptions:
     # every option a verb keeps, in each form the benchmark passes
     ACCEPTED = [
         ("verify", "example1.json", ["--grid", "256", "--seed", "1", "--out", "F"]),
-        ("verify", "example1.json", ["--theorem", "2", "--out", "F"]),
-        ("margin", "example1.json", ["--grid", "64", "--theorem", "2"]),
+        ("verify", "example1.json", ["--out", "F"]),
+        ("margin", "example1.json", ["--grid", "64"]),
         ("periodic", "theorem1_perm23.json", ["--auto", "--out", "F"]),
         ("periodic", "example1_node1.json", ["--loop", "1"]),
-        ("entropy", "example1_node1.json", ["--tol", "1e-12", "--empirical", "3", "64", "1"]),
+        ("entropy", "example1_node1.json", ["--empirical", "3", "64", "1"]),
         ("simulate", "example1.json", ["--steps", "5", "--seed", "1", "--out", "F"]),
         ("simulate", "example1.json", ["--steps", "3", "--x0=-0.6,3.6",
                                        "--pert", "0.01", "4"]),

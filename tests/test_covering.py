@@ -5,7 +5,7 @@ import pytest
 
 from cmnverify import (AffineChart, CenterScale, CoveringCertificate, DegreeValue,
                        HSet, PiecewiseAffineMap, ProductFormMap, check_covering,
-                       persistence_bound, with_persistence)
+                       persistence_bound)
 
 EXPANDER = ProductFormMap(PiecewiseAffineMap.affine([[3.5]], [1.5]))
 SOURCE = HSet("M11", AffineChart.shift_1d(0.0))
@@ -120,10 +120,6 @@ class TestPersistence:
     def test_zero_margin_unconstructible(self):
         with pytest.raises(ValueError):
             self.cert(unstable_margin=0.0)
-
-    def test_with_persistence_fills_radius(self):
-        cert = with_persistence(self.cert(), 1.0, 1.0)
-        assert cert.admissible_eps == pytest.approx(0.5)
 
     def test_survives_bumps_inside_radius(self, rng):
         # perturbations strictly below the radius keep all inequalities

@@ -9,6 +9,7 @@ from cmnverify import (AffineChart, CouplingSpec, Graph, HSet,
                        TransitionMatrix, check_covering, conjugacy_audit,
                        fixtures, kronecker, spectral_radius, tau_search,
                        theorem1_check, theorem2_check, validate_spec)
+from cmnverify.geometry import AffinePiece
 from conftest import random_transition_matrix
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -356,9 +357,60 @@ class TestTheorem1:
         assert report2.entries[0].certificate.stable_margin \
             == pytest.approx(1.0 - 0.4, abs=1e-12)
 
+    @pytest.mark.parametrize("branch, transition, failure", [
+        ("contracting", "1->2", "min stretch 0.5 <= 1 relative to target center [0.0]"),
+        ("folding", "1->2", "degree 0 at target center [0.0]"),
+        ("planar-piecewise", "1->1", "cannot certify the crossing degree: degree is "
+                                     "only computed for 1-d piecewise or affine maps"),
+    ])
+    def test_local_covering_failure_is_a_spec_error(self, branch, transition, failure,
+                                                    tmp_path, capsys):
+        from cmnverify import canonical_json, serialize_spec
+        from cmnverify.cli import main
+        spec = _bad_branch_spec(branch)
+        assert validate_spec(spec).ok
+        message = (f"local covering structure fails: node 1 transition {transition}: "
+                   f"{failure}")
+        with pytest.raises(SpecError) as exc:
+            theorem1_check(spec)
+        assert str(exc.value) == message
+        path = tmp_path / f"{branch}.json"
+        path.write_text(canonical_json(serialize_spec(spec)))
+        assert main(["verify", str(path)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
 
 def _diffusive(alpha):
     return np.array([[1 - alpha, alpha], [alpha, 1 - alpha]])
+
+
+def _bad_branch_spec(branch):
+    """One type-I node whose transition 1->2 or 1->1 is no single covering.
+
+    On the line the node swaps h-sets [-1, 1] and [2, 4]: the branch on
+    [2, 4] expands onto [-1, 1], while the branch on [-1, 1] either
+    contracts (0.5x + 3) or folds across [2, 4] with both ends above it
+    (degree 0); the images avoid the non-target set and each other.  In the
+    plane ("planar-piecewise") a single h-set, the unit box, maps onto
+    itself by 3x on two cells x <= 0 and x >= 0, which the degree rule
+    cannot handle.  Every spec passes validation.
+    """
+    if branch == "planar-piecewise":
+        halves = tuple(AffinePiece(3.0 * np.eye(2), np.zeros(2), np.array([[sign, 0.0]]),
+                                   np.zeros(1)) for sign in (1.0, -1.0))
+        node = NodeSystem(PiecewiseAffineMap(2, 2, halves),
+                          (HSet("Q", AffineChart.identity(2, 0)),), TransitionMatrix([[1]]))
+        return NetworkSpec(Graph(1, frozenset()), (node,), CouplingSpec("type1", np.eye(1)))
+    if branch == "contracting":
+        local = PiecewiseAffineMap.from_breakpoints(
+            [1.5, 2.0], [(0.5, 3.0), (-10.5, 19.5), (1.5, -4.5)])
+    else:
+        local = PiecewiseAffineMap.from_breakpoints(
+            [0.0, 1.0, 2.0], [(-3.0, 1.5), (3.0, 1.5), (-5.9, 10.4), (1.4, -4.2)])
+    node = NodeSystem(local, (HSet("A", AffineChart.shift_1d(0.0)),
+                              HSet("B", AffineChart.shift_1d(-3.0))),
+                      TransitionMatrix([[0, 1], [1, 0]]))
+    return NetworkSpec(Graph(1, frozenset()), (node,), CouplingSpec("type1", np.eye(1)))
 
 
 def _sawtooth_spec():
