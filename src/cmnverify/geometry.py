@@ -2,9 +2,10 @@
 
 Everything here uses the max-norm: unit balls are boxes, the boundary of
 the unstable ball is the union of the box faces.  That choice makes every
-bound in this module either exact (interval endpoints, cell vertices,
-per-face linear programs) or conservatively certified (face grids with an
-explicit Lipschitz slack).
+bound in this module either exact (interval endpoints, cell vertices),
+a HiGHS linear-program optimum in floating point (affine face minima, not
+one-sided), or conservatively certified (face grids with an explicit
+Lipschitz slack).
 
 A stretch bound needs two kinds of work.  The cell-only part depends on a
 map's cells alone (``dim_in`` and every piece's ``normals`` and
@@ -466,10 +467,13 @@ class PiecewiseAffineMap:
 class StretchBounds:
     """Bounds on |F - ref| over the unit box and its boundary.
 
-    min_rel:      rigorous lower bound on min over the boundary
+    min_rel:      lower bound on min over the boundary: exact for 1-d maps,
+                  HiGHS's floating-point LP optimum for affine maps (not
+                  one-sided), grid minimum less Lipschitz slack otherwise
     max_abs:      exact max over the closed box
-    certified:    True when min_rel is exact (1-d or affine map); False when
-                  it carries grid-plus-Lipschitz slack
+    certified:    True for 1-d and affine maps, where min_rel is the
+                  minimum itself; False when it carries grid-plus-Lipschitz
+                  slack
     min_attained: smallest boundary value actually evaluated; an upper bound
                   on the true minimum, used to separate failure from
                   inconclusiveness
@@ -531,38 +535,38 @@ def _face_points(dim: int, resolution: int) -> np.ndarray:
 
 
 def _affine_face_min(F: PiecewiseAffineMap, ref: np.ndarray) -> float:
-    """Exact min of |F - ref| over the box boundary for an affine map.
+    """Min of |F - ref| over the box boundary for an affine map, dim >= 2.
 
-    Per face this is a small linear program: minimize t subject to
-    -t <= (F(x) - ref)_j <= t with the face coordinate pinned.
+    Face (i, sign) is a small linear program: minimize t subject to
+    -t <= (F(x) - ref)_j <= t with coordinate i pinned to sign and the
+    others in [-1, 1].  The 2 dim faces are independent blocks of one LP,
+    solved in one HiGHS call, and the answer is the least of the blocks'
+    t.  It is HiGHS's floating-point optimum, not a one-sided bound.
     """
     from scipy.optimize import linprog
 
     piece = F.pieces[0]
-    dim = F.dim_in
-    best = np.inf
-    for i in range(dim):
-        for sign in (-1.0, 1.0):
-            other = [j for j in range(dim) if j != i]
-            base = piece.matrix[:, i] * sign + piece.offset - ref
-            if not other:
-                best = min(best, float(np.max(np.abs(base))))
-                continue
-            a_free = piece.matrix[:, other]
-            n_free = len(other)
-            # variables: free coords then t
-            cost = np.zeros(n_free + 1)
-            cost[-1] = 1.0
-            a_ub = np.block([[a_free, -np.ones((a_free.shape[0], 1))],
-                             [-a_free, -np.ones((a_free.shape[0], 1))]])
-            b_ub = np.concatenate([-base, base])
-            res = linprog(cost, A_ub=a_ub, b_ub=b_ub,
-                          bounds=[(-1.0, 1.0)] * n_free + [(0.0, None)],
-                          method="highs")
-            if not res.success:
-                raise GeometryError(f"face minimization failed: {res.message}")
-            best = min(best, float(res.fun))
-    return best
+    dim, m = F.dim_in, F.dim_out
+    # block of face k: rows 2m k .. 2m (k+1), variables (free coords, t)
+    # at columns dim k .. dim (k+1); faces run i-major, sign -1 before +1
+    a_ub = np.zeros((2 * dim * 2 * m, 2 * dim * dim))
+    b_ub = np.empty(2 * dim * 2 * m)
+    for k, (i, sign) in enumerate(itertools.product(range(dim), (-1.0, 1.0))):
+        r, c = 2 * m * k, dim * k
+        a_free = np.delete(piece.matrix, i, axis=1)
+        a_ub[r:r + m, c:c + dim - 1] = a_free
+        a_ub[r + m:r + 2 * m, c:c + dim - 1] = -a_free
+        a_ub[r:r + 2 * m, c + dim - 1] = -1.0
+        base = piece.matrix[:, i] * sign + piece.offset - ref
+        b_ub[r:r + m] = -base
+        b_ub[r + m:r + 2 * m] = base
+    cost = np.tile(np.eye(dim)[-1], 2 * dim)
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub,
+                  bounds=([(-1.0, 1.0)] * (dim - 1) + [(0.0, None)]) * (2 * dim),
+                  method="highs")
+    if not res.success:
+        raise GeometryError(f"face minimization failed: {res.message}")
+    return float(np.min(res.x[dim - 1::dim]))
 
 
 class _CellTable:
@@ -669,9 +673,11 @@ def min_stretch(F: PiecewiseAffineMap, ref, resolution: int = 64,
                 cells: CellGeometry | None = None) -> StretchBounds:
     """Lower-bound min |F(x) - ref| over the boundary of the unit box.
 
-    Exact for 1-d maps (endpoint evaluation) and for affine maps (per-face
-    linear programs); otherwise a face grid with Lipschitz slack, flagged
-    certified=False.  ``cells`` holds the cell-only geometry to reuse.
+    Exact for 1-d maps (endpoint evaluation).  For affine maps it is the
+    optimum of one linear program over all faces, as HiGHS computes it in
+    floating point (not one-sided).  Otherwise a face grid with Lipschitz
+    slack, flagged certified=False.  ``cells`` holds the cell-only geometry
+    to reuse.
     """
     return _stretch(F, ref, resolution, True, cells)
 

@@ -25,7 +25,9 @@ margins of a block of entries are then whole-array operations, and
 Before its entry loop, theorem 1 checks each node transition (i, j) on
 its own, uncoupled, as a single covering of h-set j by h-set i with one
 ``covering.check_covering`` call; an outcome other than "pass" is a
-``SpecError`` naming the node, the transition and the failures.
+``SpecError`` naming the node, the transition and the failures.  Both
+checks first refuse, as a ``SpecError`` at ``$.coupling.matrix``, a
+coupling large enough to scale a chart form past floating-point range.
 
 The coupling kind decides which charts a chart form composes the local map
 with; ``_form_keys`` and ``_form_charts`` own that decision, and form
@@ -899,6 +901,23 @@ def _require_valid(spec: NetworkSpec, kind: str) -> None:
         raise SpecError("spec fails validation: " + "; ".join(report.errors))
 
 
+def _require_finite_scaling(spec: NetworkSpec, forms: list[dict]) -> None:
+    """Refuse a coupling that scales a chart form past floating-point range.
+
+    The checks evaluate every chart form scaled by a coupling coefficient
+    a[k, m].  On the unit box |a[k, m] form(x)| is at most the coupling's
+    max row sum times the form's largest row sum plus offset; that product
+    must be finite, or an inf (and then NaN) would reach the margins.
+    """
+    size = max(float(np.max(np.sum(np.abs(p.matrix), axis=1) + np.abs(p.offset)))
+               for node_forms in forms for form in node_forms.values()
+               for F in (form.U, form.V) if F is not None for p in F.pieces)
+    lip = spec.coupling.lipschitz()
+    if not math.isfinite(lip * size):
+        raise SpecError(f"$.coupling.matrix: coupling row sum {lip:g} times chart-form "
+                        f"size {size:g} is not a finite number")
+
+
 def theorem1_check(spec: NetworkSpec, resolution: int = 64,
                    pert_amplitude: float = 0.0) -> TheoremReport:
     """Certify the permutation-structure hypotheses (periodic-point check).
@@ -915,6 +934,7 @@ def theorem1_check(spec: NetworkSpec, resolution: int = 64,
     _require_valid(spec, TYPE_I)
 
     forms = [_resolve_forms(node, TYPE_I) for node in spec.nodes]
+    _require_finite_scaling(spec, forms)
     u = spec.nodes[0].dim_u
     s = spec.nodes[0].dim_s
     zero_u, zero_s = np.zeros(u), np.zeros(s)
@@ -961,6 +981,7 @@ def theorem2_check(spec: NetworkSpec, resolution: int = 64,
     """
     _require_valid(spec, TYPE_II)
     forms = [_resolve_forms(node, TYPE_II) for node in spec.nodes]
+    _require_finite_scaling(spec, forms)
     s = spec.nodes[0].dim_s
 
     chart_lip = max(node.member_chart(j).lipschitz()

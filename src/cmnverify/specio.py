@@ -106,6 +106,12 @@ def _matrix(value, path: str) -> np.ndarray:
     return np.array(rows)
 
 
+def _shaped(a: np.ndarray, shape: tuple[int, ...], path: str) -> np.ndarray:
+    if a.shape != shape:
+        raise SpecFormatError(f"{path}: expected shape {shape}, got {a.shape}")
+    return a
+
+
 def _get(obj, key: str, path: str):
     if not isinstance(obj, dict):
         raise SpecFormatError(f"{path}: expected an object, got {type(obj).__name__}")
@@ -143,13 +149,17 @@ def _map(obj, path: str) -> PiecewiseAffineMap:
     pieces = []
     for i, pc in enumerate(_list(_get(obj, "pieces", path), f"{path}.pieces")):
         ppath = f"{path}.pieces[{i}]"
-        matrix = _matrix(_get(pc, "matrix", ppath), f"{ppath}.matrix")
-        offset = _vector(_get(pc, "offset", ppath), f"{ppath}.offset")
+        matrix = _shaped(_matrix(_get(pc, "matrix", ppath), f"{ppath}.matrix"),
+                         (dim_out, dim_in), f"{ppath}.matrix")
+        offset = _shaped(_vector(_get(pc, "offset", ppath), f"{ppath}.offset"),
+                         (dim_out,), f"{ppath}.offset")
         normals = (_matrix(pc["normals"], f"{ppath}.normals")
                    if pc.get("normals") else np.zeros((0, dim_in)))
+        if normals.shape[-1] != dim_in:
+            raise SpecFormatError(f"{ppath}.normals: expected {dim_in} columns, "
+                                  f"got shape {normals.shape}")
         bounds = (_vector(pc["bounds"], f"{ppath}.bounds")
                   if pc.get("bounds") else np.zeros(0))
-        normals = normals.reshape(-1, dim_in)
         if normals.shape[0] != bounds.shape[0]:
             raise SpecFormatError(f"{ppath}: {normals.shape[0]} normals for "
                                   f"{bounds.shape[0]} bounds")
@@ -178,8 +188,10 @@ def _node(obj, path: str) -> NodeSystem:
         for i, mem in enumerate(_list(_get(uobj, "members", upath), f"{upath}.members")):
             mpath = f"{upath}.members[{i}]"
             members.append((str(_get(mem, "id", mpath)),
-                            CenterScale(_vector(_get(mem, "p_u", mpath), f"{mpath}.p_u"),
-                                        _vector(mem.get("p_s", []), f"{mpath}.p_s"),
+                            CenterScale(_shaped(_vector(_get(mem, "p_u", mpath), f"{mpath}.p_u"),
+                                                (u,), f"{mpath}.p_u"),
+                                        _shaped(_vector(mem.get("p_s", []), f"{mpath}.p_s"),
+                                                (s,), f"{mpath}.p_s"),
                                         _num(mem.get("r", 1), f"{mpath}.r"))))
         unified = UnifiedSet(chart, tuple(members))
     forms = None

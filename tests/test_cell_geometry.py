@@ -5,6 +5,9 @@ geometry was shared: every call probes totality through a masked
 ``apply_batch``, enumerates cell vertices, and evaluates the whole face
 grid through the map.  With a ``CellGeometry`` store the same bounds must
 come out bit for bit, however many maps share the store.
+
+``_reference_affine_face_min`` is the affine face minimum as one linear
+program per face; the package solves all faces as blocks of one program.
 """
 
 import itertools
@@ -58,6 +61,33 @@ def _reference_exact_max(F, ref):
     return best
 
 
+def _reference_affine_face_min(F, ref):
+    """min |F - ref| over the box boundary, one HiGHS call per face."""
+    from scipy.optimize import linprog
+
+    piece = F.pieces[0]
+    dim = F.dim_in
+    best = np.inf
+    for i in range(dim):
+        for sign in (-1.0, 1.0):
+            other = [j for j in range(dim) if j != i]
+            base = piece.matrix[:, i] * sign + piece.offset - ref
+            a_free = piece.matrix[:, other]
+            n_free = len(other)
+            cost = np.zeros(n_free + 1)
+            cost[-1] = 1.0
+            a_ub = np.block([[a_free, -np.ones((a_free.shape[0], 1))],
+                             [-a_free, -np.ones((a_free.shape[0], 1))]])
+            b_ub = np.concatenate([-base, base])
+            res = linprog(cost, A_ub=a_ub, b_ub=b_ub,
+                          bounds=[(-1.0, 1.0)] * n_free + [(0.0, None)],
+                          method="highs")
+            if not res.success:
+                raise GeometryError(f"face minimization failed: {res.message}")
+            best = min(best, float(res.fun))
+    return best
+
+
 def _reference_stretch(F, ref, resolution, want_min):
     ref = geometry._as_vector(ref, F.dim_out)
     if F.dim_in <= 4:
@@ -71,7 +101,7 @@ def _reference_stretch(F, ref, resolution, want_min):
         m = min(vals)
         return StretchBounds(m, max_abs, True, m)
     if F.is_affine:
-        m = geometry._affine_face_min(F, ref)
+        m = _reference_affine_face_min(F, ref)
         return StretchBounds(m, max_abs, True, m)
     if resolution < 2:
         raise GeometryError("grid resolution must be at least 2")
@@ -262,6 +292,76 @@ def test_box3_shaped_check_partitions_each_cell_structure_once(monkeypatch):
     # cell structure, although every form is evaluated at several scalings
     assert face_calls == [(3, resolution)]
     assert len(partitions) == len(structures)
+
+
+# ---------------------------------------------------------------------------
+# affine maps: one linear program for all faces against one per face
+
+
+def _diagonal_forms(u):
+    """Diagonal chart forms like ``box4``'s, and the ``box4`` seed-1 form
+    whose face x_0 = -1 is degenerate at ref (3, 0, 0): every free point in
+    [-0.765, 0.765]^2 is optimal there."""
+    forms = [PiecewiseAffineMap.affine(np.diag(d), o) for d, o in (
+        ([2.5] + [-1.75] * (u - 1), [0.3] + [0.0] * (u - 1)),
+        ([-3.0, 2.0, 4.0][:u], [1.47, -0.2, 0.1][:u]),
+        ([1e-3] * u, [0.0] * u))]
+    if u == 3:
+        forms.append(PiecewiseAffineMap.affine(
+            np.diag([-3.3244489823220853, 2.3444489823220853, 2.3444489823220853]),
+            np.array([1.47, 0.0, 0.0])))
+    return forms
+
+
+@pytest.mark.parametrize("u", [2, 3])
+def test_one_lp_face_min_equals_per_face_lps_on_diagonal_forms(u):
+    refs = (np.zeros(u), np.eye(u)[0] * 3.0, -np.eye(u)[u - 1] * 0.5,
+            np.linspace(-1.3, 0.7, u))
+    for F in _diagonal_forms(u):
+        for a in (1.0, 0.0, -1.0, -0.37, 0.01, 3.5e11):
+            for ref in refs:
+                G = F.scale(a)
+                assert geometry._affine_face_min(G, ref) == _reference_affine_face_min(G, ref)
+
+
+def test_degenerate_box4_face_keeps_its_value():
+    # the value box4's seed-1 certificate carries
+    F = _diagonal_forms(3)[-1]
+    assert geometry._affine_face_min(F, np.array([3.0, 0.0, 0.0])) == 1.794448982322085
+
+
+def test_one_lp_face_min_on_dense_maps():
+    # both answers are HiGHS optima of the same LP; on dense forms they may
+    # differ by rounding; the one-LP value never exceeds a sampled boundary value
+    rng = np.random.default_rng(8200)
+    for _ in range(40):
+        dim = int(rng.integers(2, 5))
+        F = PiecewiseAffineMap.affine(rng.normal(scale=2.0, size=(dim, dim)),
+                                      rng.normal(size=dim))
+        ref = rng.uniform(-2.0, 2.0, size=dim)
+        got = geometry._affine_face_min(F, ref)
+        want = _reference_affine_face_min(F, ref)
+        assert abs(got - want) <= 1e-12 * abs(want)
+        pts = geometry._face_points(dim, 9)
+        sampled = np.min(np.max(np.abs(F.apply_batch(pts) - ref), axis=1))
+        assert got <= sampled + 1e-9
+
+
+@pytest.mark.parametrize("u", [2, 3])
+def test_affine_min_stretch_is_one_linprog_call(u, monkeypatch):
+    import scipy.optimize
+    calls = []
+    linprog = scipy.optimize.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", counted)
+    forms = _diagonal_forms(u)
+    for F in forms:
+        min_stretch(F, np.zeros(u))
+    assert len(calls) == len(forms)
 
 
 # ---------------------------------------------------------------------------

@@ -153,20 +153,33 @@ def _mutated(doc, path, value):
 class TestHostileSpec:
     """Malformed spec files exit 2 with the JSON path, never a traceback."""
 
-    @pytest.mark.parametrize("path, value, where", [
-        (("graph", "edges"), 5, "$.graph.edges"),
-        (("graph", "edges"), [[1]], "$.graph.edges[0]"),
-        (("nodes", 0, "map", "pieces"), None, "$.nodes[0].map.pieces"),
-        (("graph", "d"), "abc", "$.graph.d"),
-        (("nodes", 0, "u"), "x", "$.nodes[0].u"),
-        (("coupling", "matrix", 0, 0), "nan", "$.coupling.matrix[0][0]"),
-        (("nodes", 0, "map", "dim_in"), 0, "$.nodes[0].map.dim_in"),
-        (("nodes", 0, "map", "dim_in"), -1, "$.nodes[0].map.dim_in"),
-        (("nodes", 0, "map", "dim_out"), 0, "$.nodes[0].map.dim_out"),
+    @pytest.mark.parametrize("name, path, value, where", [
+        ("example1.json", ("graph", "edges"), 5, "$.graph.edges"),
+        ("example1.json", ("graph", "edges"), [[1]], "$.graph.edges[0]"),
+        ("example1.json", ("nodes", 0, "map", "pieces"), None, "$.nodes[0].map.pieces"),
+        ("example1.json", ("graph", "d"), "abc", "$.graph.d"),
+        ("example1.json", ("nodes", 0, "u"), "x", "$.nodes[0].u"),
+        ("example1.json", ("coupling", "matrix", 0, 0), "nan", "$.coupling.matrix[0][0]"),
+        ("example1.json", ("nodes", 0, "map", "dim_in"), 0, "$.nodes[0].map.dim_in"),
+        ("example1.json", ("nodes", 0, "map", "dim_in"), -1, "$.nodes[0].map.dim_in"),
+        ("example1.json", ("nodes", 0, "map", "dim_out"), 0, "$.nodes[0].map.dim_out"),
+        ("example1.json", ("nodes", 0, "map", "dim_in"), 2,
+         "$.nodes[0].map.pieces[0].matrix"),
+        ("example1.json", ("nodes", 0, "map", "dim_out"), 2,
+         "$.nodes[0].map.pieces[0].matrix"),
+        ("theorem1_perm23.json", ("nodes", 0, "map", "pieces", 1, "offset"), [],
+         "$.nodes[0].map.pieces[1].offset"),
+        ("example1_alpha_0.2.json", ("nodes", 1, "map", "pieces", 0, "offset"), [],
+         "$.nodes[1].map.pieces[0].offset"),
+        ("example2.json", ("nodes", 0, "unified", "members", 1, "p_u"), [],
+         "$.nodes[0].unified.members[1].p_u"),
+        ("example1.json", ("nodes", 0, "map", "pieces", 0, "normals"), [[1, 0]],
+         "$.nodes[0].map.pieces[0].normals"),
     ], ids=["edges-int", "edge-short", "pieces-null", "d-text", "u-text", "matrix-nan",
-            "dim-in-zero", "dim-in-negative", "dim-out-zero"])
-    def test_exit_two_with_path(self, path, value, where, fixdir, tmp_path, capsys):
-        doc = json.loads((fixdir / "example1.json").read_text())
+            "dim-in-zero", "dim-in-negative", "dim-out-zero", "dim-in-two", "dim-out-two",
+            "offset-empty-perm23", "offset-empty-alpha", "p-u-empty", "normals-wide"])
+    def test_exit_two_with_path(self, name, path, value, where, fixdir, tmp_path, capsys):
+        doc = json.loads((fixdir / name).read_text())
         spec = tmp_path / "hostile.json"
         spec.write_text(json.dumps(_mutated(doc, path, value)))
         with pytest.raises(SpecFormatError, match=re.escape(where + ":")):
@@ -175,6 +188,33 @@ class TestHostileSpec:
         err = capsys.readouterr().err
         assert f"error: {where}:" in err
         assert "Traceback" not in err
+
+    def test_overflowing_coupling_is_refused(self, fixdir, tmp_path, capsys):
+        doc = json.loads((fixdir / "example1_alpha_0.2.json").read_text())
+        spec = tmp_path / "hostile.json"
+        spec.write_text(json.dumps(_mutated(doc, ("coupling", "matrix", 1, 0), 1e308)))
+        with np.errstate(over="ignore"):
+            code = main(["verify", str(spec)])
+        assert code == 2
+        out = capsys.readouterr()
+        assert "error: $.coupling.matrix:" in out.err
+        assert "verdict" not in out.err and out.out == ""
+
+    def test_unconfirmed_orbit_is_inconclusive(self, fixdir, tmp_path, capsys):
+        # theorem 1 holds for the chart-coordinate model, but under the
+        # default coupling the network map's orbit leaves the h-set product
+        doc = json.loads((fixdir / "theorem1_perm23.json").read_text())
+        spec = tmp_path / "flipped.json"
+        spec.write_text(json.dumps(_mutated(doc, ("coupling", "matrix", 0, 0), -1)))
+        out = tmp_path / "cert.json"
+        assert main(["verify", str(spec), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "periodic orbit not confirmed: orbit leaves h-set product" in err
+        assert "verdict inconclusive" in err and "error:" not in err
+        cert = json.loads(out.read_text())
+        assert cert["verdict"] == "inconclusive"
+        assert cert["global_eps"] == 0.0 and cert["period"] is None
+        assert "periodic_orbits" not in cert
 
     def test_valid_specs_parse_unchanged(self, fixdir):
         for name in ("example1.json", "example2.json", "theorem1_perm23.json"):
