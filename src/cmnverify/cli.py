@@ -19,7 +19,8 @@ from . import __version__
 from .dynamics import (LoopError, NeutralCompositionError, Perturbation,
                        empirical_entropy, locate_batch, periodic_point, step)
 from .geometry import GeometryError
-from .network import SpecError, TYPE_I, conjugacy_audit, theorem1_check, theorem2_check, validate_spec
+from .network import (SpecError, TYPE_I, conjugacy_audit, require_finite_step, theorem1_check,
+                      theorem2_check, validate_spec)
 from .specio import (SpecFormatError, canonical_json, certificate_document,
                      load_spec, spec_digest)
 from .symbolic import spectral_radius
@@ -29,7 +30,9 @@ EXIT_FAIL = 1
 EXIT_INVALID = 2
 
 
-def _load(path: str):
+def _load(path: str, iterated: bool = False):
+    """Spec and digest of the file at ``path``; ``iterated``: the command
+    iterates the network map, so its interaction must stay finite."""
     with open(path, "rb") as fh:
         raw = fh.read()
     spec = load_spec(io.BytesIO(raw))
@@ -40,6 +43,8 @@ def _load(path: str):
         raise SpecFormatError("; ".join(report.errors))
     for warning in report.warnings:
         print(f"warning: {warning}", file=sys.stderr)
+    if iterated:
+        require_finite_step(spec)
     return spec, spec_digest(raw)
 
 
@@ -98,12 +103,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_entropy(args) -> int:
-    spec, _ = _load(args.spec)
+    spec, _ = _load(args.spec, iterated=args.empirical is not None)
     bound = sum(math.log(spectral_radius(n.transition)) for n in spec.nodes)
     print(f"bound {bound:.6f}")
     if args.empirical:
-        depth, samples, seed = (int(v) for v in args.empirical)
-        est = empirical_entropy(spec, depth, samples, seed)
+        est = empirical_entropy(spec, *args.empirical)
         print(f"empirical {est:.6f}")
         print(f"gap {est - bound:+.6f}")
     return EXIT_PASS
@@ -125,7 +129,7 @@ def _auto_loop(spec) -> list[tuple[int, ...]]:
 
 
 def cmd_periodic(args) -> int:
-    spec, digest = _load(args.spec)
+    spec, digest = _load(args.spec, iterated=True)
     if args.auto:
         loop = _auto_loop(spec)
     else:
@@ -157,7 +161,7 @@ def cmd_margin(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    spec, _ = _load(args.spec)
+    spec, _ = _load(args.spec, iterated=True)
     if args.x0:
         state = np.array([float(v) for v in args.x0.split(",")])
     else:
@@ -205,8 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("entropy", help="print the certified entropy lower bound")
     p.add_argument("spec", help=spec_help)
-    p.add_argument("--empirical", nargs=3, metavar=("DEPTH", "SAMPLES", "SEED"),
-                   help="also estimate from sampled itineraries")
+    p.add_argument("--empirical", nargs=3, type=int, metavar=("DEPTH", "SAMPLES", "SEED"),
+                   help="also estimate from sampled itineraries (SEED >= 0)")
     p.set_defaults(func=cmd_entropy)
 
     p = sub.add_parser("periodic", help="solve for a periodic orbit on a loop")
@@ -241,6 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "empirical", None) and args.empirical[2] < 0:
+        parser.error("argument --empirical: SEED must be a nonnegative integer")
     try:
         return args.func(args)
     except (SpecFormatError, SpecError, GeometryError, FileNotFoundError) as exc:

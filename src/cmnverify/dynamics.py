@@ -9,8 +9,10 @@ damped fixed-point iteration.
 Stepping and locating read tables built once per spec: each node keeps its
 member charts in a per-symbol table filled on first use
 (``NodeSystem.member_chart``), and the spec keeps its ambient interaction
-map (``NetworkSpec.ambient_map``).  The empirical-entropy sampler picks
-predecessors from a padded per-node table, and its forward extraction
+map (``NetworkSpec.ambient_map``).  The empirical-entropy sampler draws
+its scrambled Halton points itself (``_halton``), picks predecessors from
+a padded per-node table, pulls each node's rows back one symbol group at
+a time after a stable sort by symbol, and its forward extraction
 keeps only the surviving rows with their sample indices, writing each
 step's product symbol as one mixed-radix code; the rows that reach every
 arithmetic expression are the same, in the same order, as when dead rows
@@ -320,20 +322,73 @@ def _inverse_branches(spec: NetworkSpec):
     return inverses
 
 
+def _primes(n: int) -> list[int]:
+    """The first ``n`` primes."""
+    primes: list[int] = []
+    cand = 2
+    while len(primes) < n:
+        if all(cand % p for p in primes if p * p <= cand):
+            primes.append(cand)
+        cand += 1
+    return primes
+
+
+def _halton(n_cols: int, samples: int, seed: int) -> np.ndarray:
+    """Owen's randomized Halton points, ``samples`` rows by ``n_cols``.
+
+    Column c is the scrambled van der Corput sequence in the c-th prime
+    base: one ``default_rng(seed)`` shuffles, base after base, one copy of
+    ``arange(base)`` per digit that a double resolves, and point n sums
+    perm[j][digit j of n] * base**-(j+1) from the lowest digit up.  The
+    sums are built a digit level at a time (rows q * base**j + r of a
+    level extend row r of the one before) in the same order and with the
+    same rounding as scipy's ``qmc.Halton(d=n_cols, scramble=True,
+    seed=seed).random(samples)``, so the array is identical to scipy's.
+    """
+    rng = np.random.default_rng(seed)
+    draw = np.empty((n_cols, samples))
+    for c, base in enumerate(_primes(n_cols)):
+        perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        vals = np.zeros(1)
+        b2r = 1.0 / base
+        for perm in perms:
+            if vals.size < samples:
+                rows = -(-samples // vals.size)
+                vals = (vals + (perm[:rows] * b2r)[:, None]).ravel()[:samples]
+            else:
+                # every row below ``samples`` has digit 0 from here on
+                vals += perm[0] * b2r
+            b2r /= base
+        draw[c] = vals
+    return draw.T
+
+
+def _by_symbol(symbols: np.ndarray, count: int):
+    """Row order that groups ``symbols`` (values 1..count) with each group
+    in row order, and the (symbol, slice of that order) of each group."""
+    order = np.argsort(symbols.astype(np.min_scalar_type(count)), kind="stable")
+    ends = np.cumsum(np.bincount(symbols, minlength=count + 1))
+    return order, [(i, slice(ends[i - 1], ends[i]))
+                   for i in range(1, count + 1) if ends[i] > ends[i - 1]]
+
+
 def empirical_entropy(spec: NetworkSpec, depth: int, samples: int, seed: int = 0) -> float:
     """log(distinct depth-n itineraries observed) / (n - 1).
 
     The invariant set of an expanding network has measure zero, so blind
     forward sampling observes no deep itineraries at all.  Initial states
-    are therefore constructed on it: a seeded quasi-random (scrambled
-    Halton) stream picks an admissible symbol word and a position, the
-    state is pulled back through the inverse affine branches, and its
-    forward itinerary is then extracted and counted like any other orbit.
-    Only words that survive all ``depth`` steps and respect the transition
-    structure are counted.  Deterministic for a fixed seed.
+    are therefore constructed on it: a seeded quasi-random stream picks an
+    admissible symbol word and a position, the state is pulled back
+    through the inverse affine branches, and its forward itinerary is then
+    extracted and counted like any other orbit.  Only words that survive
+    all ``depth`` steps and respect the transition structure are counted.
+    The stream is Owen's randomized Halton sequence (A. B. Owen, "A
+    randomized Halton algorithm in R", arXiv:1706.02808, 2017), equal to
+    scipy's ``qmc.Halton(scramble=True, seed=seed)``, so the estimate is
+    deterministic for a fixed seed.
     """
-    from scipy.stats import qmc
-
     if depth < 2:
         raise ValueError("depth must be at least 2")
     if samples < 1:
@@ -352,8 +407,7 @@ def empirical_entropy(spec: NetworkSpec, depth: int, samples: int, seed: int = 0
     inverses = _inverse_branches(spec)
 
     n_cols = d + spec.state_dim + d * (depth - 1)
-    halton = qmc.Halton(d=n_cols, scramble=True, seed=seed)
-    draw = halton.random(samples)
+    draw = _halton(n_cols, samples, seed)
 
     # final symbols, then positions inside the final product h-set
     cur = np.empty((samples, d), dtype=np.int64)
@@ -362,13 +416,13 @@ def empirical_entropy(spec: NetworkSpec, depth: int, samples: int, seed: int = 0
                                spec.nodes[k].count - 1) + 1
     xi = 2.0 * draw[:, d:d + spec.state_dim] - 1.0
     states = np.empty((samples, spec.state_dim))
-    for k in range(d):
+    for k, node in enumerate(spec.nodes):
         sl = slice(k * block, (k + 1) * block)
-        seg = xi[:, sl] * (1.0 - 1e-9)
-        for i in range(1, spec.nodes[k].count + 1):
-            mask = cur[:, k] == i
-            if np.any(mask):
-                states[mask, sl] = spec.nodes[k].member_chart(i).invert_batch(seg[mask])
+        order, groups = _by_symbol(cur[:, k], node.count)
+        seg = xi[order, sl] * (1.0 - 1e-9)
+        for i, rows in groups:
+            seg[rows] = node.member_chart(i).invert_batch(seg[rows])
+        states[order, sl] = seg
 
     # per node: predecessors of symbol j in row j - 1, padded with zeros
     # past pred_len[j - 1] (every symbol has at least one predecessor)
@@ -393,20 +447,22 @@ def empirical_entropy(spec: NetworkSpec, depth: int, samples: int, seed: int = 0
             col += 1
         pulled = (states - a_off) @ a_inv.T
         inset = 1.0 - 1e-9
-        for k in range(d):
+        for k, node in enumerate(spec.nodes):
             sl = slice(k * block, (k + 1) * block)
-            for i in range(1, spec.nodes[k].count + 1):
-                mask = prev[:, k] == i
-                if not np.any(mask):
-                    continue
+            # each symbol's rows form one contiguous block of ``seg``, in
+            # sample order: the same operands, row by row, as a boolean mask
+            order, groups = _by_symbol(prev[:, k], node.count)
+            seg = pulled[order, sl]
+            for i, rows in groups:
                 inv_lin, inv_off = inverses[k][i]
-                back = pulled[mask, sl] @ inv_lin.T + inv_off
+                back = seg[rows] @ inv_lin.T + inv_off
                 # keep pulled-back states inside the source set: a no-op for
                 # expanding branches, a boundary snap where the dynamics
                 # contracts (forward extraction re-derives the actual word)
-                chart = spec.nodes[k].member_chart(i)
+                chart = node.member_chart(i)
                 cc = np.clip(chart.apply_batch(back), -inset, inset)
-                states[mask, sl] = chart.invert_batch(cc)
+                seg[rows] = chart.invert_batch(cc)
+            states[order, sl] = seg
         cur = prev
 
     # forward extraction: the constructed states are ordinary initial states.

@@ -27,7 +27,9 @@ its own, uncoupled, as a single covering of h-set j by h-set i with one
 ``covering.check_covering`` call; an outcome other than "pass" is a
 ``SpecError`` naming the node, the transition and the failures.  Both
 checks first refuse, as a ``SpecError`` at ``$.coupling.matrix``, a
-coupling large enough to scale a chart form past floating-point range.
+coupling large enough to scale a chart form past floating-point range;
+``require_finite_step`` refuses, the same way, one that carries h-set
+states past that range, for the commands that iterate the network map.
 
 The coupling kind decides which charts a chart form composes the local map
 with; ``_form_keys`` and ``_form_charts`` own that decision, and form
@@ -916,6 +918,36 @@ def _require_finite_scaling(spec: NetworkSpec, forms: list[dict]) -> None:
     if not math.isfinite(lip * size):
         raise SpecError(f"$.coupling.matrix: coupling row sum {lip:g} times chart-form "
                         f"size {size:g} is not a finite number")
+
+
+def require_finite_step(spec: NetworkSpec) -> None:
+    """Refuse an interaction that carries h-set states past floating-point range.
+
+    ``simulate``, ``periodic`` and ``entropy`` iterate the network map from
+    states in the node h-sets.  On the box hull of a node's h-sets,
+    |local image| is at most each piece's largest row sum times the hull's
+    largest |coordinate| plus its |offset|, and the interaction map bounds
+    the coupled image the same way; that bound must be finite, or inf
+    states would reach the output.
+    """
+    def reach(F: PiecewiseAffineMap, radius: float) -> float:
+        return max(float(np.max(np.sum(np.abs(p.matrix), axis=1) * radius + np.abs(p.offset)))
+                   for p in F.pieces)
+
+    local = 0.0
+    with np.errstate(over="ignore"):
+        for k, node in enumerate(spec.nodes):
+            size = reach(node.local_map,
+                         max(float(np.max(np.abs(h.bounding_box()))) for h in node.hsets))
+            if not math.isfinite(size):
+                raise SpecError(f"$.nodes[{k}].map: the local map carries h-set states "
+                                f"past floating-point range")
+            local = max(local, size)
+        coupled = reach(spec.ambient_map(), local)
+    if not math.isfinite(coupled):
+        where = "$.coupling.ambient" if spec.coupling.ambient is not None else "$.coupling.matrix"
+        raise SpecError(f"{where}: the interaction map carries h-set states of local "
+                        f"image size {local:g} past floating-point range")
 
 
 def theorem1_check(spec: NetworkSpec, resolution: int = 64,

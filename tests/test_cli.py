@@ -190,15 +190,29 @@ class TestHostileSpec:
         assert "Traceback" not in err
 
     def test_overflowing_coupling_is_refused(self, fixdir, tmp_path, capsys):
+        # every verb, the ones that check the theorems and the ones that
+        # iterate the network map, refuses before any work or output
         doc = json.loads((fixdir / "example1_alpha_0.2.json").read_text())
         spec = tmp_path / "hostile.json"
         spec.write_text(json.dumps(_mutated(doc, ("coupling", "matrix", 1, 0), 1e308)))
-        with np.errstate(over="ignore"):
-            code = main(["verify", str(spec)])
-        assert code == 2
+        for verb, *options in (["verify"], ["margin"], ["periodic", "--auto"],
+                               ["simulate", "--steps", "5"],
+                               ["entropy", "--empirical", "4", "200", "1"]):
+            with np.errstate(over="ignore"):
+                code = main([verb, str(spec), *options])
+            assert code == 2, verb
+            out = capsys.readouterr()
+            assert "error: $.coupling.matrix:" in out.err, verb
+            assert "verdict" not in out.err and out.out == "", verb
+
+    def test_overflowing_local_map_is_refused_where_iterated(self, fixdir, tmp_path, capsys):
+        doc = json.loads((fixdir / "example1_alpha_0.2.json").read_text())
+        spec = tmp_path / "hostile.json"
+        spec.write_text(json.dumps(_mutated(doc, ("nodes", 1, "map", "pieces", 0, "matrix"),
+                                            [[1e308]])))
+        assert main(["simulate", str(spec), "--steps", "5"]) == 2
         out = capsys.readouterr()
-        assert "error: $.coupling.matrix:" in out.err
-        assert "verdict" not in out.err and out.out == ""
+        assert "error: $.nodes[1].map:" in out.err and out.out == ""
 
     def test_unconfirmed_orbit_is_inconclusive(self, fixdir, tmp_path, capsys):
         # theorem 1 holds for the chart-coordinate model, but under the
@@ -265,6 +279,20 @@ class TestEntropyCommand:
         out = capsys.readouterr().out
         est = float([l for l in out.splitlines() if l.startswith("empirical")][0].split()[1])
         assert abs(est - 0.9624) < 0.25
+
+    @pytest.mark.parametrize("values, message", [
+        (["3", "64", "x"], "invalid int value: 'x'"),
+        (["3.5", "64", "0"], "invalid int value: '3.5'"),
+        (["3", "6e1", "0"], "invalid int value: '6e1'"),
+        (["3", "64", "-1"], "SEED must be a nonnegative integer"),
+    ])
+    def test_empirical_arguments_are_usage_errors(self, values, message, fixdir, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["entropy", str(fixdir / "example1.json"), "--empirical", *values])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --empirical: {message}" in err
+        assert "Traceback" not in err
 
 
 class TestPeriodicCommand:
@@ -389,6 +417,36 @@ class TestSpecRead:
         doc = json.loads(out.read_text())
         assert doc["spec_digest"] == "sha256:" + hashlib.sha256(original).hexdigest()
         assert doc["verdict"] == "pass"
+
+
+class TestImports:
+    def test_paper_commands_import_no_scipy(self, fixdir):
+        # scipy is imported only on the LP path (affine min_stretch with
+        # u >= 2); the paper's fixtures are 1-d, so every verb on them runs
+        # without it, and an eager import would cost each command its load
+        runs = [[verb, str(fixdir / name), *options]
+                for name in ("example1.json", "example1_alpha_0.2.json",
+                             "example1_node1.json", "example2.json",
+                             "theorem1_perm23.json")
+                for verb, *options in (["verify"], ["margin"], ["simulate", "--steps", "5"])]
+        runs += [["periodic", str(fixdir / "theorem1_perm23.json"), "--auto"],
+                 ["entropy", str(fixdir / "example1.json"), "--empirical", "4", "200", "1"]]
+        script = ("import contextlib, io, json, sys\n"
+                  "from cmnverify.cli import main\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  f"    codes = [main(argv) for argv in {runs!r}]\n"
+                  "print(json.dumps([codes, sorted(m for m in sys.modules\n"
+                  "                                if m.partition('.')[0] == 'scipy')]))\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(FIXDIR.parent / "src"),
+                                                           env.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, "-c", script],
+                                capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        codes, scipy_modules = json.loads(result.stdout.splitlines()[-1])
+        # example1_alpha_0.2 fails theorem 2 under verify and margin
+        assert codes == [0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
+        assert scipy_modules == []
 
 
 class TestConsoleEntryPoint:

@@ -6,7 +6,9 @@ with NaN-filled dead rows during forward extraction, and
 ``np.unique(..., axis=0)`` for the distinct-word count.  The sampler must
 return exactly the same estimate (``==``, not approximately) and raise
 ``NoInvariantSamplesError`` in exactly the same cases.  The simulate
-digests were recorded before the rework too.
+digests were recorded before the rework too.  scipy's scrambled Halton
+generator is the oracle both for the reference and for the sampler's own
+``_halton``.
 """
 
 import hashlib
@@ -220,6 +222,21 @@ def test_dead_rows_are_dropped(monkeypatch):
     assert sizes == sorted(sizes, reverse=True)
     monkeypatch.setattr(dy, "locate_batch", locate)
     assert got == reference_entropy(spec, 12, 20_000, 1)
+
+
+# (n_cols, samples, seed): one sample; powers of 2 and of 3; counts that are
+# no power of any base (777, 1000, 12345, 100000); 31, 40 and 60 columns
+HALTON_CASES = [(1, 1, 0), (3, 1, 0), (60, 1, 4), (5, 64, 1), (7, 243, 5), (4, 777, 9),
+                (2, 100_000, 11), (26, 100_000, 1), (31, 1000, 2), (40, 1000, 0),
+                (60, 12_345, 3)]
+
+
+@pytest.mark.parametrize("n_cols,samples,seed", HALTON_CASES)
+def test_halton_matches_scipy(n_cols, samples, seed):
+    from scipy.stats import qmc
+
+    want = qmc.Halton(d=n_cols, scramble=True, seed=seed).random(samples)
+    assert np.array_equal(dy._halton(n_cols, samples, seed), want)
 
 
 def test_example1_estimate_at_seed_1():
