@@ -130,11 +130,7 @@ def _auto_loop(spec) -> list[tuple[int, ...]]:
 
 def cmd_periodic(args) -> int:
     spec, digest = _load(args.spec, iterated=True)
-    if args.auto:
-        loop = _auto_loop(spec)
-    else:
-        loop = [tuple(int(t) for t in stop.split("."))
-                for stop in args.loop.split(",")]
+    loop = _auto_loop(spec) if args.auto else args.loop
     cert = periodic_point(spec, loop)
     doc = {"format_version": "1", "spec_digest": digest, **_orbit_doc(loop, cert)}
     _write(canonical_json(doc), args.out)
@@ -163,7 +159,7 @@ def cmd_margin(args) -> int:
 def cmd_simulate(args) -> int:
     spec, _ = _load(args.spec, iterated=True)
     if args.x0:
-        state = np.array([float(v) for v in args.x0.split(",")])
+        state = np.array(args.x0)
     else:
         rng = np.random.default_rng(args.seed)
         lo = np.full(spec.state_dim, np.inf)
@@ -176,7 +172,7 @@ def cmd_simulate(args) -> int:
                 lo[sl] = np.minimum(lo[sl], blo)
                 hi[sl] = np.maximum(hi[sl], bhi)
         state = rng.uniform(lo, hi)
-    pert = Perturbation(args.pert[0], int(args.pert[1])) if args.pert else None
+    pert = Perturbation(*args.pert) if args.pert else None
     lines = []
     for t in range(args.steps + 1):
         symbols, _ = locate_batch(spec, state.reshape(1, -1))
@@ -188,6 +184,67 @@ def cmd_simulate(args) -> int:
     return EXIT_PASS
 
 
+# Option types: each turns one command-line word into its value, or raises
+# ArgumentTypeError, which argparse reports as a usage error (exit 2).
+
+
+def _integer(name: str, least: int):
+    """Type of an integer option value ``name`` that must be at least ``least``."""
+    bound = {0: "a nonnegative integer", 1: "a positive integer"}.get(
+        least, f"an integer >= {least}")
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"{name} must be {bound}, got {value}")
+        return value
+    return parse
+
+
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def _amplitude(text: str) -> float:
+    value = _finite(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"EPS must be nonnegative, got {text}")
+    return value
+
+
+def _state(text: str) -> list[float]:
+    return [_finite(v) for v in text.split(",")]
+
+
+def _loop(text: str) -> list[tuple[int, ...]]:
+    symbol = _integer("a node symbol", 1)
+    try:
+        return [tuple(symbol(t) for t in stop.split(".")) for stop in text.split(",")]
+    except argparse.ArgumentTypeError as exc:
+        raise argparse.ArgumentTypeError(f"invalid loop {text!r}: {exc}") from None
+
+
+def _fields(*types):
+    """Action of an option with one value per type in ``types``, each read
+    by its own type; stores the tuple of values."""
+    class Fields(argparse.Action):
+        def __call__(self, parser, namespace, values, option_string=None):
+            try:
+                setattr(namespace, self.dest, tuple(t(v) for t, v in zip(types, values)))
+            except argparse.ArgumentTypeError as exc:
+                raise argparse.ArgumentError(self, str(exc)) from None
+    return Fields
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cmnverify",
@@ -196,29 +253,34 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     spec_help = "path to a network spec file (JSON)"
-    grid_help = "points per face axis for certified grid bounds"
+    grid_help = "points per face axis for certified grid bounds (at least 2)"
     kind_help = "The coupling kind picks the check: theorem 1 for type1, theorem 2 for type2."
+    grid = _integer("GRID", 2)
+    seed = _integer("SEED", 0)
 
     p = sub.add_parser("verify", help="run a theorem check, emit a certificate",
                        description=kind_help)
     p.add_argument("spec", help=spec_help)
-    p.add_argument("--grid", type=int, default=64, help=grid_help)
-    p.add_argument("--seed", type=int, default=0, help="seed of the conjugacy audit")
+    p.add_argument("--grid", type=grid, default=64, help=grid_help)
+    p.add_argument("--seed", type=seed, default=0, help="seed of the conjugacy audit")
     p.add_argument("--out", help="write the certificate here")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("entropy", help="print the certified entropy lower bound")
     p.add_argument("spec", help=spec_help)
-    p.add_argument("--empirical", nargs=3, type=int, metavar=("DEPTH", "SAMPLES", "SEED"),
-                   help="also estimate from sampled itineraries (SEED >= 0)")
+    p.add_argument("--empirical", nargs=3, metavar=("DEPTH", "SAMPLES", "SEED"),
+                   action=_fields(_integer("DEPTH", 2), _integer("SAMPLES", 1), seed),
+                   help="also estimate from sampled itineraries "
+                        "(DEPTH >= 2, SAMPLES >= 1, SEED >= 0)")
     p.set_defaults(func=cmd_entropy)
 
     p = sub.add_parser("periodic", help="solve for a periodic orbit on a loop")
     p.add_argument("spec", help=spec_help)
     p.add_argument("--out", help="write the orbit document here")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--loop", help="steps separated by commas, node symbols "
-                                      "within a step by dots (e.g. '1.2,2.1')")
+    group.add_argument("--loop", type=_loop,
+                       help="steps separated by commas, node symbols "
+                            "within a step by dots (e.g. '1.2,2.1')")
     group.add_argument("--auto", action="store_true",
                        help="canonical loop through the first symbols")
     p.set_defaults(func=cmd_periodic)
@@ -226,17 +288,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("margin", help="print the admissible perturbation radius",
                        description=kind_help)
     p.add_argument("spec", help=spec_help)
-    p.add_argument("--grid", type=int, default=64, help=grid_help)
+    p.add_argument("--grid", type=grid, default=64, help=grid_help)
     p.set_defaults(func=cmd_margin)
 
     p = sub.add_parser("simulate", help="iterate the network map")
     p.add_argument("spec", help=spec_help)
-    p.add_argument("--steps", type=int, default=20)
-    p.add_argument("--x0", help="comma-separated initial state")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--steps", type=_integer("STEPS", 0), default=20)
+    p.add_argument("--x0", type=_state, help="comma-separated initial state")
+    p.add_argument("--seed", type=seed, default=0,
                    help="seed of the random initial state when --x0 is absent")
-    p.add_argument("--pert", nargs=2, type=float, metavar=("EPS", "SEED"),
-                   help="sinusoidal perturbation amplitude and seed")
+    p.add_argument("--pert", nargs=2, metavar=("EPS", "SEED"),
+                   action=_fields(_amplitude, seed),
+                   help="sinusoidal perturbation amplitude (>= 0) and seed (>= 0)")
     p.add_argument("--out", help="write the trajectory (JSON lines) here")
     p.set_defaults(func=cmd_simulate)
     return parser
@@ -245,8 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "empirical", None) and args.empirical[2] < 0:
-        parser.error("argument --empirical: SEED must be a nonnegative integer")
     try:
         return args.func(args)
     except (SpecFormatError, SpecError, GeometryError, FileNotFoundError) as exc:

@@ -26,10 +26,12 @@ Before its entry loop, theorem 1 checks each node transition (i, j) on
 its own, uncoupled, as a single covering of h-set j by h-set i with one
 ``covering.check_covering`` call; an outcome other than "pass" is a
 ``SpecError`` naming the node, the transition and the failures.  Both
-checks first refuse, as a ``SpecError`` at ``$.coupling.matrix``, a
-coupling large enough to scale a chart form past floating-point range;
-``require_finite_step`` refuses, the same way, one that carries h-set
-states past that range, for the commands that iterate the network map.
+checks first refuse, as a ``SpecError``, a chart form that is itself past
+floating-point range (at ``$.nodes[k].map`` or ``$.nodes[k].chart_forms``)
+and a coupling large enough to scale a finite one past it (at
+``$.coupling.matrix``); ``require_finite_step`` refuses, the same way, an
+interaction that carries h-set states past that range, for the commands
+that iterate the network map.
 
 The coupling kind decides which charts a chart form composes the local map
 with; ``_form_keys`` and ``_form_charts`` own that decision, and form
@@ -39,9 +41,11 @@ from them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -278,11 +282,14 @@ def _resolve_forms(node: NodeSystem, kind: str) -> dict:
     forms: dict = {}
     for key in _form_keys(node, kind):
         inner, outer = _form_charts(node, kind, key)
-        composed = (node.local_map
-                    .compose_affine_inner(inner.inverse_linear,
-                                          -inner.inverse_linear @ inner.offset)
-                    .compose_affine_outer(outer.linear, outer.offset))
-        U, V = split_product(composed, node.dim_u)
+        # a local map too large for its charts composes to inf entries here;
+        # _require_finite_scaling refuses such a form at its node
+        with np.errstate(over="ignore", invalid="ignore"):
+            composed = (node.local_map
+                        .compose_affine_inner(inner.inverse_linear,
+                                              -inner.inverse_linear @ inner.offset)
+                        .compose_affine_outer(outer.linear, outer.offset))
+            U, V = split_product(composed, node.dim_u)
         forms[key] = ProductFormMap(U, V)
     return forms
 
@@ -800,6 +807,15 @@ def _row_sums(terms: np.ndarray) -> np.ndarray:
     return total
 
 
+class _Margins(NamedTuple):
+    """What ``persistence_bound`` reads of a passing entry's certificate,
+    so the certificate is built once, with its radius."""
+
+    unstable_margin: float
+    stable_margin: float
+    target_radius: float
+
+
 def _check_entries(spec: NetworkSpec, forms: list[dict], choices: list[list[_Choice]],
                    resolution: int, chart_lip: float, pert_amplitude: float,
                    need_membership: bool) -> list[EntryResult]:
@@ -820,20 +836,30 @@ def _check_entries(spec: NetworkSpec, forms: list[dict], choices: list[list[_Cho
     counts = [len(c) for c in choices]
     total = math.prod(counts)
     strides = np.array([math.prod(counts[k + 1:]) for k in range(d)])
-    ids = [[(spec.nodes[k].hsets[c.source - 1].id, spec.nodes[k].hsets[c.target - 1].id)
-            for c in cs] for k, cs in enumerate(choices)]
+    nodes = np.arange(d)
+    # source and target symbol of node k under its choice c, zero past its choices
+    sources, targets = np.zeros((2, d, geo.width), dtype=int)
+    for k, node_choices in enumerate(choices):
+        for c, choice in enumerate(node_choices):
+            sources[k, c], targets[k, c] = choice.source, choice.target
+    hset_ids = [[h.id for h in node.hsets] for node in spec.nodes]
+
+    @functools.cache
+    def product_id(index: tuple[int, ...]) -> str:
+        return "x".join([ids[symbol - 1] for ids, symbol in zip(hset_ids, index)])
 
     def choice_rows(flat: np.ndarray) -> np.ndarray:
         return flat[:, None] // strides % np.array(counts)
 
-    def indices(row) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        picked = [choices[k][c] for k, c in enumerate(row)]
-        return tuple(c.source for c in picked), tuple(c.target for c in picked)
+    def indices(ch: np.ndarray) -> zip:
+        """(source index, target index) of each entry of the block ``ch``."""
+        return zip(map(tuple, sources[nodes, ch].tolist()),
+                   map(tuple, targets[nodes, ch].tolist()))
 
     own_matrix: dict[int, np.ndarray] = {}
     if spec.coupling.per_entry:
-        for flat, row in enumerate(choice_rows(np.arange(total)).tolist()):
-            a = spec.coupling.matrix_for(*indices(row))
+        for flat, (i_idx, j_idx) in enumerate(indices(choice_rows(np.arange(total)))):
+            a = spec.coupling.matrix_for(i_idx, j_idx)
             if a is not spec.coupling.matrix:
                 own_matrix[flat] = a
 
@@ -845,42 +871,44 @@ def _check_entries(spec: NetworkSpec, forms: list[dict], choices: list[list[_Cho
             taus[key] = tau_search(feasibility)
         return taus[key]
 
+    signs: dict = {}  # _perm_sign(tau) ** u per assignment tau
     entries: list = [None] * total
 
     def run(slots: _Slots, flat: np.ndarray) -> None:
         ch = choice_rows(flat)
-        lo, ms, slack, sure, maybe, cells = slots.evaluate(ch, need_membership)
-        best = np.min(np.max(slack, axis=2), axis=1).tolist()
+        lo, ms, slacks, sure, maybe, cells = slots.evaluate(ch, need_membership)
+        best = np.min(np.max(slacks, axis=2), axis=1).tolist()
         found = [tau_for(f) for f in sure]
         passing = [e for e, tau in enumerate(found) if tau is not None]
         pe = np.array(passing, dtype=int)[:, None]
-        rows = np.arange(d)
         cols = np.array([found[e] for e in passing], dtype=int).reshape(-1, d) - 1
-        rowwise = zip(lo[pe, rows, cols].min(axis=1).tolist(),
-                      ms[pe, rows, cols].min(axis=1).tolist(),
-                      np.prod(slots.deg[cells[pe, rows, cols]], axis=1).tolist(),
-                      geo.radius[rows, ch[passing]].min(axis=1).tolist())
-        margins = dict(zip(passing, rowwise))
-        for e, row in enumerate(ch.tolist()):
-            i_idx, j_idx = indices(row)
-            tau = found[e]
+        unstable = lo[pe, nodes, cols].min(axis=1)
+        stable = ms[pe, nodes, cols].min(axis=1)
+        rowwise = zip(unstable.tolist(), stable.tolist(),
+                      np.prod(slots.deg[cells[pe, nodes, cols]], axis=1).tolist(),
+                      geo.radius[nodes, ch[passing]].min(axis=1).tolist(),
+                      (np.minimum(unstable, stable) - inflation).tolist())
+        index, at = list(indices(ch)), flat.tolist()
+        for e, tau in enumerate(found):
             if tau is None:
                 verdict = "fail" if tau_for(maybe[e]) is None else "inconclusive"
                 notes = (f"no node assignment satisfies every coupled row "
                          f"(best achievable slack {best[e]:.6g})",)
                 if verdict == "inconclusive":
                     notes += ("grid bounds too coarse to decide; raise the resolution",)
-                entries[flat[e]] = EntryResult(i_idx, j_idx, None, None, verdict, best[e], notes)
-                continue
-            unstable, stable, degree, radius = margins[e]
+                entries[at[e]] = EntryResult(*index[e], None, None, verdict, best[e], notes)
+        for e, (unstable, stable, degree, radius, slack) in zip(passing, rowwise):
+            i_idx, j_idx = index[e]
+            tau = found[e]
+            if tau not in signs:
+                signs[tau] = _perm_sign(tau) ** u
+            eps = persistence_bound(_Margins(unstable, stable, radius), chart_lip, coupling_lip)
             cert = CoveringCertificate(
-                source_id="x".join(ids[k][c][0] for k, c in enumerate(row)),
-                target_id="x".join(ids[k][c][1] for k, c in enumerate(row)),
-                degree=DegreeValue(_perm_sign(tau) ** u * degree, "composition"),
-                unstable_margin=unstable, stable_margin=stable, target_radius=radius)
-            eps = persistence_bound(cert, chart_lip, coupling_lip)
-            entries[flat[e]] = EntryResult(i_idx, j_idx, tau, replace(cert, admissible_eps=eps),
-                                           "pass", min(unstable, stable) - inflation, ())
+                source_id=product_id(i_idx), target_id=product_id(j_idx),
+                degree=DegreeValue(signs[tau] * degree, "composition"),
+                unstable_margin=unstable, stable_margin=stable, target_radius=radius,
+                admissible_eps=eps)
+            entries[at[e]] = EntryResult(i_idx, j_idx, tau, cert, "pass", slack, ())
 
     shared = _Slots(geo, spec.coupling.matrix)
     skip = np.array(sorted(own_matrix), dtype=int)
@@ -904,16 +932,29 @@ def _require_valid(spec: NetworkSpec, kind: str) -> None:
 
 
 def _require_finite_scaling(spec: NetworkSpec, forms: list[dict]) -> None:
-    """Refuse a coupling that scales a chart form past floating-point range.
+    """Refuse a chart form, or a coupling that scales one, past floating-point range.
 
     The checks evaluate every chart form scaled by a coupling coefficient
-    a[k, m].  On the unit box |a[k, m] form(x)| is at most the coupling's
-    max row sum times the form's largest row sum plus offset; that product
-    must be finite, or an inf (and then NaN) would reach the margins.
+    a[k, m].  On the unit box |form(x)| is at most the form's size, its
+    pieces' largest row sum plus offset, and |a[k, m] form(x)| at most the
+    coupling's max row sum times that size.  A form whose own size is not
+    finite is refused at its node: ``$.nodes[k].chart_forms`` when declared,
+    ``$.nodes[k].map`` when composed from the local map.  The product with
+    the coupling must be finite too, or an inf (and then NaN) would reach
+    the margins.
     """
-    size = max(float(np.max(np.sum(np.abs(p.matrix), axis=1) + np.abs(p.offset)))
-               for node_forms in forms for form in node_forms.values()
-               for F in (form.U, form.V) if F is not None for p in F.pieces)
+    size = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (node, node_forms) in enumerate(zip(spec.nodes, forms)):
+            pieces = (p for form in node_forms.values() for F in (form.U, form.V)
+                      if F is not None for p in F.pieces)
+            for p in pieces:
+                piece_size = float(np.max(np.sum(np.abs(p.matrix), axis=1) + np.abs(p.offset)))
+                if not math.isfinite(piece_size):
+                    where = "chart_forms" if node.chart_forms is not None else "map"
+                    raise SpecError(f"$.nodes[{k}].{where}: chart-form size {piece_size:g} "
+                                    f"is not a finite number")
+                size = max(size, piece_size)
     lip = spec.coupling.lipschitz()
     if not math.isfinite(lip * size):
         raise SpecError(f"$.coupling.matrix: coupling row sum {lip:g} times chart-form "

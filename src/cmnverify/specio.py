@@ -4,7 +4,11 @@ Spec files may write any real as a JSON number, a decimal string, or an
 exact rational "p/q"; rationals are converted to the nearest double on
 input.  Serialization is canonical (sorted keys, repr-shortest floats,
 "inf" for infinities) so certificates are byte-reproducible for a given
-tool version.
+tool version.  The builders of certificate documents write an infinite
+float as the string "inf" or "-inf" where they emit it, so
+``canonical_json`` writes their documents in one pass of the stdlib C
+encoder; its recursive clean-up walk is only the fallback for documents a
+caller built with raw infinities.
 
 Top-level spec keys::
 
@@ -332,28 +336,59 @@ def serialize_spec(spec: NetworkSpec) -> dict:
     return doc
 
 
+def _scalar(obj):
+    """``default`` of the encoder: numpy scalars as Python numbers."""
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _clean(obj):
+    """Copy of ``obj`` with infinities tagged and numpy scalars converted."""
+    if isinstance(obj, dict):
+        return {k: _clean(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_clean(v) for v in obj]
+    if isinstance(obj, float) and math.isinf(obj):
+        return "inf" if obj > 0 else "-inf"
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    return obj
+
+
 def canonical_json(doc) -> str:
-    """Deterministic serialization: sorted keys, fixed separators, "inf"."""
+    """Deterministic serialization: sorted keys, fixed separators, "inf".
 
-    def clean(obj):
-        if isinstance(obj, dict):
-            return {k: clean(v) for k, v in obj.items()}
-        if isinstance(obj, (list, tuple)):
-            return [clean(v) for v in obj]
-        if isinstance(obj, float) and math.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
-        if isinstance(obj, np.floating):
-            return float(obj)
-        if isinstance(obj, np.integer):
-            return int(obj)
-        return obj
-
-    return json.dumps(clean(doc), sort_keys=True, separators=(",", ":"), allow_nan=False)
+    Numpy scalars are written as Python numbers.  The package's document
+    builders tag infinities themselves (``_tag``), so their documents take
+    one ``json.dumps`` call.  A caller's document with a raw infinity makes
+    that call raise; it is then written again through ``_clean``, which
+    tags every infinity, and NaN still raises ``ValueError``.
+    """
+    try:
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False,
+                          default=_scalar)
+    except ValueError:
+        return json.dumps(_clean(doc), sort_keys=True, separators=(",", ":"),
+                          allow_nan=False)
 
 
 def spec_digest(raw: bytes) -> str:
     """Content hash of the spec file bytes, embedded in certificates."""
     return "sha256:" + hashlib.sha256(raw).hexdigest()
+
+
+def _tag(x):
+    """``x``, or "inf" / "-inf" when it is an infinity."""
+    if x == math.inf:
+        return "inf"
+    if x == -math.inf:
+        return "-inf"
+    return x
 
 
 def _emit_entry(entry: EntryResult) -> dict:
@@ -362,16 +397,16 @@ def _emit_entry(entry: EntryResult) -> dict:
         "j": list(entry.target_index),
         "verdict": entry.verdict,
         "tau": list(entry.tau) if entry.tau else None,
-        "slack": entry.slack,
+        "slack": _tag(entry.slack),
         "failures": list(entry.failures),
     }
     if entry.certificate is not None:
         cert = entry.certificate
         out.update({
             "degree": cert.degree.value,
-            "unstable_margin": cert.unstable_margin,
-            "stable_margin": cert.stable_margin,
-            "admissible_eps": cert.admissible_eps,
+            "unstable_margin": _tag(cert.unstable_margin),
+            "stable_margin": _tag(cert.stable_margin),
+            "admissible_eps": _tag(cert.admissible_eps),
         })
     return out
 
@@ -386,12 +421,12 @@ def certificate_document(report: TheoremReport, digest: str,
         "spec_digest": digest,
         "theorem": report.theorem,
         "verdict": report.verdict,
-        "global_eps": report.global_eps,
-        "entropy_bound": report.entropy_bound,
+        "global_eps": _tag(report.global_eps),
+        "entropy_bound": _tag(report.entropy_bound),
         "period": report.period,
         "binding_entry": {"i": list(binding.source_index),
                           "j": list(binding.target_index),
-                          "slack": binding.slack},
+                          "slack": _tag(binding.slack)},
         "entries": [_emit_entry(e) for e in report.entries],
     }
     if extras:

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -214,6 +215,22 @@ class TestHostileSpec:
         out = capsys.readouterr()
         assert "error: $.nodes[1].map:" in out.err and out.out == ""
 
+    def test_overflowing_local_map_is_blamed_on_its_node(self, fixdir, tmp_path, capsys):
+        # node 1's chart form is infinite before any coupling scales it, so
+        # the checks name the node, not the coupling, and numpy stays quiet
+        doc = json.loads((fixdir / "example1_alpha_0.2.json").read_text())
+        spec = tmp_path / "hostile.json"
+        spec.write_text(json.dumps(_mutated(doc, ("nodes", 1, "map", "pieces", 0, "matrix"),
+                                            [[1e308]])))
+        for verb in ("verify", "margin"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main([verb, str(spec)])
+            assert code == 2, verb
+            out = capsys.readouterr()
+            assert "error: $.nodes[1].map:" in out.err, verb
+            assert "$.coupling.matrix" not in out.err and out.out == "", verb
+
     def test_unconfirmed_orbit_is_inconclusive(self, fixdir, tmp_path, capsys):
         # theorem 1 holds for the chart-coordinate model, but under the
         # default coupling the network map's orbit leaves the h-set product
@@ -395,6 +412,36 @@ class TestOptions:
         argv = [verb, str(fixdir / name)] + [str(tmp_path / "out") if o == "F" else o
                                               for o in options]
         assert main(argv) == 0
+
+
+    # option values that no command can use; argparse refuses each (exit 2)
+    REJECTED = [
+        ("simulate", "example1.json", ["--seed", "-1"], "--seed"),
+        ("simulate", "example1.json", ["--pert", "0.01", "-1"], "--pert"),
+        ("verify", "example2.json", ["--seed", "-1"], "--seed"),
+        ("simulate", "example1.json", ["--pert", "-0.01", "1"], "--pert"),
+        ("simulate", "example1.json", ["--pert", "0.01", "1.7"], "--pert"),
+        ("simulate", "example1.json", ["--pert", "inf", "1"], "--pert"),
+        ("simulate", "example1.json", ["--steps", "-1"], "--steps"),
+        ("simulate", "example1.json", ["--x0=1,nan"], "--x0"),
+        ("verify", "example1_node1.json", ["--grid", "0"], "--grid"),
+        ("verify", "example1_node1.json", ["--grid", "-3"], "--grid"),
+        ("margin", "example1_node1.json", ["--grid", "0"], "--grid"),
+        ("margin", "example1_node1.json", ["--grid", "-3"], "--grid"),
+        ("periodic", "example1_node1.json", ["--loop", "1.x"], "--loop"),
+        ("periodic", "example1_node1.json", ["--loop", "0"], "--loop"),
+        ("entropy", "example1.json", ["--empirical", "1", "10", "0"], "--empirical"),
+        ("entropy", "example1.json", ["--empirical", "3", "0", "0"], "--empirical"),
+    ]
+
+    @pytest.mark.parametrize("verb, name, options, option", REJECTED)
+    def test_bad_value_is_a_usage_error(self, verb, name, options, option, fixdir, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([verb, str(fixdir / name), *options])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert f"argument {option}:" in out.err and out.out == ""
+        assert "Traceback" not in out.err
 
 
 class TestSpecRead:

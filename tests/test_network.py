@@ -278,6 +278,21 @@ class TestTheorem2:
             want = min(rt - rs for rs, rt in zip(r_src, r_tgt))
             assert entry.certificate.stable_margin == pytest.approx(want, abs=1e-12)
 
+    def test_infinite_declared_form_is_blamed_on_its_node(self):
+        # a declared form whose own size overflows is refused at the node's
+        # chart_forms, not at the coupling that would scale it
+        from cmnverify.covering import ProductFormMap
+        from cmnverify.network import _require_finite_scaling, _resolve_forms
+        spec = fixtures.example1()
+        node = spec.nodes[1]
+        forms = dict(_resolve_forms(node, "type2"))
+        forms[2] = ProductFormMap(PiecewiseAffineMap.affine([[1e308]], [1e308]))
+        declared = NodeSystem(node.local_map, node.hsets, node.transition, node.unified,
+                              chart_forms=forms)
+        spec = NetworkSpec(spec.graph, (spec.nodes[0], declared), spec.coupling)
+        with pytest.raises(SpecError, match=r"^\$\.nodes\[1\]\.chart_forms: chart-form size inf"):
+            _require_finite_scaling(spec, [_resolve_forms(n, "type2") for n in spec.nodes])
+
     def test_planar_stable_overflow_fails(self):
         report = theorem2_check(_planar_golden_pair(s_slope=1.1))
         assert report.verdict == "fail"
