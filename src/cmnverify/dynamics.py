@@ -9,18 +9,21 @@ damped fixed-point iteration.
 Stepping and locating read tables built once per spec: each node keeps its
 member charts in a per-symbol table filled on first use
 (``NodeSystem.member_chart``), and the spec keeps its ambient interaction
-map (``NetworkSpec.ambient_map``).  The empirical-entropy sampler draws
-its scrambled Halton points itself (``_halton``), picks predecessors from
-a padded per-node table, pulls each node's rows back one symbol group at
-a time after a stable sort by symbol, and its forward extraction
-keeps only the surviving rows with their sample indices, writing each
-step's product symbol as one mixed-radix code; the rows that reach every
-arithmetic expression are the same, in the same order, as when dead rows
-were carried along.  A word is admissible when each node's symbols follow
-that node's own transition matrix, checked step by step during the
-extraction, so the n^d x n^d product matrix is never built.  Distinct
-words are counted exactly: the code rows are sorted lexicographically
-and adjacent differences counted.
+map (``NetworkSpec.ambient_map``).  Every batch operation works in
+whole-column passes: a cell test compares one constraint column at a
+time, a max-norm is a running maximum over columns, and each piece,
+chart or symbol branch is applied once, to its rows gathered by index in
+row order.  So every row meets the same operands, in the same order, as
+in a masked loop over pieces or symbols, and every value is bit for bit
+the same.  The empirical-entropy sampler draws its scrambled Halton
+points itself (``_halton``), picks predecessors and pulls each node's
+rows back one symbol group at a time, and its forward extraction keeps
+only the surviving rows with their sample indices, packing each row's
+word into int64 keys of mixed-radix product symbols.  A word is
+admissible when each node's symbols follow that node's own transition
+matrix, checked step by step during the extraction, so the n^d x n^d
+product matrix is never built.  Distinct words are counted exactly: the
+key rows are sorted lexicographically and adjacent differences counted.
 """
 
 from __future__ import annotations
@@ -146,7 +149,17 @@ def step(spec: NetworkSpec, x, pert: Perturbation | None = None) -> np.ndarray:
 
 
 def locate_batch(spec: NetworkSpec, states: np.ndarray) -> tuple[np.ndarray, int]:
-    """Symbols (0 = escape) per node for a batch of states, plus tie count."""
+    """Symbols (0 = escape) per node for a batch of states, plus tie count.
+
+    Node k of a row gets the lowest symbol i whose member chart takes the
+    row's block into the unit box, to within BOUNDARY_TIE_TOL in the
+    max-norm; every (row, node, symbol) whose chart max-norm lies within
+    that tolerance of 1 counts as one tie.  The max-norm is a running
+    ``np.maximum`` over the chart image's columns, the same values as
+    ``.max(axis=1)`` without numpy's slow reduction along a short axis.
+    Symbols are tried from the highest down, each overwriting the rows it
+    holds, so the lowest one that holds a row is the one left.
+    """
     n = states.shape[0]
     block = spec.block_dim
     symbols = np.zeros((n, spec.d), dtype=np.int64)
@@ -154,11 +167,18 @@ def locate_batch(spec: NetworkSpec, states: np.ndarray) -> tuple[np.ndarray, int
     for k, node in enumerate(spec.nodes):
         seg = states[:, k * block:(k + 1) * block]
         found = symbols[:, k]
-        for i in range(1, node.count + 1):
-            ext = np.abs(node.member_chart(i).apply_batch(seg)).max(axis=1)
-            inside = ext <= 1.0 + BOUNDARY_TIE_TOL
-            ties += int(np.count_nonzero(inside & (np.abs(ext - 1.0) <= BOUNDARY_TIE_TOL)))
-            found[inside & (found == 0)] = i
+        for i in range(node.count, 0, -1):
+            img = node.member_chart(i).apply_batch(seg)
+            np.abs(img, out=img)
+            ext = img[:, 0]
+            for j in range(1, block):
+                np.maximum(ext, img[:, j], out=ext)
+            found[ext <= 1.0 + BOUNDARY_TIE_TOL] = i
+            # |ext - 1| is exact wherever it can be small (Sterbenz), so a
+            # tie always lies inside the tolerance and needs no mask of it
+            near = ext - 1.0
+            np.abs(near, out=near)
+            ties += int(np.count_nonzero(near <= BOUNDARY_TIE_TOL))
     return symbols, ties
 
 
@@ -365,13 +385,15 @@ def _halton(n_cols: int, samples: int, seed: int) -> np.ndarray:
     return draw.T
 
 
-def _by_symbol(symbols: np.ndarray, count: int):
-    """Row order that groups ``symbols`` (values 1..count) with each group
-    in row order, and the (symbol, slice of that order) of each group."""
-    order = np.argsort(symbols.astype(np.min_scalar_type(count)), kind="stable")
-    ends = np.cumsum(np.bincount(symbols, minlength=count + 1))
-    return order, [(i, slice(ends[i - 1], ends[i]))
-                   for i in range(1, count + 1) if ends[i] > ends[i - 1]]
+def _groups(symbols: np.ndarray, count: int) -> list[tuple[int, np.ndarray]]:
+    """(symbol, rows) for each symbol 1..count that occurs in ``symbols``;
+    ``rows`` are the indices of its rows, in row order."""
+    groups = []
+    for i in range(1, count + 1):
+        rows = np.flatnonzero(symbols == i)
+        if rows.size:
+            groups.append((i, rows))
+    return groups
 
 
 def empirical_entropy(spec: NetworkSpec, depth: int, samples: int, seed: int = 0) -> float:
@@ -388,6 +410,19 @@ def empirical_entropy(spec: NetworkSpec, depth: int, samples: int, seed: int = 0
     randomized Halton algorithm in R", arXiv:1706.02808, 2017), equal to
     scipy's ``qmc.Halton(scramble=True, seed=seed)``, so the estimate is
     deterministic for a fixed seed.
+
+    Each node's rows are handled one symbol group at a time, a group being
+    the indices of its rows in sample order, so every row meets the same
+    operands as in a masked loop over symbols.  A group's rows choose
+    their predecessors from that symbol's list and are pulled back
+    through that symbol's branch.  The forward extraction keeps only the
+    surviving rows and packs each row's word into int64 keys: a step's
+    product symbol is one mixed-radix digit in base prod_k count_k, and
+    one key holds as many steps as fit below 2**62.  A word is
+    admissible when each node's symbols follow that node's own transition
+    matrix, so the n^d x n^d product matrix is never built.  Distinct
+    words are counted exactly, as the places where adjacent rows of the
+    lexicographically sorted keys differ.
     """
     if depth < 2:
         raise ValueError("depth must be at least 2")
@@ -409,84 +444,80 @@ def empirical_entropy(spec: NetworkSpec, depth: int, samples: int, seed: int = 0
     n_cols = d + spec.state_dim + d * (depth - 1)
     draw = _halton(n_cols, samples, seed)
 
-    # final symbols, then positions inside the final product h-set
-    cur = np.empty((samples, d), dtype=np.int64)
-    for k in range(d):
-        cur[:, k] = np.minimum((draw[:, k] * spec.nodes[k].count).astype(np.int64),
-                               spec.nodes[k].count - 1) + 1
-    xi = 2.0 * draw[:, d:d + spec.state_dim] - 1.0
+    # final symbols, then positions inside the final product h-set; the
+    # symbol groups of each level serve both its pull-back and the next
+    # level's predecessor pick
+    groups = []
     states = np.empty((samples, spec.state_dim))
     for k, node in enumerate(spec.nodes):
         sl = slice(k * block, (k + 1) * block)
-        order, groups = _by_symbol(cur[:, k], node.count)
-        seg = xi[order, sl] * (1.0 - 1e-9)
-        for i, rows in groups:
-            seg[rows] = node.member_chart(i).invert_batch(seg[rows])
-        states[order, sl] = seg
+        cur = np.minimum((draw[:, k] * node.count).astype(np.int64), node.count - 1) + 1
+        groups.append(_groups(cur, node.count))
+        for i, rows in groups[k]:
+            xi = 2.0 * draw[rows, d + sl.start:d + sl.stop] - 1.0
+            states[rows, sl] = node.member_chart(i).invert_batch(xi * (1.0 - 1e-9))
 
-    # per node: predecessors of symbol j in row j - 1, padded with zeros
-    # past pred_len[j - 1] (every symbol has at least one predecessor)
-    pred_rows, pred_len = [], []
-    for node in spec.nodes:
-        bits = node.transition.bits
-        pred_len.append(bits.sum(axis=0))
-        table = np.zeros((node.count, int(pred_len[-1].max())), dtype=np.int64)
-        for j in range(node.count):
-            options = np.flatnonzero(bits[:, j]) + 1
-            table[j, :options.size] = options
-        pred_rows.append(table)
+    # per node and symbol j: the predecessors of j
+    preds = [[np.flatnonzero(node.transition.bits[:, j]) + 1 for j in range(node.count)]
+             for node in spec.nodes]
 
     col = d + spec.state_dim
+    inset = 1.0 - 1e-9
     for _ in range(depth - 1):
-        prev = np.empty_like(cur)
+        prev = np.empty((d, samples), dtype=np.int64)
         for k in range(d):
-            row = cur[:, k] - 1
-            count = pred_len[k][row]
-            pick = np.minimum((draw[:, col] * count).astype(np.int64), count - 1)
-            prev[:, k] = pred_rows[k][row, pick]
+            u = draw[:, col]
             col += 1
+            for j, rows in groups[k]:
+                options = preds[k][j - 1]
+                pick = np.minimum((u[rows] * options.size).astype(np.int64), options.size - 1)
+                prev[k, rows] = options[pick]
         pulled = (states - a_off) @ a_inv.T
-        inset = 1.0 - 1e-9
         for k, node in enumerate(spec.nodes):
             sl = slice(k * block, (k + 1) * block)
-            # each symbol's rows form one contiguous block of ``seg``, in
-            # sample order: the same operands, row by row, as a boolean mask
-            order, groups = _by_symbol(prev[:, k], node.count)
-            seg = pulled[order, sl]
-            for i, rows in groups:
+            groups[k] = _groups(prev[k], node.count)
+            for i, rows in groups[k]:
                 inv_lin, inv_off = inverses[k][i]
-                back = seg[rows] @ inv_lin.T + inv_off
+                back = pulled[rows, sl] @ inv_lin.T + inv_off
                 # keep pulled-back states inside the source set: a no-op for
                 # expanding branches, a boundary snap where the dynamics
                 # contracts (forward extraction re-derives the actual word)
                 chart = node.member_chart(i)
                 cc = np.clip(chart.apply_batch(back), -inset, inset)
-                seg[rows] = chart.invert_batch(cc)
-            states[order, sl] = seg
-        cur = prev
+                states[rows, sl] = chart.invert_batch(cc)
 
     # forward extraction: the constructed states are ordinary initial states.
-    # Only the surviving rows are kept (``rows`` holds their sample indices),
-    # and each step writes the mixed-radix code of its product symbol.  A
-    # row's word stays ``admissible`` while every node's step from its
+    # Only the surviving rows are kept (``rows`` holds their sample indices).
+    # A row's word stays ``admissible`` while every node's step from its
     # previous symbol is allowed by that node's own transition matrix.
+    # Step t is digit t % per of key column t // per; a finished column
+    # is written to ``keys`` at the rows' sample indices.
     radix = [node.count for node in spec.nodes]
     allowed = [node.transition.bits.ravel() == 1 for node in spec.nodes]
-    codes = np.empty((samples, depth), dtype=np.int64)
+    base = math.prod(radix)
+    per = 1
+    while per < depth and base ** (per + 1) <= 1 << 62:
+        per += 1
+    keys = np.empty((samples, -(-depth // per)), dtype=np.int64)
     rows = np.arange(samples)
     admissible = np.ones(samples, dtype=bool)
-    prev = None
+    prev = key = None
     x = states
     for t in range(depth):
         symbols, _ = locate_batch(spec, x)
-        ok = np.all(symbols > 0, axis=1)
+        ok = symbols[:, 0] > 0
+        for k in range(1, d):
+            ok &= symbols[:, k] > 0
         if not ok.all():
-            rows, x, symbols, admissible = rows[ok], x[ok], symbols[ok], admissible[ok]
+            keep = np.flatnonzero(ok)
+            rows, x, symbols, admissible = rows[keep], x[keep], symbols[keep], admissible[keep]
+            if t % per:
+                key = key[keep]
             if prev is not None:
-                prev = prev[ok]
+                prev = prev[keep]
         if rows.size == 0:
             raise NoInvariantSamplesError("no invariant set sampled")
-        symbols = symbols - 1
+        symbols -= 1
         if prev is not None:
             for k in range(d):
                 admissible &= allowed[k][prev[:, k] * radix[k] + symbols[:, k]]
@@ -494,14 +525,23 @@ def empirical_entropy(spec: NetworkSpec, depth: int, samples: int, seed: int = 0
         code = symbols[:, 0]
         for k in range(1, d):
             code = code * radix[k] + symbols[:, k]
-        codes[rows, t] = code
+        key = code if t % per == 0 else key * base + code
+        if t % per == per - 1 or t == depth - 1:
+            keys[rows, t // per] = key
         if t + 1 < depth:
             x = _step_batch(spec, x)
-    codes = codes[rows[admissible]]
-    if codes.shape[0] == 0:
+    keys = keys[rows[admissible]]
+    if keys.shape[0] == 0:
         raise NoInvariantSamplesError("no invariant set sampled")
-    # distinct rows, exactly: sort lexicographically (column 0 the primary
-    # key) and count the places where adjacent rows differ
-    codes = codes[np.lexsort(codes.T[::-1])]
-    distinct = 1 + int(np.count_nonzero(np.any(codes[1:] != codes[:-1], axis=1)))
+    # distinct rows, exactly: sort the rows lexicographically (column 0 the
+    # primary key), least significant column first and every later pass
+    # stable, and count the places where adjacent rows differ
+    order = np.argsort(keys[:, -1])
+    for c in range(keys.shape[1] - 2, -1, -1):
+        order = order[np.argsort(keys[order, c], kind="stable")]
+    keys = keys[order]
+    differ = keys[1:, 0] != keys[:-1, 0]
+    for c in range(1, keys.shape[1]):
+        differ |= keys[1:, c] != keys[:-1, c]
+    distinct = 1 + int(np.count_nonzero(differ))
     return math.log(distinct) / (depth - 1)

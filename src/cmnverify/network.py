@@ -318,6 +318,10 @@ def _boxes_disjoint(a: tuple[np.ndarray, np.ndarray],
 def validate_spec(spec: NetworkSpec) -> ValidationReport:
     """Structural audit: graph, coupling pattern, h-sets, transition data.
 
+    A node's local map must be finite to evaluate on the box hull of the
+    node's h-sets, its images and its cell tests both; one that is not is
+    reported at ``$.nodes[k].map``, and the checks that would evaluate it
+    (the declared-form audit, the type-I image separation) are skipped.
     Reports every violation rather than stopping at the first.  Overlap
     checks that rest on bounding boxes report "inconclusive" when the boxes
     intersect but the exact sets might not.
@@ -359,6 +363,7 @@ def validate_spec(spec: NetworkSpec) -> ValidationReport:
             errors.append(f"{name} matrix is numerically singular")
 
     block = spec.nodes[0].dim
+    all_finite = True
     for k, node in enumerate(spec.nodes, start=1):
         if node.dim != block:
             errors.append(f"node {k}: ambient dimension {node.dim} != {block}")
@@ -373,9 +378,17 @@ def validate_spec(spec: NetworkSpec) -> ValidationReport:
             errors.append(f"node {k}: local map acts on R^{node.local_map.dim_in}, "
                           f"h-sets live in R^{node.dim}")
 
+        boxes = [h.bounding_box() for h in node.hsets]
+        image, cells = _local_reach(node.local_map, _hull_radius(boxes))
+        finite = math.isfinite(image) and math.isfinite(cells)
+        if not finite:
+            errors.append(f"$.nodes[{k - 1}].map: the local map cannot be evaluated "
+                          f"finitely on the node's h-sets (image size {image:g}, "
+                          f"cell constraint size {cells:g})")
+        all_finite = all_finite and finite
+
         for i, j in itertools.combinations(range(node.count), 2):
-            bi, bj = node.hsets[i].bounding_box(), node.hsets[j].bounding_box()
-            if not _boxes_disjoint(bi, bj):
+            if not _boxes_disjoint(boxes[i], boxes[j]):
                 msg = (f"node {k}: h-sets {node.hsets[i].id} and {node.hsets[j].id} "
                        "are not disjoint")
                 (errors if node.dim == 1 else unclear).append(msg)
@@ -393,12 +406,13 @@ def validate_spec(spec: NetworkSpec) -> ValidationReport:
                     _check_member_charts(node, k, errors, warnings)
 
         # type-II forms land in the unified chart: without one there is
-        # nothing to audit them against, and the error above says so
-        if node.chart_forms is not None and (spec.coupling.kind == TYPE_I
-                                             or node.unified is not None):
+        # nothing to audit them against, and the error above says so; the
+        # audit evaluates the local map, so it needs a finite one
+        if node.chart_forms is not None and finite and (spec.coupling.kind == TYPE_I
+                                                        or node.unified is not None):
             _audit_declared_forms(spec.coupling.kind, node, k, errors)
 
-    if spec.coupling.kind == TYPE_I:
+    if spec.coupling.kind == TYPE_I and all_finite:
         _check_non_overlap(spec, errors, unclear)
 
     return ValidationReport(tuple(errors), tuple(warnings), tuple(unclear))
@@ -961,6 +975,31 @@ def _require_finite_scaling(spec: NetworkSpec, forms: list[dict]) -> None:
                         f"size {size:g} is not a finite number")
 
 
+def _hull_radius(boxes: list[tuple[np.ndarray, np.ndarray]]) -> float:
+    """Largest |coordinate| over the (lo, hi) bounding boxes of a node's h-sets."""
+    return max(max(float(hi.max()), -float(lo.min())) for lo, hi in boxes)
+
+
+def _local_reach(F: PiecewiseAffineMap, radius: float) -> tuple[float, float]:
+    """Bounds on |F(x)| and on |cell constraint values| over |x| <= radius
+    (max-norm): each piece's largest absolute row sum times ``radius`` plus
+    |offset|, and the same for its normals and |bounds|.
+
+    Over the box hull of a node's h-sets, the sets its charts carry onto
+    the unit box, a bound that is not finite means the map, or the test of
+    which cell holds a point, cannot be evaluated there in floating point.
+    """
+    def reach(rows: np.ndarray, rhs: np.ndarray) -> float:
+        return float((np.abs(rows).sum(axis=1) * radius + np.abs(rhs)).max(initial=0.0))
+
+    pieces = F.pieces
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (reach(np.concatenate([p.matrix for p in pieces]),
+                      np.concatenate([p.offset for p in pieces])),
+                reach(np.concatenate([p.normals for p in pieces]),
+                      np.concatenate([p.bounds for p in pieces])))
+
+
 def require_finite_step(spec: NetworkSpec) -> None:
     """Refuse an interaction that carries h-set states past floating-point range.
 
@@ -971,20 +1010,15 @@ def require_finite_step(spec: NetworkSpec) -> None:
     the coupled image the same way; that bound must be finite, or inf
     states would reach the output.
     """
-    def reach(F: PiecewiseAffineMap, radius: float) -> float:
-        return max(float(np.max(np.sum(np.abs(p.matrix), axis=1) * radius + np.abs(p.offset)))
-                   for p in F.pieces)
-
     local = 0.0
-    with np.errstate(over="ignore"):
-        for k, node in enumerate(spec.nodes):
-            size = reach(node.local_map,
-                         max(float(np.max(np.abs(h.bounding_box()))) for h in node.hsets))
-            if not math.isfinite(size):
-                raise SpecError(f"$.nodes[{k}].map: the local map carries h-set states "
-                                f"past floating-point range")
-            local = max(local, size)
-        coupled = reach(spec.ambient_map(), local)
+    for k, node in enumerate(spec.nodes):
+        size, _ = _local_reach(node.local_map,
+                               _hull_radius([h.bounding_box() for h in node.hsets]))
+        if not math.isfinite(size):
+            raise SpecError(f"$.nodes[{k}].map: the local map carries h-set states "
+                            f"past floating-point range")
+        local = max(local, size)
+    coupled, _ = _local_reach(spec.ambient_map(), local)
     if not math.isfinite(coupled):
         where = "$.coupling.ambient" if spec.coupling.ambient is not None else "$.coupling.matrix"
         raise SpecError(f"{where}: the interaction map carries h-set states of local "

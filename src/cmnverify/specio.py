@@ -181,8 +181,11 @@ def _node(obj, path: str) -> NodeSystem:
         hsets.append(HSet(str(_get(h, "id", hpath)),
                           _chart(_get(h, "chart", hpath), u, s, f"{hpath}.chart")))
     bits = _matrix(_get(obj, "transition", path), f"{path}.transition")
-    if not np.array_equal(bits, np.round(bits)):
-        raise SpecFormatError(f"{path}.transition: entries must be integers")
+    bad = np.argwhere((bits != 0) & (bits != 1))
+    if bad.size:
+        i, j = bad[0]
+        raise SpecFormatError(f"{path}.transition[{i}][{j}]: entries must be 0 or 1, "
+                              f"got {bits[i, j]:g}")
     unified = None
     if obj.get("unified") is not None:
         upath = f"{path}.unified"

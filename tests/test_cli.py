@@ -176,9 +176,14 @@ class TestHostileSpec:
          "$.nodes[0].unified.members[1].p_u"),
         ("example1.json", ("nodes", 0, "map", "pieces", 0, "normals"), [[1, 0]],
          "$.nodes[0].map.pieces[0].normals"),
+        ("example1.json", ("nodes", 0, "transition", 0, 0), 1e308,
+         "$.nodes[0].transition[0][0]"),
+        ("example1.json", ("nodes", 1, "transition", 1, 0), 2,
+         "$.nodes[1].transition[1][0]"),
     ], ids=["edges-int", "edge-short", "pieces-null", "d-text", "u-text", "matrix-nan",
             "dim-in-zero", "dim-in-negative", "dim-out-zero", "dim-in-two", "dim-out-two",
-            "offset-empty-perm23", "offset-empty-alpha", "p-u-empty", "normals-wide"])
+            "offset-empty-perm23", "offset-empty-alpha", "p-u-empty", "normals-wide",
+            "transition-huge", "transition-two"])
     def test_exit_two_with_path(self, name, path, value, where, fixdir, tmp_path, capsys):
         doc = json.loads((fixdir / name).read_text())
         spec = tmp_path / "hostile.json"
@@ -230,6 +235,33 @@ class TestHostileSpec:
             out = capsys.readouterr()
             assert "error: $.nodes[1].map:" in out.err, verb
             assert "$.coupling.matrix" not in out.err and out.out == "", verb
+
+    @pytest.mark.parametrize("case", ["normals", "stable-slope"])
+    def test_unevaluable_local_map_is_refused_at_its_node(self, case, fixdir, tmp_path,
+                                                          capsys):
+        # a huge cell normal, or a huge stable slope, cannot be evaluated
+        # on the node's h-sets: every verb names the node's map before any
+        # geometry runs, and numpy stays quiet
+        if case == "normals":
+            doc = _mutated(json.loads((fixdir / "example1.json").read_text()),
+                           ("nodes", 0, "map", "pieces", 0, "normals"), [[1e308]])
+            where = "$.nodes[0].map:"
+        else:
+            from test_network import _planar_golden_pair
+            doc = _mutated(serialize_spec(_planar_golden_pair(0.3)),
+                           ("nodes", 1, "map", "pieces", 0, "matrix", 1, 1), 1e308)
+            where = "$.nodes[1].map:"
+        spec = tmp_path / "hostile.json"
+        spec.write_text(json.dumps(doc))
+        for verb, *options in (["verify"], ["margin"], ["simulate", "--steps", "5"],
+                               ["entropy", "--empirical", "4", "200", "1"]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main([verb, str(spec), *options])
+            assert code == 2, verb
+            out = capsys.readouterr()
+            assert f"error: {where}" in out.err, verb
+            assert "Traceback" not in out.err and out.out == "", verb
 
     def test_unconfirmed_orbit_is_inconclusive(self, fixdir, tmp_path, capsys):
         # theorem 1 holds for the chart-coordinate model, but under the

@@ -179,6 +179,10 @@ def _cases():
         for seed in range(4):
             for depth, samples in SMALL + ((12, 20_000),):
                 yield name, depth, samples, seed
+    # product radix 2 * 2 * 3 = 12: one int64 key holds 17 steps, so
+    # depth 20 needs two key columns
+    for seed in range(2):
+        yield "designed2_d3_weak", 20, 20_000, seed
     for name in EMPTY:
         for seed in (0, 1):
             for depth, samples in ((2, 1),) + SMALL:
@@ -193,6 +197,14 @@ def test_estimate_matches_reference(name, depth, samples, seed):
     want = _outcome(reference_entropy, SPECS[name](), depth, samples, seed)
     got = _outcome(empirical_entropy, SPECS[name](), depth, samples, seed)
     assert got == want
+
+
+def test_deep_cases_pack_several_key_columns():
+    # the depth-20 cases above count words over more than one key column
+    spec = OTHERS["designed2_d3_weak"]()
+    base = math.prod(node.count for node in spec.nodes)
+    assert base ** 17 <= 2 ** 62 < base ** 18
+    assert isinstance(empirical_entropy(spec, 20, 20_000, 0), float)
 
 
 def test_empty_cases_raise_in_both():
@@ -270,3 +282,4 @@ def test_simulate_golden_digest(name, pert, tmp_path):
         argv += ["--pert", *pert]
     assert main(argv) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SIMULATE_GOLDEN[(name, pert)]
+
