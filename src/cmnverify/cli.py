@@ -17,7 +17,8 @@ import numpy as np
 
 from . import __version__
 from .dynamics import (LoopError, NeutralCompositionError, Perturbation,
-                       empirical_entropy, locate_batch, periodic_point, step)
+                       empirical_entropy, locate_batch, periodic_point, state_vector,
+                       step)
 from .geometry import GeometryError
 from .network import (SpecError, TYPE_I, conjugacy_audit, require_finite_step, theorem1_check,
                       theorem2_check, validate_spec)
@@ -159,19 +160,13 @@ def cmd_margin(args) -> int:
 def cmd_simulate(args) -> int:
     spec, _ = _load(args.spec, iterated=True)
     if args.x0:
-        state = np.array(args.x0)
+        state = state_vector(spec, args.x0)
     else:
-        rng = np.random.default_rng(args.seed)
-        lo = np.full(spec.state_dim, np.inf)
-        hi = np.full(spec.state_dim, -np.inf)
-        block = spec.block_dim
-        for k, node in enumerate(spec.nodes):
-            for h in node.hsets:
-                blo, bhi = h.bounding_box()
-                sl = slice(k * block, (k + 1) * block)
-                lo[sl] = np.minimum(lo[sl], blo)
-                hi[sl] = np.maximum(hi[sl], bhi)
-        state = rng.uniform(lo, hi)
+        # uniform on the box hull of each node's h-sets
+        boxes = [np.array([h.bounding_box() for h in node.hsets]) for node in spec.nodes]
+        lo = np.concatenate([b[:, 0].min(axis=0) for b in boxes])
+        hi = np.concatenate([b[:, 1].max(axis=0) for b in boxes])
+        state = np.random.default_rng(args.seed).uniform(lo, hi)
     pert = Perturbation(*args.pert) if args.pert else None
     lines = []
     for t in range(args.steps + 1):

@@ -135,13 +135,18 @@ def _step_batch(spec: NetworkSpec, states: np.ndarray,
     return coupled
 
 
+def state_vector(spec: NetworkSpec, x) -> np.ndarray:
+    """``x`` as a flat float state; ``GeometryError`` unless of length state_dim."""
+    v = np.asarray(x, dtype=float).reshape(-1)
+    if v.shape[0] != spec.state_dim:
+        raise GeometryError(f"state has dimension {v.shape[0]}, "
+                            f"expected {spec.state_dim}")
+    return v
+
+
 def step(spec: NetworkSpec, x, pert: Perturbation | None = None) -> np.ndarray:
     """One application of the network map (coupling after local maps)."""
-    v = np.asarray(x, dtype=float).reshape(1, -1)
-    if v.shape[1] != spec.state_dim:
-        raise GeometryError(f"state has dimension {v.shape[1]}, "
-                            f"expected {spec.state_dim}")
-    return _step_batch(spec, v, pert)[0]
+    return _step_batch(spec, state_vector(spec, x).reshape(1, -1), pert)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +281,10 @@ def periodic_point(spec: NetworkSpec, loop,
     if not loop:
         raise LoopError("loop is empty")
     p = len(loop)
+    for t, multi in enumerate(loop):
+        if len(multi) != spec.d:
+            raise LoopError(f"loop step {t} ({'.'.join(map(str, multi))}) has "
+                            f"{len(multi)} symbols, expected {spec.d}, one per node")
     for k in range(spec.d):
         word = [multi[k] for multi in loop] + [loop[0][k]]
         if not 1 <= word[0] <= spec.nodes[k].count:

@@ -28,7 +28,7 @@ import numpy as np
 
 DET_TOL = 1e-10          # charts with |det| below this are rejected
 CONTINUITY_TOL = 1e-9    # adjacent pieces must agree on shared boundaries
-EVAL_TIE_TOL = 1e-12     # membership / first-match tie tolerance
+EVAL_TIE_TOL = 1e-12     # containment / first-match tie tolerance
 
 
 class GeometryError(ValueError):

@@ -15,12 +15,13 @@ one choice per node.  The loop keeps dense tables: per node, ``umax[m, c]``
 and ``vmax0[m, c]``; per coupling matrix, slot tables indexed
 ``[m, c_m, k, c_k]`` (node m's chart form under its choice, scaled by
 a[k, m], against row k's reference under its choice) holding the minimum
-stretch bounds, the stable diagonal term, membership and degree.  Slots
-are filled when an entry first references them, membership and degree
-only where a row reaches those tests, and slots that agree on node, form
-key, exact a[k, m] and exact reference share one geometry call.  The row
-margins of a block of entries are then whole-array operations, and
-``tau_search`` runs once per distinct feasibility matrix.
+stretch bounds, the stable diagonal term and the crossing degree.  Slots
+are filled when an entry first references them, the degree only where a
+row reaches that test, and slots that agree on node, form key, exact
+a[k, m] and exact reference share one geometry call.  The row margins of
+a block of entries are then whole-array operations, and ``tau_search``
+runs once per distinct feasibility matrix.  A cell whose margins hold is
+decided by its Brouwer degree alone: feasible when known and nonzero.
 
 Before its entry loop, theorem 1 checks each node transition (i, j) on
 its own, uncoupled, as a single covering of h-set j by h-set i with one
@@ -209,6 +210,8 @@ class NetworkSpec:
     coupling: CouplingSpec
     _ambient: PiecewiseAffineMap | None = field(default=None, init=False, repr=False,
                                                 compare=False)
+    _report: ValidationReport | None = field(default=None, init=False, repr=False,
+                                             compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
@@ -324,8 +327,12 @@ def validate_spec(spec: NetworkSpec) -> ValidationReport:
     (the declared-form audit, the type-I image separation) are skipped.
     Reports every violation rather than stopping at the first.  Overlap
     checks that rest on bounding boxes report "inconclusive" when the boxes
-    intersect but the exact sets might not.
+    intersect but the exact sets might not.  The report is kept on the
+    spec, so a later call (the CLI validates on load, a theorem check again
+    before it runs) returns it without a second audit.
     """
+    if spec._report is not None:
+        return spec._report
     errors: list[str] = []
     warnings: list[str] = []
     unclear: list[str] = []
@@ -415,7 +422,9 @@ def validate_spec(spec: NetworkSpec) -> ValidationReport:
     if spec.coupling.kind == TYPE_I and all_finite:
         _check_non_overlap(spec, errors, unclear)
 
-    return ValidationReport(tuple(errors), tuple(warnings), tuple(unclear))
+    object.__setattr__(spec, "_report",
+                       ValidationReport(tuple(errors), tuple(warnings), tuple(unclear)))
+    return spec._report
 
 
 def _check_member_charts(node: NodeSystem, k: int, errors: list[str],
@@ -548,20 +557,8 @@ def tau_search(row_feasibility) -> tuple[int, ...] | None:
 
 
 def _perm_sign(tau: tuple[int, ...]) -> int:
-    seen = [False] * len(tau)
-    sign = 1
-    for start in range(len(tau)):
-        if seen[start]:
-            continue
-        length = 0
-        cur = start
-        while not seen[cur]:
-            seen[cur] = True
-            cur = tau[cur] - 1
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    """Sign of the permutation tau (1-based images): (-1) ** (number of inversions)."""
+    return -1 if sum(a > b for a, b in itertools.combinations(tau, 2)) % 2 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -603,8 +600,6 @@ class TheoremReport:
 
 BLOCK = 256  # entries per vectorized block; bounds the (entries, d, d) tensors
 
-_OUT, _UNKNOWN, _IN = -1, 0, 1
-
 
 @dataclass(frozen=True)
 class _Choice:
@@ -624,7 +619,7 @@ class _Choice:
 
 
 class _Geometry:
-    """Stretch, degree and membership values of the scaled chart forms.
+    """Stretch and degree values of the scaled chart forms.
 
     Memoized by node, form key, the exact coupling coefficient and the
     exact reference, so every slot that agrees on those four shares one
@@ -642,7 +637,7 @@ class _Geometry:
                  resolution: int, inflation: float):
         self.forms = forms
         self.choices = choices
-        self.u, self.s = u, s
+        self.s = s
         self.resolution = resolution
         self.inflation = inflation
         self.d = len(choices)
@@ -688,40 +683,6 @@ class _Geometry:
                 return None
         return self._memoized(("degree", m, key, a, tuple(ref.tolist())), compute)
 
-    def membership(self, m: int, key, a: float, ref: np.ndarray) -> int:
-        """Is ref inside the open image of the scaled unstable factor?
-
-        ``_IN``, ``_OUT`` or ``_UNKNOWN``; exact for one unstable dimension
-        and for affine factors, degree-based (sufficient only) otherwise.
-        """
-        U = self.forms[m][key].U
-        inflation = self.inflation
-        if self.u == 1:
-            lo, hi = self._memoized(("range", m, key, a), lambda: U.scale(a).range_1d())
-            p = float(ref[0])
-            if lo + inflation + STRICT_MARGIN < p < hi - inflation - STRICT_MARGIN:
-                return _IN
-            if p < lo - STRICT_MARGIN or p > hi + STRICT_MARGIN:
-                return _OUT
-            return _UNKNOWN
-        if U.is_affine and inflation == 0.0:
-            piece = U.pieces[0]
-            lin = a * piece.matrix
-            if abs(np.linalg.det(lin)) < 1e-12:
-                return _UNKNOWN
-            pre = np.linalg.solve(lin, ref - a * piece.offset)
-            extent = float(np.max(np.abs(pre)))
-            if extent < 1.0 - STRICT_MARGIN:
-                return _IN
-            if extent > 1.0 + STRICT_MARGIN:
-                return _OUT
-            return _UNKNOWN
-        if self.min_bounds(m, key, a, ref).min_rel > inflation:
-            deg = self.degree(m, key, a, ref)
-            if deg is not None and deg.value != 0:
-                return _IN
-        return _UNKNOWN
-
 
 class _Slots:
     """Dense slot tables of one check under one coupling matrix ``a``.
@@ -729,8 +690,8 @@ class _Slots:
     The flat slot of ``[m, c_m, k, c_k]`` is node m under its choice c_m,
     scaled by a[k, m], against the reference of row k under its choice c_k.
     ``min_rel``, ``min_attained`` and ``vdiag`` are filled for every slot an
-    evaluated entry references; membership and degree only for slots whose
-    cells reach those tests.
+    evaluated entry references; the degree only for slots whose cells reach
+    that test.
     """
 
     def __init__(self, geo: _Geometry, a: np.ndarray):
@@ -741,11 +702,9 @@ class _Slots:
         self.min_rel = np.zeros(n)
         self.min_attained = np.zeros(n)
         self.vdiag = np.zeros(n)
-        self.memb = np.full(n, _IN, dtype=np.int8)
         self.deg = np.zeros(n, dtype=np.int64)
         self.deg_known = np.zeros(n, dtype=bool)
         self._bounds_done = np.zeros(n, dtype=bool)
-        self._memb_done = np.zeros(n, dtype=bool)
         self._deg_done = np.zeros(n, dtype=bool)
 
     def _claim(self, slots: np.ndarray, done: np.ndarray):
@@ -759,7 +718,7 @@ class _Slots:
         for t, m, cm, k, ck in zip(*(p.tolist() for p in parts)):
             yield t, m, geo.choices[m][cm].key, float(self.a[k, m]), geo.choices[k][ck]
 
-    def evaluate(self, ch: np.ndarray, need_membership: bool):
+    def evaluate(self, ch: np.ndarray):
         """Margins and feasibility of the block of entries ``ch``.
 
         ``ch[e, m]`` is node m's choice index in entry e.  Returns the
@@ -793,22 +752,15 @@ class _Slots:
         ok_u_sure = margin_lo > threshold
         ok_u_maybe = margin_hi > threshold
         ok_s = margin_s > threshold
-        reach = (ok_u_sure | ok_u_maybe) & ok_s
-        memb = np.full(slots.shape, _IN, dtype=np.int8)
-        if need_membership:
-            for t, m, key, a, row in self._claim(slots[reach], self._memb_done):
-                self.memb[t] = geo.membership(m, key, a, row.ref_u)
-            memb[reach] = self.memb[slots[reach]]
-        tested = reach & (memb != _OUT)
-        want_deg = tested & (self.min_rel[slots] > 0)
+        want_deg = (ok_u_sure | ok_u_maybe) & ok_s & (self.min_rel[slots] > 0)
         for t, m, key, a, row in self._claim(slots[want_deg], self._deg_done):
             deg = geo.degree(m, key, a, row.ref_u)
             self.deg_known[t] = deg is not None
             self.deg[t] = 0 if deg is None else deg.value
         known = want_deg & self.deg_known[slots]
         zero = known & (self.deg[slots] == 0)
-        feas_sure = ok_u_sure & ok_s & (memb == _IN) & (~tested | (known & ~zero))
-        feas_maybe = ok_u_maybe & ok_s & (memb != _OUT) & ~zero
+        feas_sure = ok_u_sure & ok_s & known & ~zero
+        feas_maybe = ok_u_maybe & ok_s & ~zero
         return margin_lo, margin_s, slack, feas_sure, feas_maybe, slots
 
 
@@ -831,8 +783,7 @@ class _Margins(NamedTuple):
 
 
 def _check_entries(spec: NetworkSpec, forms: list[dict], choices: list[list[_Choice]],
-                   resolution: int, chart_lip: float, pert_amplitude: float,
-                   need_membership: bool) -> list[EntryResult]:
+                   resolution: int, chart_lip: float, pert_amplitude: float) -> list[EntryResult]:
     """Evaluate the coupled row inequalities for every nonzero Kronecker entry.
 
     An entry picks one choice per node; entries run in ``itertools.product``
@@ -885,12 +836,12 @@ def _check_entries(spec: NetworkSpec, forms: list[dict], choices: list[list[_Cho
             taus[key] = tau_search(feasibility)
         return taus[key]
 
-    signs: dict = {}  # _perm_sign(tau) ** u per assignment tau
+    sign = functools.cache(lambda tau: _perm_sign(tau) ** u)
     entries: list = [None] * total
 
     def run(slots: _Slots, flat: np.ndarray) -> None:
         ch = choice_rows(flat)
-        lo, ms, slacks, sure, maybe, cells = slots.evaluate(ch, need_membership)
+        lo, ms, slacks, sure, maybe, cells = slots.evaluate(ch)
         best = np.min(np.max(slacks, axis=2), axis=1).tolist()
         found = [tau_for(f) for f in sure]
         passing = [e for e, tau in enumerate(found) if tau is not None]
@@ -914,12 +865,10 @@ def _check_entries(spec: NetworkSpec, forms: list[dict], choices: list[list[_Cho
         for e, (unstable, stable, degree, radius, slack) in zip(passing, rowwise):
             i_idx, j_idx = index[e]
             tau = found[e]
-            if tau not in signs:
-                signs[tau] = _perm_sign(tau) ** u
             eps = persistence_bound(_Margins(unstable, stable, radius), chart_lip, coupling_lip)
             cert = CoveringCertificate(
                 source_id=product_id(i_idx), target_id=product_id(j_idx),
-                degree=DegreeValue(signs[tau] * degree, "composition"),
+                degree=DegreeValue(sign(tau) * degree, "composition"),
                 unstable_margin=unstable, stable_margin=stable, target_radius=radius,
                 admissible_eps=eps)
             entries[at[e]] = EntryResult(i_idx, j_idx, tau, cert, "pass", slack, ())
@@ -1067,8 +1016,7 @@ def theorem1_check(spec: NetworkSpec, resolution: int = 64,
         perm = node.transition.permutation()
         choices.append([_Choice((i, perm[i - 1]), i, perm[i - 1], zero_u, zero_s, 1.0)
                         for i in range(1, node.count + 1)])
-    entries = _check_entries(spec, forms, choices, resolution, chart_lip, pert_amplitude,
-                             need_membership=False)
+    entries = _check_entries(spec, forms, choices, resolution, chart_lip, pert_amplitude)
 
     verdict = _aggregate(entries)
     eps = min((e.certificate.admissible_eps for e in entries if e.certificate),
@@ -1099,8 +1047,7 @@ def theorem2_check(spec: NetworkSpec, resolution: int = 64,
         choices.append([_Choice(i, i, j, targets[j - 1].p_u, targets[j - 1].p_s,
                                 targets[j - 1].r if s > 0 else 1.0)
                         for i, j in node.transitions()])
-    entries = _check_entries(spec, forms, choices, resolution, chart_lip, pert_amplitude,
-                             need_membership=True)
+    entries = _check_entries(spec, forms, choices, resolution, chart_lip, pert_amplitude)
 
     verdict = _aggregate(entries)
     eps = min((e.certificate.admissible_eps for e in entries if e.certificate),
@@ -1152,6 +1099,10 @@ def conjugacy_audit(spec: NetworkSpec, seed: int = 0) -> ConjugacyReport:
     bad: list[str] = []
     n_done = 0
 
+    def blockwise(fns, v):
+        """fns[k] applied to node k's block of the state v."""
+        return np.concatenate([f(x) for f, x in zip(fns, np.split(v, d))])
+
     combos = list(itertools.product(*[_form_keys(n, kind) for n in spec.nodes]))
     per = max(1, 200 // max(1, len(combos)))
     for combo in combos:
@@ -1168,15 +1119,10 @@ def conjugacy_audit(spec: NetworkSpec, seed: int = 0) -> ConjugacyReport:
         model = np.kron(a, np.eye(block))
         xi = rng.uniform(-1.0, 1.0, size=(per, d * block))
         for row in xi:
-            w = np.concatenate([charts_in[k].invert(row[k * block:(k + 1) * block])
-                                for k in range(d)])
-            tw = np.concatenate([spec.nodes[k].local_map.apply(w[k * block:(k + 1) * block])
-                                 for k in range(d)])
-            z = np.concatenate([charts_out[k].apply(tw[k * block:(k + 1) * block])
-                                for k in range(d)])
-            atw = ambient.apply(tw)
-            lhs = np.concatenate([charts_out[k].apply(atw[k * block:(k + 1) * block])
-                                  for k in range(d)])
+            w = blockwise([c.invert for c in charts_in], row)
+            tw = blockwise([n.local_map.apply for n in spec.nodes], w)
+            z = blockwise([c.apply for c in charts_out], tw)
+            lhs = blockwise([c.apply for c in charts_out], ambient.apply(tw))
             resid = float(np.max(np.abs(lhs - model @ z)))
             worst = max(worst, resid)
             n_done += 1

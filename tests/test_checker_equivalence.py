@@ -6,6 +6,14 @@ stretch and degree tables cached under keys rounded to 15 digits.  It calls
 ``persistence_bound`` through ``cmnverify.network`` so that both sides run
 the same counted functions.  The checkers must produce byte-identical
 certificate documents, with no more geometry or degree calls.
+
+With ``membership=True`` the reference first asks whether the target lies
+in the image of the scaled unstable factor (an interval range for one
+unstable dimension, a linear solve for an affine factor) and drops a cell
+whose answer is "out" before its degree is read.  The checkers decide every
+cell by its degree alone; that filter is kept here as an oracle that must
+change no certificate, except on a coupling coefficient so small that the
+degree calls its scaled factor singular.
 """
 
 import itertools
@@ -205,7 +213,7 @@ def _reference_entry(spec, tables, i_idx, j_idx, form_key, refs_u, refs_s, radii
     return nw.EntryResult(i_idx, j_idx, None, None, verdict, best, tuple(notes))
 
 
-def reference_theorem1(spec, resolution=64, pert_amplitude=0.0):
+def reference_theorem1(spec, resolution=64, pert_amplitude=0.0, membership=False):
     for k, node in enumerate(spec.nodes, start=1):
         if not node.transition.is_permutation():
             raise nw.SpecError(f"node {k}: transition matrix is not a permutation")
@@ -247,7 +255,7 @@ def reference_theorem1(spec, resolution=64, pert_amplitude=0.0):
             spec, tables, i_idx, j_idx,
             form_key=lambda l, i_idx=i_idx, j_idx=j_idx: (i_idx[l], j_idx[l]),
             refs_u=[zero_u] * d, refs_s=[zero_s] * d, radii=[1.0] * d,
-            chart_lip=chart_lip, inflation=inflation, need_membership=False))
+            chart_lip=chart_lip, inflation=inflation, need_membership=membership))
 
     verdict = nw._aggregate(entries)
     eps = min((e.certificate.admissible_eps for e in entries if e.certificate), default=0.0)
@@ -256,7 +264,7 @@ def reference_theorem1(spec, resolution=64, pert_amplitude=0.0):
                             period=period)
 
 
-def reference_theorem2(spec, resolution=64, pert_amplitude=0.0):
+def reference_theorem2(spec, resolution=64, pert_amplitude=0.0, membership=False):
     nw._require_valid(spec, nw.TYPE_II)
     forms = [nw._resolve_forms(node, nw.TYPE_II) for node in spec.nodes]
     tables = _ReferenceTables(spec, forms, resolution)
@@ -276,7 +284,7 @@ def reference_theorem2(spec, resolution=64, pert_amplitude=0.0):
             form_key=lambda l, i_idx=i_idx: i_idx[l],
             refs_u=[c.p_u for c in members], refs_s=[c.p_s for c in members],
             radii=[c.r if s > 0 else 1.0 for c in members],
-            chart_lip=chart_lip, inflation=inflation, need_membership=True))
+            chart_lip=chart_lip, inflation=inflation, need_membership=membership))
 
     verdict = nw._aggregate(entries)
     eps = min((e.certificate.admissible_eps for e in entries if e.certificate), default=0.0)
@@ -377,13 +385,18 @@ for _d in range(1, 6):
             lambda d=_d, alpha=_alpha: _designed(200 + d, d, _ring(d, alpha), unified=False)
 
 
-def _check(spec, resolution=64, pert_amplitude=0.0, reference=False):
+def _check(spec, resolution=64, pert_amplitude=0.0, reference=False, membership=False):
     type1 = spec.coupling.kind == nw.TYPE_I
     if reference:
         fn = reference_theorem1 if type1 else reference_theorem2
-    else:
-        fn = theorem1_check if type1 else theorem2_check
+        return fn(spec, resolution=resolution, pert_amplitude=pert_amplitude,
+                  membership=membership)
+    fn = theorem1_check if type1 else theorem2_check
     return fn(spec, resolution=resolution, pert_amplitude=pert_amplitude)
+
+
+def _document(report):
+    return canonical_json(certificate_document(report, "digest", "0"))
 
 
 @pytest.fixture
@@ -406,8 +419,7 @@ def _assert_equivalent(calls, spec, **kwargs):
     reference_calls = Counter(calls)
     calls.clear()
     got = _check(spec, **kwargs)
-    assert (canonical_json(certificate_document(got, "digest", "0"))
-            == canonical_json(certificate_document(want, "digest", "0")))
+    assert _document(got) == _document(want)
     for name in ("min_stretch", "max_stretch", "degree_for_map"):
         assert calls[name] <= reference_calls[name], name
     return want
@@ -433,3 +445,47 @@ def test_overrides_straddle_a_block_seam():
     assert len(entries) == 729 > nw.BLOCK
     overridden = [i for i, _, _ in spec.coupling.per_entry]
     assert [entries[nw.BLOCK - 1].source_index, entries[nw.BLOCK].source_index] == overridden
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_membership_filter_changes_no_certificate(name):
+    spec = CASES[name]()
+    report = _check(spec)
+    amplitudes = (0.0, 0.9 * report.global_eps, 10.0 * report.global_eps) if report.passed \
+        else (0.0,)
+    for amplitude in amplitudes:
+        filtered = _check(spec, pert_amplitude=amplitude, reference=True, membership=True)
+        assert _document(_check(spec, pert_amplitude=amplitude)) == _document(filtered)
+
+
+def _near_singular_pair():
+    """Two planar expanding nodes (4 I, members at (0, 0) and (3, 0), every
+    transition allowed) whose coupling coefficient 2e-6 scales a chart form
+    to determinant 6.4e-11, below the degree's singularity threshold."""
+    unified = UnifiedSet(AffineChart.identity(2, 0),
+                         (("A", CenterScale([0.0, 0.0], [], 1.0)),
+                          ("B", CenterScale([3.0, 0.0], [], 1.0))))
+
+    def node(tag):
+        hsets = tuple(HSet(f"{tag}{i + 1}", unified.member_chart(i)) for i in range(2))
+        return NodeSystem(PiecewiseAffineMap.affine(4.0 * np.eye(2), np.zeros(2)), hsets,
+                          TransitionMatrix(np.ones((2, 2), dtype=int)), unified=unified)
+
+    a = np.array([[0.2, 2e-6], [2e-6, 0.2]])
+    return NetworkSpec(Graph.complete(2), (node("P"), node("Q")), CouplingSpec("type2", a))
+
+
+def test_near_singular_cell_is_left_to_the_degree():
+    """The membership filter solved the scaled factor's linear system down to
+    |det| 1e-12 and called the off-diagonal cells of entry (1, 1) -> (2, 2)
+    "out"; the degree refuses that singular factor, so the cells stay
+    possible and the entry is inconclusive instead of failing.  The network
+    verdict is "fail" either way."""
+    spec = _near_singular_pair()
+    got = theorem2_check(spec)
+    filtered = reference_theorem2(spec, membership=True)
+    assert got.verdict == filtered.verdict == "fail"
+    changed = [(g.source_index, g.target_index, f.verdict, g.verdict)
+               for g, f in zip(got.entries, filtered.entries) if g != f]
+    assert changed == [((1, 1), (2, 2), "fail", "inconclusive")]
+    assert _document(got) == _document(reference_theorem2(spec))

@@ -367,6 +367,20 @@ class TestPeriodicCommand:
                      "--loop", "2,2"])
         assert code == 1
 
+    @pytest.mark.parametrize("loop, step, width", [
+        ("1,2", "0 (1)", 1),
+        ("1.1.5,2.2.5,1.3.5,2.1.5,1.2.5,2.3.5", "0 (1.1.5)", 3),
+        ("1.1,2.2,1", "2 (1)", 1),
+    ])
+    def test_loop_step_width_exit_one(self, loop, step, width, fixdir, tmp_path, capsys):
+        out = tmp_path / "orbit.json"
+        code = main(["periodic", str(fixdir / "theorem1_perm23.json"), "--loop", loop,
+                     "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == (f"error: loop step {step} has {width} symbols, "
+                                           f"expected 2, one per node\n")
+
 
 class TestMarginCommand:
     def test_reports_radius_and_binding_entry(self, fixdir, capsys):
@@ -398,6 +412,15 @@ class TestSimulateCommand:
         assert len(lines) == 6
         assert lines[0]["symbols"] == [1, 2]
         assert lines[-1]["state"][0] == pytest.approx(-0.6, abs=1e-9)
+
+    @pytest.mark.parametrize("x0, steps", [("1", "5"), ("1,2,3", "5"), ("1", "0"), ("1,2,3", "0")])
+    def test_state_of_wrong_length_exit_two(self, x0, steps, fixdir, capsys):
+        code = main(["simulate", str(fixdir / "example1.json"), f"--x0={x0}",
+                     "--steps", steps])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: state has dimension {x0.count(',') + 1}, expected 2\n"
 
     def test_perturbed_trajectory(self, fixdir, capsys):
         code = main(["simulate", str(fixdir / "example1.json"), "--steps", "3",
@@ -474,6 +497,30 @@ class TestOptions:
         out = capsys.readouterr()
         assert f"argument {option}:" in out.err and out.out == ""
         assert "Traceback" not in out.err
+
+
+class TestValidation:
+    @pytest.mark.parametrize("verb", ["verify", "margin"])
+    @pytest.mark.parametrize("name", ["example1.json", "theorem1_perm23.json"])
+    def test_spec_is_audited_once(self, verb, name, fixdir, monkeypatch):
+        """The CLI validates on load and the theorem check asks again; the
+        second call reads the report kept on the spec."""
+        from cmnverify import Graph, cli, network
+        calls = {"cli": 0, "network": 0, "audit": 0}
+
+        def counted(owner, attr, key):
+            original = getattr(owner, attr)
+
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, attr, wrapper)
+
+        counted(cli, "validate_spec", "cli")
+        counted(network, "validate_spec", "network")
+        counted(Graph, "weakly_connected", "audit")
+        main([verb, str(fixdir / name)])
+        assert calls == {"cli": 1, "network": 1, "audit": 1}
 
 
 class TestSpecRead:

@@ -149,6 +149,11 @@ class TestPeriodicPoint:
         with pytest.raises(LoopError):
             periodic_point(fixtures.example1_node1(), [(5,)])
 
+    @pytest.mark.parametrize("loop", [[(1,), (2,)], [(1, 1, 5), (2, 2, 5)], [(1, 1), (2,)]])
+    def test_loop_step_of_wrong_width(self, loop):
+        with pytest.raises(LoopError, match="expected 2, one per node"):
+            periodic_point(fixtures.theorem1_perm23(), loop)
+
 
 class TestEmpiricalEntropy:
     def test_single_fixed_point_trap_gives_zero(self):

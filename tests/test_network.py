@@ -78,6 +78,13 @@ class TestTauSearch:
                 want = tuple(c + 1 for c in min(feasible))
                 assert got == want
 
+    def test_assignment_sign_is_the_permutation_matrix_determinant(self):
+        from cmnverify.network import _perm_sign
+        for d in range(1, 7):
+            for perm in itertools.permutations(range(1, d + 1)):
+                det = np.linalg.det(np.eye(d)[np.array(perm) - 1])
+                assert _perm_sign(perm) == round(det), perm
+
 
 class TestValidateSpec:
     def test_golden_pair_is_valid(self):
