@@ -38,13 +38,17 @@ def degree_affine(linear, offset, target) -> DegreeValue:
     """Degree of x -> linear @ x + offset over the open unit box at ``target``.
 
     sgn(det linear) when the unique preimage is interior, 0 when it is
-    outside; a preimage on the boundary is an error.
+    outside; a preimage on the boundary is an error.  The map is singular,
+    an error too, when a row is zero or |det| is below ``DET_TOL`` times
+    Hadamard's bound, the product of the row norms; that test does not
+    change when the map is scaled.
     """
     lin = _as_matrix(linear)
     off = _as_vector(offset, lin.shape[0])
     tgt = _as_vector(target, lin.shape[0])
     det = np.linalg.det(lin)
-    if abs(det) < DET_TOL:
+    rows = np.linalg.norm(lin, axis=1)
+    if not np.all(rows) or abs(det) < DET_TOL * np.prod(rows):
         raise GeometryError("degree of a singular affine map is undefined")
     pre = np.linalg.solve(lin, tgt - off)
     extent = float(np.max(np.abs(pre)))

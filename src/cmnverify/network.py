@@ -11,17 +11,17 @@ Both checkers share one entry loop, ``_check_entries``.  A theorem
 supplies only each node's *choices* (a transition (i, j) for theorem 2, a
 source symbol and its permutation image for theorem 1) with the reference
 center and stable radius that a row uses under each choice.  An entry is
-one choice per node.  The loop keeps dense tables: per node, ``umax[m, c]``
-and ``vmax0[m, c]``; per coupling matrix, slot tables indexed
-``[m, c_m, k, c_k]`` (node m's chart form under its choice, scaled by
-a[k, m], against row k's reference under its choice) holding the minimum
-stretch bounds, the stable diagonal term and the crossing degree.  Slots
-are filled when an entry first references them, the degree only where a
-row reaches that test, and slots that agree on node, form key, exact
-a[k, m] and exact reference share one geometry call.  The row margins of
-a block of entries are then whole-array operations, and ``tau_search``
-runs once per distinct feasibility matrix.  A cell whose margins hold is
-decided by its Brouwer degree alone: feasible when known and nonzero.
+one choice per node.  The loop keeps one set of dense tables per check
+(``_Tables``).  A cell of them, holding stretch bounds, a stable term and
+a degree, is indexed by node m, its chart form, which of coupling column
+m's distinct coefficients scales it (over the shared matrix and every
+``per_entry`` one) and which distinct row reference it is measured
+against, so cells that agree on those four share one geometry call.
+Cells fill when an entry first references them, the degree only where a
+row reaches that test.  The row margins of a block of entries are then
+whole-array operations, and ``tau_search`` runs once per distinct
+feasibility matrix.  A cell whose margins hold is decided by its Brouwer
+degree alone: feasible when known and nonzero.
 
 Before its entry loop, theorem 1 checks each node transition (i, j) on
 its own, uncoupled, as a single covering of h-set j by h-set i with one
@@ -53,9 +53,9 @@ import numpy as np
 from .covering import (STRICT_MARGIN, CoveringCertificate, ProductFormMap, check_covering,
                        persistence_bound)
 from .degree import DegreeUndefinedError, DegreeValue, degree_for_map
-from .geometry import (AffineChart, CellGeometry, CenterScale, GeometryError, HSet,
-                       PiecewiseAffineMap, UnifiedSet, box_grid, max_stretch, min_stretch,
-                       split_product, unified_validate)
+from .geometry import (AffineChart, AffinePiece, CellGeometry, CenterScale, GeometryError,
+                       HSet, PiecewiseAffineMap, UnifiedSet, _piece_box_vertices, box_grid,
+                       max_stretch, min_stretch, split_product, unified_validate)
 from .symbolic import TransitionMatrix, lcm_period, spectral_radius
 
 TYPE_I = "type1"
@@ -181,13 +181,6 @@ class CouplingSpec:
             raise SpecError(f"coupling kind must be '{TYPE_I}' or '{TYPE_II}'")
         object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=float))
 
-    def matrix_for(self, i_idx: tuple[int, ...], j_idx: tuple[int, ...]) -> np.ndarray:
-        if self.per_entry:
-            for pi, pj, m in self.per_entry:
-                if tuple(pi) == tuple(i_idx) and tuple(pj) == tuple(j_idx):
-                    return np.asarray(m, dtype=float)
-        return self.matrix
-
     def lipschitz(self) -> float:
         """Operator max-norm of the Kronecker model (max absolute row sum)."""
         mats = [self.matrix] + ([np.asarray(m, float) for _, _, m in self.per_entry]
@@ -251,7 +244,6 @@ class NetworkSpec:
 class ValidationReport:
     errors: tuple[str, ...]
     warnings: tuple[str, ...]
-    inconclusive: tuple[str, ...]
 
     @property
     def ok(self) -> bool:
@@ -318,6 +310,55 @@ def _boxes_disjoint(a: tuple[np.ndarray, np.ndarray],
     return bool(np.any(a[1] < b[0] - 1e-12) or np.any(b[1] < a[0] - 1e-12))
 
 
+def _hsets_meet(a: HSet, b: HSet) -> bool:
+    """Whether two h-sets share a point: in a's chart, b is the polytope
+    |M x + c| <= 1, and the sets meet when its intersection with a's unit
+    box has a vertex (to the vertex test's 1e-9)."""
+    lin = b.chart.linear @ a.chart.inverse_linear
+    off = b.chart.offset - lin @ a.chart.offset
+    cell = AffinePiece(lin, off, np.vstack([lin, -lin]), np.concatenate([1.0 - off, 1.0 + off]))
+    return _piece_box_vertices(cell, a.dim).shape[0] > 0
+
+
+def _entry_overrides(spec: NetworkSpec) -> tuple[dict[int, np.ndarray], list[str]]:
+    """Flat Kronecker entry -> matrix of each ``per_entry`` override, and the
+    errors of the overrides: a matrix that is not d x d or is singular, and
+    an override that names no entry of its own (one of the wrong length,
+    with a transition its node does not allow, or with the (i, j) of an
+    earlier one).  Entries run in ``itertools.product`` order over the
+    nodes' transitions, as the checkers and the conjugacy audit enumerate
+    them; an override finds its entry through per-node {(i, j): index} tables.
+    """
+    d = spec.d
+    lookup = [{pair: c for c, pair in enumerate(node.transitions())} for node in spec.nodes]
+    own: dict[int, np.ndarray] = {}
+    first: dict[int, int] = {}
+    errors: list[str] = []
+    for n, (i_idx, j_idx, a) in enumerate(spec.coupling.per_entry or ()):
+        where, pairs = f"$.coupling.per_entry[{n}]", list(zip(i_idx, j_idx))
+        matrix = np.asarray(a, dtype=float)
+        if matrix.shape != (d, d):
+            errors.append(f"{where}.matrix: not {d}x{d}")
+        elif abs(np.linalg.det(matrix)) < 1e-10:
+            errors.append(f"{where}.matrix: numerically singular")
+        missing = [k for k, (table, pair) in enumerate(zip(lookup, pairs)) if pair not in table]
+        if len(i_idx) != d or len(j_idx) != d:
+            errors.append(f"{where}: i and j must name one symbol for each of the "
+                          f"{d} nodes")
+        elif missing:
+            i, j = pairs[missing[0]]
+            errors.append(f"{where}: node {missing[0] + 1} has no transition {i}->{j}")
+        else:
+            flat = 0
+            for table, pair in zip(lookup, pairs):
+                flat = flat * len(table) + table[pair]
+            if flat in own:
+                errors.append(f"{where}: repeats the entry of per_entry[{first[flat]}]")
+            else:
+                own[flat], first[flat] = matrix, n
+    return own, errors
+
+
 def validate_spec(spec: NetworkSpec) -> ValidationReport:
     """Structural audit: graph, coupling pattern, h-sets, transition data.
 
@@ -325,9 +366,10 @@ def validate_spec(spec: NetworkSpec) -> ValidationReport:
     node's h-sets, its images and its cell tests both; one that is not is
     reported at ``$.nodes[k].map``, and the checks that would evaluate it
     (the declared-form audit, the type-I image separation) are skipped.
-    Reports every violation rather than stopping at the first.  Overlap
-    checks that rest on bounding boxes report "inconclusive" when the boxes
-    intersect but the exact sets might not.  The report is kept on the
+    Reports every violation rather than stopping at the first.  Two h-sets
+    of a node whose box hulls meet are decided exactly, by ``_hsets_meet``;
+    the type-I image separation rests on bounding boxes, exact on the line
+    and a warning in higher dimensions.  The report is kept on the
     spec, so a later call (the CLI validates on load, a theorem check again
     before it runs) returns it without a second audit.
     """
@@ -335,7 +377,6 @@ def validate_spec(spec: NetworkSpec) -> ValidationReport:
         return spec._report
     errors: list[str] = []
     warnings: list[str] = []
-    unclear: list[str] = []
 
     if not spec.graph.weakly_connected():
         errors.append("graph is not weakly connected")
@@ -355,19 +396,13 @@ def validate_spec(spec: NetworkSpec) -> ValidationReport:
                             "(influence read as (l,m) instead of (m,l)); the spec file "
                             "may have its edges written backwards")
 
-    mats = [("coupling", a)]
-    if spec.coupling.per_entry:
-        if spec.coupling.kind == TYPE_II:
-            warnings.append("per-entry coupling matrices are applied per entry by the "
-                            "unified-family checker: each replaces the shared model "
-                            "at its own entry only")
-        mats += [(f"per-entry {tuple(pi)}->{tuple(pj)}", np.asarray(m, float))
-                 for pi, pj, m in spec.coupling.per_entry]
-    for name, m in mats:
-        if m.shape != (d, d):
-            errors.append(f"{name} matrix is not {d}x{d}")
-        elif abs(np.linalg.det(m)) < 1e-10:
-            errors.append(f"{name} matrix is numerically singular")
+    if spec.coupling.per_entry and spec.coupling.kind == TYPE_II:
+        warnings.append("per-entry coupling matrices are applied per entry by the "
+                        "unified-family checker: each replaces the shared model "
+                        "at its own entry only")
+    if abs(np.linalg.det(a)) < 1e-10:
+        errors.append("coupling matrix is numerically singular")
+    errors.extend(_entry_overrides(spec)[1])
 
     block = spec.nodes[0].dim
     all_finite = True
@@ -395,10 +430,10 @@ def validate_spec(spec: NetworkSpec) -> ValidationReport:
         all_finite = all_finite and finite
 
         for i, j in itertools.combinations(range(node.count), 2):
-            if not _boxes_disjoint(boxes[i], boxes[j]):
-                msg = (f"node {k}: h-sets {node.hsets[i].id} and {node.hsets[j].id} "
-                       "are not disjoint")
-                (errors if node.dim == 1 else unclear).append(msg)
+            if (not _boxes_disjoint(boxes[i], boxes[j])
+                    and _hsets_meet(node.hsets[i], node.hsets[j])):
+                errors.append(f"node {k}: h-sets {node.hsets[i].id} and "
+                              f"{node.hsets[j].id} are not disjoint")
 
         if spec.coupling.kind == TYPE_II:
             if node.unified is None:
@@ -420,10 +455,9 @@ def validate_spec(spec: NetworkSpec) -> ValidationReport:
             _audit_declared_forms(spec.coupling.kind, node, k, errors)
 
     if spec.coupling.kind == TYPE_I and all_finite:
-        _check_non_overlap(spec, errors, unclear)
+        _check_non_overlap(spec, errors, warnings)
 
-    object.__setattr__(spec, "_report",
-                       ValidationReport(tuple(errors), tuple(warnings), tuple(unclear)))
+    object.__setattr__(spec, "_report", ValidationReport(tuple(errors), tuple(warnings)))
     return spec._report
 
 
@@ -475,12 +509,12 @@ def _audit_declared_forms(kind: str, node: NodeSystem, k: int, errors: list[str]
                           f"composed map (residual {resid:.3e})")
 
 
-def _check_non_overlap(spec: NetworkSpec, errors: list[str], unclear: list[str]) -> None:
+def _check_non_overlap(spec: NetworkSpec, errors: list[str], warnings: list[str]) -> None:
     """Image-separation condition for locally linear coupling.
 
     The image of each source h-set must avoid every non-target h-set and
     every other source's image.  Intervals decide exactly; higher
-    dimensions fall back to conservative boxes.
+    dimensions fall back to conservative boxes, whose findings are warnings.
     """
     for k, node in enumerate(spec.nodes, start=1):
         pairs = node.transitions()
@@ -493,12 +527,12 @@ def _check_non_overlap(spec: NetworkSpec, errors: list[str], unclear: list[str])
                 if not _boxes_disjoint(images[i], node.hsets[jp - 1].bounding_box()):
                     msg = (f"node {k}: image of {node.hsets[i - 1].id} meets "
                            f"{node.hsets[jp - 1].id} (targets may not overlap)")
-                    (errors if exact else unclear).append(msg)
+                    (errors if exact else warnings).append(msg)
             for ip in images:
                 if ip != i and not _boxes_disjoint(images[i], images[ip]):
                     msg = (f"node {k}: images of {node.hsets[i - 1].id} and "
                            f"{node.hsets[ip - 1].id} overlap")
-                    (errors if exact else unclear).append(msg)
+                    (errors if exact else warnings).append(msg)
 
 
 # ---------------------------------------------------------------------------
@@ -618,13 +652,15 @@ class _Choice:
     radius: float
 
 
-class _Geometry:
-    """Stretch and degree values of the scaled chart forms.
+class _Tables:
+    """Dense stretch and degree tables of one check, of ``shape`` (node
+    forms, coefficients per column, references).
 
-    Memoized by node, form key, the exact coupling coefficient and the
-    exact reference, so every slot that agrees on those four shares one
-    call.  ``umax[m, c]``, ``vmax0[m, c]`` and ``radius[m, c]`` are the
-    dense per-node tables over node m's choices c.
+    The cell of row k and column m, in an entry with choices c under
+    coupling matrix i (0 the shared one, then each override), is
+    ``col[m, c_m] + coef[i, k, m] + row_u[k, c_k]`` for its stretch bounds
+    and degree, and the same with ``row_s`` for its stable diagonal term.
+    ``umax``, ``vmax0`` and ``radius`` are indexed [m, c].
 
     ``cells`` holds the cell-only geometry (totality probe, cell vertices,
     face-grid partition) of every chart form this check evaluates.  A
@@ -633,135 +669,108 @@ class _Geometry:
     stretch call of the check; the store goes away with the check.
     """
 
-    def __init__(self, forms: list[dict], choices: list[list[_Choice]], u: int, s: int,
-                 resolution: int, inflation: float):
-        self.forms = forms
-        self.choices = choices
-        self.s = s
-        self.resolution = resolution
-        self.inflation = inflation
-        self.d = len(choices)
-        self.width = max(len(c) for c in choices)
+    def __init__(self, forms: list[dict], choices: list[list[_Choice]],
+                 matrices: list[np.ndarray], u: int, s: int, resolution: int,
+                 inflation: float):
+        self.s, self.resolution, self.inflation = s, resolution, inflation
         self.cells = CellGeometry()
-        self._memo: dict = {}
-        shape = (self.d, self.width)
-        self.umax, self.vmax0, self.radius = np.zeros(shape), np.zeros(shape), np.ones(shape)
-        for m, node_choices in enumerate(choices):
-            for c, choice in enumerate(node_choices):
-                form = forms[m][choice.key]
-                self.umax[m, c] = self._memoized(
-                    ("umax", m, choice.key),
-                    lambda: max_stretch(form.U, np.zeros(u), cells=self.cells).max_abs)
-                self.vmax0[m, c] = self._memoized(
-                    ("vmax0", m, choice.key),
-                    lambda: 0.0 if form.V is None
-                    else max_stretch(form.V, np.zeros(s), cells=self.cells).max_abs)
-                self.radius[m, c] = choice.radius
-
-    def _memoized(self, key, compute):
-        if key not in self._memo:
-            self._memo[key] = compute()
-        return self._memo[key]
-
-    def min_bounds(self, m: int, key, a: float, ref: np.ndarray):
-        return self._memoized(
-            ("min", m, key, a, tuple(ref.tolist())),
-            lambda: min_stretch(self.forms[m][key].U.scale(a), ref,
-                                resolution=self.resolution, cells=self.cells))
-
-    def vdiag(self, m: int, key, a: float, ref: np.ndarray) -> float:
-        V = self.forms[m][key].V
-        return self._memoized(
-            ("vdiag", m, key, a, tuple(ref.tolist())),
-            lambda: 0.0 if V is None else max_stretch(V.scale(a), ref, cells=self.cells).max_abs)
-
-    def degree(self, m: int, key, a: float, ref: np.ndarray) -> DegreeValue | None:
-        def compute():
-            try:
-                return degree_for_map(self.forms[m][key].U.scale(a), ref)
-            except (DegreeUndefinedError, GeometryError):
-                return None
-        return self._memoized(("degree", m, key, a, tuple(ref.tolist())), compute)
-
-
-class _Slots:
-    """Dense slot tables of one check under one coupling matrix ``a``.
-
-    The flat slot of ``[m, c_m, k, c_k]`` is node m under its choice c_m,
-    scaled by a[k, m], against the reference of row k under its choice c_k.
-    ``min_rel``, ``min_attained`` and ``vdiag`` are filled for every slot an
-    evaluated entry references; the degree only for slots whose cells reach
-    that test.
-    """
-
-    def __init__(self, geo: _Geometry, a: np.ndarray):
-        self.geo = geo
-        self.a = a
-        self.abs_a = np.abs(a)
-        n = (geo.d * geo.width) ** 2
-        self.min_rel = np.zeros(n)
-        self.min_attained = np.zeros(n)
-        self.vdiag = np.zeros(n)
+        d, width = len(choices), max(map(len, choices))
+        # each node's choices, padded to ``width`` with its first one (never read)
+        self.grid = grid = [node + node[:1] * (width - len(node)) for node in choices]
+        form_of, keys = _distinct([(m, ch.key) for m, node in enumerate(grid) for ch in node])
+        self.forms = [(m, forms[m][key]) for m, key in keys]
+        self.umax = np.array([max_stretch(F.U, np.zeros(u), cells=self.cells).max_abs
+                              for _, F in self.forms])[form_of].reshape(d, width)
+        self.vmax0 = np.array([0.0 if F.V is None
+                               else max_stretch(F.V, np.zeros(s), cells=self.cells).max_abs
+                               for _, F in self.forms])[form_of].reshape(d, width)
+        self.radius = np.array([[ch.radius for ch in node] for node in grid])
+        row_u, refs_u = _distinct([tuple(ch.ref_u.tolist()) for node in grid for ch in node])
+        row_s, refs_s = _distinct([tuple(ch.ref_s.tolist()) for node in grid for ch in node])
+        self.refs_u = [np.array(ref, dtype=float) for ref in refs_u]
+        self.refs_s = [np.array(ref, dtype=float) for ref in refs_s]
+        # distinct coefficients of each column, over every coupling matrix
+        stacked = np.stack(matrices)
+        columns = [_distinct(stacked[:, :, m].ravel().tolist()) for m in range(d)]
+        self.coef_values = [values for _, values in columns]
+        self.shape = (len(self.forms), max(map(len, self.coef_values)),
+                      max(len(refs_u), len(refs_s)))
+        self.col = np.reshape(form_of, (d, width)) * (self.shape[1] * self.shape[2])
+        self.coef = np.stack([np.reshape(index, stacked.shape[:2]) for index, _ in columns],
+                             axis=2) * self.shape[2]
+        self.row_u, self.row_s = np.reshape([row_u, row_s], (2, d, width))
+        self.abs_a = np.abs(stacked)
+        n = math.prod(self.shape)
+        self.min_rel, self.min_attained, self.vdiag = np.zeros((3, n))
         self.deg = np.zeros(n, dtype=np.int64)
-        self.deg_known = np.zeros(n, dtype=bool)
-        self._bounds_done = np.zeros(n, dtype=bool)
-        self._deg_done = np.zeros(n, dtype=bool)
+        self.deg_known, self._bounds_done, self._vdiag_done, self._deg_done = \
+            np.zeros((4, n), dtype=bool)
 
-    def _claim(self, slots: np.ndarray, done: np.ndarray):
-        """Mark the slots not yet ``done`` as done; yield (slot, node m, its
-        form key, a[k, m], row k's choice) for each of them."""
-        geo = self.geo
-        todo = np.unique(slots[~done[slots]])
+    def _claim(self, cells: np.ndarray, done: np.ndarray, refs: list[np.ndarray]):
+        """Mark the cells not yet ``done`` as done; yield (cell, its chart
+        form, coefficient and reference) for each of them."""
+        todo = np.unique(cells[~done[cells]])
         done[todo] = True
-        mc, kc = np.divmod(todo, geo.d * geo.width)
-        parts = (todo, *np.divmod(mc, geo.width), *np.divmod(kc, geo.width))
-        for t, m, cm, k, ck in zip(*(p.tolist() for p in parts)):
-            yield t, m, geo.choices[m][cm].key, float(self.a[k, m]), geo.choices[k][ck]
+        parts = (todo, *np.unravel_index(todo, self.shape))
+        for t, f, c, r in zip(*(p.tolist() for p in parts)):
+            m, F = self.forms[f]
+            yield t, F, self.coef_values[m][c], refs[r]
 
-    def evaluate(self, ch: np.ndarray):
+    def evaluate(self, i: np.ndarray, ch: np.ndarray):
         """Margins and feasibility of the block of entries ``ch``.
 
-        ``ch[e, m]`` is node m's choice index in entry e.  Returns the
+        ``ch[e, m]`` is node m's choice index in entry e, and ``i[e]`` the
+        index of the coupling matrix of entry e.  Returns the
         (entries, d, d) arrays margin_lo, margin_s, slack, feas_sure,
-        feas_maybe and the slot of every cell; rows are k, columns m.
+        feas_maybe and the cell of every row and column; rows are k,
+        columns m.
         """
-        geo = self.geo
-        d, w = geo.d, geo.width
-        nodes = np.arange(d)
-        flat = nodes * w + ch
-        slots = flat[:, None, :] * (d * w) + flat[:, :, None]
-        for t, m, key, a, row in self._claim(slots, self._bounds_done):
-            mb = geo.min_bounds(m, key, a, row.ref_u)
+        nodes = np.arange(ch.shape[1])
+        columns = self.col[nodes, ch][:, None, :] + self.coef[i]
+        cells = columns + self.row_u[nodes, ch][:, :, None]
+        for t, F, a, ref in self._claim(cells, self._bounds_done, self.refs_u):
+            mb = min_stretch(F.U.scale(a), ref, resolution=self.resolution, cells=self.cells)
             self.min_rel[t], self.min_attained[t] = mb.min_rel, mb.min_attained
-            if geo.s > 0:
-                self.vdiag[t] = geo.vdiag(m, key, a, row.ref_s)
 
-        term_u = self.abs_a * geo.umax[nodes, ch][:, None, :]
+        abs_a = self.abs_a[i]
+        term_u = abs_a * self.umax[nodes, ch][:, None, :]
         off_u = _row_sums(term_u)[:, :, None] - term_u
-        margin_lo = self.min_rel[slots] - off_u - 1.0
-        margin_hi = self.min_attained[slots] - off_u - 1.0
-        if geo.s > 0:
-            term_v = self.abs_a * geo.vmax0[nodes, ch][:, None, :]
+        margin_lo = self.min_rel[cells] - off_u - 1.0
+        margin_hi = self.min_attained[cells] - off_u - 1.0
+        if self.s > 0:
+            stable = columns + self.row_s[nodes, ch][:, :, None]
+            for t, F, a, ref in self._claim(stable, self._vdiag_done, self.refs_s):
+                self.vdiag[t] = (0.0 if F.V is None
+                                 else max_stretch(F.V.scale(a), ref, cells=self.cells).max_abs)
+            term_v = abs_a * self.vmax0[nodes, ch][:, None, :]
             off_v = _row_sums(term_v)[:, :, None] - term_v
-            margin_s = geo.radius[nodes, ch][:, :, None] - (self.vdiag[slots] + off_v)
+            margin_s = self.radius[nodes, ch][:, :, None] - (self.vdiag[stable] + off_v)
         else:
             margin_s = np.full(margin_lo.shape, math.inf)
-        slack = np.where(margin_s < margin_lo, margin_s, margin_lo) - geo.inflation
+        slack = np.where(margin_s < margin_lo, margin_s, margin_lo) - self.inflation
 
-        threshold = STRICT_MARGIN + geo.inflation
+        threshold = STRICT_MARGIN + self.inflation
         ok_u_sure = margin_lo > threshold
         ok_u_maybe = margin_hi > threshold
         ok_s = margin_s > threshold
-        want_deg = (ok_u_sure | ok_u_maybe) & ok_s & (self.min_rel[slots] > 0)
-        for t, m, key, a, row in self._claim(slots[want_deg], self._deg_done):
-            deg = geo.degree(m, key, a, row.ref_u)
-            self.deg_known[t] = deg is not None
-            self.deg[t] = 0 if deg is None else deg.value
-        known = want_deg & self.deg_known[slots]
-        zero = known & (self.deg[slots] == 0)
+        want_deg = (ok_u_sure | ok_u_maybe) & ok_s & (self.min_rel[cells] > 0)
+        for t, F, a, ref in self._claim(cells[want_deg], self._deg_done, self.refs_u):
+            try:
+                self.deg[t] = degree_for_map(F.U.scale(a), ref).value
+                self.deg_known[t] = True
+            except (DegreeUndefinedError, GeometryError):
+                pass
+        known = want_deg & self.deg_known[cells]
+        zero = known & (self.deg[cells] == 0)
         feas_sure = ok_u_sure & ok_s & known & ~zero
         feas_maybe = ok_u_maybe & ok_s & ~zero
-        return margin_lo, margin_s, slack, feas_sure, feas_maybe, slots
+        return margin_lo, margin_s, slack, feas_sure, feas_maybe, cells
+
+
+def _distinct(keys: list) -> tuple[list[int], list]:
+    """Index of each key among the distinct keys, and those in first-use order."""
+    index: dict = {}
+    return [index.setdefault(key, len(index)) for key in keys], list(index)
 
 
 def _row_sums(terms: np.ndarray) -> np.ndarray:
@@ -787,46 +796,31 @@ def _check_entries(spec: NetworkSpec, forms: list[dict], choices: list[list[_Cho
     """Evaluate the coupled row inequalities for every nonzero Kronecker entry.
 
     An entry picks one choice per node; entries run in ``itertools.product``
-    order over ``choices``.  Entries under the shared coupling matrix are
-    evaluated in numpy blocks of ``BLOCK``; each entry with its own type-I
-    matrix is a block of one under that matrix.  ``tau_search`` runs once
-    per distinct feasibility matrix; result objects are built after a
-    block's margins and assignments are known.
+    order over ``choices``, and are evaluated in numpy blocks of ``BLOCK``,
+    each entry under its own ``per_entry`` matrix or the shared one.
+    ``tau_search`` runs once per distinct feasibility matrix; result objects
+    are built after a block's margins and assignments are known.
     """
     d = spec.d
     u = spec.nodes[0].dim_u
     coupling_lip = spec.coupling.lipschitz()
     inflation = pert_amplitude * chart_lip * (1.0 + coupling_lip)
-    geo = _Geometry(forms, choices, u, spec.nodes[0].dim_s, resolution, inflation)
+    own = _entry_overrides(spec)[0]
+    tables = _Tables(forms, choices, [spec.coupling.matrix] + list(own.values()), u,
+                     spec.nodes[0].dim_s, resolution, inflation)
     counts = [len(c) for c in choices]
     total = math.prod(counts)
-    strides = np.array([math.prod(counts[k + 1:]) for k in range(d)])
     nodes = np.arange(d)
-    # source and target symbol of node k under its choice c, zero past its choices
-    sources, targets = np.zeros((2, d, geo.width), dtype=int)
-    for k, node_choices in enumerate(choices):
-        for c, choice in enumerate(node_choices):
-            sources[k, c], targets[k, c] = choice.source, choice.target
+    # the coupling matrix of each entry: 0 the shared one, n the n-th override
+    matrix_of = np.zeros(total, dtype=int)
+    matrix_of[list(own)] = np.arange(1, len(own) + 1)
+    sources, targets = (np.array([[getattr(ch, attr) for ch in node] for node in tables.grid])
+                        for attr in ("source", "target"))
     hset_ids = [[h.id for h in node.hsets] for node in spec.nodes]
 
     @functools.cache
     def product_id(index: tuple[int, ...]) -> str:
         return "x".join([ids[symbol - 1] for ids, symbol in zip(hset_ids, index)])
-
-    def choice_rows(flat: np.ndarray) -> np.ndarray:
-        return flat[:, None] // strides % np.array(counts)
-
-    def indices(ch: np.ndarray) -> zip:
-        """(source index, target index) of each entry of the block ``ch``."""
-        return zip(map(tuple, sources[nodes, ch].tolist()),
-                   map(tuple, targets[nodes, ch].tolist()))
-
-    own_matrix: dict[int, np.ndarray] = {}
-    if spec.coupling.per_entry:
-        for flat, (i_idx, j_idx) in enumerate(indices(choice_rows(np.arange(total)))):
-            a = spec.coupling.matrix_for(i_idx, j_idx)
-            if a is not spec.coupling.matrix:
-                own_matrix[flat] = a
 
     taus: dict = {}
 
@@ -838,10 +832,10 @@ def _check_entries(spec: NetworkSpec, forms: list[dict], choices: list[list[_Cho
 
     sign = functools.cache(lambda tau: _perm_sign(tau) ** u)
     entries: list = [None] * total
-
-    def run(slots: _Slots, flat: np.ndarray) -> None:
-        ch = choice_rows(flat)
-        lo, ms, slacks, sure, maybe, cells = slots.evaluate(ch)
+    for start in range(0, total, BLOCK):
+        flat = np.arange(start, min(start + BLOCK, total))
+        ch = np.stack(np.unravel_index(flat, counts), axis=1)
+        lo, ms, slacks, sure, maybe, cells = tables.evaluate(matrix_of[flat], ch)
         best = np.min(np.max(slacks, axis=2), axis=1).tolist()
         found = [tau_for(f) for f in sure]
         passing = [e for e, tau in enumerate(found) if tau is not None]
@@ -850,10 +844,11 @@ def _check_entries(spec: NetworkSpec, forms: list[dict], choices: list[list[_Cho
         unstable = lo[pe, nodes, cols].min(axis=1)
         stable = ms[pe, nodes, cols].min(axis=1)
         rowwise = zip(unstable.tolist(), stable.tolist(),
-                      np.prod(slots.deg[cells[pe, nodes, cols]], axis=1).tolist(),
-                      geo.radius[nodes, ch[passing]].min(axis=1).tolist(),
+                      np.prod(tables.deg[cells[pe, nodes, cols]], axis=1).tolist(),
+                      tables.radius[nodes, ch[passing]].min(axis=1).tolist(),
                       (np.minimum(unstable, stable) - inflation).tolist())
-        index, at = list(indices(ch)), flat.tolist()
+        index = list(zip(map(tuple, sources[nodes, ch].tolist()),
+                         map(tuple, targets[nodes, ch].tolist())))
         for e, tau in enumerate(found):
             if tau is None:
                 verdict = "fail" if tau_for(maybe[e]) is None else "inconclusive"
@@ -861,7 +856,7 @@ def _check_entries(spec: NetworkSpec, forms: list[dict], choices: list[list[_Cho
                          f"(best achievable slack {best[e]:.6g})",)
                 if verdict == "inconclusive":
                     notes += ("grid bounds too coarse to decide; raise the resolution",)
-                entries[at[e]] = EntryResult(*index[e], None, None, verdict, best[e], notes)
+                entries[start + e] = EntryResult(*index[e], None, None, verdict, best[e], notes)
         for e, (unstable, stable, degree, radius, slack) in zip(passing, rowwise):
             i_idx, j_idx = index[e]
             tau = found[e]
@@ -871,17 +866,7 @@ def _check_entries(spec: NetworkSpec, forms: list[dict], choices: list[list[_Cho
                 degree=DegreeValue(sign(tau) * degree, "composition"),
                 unstable_margin=unstable, stable_margin=stable, target_radius=radius,
                 admissible_eps=eps)
-            entries[at[e]] = EntryResult(i_idx, j_idx, tau, cert, "pass", slack, ())
-
-    shared = _Slots(geo, spec.coupling.matrix)
-    skip = np.array(sorted(own_matrix), dtype=int)
-    for start in range(0, total, BLOCK):
-        flat = np.arange(start, min(start + BLOCK, total))
-        flat = flat[~np.isin(flat, skip)]
-        if flat.size:
-            run(shared, flat)
-    for flat, a in own_matrix.items():
-        run(_Slots(geo, a), np.array([flat]))
+            entries[start + e] = EntryResult(i_idx, j_idx, tau, cert, "pass", slack, ())
     return entries
 
 
@@ -1011,11 +996,9 @@ def theorem1_check(spec: NetworkSpec, resolution: int = 64,
 
     chart_lip = max(node.hsets[j - 1].chart.lipschitz()
                     for node in spec.nodes for j in range(1, node.count + 1))
-    choices = []
-    for node in spec.nodes:
-        perm = node.transition.permutation()
-        choices.append([_Choice((i, perm[i - 1]), i, perm[i - 1], zero_u, zero_s, 1.0)
-                        for i in range(1, node.count + 1)])
+    # one choice per transition, in the order ``_entry_overrides`` assumes
+    choices = [[_Choice((i, j), i, j, zero_u, zero_s, 1.0) for i, j in node.transitions()]
+               for node in spec.nodes]
     entries = _check_entries(spec, forms, choices, resolution, chart_lip, pert_amplitude)
 
     verdict = _aggregate(entries)
@@ -1105,7 +1088,8 @@ def conjugacy_audit(spec: NetworkSpec, seed: int = 0) -> ConjugacyReport:
 
     combos = list(itertools.product(*[_form_keys(n, kind) for n in spec.nodes]))
     per = max(1, 200 // max(1, len(combos)))
-    for combo in combos:
+    own = _entry_overrides(spec)[0] if kind == TYPE_I else {}
+    for flat, combo in enumerate(combos):
         charts_in, charts_out = zip(*(_form_charts(n, kind, key)
                                       for n, key in zip(spec.nodes, combo)))
         if kind == TYPE_II:
@@ -1114,7 +1098,7 @@ def conjugacy_audit(spec: NetworkSpec, seed: int = 0) -> ConjugacyReport:
         else:
             i_idx = tuple(i for i, _ in combo)
             j_idx = tuple(j for _, j in combo)
-            a = spec.coupling.matrix_for(i_idx, j_idx)
+            a = own.get(flat, spec.coupling.matrix)
             label = f"entry {i_idx}->{j_idx}"
         model = np.kron(a, np.eye(block))
         xi = rng.uniform(-1.0, 1.0, size=(per, d * block))

@@ -195,6 +195,33 @@ class TestHostileSpec:
         assert f"error: {where}:" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("overrides, message", [
+        ([{"i": [1], "j": [2]}],
+         "$.coupling.per_entry[0]: i and j must name one symbol for each of the 2 nodes"),
+        ([{"i": [1, 1, 1], "j": [2, 2, 2]}],
+         "$.coupling.per_entry[0]: i and j must name one symbol for each of the 2 nodes"),
+        ([{"i": [9, 9], "j": [9, 9]}], "$.coupling.per_entry[0]: node 1 has no transition 9->9"),
+        ([{"i": [1, 1], "j": [1, 1]}], "$.coupling.per_entry[0]: node 1 has no transition 1->1"),
+        ([{"i": [1, 1], "j": [2, 2]}, {"i": [1, 1], "j": [2, 2]}],
+         "$.coupling.per_entry[1]: repeats the entry of per_entry[0]"),
+        ([{"i": [1, 1], "j": [2, 2], "matrix": [[1, 0], [0, 0]]}],
+         "$.coupling.per_entry[0].matrix: numerically singular"),
+        ([{"i": [1, 1], "j": [2, 2], "matrix": [[1]]}], "$.coupling.per_entry[0].matrix: not 2x2"),
+    ], ids=["short", "long", "no-symbol", "no-transition", "repeat", "singular", "shape"])
+    def test_bad_override_exit_two(self, overrides, message, fixdir, tmp_path, capsys):
+        # node 1 of theorem1_perm23 swaps its two h-sets, so it has no
+        # transition 1->1; an override naming no entry was once dropped
+        # silently and the spec passed
+        doc = json.loads((fixdir / "theorem1_perm23.json").read_text())
+        doc["coupling"]["per_entry"] = [{"matrix": [[0.4, 0], [0, 0.4]], **o}
+                                        for o in overrides]
+        spec = tmp_path / "overrides.json"
+        spec.write_text(json.dumps(doc))
+        assert main(["verify", str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert f"invalid spec: {message}\n" in err
+        assert "Traceback" not in err
+
     def test_overflowing_coupling_is_refused(self, fixdir, tmp_path, capsys):
         # every verb, the ones that check the theorems and the ones that
         # iterate the network map, refuses before any work or output

@@ -98,6 +98,21 @@ class TestDegreeAffine:
         with pytest.raises(GeometryError):
             degree_affine([[0.0]], [0.0], [0.0])
 
+    @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+    def test_scaling_keeps_the_degree(self, c):
+        # scaling the map and the target together keeps the preimage, so
+        # the degree must not change; at c = 1e-6 |det| is about 1e-18
+        lin = np.array([[2.0, 1.0, 0.0], [0.0, -1.5, 0.5], [0.3, 0.0, 1.0]])
+        off = np.array([0.2, -0.1, 0.4])
+        for q, want in ((np.zeros(3), -1), (np.array([5.0, 0.0, 0.0]), 0)):
+            assert degree_affine(c * lin, c * off, c * q).value == want
+
+    @pytest.mark.parametrize("lin", [np.zeros((2, 2)), [[1.0, 0.0], [0.0, 0.0]],
+                                     [[1.0, 2.0], [2.0, 4.0]]])
+    def test_zero_or_dependent_rows_rejected(self, lin):
+        with pytest.raises(GeometryError):
+            degree_affine(lin, np.zeros(2), [0.5, 0.5])
+
     def test_against_membership_oracle(self, rng):
         checked = 0
         while checked < 1000:

@@ -161,6 +161,28 @@ class TestValidateSpec:
         report = validate_spec(spec)
         assert any("disjoint" in e for e in report.errors)
 
+    def test_overlapping_planar_hsets_rejected(self):
+        # the unit box and the same box shifted by 0.5: their box hulls
+        # meet, and so do the sets
+        spec = _planar_type1_node(AffineChart(2, 0, np.eye(2), np.array([-0.5, 0.0])))
+        report = validate_spec(spec)
+        assert report.errors == ("node 1: h-sets A and B are not disjoint",)
+        with pytest.raises(SpecError, match="not disjoint"):
+            theorem1_check(spec)
+
+    def test_planar_hsets_disjoint_inside_meeting_hulls(self):
+        # the diamond |x| + |y| <= 1 and its copy centered at (1.2, 1.2):
+        # their box hulls share [0.2, 1]^2, but x + y <= 1 on the first
+        # and >= 1.4 on the second
+        diamond = np.array([[1.0, 1.0], [1.0, -1.0]])
+        first = AffineChart(2, 0, diamond, np.zeros(2))
+        second = AffineChart(2, 0, diamond, -diamond @ np.array([1.2, 1.2]))
+        report = validate_spec(_planar_type1_node(second, first))
+        assert report.errors == ()
+        # the images of the expansion are compared by their bounding boxes
+        # alone in the plane, so what those find is a warning
+        assert "node 1: images of A and B overlap" in report.warnings
+
     def test_type1_image_separation(self):
         # expander whose image of the first set re-enters it
         t = PiecewiseAffineMap.from_breakpoints(
@@ -455,6 +477,16 @@ def _sawtooth_spec():
     node = NodeSystem(local, (HSet("S", AffineChart.identity(2, 0)),),
                       TransitionMatrix([[1]]), unified=unified)
     return NetworkSpec(Graph(1, frozenset()), (node,), CouplingSpec("type2", np.eye(1)))
+
+
+def _planar_type1_node(second, first=AffineChart.identity(2, 0)):
+    """One planar type-I node, a 3x expansion under the swap transition,
+    whose h-sets A and B are carried onto the unit box by ``first`` and
+    ``second``."""
+    hsets = (HSet("A", first), HSet("B", second))
+    node = NodeSystem(PiecewiseAffineMap.affine(3.0 * np.eye(2), np.zeros(2)), hsets,
+                      TransitionMatrix([[0, 1], [1, 0]]))
+    return NetworkSpec(Graph(1, frozenset()), (node,), CouplingSpec("type1", np.eye(1)))
 
 
 def _planar_fixed_pair(matrix):
