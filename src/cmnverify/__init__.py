@@ -15,9 +15,10 @@ __version__ = "0.1.0"
 
 from .geometry import (AffineChart, CenterScale, GeometryError, HSet,
                        PiecewiseAffineMap, StretchBounds, UnifiedSet,
-                       max_stretch, min_stretch, split_product, unified_validate)
+                       max_stretch, min_stretch, singular, split_product,
+                       unified_validate)
 from .degree import (DegreeUndefinedError, DegreeValue, degree_1d, degree_affine,
-                     degree_compose_affine, degree_for_map, degree_product)
+                     degree_for_map)
 from .covering import (CoveringCertificate, CoveringOutcome, ProductFormMap,
                        check_covering, persistence_bound)
 from .symbolic import (SymbolSequence, TransitionMatrix, TransitionError,

@@ -1,11 +1,10 @@
 """Local Brouwer degree for the map classes the certifier needs.
 
-Only four cases are implemented, because the certification inequalities
-only ever invoke these: affine maps in any dimension, piecewise-affine maps
-on the line, products of independent factors, and composition with an
-invertible affine map.  A target value hit exactly on the domain boundary
-is a hard error: the degree is undefined there and silently nudging the
-target would fabricate certificates.
+Two rules, picked by ``degree_for_map``: the crossing count of a
+piecewise-affine map on the line, and the determinant sign of an affine
+map in any dimension.  A target value hit exactly on the domain boundary
+(to within ``EVAL_TIE_TOL``) is a hard error: the degree is undefined
+there and silently nudging the target would fabricate certificates.
 """
 
 from __future__ import annotations
@@ -14,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DET_TOL, GeometryError, PiecewiseAffineMap, _as_matrix, _as_vector
-
-BOUNDARY_TOL = 1e-12
+from .geometry import (EVAL_TIE_TOL, GeometryError, PiecewiseAffineMap, _as_matrix,
+                       _as_vector, _unit_row_det, singular)
 
 
 class DegreeUndefinedError(ValueError):
@@ -28,7 +26,7 @@ class DegreeValue:
     """Signed degree plus the rule that produced it."""
 
     value: int
-    method: str  # affine-determinant | one-d-crossing | product | composition
+    method: str  # affine-determinant | one-d-crossing | composition (a network entry)
 
     def __bool__(self) -> bool:
         return self.value != 0
@@ -38,23 +36,21 @@ def degree_affine(linear, offset, target) -> DegreeValue:
     """Degree of x -> linear @ x + offset over the open unit box at ``target``.
 
     sgn(det linear) when the unique preimage is interior, 0 when it is
-    outside; a preimage on the boundary is an error.  The map is singular,
-    an error too, when a row is zero or |det| is below ``DET_TOL`` times
-    Hadamard's bound, the product of the row norms; that test does not
-    change when the map is scaled.
+    outside; a preimage on the boundary is an error.  A map that
+    ``geometry.singular`` calls singular is an error too; that test, and
+    the sign taken from the row-scaled determinant, do not change when the
+    map is scaled.
     """
     lin = _as_matrix(linear)
     off = _as_vector(offset, lin.shape[0])
     tgt = _as_vector(target, lin.shape[0])
-    det = np.linalg.det(lin)
-    rows = np.linalg.norm(lin, axis=1)
-    if not np.all(rows) or abs(det) < DET_TOL * np.prod(rows):
+    if singular(lin):
         raise GeometryError("degree of a singular affine map is undefined")
     pre = np.linalg.solve(lin, tgt - off)
     extent = float(np.max(np.abs(pre)))
-    if abs(extent - 1.0) <= BOUNDARY_TOL:
+    if abs(extent - 1.0) <= EVAL_TIE_TOL:
         raise DegreeUndefinedError(f"preimage {pre.tolist()} lies on the box boundary")
-    value = int(np.sign(det)) if extent < 1.0 else 0
+    value = int(np.sign(_unit_row_det(lin))) if extent < 1.0 else 0
     return DegreeValue(value, "affine-determinant")
 
 
@@ -65,32 +61,10 @@ def degree_1d(U: PiecewiseAffineMap, target: float) -> DegreeValue:
     q = float(target)
     left = float(U.apply([-1.0])[0]) - q
     right = float(U.apply([1.0])[0]) - q
-    if abs(left) <= BOUNDARY_TOL or abs(right) <= BOUNDARY_TOL:
+    if abs(left) <= EVAL_TIE_TOL or abs(right) <= EVAL_TIE_TOL:
         raise DegreeUndefinedError(f"target {q} equals a boundary value of the map")
     value = (int(np.sign(right)) - int(np.sign(left))) // 2
     return DegreeValue(value, "one-d-crossing")
-
-
-def degree_product(parts: list[DegreeValue] | tuple[DegreeValue, ...]) -> DegreeValue:
-    """Degree of the product map: the product of the factor degrees."""
-    value = 1
-    for p in parts:
-        value *= p.value
-    return DegreeValue(value, "product")
-
-
-def degree_compose_affine(psi_linear, inner: DegreeValue) -> DegreeValue:
-    """Degree after post-composing with an invertible affine map.
-
-    Valid when the inner target lies in a bounded component of the
-    complement of the inner boundary image; callers certify that with a
-    strictly positive minimum stretch.
-    """
-    lin = _as_matrix(psi_linear)
-    det = np.linalg.det(lin)
-    if abs(det) < DET_TOL:
-        raise GeometryError("composition with a singular affine map is undefined")
-    return DegreeValue(int(np.sign(det)) * inner.value, "composition")
 
 
 def degree_for_map(U: PiecewiseAffineMap, target) -> DegreeValue:

@@ -33,11 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GeometryError, box_grid
+from .geometry import EVAL_TIE_TOL, GeometryError, box_grid, singular
 from .network import NetworkSpec
 from .symbolic import is_admissible
 
-BOUNDARY_TIE_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
 
 
@@ -157,7 +156,7 @@ def locate_batch(spec: NetworkSpec, states: np.ndarray) -> tuple[np.ndarray, int
     """Symbols (0 = escape) per node for a batch of states, plus tie count.
 
     Node k of a row gets the lowest symbol i whose member chart takes the
-    row's block into the unit box, to within BOUNDARY_TIE_TOL in the
+    row's block into the unit box, to within EVAL_TIE_TOL in the
     max-norm; every (row, node, symbol) whose chart max-norm lies within
     that tolerance of 1 counts as one tie.  The max-norm is a running
     ``np.maximum`` over the chart image's columns, the same values as
@@ -178,12 +177,12 @@ def locate_batch(spec: NetworkSpec, states: np.ndarray) -> tuple[np.ndarray, int
             ext = img[:, 0]
             for j in range(1, block):
                 np.maximum(ext, img[:, j], out=ext)
-            found[ext <= 1.0 + BOUNDARY_TIE_TOL] = i
+            found[ext <= 1.0 + EVAL_TIE_TOL] = i
             # |ext - 1| is exact wherever it can be small (Sterbenz), so a
             # tie always lies inside the tolerance and needs no mask of it
             near = ext - 1.0
             np.abs(near, out=near)
-            ties += int(np.count_nonzero(near <= BOUNDARY_TIE_TOL))
+            ties += int(np.count_nonzero(near <= EVAL_TIE_TOL))
     return symbols, ties
 
 
@@ -191,7 +190,7 @@ def itinerary(spec: NetworkSpec, x0, n: int) -> Itinerary:
     """Track which product h-set each of the first ``n`` states occupies.
 
     Stops at the first state outside every product h-set; boundary hits
-    within 1e-12 count as inside and break ties toward the lower index.
+    within EVAL_TIE_TOL count as inside and break ties toward the lower index.
     """
     if n < 1:
         raise ValueError("need at least one step")
@@ -294,7 +293,7 @@ def periodic_point(spec: NetworkSpec, loop,
 
     lin, off = _loop_affine(spec, loop)
     system = np.eye(spec.state_dim) - lin
-    if abs(np.linalg.det(system)) < 1e-10:
+    if singular(system):
         raise NeutralCompositionError("composed branch has a neutral direction")
     z = np.linalg.solve(system, off)
 
@@ -342,8 +341,7 @@ def _inverse_branches(spec: NetworkSpec):
         per_symbol = {}
         for i in range(1, node.count + 1):
             piece = _branch(spec, k, i)
-            det = np.linalg.det(piece.matrix)
-            if abs(det) < 1e-12:
+            if singular(piece.matrix):
                 raise GeometryError(f"node {k + 1}, h-set {i}: branch not invertible")
             inv = np.linalg.inv(piece.matrix)
             per_symbol[i] = (inv, -inv @ piece.offset)
@@ -445,7 +443,7 @@ def empirical_entropy(spec: NetworkSpec, depth: int, samples: int, seed: int = 0
         raise GeometryError("entropy sampling needs an affine interaction map")
     a_lin = ambient.pieces[0].matrix
     a_off = ambient.pieces[0].offset
-    if abs(np.linalg.det(a_lin)) < 1e-10:
+    if singular(a_lin):
         raise GeometryError("interaction map is not invertible")
     a_inv = np.linalg.inv(a_lin)
     inverses = _inverse_branches(spec)

@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-DET_TOL = 1e-10          # charts with |det| below this are rejected
+DET_TOL = 1e-10          # least |det| of a matrix with unit rows that counts as invertible
 CONTINUITY_TOL = 1e-9    # adjacent pieces must agree on shared boundaries
-EVAL_TIE_TOL = 1e-12     # containment / first-match tie tolerance
+EVAL_TIE_TOL = 1e-12     # within this of a boundary counts as on it
 
 
 class GeometryError(ValueError):
@@ -51,6 +51,24 @@ def _as_matrix(m) -> np.ndarray:
     return a
 
 
+def _unit_row_det(a: np.ndarray) -> float:
+    """det(a) with every row scaled to unit length, 0 for a zero row; each
+    row is divided by its largest absolute entry first, so no norm overflows."""
+    top = np.max(np.abs(a), axis=1, keepdims=True)
+    if not np.all(top > 0):
+        return 0.0
+    a = a / top
+    return float(np.linalg.det(a / np.linalg.norm(a, axis=1, keepdims=True)))
+
+
+def singular(matrix) -> bool:
+    """Whether a square matrix counts as singular: a zero row, or |det| below
+    ``DET_TOL`` (or NaN) once every row is scaled to unit length, where
+    Hadamard's bound makes |det| at most 1.  Scaling a row never changes
+    the answer.  Every invertibility test of the package is this one."""
+    return not abs(_unit_row_det(_as_matrix(matrix))) >= DET_TOL
+
+
 def box_grid(dim: int, per_axis: int) -> np.ndarray:
     """Grid over the unit box [-1, 1]^dim, ``per_axis`` points per axis.
 
@@ -66,7 +84,7 @@ class AffineChart:
     """Invertible affine change of coordinates x -> linear @ x + offset.
 
     ``dim_u`` leading coordinates are unstable (expanding), the remaining
-    ``dim_s`` are stable.  Rejected when |det(linear)| < 1e-10.
+    ``dim_s`` are stable.  Rejected when ``singular(linear)``, whatever its scale.
     """
 
     dim_u: int
@@ -83,9 +101,8 @@ class AffineChart:
         if lin.shape != (m, m):
             raise GeometryError(f"chart linear part must be {m}x{m}, got {lin.shape}")
         off = _as_vector(self.offset, m)
-        det = np.linalg.det(lin)
-        if abs(det) < DET_TOL:
-            raise GeometryError(f"chart is numerically singular: |det| = {abs(det):.3e}")
+        if singular(lin):
+            raise GeometryError("chart is numerically singular")
         object.__setattr__(self, "linear", lin)
         object.__setattr__(self, "offset", off)
         object.__setattr__(self, "inverse_linear", np.linalg.inv(lin))
@@ -246,8 +263,6 @@ def unified_validate(n: UnifiedSet) -> UnifiedValidation:
                 bad.append(f"member {i + 1} ({mid}): |stable center| = {abs(cs.p_s[0])} >= 1")
             if s > 1 and np.max(np.abs(cs.p_s[1:])) > tol:
                 bad.append(f"member {i + 1} ({mid}): stable center has nonzero tail")
-        if not 0.0 < cs.r <= 1.0:
-            bad.append(f"member {i + 1} ({mid}): radius {cs.r} outside (0, 1]")
     for i, j in itertools.combinations(range(d), 2):
         sep = np.max(np.abs(n.members[i][1].p_u - n.members[j][1].p_u))
         if sep <= 2.0 + tol:

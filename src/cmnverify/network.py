@@ -53,9 +53,10 @@ import numpy as np
 from .covering import (STRICT_MARGIN, CoveringCertificate, ProductFormMap, check_covering,
                        persistence_bound)
 from .degree import DegreeUndefinedError, DegreeValue, degree_for_map
-from .geometry import (AffineChart, AffinePiece, CellGeometry, CenterScale, GeometryError,
-                       HSet, PiecewiseAffineMap, UnifiedSet, _piece_box_vertices, box_grid,
-                       max_stretch, min_stretch, split_product, unified_validate)
+from .geometry import (EVAL_TIE_TOL, AffineChart, AffinePiece, CellGeometry, CenterScale,
+                       GeometryError, HSet, PiecewiseAffineMap, UnifiedSet,
+                       _piece_box_vertices, box_grid, max_stretch, min_stretch, singular,
+                       split_product, unified_validate)
 from .symbolic import TransitionMatrix, lcm_period, spectral_radius
 
 TYPE_I = "type1"
@@ -225,9 +226,6 @@ class NetworkSpec:
     def state_dim(self) -> int:
         return self.d * self.block_dim
 
-    def dims(self) -> tuple[int, ...]:
-        return tuple(node.transition.n for node in self.nodes)
-
     def ambient_map(self) -> PiecewiseAffineMap:
         """The interaction on the full state, ``coupling.ambient_map(block_dim)``,
         built on first use and kept."""
@@ -307,7 +305,7 @@ def _image_bbox(node: NodeSystem, symbol: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _boxes_disjoint(a: tuple[np.ndarray, np.ndarray],
                     b: tuple[np.ndarray, np.ndarray]) -> bool:
-    return bool(np.any(a[1] < b[0] - 1e-12) or np.any(b[1] < a[0] - 1e-12))
+    return bool(np.any(a[1] < b[0] - EVAL_TIE_TOL) or np.any(b[1] < a[0] - EVAL_TIE_TOL))
 
 
 def _hsets_meet(a: HSet, b: HSet) -> bool:
@@ -339,7 +337,7 @@ def _entry_overrides(spec: NetworkSpec) -> tuple[dict[int, np.ndarray], list[str
         matrix = np.asarray(a, dtype=float)
         if matrix.shape != (d, d):
             errors.append(f"{where}.matrix: not {d}x{d}")
-        elif abs(np.linalg.det(matrix)) < 1e-10:
+        elif singular(matrix):
             errors.append(f"{where}.matrix: numerically singular")
         missing = [k for k, (table, pair) in enumerate(zip(lookup, pairs)) if pair not in table]
         if len(i_idx) != d or len(j_idx) != d:
@@ -400,8 +398,8 @@ def validate_spec(spec: NetworkSpec) -> ValidationReport:
         warnings.append("per-entry coupling matrices are applied per entry by the "
                         "unified-family checker: each replaces the shared model "
                         "at its own entry only")
-    if abs(np.linalg.det(a)) < 1e-10:
-        errors.append("coupling matrix is numerically singular")
+    if singular(a):
+        errors.append("$.coupling.matrix: numerically singular")
     errors.extend(_entry_overrides(spec)[1])
 
     block = spec.nodes[0].dim
@@ -964,10 +962,10 @@ def theorem1_check(spec: NetworkSpec, resolution: int = 64,
     """Certify the permutation-structure hypotheses (periodic-point check).
 
     Every node transition matrix must be a permutation.  On a pass the
-    report carries the orbit period lcm(dim W_1, ..., dim W_d) and the
-    global admissible perturbation radius.  ``pert_amplitude`` re-runs the
-    check with every row inequality tightened by the worst-case chart-level
-    displacement of a perturbation of that sup-norm.
+    report carries eps* and the period of the orbit through symbol 1 of
+    every node (the lcm of the W_k's cycle lengths).  ``pert_amplitude`` re-runs
+    the check with every row inequality tightened by the worst-case
+    chart-level displacement of a perturbation of that sup-norm.
     """
     for k, node in enumerate(spec.nodes, start=1):
         if not node.transition.is_permutation():
@@ -1004,7 +1002,8 @@ def theorem1_check(spec: NetworkSpec, resolution: int = 64,
     verdict = _aggregate(entries)
     eps = min((e.certificate.admissible_eps for e in entries if e.certificate),
               default=0.0)
-    period = lcm_period([n.transition.n for n in spec.nodes]) if verdict == "pass" else None
+    period = (lcm_period([n.transition.cycle_length(1) for n in spec.nodes])
+              if verdict == "pass" else None)
     return TheoremReport(1, verdict, tuple(entries),
                          eps if verdict == "pass" else 0.0, period=period)
 

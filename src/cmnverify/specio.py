@@ -35,7 +35,8 @@ from fractions import Fraction
 import numpy as np
 
 from .covering import ProductFormMap
-from .geometry import AffineChart, AffinePiece, CenterScale, HSet, PiecewiseAffineMap, UnifiedSet
+from .geometry import (AffineChart, AffinePiece, CenterScale, GeometryError, HSet,
+                       PiecewiseAffineMap, UnifiedSet)
 from .network import (CouplingSpec, EntryResult, Graph, NetworkSpec, NodeSystem,
                       TheoremReport, TYPE_I, TYPE_II)
 from .symbolic import TransitionMatrix
@@ -127,8 +128,11 @@ def _get(obj, key: str, path: str):
 def _chart(obj, u: int, s: int, path: str) -> AffineChart:
     if not isinstance(obj, dict):
         raise SpecFormatError(f"{path}: expected an object")
-    return AffineChart(u, s, _matrix(_get(obj, "linear", path), f"{path}.linear"),
-                       _vector(_get(obj, "offset", path), f"{path}.offset"))
+    try:
+        return AffineChart(u, s, _matrix(_get(obj, "linear", path), f"{path}.linear"),
+                           _vector(_get(obj, "offset", path), f"{path}.offset"))
+    except GeometryError as exc:
+        raise SpecFormatError(f"{path}: {exc}") from exc
 
 
 def _map(obj, path: str) -> PiecewiseAffineMap:
@@ -194,12 +198,13 @@ def _node(obj, path: str) -> NodeSystem:
         members = []
         for i, mem in enumerate(_list(_get(uobj, "members", upath), f"{upath}.members")):
             mpath = f"{upath}.members[{i}]"
-            members.append((str(_get(mem, "id", mpath)),
-                            CenterScale(_shaped(_vector(_get(mem, "p_u", mpath), f"{mpath}.p_u"),
-                                                (u,), f"{mpath}.p_u"),
-                                        _shaped(_vector(mem.get("p_s", []), f"{mpath}.p_s"),
-                                                (s,), f"{mpath}.p_s"),
-                                        _num(mem.get("r", 1), f"{mpath}.r"))))
+            mid = str(_get(mem, "id", mpath))
+            p_u = _shaped(_vector(_get(mem, "p_u", mpath), f"{mpath}.p_u"), (u,), f"{mpath}.p_u")
+            p_s = _shaped(_vector(mem.get("p_s", []), f"{mpath}.p_s"), (s,), f"{mpath}.p_s")
+            try:
+                members.append((mid, CenterScale(p_u, p_s, _num(mem.get("r", 1), f"{mpath}.r"))))
+            except GeometryError as exc:
+                raise SpecFormatError(f"{mpath}.r: {exc}") from exc
         unified = UnifiedSet(chart, tuple(members))
     forms = None
     if obj.get("chart_forms") is not None:

@@ -61,6 +61,13 @@ class TransitionMatrix:
             raise TransitionError("matrix is not a permutation")
         return [int(np.flatnonzero(row)[0]) + 1 for row in self.bits]
 
+    def cycle_length(self, symbol: int) -> int:
+        """Length of a permutation's cycle through ``symbol`` (1-based)."""
+        perm, length, at = self.permutation(), 1, symbol
+        while perm[at - 1] != symbol:
+            length, at = length + 1, perm[at - 1]
+        return length
+
 
 @dataclass(frozen=True)
 class SymbolSequence:
@@ -204,7 +211,7 @@ def closed_loops(W: TransitionMatrix, length: int) -> Iterator[SymbolSequence]:
 
 
 def lcm_period(dims: list[int] | tuple[int, ...]) -> int:
-    """Least common multiple of the factor dimensions."""
+    """Least common multiple of the factor periods (cycle lengths, say)."""
     if not dims:
         raise TransitionError("need at least one dimension")
     return math.lcm(*[int(d) for d in dims])

@@ -268,7 +268,12 @@ def reference_theorem1(spec, resolution=64, pert_amplitude=0.0, membership=False
 
     verdict = nw._aggregate(entries)
     eps = min((e.certificate.admissible_eps for e in entries if e.certificate), default=0.0)
-    period = nw.lcm_period([n.transition.n for n in spec.nodes]) if verdict == "pass" else None
+    # the product cycle through the first symbols of every node
+    period = None
+    if verdict == "pass":
+        state, period = tuple(perms[k][0] for k in range(d)), 1
+        while state != (1,) * d:
+            state, period = tuple(perms[k][state[k] - 1] for k in range(d)), period + 1
     return nw.TheoremReport(1, verdict, tuple(entries), eps if verdict == "pass" else 0.0,
                             period=period)
 
@@ -502,7 +507,7 @@ def test_membership_filter_changes_no_certificate(name):
 def _near_singular_pair():
     """Two planar expanding nodes (4 I, members at (0, 0) and (3, 0), every
     transition allowed) whose coupling coefficient 2e-6 scales a chart form
-    to determinant 6.4e-11, below the absolute 1e-10 that charts must clear."""
+    to determinant 6.4e-11, below 1e-10 though the form is 4e-6 I."""
     unified = UnifiedSet(AffineChart.identity(2, 0),
                          (("A", CenterScale([0.0, 0.0], [], 1.0)),
                           ("B", CenterScale([3.0, 0.0], [], 1.0))))
@@ -518,9 +523,10 @@ def _near_singular_pair():
 
 def test_near_singular_cell_is_left_to_the_degree():
     """The off-diagonal cells of entry (1, 1) -> (2, 2) scale a chart form by
-    2e-6.  Its degree is measured against Hadamard's bound, not an absolute
-    determinant, so it is known (0, the target 3 away is outside the
-    image), and the entry fails exactly as the membership filter says."""
+    2e-6.  ``geometry.singular`` scales every row to unit length before it
+    compares the determinant with 1e-10, so the scale does not matter: the
+    degree is known (0, the target 3 away is outside the image), and the
+    entry fails exactly as the membership filter says."""
     spec = _near_singular_pair()
     got = theorem2_check(spec)
     assert got.verdict == "fail"

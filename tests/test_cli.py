@@ -180,10 +180,19 @@ class TestHostileSpec:
          "$.nodes[0].transition[0][0]"),
         ("example1.json", ("nodes", 1, "transition", 1, 0), 2,
          "$.nodes[1].transition[1][0]"),
+        ("example1.json", ("nodes", 0, "hsets", 1, "chart", "linear"), [[0]],
+         "$.nodes[0].hsets[1].chart"),
+        ("example2.json", ("nodes", 0, "unified", "chart", "linear"), [[0]],
+         "$.nodes[0].unified.chart"),
+        ("example2.json", ("nodes", 0, "unified", "members", 1, "r"), 0,
+         "$.nodes[0].unified.members[1].r"),
+        ("example2.json", ("nodes", 1, "unified", "members", 0, "r"), 1.5,
+         "$.nodes[1].unified.members[0].r"),
     ], ids=["edges-int", "edge-short", "pieces-null", "d-text", "u-text", "matrix-nan",
             "dim-in-zero", "dim-in-negative", "dim-out-zero", "dim-in-two", "dim-out-two",
             "offset-empty-perm23", "offset-empty-alpha", "p-u-empty", "normals-wide",
-            "transition-huge", "transition-two"])
+            "transition-huge", "transition-two", "hset-chart-singular",
+            "unified-chart-singular", "member-r-zero", "member-r-above-one"])
     def test_exit_two_with_path(self, name, path, value, where, fixdir, tmp_path, capsys):
         doc = json.loads((fixdir / name).read_text())
         spec = tmp_path / "hostile.json"
@@ -222,16 +231,29 @@ class TestHostileSpec:
         assert f"invalid spec: {message}\n" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_singular_coupling_exit_two_at_its_path(self, scale, fixdir, tmp_path, capsys):
+        doc = json.loads((fixdir / "example1.json").read_text())
+        doc["coupling"]["matrix"] = [[scale, scale], [scale, scale]]
+        spec = tmp_path / "singular.json"
+        spec.write_text(json.dumps(doc))
+        assert main(["verify", str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid spec: $.coupling.matrix: numerically singular\n" in err
+        assert "Traceback" not in err
+
     def test_overflowing_coupling_is_refused(self, fixdir, tmp_path, capsys):
         # every verb, the ones that check the theorems and the ones that
-        # iterate the network map, refuses before any work or output
+        # iterate the network map, refuses before any work or output, and
+        # the singularity test on the way does not overflow
         doc = json.loads((fixdir / "example1_alpha_0.2.json").read_text())
         spec = tmp_path / "hostile.json"
         spec.write_text(json.dumps(_mutated(doc, ("coupling", "matrix", 1, 0), 1e308)))
         for verb, *options in (["verify"], ["margin"], ["periodic", "--auto"],
                                ["simulate", "--steps", "5"],
                                ["entropy", "--empirical", "4", "200", "1"]):
-            with np.errstate(over="ignore"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
                 code = main([verb, str(spec), *options])
             assert code == 2, verb
             out = capsys.readouterr()
@@ -305,6 +327,23 @@ class TestHostileSpec:
         assert cert["verdict"] == "inconclusive"
         assert cert["global_eps"] == 0.0 and cert["period"] is None
         assert "periodic_orbits" not in cert
+
+    def test_period_is_the_confirmed_orbit_period(self, tmp_path):
+        # W = identity: the loop through the first symbols closes after one
+        # step, although lcm(dim W) = 2
+        doc = {"format_version": "1", "graph": {"d": 1, "edges": []},
+               "coupling": {"kind": "type1", "matrix": [[1]]},
+               "nodes": [{"u": 1, "s": 0, "transition": [[1, 0], [0, 1]],
+                          "map": {"breakpoints": [1, 2],
+                                  "pieces": [[1.4, 0], [0.2, 1.2], [1.4, -1.2]]},
+                          "hsets": [{"id": "A", "chart": {"linear": [[1]], "offset": [0]}},
+                                    {"id": "B", "chart": {"linear": [[1]], "offset": [-3]}}]}]}
+        spec, out = tmp_path / "identity.json", tmp_path / "cert.json"
+        spec.write_text(json.dumps(doc))
+        assert main(["verify", str(spec), "--out", str(out)]) == 0
+        cert = json.loads(out.read_text())
+        assert cert["periodic_orbits"][0]["loop"] == [[1]]
+        assert cert["period"] == cert["periodic_orbits"][0]["period"] == 1
 
     def test_valid_specs_parse_unchanged(self, fixdir):
         for name in ("example1.json", "example2.json", "theorem1_perm23.json"):

@@ -1,9 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from cmnverify import (DegreeUndefinedError, DegreeValue, GeometryError,
-                       PiecewiseAffineMap, degree_1d, degree_affine,
-                       degree_compose_affine, degree_for_map, degree_product)
+from cmnverify import (DegreeUndefinedError, GeometryError, PiecewiseAffineMap, degree_1d,
+                       degree_affine, degree_for_map)
 from conftest import random_interval_map
 
 
@@ -146,12 +147,9 @@ class TestDegreeAffine:
 
 
 class TestDegreeComposition:
-    def test_product_of_values(self):
-        ones = [DegreeValue(1, "affine-determinant")] * 2
-        assert degree_product(ones).value == 1
-        mixed = [DegreeValue(1, "x"), DegreeValue(-1, "x"), DegreeValue(1, "x")]
-        assert degree_product(mixed).value == -1
-        assert degree_product([DegreeValue(0, "x"), DegreeValue(7, "x")]).value == 0
+    """The two facts behind the degree the network checker writes for an
+    entry: the product of its rows' degrees, times sign(det)^u of the
+    node permutation it composes with."""
 
     def test_product_matches_block_diagonal_assembly(self, rng):
         for _ in range(200):
@@ -169,7 +167,7 @@ class TestDegreeComposition:
                     ok = False
                     break
                 blocks.append((lin, off))
-                parts.append(degree_affine(lin, off, np.zeros(dim)))
+                parts.append(degree_affine(lin, off, np.zeros(dim)).value)
             if not ok:
                 continue
             full = np.zeros((sum(dims), sum(dims)))
@@ -178,28 +176,27 @@ class TestDegreeComposition:
             for (lin, _), dim in zip(blocks, dims):
                 full[pos:pos + dim, pos:pos + dim] = lin
                 pos += dim
-            assert (degree_product(parts).value
-                    == degree_affine(full, offs, np.zeros(sum(dims))).value)
-
-    def test_composition_sign(self):
-        inner = DegreeValue(1, "product")
-        assert degree_compose_affine(np.eye(3), inner).value == 1
-        assert degree_compose_affine(-np.eye(3), inner).value == -1
+            assert math.prod(parts) == degree_affine(full, offs, np.zeros(sum(dims))).value
 
     def test_composition_with_kronecker_factor(self, rng):
-        # mixing matrix with positive determinant keeps the product sign
-        for _ in range(50):
+        # post-composing with kron(a, I_u) multiplies the degree by
+        # sign(det a)^u, whatever the sign of det a
+        checked = 0
+        while checked < 50:
             d, u = int(rng.integers(1, 4)), int(rng.integers(1, 3))
             a = rng.uniform(-2, 2, size=(d, d))
-            if np.linalg.det(a) <= 1e-3:
+            lin = rng.uniform(-2, 2, size=(d * u, d * u))
+            if min(abs(np.linalg.det(a)), abs(np.linalg.det(lin))) < 1e-3:
+                continue
+            off = rng.uniform(-0.3, 0.3, size=d * u)
+            q = rng.uniform(-0.3, 0.3, size=d * u)
+            if abs(np.max(np.abs(np.linalg.solve(lin, q - off))) - 1.0) < 1e-6:
                 continue
             mix = np.kron(a, np.eye(u))
-            inner = DegreeValue(int(rng.choice([-1, 1])), "product")
-            assert degree_compose_affine(mix, inner).value == inner.value
-
-    def test_composition_with_singular_outer_rejected(self):
-        with pytest.raises(GeometryError):
-            degree_compose_affine(np.zeros((2, 2)), DegreeValue(1, "product"))
+            inner = degree_affine(lin, off, q).value
+            outer = int(np.sign(np.linalg.det(a))) ** u
+            assert degree_affine(mix @ lin, mix @ off, mix @ q).value == outer * inner
+            checked += 1
 
 
 class TestDispatch:

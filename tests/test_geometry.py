@@ -1,11 +1,12 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
 from cmnverify import (AffineChart, CenterScale, GeometryError, HSet,
                        PiecewiseAffineMap, UnifiedSet, max_stretch,
-                       min_stretch, split_product, unified_validate)
+                       min_stretch, singular, split_product, unified_validate)
 from cmnverify.geometry import box_grid
 from conftest import random_interval_map
 
@@ -40,6 +41,45 @@ class TestAffineChart:
     def test_singular_chart_rejected(self):
         with pytest.raises(GeometryError):
             AffineChart(1, 1, [[1.0, 1.0], [1.0, 1.0]], [0.0, 0.0])
+
+    @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+    def test_singularity_does_not_depend_on_scale(self, c):
+        lin = np.array([[2.0, 1.0, 0.0], [0.0, -1.5, 0.5], [0.3, 0.0, 1.0]])
+        chart = AffineChart(2, 1, c * lin, np.zeros(3))
+        assert np.allclose(chart.invert(chart.apply([0.5, -0.2, 0.1])), [0.5, -0.2, 0.1])
+        rank_two = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(GeometryError, match="singular"):
+            AffineChart(2, 1, c * rank_two, np.zeros(3))
+
+    def test_wide_h_set_is_accepted(self):
+        # half-width 1000 in four dimensions: |det| of the chart is 1e-12
+        chart = AffineChart(2, 2, 1e-3 * np.eye(4), np.zeros(4))
+        assert np.allclose(HSet("W", chart).bounding_box()[1], 1000.0)
+
+
+class TestSingular:
+    def test_zero_row_and_dependent_rows(self):
+        assert singular(np.zeros((2, 2)))
+        assert singular([[1.0, 0.0], [0.0, 0.0]])
+        assert singular([[1.0, 2.0], [2.0, 4.0]])
+        assert not singular(np.eye(3))
+
+    def test_each_row_scales_freely(self):
+        # the rows' scales differ by 1e400; with unit rows the matrix is I
+        assert not singular([[1e-200, 0.0], [0.0, 1e200]])
+        assert singular([[1e-200, 1e-200], [1e200, 1e200]])
+
+    def test_huge_entries_do_not_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not singular([[0.8, 0.2], [1e308, 0.8]])
+            assert not singular([[1e308, 1e308], [-1e308, 1e308]])
+
+    def test_non_finite_is_singular(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert singular([[np.nan, 0.0], [0.0, 1.0]])
+            assert singular([[np.inf, 0.0], [0.0, 1.0]])
 
 
 class TestPiecewiseAffineMap:

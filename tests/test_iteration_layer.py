@@ -114,7 +114,7 @@ def _reference_locate_batch(spec, states):
     block = spec.block_dim
     symbols = np.zeros((n, spec.d), dtype=np.int64)
     ties = 0
-    tol = dy.BOUNDARY_TIE_TOL
+    tol = TIE
     for k, node in enumerate(spec.nodes):
         seg = states[:, k * block:(k + 1) * block]
         found = symbols[:, k]

@@ -144,6 +144,34 @@ class TestValidateSpec:
         report = validate_spec(bad)
         assert any("singular" in e for e in report.errors)
 
+    @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+    def test_singularity_does_not_depend_on_scale(self, c):
+        # the same answer at every scale, for the shared coupling matrix
+        # and for a per-entry one
+        base = fixtures.example1(alpha=0.05)
+        entry = ((1, 2), (2, 1))
+
+        def errors(matrix, override):
+            coupling = CouplingSpec("type2", matrix, per_entry=((*entry, override),))
+            return validate_spec(NetworkSpec(base.graph, base.nodes, coupling)).errors
+
+        good, rank_one = base.coupling.matrix, np.ones((2, 2))
+        assert errors(c * good, c * 0.4 * np.eye(2)) == ()
+        assert errors(c * rank_one, 0.4 * np.eye(2)) == (
+            "$.coupling.matrix: numerically singular",)
+        assert errors(good, c * rank_one) == (
+            "$.coupling.per_entry[0].matrix: numerically singular",)
+
+    def test_small_well_conditioned_coupling_is_accepted(self):
+        # 0.01 times a 6-node diffusive ring: |det| 7.8e-13, as well
+        # conditioned as the ring itself
+        from test_checker_equivalence import _golden_ring
+        ring = _golden_ring(6, 0.02, unified=True)
+        assert abs(np.linalg.det(0.01 * ring.coupling.matrix)) < 1e-12
+        small = NetworkSpec(ring.graph, ring.nodes,
+                            CouplingSpec("type2", 0.01 * ring.coupling.matrix))
+        assert validate_spec(small).ok, validate_spec(small).errors
+
     def test_missing_unified_family(self):
         spec = fixtures.example1()
         stripped = tuple(NodeSystem(n.local_map, n.hsets, n.transition)

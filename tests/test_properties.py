@@ -13,9 +13,8 @@ import pytest
 
 from cmnverify import (AffineChart, CenterScale, CouplingSpec, Graph, HSet,
                        NetworkSpec, NodeSystem, PiecewiseAffineMap,
-                       TransitionMatrix, UnifiedSet, itinerary, lcm_period,
-                       periodic_point, step_power, theorem1_check,
-                       theorem2_check, validate_spec)
+                       TransitionMatrix, UnifiedSet, itinerary, periodic_point,
+                       step_power, theorem1_check, theorem2_check, validate_spec)
 from conftest import random_transition_matrix
 
 
@@ -139,10 +138,9 @@ class TestDesignedPermutationPairs:
             assert validate_spec(spec).ok, validate_spec(spec).errors
             report = theorem1_check(spec)
             assert report.passed
-            assert report.period == lcm_period(dims)
 
             # the canonical loop through the first symbols closes after the
-            # lcm of the cycle lengths through symbol 1
+            # lcm of the cycle lengths through symbol 1: the reported period
             perms = [n.transition.permutation() for n in nodes]
             loop = [(1, 1)]
             while True:
@@ -150,6 +148,7 @@ class TestDesignedPermutationPairs:
                 if nxt == loop[0]:
                     break
                 loop.append(nxt)
+            assert report.period == len(loop)
             cert = periodic_point(spec, loop)
             assert cert.residual < 1e-10
             back = step_power(spec, cert.point, cert.period)
