@@ -18,7 +18,8 @@ import math
 from dataclasses import dataclass
 
 from .degree import DegreeValue, degree_for_map
-from .geometry import CenterScale, GeometryError, HSet, PiecewiseAffineMap, min_stretch, max_stretch
+from .geometry import (CellGeometry, CenterScale, GeometryError, HSet, PiecewiseAffineMap,
+                       min_stretch, max_stretch)
 
 STRICT_MARGIN = 1e-12  # inequalities are strict: pass needs margin above this
 
@@ -82,13 +83,17 @@ class CoveringOutcome:
 
 
 def check_covering(source: HSet, target: CenterScale, f: ProductFormMap,
-                   target_id: str = "", resolution: int = 64) -> CoveringOutcome:
+                   target_id: str = "", resolution: int = 64,
+                   cells: CellGeometry | None = None) -> CoveringOutcome:
     """Check that ``source`` covers the member at ``target`` under ``f``.
 
     Passing needs all three of: min stretch of U relative to the target's
     unstable center > 1, nonzero degree of U at that center, and max
     stretch of V relative to the stable center < the stable radius.  The
     failure report names each violated inequality with its slack.
+    ``cells`` is passed on to ``min_stretch`` and ``max_stretch``: a store
+    of cell-only geometry shared with other calls on maps of the same
+    cells; without one, each call works its cells out afresh.
     """
     u, s = source.dim_u, source.dim_s
     if f.dim_u != u or f.dim_s != s:
@@ -103,7 +108,7 @@ def check_covering(source: HSet, target: CenterScale, f: ProductFormMap,
     definite_fail = False
     undecided = False
 
-    ub = min_stretch(f.U, target.p_u, resolution=resolution)
+    ub = min_stretch(f.U, target.p_u, resolution=resolution, cells=cells)
     if ub.min_rel > 1.0 + STRICT_MARGIN:
         unstable_margin = ub.min_rel - 1.0
     elif ub.min_attained <= 1.0 + STRICT_MARGIN:
@@ -135,7 +140,7 @@ def check_covering(source: HSet, target: CenterScale, f: ProductFormMap,
     if s == 0:
         stable_margin = math.inf
     else:
-        sb = max_stretch(f.V, target.p_s)
+        sb = max_stretch(f.V, target.p_s, cells=cells)
         stable_margin = target.r - sb.max_abs
         if stable_margin <= STRICT_MARGIN:
             definite_fail = True

@@ -22,6 +22,7 @@ those functions compute everything afresh, as for a single query.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,11 @@ import numpy as np
 DET_TOL = 1e-10          # least |det| of a matrix with unit rows that counts as invertible
 CONTINUITY_TOL = 1e-9    # adjacent pieces must agree on shared boundaries
 EVAL_TIE_TOL = 1e-12     # within this of a boundary counts as on it
+# Most constraint subsets one cell-vertex enumeration may solve.  Each takes
+# about 15-20 us on a 2-vCPU x86-64 VM, so this is a few seconds: a
+# 6-dimensional h-set pair (134,596 subsets) is decided, a 7-dimensional one
+# (1,184,040) refused.
+MAX_VERTEX_CANDIDATES = 200_000
 
 
 class GeometryError(ValueError):
@@ -190,6 +196,9 @@ class CenterScale:
         object.__setattr__(self, "r", float(self.r))
         if not 0.0 < self.r <= 1.0:
             raise GeometryError(f"stable radius must satisfy 0 < r <= 1, got {self.r}")
+        if not math.isfinite(1.0 / self.r):
+            # a subnormal radius: the chart would scale by an infinite 1/r
+            raise GeometryError(f"stable radius {self.r} has no finite reciprocal")
 
     @property
     def dim_u(self) -> int:
@@ -527,8 +536,23 @@ class StretchBounds:
             raise GeometryError("min stretch bound exceeds max stretch bound")
 
 
+def vertex_candidates(piece: AffinePiece, dim: int) -> int:
+    """How many constraint subsets ``_piece_box_vertices`` solves for
+    ``piece``: C(n, dim) over the cell's constraints and the 2 dim faces of
+    the unit box."""
+    return math.comb(piece.normals.shape[0] + 2 * dim, dim)
+
+
 def _piece_box_vertices(piece: AffinePiece, dim: int) -> np.ndarray:
-    """Vertices of (cell of ``piece``) intersected with the unit box."""
+    """Vertices of (cell of ``piece``) intersected with the unit box.
+
+    Refused, before any solve, when there are more than
+    ``MAX_VERTEX_CANDIDATES`` constraint subsets to try.
+    """
+    count = vertex_candidates(piece, dim)
+    if count > MAX_VERTEX_CANDIDATES:
+        raise GeometryError(f"{count} candidate cell vertices to enumerate, above the "
+                            f"limit of {MAX_VERTEX_CANDIDATES}")
     normals = np.vstack([piece.normals, np.eye(dim), -np.eye(dim)])
     bounds = np.concatenate([piece.bounds, np.ones(2 * dim)])
     n = normals.shape[0]

@@ -26,11 +26,15 @@ degree alone: feasible when known and nonzero.
 Before its entry loop, theorem 1 checks each node transition (i, j) on
 its own, uncoupled, as a single covering of h-set j by h-set i with one
 ``covering.check_covering`` call; an outcome other than "pass" is a
-``SpecError`` naming the node, the transition and the failures.  Both
-checks first refuse, as a ``SpecError``, a chart form that is itself past
-floating-point range (at ``$.nodes[k].map`` or ``$.nodes[k].chart_forms``)
-and a coupling large enough to scale a finite one past it (at
-``$.coupling.matrix``); ``require_finite_step`` refuses, the same way, an
+``SpecError`` naming the node, the transition and the failures.  Each
+theorem check creates one ``geometry.CellGeometry`` store and hands it to
+every stretch call it makes, these pre-check calls included, so the
+unscaled forms of the pre-check and their scalings in the entry loop share
+one table per distinct cell structure.  Both checks first refuse, as a
+``SpecError``, a chart form that is itself past floating-point range or
+has a cell with too many vertices to enumerate (at ``$.nodes[k].map`` or
+``$.nodes[k].chart_forms``) and a coupling large enough to scale a finite
+one past that range (at ``$.coupling.matrix``); ``require_finite_step`` refuses, the same way, an
 interaction that carries h-set states past that range, for the commands
 that iterate the network map.
 
@@ -53,10 +57,10 @@ import numpy as np
 from .covering import (STRICT_MARGIN, CoveringCertificate, ProductFormMap, check_covering,
                        persistence_bound)
 from .degree import DegreeUndefinedError, DegreeValue, degree_for_map
-from .geometry import (EVAL_TIE_TOL, AffineChart, AffinePiece, CellGeometry, CenterScale,
-                       GeometryError, HSet, PiecewiseAffineMap, UnifiedSet,
-                       _piece_box_vertices, box_grid, max_stretch, min_stretch, singular,
-                       split_product, unified_validate)
+from .geometry import (EVAL_TIE_TOL, MAX_VERTEX_CANDIDATES, AffineChart, AffinePiece,
+                       CellGeometry, CenterScale, GeometryError, HSet, PiecewiseAffineMap,
+                       UnifiedSet, _piece_box_vertices, box_grid, max_stretch, min_stretch,
+                       singular, split_product, unified_validate, vertex_candidates)
 from .symbolic import TransitionMatrix, lcm_period, spectral_radius
 
 TYPE_I = "type1"
@@ -311,7 +315,8 @@ def _boxes_disjoint(a: tuple[np.ndarray, np.ndarray],
 def _hsets_meet(a: HSet, b: HSet) -> bool:
     """Whether two h-sets share a point: in a's chart, b is the polytope
     |M x + c| <= 1, and the sets meet when its intersection with a's unit
-    box has a vertex (to the vertex test's 1e-9)."""
+    box has a vertex (to the vertex test's 1e-9).  Raises ``GeometryError``
+    when that polytope has too many vertex candidates to enumerate."""
     lin = b.chart.linear @ a.chart.inverse_linear
     off = b.chart.offset - lin @ a.chart.offset
     cell = AffinePiece(lin, off, np.vstack([lin, -lin]), np.concatenate([1.0 - off, 1.0 + off]))
@@ -365,11 +370,13 @@ def validate_spec(spec: NetworkSpec) -> ValidationReport:
     reported at ``$.nodes[k].map``, and the checks that would evaluate it
     (the declared-form audit, the type-I image separation) are skipped.
     Reports every violation rather than stopping at the first.  Two h-sets
-    of a node whose box hulls meet are decided exactly, by ``_hsets_meet``;
-    the type-I image separation rests on bounding boxes, exact on the line
-    and a warning in higher dimensions.  The report is kept on the
-    spec, so a later call (the CLI validates on load, a theorem check again
-    before it runs) returns it without a second audit.
+    of a node whose box hulls meet are decided exactly, by ``_hsets_meet``,
+    or refused at ``$.nodes[k].hsets[j]`` when that would take more than
+    ``geometry.MAX_VERTEX_CANDIDATES`` candidate vertices; the type-I image
+    separation rests on bounding boxes, exact on the line and a warning in
+    higher dimensions.  The report is kept on the spec, so a later call
+    (the CLI validates on load, a theorem check again before it runs)
+    returns it without a second audit.
     """
     if spec._report is not None:
         return spec._report
@@ -428,8 +435,15 @@ def validate_spec(spec: NetworkSpec) -> ValidationReport:
         all_finite = all_finite and finite
 
         for i, j in itertools.combinations(range(node.count), 2):
-            if (not _boxes_disjoint(boxes[i], boxes[j])
-                    and _hsets_meet(node.hsets[i], node.hsets[j])):
+            if _boxes_disjoint(boxes[i], boxes[j]):
+                continue
+            try:
+                meet = _hsets_meet(node.hsets[i], node.hsets[j])
+            except GeometryError as exc:    # too many vertex candidates
+                errors.append(f"$.nodes[{k - 1}].hsets[{j}]: cannot decide whether it "
+                              f"meets {node.hsets[i].id}: {exc}")
+                continue
+            if meet:
                 errors.append(f"node {k}: h-sets {node.hsets[i].id} and "
                               f"{node.hsets[j].id} are not disjoint")
 
@@ -661,17 +675,19 @@ class _Tables:
     ``umax``, ``vmax0`` and ``radius`` are indexed [m, c].
 
     ``cells`` holds the cell-only geometry (totality probe, cell vertices,
-    face-grid partition) of every chart form this check evaluates.  A
-    form's scalings by the coupling coefficients keep its cells, so each
-    distinct cell structure is worked out once and reused by every
-    stretch call of the check; the store goes away with the check.
+    face-grid partition) of every chart form this check evaluates.  The
+    theorem check creates it, and theorem 1's transition pre-check has
+    already filled it with the unscaled forms.  A form's scalings by the
+    coupling coefficients keep its cells, so each distinct cell structure
+    is worked out once and reused by every stretch call of the check; the
+    store goes away with the check.
     """
 
     def __init__(self, forms: list[dict], choices: list[list[_Choice]],
                  matrices: list[np.ndarray], u: int, s: int, resolution: int,
-                 inflation: float):
+                 inflation: float, cells: CellGeometry):
         self.s, self.resolution, self.inflation = s, resolution, inflation
-        self.cells = CellGeometry()
+        self.cells = cells
         d, width = len(choices), max(map(len, choices))
         # each node's choices, padded to ``width`` with its first one (never read)
         self.grid = grid = [node + node[:1] * (width - len(node)) for node in choices]
@@ -790,7 +806,8 @@ class _Margins(NamedTuple):
 
 
 def _check_entries(spec: NetworkSpec, forms: list[dict], choices: list[list[_Choice]],
-                   resolution: int, chart_lip: float, pert_amplitude: float) -> list[EntryResult]:
+                   resolution: int, chart_lip: float, pert_amplitude: float,
+                   cells: CellGeometry) -> list[EntryResult]:
     """Evaluate the coupled row inequalities for every nonzero Kronecker entry.
 
     An entry picks one choice per node; entries run in ``itertools.product``
@@ -805,7 +822,7 @@ def _check_entries(spec: NetworkSpec, forms: list[dict], choices: list[list[_Cho
     inflation = pert_amplitude * chart_lip * (1.0 + coupling_lip)
     own = _entry_overrides(spec)[0]
     tables = _Tables(forms, choices, [spec.coupling.matrix] + list(own.values()), u,
-                     spec.nodes[0].dim_s, resolution, inflation)
+                     spec.nodes[0].dim_s, resolution, inflation, cells)
     counts = [len(c) for c in choices]
     total = math.prod(counts)
     nodes = np.arange(d)
@@ -887,19 +904,26 @@ def _require_finite_scaling(spec: NetworkSpec, forms: list[dict]) -> None:
     finite is refused at its node: ``$.nodes[k].chart_forms`` when declared,
     ``$.nodes[k].map`` when composed from the local map.  The product with
     the coupling must be finite too, or an inf (and then NaN) would reach
-    the margins.
+    the margins.  A form with a cell of more than
+    ``geometry.MAX_VERTEX_CANDIDATES`` candidate vertices, too many to
+    enumerate for its stretch bounds, is refused at its node the same way.
     """
     size = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for k, (node, node_forms) in enumerate(zip(spec.nodes, forms)):
-            pieces = (p for form in node_forms.values() for F in (form.U, form.V)
-                      if F is not None for p in F.pieces)
-            for p in pieces:
+            where = "chart_forms" if node.chart_forms is not None else "map"
+            factors = [F for form in node_forms.values() for F in (form.U, form.V)
+                       if F is not None]
+            for F, p in ((F, p) for F in factors for p in F.pieces):
                 piece_size = float(np.max(np.sum(np.abs(p.matrix), axis=1) + np.abs(p.offset)))
                 if not math.isfinite(piece_size):
-                    where = "chart_forms" if node.chart_forms is not None else "map"
                     raise SpecError(f"$.nodes[{k}].{where}: chart-form size {piece_size:g} "
                                     f"is not a finite number")
+                count = vertex_candidates(p, F.dim_in)
+                if count > MAX_VERTEX_CANDIDATES:
+                    raise SpecError(f"$.nodes[{k}].{where}: a chart-form cell has {count} "
+                                    f"candidate vertices to enumerate, above the limit of "
+                                    f"{MAX_VERTEX_CANDIDATES}")
                 size = max(size, piece_size)
     lip = spec.coupling.lipschitz()
     if not math.isfinite(lip * size):
@@ -981,11 +1005,12 @@ def theorem1_check(spec: NetworkSpec, resolution: int = 64,
     # every transition on its own must be a single covering of the target
     # h-set's unit box (center 0, radius 1 in its chart), before the coupling enters
     target = CenterScale(zero_u, zero_s, 1.0)
+    cells = CellGeometry()
     structural: list[str] = []
     for k, node in enumerate(spec.nodes):
         for (i, j) in node.transitions():
             outcome = check_covering(node.hsets[i - 1], target, forms[k][(i, j)],
-                                     resolution=resolution)
+                                     resolution=resolution, cells=cells)
             if not outcome.passed:
                 structural.append(f"node {k + 1} transition {i}->{j}: "
                                   + "; ".join(outcome.failures))
@@ -997,7 +1022,8 @@ def theorem1_check(spec: NetworkSpec, resolution: int = 64,
     # one choice per transition, in the order ``_entry_overrides`` assumes
     choices = [[_Choice((i, j), i, j, zero_u, zero_s, 1.0) for i, j in node.transitions()]
                for node in spec.nodes]
-    entries = _check_entries(spec, forms, choices, resolution, chart_lip, pert_amplitude)
+    entries = _check_entries(spec, forms, choices, resolution, chart_lip, pert_amplitude,
+                             cells)
 
     verdict = _aggregate(entries)
     eps = min((e.certificate.admissible_eps for e in entries if e.certificate),
@@ -1029,7 +1055,8 @@ def theorem2_check(spec: NetworkSpec, resolution: int = 64,
         choices.append([_Choice(i, i, j, targets[j - 1].p_u, targets[j - 1].p_s,
                                 targets[j - 1].r if s > 0 else 1.0)
                         for i, j in node.transitions()])
-    entries = _check_entries(spec, forms, choices, resolution, chart_lip, pert_amplitude)
+    entries = _check_entries(spec, forms, choices, resolution, chart_lip, pert_amplitude,
+                             CellGeometry())
 
     verdict = _aggregate(entries)
     eps = min((e.certificate.admissible_eps for e in entries if e.certificate),

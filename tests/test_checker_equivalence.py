@@ -26,10 +26,11 @@ from cmnverify import (AffineChart, CenterScale, CouplingSpec, Graph, HSet, Netw
                        NodeSystem, PiecewiseAffineMap, TransitionMatrix, UnifiedSet,
                        canonical_json, certificate_document, fixtures, theorem1_check,
                        theorem2_check)
+from cmnverify import geometry
 from cmnverify import network as nw
 from cmnverify.covering import STRICT_MARGIN, CoveringCertificate
 from cmnverify.degree import DegreeUndefinedError, DegreeValue
-from cmnverify.geometry import GeometryError
+from cmnverify.geometry import CellGeometry, GeometryError
 from conftest import random_transition_matrix
 from test_cell_geometry import _box_spec
 from test_network import _planar_fixed_pair, _planar_golden_pair, _sawtooth_spec
@@ -483,6 +484,49 @@ def test_cells_share_calls_exactly(name, calls):
     calls.clear()
     assert _check(spec, resolution=resolution).verdict == verdict
     assert dict(calls) == want
+
+
+# ``_CellTable`` constructions in one theorem 1 check.  The transition
+# pre-check and the entry loop share one ``CellGeometry``, so the unscaled
+# forms of the pre-check and their scalings in the loop build one table per
+# distinct cell structure (10 and 21 when the pre-check kept its own).
+CELL_TABLES = {"theorem1_perm23": 5, "perm_ring6_overrides": 3}
+
+
+@pytest.mark.parametrize("name", sorted(CELL_TABLES))
+def test_theorem1_builds_each_cell_table_once(name, monkeypatch):
+    built = Counter()
+    original = geometry._CellTable.__init__
+
+    def counted(self, F):
+        built["tables"] += 1
+        original(self, F)
+    monkeypatch.setattr(geometry._CellTable, "__init__", counted)
+    theorem1_check(CASES[name]())
+    assert built["tables"] == CELL_TABLES[name]
+
+
+TYPE1_CASES = sorted(name for name, make in CASES.items()
+                     if make().coupling.kind == nw.TYPE_I)
+
+
+@pytest.mark.parametrize("name", TYPE1_CASES)
+def test_precheck_outcomes_do_not_depend_on_the_store(name, monkeypatch):
+    # every pre-check call gets the check's store, and answers as a call
+    # that works its cells out afresh
+    original = nw.check_covering
+    seen = []
+
+    def compared(*args, cells=None, **kwargs):
+        assert isinstance(cells, CellGeometry)
+        shared = original(*args, cells=cells, **kwargs)
+        assert shared == original(*args, **kwargs)
+        seen.append(shared.verdict)
+        return shared
+    monkeypatch.setattr(nw, "check_covering", compared)
+    spec = CASES[name]()
+    theorem1_check(spec)
+    assert seen == ["pass"] * sum(len(node.transitions()) for node in spec.nodes)
 
 
 def test_overrides_straddle_a_block_seam():

@@ -5,14 +5,18 @@ import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cmnverify import canonical_json, fixtures, load_spec, parse_spec, serialize_spec, specs_equal
+from cmnverify import (AffineChart, CouplingSpec, Graph, HSet, NetworkSpec, NodeSystem,
+                       PiecewiseAffineMap, TransitionMatrix, canonical_json, fixtures, load_spec,
+                       parse_spec, serialize_spec, specs_equal)
 from cmnverify.cli import main
+from cmnverify.geometry import AffinePiece
 from cmnverify.specio import SpecFormatError
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -311,6 +315,67 @@ class TestHostileSpec:
             out = capsys.readouterr()
             assert f"error: {where}" in out.err, verb
             assert "Traceback" not in out.err and out.out == "", verb
+
+    @pytest.mark.parametrize("radius", [1e-320, 5e-324])
+    def test_subnormal_member_radius_is_refused_at_its_path(self, radius, tmp_path, capsys):
+        # 1/r overflows, so the member chart would scale its stable rows by inf
+        from test_network import _planar_golden_pair
+        doc = _mutated(serialize_spec(_planar_golden_pair(0.3)),
+                       ("nodes", 0, "unified", "members", 1, "r"), radius)
+        spec = tmp_path / "hostile.json"
+        spec.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert "error: $.nodes[0].unified.members[1].r:" in err
+        assert "Traceback" not in err
+
+    def test_high_dimensional_hset_overlap_is_refused_before_any_solve(self, tmp_path, capsys,
+                                                                       monkeypatch):
+        # two 8-dimensional h-sets whose box hulls meet: deciding whether
+        # the sets meet would solve up to C(32, 8) = 10,518,300 systems
+        dim = 8
+        turn = np.eye(dim)
+        turn[:2, :2] = [[1.0, -1.0], [1.0, 1.0]]
+        center = np.zeros(dim)
+        center[0] = 1.5
+        hsets = (HSet("A", AffineChart.identity(dim)),
+                 HSet("B", AffineChart(dim, 0, turn, -turn @ center)))
+        node = NodeSystem(PiecewiseAffineMap.affine(3.0 * np.eye(dim), np.zeros(dim)), hsets,
+                          TransitionMatrix(np.ones((2, 2), dtype=int)))
+        spec = tmp_path / "hostile.json"
+        spec.write_text(canonical_json(serialize_spec(
+            NetworkSpec(Graph(1, frozenset()), (node,), CouplingSpec("type1", np.eye(1))))))
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a vertex candidate was solved")
+        monkeypatch.setattr(np.linalg, "solve", no_solve)
+        start = time.perf_counter()
+        assert main(["verify", str(spec)]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "invalid spec: $.nodes[0].hsets[1]: cannot decide whether it meets A: " \
+               "10518300 candidate cell vertices" in err
+        assert "Traceback" not in err
+
+    def test_chart_form_with_too_many_cell_vertices_is_refused_at_its_node(self, tmp_path,
+                                                                          capsys):
+        # one cell of a 3-dimensional chart form with 110 (redundant)
+        # constraints: C(116, 3) = 253,460 vertex candidates
+        dim = 3
+        normals = np.tile(np.eye(dim), (37, 1))[:110]
+        local = PiecewiseAffineMap(dim, dim, (AffinePiece(3.0 * np.eye(dim), np.zeros(dim),
+                                                          normals, np.full(110, 50.0)),))
+        node = NodeSystem(local, (HSet("A", AffineChart.identity(dim)),),
+                          TransitionMatrix(np.ones((1, 1), dtype=int)))
+        spec = tmp_path / "hostile.json"
+        spec.write_text(canonical_json(serialize_spec(
+            NetworkSpec(Graph(1, frozenset()), (node,), CouplingSpec("type1", np.eye(1))))))
+        assert main(["verify", str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert "error: $.nodes[0].map: a chart-form cell has 253460 candidate vertices" in err
+        assert "Traceback" not in err
 
     def test_unconfirmed_orbit_is_inconclusive(self, fixdir, tmp_path, capsys):
         # theorem 1 holds for the chart-coordinate model, but under the
