@@ -35,6 +35,12 @@ EVAL_TIE_TOL = 1e-12     # within this of a boundary counts as on it
 # 6-dimensional h-set pair (134,596 subsets) is decided, a 7-dimensional one
 # (1,184,040) refused.
 MAX_VERTEX_CANDIDATES = 200_000
+TILE = 16                # face-grid points per free axis of one tile of ``_grid_min``
+# Most rows of one sample grid or face grid, checked before it is allocated:
+# 2^22 rows of 8 coordinates take 256 MiB.  A 5^9 sample grid is built, a
+# 5^10 one refused; a 3-dimensional face grid may have up to 836 points per
+# axis, a 4-dimensional one 80.
+MAX_GRID_POINTS = 2 ** 22
 
 
 class GeometryError(ValueError):
@@ -75,12 +81,20 @@ def singular(matrix) -> bool:
     return not abs(_unit_row_det(_as_matrix(matrix))) >= DET_TOL
 
 
+def _require_grid(points: int, what: str) -> None:
+    if points > MAX_GRID_POINTS:
+        raise GeometryError(f"{what} = {points} points is above the limit of "
+                            f"{MAX_GRID_POINTS} grid points")
+
+
 def box_grid(dim: int, per_axis: int) -> np.ndarray:
     """Grid over the unit box [-1, 1]^dim, ``per_axis`` points per axis.
 
     Rows run with the last axis fastest (``itertools.product`` order);
-    ``per_axis = 2`` gives the box corners.
+    ``per_axis = 2`` gives the box corners.  Refused, before anything is
+    allocated, above ``MAX_GRID_POINTS`` points.
     """
+    _require_grid(per_axis ** dim, f"a grid of {per_axis}^{dim}")
     axis = np.linspace(-1.0, 1.0, per_axis)
     return axis[np.indices((per_axis,) * dim).reshape(dim, per_axis ** dim).T]
 
@@ -523,7 +537,10 @@ class StretchBounds:
                   slack
     min_attained: smallest boundary value actually evaluated; an upper bound
                   on the true minimum, used to separate failure from
-                  inconclusiveness
+                  inconclusiveness.  On a face grid it is the minimum over
+                  every grid point, bit for bit, although only the tiles
+                  whose lower bound |g(c)| - sum |M| h - cushion (centre c,
+                  half-widths h) lies below it are evaluated
     """
 
     min_rel: float
@@ -585,12 +602,32 @@ def _exact_max(F: PiecewiseAffineMap, ref: np.ndarray, vertices: list[np.ndarray
     return best
 
 
+def face_grid_points(dim: int, resolution: int) -> int:
+    """Rows of the face grid over the boundary of the unit box in ``dim``
+    dimensions: 2 dim faces of resolution^(dim - 1) points."""
+    return 2 * dim * resolution ** (dim - 1)
+
+
+def max_face_resolution(dim: int) -> int:
+    """Largest resolution whose face grid in ``dim`` >= 2 dimensions has at
+    most ``MAX_GRID_POINTS`` rows."""
+    n = int((MAX_GRID_POINTS / (2 * dim)) ** (1.0 / (dim - 1)))
+    while face_grid_points(dim, n + 1) <= MAX_GRID_POINTS:
+        n += 1
+    while face_grid_points(dim, n) > MAX_GRID_POINTS:
+        n -= 1
+    return n
+
+
 def _face_points(dim: int, resolution: int) -> np.ndarray:
     """Grid over the boundary of the unit box, resolution points per axis.
 
     Face (i, sign) is the grid of the other dim - 1 axes with coordinate i
-    pinned to sign; faces run i-major, sign -1 before +1.
+    pinned to sign; faces run i-major, sign -1 before +1.  Refused, before
+    anything is allocated, above ``MAX_GRID_POINTS`` points.
     """
+    _require_grid(face_grid_points(dim, resolution),
+                  f"a face grid of 2*{dim}*{resolution}^{dim - 1}")
     free = np.ascontiguousarray(box_grid(dim - 1, resolution))
     return np.vstack([np.insert(free, i, sign, axis=1)
                       for i in range(dim) for sign in (-1.0, 1.0)])
@@ -634,9 +671,12 @@ def _affine_face_min(F: PiecewiseAffineMap, ref: np.ndarray) -> float:
 class _CellTable:
     """Cell-only geometry of one cell structure.
 
-    ``vertices[i]`` are the vertices of piece i's cell inside the unit box;
-    ``face_rows(pieces, pts, resolution)`` gives, per piece, the rows of the
-    face grid ``pts`` that the piece is the first to hold.  Built only for a
+    ``vertices[i]`` are the vertices of piece i's cell inside the unit box.
+    ``face_rows(pieces, pts, tiles, resolution)`` gives, per piece, the rows
+    of the face grid ``pts`` that the piece is the first to hold, sorted
+    tile-major by ``tiles``, and the offsets of each tile's run among them:
+    the piece's rows in tile t are ``rows[offsets[t]:offsets[t + 1]]``, so
+    the tiles ``_grid_min`` keeps are contiguous slices.  Built only for a
     total map: the totality probe raises before anything is kept.
     """
 
@@ -647,14 +687,17 @@ class _CellTable:
             for _ in _first_match(F.pieces, box_grid(F.dim_in, 5)):
                 pass
         self.vertices = [_piece_box_vertices(p, F.dim_in) for p in F.pieces]
-        self._rows: dict[int, list[np.ndarray]] = {}
+        self._rows: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
 
     def face_rows(self, pieces: tuple[AffinePiece, ...], pts: np.ndarray,
-                  resolution: int) -> list[np.ndarray]:
+                  tiles: "_FaceTiles", resolution: int) -> list[tuple[np.ndarray, np.ndarray]]:
         if resolution not in self._rows:
-            rows = [np.zeros(0, dtype=np.intp)] * len(pieces)
+            empty = np.zeros(0, dtype=np.intp)
+            rows = [(empty, np.zeros(tiles.centre.shape[0] + 1, dtype=np.intp))] * len(pieces)
+            everything = np.arange(tiles.centre.shape[0] + 1)
             for i, hit in _first_match(pieces, pts):
-                rows[i] = np.flatnonzero(hit)
+                held = hit[tiles.order]
+                rows[i] = (tiles.order[held], np.searchsorted(tiles.tile[held], everything))
             self._rows[resolution] = rows
         return self._rows[resolution]
 
@@ -665,14 +708,16 @@ class CellGeometry:
     Tables are keyed by cell content: ``dim_in`` and every piece's
     ``normals`` and ``bounds``, byte for byte, in piece order.  A map and
     its scalings ``F.scale(a)`` share one table; ``compose_affine_inner``
-    moves the cells and gets its own.  Face grids are kept per (dimension,
-    resolution) and shared by every table.  Everything lives as long as the
-    ``CellGeometry`` object, which a checker holds for one check.
+    moves the cells and gets its own.  Face grids and their tiles are kept
+    per (dimension, resolution) and shared by every table.  Everything
+    lives as long as the ``CellGeometry`` object, which a checker holds for
+    one check.
     """
 
     def __init__(self):
         self._tables: dict = {}
         self._faces: dict[tuple[int, int], np.ndarray] = {}
+        self._tiles: dict[tuple[int, int], _FaceTiles] = {}
 
     def table(self, F: PiecewiseAffineMap) -> _CellTable:
         key = (F.dim_in, tuple((a.dtype.str, a.shape, a.tobytes())
@@ -685,6 +730,47 @@ class CellGeometry:
         if (dim, resolution) not in self._faces:
             self._faces[dim, resolution] = _face_points(dim, resolution)
         return self._faces[dim, resolution]
+
+    def face_tiles(self, dim: int, resolution: int) -> "_FaceTiles":
+        if (dim, resolution) not in self._tiles:
+            self._tiles[dim, resolution] = _FaceTiles(dim, resolution)
+        return self._tiles[dim, resolution]
+
+
+class _FaceTiles:
+    """The face grid ``_face_points(dim, resolution)`` cut into tiles of
+    ``TILE`` points per free axis (fewer in the last tile of an axis).
+
+    Tiles run face-major like the grid, then in row-major order of their
+    place on the face.  ``order`` lists the grid rows tile-major (grid order
+    within a tile) and ``tile[n]`` is the tile of row ``order[n]``.  Tile t
+    holds the grid points x with |x - centre[t]| <= half[t] coordinate by
+    coordinate (to a relative 2^-52, see ``_tile_bounds``); ``face[t]`` is
+    its face, which pins one coordinate: there ``centre`` is the sign and
+    ``half`` is 0.
+    """
+
+    def __init__(self, dim: int, resolution: int):
+        free, n = dim - 1, resolution
+        across = -(-n // TILE)                      # tiles per free axis
+        # tile of each row of one face, rows in ``box_grid`` order
+        place = np.ravel_multi_index(np.indices((n,) * free).reshape(free, -1) // TILE,
+                                     (across,) * free)
+        first = np.argsort(place, kind="stable")
+        faces = np.arange(2 * dim)[:, None]
+        self.order = (first + faces * n ** free).ravel()
+        self.tile = (place[first] + faces * across ** free).ravel()
+        self.face = np.repeat(np.arange(2 * dim), across ** free)
+        axis = np.linspace(-1.0, 1.0, n)
+        lo = axis[np.arange(across) * TILE]
+        hi = axis[np.minimum(np.arange(1, across + 1) * TILE, n) - 1]
+        mid = (lo + hi) / 2
+        reach = np.maximum(hi - mid, mid - lo)
+        spot = np.indices((across,) * free).reshape(free, -1).T
+        self.centre = np.vstack([np.insert(mid[spot], i, sign, axis=1)
+                                 for i in range(dim) for sign in (-1.0, 1.0)])
+        self.half = np.vstack([np.insert(reach[spot], i, 0.0, axis=1)
+                               for i in range(dim) for _ in (-1.0, 1.0)])
 
 
 def _face_min(sub: np.ndarray, piece: AffinePiece, ref: np.ndarray) -> float:
@@ -701,6 +787,81 @@ def _face_min(sub: np.ndarray, piece: AffinePiece, ref: np.ndarray) -> float:
     for j in range(1, vals.shape[1]):
         np.maximum(row_max, vals[:, j], out=row_max)
     return np.min(row_max)
+
+
+def _tile_bounds(piece: AffinePiece, ref: np.ndarray, tiles: _FaceTiles) -> np.ndarray:
+    """Per tile, a lower bound on max |piece(x) - ref| over its grid points
+    x, as ``_face_min`` computes it in floating point.
+
+    Output j is bounded by |g_j(c)| - sum_l |M_jl| h_l - cushion_j, with
+    g = M x + o - ref, c the tile's centre and h its half-widths; the
+    bound is the largest over j.  Rounding: with eps = 2^-53 and
+    S_j = sum_l |M_jl| + |o_j| + |ref_j|, every computed g_j at a point of
+    the box (the grid points and the centres, all in [-1, 1]) is a sum of
+    dim + 2 terms within gamma_(dim+2) S_j of the exact value, whatever
+    the summation order or fused multiply-adds; the computed half-widths
+    and the sum over l err by a relative (dim + 2) eps, on a total of at
+    most S_j; the two subtractions forming the bound round by at most eps
+    each on values below 4 S_j.  Together that is below
+    (4 dim + 16) eps S_j, and the cushion (dim + 4) (2^-49 S_j + 2^-1022)
+    exceeds it with room for the rounding of S_j itself and for underflow.
+    An output whose free-coordinate coefficients on the tile's face are all
+    exactly 0 gets no cushion: its products with the free coordinates are
+    exact zeros and the pinned one is exact, so it is the same float at the
+    centre and at every point of the face, and the bound is its value.
+    """
+    m = piece.matrix
+    g = tiles.centre @ m.T
+    g += piece.offset
+    g -= ref
+    spread = tiles.half @ np.abs(m).T
+    size = np.abs(m).sum(axis=1) + np.abs(piece.offset) + np.abs(ref)
+    used = m != 0
+    # moving[i, j]: output j has a nonzero coefficient off axis i
+    moving = np.repeat((used.sum(axis=1) - used.T) > 0, 2, axis=0)
+    cushion = np.where(moving, (m.shape[1] + 4) * (2.0 ** -49 * size + 2.0 ** -1022), 0.0)
+    bound = np.abs(g) - spread - cushion[tiles.face]
+    return bound.max(axis=1)
+
+
+def _grid_min(pieces: tuple[AffinePiece, ...], ref: np.ndarray, pts: np.ndarray,
+              tiles: _FaceTiles, parts: list[tuple[np.ndarray, np.ndarray]]) -> float:
+    """min over the face grid of max |F(x) - ref|, each row by its first
+    piece: the full grid's minimum bit for bit, from the few tiles that can
+    hold it.
+
+    Every (piece, tile) gets the lower bound of ``_tile_bounds``, or inf
+    where the piece holds no row of the tile.  The pair with the least
+    bound is evaluated exactly, giving v*; then every pair whose bound is
+    not at least v* is, and the answer is the least value found.  A
+    skipped pair's rows are all at least its bound, so at least v*.
+    Values come from ``_face_min`` on gathered rows: a row's value in a
+    product of 2 or more rows is the one the full product gives it, so a
+    gather from a piece with 2 or more rows keeps at least 2 (a 1-row
+    product takes the matrix-vector path, which may round differently).
+    """
+    bounds = np.full((len(pieces), tiles.centre.shape[0]), np.inf)
+    for k, (p, (_, offsets)) in enumerate(zip(pieces, parts)):
+        held = offsets[1:] > offsets[:-1]
+        if held.any():
+            bounds[k, held] = _tile_bounds(p, ref, tiles)[held]
+
+    def value(k: int, keep: np.ndarray) -> float:
+        rows, offsets = parts[k]
+        start, count = offsets[keep], offsets[keep + 1] - offsets[keep]
+        sel = np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
+        if sel.size == 1 < rows.size:
+            sel = np.array([sel[0], 1 if sel[0] == 0 else 0])
+        return _face_min(np.take(pts, rows[sel], axis=0), pieces[k], ref)
+
+    k, t = np.unravel_index(np.argmin(bounds), bounds.shape)
+    best = value(k, np.array([t]))
+    bounds[k, t] = np.inf
+    for k in range(len(pieces)):
+        keep = np.flatnonzero(~(bounds[k] >= best))
+        if keep.size:
+            best = min(best, value(k, keep))
+    return float(best)
 
 
 def _stretch(F: PiecewiseAffineMap, ref, resolution: int, want_min: bool,
@@ -722,10 +883,9 @@ def _stretch(F: PiecewiseAffineMap, ref, resolution: int, want_min: bool,
     if resolution < 2:
         raise GeometryError("grid resolution must be at least 2")
     pts = cells.face_points(dim, resolution)
-    mins = [_face_min(np.take(pts, rows, axis=0), p, ref)
-            for p, rows in zip(F.pieces, table.face_rows(F.pieces, pts, resolution))
-            if rows.size]
-    attained = float(np.min(mins))
+    tiles = cells.face_tiles(dim, resolution)
+    attained = _grid_min(F.pieces, ref, pts, tiles,
+                         table.face_rows(F.pieces, pts, tiles, resolution))
     spacing = 2.0 / (resolution - 1)
     slack = F.lipschitz() * spacing / 2.0
     return StretchBounds(max(attained - slack, 0.0), max_abs, False, attained)
@@ -738,8 +898,13 @@ def min_stretch(F: PiecewiseAffineMap, ref, resolution: int = 64,
     Exact for 1-d maps (endpoint evaluation).  For affine maps it is the
     optimum of one linear program over all faces, as HiGHS computes it in
     floating point (not one-sided).  Otherwise a face grid with Lipschitz
-    slack, flagged certified=False.  ``cells`` holds the cell-only geometry
-    to reuse.
+    slack, flagged certified=False.  The grid minimum is a branch and bound
+    over tiles of ``TILE`` points per free axis: each (piece, tile) is
+    bounded below by |g(c)| - sum_l |M_jl| h_l less a rounding cushion,
+    with g = M x + o - ref at the tile's centre c and h its half-widths,
+    and only the tiles whose bound is below the best value found are
+    evaluated.  The result equals the minimum over the whole grid bit for
+    bit (``_grid_min``).  ``cells`` holds the cell-only geometry to reuse.
     """
     return _stretch(F, ref, resolution, True, cells)
 

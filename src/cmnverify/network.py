@@ -57,9 +57,10 @@ import numpy as np
 from .covering import (STRICT_MARGIN, CoveringCertificate, ProductFormMap, check_covering,
                        persistence_bound)
 from .degree import DegreeUndefinedError, DegreeValue, degree_for_map
-from .geometry import (EVAL_TIE_TOL, MAX_VERTEX_CANDIDATES, AffineChart, AffinePiece,
-                       CellGeometry, CenterScale, GeometryError, HSet, PiecewiseAffineMap,
-                       UnifiedSet, _piece_box_vertices, box_grid, max_stretch, min_stretch,
+from .geometry import (EVAL_TIE_TOL, MAX_GRID_POINTS, MAX_VERTEX_CANDIDATES, AffineChart,
+                       AffinePiece, CellGeometry, CenterScale, GeometryError, HSet,
+                       PiecewiseAffineMap, UnifiedSet, _piece_box_vertices, box_grid,
+                       face_grid_points, max_face_resolution, max_stretch, min_stretch,
                        singular, split_product, unified_validate, vertex_candidates)
 from .symbolic import TransitionMatrix, lcm_period, spectral_radius
 
@@ -272,6 +273,19 @@ def _form_charts(node: NodeSystem, kind: str, key) -> tuple[AffineChart, AffineC
     return node.hsets[i - 1].chart, node.hsets[j - 1].chart
 
 
+def _node_forms(spec: NetworkSpec, kind: str) -> list[dict]:
+    """Every node's chart forms; a node whose forms cannot be derived (a
+    map that is not of product form, or too many sample points to check
+    that it is) is refused at ``$.nodes[k].map``."""
+    forms = []
+    for k, node in enumerate(spec.nodes):
+        try:
+            forms.append(_resolve_forms(node, kind))
+        except GeometryError as exc:
+            raise SpecError(f"$.nodes[{k}].map: {exc}") from exc
+    return forms
+
+
 def _resolve_forms(node: NodeSystem, kind: str) -> dict:
     """Chart-coordinate product forms, declared or derived by composition."""
     if node.chart_forms is not None:
@@ -425,7 +439,12 @@ def validate_spec(spec: NetworkSpec) -> ValidationReport:
             errors.append(f"node {k}: local map acts on R^{node.local_map.dim_in}, "
                           f"h-sets live in R^{node.dim}")
 
-        boxes = [h.bounding_box() for h in node.hsets]
+        try:
+            boxes = [h.bounding_box() for h in node.hsets]
+        except GeometryError as exc:    # too many corners to list
+            errors.append(f"$.nodes[{k - 1}].hsets: {exc}")
+            all_finite = False
+            continue
         image, cells = _local_reach(node.local_map, _hull_radius(boxes))
         finite = math.isfinite(image) and math.isfinite(cells)
         if not finite:
@@ -496,7 +515,11 @@ def _check_member_charts(node: NodeSystem, k: int, errors: list[str],
 
 def _audit_declared_forms(kind: str, node: NodeSystem, k: int, errors: list[str]) -> None:
     """Sampled consistency of declared chart forms with the composed map."""
-    grid = box_grid(node.dim, 5)
+    try:
+        grid = box_grid(node.dim, 5)
+    except GeometryError as exc:        # too many sample points
+        errors.append(f"$.nodes[{k - 1}].chart_forms: cannot audit the declared forms: {exc}")
+        return
     u = node.dim_u
     for key, form in node.chart_forms.items():
         if kind == TYPE_II:
@@ -530,7 +553,11 @@ def _check_non_overlap(spec: NetworkSpec, errors: list[str], warnings: list[str]
     """
     for k, node in enumerate(spec.nodes, start=1):
         pairs = node.transitions()
-        images = {i: _image_bbox(node, i) for i in {i for i, _ in pairs}}
+        try:
+            images = {i: _image_bbox(node, i) for i in {i for i, _ in pairs}}
+        except GeometryError as exc:    # too many sample points
+            errors.append(f"$.nodes[{k - 1}].map: cannot bound the h-set images: {exc}")
+            continue
         exact = node.dim == 1
         for i, j in pairs:
             for jp in range(1, node.count + 1):
@@ -931,6 +958,23 @@ def _require_finite_scaling(spec: NetworkSpec, forms: list[dict]) -> None:
                         f"size {size:g} is not a finite number")
 
 
+def _require_face_grid(spec: NetworkSpec, forms: list[dict], resolution: int) -> None:
+    """Refuse a grid resolution whose face grid would pass
+    ``geometry.MAX_GRID_POINTS`` on a node that needs one: a node with
+    u >= 2 and a chart form whose unstable factor is not affine takes its
+    stretch minima from a face grid of 2 u resolution^(u - 1) points."""
+    for k, (node, node_forms) in enumerate(zip(spec.nodes, forms)):
+        u = node.dim_u
+        if u < 2 or all(form.U.is_affine for form in node_forms.values()):
+            continue
+        points = face_grid_points(u, resolution)
+        if points > MAX_GRID_POINTS:
+            raise SpecError(f"$.nodes[{k}]: grid resolution {resolution} gives a face grid of "
+                            f"{points} points on this node's non-affine chart forms "
+                            f"(u = {u}), above the limit of {MAX_GRID_POINTS}; the largest "
+                            f"resolution allowed is {max_face_resolution(u)}")
+
+
 def _hull_radius(boxes: list[tuple[np.ndarray, np.ndarray]]) -> float:
     """Largest |coordinate| over the (lo, hi) bounding boxes of a node's h-sets."""
     return max(max(float(hi.max()), -float(lo.min())) for lo, hi in boxes)
@@ -996,8 +1040,9 @@ def theorem1_check(spec: NetworkSpec, resolution: int = 64,
             raise SpecError(f"node {k}: transition matrix is not a permutation")
     _require_valid(spec, TYPE_I)
 
-    forms = [_resolve_forms(node, TYPE_I) for node in spec.nodes]
+    forms = _node_forms(spec, TYPE_I)
     _require_finite_scaling(spec, forms)
+    _require_face_grid(spec, forms, resolution)
     u = spec.nodes[0].dim_u
     s = spec.nodes[0].dim_s
     zero_u, zero_s = np.zeros(u), np.zeros(s)
@@ -1043,8 +1088,9 @@ def theorem2_check(spec: NetworkSpec, resolution: int = 64,
     admissible perturbation radius.
     """
     _require_valid(spec, TYPE_II)
-    forms = [_resolve_forms(node, TYPE_II) for node in spec.nodes]
+    forms = _node_forms(spec, TYPE_II)
     _require_finite_scaling(spec, forms)
+    _require_face_grid(spec, forms, resolution)
     s = spec.nodes[0].dim_s
 
     chart_lip = max(node.member_chart(j).lipschitz()

@@ -212,13 +212,14 @@ def test_resolutions_in_any_order_share_one_store():
 # box-shaped chart forms (u = 3 unstable, s = 1 stable) at --grid 256
 
 
-def _box_node(rng, W, declared):
-    """Designed golden-mean node lifted to u = 3, s = 1: the first unstable
-    coordinate carries the interval map, the others expand linearly, the
-    stable one contracts.  ``declared`` gives each source one affine form."""
+def _box_node(rng, W, declared, u=3):
+    """Designed golden-mean node lifted to u unstable coordinates and s = 1:
+    the first unstable coordinate carries the interval map, the others
+    expand linearly, the stable one contracts.  ``declared`` gives each
+    source one affine form."""
     flat = designed_node(rng, W, float(rng.uniform(0.5, 0.9)), "B", unified=True)
-    u, s = 3, 1
-    gains = np.array([1.0, 2.0, 2.0, 0.3])
+    s = 1
+    gains = np.array([1.0] + [2.0] * (u - 1) + [0.3])
     pieces = []
     for cell in flat.local_map.pieces:
         matrix = np.diag(gains)
@@ -245,9 +246,9 @@ def _box_node(rng, W, declared):
 GOLDEN = ([[1, 1], [1, 0]], [[0, 1], [1, 1]])
 
 
-def _box_spec(seed, d=3, alpha=0.01, declared=False):
+def _box_spec(seed, d=3, alpha=0.01, declared=False, u=3):
     rng = np.random.default_rng(seed)
-    nodes = tuple(_box_node(rng, TransitionMatrix(np.array(GOLDEN[k % 2])), declared)
+    nodes = tuple(_box_node(rng, TransitionMatrix(np.array(GOLDEN[k % 2])), declared, u)
                   for k in range(d))
     a = np.full((d, d), alpha)
     a[np.diag_indices(d)] = 1.0 - alpha * (d - 1)
@@ -295,6 +296,149 @@ def test_box3_shaped_check_partitions_each_cell_structure_once(monkeypatch):
     # cell structure, although every form is evaluated at several scalings
     assert face_calls == [(3, resolution)]
     assert len(partitions) == len(structures)
+
+
+# ---------------------------------------------------------------------------
+# the face-grid minimum from the tiles that can hold it
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_tiles_match_full_grid_on_random_maps(dim):
+    # dense random pieces: every output moves on every face, so each tile
+    # bound carries its rounding cushion; 4-dimensional grids at 255 and
+    # 256 points per axis are above MAX_GRID_POINTS, refused by both sides
+    rng = np.random.default_rng(7200 + dim)
+    for tie_planes in (True, False):
+        F = _arrangement_map(rng, dim, tie_planes)
+        cells = CellGeometry()
+        for resolution in (37, 255, 256):
+            for c in (1.0, 0.0, 3.5e11):
+                _check_same(F.scale(c), rng.uniform(-2.0, 2.0, size=dim), resolution, cells)
+
+
+@pytest.mark.parametrize("resolution", [37, 255])
+def test_box_plateau_forms_match_reference(resolution):
+    # the diagonal box forms are constant along whole faces: their tiles
+    # are bounded with no cushion and pruned by value
+    spec = _box_spec(13)
+    node = spec.nodes[1]
+    forms = _resolve_forms(node, TYPE_II)
+    cells = CellGeometry()
+    for key in sorted(forms):
+        for a in (spec.coupling.matrix[1, 1], 0.0, 3.5e11):
+            for _, target in node.unified.members:
+                _check_same(forms[key].U.scale(a), target.p_u, resolution, cells)
+
+
+def _small_cell_map(rng, lo, hi, value_at):
+    """A first piece on the box x_0 >= 0.99, lo <= x_l <= hi (l >= 1), with a
+    random matrix and an offset putting its value near 0 at ``value_at``;
+    a second piece, far from 0, holds everything else."""
+    dim = value_at.shape[0]
+    e = np.eye(dim)
+    m = rng.normal(scale=2.0, size=(dim, dim))
+    small = AffinePiece(m, -m @ value_at, np.vstack([-e[:1], -e[1:], e[1:]]),
+                        np.concatenate([[-0.99], -lo, hi]))
+    rest = AffinePiece(np.eye(dim), np.full(dim, 50.0), np.zeros((0, dim)), np.zeros(0))
+    return PiecewiseAffineMap(dim, dim, (small, rest))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_pieces_with_one_or_two_grid_rows_match_reference(dim):
+    # 37 points per axis: x_l = -1 + 15/18 ends one tile and -1 + 16/18
+    # starts the next.  The two-row piece's rows lie in two tiles, so each
+    # tile alone is one row; a product of one row may round differently
+    # from the full grid's, and the search must keep two
+    resolution = 37
+    pts = geometry._face_points(dim, resolution)
+    rng = np.random.default_rng(7300 + dim)
+    point = np.full(dim, -1.0 + 16 / 18)
+    point[0] = 1.0
+    one = np.full(dim - 1, -0.12)
+    two = one.copy()
+    two[0] = -0.17
+    for lo, rows in ((one, 1), (two, 2)):
+        for _ in range(8):
+            F = _small_cell_map(rng, lo, np.full(dim - 1, -0.11), point)
+            held = next(hit for i, hit in geometry._first_match(F.pieces, pts) if i == 0)
+            assert np.count_nonzero(held) == rows
+            _check_same(F, np.zeros(dim), resolution, CellGeometry())
+
+
+def test_box_forms_evaluate_few_grid_rows(monkeypatch):
+    resolution = 256
+    calls, evaluated = [], []
+    grid_min, face_min = geometry._grid_min, geometry._face_min
+
+    def counted_grid_min(pieces, ref, pts, tiles, parts):
+        calls.append(pts.shape[0])
+        return grid_min(pieces, ref, pts, tiles, parts)
+
+    def counted_face_min(sub, piece, ref):
+        evaluated.append(sub.shape[0])
+        return face_min(sub, piece, ref)
+
+    monkeypatch.setattr(geometry, "_grid_min", counted_grid_min)
+    monkeypatch.setattr(geometry, "_face_min", counted_face_min)
+    theorem2_check(_box_spec(11), resolution=resolution)
+    assert calls and set(calls) == {geometry.face_grid_points(3, resolution)}
+    assert sum(evaluated) < 0.05 * sum(calls)
+
+
+def test_tile_bounds_hold_for_the_computed_values():
+    # output 0 keeps one sign over the box, so its linear bound is attained
+    # at a tile corner, a grid point: only the rounding cushion keeps the
+    # bound below the value computed there
+    rng = np.random.default_rng(7500)
+    for dim in (2, 3):
+        pts = geometry._face_points(dim, 37)
+        tiles = geometry._FaceTiles(dim, 37)
+        for _ in range(20):
+            m = rng.normal(size=(dim, dim))
+            offset = rng.normal(size=dim)
+            offset[0] += 10.0
+            ref = rng.normal(size=dim)
+            piece = AffinePiece(m, offset, np.zeros((0, dim)), np.zeros(0))
+            values = np.max(np.abs(pts @ m.T + offset - ref), axis=1)
+            least = np.full(tiles.centre.shape[0], np.inf)
+            np.minimum.at(least, tiles.tile, values[tiles.order])
+            assert (geometry._tile_bounds(piece, ref, tiles) <= least).all()
+
+
+def test_gathered_rows_equal_the_full_product():
+    # the rows of a product with 2 or more rows are the full product's rows;
+    # ``_grid_min`` relies on it to evaluate only some tiles
+    rng = np.random.default_rng(7400)
+    for dim in (2, 3, 4):
+        pts = geometry._face_points(dim, 33)
+        for _ in range(200):
+            m = rng.normal(scale=2.0, size=(dim, dim))
+            full = pts @ m.T
+            rows = rng.choice(pts.shape[0], size=int(rng.integers(2, 40)), replace=False)
+            assert (np.take(pts, np.sort(rows), axis=0) @ m.T == full[np.sort(rows)]).all()
+
+
+def test_grid_limit_arithmetic(monkeypatch):
+    assert geometry.MAX_GRID_POINTS == 2 ** 22
+    assert geometry.face_grid_points(3, 256) == 393_216
+    assert [geometry.max_face_resolution(u) for u in range(2, 10)] == \
+        [2 ** 20, 836, 80, 25, 12, 8, 5, 4]
+    for u in range(2, 10):
+        n = geometry.max_face_resolution(u)
+        assert geometry.face_grid_points(u, n) <= geometry.MAX_GRID_POINTS \
+            < geometry.face_grid_points(u, n + 1)
+
+    # refused before anything is allocated
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was allocated")
+    monkeypatch.setattr(np, "indices", no_grid)
+    monkeypatch.setattr(np, "linspace", no_grid)
+    with pytest.raises(GeometryError, match=r"a grid of 5\^10 = 9765625 points"):
+        geometry.box_grid(10, 5)
+    with pytest.raises(GeometryError, match=r"a grid of 4\^12 = 16777216 points"):
+        geometry.box_grid(12, 4)
+    with pytest.raises(GeometryError, match=r"a face grid of 2\*4\*256\^3 = 134217728 points"):
+        geometry._face_points(4, 256)
 
 
 # ---------------------------------------------------------------------------

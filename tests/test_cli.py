@@ -17,6 +17,7 @@ from cmnverify import (AffineChart, CouplingSpec, Graph, HSet, NetworkSpec, Node
                        parse_spec, serialize_spec, specs_equal)
 from cmnverify.cli import main
 from cmnverify.geometry import AffinePiece
+from cmnverify.network import SpecError
 from cmnverify.specio import SpecFormatError
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -375,6 +376,72 @@ class TestHostileSpec:
         assert main(["verify", str(spec)]) == 2
         err = capsys.readouterr().err
         assert "error: $.nodes[0].map: a chart-form cell has 253460 candidate vertices" in err
+        assert "Traceback" not in err
+
+    def test_too_fine_grid_is_refused_before_any_entry(self, tmp_path, capsys, monkeypatch):
+        # u = 4 with non-affine chart forms: at 256 points per axis the face
+        # grid would have 8 * 256^3 = 134,217,728 rows
+        from cmnverify import network
+        from test_cell_geometry import _box_spec
+        box = _box_spec(11, d=2, u=4)
+        spec = tmp_path / "box.json"
+        spec.write_text(canonical_json(serialize_spec(box)))
+
+        def no_entries(*args, **kwargs):
+            raise AssertionError("an entry was checked")
+        monkeypatch.setattr(network, "_check_entries", no_entries)
+        for verb in ("verify", "margin"):
+            assert main([verb, str(spec), "--grid", "256"]) == 2
+            err = capsys.readouterr().err
+            assert ("error: $.nodes[0]: grid resolution 256 gives a face grid of 134217728 "
+                    "points on this node's non-affine chart forms (u = 4), above the limit "
+                    "of 4194304; the largest resolution allowed is 80") in err
+            assert "Traceback" not in err
+        forms = network._node_forms(box, network.TYPE_II)
+        network._require_face_grid(box, forms, 80)
+        with pytest.raises(SpecError, match="largest resolution allowed is 80"):
+            network._require_face_grid(box, forms, 81)
+
+    def test_high_dimensional_image_separation_is_refused_at_its_node(self, tmp_path, capsys):
+        # two disjoint 12-dimensional h-sets: bounding their images would
+        # evaluate the local map on 4^12 = 16,777,216 sample points
+        dim = 12
+        offset = np.zeros(dim)
+        offset[0] = -10.0
+        hsets = (HSet("A", AffineChart.identity(dim)),
+                 HSet("B", AffineChart(dim, 0, np.eye(dim), offset)))
+        node = NodeSystem(PiecewiseAffineMap.affine(3.0 * np.eye(dim), np.zeros(dim)), hsets,
+                          TransitionMatrix(np.ones((2, 2), dtype=int)))
+        spec = tmp_path / "hostile.json"
+        spec.write_text(canonical_json(serialize_spec(
+            NetworkSpec(Graph(1, frozenset()), (node,), CouplingSpec("type1", np.eye(1))))))
+        start = time.perf_counter()
+        assert main(["verify", str(spec)]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert ("invalid spec: $.nodes[0].map: cannot bound the h-set images: a grid of "
+                "4^12 = 16777216 points is above the limit of 4194304 grid points") in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("limit, declared, where", [
+        (15, False, "invalid spec: $.nodes[0].hsets: a grid of 2^4 = 16 points"),
+        (624, True, "invalid spec: $.nodes[0].chart_forms: cannot audit the declared forms: "
+                    "a grid of 5^4 = 625 points"),
+        (624, False, "error: $.nodes[0].map: a grid of 5^4 = 625 points"),
+    ], ids=["hset-corners", "declared-audit", "product-split"])
+    def test_every_sample_grid_is_refused_at_its_node(self, limit, declared, where, tmp_path,
+                                                      capsys, monkeypatch):
+        # a lowered limit stands in for a high dimension: the corners of
+        # the h-sets, the audit of declared forms and the product split of
+        # derived ones each build a sample grid of the 4-dimensional node
+        from cmnverify import geometry
+        from test_cell_geometry import _box_spec
+        spec = tmp_path / "box.json"
+        spec.write_text(canonical_json(serialize_spec(_box_spec(11, d=1, declared=declared))))
+        monkeypatch.setattr(geometry, "MAX_GRID_POINTS", limit)
+        assert main(["verify", str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert f"{where} is above the limit of {limit} grid points" in err
         assert "Traceback" not in err
 
     def test_unconfirmed_orbit_is_inconclusive(self, fixdir, tmp_path, capsys):
