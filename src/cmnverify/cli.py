@@ -170,9 +170,9 @@ def cmd_simulate(args) -> int:
     pert = Perturbation(*args.pert) if args.pert else None
     lines = []
     for t in range(args.steps + 1):
-        symbols, _ = locate_batch(spec, state.reshape(1, -1))
+        symbols = locate_batch(spec, state.reshape(-1, 1))[:, 0]
         lines.append({"t": t, "state": [float(v) for v in state],
-                      "symbols": [int(s) for s in symbols[0]]})
+                      "symbols": [int(s) for s in symbols]})
         if t < args.steps:
             state = step(spec, state, pert)
     _write("\n".join(canonical_json(line) for line in lines), args.out)

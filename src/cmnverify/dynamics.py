@@ -9,21 +9,39 @@ damped fixed-point iteration.
 Stepping and locating read tables built once per spec: each node keeps its
 member charts in a per-symbol table filled on first use
 (``NodeSystem.member_chart``), and the spec keeps its ambient interaction
-map (``NetworkSpec.ambient_map``).  Every batch operation works in
-whole-column passes: a cell test compares one constraint column at a
-time, a max-norm is a running maximum over columns, and each piece,
-chart or symbol branch is applied once, to its rows gathered by index in
-row order.  So every row meets the same operands, in the same order, as
-in a masked loop over pieces or symbols, and every value is bit for bit
-the same.  The empirical-entropy sampler draws its scrambled Halton
+map (``NetworkSpec.ambient_map``).
+
+Every batch of points is coordinate-major: a (dim, n) array with one
+contiguous row per coordinate and one column per point, here and in the
+geometry batch methods it calls (``AffineChart.apply_batch`` and
+``invert_batch``, ``AffinePiece.contains_batch``,
+``PiecewiseAffineMap.apply_batch``).  An offset add, a product or a
+gather then runs along rows of length n, not along a short last axis.
+The public ``step``, ``step_power`` and ``itinerary`` take and return
+single states.  Every value is bit for bit the one the row-major (n, dim)
+layout gives, by the rules of ``geometry._product``: a matrix with one
+column (a 1-d block, a 1-d cell's normals) multiplies by broadcasting,
+where each output is one rounded product in any evaluation order; a
+matrix with one row (a cell with one constraint) takes the row-major
+matrix-vector product itself; any other matrix goes through BLAS as
+``M @ pts``, whose products equal the row-major ``pts.T @ M.T`` ones for
+gathered groups of one point as well, on the OpenBLAS kernels measured,
+for matrices up to 7 columns wide.
+
+Every batch operation works in whole-row passes: a cell test compares
+one constraint row at a time, a max-norm is a running maximum over
+coordinate rows, and each piece, chart or symbol branch is applied once,
+to its columns gathered by index in column order.  So every point meets
+the same operands, in the same order, as in a masked loop over pieces or
+symbols.  The empirical-entropy sampler draws its scrambled Halton
 points itself (``_halton``), picks predecessors and pulls each node's
-rows back one symbol group at a time, and its forward extraction keeps
-only the surviving rows with their sample indices, packing each row's
-word into int64 keys of mixed-radix product symbols.  A word is
+points back one symbol group at a time, and its forward extraction keeps
+only the surviving points with their sample indices, packing each
+point's word into int64 keys of mixed-radix product symbols.  A word is
 admissible when each node's symbols follow that node's own transition
 matrix, checked step by step during the extraction, so the n^d x n^d
 product matrix is never built.  Distinct words are counted exactly: the
-key rows are sorted lexicographically and adjacent differences counted.
+keys are sorted lexicographically and adjacent differences counted.
 """
 
 from __future__ import annotations
@@ -33,11 +51,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import EVAL_TIE_TOL, GeometryError, box_grid, singular
-from .network import NetworkSpec
+from .geometry import EVAL_TIE_TOL, GeometryError, _product, _scatter, box_grid, singular
+from .network import NetworkSpec, SpecError
 from .symbolic import is_admissible
 
 RESIDUAL_TOL = 1e-10
+# Most quasi-random values one entropy estimate may draw: samples times
+# d + state_dim + d (depth - 1) columns, 2^24 doubles or 128 MiB.  The draw
+# is the sampler's largest array (its states and keys have fewer columns),
+# so this bounds its memory; 12 steps of 100,000 samples on a 2-node
+# network draw 2.6 million.
+MAX_SAMPLE_DRAWS = 2 ** 24
 
 
 class LoopError(ValueError):
@@ -75,14 +99,16 @@ class Perturbation:
         return freq, phase
 
     def local_bump(self, node_index: int, pts: np.ndarray) -> np.ndarray:
-        """Displacement added to node ``node_index`` (0-based) local images."""
-        freq, phase = self._params(node_index, pts.shape[-1])
-        return self.amplitude * np.sin(freq * pts + phase)
+        """Displacement added to node ``node_index`` (0-based) local images,
+        for a coordinate-major batch ``pts`` (block, n) of its blocks."""
+        freq, phase = self._params(node_index, pts.shape[0])
+        return self.amplitude * np.sin(freq[:, None] * pts + phase[:, None])
 
     def coupling_bump(self, pts: np.ndarray) -> np.ndarray:
-        """Displacement added to the coupled image (full state)."""
-        freq, phase = self._params(999_983, pts.shape[-1])
-        return self.amplitude * np.sin(freq * pts + phase)
+        """Displacement added to the coupled image, for a coordinate-major
+        batch ``pts`` (state_dim, n) of full states."""
+        freq, phase = self._params(999_983, pts.shape[0])
+        return self.amplitude * np.sin(freq[:, None] * pts + phase[:, None])
 
 
 @dataclass(frozen=True)
@@ -120,14 +146,15 @@ class PeriodicOrbitCertificate:
 
 def _step_batch(spec: NetworkSpec, states: np.ndarray,
                 pert: Perturbation | None = None) -> np.ndarray:
+    """The network map on every column of ``states`` (state_dim, n)."""
     block = spec.block_dim
     out = np.empty_like(states)
     for k, node in enumerate(spec.nodes):
-        seg = states[:, k * block:(k + 1) * block]
+        seg = states[k * block:(k + 1) * block]
         img = node.local_map.apply_batch(seg)
         if pert is not None and pert.amplitude:
             img = img + pert.local_bump(k, seg)
-        out[:, k * block:(k + 1) * block] = img
+        out[k * block:(k + 1) * block] = img
     coupled = spec.ambient_map().apply_batch(out)
     if pert is not None and pert.amplitude:
         coupled = coupled + pert.coupling_bump(out)
@@ -145,64 +172,79 @@ def state_vector(spec: NetworkSpec, x) -> np.ndarray:
 
 def step(spec: NetworkSpec, x, pert: Perturbation | None = None) -> np.ndarray:
     """One application of the network map (coupling after local maps)."""
-    return _step_batch(spec, state_vector(spec, x).reshape(1, -1), pert)[0]
+    return _step_batch(spec, state_vector(spec, x).reshape(-1, 1), pert)[:, 0]
 
 
 # ---------------------------------------------------------------------------
 # itineraries
 
 
-def locate_batch(spec: NetworkSpec, states: np.ndarray) -> tuple[np.ndarray, int]:
-    """Symbols (0 = escape) per node for a batch of states, plus tie count.
-
-    Node k of a row gets the lowest symbol i whose member chart takes the
-    row's block into the unit box, to within EVAL_TIE_TOL in the
-    max-norm; every (row, node, symbol) whose chart max-norm lies within
-    that tolerance of 1 counts as one tie.  The max-norm is a running
-    ``np.maximum`` over the chart image's columns, the same values as
-    ``.max(axis=1)`` without numpy's slow reduction along a short axis.
-    Symbols are tried from the highest down, each overwriting the rows it
-    holds, so the lowest one that holds a row is the one left.
-    """
-    n = states.shape[0]
+def _chart_norms(spec: NetworkSpec, states: np.ndarray):
+    """Yield (k, i, ext) for every node k and its symbols i from the highest
+    down: ``ext`` is the max-norm of member chart i's image of each column's
+    block of ``states`` (state_dim, n), a running ``np.maximum`` over the
+    image's coordinate rows."""
     block = spec.block_dim
-    symbols = np.zeros((n, spec.d), dtype=np.int64)
-    ties = 0
     for k, node in enumerate(spec.nodes):
-        seg = states[:, k * block:(k + 1) * block]
-        found = symbols[:, k]
+        seg = states[k * block:(k + 1) * block]
         for i in range(node.count, 0, -1):
             img = node.member_chart(i).apply_batch(seg)
             np.abs(img, out=img)
-            ext = img[:, 0]
+            ext = img[0]
             for j in range(1, block):
-                np.maximum(ext, img[:, j], out=ext)
-            found[ext <= 1.0 + EVAL_TIE_TOL] = i
-            # |ext - 1| is exact wherever it can be small (Sterbenz), so a
-            # tie always lies inside the tolerance and needs no mask of it
-            near = ext - 1.0
-            np.abs(near, out=near)
-            ties += int(np.count_nonzero(near <= EVAL_TIE_TOL))
-    return symbols, ties
+                np.maximum(ext, img[j], out=ext)
+            yield k, i, ext
+
+
+def locate_batch(spec: NetworkSpec, states: np.ndarray) -> np.ndarray:
+    """Symbols (0 = escape), (d, n), of the columns of ``states`` (state_dim, n).
+
+    Node k of a column gets the lowest symbol i whose member chart takes
+    the column's block into the unit box, to within EVAL_TIE_TOL in the
+    max-norm.  Symbols are tried from the highest down, each overwriting
+    the columns it holds, so the lowest one that holds a column is the one
+    left.
+    """
+    symbols = np.zeros((spec.d, states.shape[1]), dtype=np.int64)
+    for k, i, ext in _chart_norms(spec, states):
+        # symbol i where the chart holds the column: arithmetic on a 0/1
+        # factor, several times faster than assignment through a mask
+        found = symbols[k]
+        found += (i - found) * (ext <= 1.0 + EVAL_TIE_TOL)
+    return symbols
+
+
+def _ties(spec: NetworkSpec, states: np.ndarray) -> int:
+    """How many (column, node, symbol) of ``states`` (state_dim, n) have a
+    member chart max-norm within EVAL_TIE_TOL of 1."""
+    ties = 0
+    for _, _, ext in _chart_norms(spec, states):
+        # |ext - 1| is exact wherever it can be small (Sterbenz), so a tie
+        # always lies inside the tolerance and needs no mask of it
+        near = ext - 1.0
+        np.abs(near, out=near)
+        ties += int(np.count_nonzero(near <= EVAL_TIE_TOL))
+    return ties
 
 
 def itinerary(spec: NetworkSpec, x0, n: int) -> Itinerary:
     """Track which product h-set each of the first ``n`` states occupies.
 
     Stops at the first state outside every product h-set; boundary hits
-    within EVAL_TIE_TOL count as inside and break ties toward the lower index.
+    within EVAL_TIE_TOL count as inside and break ties toward the lower
+    index, and each counts in ``ties``.
     """
     if n < 1:
         raise ValueError("need at least one step")
-    state = np.asarray(x0, dtype=float).reshape(1, -1)
+    state = state_vector(spec, x0).reshape(-1, 1)
     steps: list[tuple[int, ...]] = []
     ties = 0
     for t in range(n):
-        symbols, tie = locate_batch(spec, state)
-        ties += tie
-        if np.any(symbols[0] == 0):
+        symbols = locate_batch(spec, state)[:, 0]
+        ties += _ties(spec, state)
+        if np.any(symbols == 0):
             return Itinerary(tuple(steps), t, ties)
-        steps.append(tuple(int(s) for s in symbols[0]))
+        steps.append(tuple(int(s) for s in symbols))
         if t + 1 < n:
             state = _step_batch(spec, state)
     return Itinerary(tuple(steps), None, ties)
@@ -220,8 +262,8 @@ def _branch(spec: NetworkSpec, k: int, symbol: int):
     """
     node = spec.nodes[k]
     chart = node.member_chart(symbol)
-    corners = chart.invert_batch(box_grid(node.dim, 2))
-    lo, hi = corners.min(axis=0), corners.max(axis=0)
+    corners = chart.invert_batch(box_grid(node.dim, 2).T)
+    lo, hi = corners.min(axis=1), corners.max(axis=1)
     try:
         idx = node.local_map.single_piece_on_box(lo, hi)
     except GeometryError as exc:
@@ -324,10 +366,10 @@ def periodic_point(spec: NetworkSpec, loop,
 def step_power(spec: NetworkSpec, x, n: int,
                pert: Perturbation | None = None) -> np.ndarray:
     """Iterate the network map ``n`` times."""
-    state = np.asarray(x, dtype=float).reshape(1, -1)
+    state = state_vector(spec, x).reshape(-1, 1)
     for _ in range(n):
         state = _step_batch(spec, state, pert)
-    return state[0]
+    return state[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -393,13 +435,13 @@ def _halton(n_cols: int, samples: int, seed: int) -> np.ndarray:
 
 
 def _groups(symbols: np.ndarray, count: int) -> list[tuple[int, np.ndarray]]:
-    """(symbol, rows) for each symbol 1..count that occurs in ``symbols``;
-    ``rows`` are the indices of its rows, in row order."""
+    """(symbol, cols) for each symbol 1..count that occurs in ``symbols``;
+    ``cols`` are the indices where it occurs, in order."""
     groups = []
     for i in range(1, count + 1):
-        rows = np.flatnonzero(symbols == i)
-        if rows.size:
-            groups.append((i, rows))
+        cols = np.flatnonzero(symbols == i)
+        if cols.size:
+            groups.append((i, cols))
     return groups
 
 
@@ -416,27 +458,35 @@ def empirical_entropy(spec: NetworkSpec, depth: int, samples: int, seed: int = 0
     The stream is Owen's randomized Halton sequence (A. B. Owen, "A
     randomized Halton algorithm in R", arXiv:1706.02808, 2017), equal to
     scipy's ``qmc.Halton(scramble=True, seed=seed)``, so the estimate is
-    deterministic for a fixed seed.
+    deterministic for a fixed seed.  A request that would draw more than
+    ``MAX_SAMPLE_DRAWS`` values is refused with ``SpecError`` before
+    anything is drawn.
 
-    Each node's rows are handled one symbol group at a time, a group being
-    the indices of its rows in sample order, so every row meets the same
-    operands as in a masked loop over symbols.  A group's rows choose
+    States are coordinate-major, (state_dim, samples).  Each node's
+    samples are handled one symbol group at a time, a group being the
+    indices of its samples in order, so every sample meets the same
+    operands as in a masked loop over symbols.  A group's samples choose
     their predecessors from that symbol's list and are pulled back
     through that symbol's branch.  The forward extraction keeps only the
-    surviving rows and packs each row's word into int64 keys: a step's
+    surviving samples and packs each one's word into int64 keys: a step's
     product symbol is one mixed-radix digit in base prod_k count_k, and
     one key holds as many steps as fit below 2**62.  A word is
     admissible when each node's symbols follow that node's own transition
     matrix, so the n^d x n^d product matrix is never built.  Distinct
-    words are counted exactly, as the places where adjacent rows of the
+    words are counted exactly, as the places where adjacent words of the
     lexicographically sorted keys differ.
     """
     if depth < 2:
         raise ValueError("depth must be at least 2")
     if samples < 1:
         raise ValueError("need at least one sample")
-
     d = spec.d
+    n_cols = d + spec.state_dim + d * (depth - 1)
+    if n_cols * samples > MAX_SAMPLE_DRAWS:
+        raise SpecError(f"{samples} samples at depth {depth} draw {n_cols} x {samples} = "
+                        f"{n_cols * samples} quasi-random values, above the limit of "
+                        f"{MAX_SAMPLE_DRAWS}")
+
     block = spec.block_dim
     ambient = spec.ambient_map()
     if not ambient.is_affine:
@@ -448,107 +498,110 @@ def empirical_entropy(spec: NetworkSpec, depth: int, samples: int, seed: int = 0
     a_inv = np.linalg.inv(a_lin)
     inverses = _inverse_branches(spec)
 
-    n_cols = d + spec.state_dim + d * (depth - 1)
-    draw = _halton(n_cols, samples, seed)
+    # one contiguous row per column of the Halton points
+    draw = _halton(n_cols, samples, seed).T
 
     # final symbols, then positions inside the final product h-set; the
     # symbol groups of each level serve both its pull-back and the next
     # level's predecessor pick
     groups = []
-    states = np.empty((samples, spec.state_dim))
+    states = np.empty((spec.state_dim, samples))
     for k, node in enumerate(spec.nodes):
         sl = slice(k * block, (k + 1) * block)
-        cur = np.minimum((draw[:, k] * node.count).astype(np.int64), node.count - 1) + 1
+        cur = np.minimum((draw[k] * node.count).astype(np.int64), node.count - 1) + 1
         groups.append(_groups(cur, node.count))
-        for i, rows in groups[k]:
-            xi = 2.0 * draw[rows, d + sl.start:d + sl.stop] - 1.0
-            states[rows, sl] = node.member_chart(i).invert_batch(xi * (1.0 - 1e-9))
+        for i, cols in groups[k]:
+            xi = 2.0 * np.take(draw[d + sl.start:d + sl.stop], cols, axis=1) - 1.0
+            _scatter(states[sl], cols, node.member_chart(i).invert_batch(xi * (1.0 - 1e-9)))
 
     # per node and symbol j: the predecessors of j
     preds = [[np.flatnonzero(node.transition.bits[:, j]) + 1 for j in range(node.count)]
              for node in spec.nodes]
 
-    col = d + spec.state_dim
+    row = d + spec.state_dim
     inset = 1.0 - 1e-9
     for _ in range(depth - 1):
         prev = np.empty((d, samples), dtype=np.int64)
         for k in range(d):
-            u = draw[:, col]
-            col += 1
-            for j, rows in groups[k]:
+            u = draw[row]
+            row += 1
+            for j, cols in groups[k]:
                 options = preds[k][j - 1]
-                pick = np.minimum((u[rows] * options.size).astype(np.int64), options.size - 1)
-                prev[k, rows] = options[pick]
-        pulled = (states - a_off) @ a_inv.T
+                pick = np.minimum((u[cols] * options.size).astype(np.int64), options.size - 1)
+                prev[k][cols] = options[pick]
+        pulled = _product(a_inv, states - a_off[:, None])
         for k, node in enumerate(spec.nodes):
             sl = slice(k * block, (k + 1) * block)
             groups[k] = _groups(prev[k], node.count)
-            for i, rows in groups[k]:
+            for i, cols in groups[k]:
                 inv_lin, inv_off = inverses[k][i]
-                back = pulled[rows, sl] @ inv_lin.T + inv_off
+                back = _product(inv_lin, np.take(pulled[sl], cols, axis=1))
+                back += inv_off[:, None]
                 # keep pulled-back states inside the source set: a no-op for
                 # expanding branches, a boundary snap where the dynamics
                 # contracts (forward extraction re-derives the actual word)
                 chart = node.member_chart(i)
-                cc = np.clip(chart.apply_batch(back), -inset, inset)
-                states[rows, sl] = chart.invert_batch(cc)
+                cc = chart.apply_batch(back)
+                np.clip(cc, -inset, inset, out=cc)
+                _scatter(states[sl], cols, chart.invert_batch(cc))
 
     # forward extraction: the constructed states are ordinary initial states.
-    # Only the surviving rows are kept (``rows`` holds their sample indices).
-    # A row's word stays ``admissible`` while every node's step from its
-    # previous symbol is allowed by that node's own transition matrix.
-    # Step t is digit t % per of key column t // per; a finished column
-    # is written to ``keys`` at the rows' sample indices.
+    # Only the surviving columns are kept (``cols`` holds their sample
+    # indices).  A word stays ``admissible`` while every node's step from
+    # its previous symbol is allowed by that node's own transition matrix.
+    # Step t is digit t % per of key row t // per; a finished key is written
+    # to ``keys`` at the columns' sample indices.
     radix = [node.count for node in spec.nodes]
     allowed = [node.transition.bits.ravel() == 1 for node in spec.nodes]
     base = math.prod(radix)
     per = 1
     while per < depth and base ** (per + 1) <= 1 << 62:
         per += 1
-    keys = np.empty((samples, -(-depth // per)), dtype=np.int64)
-    rows = np.arange(samples)
+    keys = np.empty((-(-depth // per), samples), dtype=np.int64)
+    cols = np.arange(samples)
     admissible = np.ones(samples, dtype=bool)
     prev = key = None
     x = states
     for t in range(depth):
-        symbols, _ = locate_batch(spec, x)
-        ok = symbols[:, 0] > 0
+        symbols = locate_batch(spec, x)
+        ok = symbols[0] > 0
         for k in range(1, d):
-            ok &= symbols[:, k] > 0
+            ok &= symbols[k] > 0
         if not ok.all():
             keep = np.flatnonzero(ok)
-            rows, x, symbols, admissible = rows[keep], x[keep], symbols[keep], admissible[keep]
+            cols, admissible = cols[keep], admissible[keep]
+            x, symbols = np.take(x, keep, axis=1), np.take(symbols, keep, axis=1)
             if t % per:
                 key = key[keep]
             if prev is not None:
-                prev = prev[keep]
-        if rows.size == 0:
+                prev = np.take(prev, keep, axis=1)
+        if cols.size == 0:
             raise NoInvariantSamplesError("no invariant set sampled")
         symbols -= 1
         if prev is not None:
             for k in range(d):
-                admissible &= allowed[k][prev[:, k] * radix[k] + symbols[:, k]]
+                admissible &= allowed[k][prev[k] * radix[k] + symbols[k]]
         prev = symbols
-        code = symbols[:, 0]
+        code = symbols[0]
         for k in range(1, d):
-            code = code * radix[k] + symbols[:, k]
+            code = code * radix[k] + symbols[k]
         key = code if t % per == 0 else key * base + code
         if t % per == per - 1 or t == depth - 1:
-            keys[rows, t // per] = key
+            keys[t // per][cols] = key
         if t + 1 < depth:
             x = _step_batch(spec, x)
-    keys = keys[rows[admissible]]
-    if keys.shape[0] == 0:
+    keys = np.take(keys, cols[admissible], axis=1)
+    if keys.shape[1] == 0:
         raise NoInvariantSamplesError("no invariant set sampled")
-    # distinct rows, exactly: sort the rows lexicographically (column 0 the
-    # primary key), least significant column first and every later pass
-    # stable, and count the places where adjacent rows differ
-    order = np.argsort(keys[:, -1])
-    for c in range(keys.shape[1] - 2, -1, -1):
-        order = order[np.argsort(keys[order, c], kind="stable")]
-    keys = keys[order]
-    differ = keys[1:, 0] != keys[:-1, 0]
-    for c in range(1, keys.shape[1]):
-        differ |= keys[1:, c] != keys[:-1, c]
+    # distinct words, exactly: sort them lexicographically (key row 0 the
+    # primary key), least significant row first and every later pass
+    # stable, and count the places where adjacent words differ
+    order = np.argsort(keys[-1])
+    for c in range(keys.shape[0] - 2, -1, -1):
+        order = order[np.argsort(keys[c, order], kind="stable")]
+    keys = np.take(keys, order, axis=1)
+    differ = keys[0, 1:] != keys[0, :-1]
+    for c in range(1, keys.shape[0]):
+        differ |= keys[c, 1:] != keys[c, :-1]
     distinct = 1 + int(np.count_nonzero(differ))
     return math.log(distinct) / (depth - 1)

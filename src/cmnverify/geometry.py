@@ -99,6 +99,40 @@ def box_grid(dim: int, per_axis: int) -> np.ndarray:
     return axis[np.indices((per_axis,) * dim).reshape(dim, per_axis ** dim).T]
 
 
+def _product(m: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """``m @ pts`` for a coordinate-major batch ``pts`` (dim, n), with the
+    bits of the row-major product ``pts.T @ m.T``.
+
+    - One column in ``m`` (a 1-d block, a 1-d cell's normals): the
+      broadcast product.  Every output is one rounded product, the same in
+      any evaluation order, and BLAS's slow path for a one-column matrix
+      is skipped.  Adding 0.0 turns a product of -0.0 into BLAS's +0.0,
+      the sum it accumulates from zero, and changes nothing else.
+    - One row (a cell with one constraint): the row-major matrix-vector
+      product itself, on the points as rows.  BLAS's dot products over
+      columns round differently.
+    - Otherwise ``m @ pts`` through BLAS.  On the OpenBLAS kernels
+      measured (SkylakeX with fused multiply-add, Prescott without) its
+      products equal the row-major ones bit for bit for matrices up to 7
+      columns wide, and for a single point at any width; from 8 columns
+      (Prescott) or 16 (SkylakeX) a batch may differ in the last bit.
+    """
+    if m.shape[1] == 1:
+        out = m * pts
+        out += 0.0
+        return out
+    if m.shape[0] == 1:
+        return (np.ascontiguousarray(pts.T) @ m[0])[None]
+    return m @ pts
+
+
+def _scatter(out: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> None:
+    """``out[:, cols] = vals``, one row at a time: several times faster than
+    numpy's assignment through a column index of a 2-d array."""
+    for row, v in zip(out, vals):
+        row[cols] = v
+
+
 @dataclass(frozen=True)
 class AffineChart:
     """Invertible affine change of coordinates x -> linear @ x + offset.
@@ -140,10 +174,15 @@ class AffineChart:
         return self.inverse_linear @ (p - self.offset)
 
     def apply_batch(self, pts: np.ndarray) -> np.ndarray:
-        return pts @ self.linear.T + self.offset
+        """The chart on every column of the coordinate-major batch ``pts``
+        (dim, n): one row per coordinate, one column per point."""
+        out = _product(self.linear, pts)
+        out += self.offset[:, None]
+        return out
 
     def invert_batch(self, pts: np.ndarray) -> np.ndarray:
-        return (pts - self.offset) @ self.inverse_linear.T
+        """The inverse chart on every column of ``pts`` (dim, n)."""
+        return _product(self.inverse_linear, pts - self.offset[:, None])
 
     def lipschitz(self) -> float:
         """Operator max-norm of the linear part (max absolute row sum)."""
@@ -188,7 +227,7 @@ class HSet:
 
     def vertices(self) -> np.ndarray:
         """Physical vertices: chart preimages of the unit-box corners."""
-        return self.chart.invert_batch(box_grid(self.dim, 2))
+        return self.chart.invert_batch(box_grid(self.dim, 2).T).T
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         v = self.vertices()
@@ -312,33 +351,40 @@ class AffinePiece:
         return bool(np.all(self.normals @ x <= self.bounds + EVAL_TIE_TOL))
 
     def contains_batch(self, pts: np.ndarray, tol: float = EVAL_TIE_TOL) -> np.ndarray:
-        """Rows of ``pts`` in the cell, to within ``tol``.
+        """Columns of the coordinate-major batch ``pts`` (dim, n) in the
+        cell, to within ``tol``.
 
-        The constraint values ``pts @ normals.T`` are compared column by
-        column and ANDed: the same test as ``np.all(..., axis=1)`` without
-        numpy's slow reduction along a short last axis.
+        The constraint values ``normals @ pts`` are compared one constraint
+        row at a time and ANDed.
         """
         if self.normals.shape[0] == 0:
-            return np.ones(pts.shape[0], dtype=bool)
-        vals = pts @ self.normals.T
+            return np.ones(pts.shape[1], dtype=bool)
+        vals = _product(self.normals, pts)
         lim = self.bounds + tol
-        inside = vals[:, 0] <= lim[0]
+        inside = vals[0] <= lim[0]
         for j in range(1, lim.shape[0]):
-            inside &= vals[:, j] <= lim[j]
+            inside &= vals[j] <= lim[j]
         return inside
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         return self.matrix @ x + self.offset
 
+    def evaluate_batch(self, pts: np.ndarray) -> np.ndarray:
+        """The affine map on every column of ``pts`` (dim_in, n)."""
+        out = _product(self.matrix, pts)
+        out += self.offset[:, None]
+        return out
+
 
 def _first_match(pieces: tuple[AffinePiece, ...], pts: np.ndarray):
-    """Yield (i, hit) for every piece i that is the first to hold some rows
-    of ``pts``; ``hit`` marks those rows.
+    """Yield (i, hit) for every piece i that is the first to hold some
+    columns of the coordinate-major batch ``pts`` (dim, n); ``hit`` marks
+    those columns.
 
     A point on a shared boundary (within EVAL_TIE_TOL) goes to the earlier
     piece.  Raises after the last piece when some point lies in no cell.
     """
-    todo = np.ones(pts.shape[0], dtype=bool)
+    todo = np.ones(pts.shape[1], dtype=bool)
     for i, p in enumerate(pieces):
         hit = p.contains_batch(pts)
         hit &= todo
@@ -348,7 +394,7 @@ def _first_match(pieces: tuple[AffinePiece, ...], pts: np.ndarray):
         if not todo.any():
             return
     raise GeometryError(f"map undefined at {int(np.count_nonzero(todo))} of "
-                        f"{pts.shape[0]} points")
+                        f"{pts.shape[1]} points")
 
 
 @dataclass(frozen=True)
@@ -435,26 +481,27 @@ class PiecewiseAffineMap:
         return self.pieces[self.piece_index_at(v)].evaluate(v)
 
     def apply_batch(self, pts: np.ndarray) -> np.ndarray:
-        """The map on every row of ``pts``, each row by its first matching piece.
+        """The map on every column of the coordinate-major batch ``pts``
+        (dim_in, n), each column by its first matching piece; the result
+        is (dim_out, n).
 
-        Each piece is applied once, to its rows gathered by index in row
-        order (several times faster than by boolean mask); when one piece
-        holds every row, to all of ``pts`` as one contiguous block, the
-        same operands as that gather.
+        Each piece is applied once, to its columns gathered by index in
+        column order (several times faster than by boolean mask); when one
+        piece holds every column, to all of ``pts`` as one contiguous
+        block, the same operands as that gather.  Products follow
+        ``_product``, so every value is the row-major layout's bit for bit.
         """
         pts = np.asarray(pts, dtype=float)
         first = self.pieces[0]
         if first.normals.shape[0] == 0:
             # the first piece holds every point
-            return np.ascontiguousarray(pts) @ first.matrix.T + first.offset
+            return first.evaluate_batch(np.ascontiguousarray(pts))
         groups = [(i, np.flatnonzero(hit)) for i, hit in _first_match(self.pieces, pts)]
         if len(groups) == 1:
-            p = self.pieces[groups[0][0]]
-            return np.ascontiguousarray(pts) @ p.matrix.T + p.offset
-        out = np.empty((pts.shape[0], self.dim_out))
-        for i, rows in groups:
-            p = self.pieces[i]
-            out[rows] = pts[rows] @ p.matrix.T + p.offset
+            return self.pieces[groups[0][0]].evaluate_batch(np.ascontiguousarray(pts))
+        out = np.empty((self.dim_out, pts.shape[1]))
+        for i, cols in groups:
+            _scatter(out, cols, self.pieces[i].evaluate_batch(np.take(pts, cols, axis=1)))
         return out
 
     def lipschitz(self) -> float:
@@ -499,7 +546,7 @@ class PiecewiseAffineMap:
         """
         lo = _as_vector(lo, self.dim_in)
         hi = _as_vector(hi, self.dim_in)
-        corners = np.where(box_grid(self.dim_in, 2) > 0, hi, lo)
+        corners = np.where(box_grid(self.dim_in, 2) > 0, hi, lo).T
         for i, p in enumerate(self.pieces):
             if bool(np.all(p.contains_batch(corners, tol=1e-9))):
                 return i
@@ -684,7 +731,7 @@ class _CellTable:
         if F.dim_in <= 4:
             # cheap totality probe; vertex enumeration alone would silently
             # ignore an uncovered patch of the ball
-            for _ in _first_match(F.pieces, box_grid(F.dim_in, 5)):
+            for _ in _first_match(F.pieces, box_grid(F.dim_in, 5).T):
                 pass
         self.vertices = [_piece_box_vertices(p, F.dim_in) for p in F.pieces]
         self._rows: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
@@ -695,7 +742,7 @@ class _CellTable:
             empty = np.zeros(0, dtype=np.intp)
             rows = [(empty, np.zeros(tiles.centre.shape[0] + 1, dtype=np.intp))] * len(pieces)
             everything = np.arange(tiles.centre.shape[0] + 1)
-            for i, hit in _first_match(pieces, pts):
+            for i, hit in _first_match(pieces, pts.T):
                 held = hit[tiles.order]
                 rows[i] = (tiles.order[held], np.searchsorted(tiles.tile[held], everything))
             self._rows[resolution] = rows
@@ -955,10 +1002,10 @@ def split_product(F: PiecewiseAffineMap, u: int) -> tuple[PiecewiseAffineMap,
 
     U = block_pieces(list(range(u)), list(range(u)))
     V = block_pieces(list(range(u, F.dim_in)), list(range(u, F.dim_in)))
-    grid = box_grid(F.dim_in, 5)
+    grid = box_grid(F.dim_in, 5).T
     full = F.apply_batch(grid)
-    ux = U.apply_batch(grid[:, :u])
-    vy = V.apply_batch(grid[:, u:])
-    if np.max(np.abs(full - np.hstack([ux, vy]))) > 10 * tol:
+    ux = U.apply_batch(grid[:u])
+    vy = V.apply_batch(grid[u:])
+    if np.max(np.abs(full - np.vstack([ux, vy]))) > 10 * tol:
         raise GeometryError("map is not of product form on the unit box")
     return U, V

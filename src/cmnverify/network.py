@@ -316,9 +316,9 @@ def _image_bbox(node: NodeSystem, symbol: int) -> tuple[np.ndarray, np.ndarray]:
     lo, hi = corners.min(axis=0), corners.max(axis=0)
     pts = np.where(box_grid(node.dim, 2) > 0, hi, lo)
     grid = box_grid(node.dim, 4) * (hi - lo) / 2 + (hi + lo) / 2
-    vals = node.local_map.apply_batch(np.vstack([pts, grid]))
+    vals = node.local_map.apply_batch(np.vstack([pts, grid]).T)
     pad = node.local_map.lipschitz() * float(np.max(hi - lo)) / 6.0
-    return vals.min(axis=0) - pad, vals.max(axis=0) + pad
+    return vals.min(axis=1) - pad, vals.max(axis=1) + pad
 
 
 def _boxes_disjoint(a: tuple[np.ndarray, np.ndarray],
@@ -516,7 +516,7 @@ def _check_member_charts(node: NodeSystem, k: int, errors: list[str],
 def _audit_declared_forms(kind: str, node: NodeSystem, k: int, errors: list[str]) -> None:
     """Sampled consistency of declared chart forms with the composed map."""
     try:
-        grid = box_grid(node.dim, 5)
+        grid = box_grid(node.dim, 5).T
     except GeometryError as exc:        # too many sample points
         errors.append(f"$.nodes[{k - 1}].chart_forms: cannot audit the declared forms: {exc}")
         return
@@ -535,9 +535,9 @@ def _audit_declared_forms(kind: str, node: NodeSystem, k: int, errors: list[str]
         inner, outer = _form_charts(node, kind, key)
         ambient = inner.invert_batch(grid)
         want = outer.apply_batch(node.local_map.apply_batch(ambient))
-        got = form.U.apply_batch(grid[:, :u])
+        got = form.U.apply_batch(grid[:u])
         if form.V is not None:
-            got = np.hstack([got, form.V.apply_batch(grid[:, u:])])
+            got = np.vstack([got, form.V.apply_batch(grid[u:])])
         resid = float(np.max(np.abs(want - got)))
         if resid > 1e-9:
             errors.append(f"node {k}: declared chart form {key} disagrees with the "

@@ -284,7 +284,7 @@ def test_box3_shaped_check_partitions_each_cell_structure_once(monkeypatch):
         return face_points(dim, res)
 
     def counted_match(pieces, pts):
-        if pts.shape[0] == grid_rows:
+        if pts.shape[1] == grid_rows:
             partitions.append(pieces)
         return first_match(pieces, pts)
 
@@ -360,7 +360,7 @@ def test_pieces_with_one_or_two_grid_rows_match_reference(dim):
     for lo, rows in ((one, 1), (two, 2)):
         for _ in range(8):
             F = _small_cell_map(rng, lo, np.full(dim - 1, -0.11), point)
-            held = next(hit for i, hit in geometry._first_match(F.pieces, pts) if i == 0)
+            held = next(hit for i, hit in geometry._first_match(F.pieces, pts.T) if i == 0)
             assert np.count_nonzero(held) == rows
             _check_same(F, np.zeros(dim), resolution, CellGeometry())
 
@@ -490,7 +490,7 @@ def test_one_lp_face_min_on_dense_maps():
         want = _reference_affine_face_min(F, ref)
         assert abs(got - want) <= 1e-12 * abs(want)
         pts = geometry._face_points(dim, 9)
-        sampled = np.min(np.max(np.abs(F.apply_batch(pts) - ref), axis=1))
+        sampled = np.min(np.max(np.abs(F.apply_batch(pts.T).T - ref), axis=1))
         assert got <= sampled + 1e-9
 
 
@@ -563,13 +563,15 @@ def test_tables_are_keyed_by_cell_content():
 
 @pytest.mark.parametrize("shape", [(1, 3), (257, 3), (0, 3)])
 def test_affine_apply_batch_equals_masked_path(shape):
+    # coordinate-major batches: contiguous, a transposed view, a block of
+    # rows and every third row of a wider array
     rng = np.random.default_rng(sum(shape))
     F = PiecewiseAffineMap.affine(rng.normal(size=(4, 3)), rng.normal(size=4))
     pts = rng.normal(size=shape)
-    wide = rng.normal(size=(shape[0], 7))
-    for x in (pts, wide[:, 2:5], wide[:, ::3]):
+    wide = rng.normal(size=(7, shape[0]))
+    for x in (np.ascontiguousarray(pts.T), pts.T, wide[2:5], wide[::3]):
         got = F.apply_batch(x)
-        want = _reference_apply_batch(F, x)
+        want = _reference_apply_batch(F, x.T).T
         assert got.shape == want.shape
         assert (got == want).all()
         assert not np.shares_memory(got, x)
@@ -579,8 +581,8 @@ def test_piecewise_apply_batch_equals_masked_path():
     rng = np.random.default_rng(5)
     F = _arrangement_map(rng, 3, tie_planes=True)
     pts = np.vstack([geometry._face_points(3, 9), rng.uniform(-1, 1, size=(200, 3))])
-    wide = np.zeros((pts.shape[0], 6))
-    wide[:, 1:4] = pts
-    for x in (pts, wide[:, 1:4]):
-        assert (F.apply_batch(x) == _reference_apply_batch(F, x)).all()
+    wide = np.zeros((6, pts.shape[0]))
+    wide[1:4] = pts.T
+    for x in (pts.T, wide[1:4]):
+        assert (F.apply_batch(x) == _reference_apply_batch(F, x.T).T).all()
 

@@ -444,6 +444,31 @@ class TestHostileSpec:
         assert f"{where} is above the limit of {limit} grid points" in err
         assert "Traceback" not in err
 
+    def test_oversized_empirical_request_is_refused_before_drawing(self, capsys,
+                                                                  monkeypatch):
+        # example1 at depth 12 draws 2 + 2 + 2 * 11 = 26 values per sample;
+        # nothing large is allocated here: the draw fails if it is reached
+        from cmnverify import dynamics
+        limit = dynamics.MAX_SAMPLE_DRAWS
+        assert 26 * 100_000 < limit
+
+        def no_draw(n_cols, samples, seed):
+            raise AssertionError(f"drew {n_cols} x {samples}")
+        monkeypatch.setattr(dynamics, "_halton", no_draw)
+        spec = str(FIXDIR / "example1.json")
+        most = limit // 26
+        assert main(["entropy", spec, "--empirical", "12", str(most + 1), "1"]) == 2
+        err = capsys.readouterr().err
+        assert (f"error: {most + 1} samples at depth 12 draw 26 x {most + 1} = "
+                f"{26 * (most + 1)} quasi-random values, above the limit of {limit}") in err
+        assert "Traceback" not in err
+        # a huge depth with a single sample
+        assert main(["entropy", spec, "--empirical", "1000000000", "1", "1"]) == 2
+        assert "draw 2000000002 x 1 = 2000000002 quasi-random values" in capsys.readouterr().err
+        # the largest request under the limit goes on to the draw
+        with pytest.raises(AssertionError, match=f"drew 26 x {most}"):
+            main(["entropy", spec, "--empirical", "12", str(most), "1"])
+
     def test_unconfirmed_orbit_is_inconclusive(self, fixdir, tmp_path, capsys):
         # theorem 1 holds for the chart-coordinate model, but under the
         # default coupling the network map's orbit leaves the h-set product

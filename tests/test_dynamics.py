@@ -9,6 +9,7 @@ from cmnverify import (AffineChart, CouplingSpec, Graph, HSet, LoopError,
                        count_words, empirical_entropy, fixtures, is_admissible,
                        itinerary, kronecker, periodic_point, step, step_power,
                        theorem2_check)
+from cmnverify.geometry import GeometryError
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -46,13 +47,25 @@ class TestStep:
     def test_perturbation_supremum_attained(self, rng):
         pert = Perturbation(0.25, 3)
         xs = rng.uniform(-50, 50, size=(200_000, 2))
-        bump = pert.local_bump(0, xs)
+        bump = pert.local_bump(0, xs.T)
         assert np.max(np.abs(bump)) <= 0.25 + 1e-15
         assert np.max(np.abs(bump)) > 0.25 * (1 - 1e-4)
 
     def test_dimension_mismatch(self):
         with pytest.raises(Exception):
             step(fixtures.example1(), [0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("state", [[0.5], [0.5, 0.5, 7.0]], ids=["short", "long"])
+    def test_every_orbit_entry_checks_the_state_length(self, state):
+        # a state of the wrong length is refused before it is located or
+        # stepped, not cut short or padded
+        spec = fixtures.example1()
+        calls = (lambda: step(spec, state), lambda: step_power(spec, state, 3),
+                 lambda: itinerary(spec, state, 3))
+        for call in calls:
+            with pytest.raises(GeometryError,
+                               match=f"^state has dimension {len(state)}, expected 2$"):
+                call()
 
 
 class TestItinerary:

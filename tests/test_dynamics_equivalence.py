@@ -3,8 +3,12 @@
 ``reference_entropy`` below is the sampler before its rework: per-symbol
 mask loops for the predecessor pick, a ``(samples, depth, d)`` word array
 with NaN-filled dead rows during forward extraction, and
-``np.unique(..., axis=0)`` for the distinct-word count.  The sampler must
-return exactly the same estimate (``==``, not approximately) and raise
+``np.unique(..., axis=0)`` for the distinct-word count.  It runs on the
+row-major iteration layer the package had before its batches became
+coordinate-major: points are the rows of (n, dim) arrays, maps are applied
+by a masked loop over pieces (``_reference_step``) and states are located
+by a row max (``_reference_locate_batch``).  The sampler must return
+exactly the same estimate (``==``, not approximately) and raise
 ``NoInvariantSamplesError`` in exactly the same cases.  The simulate
 digests were recorded before the rework too.  scipy's scrambled Halton
 generator is the oracle both for the reference and for the sampler's own
@@ -21,11 +25,63 @@ import pytest
 from cmnverify import NoInvariantSamplesError, TransitionMatrix, empirical_entropy, fixtures
 from cmnverify import dynamics as dy
 from cmnverify.cli import main
-from cmnverify.geometry import GeometryError
+from cmnverify.geometry import EVAL_TIE_TOL as TIE, GeometryError
+from test_cell_geometry import _reference_apply_batch
 from test_checker_equivalence import _designed, _ring
 from test_network import _planar_golden_pair
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+# ---------------------------------------------------------------------------
+# the row-major iteration layer: every point a row of an (n, dim) array
+
+
+def _chart_apply(chart, pts):
+    return pts @ chart.linear.T + chart.offset
+
+
+def _chart_invert(chart, pts):
+    return (pts - chart.offset) @ chart.inverse_linear.T
+
+
+def _reference_step(spec, states, pert=None):
+    """``dynamics._step_batch`` on the rows of ``states`` (n, state_dim), as
+    it was before batches became coordinate-major, with each map applied by
+    the masked loop over its pieces."""
+    block = spec.block_dim
+    out = np.empty_like(states)
+    for k, node in enumerate(spec.nodes):
+        seg = states[:, k * block:(k + 1) * block]
+        img = _reference_apply_batch(node.local_map, seg)
+        if pert is not None and pert.amplitude:
+            freq, phase = pert._params(k, block)
+            img = img + pert.amplitude * np.sin(freq * seg + phase)
+        out[:, k * block:(k + 1) * block] = img
+    coupled = _reference_apply_batch(spec.ambient_map(), out)
+    if pert is not None and pert.amplitude:
+        freq, phase = pert._params(999_983, spec.state_dim)
+        coupled = coupled + pert.amplitude * np.sin(freq * out + phase)
+    return coupled
+
+
+def _reference_locate_batch(spec, states):
+    """Symbols (n, d) and tie count of the rows of ``states`` (n, state_dim),
+    with each chart's max-norm taken by ``.max(axis=1)`` and the symbols
+    tried from the lowest up."""
+    n = states.shape[0]
+    block = spec.block_dim
+    symbols = np.zeros((n, spec.d), dtype=np.int64)
+    ties = 0
+    for k, node in enumerate(spec.nodes):
+        seg = states[:, k * block:(k + 1) * block]
+        found = symbols[:, k]
+        for i in range(1, node.count + 1):
+            ext = np.abs(_chart_apply(node.member_chart(i), seg)).max(axis=1)
+            inside = ext <= 1.0 + TIE
+            ties += int(np.count_nonzero(inside & (np.abs(ext - 1.0) <= TIE)))
+            found[inside & (found == 0)] = i
+    return symbols, ties
 
 
 def reference_entropy(spec, depth: int, samples: int, seed: int = 0) -> float:
@@ -66,7 +122,7 @@ def reference_entropy(spec, depth: int, samples: int, seed: int = 0) -> float:
             if np.any(mask):
                 chart = spec.nodes[k].member_chart(i)
                 states[np.ix_(mask, range(k * block, (k + 1) * block))] = \
-                    chart.invert_batch(seg[mask])
+                    _chart_invert(chart, seg[mask])
 
     preds = [{j: spec.nodes[k].transition.predecessors(j)
               for j in range(1, spec.nodes[k].count + 1)} for k in range(d)]
@@ -97,8 +153,8 @@ def reference_entropy(spec, depth: int, samples: int, seed: int = 0) -> float:
                 inv_lin, inv_off = inverses[k][i]
                 back = pulled[mask, sl] @ inv_lin.T + inv_off
                 chart = spec.nodes[k].member_chart(i)
-                cc = np.clip(chart.apply_batch(back), -inset, inset)
-                seg[mask] = chart.invert_batch(cc)
+                cc = np.clip(_chart_apply(chart, back), -inset, inset)
+                seg[mask] = _chart_invert(chart, cc)
             states[:, sl] = seg
         cur = prev
 
@@ -106,14 +162,14 @@ def reference_entropy(spec, depth: int, samples: int, seed: int = 0) -> float:
     alive = np.ones(samples, dtype=bool)
     x = states
     for t in range(depth):
-        symbols, _ = dy.locate_batch(spec, x[alive])
+        symbols, _ = _reference_locate_batch(spec, x[alive])
         ok = np.all(symbols > 0, axis=1)
         idx = np.flatnonzero(alive)
         words[idx[ok], t] = symbols[ok]
         alive[idx[~ok]] = False
         if t + 1 < depth and np.any(alive):
             nxt = np.full_like(x, np.nan)
-            nxt[alive] = dy._step_batch(spec, x[alive])
+            nxt[alive] = _reference_step(spec, x[alive])
             x = nxt
     full = words[np.all(words.reshape(samples, -1) >= 0, axis=1)]
     if full.shape[0] == 0:
@@ -224,7 +280,7 @@ def test_dead_rows_are_dropped(monkeypatch):
     locate = dy.locate_batch
 
     def counting(spec, states):
-        sizes.append(states.shape[0])
+        sizes.append(states.shape[1])
         return locate(spec, states)
 
     monkeypatch.setattr(dy, "locate_batch", counting)

@@ -34,7 +34,7 @@ class TestAffineChart:
             m = dim_u + dim_s
             lin = rng.uniform(-2, 2, size=(m, m)) + 3 * np.eye(m)
             chart = AffineChart(dim_u, dim_s, lin, rng.uniform(-1, 1, size=m))
-            pts = rng.uniform(-1, 1, size=(100, m))
+            pts = rng.uniform(-1, 1, size=(m, 100))
             back = chart.invert_batch(chart.apply_batch(pts))
             assert np.max(np.abs(back - pts)) < 1e-12
 
@@ -254,7 +254,7 @@ class TestStretch:
             f = random_interval_map(rng)
             lo, hi = f.range_1d()
             xs = np.linspace(-1, 1, 20001)
-            vals = f.apply_batch(xs.reshape(-1, 1))[:, 0]
+            vals = f.apply_batch(xs.reshape(1, -1))[0]
             assert lo <= float(np.min(vals)) + 1e-12
             assert hi >= float(np.max(vals)) - 1e-12
             # the sample can miss an extremum by at most slope * spacing / 2
