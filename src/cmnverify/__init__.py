@@ -20,14 +20,14 @@ from .geometry import (AffineChart, CenterScale, GeometryError, HSet,
 from .degree import (DegreeUndefinedError, DegreeValue, degree_1d, degree_affine,
                      degree_for_map)
 from .covering import (CoveringCertificate, CoveringOutcome, ProductFormMap,
-                       check_covering, persistence_bound)
+                       persistence_bound)
 from .symbolic import (SymbolSequence, TransitionMatrix, TransitionError,
                        closed_loops, count_words, entropy_lower_bound,
                        is_admissible, lcm_period, spectral_radius)
 from .network import (CouplingSpec, EntryResult, Graph, NetworkSpec, NodeSystem,
-                      SpecError, TheoremReport, ValidationReport, conjugacy_audit,
-                      kronecker, tau_search, theorem1_check, theorem2_check,
-                      validate_spec)
+                      SpecError, TheoremReport, ValidationReport, check_covering,
+                      conjugacy_audit, kronecker, tau_search, theorem1_check,
+                      theorem2_check, validate_spec)
 from .dynamics import (Itinerary, LoopError, NeutralCompositionError,
                        NoInvariantSamplesError, PeriodicOrbitCertificate,
                        Perturbation, empirical_entropy, itinerary,

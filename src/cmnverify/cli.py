@@ -49,11 +49,21 @@ def _load(path: str, iterated: bool = False):
     return spec, spec_digest(raw)
 
 
-def _run_check(spec, grid: int):
-    """Theorem 1 for type-I coupling, theorem 2 for type-II."""
-    if spec.coupling.kind == TYPE_I:
-        return theorem1_check(spec, resolution=grid)
-    return theorem2_check(spec, resolution=grid)
+def _certify(spec, grid: int):
+    """Theorem 1 for type-I coupling, theorem 2 for type-II, and the orbit
+    documents of a theorem 1 pass; an orbit of the network map itself that
+    is not confirmed makes that pass "inconclusive"."""
+    if spec.coupling.kind != TYPE_I:
+        return theorem2_check(spec, resolution=grid), []
+    report = theorem1_check(spec, resolution=grid)
+    if not report.passed:
+        return report, []
+    loop = _auto_loop(spec)
+    try:
+        return report, [_orbit_doc(loop, periodic_point(spec, loop))]
+    except (LoopError, NeutralCompositionError) as exc:
+        print(f"periodic orbit not confirmed: {exc}", file=sys.stderr)
+        return replace(report, verdict="inconclusive", global_eps=0.0, period=None), []
 
 
 def _write(text: str, out: str | None) -> None:
@@ -74,24 +84,14 @@ def _orbit_doc(loop, orbit) -> dict:
 
 def cmd_verify(args) -> int:
     spec, digest = _load(args.spec)
-    report = _run_check(spec, args.grid)
-    extras = {}
+    report, orbits = _certify(spec, args.grid)
+    extras = {"periodic_orbits": orbits} if orbits else {}
     if spec.coupling.ambient is not None:
         audit = conjugacy_audit(spec, seed=args.seed)
         extras["conjugacy_residual"] = audit.worst_residual
         if not audit.ok:
             print(f"conjugacy audit failed (worst residual "
                   f"{audit.worst_residual:.3e})", file=sys.stderr)
-    if report.theorem == 1 and report.passed:
-        loop = _auto_loop(spec)
-        try:
-            extras["periodic_orbits"] = [_orbit_doc(loop, periodic_point(spec, loop))]
-        except (LoopError, NeutralCompositionError) as exc:
-            # the covering relations hold for the chart-coordinate model, but
-            # the network map's own orbit is not confirmed: neither proof nor
-            # counterexample
-            print(f"periodic orbit not confirmed: {exc}", file=sys.stderr)
-            report = replace(report, verdict="inconclusive", global_eps=0.0, period=None)
     doc = certificate_document(report, digest, __version__, extras)
     _write(canonical_json(doc), args.out)
     summary = f"verdict {report.verdict}"
@@ -141,16 +141,15 @@ def cmd_periodic(args) -> int:
 
 def cmd_margin(args) -> int:
     spec, _ = _load(args.spec)
-    report = _run_check(spec, args.grid)
+    report, _ = _certify(spec, args.grid)
+    binding = report.binding_entry()
     if not report.passed:
-        binding = report.binding_entry()
         print(f"certification fails: verdict {report.verdict}, binding entry "
               f"{binding.source_index}->{binding.target_index} "
               f"(slack {binding.slack:.6g})")
         for failure in binding.failures:
             print(f"  {failure}")
         return EXIT_FAIL
-    binding = report.binding_entry()
     print(f"eps* {report.global_eps:.6g}")
     print(f"binding entry {binding.source_index}->{binding.target_index} "
           f"(slack {binding.slack:.6g})")

@@ -512,6 +512,8 @@ class PiecewiseAffineMap:
 
     def scale(self, c: float) -> "PiecewiseAffineMap":
         c = float(c)
+        if c == 1.0:    # scaling by 1 changes no value, and no map is ever mutated
+            return self
         reps = tuple(AffinePiece(c * p.matrix, c * p.offset, p.normals, p.bounds)
                      for p in self.pieces)
         return PiecewiseAffineMap(self.dim_in, self.dim_out, reps)

@@ -14,29 +14,30 @@ center and stable radius that a row uses under each choice.  An entry is
 one choice per node.  The loop keeps one set of dense tables per check
 (``_Tables``).  A cell of them, holding stretch bounds, a stable term and
 a degree, is indexed by node m, its chart form, which of coupling column
-m's distinct coefficients scales it (over the shared matrix and every
-``per_entry`` one) and which distinct row reference it is measured
-against, so cells that agree on those four share one geometry call.
-Cells fill when an entry first references them, the degree only where a
-row reaches that test.  The row margins of a block of entries are then
-whole-array operations, and ``tau_search`` runs once per distinct
-feasibility matrix.  A cell whose margins hold is decided by its Brouwer
-degree alone: feasible when known and nonzero.
+m's distinct coefficients scales it (over every coupling matrix of the
+check) and which distinct row reference it is measured against, so cells
+that agree on those four share one geometry call, and one
+``geometry.CellGeometry`` store serves every form of the check.  Cells
+fill when a row first references them.  ``_Tables.decide`` is the one
+implementation of the covering inequalities: margins against
+``STRICT_MARGIN`` plus the perturbation inflation, then the Brouwer degree,
+read only where a row can still pass and feasible when known and nonzero.
+The row margins of a block of entries are whole-array operations, and
+``tau_search`` runs once per distinct feasibility matrix.
 
-Before its entry loop, theorem 1 checks each node transition (i, j) on
-its own, uncoupled, as a single covering of h-set j by h-set i with one
-``covering.check_covering`` call; an outcome other than "pass" is a
-``SpecError`` naming the node, the transition and the failures.  Each
-theorem check creates one ``geometry.CellGeometry`` store and hands it to
-every stretch call it makes, these pre-check calls included, so the
-unscaled forms of the pre-check and their scalings in the entry loop share
-one table per distinct cell structure.  Both checks first refuse, as a
+A single covering is the diagonal cell of a row under the identity
+coupling, with no off-diagonal terms and no inflation.  ``check_covering``
+is that one-node case.  Theorem 1 lists the identity as one more coupling
+matrix of its tables and checks every transition (i, j) on its own, as
+the covering of h-set j by h-set i, from those diagonal cells before the
+entry loop; an outcome other than "pass" is a ``SpecError`` naming the
+node, the transition and the failures.  Both checks first refuse, as a
 ``SpecError``, a chart form that is itself past floating-point range or
 has a cell with too many vertices to enumerate (at ``$.nodes[k].map`` or
 ``$.nodes[k].chart_forms``) and a coupling large enough to scale a finite
-one past that range (at ``$.coupling.matrix``); ``require_finite_step`` refuses, the same way, an
-interaction that carries h-set states past that range, for the commands
-that iterate the network map.
+one past that range (at ``$.coupling.matrix``); ``require_finite_step``
+refuses, the same way, an interaction that carries h-set states past that
+range, for the commands that iterate the network map.
 
 The coupling kind decides which charts a chart form composes the local map
 with; ``_form_keys`` and ``_form_charts`` own that decision, and form
@@ -54,7 +55,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .covering import (STRICT_MARGIN, CoveringCertificate, ProductFormMap, check_covering,
+from .covering import (STRICT_MARGIN, CoveringCertificate, CoveringOutcome, ProductFormMap,
                        persistence_bound)
 from .degree import DegreeUndefinedError, DegreeValue, degree_for_map
 from .geometry import (EVAL_TIE_TOL, MAX_GRID_POINTS, MAX_VERTEX_CANDIDATES, AffineChart,
@@ -691,40 +692,49 @@ class _Choice:
     radius: float
 
 
+class _Rows(NamedTuple):
+    """The covering inequalities of a block of row cells (``_Tables.decide``)."""
+
+    margin_lo: np.ndarray     # stretch lower bound less the off-diagonal terms, minus 1
+    margin_s: np.ndarray      # radius less the stable terms; inf when s = 0
+    slack: np.ndarray         # the smaller margin, less the inflation
+    ok_u_sure: np.ndarray     # the stretch inequality holds
+    ok_u_maybe: np.ndarray    # it may hold: the attained stretch clears the threshold
+    ok_s: np.ndarray          # the stable inequality holds
+    want_deg: np.ndarray      # the row can still pass, so its degree was read
+    feas_sure: np.ndarray
+    feas_maybe: np.ndarray
+
+
 class _Tables:
     """Dense stretch and degree tables of one check, of ``shape`` (node
     forms, coefficients per column, references).
 
     The cell of row k and column m, in an entry with choices c under
-    coupling matrix i (0 the shared one, then each override), is
+    coupling matrix i (in the order the check lists them), is
     ``col[m, c_m] + coef[i, k, m] + row_u[k, c_k]`` for its stretch bounds
     and degree, and the same with ``row_s`` for its stable diagonal term.
-    ``umax``, ``vmax0`` and ``radius`` are indexed [m, c].
+    ``radius`` and ``form_of`` are indexed [m, c].  ``degrees`` keeps what
+    ``degree_for_map`` gave each cell it was read for: a value or an error.
 
     ``cells`` holds the cell-only geometry (totality probe, cell vertices,
-    face-grid partition) of every chart form this check evaluates.  The
-    theorem check creates it, and theorem 1's transition pre-check has
-    already filled it with the unscaled forms.  A form's scalings by the
-    coupling coefficients keep its cells, so each distinct cell structure
-    is worked out once and reused by every stretch call of the check; the
-    store goes away with the check.
+    face-grid partition) of every chart form the tables evaluate.  A form's
+    scalings by the coupling coefficients keep its cells, so each distinct
+    cell structure is worked out once and reused by every stretch call of
+    the check; the store goes away with the tables.
     """
 
     def __init__(self, forms: list[dict], choices: list[list[_Choice]],
-                 matrices: list[np.ndarray], u: int, s: int, resolution: int,
-                 inflation: float, cells: CellGeometry):
-        self.s, self.resolution, self.inflation = s, resolution, inflation
-        self.cells = cells
+                 matrices: list[np.ndarray], s: int, resolution: int):
+        self.s, self.resolution = s, resolution
+        self.cells = CellGeometry()
+        self.counts = [len(node) for node in choices]
         d, width = len(choices), max(map(len, choices))
         # each node's choices, padded to ``width`` with its first one (never read)
         self.grid = grid = [node + node[:1] * (width - len(node)) for node in choices]
         form_of, keys = _distinct([(m, ch.key) for m, node in enumerate(grid) for ch in node])
         self.forms = [(m, forms[m][key]) for m, key in keys]
-        self.umax = np.array([max_stretch(F.U, np.zeros(u), cells=self.cells).max_abs
-                              for _, F in self.forms])[form_of].reshape(d, width)
-        self.vmax0 = np.array([0.0 if F.V is None
-                               else max_stretch(F.V, np.zeros(s), cells=self.cells).max_abs
-                               for _, F in self.forms])[form_of].reshape(d, width)
+        self.form_of = np.reshape(form_of, (d, width))
         self.radius = np.array([[ch.radius for ch in node] for node in grid])
         row_u, refs_u = _distinct([tuple(ch.ref_u.tolist()) for node in grid for ch in node])
         row_s, refs_s = _distinct([tuple(ch.ref_s.tolist()) for node in grid for ch in node])
@@ -736,7 +746,7 @@ class _Tables:
         self.coef_values = [values for _, values in columns]
         self.shape = (len(self.forms), max(map(len, self.coef_values)),
                       max(len(refs_u), len(refs_s)))
-        self.col = np.reshape(form_of, (d, width)) * (self.shape[1] * self.shape[2])
+        self.col = self.form_of * (self.shape[1] * self.shape[2])
         self.coef = np.stack([np.reshape(index, stacked.shape[:2]) for index, _ in columns],
                              axis=2) * self.shape[2]
         self.row_u, self.row_s = np.reshape([row_u, row_s], (2, d, width))
@@ -744,8 +754,17 @@ class _Tables:
         n = math.prod(self.shape)
         self.min_rel, self.min_attained, self.vdiag = np.zeros((3, n))
         self.deg = np.zeros(n, dtype=np.int64)
+        self.degrees: dict[int, DegreeValue | Exception] = {}
         self.deg_known, self._bounds_done, self._vdiag_done, self._deg_done = \
             np.zeros((4, n), dtype=bool)
+
+    @functools.cached_property
+    def maxima(self) -> np.ndarray:
+        """Max stretch about 0 of each column's U and V (0 without one), indexed
+        [factor, m, c]: the off-diagonal terms, which no single covering reads."""
+        return np.array([[0.0 if G is None
+                          else max_stretch(G, np.zeros(G.dim_in), cells=self.cells).max_abs
+                          for G in (F.U, F.V)] for _, F in self.forms]).T[:, self.form_of]
 
     def _claim(self, cells: np.ndarray, done: np.ndarray, refs: list[np.ndarray]):
         """Mark the cells not yet ``done`` as done; yield (cell, its chart
@@ -757,55 +776,111 @@ class _Tables:
             m, F = self.forms[f]
             yield t, F, self.coef_values[m][c], refs[r]
 
-    def evaluate(self, i: np.ndarray, ch: np.ndarray):
-        """Margins and feasibility of the block of entries ``ch``.
-
-        ``ch[e, m]`` is node m's choice index in entry e, and ``i[e]`` the
-        index of the coupling matrix of entry e.  Returns the
-        (entries, d, d) arrays margin_lo, margin_s, slack, feas_sure,
-        feas_maybe and the cell of every row and column; rows are k,
-        columns m.
+    def decide(self, cells: np.ndarray, stable: np.ndarray, radius: np.ndarray,
+               off_u, off_v, inflation: float) -> _Rows:
+        """The three covering inequalities of the row cells ``cells``, whose
+        off-diagonal terms are ``off_u`` and, when s > 0, stable cells
+        ``stable``, stable radii ``radius`` and stable terms ``off_v``.  A
+        cell holds (``feas_sure``) when its margins clear ``STRICT_MARGIN +
+        inflation`` and its Brouwer degree, read only where the row can
+        still pass, is known and nonzero; ``feas_maybe`` marks the cells
+        that may hold once a grid bound settles.
         """
-        nodes = np.arange(ch.shape[1])
-        columns = self.col[nodes, ch][:, None, :] + self.coef[i]
-        cells = columns + self.row_u[nodes, ch][:, :, None]
         for t, F, a, ref in self._claim(cells, self._bounds_done, self.refs_u):
             mb = min_stretch(F.U.scale(a), ref, resolution=self.resolution, cells=self.cells)
             self.min_rel[t], self.min_attained[t] = mb.min_rel, mb.min_attained
-
-        abs_a = self.abs_a[i]
-        term_u = abs_a * self.umax[nodes, ch][:, None, :]
-        off_u = _row_sums(term_u)[:, :, None] - term_u
         margin_lo = self.min_rel[cells] - off_u - 1.0
         margin_hi = self.min_attained[cells] - off_u - 1.0
         if self.s > 0:
-            stable = columns + self.row_s[nodes, ch][:, :, None]
             for t, F, a, ref in self._claim(stable, self._vdiag_done, self.refs_s):
                 self.vdiag[t] = (0.0 if F.V is None
                                  else max_stretch(F.V.scale(a), ref, cells=self.cells).max_abs)
-            term_v = abs_a * self.vmax0[nodes, ch][:, None, :]
-            off_v = _row_sums(term_v)[:, :, None] - term_v
-            margin_s = self.radius[nodes, ch][:, :, None] - (self.vdiag[stable] + off_v)
+            margin_s = radius - (self.vdiag[stable] + off_v)
         else:
             margin_s = np.full(margin_lo.shape, math.inf)
-        slack = np.where(margin_s < margin_lo, margin_s, margin_lo) - self.inflation
+        slack = np.where(margin_s < margin_lo, margin_s, margin_lo) - inflation
 
-        threshold = STRICT_MARGIN + self.inflation
+        threshold = STRICT_MARGIN + inflation
         ok_u_sure = margin_lo > threshold
         ok_u_maybe = margin_hi > threshold
         ok_s = margin_s > threshold
         want_deg = (ok_u_sure | ok_u_maybe) & ok_s & (self.min_rel[cells] > 0)
         for t, F, a, ref in self._claim(cells[want_deg], self._deg_done, self.refs_u):
             try:
-                self.deg[t] = degree_for_map(F.U.scale(a), ref).value
-                self.deg_known[t] = True
-            except (DegreeUndefinedError, GeometryError):
-                pass
+                self.degrees[t] = degree = degree_for_map(F.U.scale(a), ref)
+                self.deg[t], self.deg_known[t] = degree.value, True
+            except (DegreeUndefinedError, GeometryError) as exc:
+                self.degrees[t] = exc
         known = want_deg & self.deg_known[cells]
         zero = known & (self.deg[cells] == 0)
-        feas_sure = ok_u_sure & ok_s & known & ~zero
-        feas_maybe = ok_u_maybe & ok_s & ~zero
-        return margin_lo, margin_s, slack, feas_sure, feas_maybe, cells
+        return _Rows(margin_lo, margin_s, slack, ok_u_sure, ok_u_maybe, ok_s, want_deg,
+                     ok_u_sure & ok_s & known & ~zero, ok_u_maybe & ok_s & ~zero)
+
+    def evaluate(self, i: np.ndarray, ch: np.ndarray, inflation: float):
+        """Margins and feasibility of the block of entries ``ch``, every row
+        inequality tightened by ``inflation``.
+
+        ``ch[e, m]`` is node m's choice index in entry e, and ``i[e]`` the
+        index of the coupling matrix of entry e.  Returns the rows
+        (``decide``'s arrays, of shape (entries, d, d)) and the cell of
+        every row and column; rows are k, columns m.
+        """
+        nodes = np.arange(ch.shape[1])
+        columns = self.col[nodes, ch][:, None, :] + self.coef[i]
+        cells = columns + self.row_u[nodes, ch][:, :, None]
+        abs_a, (umax, vmax0) = self.abs_a[i], self.maxima
+        term_u = abs_a * umax[nodes, ch][:, None, :]
+        off_u = _row_sums(term_u)[:, :, None] - term_u
+        stable = off_v = radius = None
+        if self.s > 0:
+            stable = columns + self.row_s[nodes, ch][:, :, None]
+            radius = self.radius[nodes, ch][:, :, None]
+            term_v = abs_a * vmax0[nodes, ch][:, None, :]
+            off_v = _row_sums(term_v)[:, :, None] - term_v
+        return self.decide(cells, stable, radius, off_u, off_v, inflation), cells
+
+    def coverings(self, matrix: int, ids: list[list[tuple[str, str]]]
+                  ) -> list[list[CoveringOutcome]]:
+        """The single covering of each node choice: the diagonal cell of its
+        row under coupling matrix ``matrix``, with no off-diagonal terms (no
+        such cell is filled) and no inflation.  ``ids[k][c]`` names the
+        source and target of node k's choice c, and indexes the outcomes."""
+        base = self.col + np.diagonal(self.coef[matrix])[:, None]
+        cells, stable = base + self.row_u, base + self.row_s
+        rows = self.decide(cells, stable, self.radius, 0.0, 0.0, 0.0)
+        outcomes = []
+        for k, names in enumerate(ids):
+            outcomes.append([])
+            for c, (source_id, target_id) in enumerate(names):
+                ch, t, at = self.grid[k][c], int(cells[k, c]), (k, c)
+                failures = []
+                if not rows.ok_u_maybe[at]:
+                    failures.append(f"min stretch {self.min_attained[t]:.6g} <= 1 "
+                                    f"relative to target center {ch.ref_u.tolist()}")
+                elif not rows.ok_u_sure[at]:
+                    failures.append(f"min-stretch bound [{self.min_rel[t]:.6g}, "
+                                    f"{self.min_attained[t]:.6g}] straddles 1; grid too "
+                                    "coarse to decide")
+                degree = self.degrees[t] if rows.want_deg[at] else None
+                if isinstance(degree, Exception):
+                    failures.append(f"cannot certify the crossing degree: {degree}")
+                elif degree is not None and degree.value == 0:
+                    failures.append(f"degree 0 at target center {ch.ref_u.tolist()}")
+                if not rows.ok_s[at]:
+                    failures.append(f"max stretch {self.vdiag[stable[at]]:.6g} >= "
+                                    f"{ch.radius:.6g} relative to stable center "
+                                    f"{ch.ref_s.tolist()}")
+                verdict = _verdict(rows.feas_sure[at], rows.feas_maybe[at])
+                cert = None if verdict != "pass" else CoveringCertificate(
+                    source_id, target_id, degree, float(rows.margin_lo[at]),
+                    float(rows.margin_s[at]), ch.radius)
+                outcomes[-1].append(CoveringOutcome(verdict, cert, tuple(failures)))
+        return outcomes
+
+
+def _verdict(sure: bool, maybe: bool) -> str:
+    """Pass when ``sure`` to hold, inconclusive when it ``maybe`` holds, else fail."""
+    return "pass" if sure else "inconclusive" if maybe else "fail"
 
 
 def _distinct(keys: list) -> tuple[list[int], list]:
@@ -832,26 +907,21 @@ class _Margins(NamedTuple):
     target_radius: float
 
 
-def _check_entries(spec: NetworkSpec, forms: list[dict], choices: list[list[_Choice]],
-                   resolution: int, chart_lip: float, pert_amplitude: float,
-                   cells: CellGeometry) -> list[EntryResult]:
+def _check_entries(spec: NetworkSpec, tables: _Tables, own: dict[int, np.ndarray],
+                   chart_lip: float, pert_amplitude: float) -> list[EntryResult]:
     """Evaluate the coupled row inequalities for every nonzero Kronecker entry.
 
     An entry picks one choice per node; entries run in ``itertools.product``
-    order over ``choices``, and are evaluated in numpy blocks of ``BLOCK``,
-    each entry under its own ``per_entry`` matrix or the shared one.
+    order over the choices, and are evaluated in numpy blocks of ``BLOCK``,
+    each entry under its own ``per_entry`` matrix (``own``, which ``tables``
+    lists in order after the shared one) or the shared one.
     ``tau_search`` runs once per distinct feasibility matrix; result objects
     are built after a block's margins and assignments are known.
     """
-    d = spec.d
-    u = spec.nodes[0].dim_u
+    d, u = spec.d, spec.nodes[0].dim_u
     coupling_lip = spec.coupling.lipschitz()
     inflation = pert_amplitude * chart_lip * (1.0 + coupling_lip)
-    own = _entry_overrides(spec)[0]
-    tables = _Tables(forms, choices, [spec.coupling.matrix] + list(own.values()), u,
-                     spec.nodes[0].dim_s, resolution, inflation, cells)
-    counts = [len(c) for c in choices]
-    total = math.prod(counts)
+    total = math.prod(tables.counts)
     nodes = np.arange(d)
     # the coupling matrix of each entry: 0 the shared one, n the n-th override
     matrix_of = np.zeros(total, dtype=int)
@@ -876,15 +946,16 @@ def _check_entries(spec: NetworkSpec, forms: list[dict], choices: list[list[_Cho
     entries: list = [None] * total
     for start in range(0, total, BLOCK):
         flat = np.arange(start, min(start + BLOCK, total))
-        ch = np.stack(np.unravel_index(flat, counts), axis=1)
-        lo, ms, slacks, sure, maybe, cells = tables.evaluate(matrix_of[flat], ch)
-        best = np.min(np.max(slacks, axis=2), axis=1).tolist()
-        found = [tau_for(f) for f in sure]
+        ch = np.stack(np.unravel_index(flat, tables.counts), axis=1)
+        rows, cells = tables.evaluate(matrix_of[flat], ch, inflation)
+        best = np.min(np.max(rows.slack, axis=2), axis=1).tolist()
+        found = [tau_for(f) for f in rows.feas_sure]
+        maybe = rows.feas_maybe
         passing = [e for e, tau in enumerate(found) if tau is not None]
         pe = np.array(passing, dtype=int)[:, None]
         cols = np.array([found[e] for e in passing], dtype=int).reshape(-1, d) - 1
-        unstable = lo[pe, nodes, cols].min(axis=1)
-        stable = ms[pe, nodes, cols].min(axis=1)
+        unstable = rows.margin_lo[pe, nodes, cols].min(axis=1)
+        stable = rows.margin_s[pe, nodes, cols].min(axis=1)
         rowwise = zip(unstable.tolist(), stable.tolist(),
                       np.prod(tables.deg[cells[pe, nodes, cols]], axis=1).tolist(),
                       tables.radius[nodes, ch[passing]].min(axis=1).tolist(),
@@ -893,7 +964,7 @@ def _check_entries(spec: NetworkSpec, forms: list[dict], choices: list[list[_Cho
                          map(tuple, targets[nodes, ch].tolist())))
         for e, tau in enumerate(found):
             if tau is None:
-                verdict = "fail" if tau_for(maybe[e]) is None else "inconclusive"
+                verdict = _verdict(False, tau_for(maybe[e]) is not None)
                 notes = (f"no node assignment satisfies every coupled row "
                          f"(best achievable slack {best[e]:.6g})",)
                 if verdict == "inconclusive":
@@ -1025,6 +1096,26 @@ def require_finite_step(spec: NetworkSpec) -> None:
                         f"image size {local:g} past floating-point range")
 
 
+def check_covering(source: HSet, target: CenterScale, f: ProductFormMap,
+                   target_id: str = "", resolution: int = 64) -> CoveringOutcome:
+    """Check that ``source`` covers the member at ``target`` under ``f``.
+
+    Passing needs all three of: min stretch of U relative to the target's
+    unstable center > 1, nonzero degree of U at that center, and max
+    stretch of V relative to the stable center < the stable radius.  The
+    check is the one-node case of the checkers' tables: the diagonal cell
+    of a row under the identity coupling.  The failure report names each
+    violated inequality with its slack.
+    """
+    u, s = source.dim_u, source.dim_s
+    if u == 0 or (f.dim_u, f.dim_s, target.dim_u, target.dim_s) != (u, s, u, s):
+        raise GeometryError(f"map ({f.dim_u},{f.dim_s}) and target ({target.dim_u},"
+                            f"{target.dim_s}) must split as the source h-set ({u},{s}), u >= 1")
+    choice = _Choice(None, 1, 1, target.p_u, target.p_s, target.r)
+    tables = _Tables([{None: f}], [[choice]], [np.eye(1)], s, resolution)
+    return tables.coverings(0, [[(source.id, target_id or "target")]])[0][0]
+
+
 def theorem1_check(spec: NetworkSpec, resolution: int = 64,
                    pert_amplitude: float = 0.0) -> TheoremReport:
     """Certify the permutation-structure hypotheses (periodic-point check).
@@ -1035,48 +1126,38 @@ def theorem1_check(spec: NetworkSpec, resolution: int = 64,
     the check with every row inequality tightened by the worst-case
     chart-level displacement of a perturbation of that sup-norm.
     """
-    for k, node in enumerate(spec.nodes, start=1):
+    for k, node in enumerate(spec.nodes):
         if not node.transition.is_permutation():
-            raise SpecError(f"node {k}: transition matrix is not a permutation")
+            raise SpecError(f"$.nodes[{k}].transition: theorem 1 needs a permutation matrix")
     _require_valid(spec, TYPE_I)
 
     forms = _node_forms(spec, TYPE_I)
     _require_finite_scaling(spec, forms)
     _require_face_grid(spec, forms, resolution)
-    u = spec.nodes[0].dim_u
-    s = spec.nodes[0].dim_s
-    zero_u, zero_s = np.zeros(u), np.zeros(s)
-
-    # every transition on its own must be a single covering of the target
-    # h-set's unit box (center 0, radius 1 in its chart), before the coupling enters
-    target = CenterScale(zero_u, zero_s, 1.0)
-    cells = CellGeometry()
-    structural: list[str] = []
-    for k, node in enumerate(spec.nodes):
-        for (i, j) in node.transitions():
-            outcome = check_covering(node.hsets[i - 1], target, forms[k][(i, j)],
-                                     resolution=resolution, cells=cells)
-            if not outcome.passed:
-                structural.append(f"node {k + 1} transition {i}->{j}: "
-                                  + "; ".join(outcome.failures))
+    u, s = spec.nodes[0].dim_u, spec.nodes[0].dim_s
+    # one choice per transition, in the order ``_entry_overrides`` assumes
+    choices = [[_Choice((i, j), i, j, np.zeros(u), np.zeros(s), 1.0)
+                for i, j in node.transitions()] for node in spec.nodes]
+    # under the identity coupling, listed last, each transition's diagonal cell is its
+    # single covering of the target h-set's unit box: it must hold before coupling
+    own = _entry_overrides(spec)[0]
+    tables = _Tables(forms, choices, [spec.coupling.matrix, *own.values(), np.eye(spec.d)],
+                     s, resolution)
+    ids = [[(node.hsets[i - 1].id, node.hsets[j - 1].id) for i, j in node.transitions()]
+           for node in spec.nodes]
+    structural = [f"node {k + 1} transition {i}->{j}: " + "; ".join(outcome.failures)
+                  for k, (node, outcomes) in enumerate(zip(spec.nodes, tables.coverings(-1, ids)))
+                  for (i, j), outcome in zip(node.transitions(), outcomes) if not outcome.passed]
     if structural:
         raise SpecError("local covering structure fails: " + "; ".join(structural))
 
     chart_lip = max(node.hsets[j - 1].chart.lipschitz()
                     for node in spec.nodes for j in range(1, node.count + 1))
-    # one choice per transition, in the order ``_entry_overrides`` assumes
-    choices = [[_Choice((i, j), i, j, zero_u, zero_s, 1.0) for i, j in node.transitions()]
-               for node in spec.nodes]
-    entries = _check_entries(spec, forms, choices, resolution, chart_lip, pert_amplitude,
-                             cells)
-
-    verdict = _aggregate(entries)
-    eps = min((e.certificate.admissible_eps for e in entries if e.certificate),
-              default=0.0)
+    entries = _check_entries(spec, tables, own, chart_lip, pert_amplitude)
+    verdict, eps = _aggregate(entries)
     period = (lcm_period([n.transition.cycle_length(1) for n in spec.nodes])
               if verdict == "pass" else None)
-    return TheoremReport(1, verdict, tuple(entries),
-                         eps if verdict == "pass" else 0.0, period=period)
+    return TheoremReport(1, verdict, tuple(entries), eps, period=period)
 
 
 def theorem2_check(spec: NetworkSpec, resolution: int = 64,
@@ -1095,30 +1176,24 @@ def theorem2_check(spec: NetworkSpec, resolution: int = 64,
 
     chart_lip = max(node.member_chart(j).lipschitz()
                     for node in spec.nodes for j in range(1, node.count + 1))
-    choices = []
-    for node in spec.nodes:
-        targets = [center for _, center in node.unified.members]
-        choices.append([_Choice(i, i, j, targets[j - 1].p_u, targets[j - 1].p_s,
-                                targets[j - 1].r if s > 0 else 1.0)
-                        for i, j in node.transitions()])
-    entries = _check_entries(spec, forms, choices, resolution, chart_lip, pert_amplitude,
-                             CellGeometry())
-
-    verdict = _aggregate(entries)
-    eps = min((e.certificate.admissible_eps for e in entries if e.certificate),
-              default=0.0)
+    targets = [[center for _, center in node.unified.members] for node in spec.nodes]
+    choices = [[_Choice(i, i, j, t[j - 1].p_u, t[j - 1].p_s, t[j - 1].r if s > 0 else 1.0)
+                for i, j in node.transitions()] for node, t in zip(spec.nodes, targets)]
+    own = _entry_overrides(spec)[0]
+    tables = _Tables(forms, choices, [spec.coupling.matrix, *own.values()], s, resolution)
+    entries = _check_entries(spec, tables, own, chart_lip, pert_amplitude)
+    verdict, eps = _aggregate(entries)
     bound = float(sum(math.log(spectral_radius(n.transition)) for n in spec.nodes))
-    return TheoremReport(2, verdict, tuple(entries),
-                         eps if verdict == "pass" else 0.0,
+    return TheoremReport(2, verdict, tuple(entries), eps,
                          entropy_bound=bound if verdict == "pass" else None)
 
 
-def _aggregate(entries: list[EntryResult]) -> str:
-    if all(e.verdict == "pass" for e in entries):
-        return "pass"
-    if any(e.verdict == "fail" for e in entries):
-        return "fail"
-    return "inconclusive"
+def _aggregate(entries: list[EntryResult]) -> tuple[str, float]:
+    """The verdict over all entries, and eps* (the least entry radius) on a pass, else 0."""
+    verdicts = {e.verdict for e in entries}
+    verdict = _verdict(verdicts == {"pass"}, "fail" not in verdicts)
+    return verdict, (min(e.certificate.admissible_eps for e in entries)
+                     if verdict == "pass" else 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -484,6 +484,27 @@ class TestHostileSpec:
         assert cert["verdict"] == "inconclusive"
         assert cert["global_eps"] == 0.0 and cert["period"] is None
         assert "periodic_orbits" not in cert
+        # margin runs the same check and confirms the same orbit
+        assert main(["margin", str(spec)]) == 1
+        captured = capsys.readouterr()
+        assert "periodic orbit not confirmed: orbit leaves h-set product" in captured.err
+        assert "certification fails: verdict inconclusive" in captured.out
+        assert "eps*" not in captured.out and "error:" not in captured.err
+
+    @pytest.mark.parametrize("verb", ["verify", "margin"])
+    def test_non_permutation_transition_exits_two_with_path(self, verb, tmp_path, capsys):
+        # a planar type-I spec validates with warnings only (its image
+        # separation rests on bounding boxes), so theorem 1 itself refuses
+        # node 1's golden-mean transition matrix
+        from test_network import _planar_golden_pair
+        doc = serialize_spec(_planar_golden_pair(s_slope=0.3))
+        doc["coupling"]["kind"] = "type1"
+        spec = tmp_path / "golden_type1.json"
+        spec.write_text(canonical_json(doc))
+        assert main([verb, str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert "error: $.nodes[0].transition: theorem 1 needs a permutation matrix" in err
+        assert "Traceback" not in err
 
     def test_period_is_the_confirmed_orbit_period(self, tmp_path):
         # W = identity: the loop through the first symbols closes after one
