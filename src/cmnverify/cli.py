@@ -52,18 +52,21 @@ def _load(path: str, iterated: bool = False):
 def _certify(spec, grid: int):
     """Theorem 1 for type-I coupling, theorem 2 for type-II, and the orbit
     documents of a theorem 1 pass; an orbit of the network map itself that
-    is not confirmed makes that pass "inconclusive"."""
+    is not confirmed makes that pass "inconclusive", and the third value
+    (None otherwise) says why, as it is printed on stderr."""
     if spec.coupling.kind != TYPE_I:
-        return theorem2_check(spec, resolution=grid), []
+        return theorem2_check(spec, resolution=grid), [], None
     report = theorem1_check(spec, resolution=grid)
     if not report.passed:
-        return report, []
+        return report, [], None
     loop = _auto_loop(spec)
     try:
-        return report, [_orbit_doc(loop, periodic_point(spec, loop))]
+        return report, [_orbit_doc(loop, periodic_point(spec, loop))], None
     except (LoopError, NeutralCompositionError) as exc:
-        print(f"periodic orbit not confirmed: {exc}", file=sys.stderr)
-        return replace(report, verdict="inconclusive", global_eps=0.0, period=None), []
+        reason = f"periodic orbit not confirmed: {exc}"
+        print(reason, file=sys.stderr)
+        return (replace(report, verdict="inconclusive", global_eps=0.0, period=None), [],
+                reason)
 
 
 def _write(text: str, out: str | None) -> None:
@@ -84,7 +87,7 @@ def _orbit_doc(loop, orbit) -> dict:
 
 def cmd_verify(args) -> int:
     spec, digest = _load(args.spec)
-    report, orbits = _certify(spec, args.grid)
+    report, orbits, _ = _certify(spec, args.grid)
     extras = {"periodic_orbits": orbits} if orbits else {}
     if spec.coupling.ambient is not None:
         audit = conjugacy_audit(spec, seed=args.seed)
@@ -141,7 +144,11 @@ def cmd_periodic(args) -> int:
 
 def cmd_margin(args) -> int:
     spec, _ = _load(args.spec)
-    report, _ = _certify(spec, args.grid)
+    report, _, reason = _certify(spec, args.grid)
+    if reason is not None:
+        # every entry passed: no entry binds, the orbit decides
+        print(f"certification fails: verdict {report.verdict}, {reason}")
+        return EXIT_FAIL
     binding = report.binding_entry()
     if not report.passed:
         print(f"certification fails: verdict {report.verdict}, binding entry "
@@ -167,13 +174,14 @@ def cmd_simulate(args) -> int:
         hi = np.concatenate([b[:, 1].max(axis=0) for b in boxes])
         state = np.random.default_rng(args.seed).uniform(lo, hi)
     pert = Perturbation(*args.pert) if args.pert else None
-    lines = []
-    for t in range(args.steps + 1):
-        symbols = locate_batch(spec, state.reshape(-1, 1))[:, 0]
-        lines.append({"t": t, "state": [float(v) for v in state],
-                      "symbols": [int(s) for s in symbols]})
-        if t < args.steps:
-            state = step(spec, state, pert)
+    states = [state]
+    for _ in range(args.steps):
+        states.append(step(spec, states[-1], pert))
+    # the whole orbit, coordinate-major, located in one batch
+    orbit = np.stack(states, axis=1)
+    symbols = locate_batch(spec, orbit)
+    lines = [{"t": t, "state": orbit[:, t].tolist(), "symbols": symbols[:, t].tolist()}
+             for t in range(args.steps + 1)]
     _write("\n".join(canonical_json(line) for line in lines), args.out)
     return EXIT_PASS
 

@@ -682,39 +682,75 @@ def _face_points(dim: int, resolution: int) -> np.ndarray:
                       for i in range(dim) for sign in (-1.0, 1.0)])
 
 
-def _affine_face_min(F: PiecewiseAffineMap, ref: np.ndarray) -> float:
-    """Min of |F - ref| over the box boundary for an affine map, dim >= 2.
+def _face_blocks(piece: AffinePiece, ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 2 dim face programs of one affine piece about ``ref``: A, of
+    shape (2 dim, 2 m, dim), and b, of shape (2 dim, 2 m).
 
-    Face (i, sign) is a small linear program: minimize t subject to
-    -t <= (F(x) - ref)_j <= t with coordinate i pinned to sign and the
-    others in [-1, 1].  The 2 dim faces are independent blocks of one LP,
-    solved in one HiGHS call, and the answer is the least of the blocks'
-    t.  It is HiGHS's floating-point optimum, not a one-sided bound.
+    Face k = (i, sign), i-major with sign -1 before +1, pins coordinate i
+    to sign; its variables are the other coordinates, in [-1, 1], then t
+    >= 0, and its rows say (F(x) - ref)_j <= t (first m) and -(F(x) -
+    ref)_j <= t (last m), each as A[k] @ (x, t) <= b[k].
     """
-    from scipy.optimize import linprog
+    m, dim = piece.matrix.shape
+    axes, signs = np.repeat(np.arange(dim), 2), np.tile([-1.0, 1.0], dim)
+    free = np.stack([np.delete(piece.matrix, i, axis=1) for i in axes])
+    a = np.empty((2 * dim, 2 * m, dim))
+    a[:, :m, :-1] = free
+    a[:, m:, :-1] = -free
+    a[:, :, -1] = -1.0
+    base = piece.matrix.T[axes] * signs[:, None] + piece.offset - ref
+    return a, np.concatenate([-base, base], axis=1)
 
-    piece = F.pieces[0]
-    dim, m = F.dim_in, F.dim_out
-    # block of face k: rows 2m k .. 2m (k+1), variables (free coords, t)
-    # at columns dim k .. dim (k+1); faces run i-major, sign -1 before +1
-    a_ub = np.zeros((2 * dim * 2 * m, 2 * dim * dim))
-    b_ub = np.empty(2 * dim * 2 * m)
-    for k, (i, sign) in enumerate(itertools.product(range(dim), (-1.0, 1.0))):
-        r, c = 2 * m * k, dim * k
-        a_free = np.delete(piece.matrix, i, axis=1)
-        a_ub[r:r + m, c:c + dim - 1] = a_free
-        a_ub[r + m:r + 2 * m, c:c + dim - 1] = -a_free
-        a_ub[r:r + 2 * m, c + dim - 1] = -1.0
-        base = piece.matrix[:, i] * sign + piece.offset - ref
-        b_ub[r:r + m] = -base
-        b_ub[r + m:r + 2 * m] = base
-    cost = np.tile(np.eye(dim)[-1], 2 * dim)
-    res = linprog(cost, A_ub=a_ub, b_ub=b_ub,
-                  bounds=([(-1.0, 1.0)] * (dim - 1) + [(0.0, None)]) * (2 * dim),
-                  method="highs")
+
+def affine_min_stretch(pairs: list[tuple[PiecewiseAffineMap, np.ndarray]],
+                       cells: CellGeometry | None = None) -> list[StretchBounds]:
+    """``min_stretch`` of every affine map F, dim_in >= 2, about its
+    reference, for each (F, ref) in ``pairs``, with one HiGHS call for all.
+
+    Each face of each pair is a small linear program (``_face_blocks``):
+    minimize t subject to |F(x) - ref| <= t with one coordinate of x
+    pinned to a sign and the others in [-1, 1].  The faces are independent
+    blocks of one block-diagonal program, held as a sparse matrix, and a
+    pair's minimum is the least of its blocks' t.  That is HiGHS's
+    floating-point optimum, not a one-sided bound.  ``max_abs`` comes from
+    the cell vertices, as in ``max_stretch``.
+    """
+    if not pairs:
+        return []
+    from scipy.optimize import linprog
+    from scipy.sparse import csc_array
+
+    cells = CellGeometry() if cells is None else cells
+    pairs = [(F, _as_vector(ref, F.dim_out)) for F, ref in pairs]
+    max_abs = [_exact_max(F, ref, cells.table(F).vertices) for F, ref in pairs]
+    rows, cols, data, b_ub, cost, bounds = [], [], [], [], [], []
+    n_rows = n_cols = 0
+    for F, ref in pairs:
+        a, b = _face_blocks(F.pieces[0], ref)
+        faces, height, width = a.shape
+        # the nonzeros only, the pattern scipy keeps of a dense matrix
+        k, r, c = np.nonzero(a)
+        rows.append(n_rows + k * height + r)
+        cols.append(n_cols + k * width + c)
+        data.append(a[k, r, c])
+        b_ub.append(b.ravel())
+        t = np.arange(width) == width - 1     # a face's last variable is its t
+        cost.append(np.tile(t, faces).astype(float))
+        bounds.append(np.tile(np.where(t[:, None], (0.0, np.inf), (-1.0, 1.0)), (faces, 1)))
+        n_rows, n_cols = n_rows + faces * height, n_cols + faces * width
+    a_ub = csc_array((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+                     shape=(n_rows, n_cols))
+    res = linprog(np.concatenate(cost), A_ub=a_ub, b_ub=np.concatenate(b_ub),
+                  bounds=np.concatenate(bounds), method="highs")
     if not res.success:
         raise GeometryError(f"face minimization failed: {res.message}")
-    return float(np.min(res.x[dim - 1::dim]))
+    out, start = [], 0
+    for (F, _), top in zip(pairs, max_abs):
+        dim = F.dim_in
+        least = float(np.min(res.x[start + dim - 1:start + 2 * dim * dim:dim]))
+        out.append(StretchBounds(least, top, True, least))
+        start += 2 * dim * dim
+    return out
 
 
 class _CellTable:
@@ -917,6 +953,8 @@ def _stretch(F: PiecewiseAffineMap, ref, resolution: int, want_min: bool,
              cells: CellGeometry | None) -> StretchBounds:
     ref = _as_vector(ref, F.dim_out)
     cells = CellGeometry() if cells is None else cells
+    if want_min and F.is_affine and F.dim_in >= 2:
+        return affine_min_stretch([(F, ref)], cells)[0]
     table = cells.table(F)
     max_abs = _exact_max(F, ref, table.vertices)
     if not want_min:
@@ -925,9 +963,6 @@ def _stretch(F: PiecewiseAffineMap, ref, resolution: int, want_min: bool,
     if dim == 1:
         vals = [float(np.max(np.abs(F.apply([x]) - ref))) for x in (-1.0, 1.0)]
         m = min(vals)
-        return StretchBounds(m, max_abs, True, m)
-    if F.is_affine:
-        m = _affine_face_min(F, ref)
         return StretchBounds(m, max_abs, True, m)
     if resolution < 2:
         raise GeometryError("grid resolution must be at least 2")
@@ -944,9 +979,10 @@ def min_stretch(F: PiecewiseAffineMap, ref, resolution: int = 64,
                 cells: CellGeometry | None = None) -> StretchBounds:
     """Lower-bound min |F(x) - ref| over the boundary of the unit box.
 
-    Exact for 1-d maps (endpoint evaluation).  For affine maps it is the
-    optimum of one linear program over all faces, as HiGHS computes it in
-    floating point (not one-sided).  Otherwise a face grid with Lipschitz
+    Exact for 1-d maps (endpoint evaluation).  For affine maps it is
+    ``affine_min_stretch`` of the one pair (F, ref): the optimum of one
+    linear program over all faces, as HiGHS computes it in floating point
+    (not one-sided).  Otherwise a face grid with Lipschitz
     slack, flagged certified=False.  The grid minimum is a branch and bound
     over tiles of ``TILE`` points per free axis: each (piece, tile) is
     bounded below by |g(c)| - sum_l |M_jl| h_l less a rounding cushion,

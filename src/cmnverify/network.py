@@ -60,9 +60,10 @@ from .covering import (STRICT_MARGIN, CoveringCertificate, CoveringOutcome, Prod
 from .degree import DegreeUndefinedError, DegreeValue, degree_for_map
 from .geometry import (EVAL_TIE_TOL, MAX_GRID_POINTS, MAX_VERTEX_CANDIDATES, AffineChart,
                        AffinePiece, CellGeometry, CenterScale, GeometryError, HSet,
-                       PiecewiseAffineMap, UnifiedSet, _piece_box_vertices, box_grid,
-                       face_grid_points, max_face_resolution, max_stretch, min_stretch,
-                       singular, split_product, unified_validate, vertex_candidates)
+                       PiecewiseAffineMap, UnifiedSet, _piece_box_vertices,
+                       affine_min_stretch, box_grid, face_grid_points, max_face_resolution,
+                       max_stretch, min_stretch, singular, split_product, unified_validate,
+                       vertex_candidates)
 from .symbolic import TransitionMatrix, lcm_period, spectral_radius
 
 TYPE_I = "type1"
@@ -722,6 +723,11 @@ class _Tables:
     scalings by the coupling coefficients keep its cells, so each distinct
     cell structure is worked out once and reused by every stretch call of
     the check; the store goes away with the tables.
+
+    ``decide`` fills the stretch bounds of the cells it claims: the affine
+    ones with two or more unstable directions all in one linear program
+    (``affine_min_stretch``), the 1-d and face-grid ones one
+    ``min_stretch`` call each.
     """
 
     def __init__(self, forms: list[dict], choices: list[list[_Choice]],
@@ -786,8 +792,16 @@ class _Tables:
         still pass, is known and nonzero; ``feas_maybe`` marks the cells
         that may hold once a grid bound settles.
         """
+        bounds, lp = [], []
         for t, F, a, ref in self._claim(cells, self._bounds_done, self.refs_u):
-            mb = min_stretch(F.U.scale(a), ref, resolution=self.resolution, cells=self.cells)
+            G = F.U.scale(a)
+            if G.is_affine and G.dim_in >= 2:
+                lp.append((t, (G, ref)))
+            else:
+                bounds.append((t, min_stretch(G, ref, resolution=self.resolution,
+                                              cells=self.cells)))
+        bounds += zip([t for t, _ in lp], affine_min_stretch([pair for _, pair in lp], self.cells))
+        for t, mb in bounds:
             self.min_rel[t], self.min_attained[t] = mb.min_rel, mb.min_attained
         margin_lo = self.min_rel[cells] - off_u - 1.0
         margin_hi = self.min_attained[cells] - off_u - 1.0

@@ -7,18 +7,24 @@ grid through the map.  With a ``CellGeometry`` store the same bounds must
 come out bit for bit, however many maps share the store.
 
 ``_reference_affine_face_min`` is the affine face minimum as one linear
-program per face; the package solves all faces as blocks of one program.
+program per face; the package solves all faces of all the affine maps of
+one call as blocks of one program.
 """
 
+import importlib.util
 import itertools
+import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cmnverify import (AffineChart, CenterScale, CouplingSpec, Graph, HSet, NetworkSpec,
                        NodeSystem, PiecewiseAffineMap, TransitionMatrix, UnifiedSet,
-                       theorem2_check)
+                       parse_spec, serialize_spec, theorem2_check)
 from cmnverify import geometry
+from cmnverify import network as nw
 from cmnverify.covering import ProductFormMap
 from cmnverify.geometry import (AffinePiece, CellGeometry, GeometryError, StretchBounds,
                                 max_stretch, min_stretch)
@@ -460,42 +466,76 @@ def _diagonal_forms(u):
     return forms
 
 
-@pytest.mark.parametrize("u", [2, 3])
-def test_one_lp_face_min_equals_per_face_lps_on_diagonal_forms(u):
+def _one_lp(pairs):
+    """The face minimum of every (map, reference) pair, from one
+    ``affine_min_stretch`` call."""
+    return [mb.min_rel for mb in geometry.affine_min_stretch(pairs)]
+
+
+def _diagonal_pairs(u):
     refs = (np.zeros(u), np.eye(u)[0] * 3.0, -np.eye(u)[u - 1] * 0.5,
             np.linspace(-1.3, 0.7, u))
-    for F in _diagonal_forms(u):
-        for a in (1.0, 0.0, -1.0, -0.37, 0.01, 3.5e11):
-            for ref in refs:
-                G = F.scale(a)
-                assert geometry._affine_face_min(G, ref) == _reference_affine_face_min(G, ref)
+    return [(F.scale(a), ref) for F in _diagonal_forms(u)
+            for a in (1.0, 0.0, -1.0, -0.37, 0.01, 3.5e11) for ref in refs]
+
+
+@pytest.mark.parametrize("u", [2, 3])
+def test_one_lp_face_min_equals_per_face_lps_on_diagonal_forms(u):
+    pairs = _diagonal_pairs(u)
+    want = [_reference_affine_face_min(G, ref) for G, ref in pairs]
+    assert [_one_lp([pair])[0] for pair in pairs] == want
+    # every pair a block of one program
+    assert _one_lp(pairs) == want
+
+
+DEGENERATE = 1.794448982322085    # the value box4's seed-1 certificate carries
 
 
 def test_degenerate_box4_face_keeps_its_value():
-    # the value box4's seed-1 certificate carries
-    F = _diagonal_forms(3)[-1]
-    assert geometry._affine_face_min(F, np.array([3.0, 0.0, 0.0])) == 1.794448982322085
+    pair = (_diagonal_forms(3)[-1], np.array([3.0, 0.0, 0.0]))
+    assert _one_lp([pair]) == [DEGENERATE]
+    # stacked before, between and after other pairs of both dimensions
+    others = _diagonal_pairs(3)[:30] + _diagonal_pairs(2)[:10]
+    got = _one_lp(others[:17] + [pair] + others[17:] + [pair])
+    assert got[17] == got[-1] == DEGENERATE
 
 
-def test_one_lp_face_min_on_dense_maps():
-    # both answers are HiGHS optima of the same LP; on dense forms they may
-    # differ by rounding; the one-LP value never exceeds a sampled boundary value
-    rng = np.random.default_rng(8200)
-    for _ in range(40):
+def _dense_pairs(seed, count):
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(count):
         dim = int(rng.integers(2, 5))
         F = PiecewiseAffineMap.affine(rng.normal(scale=2.0, size=(dim, dim)),
                                       rng.normal(size=dim))
-        ref = rng.uniform(-2.0, 2.0, size=dim)
-        got = geometry._affine_face_min(F, ref)
+        pairs.append((F, rng.uniform(-2.0, 2.0, size=dim)))
+    return pairs
+
+
+def _assert_dense_minima(pairs, got):
+    # both answers are HiGHS optima of the same face programs; on dense
+    # forms they may differ by rounding; the LP value never exceeds a
+    # sampled boundary value
+    for (F, ref), value in zip(pairs, got):
         want = _reference_affine_face_min(F, ref)
-        assert abs(got - want) <= 1e-12 * abs(want)
-        pts = geometry._face_points(dim, 9)
+        assert abs(value - want) <= 1e-12 * abs(want)
+        pts = geometry._face_points(F.dim_in, 9)
         sampled = np.min(np.max(np.abs(F.apply_batch(pts.T).T - ref), axis=1))
-        assert got <= sampled + 1e-9
+        assert value <= sampled + 1e-9
 
 
-@pytest.mark.parametrize("u", [2, 3])
-def test_affine_min_stretch_is_one_linprog_call(u, monkeypatch):
+def test_one_lp_face_min_on_dense_maps():
+    pairs = _dense_pairs(8200, 40)
+    _assert_dense_minima(pairs, [_one_lp([pair])[0] for pair in pairs])
+
+
+def test_dense_maps_in_one_batch():
+    pairs = _dense_pairs(8201, 40)
+    _assert_dense_minima(pairs, _one_lp(pairs))
+
+
+@pytest.fixture
+def linprog_calls(monkeypatch):
+    """Calls of ``scipy.optimize.linprog``, where the package looks it up."""
     import scipy.optimize
     calls = []
     linprog = scipy.optimize.linprog
@@ -505,10 +545,66 @@ def test_affine_min_stretch_is_one_linprog_call(u, monkeypatch):
         return linprog(*args, **kwargs)
 
     monkeypatch.setattr(scipy.optimize, "linprog", counted)
+    return calls
+
+
+@pytest.mark.parametrize("u", [2, 3])
+def test_affine_min_stretch_is_one_linprog_call(u, linprog_calls):
     forms = _diagonal_forms(u)
     for F in forms:
         min_stretch(F, np.zeros(u))
-    assert len(calls) == len(forms)
+    assert len(linprog_calls) == len(forms)
+
+
+def test_empty_batch_makes_no_linprog_call(linprog_calls):
+    assert geometry.affine_min_stretch([]) == []
+    assert not linprog_calls
+
+
+def _bench_box_specs(seed):
+    """``bench/gen.py``'s box3 and box4 networks of ``bench/workloads.py``
+    at ``seed``, through a serialized round trip as the CLI reads them."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    keep, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(gen)
+    finally:
+        sys.dont_write_bytecode = keep
+    rng = np.random.default_rng(seed)
+    box3 = gen.golden_ring(rng, 3, 0.01, u=3, s=1)
+    box4 = gen.golden_ring(rng, 4, 0.01, u=3, s=1, declared=True)
+    return [parse_spec(json.loads(json.dumps(serialize_spec(s)))) for s in (box3, box4)]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 7])
+def test_box4_check_is_one_linprog_call(seed, linprog_calls, monkeypatch):
+    # every affine cell of the check is a block of one program, and each
+    # block's minimum is the one per-face programs give, bit for bit
+    pairs = []
+    batched = nw.affine_min_stretch
+
+    def captured(batch, *args, **kwargs):
+        out = batched(batch, *args, **kwargs)
+        pairs.extend(zip(batch, out))
+        return out
+    monkeypatch.setattr(nw, "affine_min_stretch", captured)
+    _, box4 = _bench_box_specs(seed)
+    assert theorem2_check(box4).verdict == "pass"
+    assert len(linprog_calls) == 1
+    assert len(pairs) == 44
+    for (G, ref), mb in pairs:
+        want = _reference_affine_face_min(G, ref)
+        assert mb.min_rel == mb.min_attained == want
+        assert mb.certified and mb.max_abs == max_stretch(G, ref).max_abs
+
+
+def test_check_without_affine_cells_makes_no_linprog_call(linprog_calls):
+    box3, _ = _bench_box_specs(1)
+    assert theorem2_check(box3, resolution=33).verdict == "inconclusive"
+    assert theorem2_check(_box_spec(12), resolution=33).verdict == "inconclusive"
+    assert not linprog_calls
 
 
 # ---------------------------------------------------------------------------

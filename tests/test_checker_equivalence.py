@@ -32,7 +32,7 @@ from cmnverify.covering import STRICT_MARGIN, CoveringCertificate
 from cmnverify.degree import DegreeUndefinedError, DegreeValue
 from cmnverify.geometry import GeometryError
 from conftest import random_transition_matrix
-from covering_reference import assert_same_outcome, reference_check_covering
+from covering_reference import assert_same_outcome, count_lp_pairs, reference_check_covering
 from test_cell_geometry import _box_spec
 from test_network import _planar_fixed_pair, _planar_golden_pair, _sawtooth_spec
 from test_properties import designed_node
@@ -424,7 +424,8 @@ def _document(report):
 @pytest.fixture
 def calls(monkeypatch):
     """Counts of the geometry, degree and ``tau_search`` calls made through
-    the checker module."""
+    the checker module, each pair of ``affine_min_stretch`` counted as a
+    ``min_stretch`` call."""
     counts = Counter()
     for name in ("min_stretch", "max_stretch", "degree_for_map", "tau_search"):
         original = getattr(nw, name)
@@ -433,6 +434,7 @@ def calls(monkeypatch):
             counts[_name] += 1
             return _original(*args, **kwargs)
         monkeypatch.setattr(nw, name, counted)
+    monkeypatch.setattr(nw, "affine_min_stretch", count_lp_pairs(counts))
     return counts
 
 

@@ -484,11 +484,15 @@ class TestHostileSpec:
         assert cert["verdict"] == "inconclusive"
         assert cert["global_eps"] == 0.0 and cert["period"] is None
         assert "periodic_orbits" not in cert
-        # margin runs the same check and confirms the same orbit
+        # margin runs the same check and confirms the same orbit; every
+        # entry passed, so it names the orbit, not a binding entry
         assert main(["margin", str(spec)]) == 1
         captured = capsys.readouterr()
         assert "periodic orbit not confirmed: orbit leaves h-set product" in captured.err
-        assert "certification fails: verdict inconclusive" in captured.out
+        assert captured.out.startswith("certification fails: verdict inconclusive, "
+                                       "periodic orbit not confirmed: orbit leaves h-set "
+                                       "product at step ")
+        assert captured.out.count("\n") == 1 and "binding entry" not in captured.out
         assert "eps*" not in captured.out and "error:" not in captured.err
 
     @pytest.mark.parametrize("verb", ["verify", "margin"])
