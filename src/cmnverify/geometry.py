@@ -949,32 +949,6 @@ def _grid_min(pieces: tuple[AffinePiece, ...], ref: np.ndarray, pts: np.ndarray,
     return float(best)
 
 
-def _stretch(F: PiecewiseAffineMap, ref, resolution: int, want_min: bool,
-             cells: CellGeometry | None) -> StretchBounds:
-    ref = _as_vector(ref, F.dim_out)
-    cells = CellGeometry() if cells is None else cells
-    if want_min and F.is_affine and F.dim_in >= 2:
-        return affine_min_stretch([(F, ref)], cells)[0]
-    table = cells.table(F)
-    max_abs = _exact_max(F, ref, table.vertices)
-    if not want_min:
-        return StretchBounds(0.0, max_abs, True, 0.0)
-    dim = F.dim_in
-    if dim == 1:
-        vals = [float(np.max(np.abs(F.apply([x]) - ref))) for x in (-1.0, 1.0)]
-        m = min(vals)
-        return StretchBounds(m, max_abs, True, m)
-    if resolution < 2:
-        raise GeometryError("grid resolution must be at least 2")
-    pts = cells.face_points(dim, resolution)
-    tiles = cells.face_tiles(dim, resolution)
-    attained = _grid_min(F.pieces, ref, pts, tiles,
-                         table.face_rows(F.pieces, pts, tiles, resolution))
-    spacing = 2.0 / (resolution - 1)
-    slack = F.lipschitz() * spacing / 2.0
-    return StretchBounds(max(attained - slack, 0.0), max_abs, False, attained)
-
-
 def min_stretch(F: PiecewiseAffineMap, ref, resolution: int = 64,
                 cells: CellGeometry | None = None) -> StretchBounds:
     """Lower-bound min |F(x) - ref| over the boundary of the unit box.
@@ -991,12 +965,32 @@ def min_stretch(F: PiecewiseAffineMap, ref, resolution: int = 64,
     evaluated.  The result equals the minimum over the whole grid bit for
     bit (``_grid_min``).  ``cells`` holds the cell-only geometry to reuse.
     """
-    return _stretch(F, ref, resolution, True, cells)
+    ref = _as_vector(ref, F.dim_out)
+    cells = CellGeometry() if cells is None else cells
+    if F.is_affine and F.dim_in >= 2:
+        return affine_min_stretch([(F, ref)], cells)[0]
+    table = cells.table(F)
+    max_abs = _exact_max(F, ref, table.vertices)
+    dim = F.dim_in
+    if dim == 1:
+        vals = [float(np.max(np.abs(F.apply([x]) - ref))) for x in (-1.0, 1.0)]
+        m = min(vals)
+        return StretchBounds(m, max_abs, True, m)
+    if resolution < 2:
+        raise GeometryError("grid resolution must be at least 2")
+    pts = cells.face_points(dim, resolution)
+    tiles = cells.face_tiles(dim, resolution)
+    attained = _grid_min(F.pieces, ref, pts, tiles,
+                         table.face_rows(F.pieces, pts, tiles, resolution))
+    spacing = 2.0 / (resolution - 1)
+    slack = F.lipschitz() * spacing / 2.0
+    return StretchBounds(max(attained - slack, 0.0), max_abs, False, attained)
 
 
 def max_stretch(F: PiecewiseAffineMap, ref, cells: CellGeometry | None = None) -> StretchBounds:
     """Exact max |F(x) - ref| over the closed unit box (cell-vertex maximum)."""
-    return _stretch(F, ref, 0, False, cells)
+    vertices = (CellGeometry() if cells is None else cells).table(F).vertices
+    return StretchBounds(0.0, _exact_max(F, _as_vector(ref, F.dim_out), vertices), True, 0.0)
 
 
 def split_product(F: PiecewiseAffineMap, u: int) -> tuple[PiecewiseAffineMap,

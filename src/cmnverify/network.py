@@ -32,17 +32,19 @@ matrix of its tables and checks every transition (i, j) on its own, as
 the covering of h-set j by h-set i, from those diagonal cells before the
 entry loop; an outcome other than "pass" is a ``SpecError`` naming the
 node, the transition and the failures.  Both checks first refuse, as a
-``SpecError``, a chart form that is itself past floating-point range or
-has a cell with too many vertices to enumerate (at ``$.nodes[k].map`` or
-``$.nodes[k].chart_forms``) and a coupling large enough to scale a finite
-one past that range (at ``$.coupling.matrix``); ``require_finite_step``
+``SpecError``, in one set-up (``_prepare``), a chart form that is itself
+past floating-point range, has a cell with too many vertices to
+enumerate or a 1-d factor that is not continuous (at ``$.nodes[k].map``
+or ``$.nodes[k].chart_forms``), and a coupling large enough to scale a
+finite one past that range (at ``$.coupling.matrix``); ``require_finite_step``
 refuses, the same way, an interaction that carries h-set states past that
 range, for the commands that iterate the network map.
 
 The coupling kind decides which charts a chart form composes the local map
 with; ``_form_keys`` and ``_form_charts`` own that decision, and form
 derivation, the declared-form audit and the conjugacy audit all read it
-from them.
+from them.  ``_choices`` owns what else a theorem reads by kind: each
+node's choices and the charts whose Lipschitz constant scales eps*.
 """
 
 from __future__ import annotations
@@ -58,8 +60,8 @@ import numpy as np
 from .covering import (STRICT_MARGIN, CoveringCertificate, CoveringOutcome, ProductFormMap,
                        persistence_bound)
 from .degree import DegreeUndefinedError, DegreeValue, degree_for_map
-from .geometry import (EVAL_TIE_TOL, MAX_GRID_POINTS, MAX_VERTEX_CANDIDATES, AffineChart,
-                       AffinePiece, CellGeometry, CenterScale, GeometryError, HSet,
+from .geometry import (CONTINUITY_TOL, EVAL_TIE_TOL, MAX_GRID_POINTS, MAX_VERTEX_CANDIDATES,
+                       AffineChart, AffinePiece, CellGeometry, CenterScale, GeometryError, HSet,
                        PiecewiseAffineMap, UnifiedSet, _piece_box_vertices,
                        affine_min_stretch, box_grid, face_grid_points, max_face_resolution,
                        max_stretch, min_stretch, singular, split_product, unified_validate,
@@ -275,36 +277,41 @@ def _form_charts(node: NodeSystem, kind: str, key) -> tuple[AffineChart, AffineC
     return node.hsets[i - 1].chart, node.hsets[j - 1].chart
 
 
-def _node_forms(spec: NetworkSpec, kind: str) -> list[dict]:
-    """Every node's chart forms; a node whose forms cannot be derived (a
-    map that is not of product form, or too many sample points to check
-    that it is) is refused at ``$.nodes[k].map``."""
-    forms = []
-    for k, node in enumerate(spec.nodes):
-        try:
-            forms.append(_resolve_forms(node, kind))
-        except GeometryError as exc:
-            raise SpecError(f"$.nodes[{k}].map: {exc}") from exc
-    return forms
+def _derive_form(node: NodeSystem, kind: str, key) -> ProductFormMap:
+    """The chart form ``key`` composed from the local map and its charts."""
+    inner, outer = _form_charts(node, kind, key)
+    # a local map too large for its charts composes to inf entries here;
+    # ``_prepare`` refuses such a form at its node
+    with np.errstate(over="ignore", invalid="ignore"):
+        composed = (node.local_map
+                    .compose_affine_inner(inner.inverse_linear,
+                                          -inner.inverse_linear @ inner.offset)
+                    .compose_affine_outer(outer.linear, outer.offset))
+        return ProductFormMap(*split_product(composed, node.dim_u))
 
 
 def _resolve_forms(node: NodeSystem, kind: str) -> dict:
     """Chart-coordinate product forms, declared or derived by composition."""
     if node.chart_forms is not None:
         return node.chart_forms
-    forms: dict = {}
-    for key in _form_keys(node, kind):
-        inner, outer = _form_charts(node, kind, key)
-        # a local map too large for its charts composes to inf entries here;
-        # _require_finite_scaling refuses such a form at its node
-        with np.errstate(over="ignore", invalid="ignore"):
-            composed = (node.local_map
-                        .compose_affine_inner(inner.inverse_linear,
-                                              -inner.inverse_linear @ inner.offset)
-                        .compose_affine_outer(outer.linear, outer.offset))
-            U, V = split_product(composed, node.dim_u)
-        forms[key] = ProductFormMap(U, V)
-    return forms
+    return {key: _derive_form(node, kind, key) for key in _form_keys(node, kind)}
+
+
+def _choices(node: NodeSystem, kind: str) -> tuple[list[_Choice], list[AffineChart]]:
+    """A node's choices, one per transition in ``node.transitions()`` order
+    (the order ``_entry_overrides`` assumes), and the charts whose largest
+    Lipschitz constant scales eps*.  Type II: transition (i, j) reads
+    source i's form against member j's center and stable radius, and the
+    charts are the member charts.  Type I: it reads form (i, j) against the
+    centre of h-set j's unit box, radius 1, and the charts are the h-sets'."""
+    if kind == TYPE_II:
+        members = [center for _, center in node.unified.members]
+        return ([_Choice(i, i, j, members[j - 1].p_u, members[j - 1].p_s,
+                         members[j - 1].r if node.dim_s > 0 else 1.0)
+                 for i, j in node.transitions()],
+                [node.member_chart(j) for j in range(1, node.count + 1)])
+    return ([_Choice((i, j), i, j, np.zeros(node.dim_u), np.zeros(node.dim_s), 1.0)
+             for i, j in node.transitions()], [h.chart for h in node.hsets])
 
 
 def _image_bbox(node: NodeSystem, symbol: int) -> tuple[np.ndarray, np.ndarray]:
@@ -482,9 +489,11 @@ def validate_spec(spec: NetworkSpec) -> ValidationReport:
 
         # type-II forms land in the unified chart: without one there is
         # nothing to audit them against, and the error above says so; the
-        # audit evaluates the local map, so it needs a finite one
-        if node.chart_forms is not None and finite and (spec.coupling.kind == TYPE_I
-                                                        or node.unified is not None):
+        # audit evaluates the local map, so it needs a finite one that acts
+        # on the node's space
+        acts = node.local_map.dim_in == node.local_map.dim_out == node.dim
+        if node.chart_forms is not None and finite and acts and (
+                spec.coupling.kind == TYPE_I or node.unified is not None):
             _audit_declared_forms(spec.coupling.kind, node, k, errors)
 
     if spec.coupling.kind == TYPE_I and all_finite:
@@ -515,8 +524,47 @@ def _check_member_charts(node: NodeSystem, k: int, errors: list[str],
                           "describe different sets")
 
 
+def _cells_1d(F: PiecewiseAffineMap) -> list[tuple[float, float, list, list]]:
+    """Each piece of the 1-d map F as (lo, hi, slope, offset): its interval
+    within [-1, 1], with lo > hi when it misses [-1, 1]."""
+    cells = []
+    for p in F.pieces:
+        lo, hi = -1.0, 1.0
+        for n, b in zip(p.normals[:, 0].tolist(), p.bounds.tolist()):
+            if n > 0:
+                hi = min(hi, b / n)
+            elif n < 0:
+                lo = max(lo, b / n)
+            elif b < -EVAL_TIE_TOL:
+                lo = math.inf
+        cells.append((lo, hi, p.matrix[:, 0].tolist(), p.offset.tolist()))
+    return cells
+
+
+def _gap_1d(F: PiecewiseAffineMap, G: PiecewiseAffineMap) -> float:
+    """Largest |F - G| at the ends of every meet inside [-1, 1] (to
+    ``EVAL_TIE_TOL``, where evaluation counts a point as in both) of a
+    piece of F with a piece of G; 0 when no pieces meet.
+
+    On each meet both pieces are affine, so agreement at its ends is
+    agreement on all of it.  ``_gap_1d(F, F)`` is thus F's largest jump
+    where two pieces meet, and for continuous F and G that cover [-1, 1],
+    ``_gap_1d(F, G)`` is their largest difference there.
+    """
+    gaps, cells_g = [], _cells_1d(G)
+    for lo_f, hi_f, slope_f, offset_f in _cells_1d(F):
+        for lo_g, hi_g, slope_g, offset_g in cells_g:
+            lo, hi = max(lo_f, lo_g), min(hi_f, hi_g)
+            if lo <= hi + EVAL_TIE_TOL:
+                gaps += [abs(a * x + c - (b * x + e)) for x in (lo, hi)
+                         for a, c, b, e in zip(slope_f, offset_f, slope_g, offset_g)]
+    return float(np.max(gaps, initial=0.0))
+
+
 def _audit_declared_forms(kind: str, node: NodeSystem, k: int, errors: list[str]) -> None:
-    """Sampled consistency of declared chart forms with the composed map."""
+    """Consistency of declared chart forms with the composed map: exact on
+    a node of dimension 1 (``_gap_1d`` against the derived form), sampled
+    on 5 points per axis otherwise."""
     try:
         grid = box_grid(node.dim, 5).T
     except GeometryError as exc:        # too many sample points
@@ -533,6 +581,12 @@ def _audit_declared_forms(kind: str, node: NodeSystem, k: int, errors: list[str]
                 or not all(1 <= t <= node.count for t in key)):
             errors.append(f"node {k}: chart forms must be keyed by "
                           f"(source, target) pairs, got {key!r}")
+            continue
+        if node.dim == 1:
+            gap = _gap_1d(form.U, _derive_form(node, kind, key).U)
+            if not gap <= CONTINUITY_TOL:
+                errors.append(f"$.nodes[{k - 1}].chart_forms: declared chart form {key} "
+                              f"disagrees with the composed map (gap {gap:.3e})")
             continue
         inner, outer = _form_charts(node, kind, key)
         ambient = inner.invert_batch(grid)
@@ -824,7 +878,8 @@ class _Tables:
                 self.degrees[t] = degree = degree_for_map(F.U.scale(a), ref)
                 self.deg[t], self.deg_known[t] = degree.value, True
             except (DegreeUndefinedError, GeometryError) as exc:
-                self.degrees[t] = exc
+                # without its traceback, whose frames would hold these tables
+                self.degrees[t] = exc.with_traceback(None)
         known = want_deg & self.deg_known[cells]
         zero = known & (self.deg[cells] == 0)
         return _Rows(margin_lo, margin_s, slack, ok_u_sure, ok_u_maybe, ok_s, want_deg,
@@ -997,67 +1052,77 @@ def _check_entries(spec: NetworkSpec, tables: _Tables, own: dict[int, np.ndarray
     return entries
 
 
-def _require_valid(spec: NetworkSpec, kind: str) -> None:
+def _prepare(spec: NetworkSpec, kind: str, resolution: int
+             ) -> tuple[_Tables, dict[int, np.ndarray], float]:
+    """The tables of a check of coupling ``kind``, the ``per_entry`` matrix
+    of each overridden entry, and the largest Lipschitz constant of the
+    charts ``_choices`` names.
+
+    First the spec must declare ``kind`` and pass validation, and a node
+    whose chart forms cannot be derived (a map not of product form, or too
+    large to sample) is refused at ``$.nodes[k].map``.  A node's forms are
+    refused at ``$.nodes[k].chart_forms`` when declared, ``$.nodes[k].map``
+    when derived, when one's size (its pieces' largest row sum plus offset)
+    is not finite, or a cell has more than ``geometry.MAX_VERTEX_CANDIDATES``
+    candidate vertices to enumerate for its stretch bounds, or a 1-d factor
+    (U when u = 1, V when s = 1) is not continuous: two pieces whose
+    intervals meet inside [-1, 1] differ by more than ``CONTINUITY_TOL`` at
+    an end of the meet (``_gap_1d``).  A node with u >= 2 and a form whose
+    U is not affine is refused at ``$.nodes[k]`` when its face grid of
+    2 u resolution^(u - 1) points would pass ``geometry.MAX_GRID_POINTS``.
+    Last, the coupling's max row sum times the largest form size must be
+    finite, or an inf would reach the margins (``$.coupling.matrix``).
+    Theorem 1's tables list the identity last, the coupling under which a
+    transition's diagonal cell is its single covering.
+    """
     if spec.coupling.kind != kind:
         raise SpecError(f"checker needs coupling kind '{kind}', "
                         f"spec declares '{spec.coupling.kind}'")
     report = validate_spec(spec)
     if not report.ok:
         raise SpecError("spec fails validation: " + "; ".join(report.errors))
-
-
-def _require_finite_scaling(spec: NetworkSpec, forms: list[dict]) -> None:
-    """Refuse a chart form, or a coupling that scales one, past floating-point range.
-
-    The checks evaluate every chart form scaled by a coupling coefficient
-    a[k, m].  On the unit box |form(x)| is at most the form's size, its
-    pieces' largest row sum plus offset, and |a[k, m] form(x)| at most the
-    coupling's max row sum times that size.  A form whose own size is not
-    finite is refused at its node: ``$.nodes[k].chart_forms`` when declared,
-    ``$.nodes[k].map`` when composed from the local map.  The product with
-    the coupling must be finite too, or an inf (and then NaN) would reach
-    the margins.  A form with a cell of more than
-    ``geometry.MAX_VERTEX_CANDIDATES`` candidate vertices, too many to
-    enumerate for its stretch bounds, is refused at its node the same way.
-    """
-    size = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, (node, node_forms) in enumerate(zip(spec.nodes, forms)):
-            where = "chart_forms" if node.chart_forms is not None else "map"
-            factors = [F for form in node_forms.values() for F in (form.U, form.V)
-                       if F is not None]
+    forms, size = [], 0.0
+    for k, node in enumerate(spec.nodes):
+        try:
+            forms.append(_resolve_forms(node, kind))
+        except GeometryError as exc:
+            raise SpecError(f"$.nodes[{k}].map: {exc}") from exc
+        where = f"$.nodes[{k}].{'map' if node.chart_forms is None else 'chart_forms'}"
+        factors = [F for form in forms[k].values() for F in (form.U, form.V) if F is not None]
+        with np.errstate(over="ignore", invalid="ignore"):
             for F, p in ((F, p) for F in factors for p in F.pieces):
                 piece_size = float(np.max(np.sum(np.abs(p.matrix), axis=1) + np.abs(p.offset)))
                 if not math.isfinite(piece_size):
-                    raise SpecError(f"$.nodes[{k}].{where}: chart-form size {piece_size:g} "
+                    raise SpecError(f"{where}: chart-form size {piece_size:g} "
                                     f"is not a finite number")
                 count = vertex_candidates(p, F.dim_in)
                 if count > MAX_VERTEX_CANDIDATES:
-                    raise SpecError(f"$.nodes[{k}].{where}: a chart-form cell has {count} "
-                                    f"candidate vertices to enumerate, above the limit of "
+                    raise SpecError(f"{where}: a chart-form cell has {count} candidate "
+                                    f"vertices to enumerate, above the limit of "
                                     f"{MAX_VERTEX_CANDIDATES}")
                 size = max(size, piece_size)
-    lip = spec.coupling.lipschitz()
-    if not math.isfinite(lip * size):
-        raise SpecError(f"$.coupling.matrix: coupling row sum {lip:g} times chart-form "
-                        f"size {size:g} is not a finite number")
-
-
-def _require_face_grid(spec: NetworkSpec, forms: list[dict], resolution: int) -> None:
-    """Refuse a grid resolution whose face grid would pass
-    ``geometry.MAX_GRID_POINTS`` on a node that needs one: a node with
-    u >= 2 and a chart form whose unstable factor is not affine takes its
-    stretch minima from a face grid of 2 u resolution^(u - 1) points."""
-    for k, (node, node_forms) in enumerate(zip(spec.nodes, forms)):
+        for F in factors:
+            if F.dim_in == 1 and not (gap := _gap_1d(F, F)) <= CONTINUITY_TOL:
+                raise SpecError(f"{where}: a chart form jumps by {gap:.3e} where two of "
+                                f"its pieces meet; it must be continuous")
         u = node.dim_u
-        if u < 2 or all(form.U.is_affine for form in node_forms.values()):
-            continue
-        points = face_grid_points(u, resolution)
-        if points > MAX_GRID_POINTS:
+        if (u >= 2 and not all(form.U.is_affine for form in forms[k].values())
+                and (points := face_grid_points(u, resolution)) > MAX_GRID_POINTS):
             raise SpecError(f"$.nodes[{k}]: grid resolution {resolution} gives a face grid of "
                             f"{points} points on this node's non-affine chart forms "
                             f"(u = {u}), above the limit of {MAX_GRID_POINTS}; the largest "
                             f"resolution allowed is {max_face_resolution(u)}")
+    lip = spec.coupling.lipschitz()
+    if not math.isfinite(lip * size):
+        raise SpecError(f"$.coupling.matrix: coupling row sum {lip:g} times chart-form "
+                        f"size {size:g} is not a finite number")
+    choices, charts = zip(*(_choices(node, kind) for node in spec.nodes))
+    own = _entry_overrides(spec)[0]
+    matrices = [spec.coupling.matrix, *own.values()]
+    if kind == TYPE_I:
+        matrices.append(np.eye(spec.d))
+    return (_Tables(forms, list(choices), matrices, spec.nodes[0].dim_s, resolution), own,
+            max(chart.lipschitz() for node_charts in charts for chart in node_charts))
 
 
 def _hull_radius(boxes: list[tuple[np.ndarray, np.ndarray]]) -> float:
@@ -1143,20 +1208,7 @@ def theorem1_check(spec: NetworkSpec, resolution: int = 64,
     for k, node in enumerate(spec.nodes):
         if not node.transition.is_permutation():
             raise SpecError(f"$.nodes[{k}].transition: theorem 1 needs a permutation matrix")
-    _require_valid(spec, TYPE_I)
-
-    forms = _node_forms(spec, TYPE_I)
-    _require_finite_scaling(spec, forms)
-    _require_face_grid(spec, forms, resolution)
-    u, s = spec.nodes[0].dim_u, spec.nodes[0].dim_s
-    # one choice per transition, in the order ``_entry_overrides`` assumes
-    choices = [[_Choice((i, j), i, j, np.zeros(u), np.zeros(s), 1.0)
-                for i, j in node.transitions()] for node in spec.nodes]
-    # under the identity coupling, listed last, each transition's diagonal cell is its
-    # single covering of the target h-set's unit box: it must hold before coupling
-    own = _entry_overrides(spec)[0]
-    tables = _Tables(forms, choices, [spec.coupling.matrix, *own.values(), np.eye(spec.d)],
-                     s, resolution)
+    tables, own, chart_lip = _prepare(spec, TYPE_I, resolution)
     ids = [[(node.hsets[i - 1].id, node.hsets[j - 1].id) for i, j in node.transitions()]
            for node in spec.nodes]
     structural = [f"node {k + 1} transition {i}->{j}: " + "; ".join(outcome.failures)
@@ -1164,9 +1216,6 @@ def theorem1_check(spec: NetworkSpec, resolution: int = 64,
                   for (i, j), outcome in zip(node.transitions(), outcomes) if not outcome.passed]
     if structural:
         raise SpecError("local covering structure fails: " + "; ".join(structural))
-
-    chart_lip = max(node.hsets[j - 1].chart.lipschitz()
-                    for node in spec.nodes for j in range(1, node.count + 1))
     entries = _check_entries(spec, tables, own, chart_lip, pert_amplitude)
     verdict, eps = _aggregate(entries)
     period = (lcm_period([n.transition.cycle_length(1) for n in spec.nodes])
@@ -1182,20 +1231,7 @@ def theorem2_check(spec: NetworkSpec, resolution: int = 64,
     log Perron roots of the node transition matrices, and the global
     admissible perturbation radius.
     """
-    _require_valid(spec, TYPE_II)
-    forms = _node_forms(spec, TYPE_II)
-    _require_finite_scaling(spec, forms)
-    _require_face_grid(spec, forms, resolution)
-    s = spec.nodes[0].dim_s
-
-    chart_lip = max(node.member_chart(j).lipschitz()
-                    for node in spec.nodes for j in range(1, node.count + 1))
-    targets = [[center for _, center in node.unified.members] for node in spec.nodes]
-    choices = [[_Choice(i, i, j, t[j - 1].p_u, t[j - 1].p_s, t[j - 1].r if s > 0 else 1.0)
-                for i, j in node.transitions()] for node, t in zip(spec.nodes, targets)]
-    own = _entry_overrides(spec)[0]
-    tables = _Tables(forms, choices, [spec.coupling.matrix, *own.values()], s, resolution)
-    entries = _check_entries(spec, tables, own, chart_lip, pert_amplitude)
+    entries = _check_entries(spec, *_prepare(spec, TYPE_II, resolution), pert_amplitude)
     verdict, eps = _aggregate(entries)
     bound = float(sum(math.log(spectral_radius(n.transition)) for n in spec.nodes))
     return TheoremReport(2, verdict, tuple(entries), eps,

@@ -234,7 +234,7 @@ def reference_theorem1(spec, resolution=64, pert_amplitude=0.0, membership=False
     for k, node in enumerate(spec.nodes, start=1):
         if not node.transition.is_permutation():
             raise nw.SpecError(f"node {k}: transition matrix is not a permutation")
-    nw._require_valid(spec, nw.TYPE_I)
+    nw._prepare(spec, nw.TYPE_I, resolution)
     forms = [nw._resolve_forms(node, nw.TYPE_I) for node in spec.nodes]
     tables = _ReferenceTables(spec, forms, resolution)
     d = spec.d
@@ -287,7 +287,7 @@ def reference_theorem1(spec, resolution=64, pert_amplitude=0.0, membership=False
 
 
 def reference_theorem2(spec, resolution=64, pert_amplitude=0.0, membership=False):
-    nw._require_valid(spec, nw.TYPE_II)
+    nw._prepare(spec, nw.TYPE_II, resolution)
     forms = [nw._resolve_forms(node, nw.TYPE_II) for node in spec.nodes]
     tables = _ReferenceTables(spec, forms, resolution)
     d = spec.d
@@ -537,7 +537,7 @@ def test_precheck_outcomes_do_not_depend_on_the_store(name, monkeypatch):
     spec = CASES[name]()
     theorem1_check(spec)
     (outcomes,) = seen
-    forms = nw._node_forms(spec, nw.TYPE_I)
+    forms = [nw._resolve_forms(node, nw.TYPE_I) for node in spec.nodes]
     target = CenterScale(np.zeros(spec.nodes[0].dim_u), np.zeros(spec.nodes[0].dim_s), 1.0)
     for node, node_forms, got in zip(spec.nodes, forms, outcomes, strict=True):
         for (i, j), outcome in zip(node.transitions(), got, strict=True):

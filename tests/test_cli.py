@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -17,10 +18,24 @@ from cmnverify import (AffineChart, CouplingSpec, Graph, HSet, NetworkSpec, Node
                        parse_spec, serialize_spec, specs_equal)
 from cmnverify.cli import main
 from cmnverify.geometry import AffinePiece
-from cmnverify.network import SpecError
+from cmnverify.network import SpecError, _resolve_forms
 from cmnverify.specio import SpecFormatError
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
+BENCH_GEN = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
+
+
+def _bench_gen():
+    """The benchmark's network generator, loaded without writing bytecode
+    next to it."""
+    spec = importlib.util.spec_from_file_location("bench_gen", BENCH_GEN)
+    module = importlib.util.module_from_spec(spec)
+    keep, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = keep
+    return module
 
 
 @pytest.fixture(scope="module")
@@ -397,10 +412,9 @@ class TestHostileSpec:
                     "points on this node's non-affine chart forms (u = 4), above the limit "
                     "of 4194304; the largest resolution allowed is 80") in err
             assert "Traceback" not in err
-        forms = network._node_forms(box, network.TYPE_II)
-        network._require_face_grid(box, forms, 80)
+        network._prepare(box, network.TYPE_II, 80)
         with pytest.raises(SpecError, match="largest resolution allowed is 80"):
-            network._require_face_grid(box, forms, 81)
+            network._prepare(box, network.TYPE_II, 81)
 
     def test_high_dimensional_image_separation_is_refused_at_its_node(self, tmp_path, capsys):
         # two disjoint 12-dimensional h-sets: bounding their images would
@@ -494,6 +508,74 @@ class TestHostileSpec:
                                        "product at step ")
         assert captured.out.count("\n") == 1 and "binding entry" not in captured.out
         assert "eps*" not in captured.out and "error:" not in captured.err
+
+    def test_discontinuous_local_map_is_refused(self, tmp_path, capsys):
+        # the benchmark's golden ring at d = 3, u = 1, s = 1, with node 1's
+        # piece 0 (x0 <= 1) split at x0 = 0 into its two endpoint values,
+        # constant in x0: the endpoint signs still read a crossing, yet no
+        # point of the h-set maps into either target
+        spec = _bench_gen().golden_ring(np.random.default_rng(1), 3, 0.01, u=1, s=1)
+        node = spec.nodes[0]
+        piece = node.local_map.pieces[0]
+        assert piece.normals.tolist() == [[1.0, 0.0]] and piece.bounds.tolist() == [1.0]
+
+        def constant(x0, normals, bounds):
+            matrix, offset = piece.matrix.copy(), piece.offset.copy()
+            matrix[0] = 0.0
+            offset[0] = piece.evaluate(np.array([x0, 0.0]))[0]
+            return AffinePiece(matrix, offset, np.array(normals, float), np.array(bounds, float))
+        pieces = (constant(-1.0, [[1, 0]], [0]), constant(1.0, [[-1, 0], [1, 0]], [0, 1]),
+                  *node.local_map.pieces[1:])
+        split = NodeSystem(PiecewiseAffineMap(2, 2, pieces), node.hsets, node.transition,
+                           node.unified)
+        path = tmp_path / "split.json"
+        path.write_text(canonical_json(serialize_spec(
+            NetworkSpec(spec.graph, (split, *spec.nodes[1:]), spec.coupling))))
+        for verb in ("verify", "margin"):
+            assert main([verb, str(path)]) == 2
+            err = capsys.readouterr().err
+            assert ("error: $.nodes[0].map: a chart form jumps by 6.760e+00 where two of its "
+                    "pieces meet; it must be continuous") in err
+            assert "Traceback" not in err
+
+    def test_declared_forms_hiding_a_tent_are_refused(self, tmp_path, capsys):
+        # example 1's node 1 with a tent up to 30 on [0.1, 0.4], between the
+        # sample points 0 and 0.5 of a 5-point audit, and declared forms
+        # composed from the original map
+        base = fixtures.example1(alpha=0.05)
+        node = base.nodes[0]
+        up, down = (30.0 - 1.85) / 0.15, (2.9 - 30.0) / 0.15
+        tent = PiecewiseAffineMap.from_breakpoints(
+            [0.1, 0.25, 0.4, 1.0, 2.0],
+            [(3.5, 1.5), (up, 1.85 - 0.1 * up), (down, 30.0 - 0.25 * down), (3.5, 1.5),
+             (-7.0, 12.0), (2.0, -6.0)])
+        declared = NodeSystem(tent, node.hsets, node.transition, node.unified,
+                              chart_forms=_resolve_forms(node, "type2"))
+        path = tmp_path / "tent.json"
+        path.write_text(canonical_json(serialize_spec(
+            NetworkSpec(base.graph, (declared, base.nodes[1]), base.coupling))))
+        for verb in ("verify", "margin"):
+            assert main([verb, str(path)]) == 2
+            err = capsys.readouterr().err
+            assert ("error: $.nodes[0].chart_forms: declared chart form 1 disagrees with the "
+                    "composed map (gap 2.762e+01)") in err
+            assert "Traceback" not in err
+
+    def test_declared_forms_of_a_map_on_another_space(self, tmp_path, capsys):
+        # the audit evaluates the map on the node's space, so it is skipped
+        # for a map that acts on another one, and validation says why
+        base = fixtures.example1(alpha=0.05)
+        node = base.nodes[0]
+        wide = NodeSystem(PiecewiseAffineMap.affine([[2.0, 0.0]], [0.0]), node.hsets,
+                          node.transition, node.unified,
+                          chart_forms=_resolve_forms(node, "type2"))
+        path = tmp_path / "wide.json"
+        path.write_text(canonical_json(serialize_spec(
+            NetworkSpec(base.graph, (wide, base.nodes[1]), base.coupling))))
+        assert main(["verify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "error: node 1: local map acts on R^2, h-sets live in R^1" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("verb", ["verify", "margin"])
     def test_non_permutation_transition_exits_two_with_path(self, verb, tmp_path, capsys):

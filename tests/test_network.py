@@ -9,7 +9,7 @@ from cmnverify import (AffineChart, CouplingSpec, Graph, HSet,
                        TransitionMatrix, check_covering, conjugacy_audit,
                        fixtures, kronecker, spectral_radius, tau_search,
                        theorem1_check, theorem2_check, validate_spec)
-from cmnverify.geometry import AffinePiece
+from cmnverify.geometry import AffinePiece, GeometryError
 from conftest import random_transition_matrix
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -337,18 +337,23 @@ class TestTheorem2:
 
     def test_infinite_declared_form_is_blamed_on_its_node(self):
         # a declared form whose own size overflows is refused at the node's
-        # chart_forms, not at the coupling that would scale it
+        # chart_forms, not at the coupling that would scale it; the piece
+        # lies off [-1, 1], so the form still equals the composed map there
+        # and passes validation
         from cmnverify.covering import ProductFormMap
-        from cmnverify.network import _require_finite_scaling, _resolve_forms
+        from cmnverify.network import _prepare, _resolve_forms
         spec = fixtures.example1()
         node = spec.nodes[1]
         forms = dict(_resolve_forms(node, "type2"))
-        forms[2] = ProductFormMap(PiecewiseAffineMap.affine([[1e308]], [1e308]))
+        huge = AffinePiece(np.array([[1e308]]), np.array([1e308]), np.array([[1.0]]),
+                           np.array([-2.0]))
+        forms[2] = ProductFormMap(PiecewiseAffineMap(1, 1, forms[2].U.pieces + (huge,)))
         declared = NodeSystem(node.local_map, node.hsets, node.transition, node.unified,
                               chart_forms=forms)
         spec = NetworkSpec(spec.graph, (spec.nodes[0], declared), spec.coupling)
+        assert validate_spec(spec).ok
         with pytest.raises(SpecError, match=r"^\$\.nodes\[1\]\.chart_forms: chart-form size inf"):
-            _require_finite_scaling(spec, [_resolve_forms(n, "type2") for n in spec.nodes])
+            _prepare(spec, "type2", 64)
 
     def test_planar_stable_overflow_fails(self):
         report = theorem2_check(_planar_golden_pair(s_slope=1.1))
@@ -362,6 +367,36 @@ class TestTheorem2:
         report = theorem2_check(_sawtooth_spec(), resolution=65)
         assert report.verdict == "inconclusive"
         assert report.entries[0].tau is None
+
+    def test_tables_are_freed_with_the_check(self, monkeypatch):
+        # a cell keeps the error of its undefined degree without the
+        # traceback, whose frames would hold the check's tables (and their
+        # face grids) in a reference cycle until the cyclic collector ran
+        import gc
+
+        from cmnverify import network
+        raised = []
+        original = network.degree_for_map
+
+        def degree(*args):
+            try:
+                return original(*args)
+            except GeometryError:     # no degree of a piecewise plane map
+                raised.append(True)
+                raise
+        monkeypatch.setattr(network, "degree_for_map", degree)
+        gc.collect()
+        flags = gc.get_debug()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            report = theorem2_check(_sawtooth_spec(), resolution=65)
+            gc.collect()
+            left = [obj for obj in gc.garbage if isinstance(obj, network._Tables)]
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+        assert raised and report.verdict == "inconclusive"
+        assert left == []
 
 
 class TestTheorem1:
