@@ -12,7 +12,7 @@ pairs a shifted-target stretch of 2 - 5a against a foreign term 5a, so
 certification holds exactly while 2 - 10a > 1, i.e. a < 0.1.
 """
 
-from cmnverify import fixtures, theorem2_check, validate_spec
+from cmnverify import entry_failures, fixtures, theorem2_check, validate_spec
 
 spec = fixtures.example1()
 print("uncoupled golden-mean pair:")
@@ -25,14 +25,14 @@ print("\ndiffusive sweep (threshold at a = 0.1):")
 print("  alpha   verdict   slack")
 for alpha in (0.02, 0.05, 0.08, 0.0999, 0.1001, 0.15, 0.25):
     rep = theorem2_check(fixtures.example1(alpha=alpha))
-    binding = rep.binding_entry()
-    print(f"  {alpha:6.4f}  {rep.verdict:7s}  {binding.slack:+.4f}")
+    print(f"  {alpha:6.4f}  {rep.verdict:7s}  {rep.entries.slack[rep.binding_entry()]:+.4f}")
 
+# report.entries is a table: one array per column, one row per entry
 rep = theorem2_check(fixtures.example1(alpha=0.1001))
-binding = rep.binding_entry()
-print(f"\nbinding entry at alpha = 0.1001: sources {binding.source_index} -> "
-      f"targets {binding.target_index}")
-for line in binding.failures:
+entries, b = rep.entries, rep.binding_entry()
+print(f"\nbinding entry at alpha = 0.1001: sources {tuple(entries.source[b].tolist())} -> "
+      f"targets {tuple(entries.target[b].tolist())}")
+for line in entry_failures(entries.verdict[b], entries.slack[b]):
     print(f"  {line}")
 
 print("\nthe shifted variant (interaction not equal to its linear model)")

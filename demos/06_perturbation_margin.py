@@ -16,7 +16,7 @@ print(f"certified radius for the uncoupled pair: eps* = {eps}")
 print("\nre-certification with inflated bounds:")
 for factor in (0.5, 0.9, 0.99, 1.5, 10.0):
     rep = theorem2_check(spec, pert_amplitude=factor * eps)
-    slack = rep.binding_entry().slack
+    slack = rep.entries.slack[rep.binding_entry()]
     print(f"  amplitude {factor:5.2f} * eps*: verdict {rep.verdict:5s} "
           f"(binding slack {slack:+.3f})")
 

@@ -24,10 +24,10 @@ from .covering import (CoveringCertificate, CoveringOutcome, ProductFormMap,
 from .symbolic import (SymbolSequence, TransitionMatrix, TransitionError,
                        closed_loops, count_words, entropy_lower_bound,
                        is_admissible, lcm_period, spectral_radius)
-from .network import (CouplingSpec, EntryResult, Graph, NetworkSpec, NodeSystem,
+from .network import (CouplingSpec, EntryTable, Graph, NetworkSpec, NodeSystem,
                       SpecError, TheoremReport, ValidationReport, check_covering,
-                      conjugacy_audit, kronecker, tau_search, theorem1_check,
-                      theorem2_check, validate_spec)
+                      conjugacy_audit, entry_failures, kronecker, tau_search,
+                      theorem1_check, theorem2_check, validate_spec)
 from .dynamics import (Itinerary, LoopError, NeutralCompositionError,
                        NoInvariantSamplesError, PeriodicOrbitCertificate,
                        Perturbation, empirical_entropy, itinerary,

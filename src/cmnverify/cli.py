@@ -20,8 +20,8 @@ from .dynamics import (LoopError, NeutralCompositionError, Perturbation,
                        empirical_entropy, locate_batch, periodic_point, state_vector,
                        step)
 from .geometry import GeometryError
-from .network import (SpecError, TYPE_I, conjugacy_audit, require_finite_step, theorem1_check,
-                      theorem2_check, validate_spec)
+from .network import (SpecError, TYPE_I, conjugacy_audit, entry_failures, require_finite_step,
+                      theorem1_check, theorem2_check, validate_spec)
 from .specio import (SpecFormatError, canonical_json, certificate_document,
                      load_spec, spec_digest)
 from .symbolic import spectral_radius
@@ -149,17 +149,17 @@ def cmd_margin(args) -> int:
         # every entry passed: no entry binds, the orbit decides
         print(f"certification fails: verdict {report.verdict}, {reason}")
         return EXIT_FAIL
-    binding = report.binding_entry()
+    entries, b = report.entries, report.binding_entry()
+    verdict, slack = entries.verdict[b].item(), entries.slack[b].item()
+    binding = (f"binding entry {tuple(entries.source[b].tolist())}->"
+               f"{tuple(entries.target[b].tolist())} (slack {slack:.6g})")
     if not report.passed:
-        print(f"certification fails: verdict {report.verdict}, binding entry "
-              f"{binding.source_index}->{binding.target_index} "
-              f"(slack {binding.slack:.6g})")
-        for failure in binding.failures:
+        print(f"certification fails: verdict {report.verdict}, {binding}")
+        for failure in entry_failures(verdict, slack):
             print(f"  {failure}")
         return EXIT_FAIL
     print(f"eps* {report.global_eps:.6g}")
-    print(f"binding entry {binding.source_index}->{binding.target_index} "
-          f"(slack {binding.slack:.6g})")
+    print(binding)
     return EXIT_PASS
 
 

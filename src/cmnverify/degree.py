@@ -26,7 +26,7 @@ class DegreeValue:
     """Signed degree plus the rule that produced it."""
 
     value: int
-    method: str  # affine-determinant | one-d-crossing | composition (a network entry)
+    method: str  # affine-determinant | one-d-crossing
 
     def __bool__(self) -> bool:
         return self.value != 0
@@ -59,8 +59,7 @@ def degree_1d(U: PiecewiseAffineMap, target: float) -> DegreeValue:
     if U.dim_in != 1 or U.dim_out != 1:
         raise GeometryError("degree_1d needs a scalar map on the line")
     q = float(target)
-    left = float(U.apply([-1.0])[0]) - q
-    right = float(U.apply([1.0])[0]) - q
+    left, right = (U.apply_batch(np.array([[-1.0, 1.0]]))[0] - q).tolist()
     if abs(left) <= EVAL_TIE_TOL or abs(right) <= EVAL_TIE_TOL:
         raise DegreeUndefinedError(f"target {q} equals a boundary value of the map")
     value = (int(np.sign(right)) - int(np.sign(left))) // 2

@@ -166,12 +166,10 @@ class AffineChart:
         return self.dim_u + self.dim_s
 
     def apply(self, point) -> np.ndarray:
-        p = _as_vector(point, self.dim)
-        return self.linear @ p + self.offset
+        return self.apply_batch(_as_vector(point, self.dim)[:, None])[:, 0]
 
     def invert(self, point) -> np.ndarray:
-        p = _as_vector(point, self.dim)
-        return self.inverse_linear @ (p - self.offset)
+        return self.invert_batch(_as_vector(point, self.dim)[:, None])[:, 0]
 
     def apply_batch(self, pts: np.ndarray) -> np.ndarray:
         """The chart on every column of the coordinate-major batch ``pts``
@@ -345,11 +343,6 @@ class AffinePiece:
     normals: np.ndarray
     bounds: np.ndarray
 
-    def contains(self, x: np.ndarray) -> bool:
-        if self.normals.shape[0] == 0:
-            return True
-        return bool(np.all(self.normals @ x <= self.bounds + EVAL_TIE_TOL))
-
     def contains_batch(self, pts: np.ndarray, tol: float = EVAL_TIE_TOL) -> np.ndarray:
         """Columns of the coordinate-major batch ``pts`` (dim, n) in the
         cell, to within ``tol``.
@@ -365,9 +358,6 @@ class AffinePiece:
         for j in range(1, lim.shape[0]):
             inside &= vals[j] <= lim[j]
         return inside
-
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ x + self.offset
 
     def evaluate_batch(self, pts: np.ndarray) -> np.ndarray:
         """The affine map on every column of ``pts`` (dim_in, n)."""
@@ -469,16 +459,8 @@ class PiecewiseAffineMap:
     def is_affine(self) -> bool:
         return len(self.pieces) == 1 and self.pieces[0].normals.shape[0] == 0
 
-    def piece_index_at(self, x) -> int:
-        v = _as_vector(x, self.dim_in)
-        for i, p in enumerate(self.pieces):
-            if p.contains(v):
-                return i
-        raise GeometryError(f"map is undefined at {v.tolist()}")
-
     def apply(self, x) -> np.ndarray:
-        v = _as_vector(x, self.dim_in)
-        return self.pieces[self.piece_index_at(v)].evaluate(v)
+        return self.apply_batch(_as_vector(x, self.dim_in)[:, None])[:, 0]
 
     def apply_batch(self, pts: np.ndarray) -> np.ndarray:
         """The map on every column of the coordinate-major batch ``pts``
@@ -565,8 +547,8 @@ class PiecewiseAffineMap:
                     t = b / n
                     if lo < t < hi:
                         xs.add(t)
-        vals = [float(self.apply([t])[0]) for t in sorted(xs)]
-        return min(vals), max(vals)
+        vals = self.apply_batch(np.array([sorted(xs)]))[0]
+        return float(vals.min()), float(vals.max())
 
 
 # ---------------------------------------------------------------------------
@@ -973,8 +955,7 @@ def min_stretch(F: PiecewiseAffineMap, ref, resolution: int = 64,
     max_abs = _exact_max(F, ref, table.vertices)
     dim = F.dim_in
     if dim == 1:
-        vals = [float(np.max(np.abs(F.apply([x]) - ref))) for x in (-1.0, 1.0)]
-        m = min(vals)
+        m = float(np.abs(F.apply_batch(np.array([[-1.0, 1.0]])) - ref[:, None]).max(axis=0).min())
         return StretchBounds(m, max_abs, True, m)
     if resolution < 2:
         raise GeometryError("grid resolution must be at least 2")

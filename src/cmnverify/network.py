@@ -685,26 +685,45 @@ def tau_search(row_feasibility) -> tuple[int, ...] | None:
     return tuple(tau)
 
 
-def _perm_sign(tau: tuple[int, ...]) -> int:
-    """Sign of the permutation tau (1-based images): (-1) ** (number of inversions)."""
-    return -1 if sum(a > b for a, b in itertools.combinations(tau, 2)) % 2 else 1
+def _perm_sign(tau) -> np.ndarray:
+    """Sign of each permutation tau[..., :] (1-based images): (-1) ** (number of inversions)."""
+    tau = np.asarray(tau)
+    return 1 - 2 * (np.triu(tau[..., :, None] > tau[..., None, :]).sum(axis=(-2, -1)) % 2)
 
 
 # ---------------------------------------------------------------------------
 # theorem checkers
 
 
-@dataclass(frozen=True)
-class EntryResult:
-    """Outcome for one nonzero Kronecker entry."""
+@dataclass(frozen=True, eq=False)
+class EntryTable:
+    """Outcome of every nonzero Kronecker entry, one array per column, row n
+    the n-th entry in ``itertools.product`` order; ``tau``, ``degree``, both
+    margins and ``admissible_eps`` hold 0 or NaN except at a pass."""
 
-    source_index: tuple[int, ...]
-    target_index: tuple[int, ...]
-    tau: tuple[int, ...] | None
-    certificate: CoveringCertificate | None
-    verdict: str                      # pass | fail | inconclusive
-    slack: float                      # worst row slack (best achievable on failure)
-    failures: tuple[str, ...]
+    source: np.ndarray            # (entries, d) source symbols, 1-based
+    target: np.ndarray            # (entries, d) target symbols, 1-based
+    verdict: np.ndarray           # pass | fail | inconclusive
+    slack: np.ndarray             # worst row slack (best achievable on failure)
+    tau: np.ndarray               # (entries, d) node assignment, 1-based
+    degree: np.ndarray            # crossing degree of the composed covering
+    unstable_margin: np.ndarray   # least min stretch, minus 1, over the assigned rows
+    stable_margin: np.ndarray     # least stable radius less stretch; inf when s = 0
+    admissible_eps: np.ndarray    # persistence radius (``persistence_bound``)
+
+    def __len__(self) -> int:
+        return len(self.slack)
+
+
+def entry_failures(verdict: str, slack: float) -> tuple[str, ...]:
+    """The failure notes of an entry (an ``EntryTable`` row) of ``verdict`` and ``slack``."""
+    if verdict == "pass":
+        return ()
+    notes = (f"no node assignment satisfies every coupled row "
+             f"(best achievable slack {slack:.6g})",)
+    if verdict == "inconclusive":
+        notes += ("grid bounds too coarse to decide; raise the resolution",)
+    return notes
 
 
 @dataclass(frozen=True)
@@ -713,7 +732,7 @@ class TheoremReport:
 
     theorem: int
     verdict: str
-    entries: tuple[EntryResult, ...]
+    entries: EntryTable
     global_eps: float
     entropy_bound: float | None = None
     period: int | None = None
@@ -722,9 +741,9 @@ class TheoremReport:
     def passed(self) -> bool:
         return self.verdict == "pass"
 
-    def binding_entry(self) -> EntryResult:
-        """Entry with the smallest slack: the one that decides the verdict."""
-        return min(self.entries, key=lambda e: e.slack)
+    def binding_entry(self) -> int:
+        """Index of the first entry of least slack: the one that decides the verdict."""
+        return int(np.argmin(self.entries.slack))
 
 
 BLOCK = 256  # entries per vectorized block; bounds the (entries, d, d) tensors
@@ -968,8 +987,7 @@ def _row_sums(terms: np.ndarray) -> np.ndarray:
 
 
 class _Margins(NamedTuple):
-    """What ``persistence_bound`` reads of a passing entry's certificate,
-    so the certificate is built once, with its radius."""
+    """What ``persistence_bound`` reads of a passing entry."""
 
     unstable_margin: float
     stable_margin: float
@@ -977,15 +995,16 @@ class _Margins(NamedTuple):
 
 
 def _check_entries(spec: NetworkSpec, tables: _Tables, own: dict[int, np.ndarray],
-                   chart_lip: float, pert_amplitude: float) -> list[EntryResult]:
+                   chart_lip: float, pert_amplitude: float) -> EntryTable:
     """Evaluate the coupled row inequalities for every nonzero Kronecker entry.
 
     An entry picks one choice per node; entries run in ``itertools.product``
     order over the choices, and are evaluated in numpy blocks of ``BLOCK``,
     each entry under its own ``per_entry`` matrix (``own``, which ``tables``
     lists in order after the shared one) or the shared one.
-    ``tau_search`` runs once per distinct feasibility matrix; result objects
-    are built after a block's margins and assignments are known.
+    ``tau_search`` runs once per distinct feasibility matrix; each block
+    fills its rows of the table's columns, and its passing entries must
+    have positive margins and a nonzero degree.
     """
     d, u = spec.d, spec.nodes[0].dim_u
     coupling_lip = spec.coupling.lipschitz()
@@ -995,14 +1014,13 @@ def _check_entries(spec: NetworkSpec, tables: _Tables, own: dict[int, np.ndarray
     # the coupling matrix of each entry: 0 the shared one, n the n-th override
     matrix_of = np.zeros(total, dtype=int)
     matrix_of[list(own)] = np.arange(1, len(own) + 1)
+    choice = np.stack(np.unravel_index(np.arange(total), tables.counts), axis=1)
     sources, targets = (np.array([[getattr(ch, attr) for ch in node] for node in tables.grid])
                         for attr in ("source", "target"))
-    hset_ids = [[h.id for h in node.hsets] for node in spec.nodes]
-
-    @functools.cache
-    def product_id(index: tuple[int, ...]) -> str:
-        return "x".join([ids[symbol - 1] for ids, symbol in zip(hset_ids, index)])
-
+    table = EntryTable(sources[nodes, choice], targets[nodes, choice],
+                       np.empty(total, dtype="<U12"), np.empty(total),
+                       np.zeros((total, d), dtype=int), np.zeros(total, dtype=int),
+                       *np.full((3, total), math.nan))
     taus: dict = {}
 
     def tau_for(feasibility: np.ndarray) -> tuple[int, ...] | None:
@@ -1011,45 +1029,31 @@ def _check_entries(spec: NetworkSpec, tables: _Tables, own: dict[int, np.ndarray
             taus[key] = tau_search(feasibility)
         return taus[key]
 
-    sign = functools.cache(lambda tau: _perm_sign(tau) ** u)
-    entries: list = [None] * total
     for start in range(0, total, BLOCK):
-        flat = np.arange(start, min(start + BLOCK, total))
-        ch = np.stack(np.unravel_index(flat, tables.counts), axis=1)
-        rows, cells = tables.evaluate(matrix_of[flat], ch, inflation)
-        best = np.min(np.max(rows.slack, axis=2), axis=1).tolist()
+        block = slice(start, min(start + BLOCK, total))
+        rows, cells = tables.evaluate(matrix_of[block], choice[block], inflation)
         found = [tau_for(f) for f in rows.feas_sure]
-        maybe = rows.feas_maybe
-        passing = [e for e, tau in enumerate(found) if tau is not None]
-        pe = np.array(passing, dtype=int)[:, None]
-        cols = np.array([found[e] for e in passing], dtype=int).reshape(-1, d) - 1
+        table.verdict[block] = [_verdict(tau is not None, tau is None and tau_for(f) is not None)
+                                for tau, f in zip(found, rows.feas_maybe)]
+        table.slack[block] = np.min(np.max(rows.slack, axis=2), axis=1)
+        pe = np.flatnonzero(table.verdict[block] == "pass")[:, None]
+        cols = np.array([tau for tau in found if tau is not None], dtype=int).reshape(-1, d) - 1
         unstable = rows.margin_lo[pe, nodes, cols].min(axis=1)
         stable = rows.margin_s[pe, nodes, cols].min(axis=1)
-        rowwise = zip(unstable.tolist(), stable.tolist(),
-                      np.prod(tables.deg[cells[pe, nodes, cols]], axis=1).tolist(),
-                      tables.radius[nodes, ch[passing]].min(axis=1).tolist(),
-                      (np.minimum(unstable, stable) - inflation).tolist())
-        index = list(zip(map(tuple, sources[nodes, ch].tolist()),
-                         map(tuple, targets[nodes, ch].tolist())))
-        for e, tau in enumerate(found):
-            if tau is None:
-                verdict = _verdict(False, tau_for(maybe[e]) is not None)
-                notes = (f"no node assignment satisfies every coupled row "
-                         f"(best achievable slack {best[e]:.6g})",)
-                if verdict == "inconclusive":
-                    notes += ("grid bounds too coarse to decide; raise the resolution",)
-                entries[start + e] = EntryResult(*index[e], None, None, verdict, best[e], notes)
-        for e, (unstable, stable, degree, radius, slack) in zip(passing, rowwise):
-            i_idx, j_idx = index[e]
-            tau = found[e]
-            eps = persistence_bound(_Margins(unstable, stable, radius), chart_lip, coupling_lip)
-            cert = CoveringCertificate(
-                source_id=product_id(i_idx), target_id=product_id(j_idx),
-                degree=DegreeValue(sign(tau) * degree, "composition"),
-                unstable_margin=unstable, stable_margin=stable, target_radius=radius,
-                admissible_eps=eps)
-            entries[start + e] = EntryResult(i_idx, j_idx, tau, cert, "pass", slack, ())
-    return entries
+        degree = _perm_sign(cols + 1) ** u * np.prod(tables.deg[cells[pe, nodes, cols]], axis=1)
+        if not (np.all(unstable > 0) and np.all(stable > 0)):
+            raise ValueError("certificate margins must be strictly positive")
+        if np.any(degree == 0):
+            raise ValueError("certificate degree must be nonzero")
+        at = start + pe[:, 0]
+        radius = tables.radius[nodes, choice[at]].min(axis=1)
+        table.slack[at] = np.minimum(unstable, stable) - inflation
+        table.tau[at], table.degree[at] = cols + 1, degree
+        table.unstable_margin[at], table.stable_margin[at] = unstable, stable
+        table.admissible_eps[at] = [
+            persistence_bound(_Margins(*margins), chart_lip, coupling_lip)
+            for margins in zip(unstable.tolist(), stable.tolist(), radius.tolist())]
+    return table
 
 
 def _prepare(spec: NetworkSpec, kind: str, resolution: int
@@ -1220,7 +1224,7 @@ def theorem1_check(spec: NetworkSpec, resolution: int = 64,
     verdict, eps = _aggregate(entries)
     period = (lcm_period([n.transition.cycle_length(1) for n in spec.nodes])
               if verdict == "pass" else None)
-    return TheoremReport(1, verdict, tuple(entries), eps, period=period)
+    return TheoremReport(1, verdict, entries, eps, period=period)
 
 
 def theorem2_check(spec: NetworkSpec, resolution: int = 64,
@@ -1234,16 +1238,15 @@ def theorem2_check(spec: NetworkSpec, resolution: int = 64,
     entries = _check_entries(spec, *_prepare(spec, TYPE_II, resolution), pert_amplitude)
     verdict, eps = _aggregate(entries)
     bound = float(sum(math.log(spectral_radius(n.transition)) for n in spec.nodes))
-    return TheoremReport(2, verdict, tuple(entries), eps,
+    return TheoremReport(2, verdict, entries, eps,
                          entropy_bound=bound if verdict == "pass" else None)
 
 
-def _aggregate(entries: list[EntryResult]) -> tuple[str, float]:
+def _aggregate(entries: EntryTable) -> tuple[str, float]:
     """The verdict over all entries, and eps* (the least entry radius) on a pass, else 0."""
-    verdicts = {e.verdict for e in entries}
+    verdicts = set(entries.verdict.tolist())
     verdict = _verdict(verdicts == {"pass"}, "fail" not in verdicts)
-    return verdict, (min(e.certificate.admissible_eps for e in entries)
-                     if verdict == "pass" else 0.0)
+    return verdict, float(entries.admissible_eps.min()) if verdict == "pass" else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -1281,7 +1284,7 @@ def conjugacy_audit(spec: NetworkSpec, seed: int = 0) -> ConjugacyReport:
 
     def blockwise(fns, v):
         """fns[k] applied to node k's block of the state v."""
-        return np.concatenate([f(x) for f, x in zip(fns, np.split(v, d))])
+        return np.concatenate([f(x) for f, x in zip(fns, v.reshape(d, -1))])
 
     combos = list(itertools.product(*[_form_keys(n, kind) for n in spec.nodes]))
     per = max(1, 200 // max(1, len(combos)))

@@ -37,8 +37,8 @@ import numpy as np
 from .covering import ProductFormMap
 from .geometry import (AffineChart, AffinePiece, CenterScale, GeometryError, HSet,
                        PiecewiseAffineMap, UnifiedSet)
-from .network import (CouplingSpec, EntryResult, Graph, NetworkSpec, NodeSystem,
-                      TheoremReport, TYPE_I, TYPE_II)
+from .network import (CouplingSpec, Graph, NetworkSpec, NodeSystem, TheoremReport, TYPE_I,
+                      TYPE_II, entry_failures)
 from .symbolic import TransitionMatrix
 
 FORMAT_VERSION = "1"
@@ -399,30 +399,24 @@ def _tag(x):
     return x
 
 
-def _emit_entry(entry: EntryResult) -> dict:
-    out = {
-        "i": list(entry.source_index),
-        "j": list(entry.target_index),
-        "verdict": entry.verdict,
-        "tau": list(entry.tau) if entry.tau else None,
-        "slack": _tag(entry.slack),
-        "failures": list(entry.failures),
-    }
-    if entry.certificate is not None:
-        cert = entry.certificate
-        out.update({
-            "degree": cert.degree.value,
-            "unstable_margin": _tag(cert.unstable_margin),
-            "stable_margin": _tag(cert.stable_margin),
-            "admissible_eps": _tag(cert.admissible_eps),
-        })
-    return out
-
-
 def certificate_document(report: TheoremReport, digest: str,
                          tool_version: str, extras: dict | None = None) -> dict:
-    """Assemble the certificate payload for a theorem report."""
-    binding = report.binding_entry()
+    """Assemble the certificate payload for a theorem report: one object
+    per entry, read from the columns of ``report.entries``; an entry's
+    degree, margins and radius only when it passes."""
+    table, binding = report.entries, report.binding_entry()
+    entries = []
+    for i, j, verdict, slack, tau, degree, unstable, stable, eps in zip(
+            *(column.tolist() for column in (
+                table.source, table.target, table.verdict, table.slack, table.tau,
+                table.degree, table.unstable_margin, table.stable_margin,
+                table.admissible_eps))):
+        entry = {"i": i, "j": j, "verdict": verdict, "tau": None, "slack": _tag(slack),
+                 "failures": list(entry_failures(verdict, slack))}
+        if verdict == "pass":
+            entry.update(tau=tau, degree=degree, unstable_margin=_tag(unstable),
+                         stable_margin=_tag(stable), admissible_eps=_tag(eps))
+        entries.append(entry)
     doc = {
         "format_version": FORMAT_VERSION,
         "tool": {"name": TOOL_NAME, "version": tool_version},
@@ -432,10 +426,10 @@ def certificate_document(report: TheoremReport, digest: str,
         "global_eps": _tag(report.global_eps),
         "entropy_bound": _tag(report.entropy_bound),
         "period": report.period,
-        "binding_entry": {"i": list(binding.source_index),
-                          "j": list(binding.target_index),
-                          "slack": _tag(binding.slack)},
-        "entries": [_emit_entry(e) for e in report.entries],
+        "binding_entry": {"i": table.source[binding].tolist(),
+                          "j": table.target[binding].tolist(),
+                          "slack": _tag(table.slack[binding].item())},
+        "entries": entries,
     }
     if extras:
         doc.update(extras)

@@ -13,7 +13,7 @@ import numpy as np
 
 from cmnverify import (Perturbation, TransitionMatrix, closed_loops,
                        conjugacy_audit, count_words, degree_1d, degree_affine,
-                       empirical_entropy, fixtures, kronecker, load_spec,
+                       empirical_entropy, entry_failures, fixtures, kronecker, load_spec,
                        spectral_radius, step_power, theorem1_check,
                        theorem2_check)
 from cmnverify.cli import main
@@ -67,8 +67,9 @@ def test_criterion_2_example2_conjugacy():
 def test_criterion_3_diffusive_threshold():
     passing = theorem2_check(fixtures.example1(alpha=0.0999))
     failing = theorem2_check(fixtures.example1(alpha=0.1001))
-    binding = failing.binding_entry()
-    named = binding.verdict == "fail" and binding.failures
+    entries, binding = failing.entries, failing.binding_entry()
+    verdict, slack = entries.verdict[binding], entries.slack[binding]
+    named = verdict == "fail" and entry_failures(verdict, slack)
     t0 = time.perf_counter()
     sweep_ok = True
     for alpha in np.linspace(0.001, 0.249, 100):
@@ -78,8 +79,9 @@ def test_criterion_3_diffusive_threshold():
     ok = (passing.passed and failing.verdict == "fail" and bool(named)
           and sweep_ok and elapsed < 5.0)
     _report(3, ok, f"alpha=0.0999 passes, alpha=0.1001 fails naming entry "
-                   f"{binding.source_index}->{binding.target_index} "
-                   f"(slack {binding.slack:.4g}); 100-alpha sweep matches "
+                   f"{tuple(entries.source[binding].tolist())}->"
+                   f"{tuple(entries.target[binding].tolist())} "
+                   f"(slack {slack:.4g}); 100-alpha sweep matches "
                    f"(2-5a)-5a>1 in {elapsed:.2f}s < 5s")
 
 

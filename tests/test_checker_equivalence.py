@@ -18,6 +18,7 @@ change no certificate.
 import itertools
 import math
 from collections import Counter
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -127,6 +128,35 @@ class _ReferenceTables:
         return "unknown"
 
 
+class _Entry(NamedTuple):
+    """The reference's outcome for one Kronecker entry."""
+
+    source: tuple[int, ...]
+    target: tuple[int, ...]
+    tau: tuple[int, ...] | None
+    certificate: CoveringCertificate | None
+    verdict: str
+    slack: float
+    failures: tuple[str, ...]
+
+
+def _pack(entries):
+    """The reference's entries as the checkers' table, whose notes, read
+    from verdict and slack, must be the reference's own."""
+    for e in entries:
+        assert nw.entry_failures(e.verdict, e.slack) == e.failures
+
+    def column(read, absent):
+        return np.array([absent if e.certificate is None else read(e.certificate)
+                         for e in entries])
+    return nw.EntryTable(
+        np.array([e.source for e in entries]), np.array([e.target for e in entries]),
+        np.array([e.verdict for e in entries]), np.array([e.slack for e in entries]),
+        np.array([e.tau or (0,) * len(e.source) for e in entries]),
+        column(lambda c: c.degree.value, 0), column(lambda c: c.unstable_margin, math.nan),
+        column(lambda c: c.stable_margin, math.nan), column(lambda c: c.admissible_eps, math.nan))
+
+
 def _matrix_for(spec, i_idx, j_idx):
     """The entry's own ``per_entry`` matrix, found by a linear scan, or the
     shared one."""
@@ -213,7 +243,7 @@ def _reference_entry(spec, tables, i_idx, j_idx, form_key, refs_u, refs_s, radii
                                    cert.unstable_margin, cert.stable_margin,
                                    cert.target_radius, admissible_eps=eps)
         entry_slack = min(min(row_u), min(row_s)) - inflation
-        return nw.EntryResult(i_idx, j_idx, tau, cert, "pass", entry_slack, ())
+        return _Entry(i_idx, j_idx, tau, cert, "pass", entry_slack, ())
 
     best = float(np.min(np.max(slack, axis=1)))
     notes = [f"no node assignment satisfies every coupled row "
@@ -221,7 +251,7 @@ def _reference_entry(spec, tables, i_idx, j_idx, form_key, refs_u, refs_s, radii
     verdict = "inconclusive" if nw.tau_search(feas_maybe) is not None else "fail"
     if verdict == "inconclusive":
         notes.append("grid bounds too coarse to decide; raise the resolution")
-    return nw.EntryResult(i_idx, j_idx, None, None, verdict, best, tuple(notes))
+    return _Entry(i_idx, j_idx, None, None, verdict, best, tuple(notes))
 
 
 def _reference_verdict(entries):
@@ -282,7 +312,7 @@ def reference_theorem1(spec, resolution=64, pert_amplitude=0.0, membership=False
         state, period = tuple(perms[k][0] for k in range(d)), 1
         while state != (1,) * d:
             state, period = tuple(perms[k][state[k] - 1] for k in range(d)), period + 1
-    return nw.TheoremReport(1, verdict, tuple(entries), eps if verdict == "pass" else 0.0,
+    return nw.TheoremReport(1, verdict, _pack(entries), eps if verdict == "pass" else 0.0,
                             period=period)
 
 
@@ -311,7 +341,7 @@ def reference_theorem2(spec, resolution=64, pert_amplitude=0.0, membership=False
     verdict = _reference_verdict(entries)
     eps = min((e.certificate.admissible_eps for e in entries if e.certificate), default=0.0)
     bound = float(sum(math.log(nw.spectral_radius(n.transition)) for n in spec.nodes))
-    return nw.TheoremReport(2, verdict, tuple(entries), eps if verdict == "pass" else 0.0,
+    return nw.TheoremReport(2, verdict, _pack(entries), eps if verdict == "pass" else 0.0,
                             entropy_bound=bound if verdict == "pass" else None)
 
 
@@ -551,8 +581,8 @@ def test_overrides_straddle_a_block_seam():
     spec = CASES["perm_ring6_overrides"]()
     entries = _check(spec).entries
     assert len(entries) == 729 > nw.BLOCK
-    overridden = [i for i, _, _ in spec.coupling.per_entry]
-    assert [entries[nw.BLOCK - 1].source_index, entries[nw.BLOCK].source_index] == overridden
+    overridden = [list(i) for i, _, _ in spec.coupling.per_entry]
+    assert entries.source[nw.BLOCK - 1:nw.BLOCK + 1].tolist() == overridden
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

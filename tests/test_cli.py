@@ -522,7 +522,7 @@ class TestHostileSpec:
         def constant(x0, normals, bounds):
             matrix, offset = piece.matrix.copy(), piece.offset.copy()
             matrix[0] = 0.0
-            offset[0] = piece.evaluate(np.array([x0, 0.0]))[0]
+            offset[0] = piece.evaluate_batch(np.array([[x0], [0.0]]))[0, 0]
             return AffinePiece(matrix, offset, np.array(normals, float), np.array(bounds, float))
         pieces = (constant(-1.0, [[1, 0]], [0]), constant(1.0, [[-1, 0], [1, 0]], [0, 1]),
                   *node.local_map.pieces[1:])
@@ -722,6 +722,28 @@ class TestMarginCommand:
     def test_failing_spec_exit_one(self, fixdir, capsys):
         assert main(["margin", str(fixdir / "example1_alpha_0.2.json")]) == 1
         assert "fails" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name, code, i, j", [
+        ("theorem1_perm23", 0, [1, 2], [2, 3]),
+        ("example1_alpha_0.2", 1, [1, 1], [1, 2]),
+    ])
+    def test_binding_entry_is_the_first_of_least_slack(self, name, code, i, j, fixdir,
+                                                        tmp_path, capsys):
+        # entries 2, 4, 5 and 6 of theorem1_perm23 tie at slack 0.25, and
+        # entries 1 and 3-6 of example1_alpha_0.2 at -1; the certificate and
+        # margin both name the first of them in product order
+        out = tmp_path / "cert.json"
+        assert main(["verify", str(fixdir / f"{name}.json"), "--out", str(out)]) == code
+        doc = json.loads(out.read_text())
+        slack = [e["slack"] for e in doc["entries"]]
+        first = slack.index(min(slack))
+        assert slack.count(min(slack)) > 1
+        assert [doc["entries"][first]["i"], doc["entries"][first]["j"]] == [i, j]
+        assert doc["binding_entry"] == {"i": i, "j": j, "slack": min(slack)}
+        capsys.readouterr()
+        assert main(["margin", str(fixdir / f"{name}.json")]) == code
+        assert (f"binding entry {tuple(i)}->{tuple(j)} (slack {min(slack):.6g})"
+                in capsys.readouterr().out)
 
     def test_near_threshold_radius_is_small(self, tmp_path, capsys):
         # binding slack 2 - 10a - 1 = 0.01 at a = 0.099, divided by 2

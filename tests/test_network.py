@@ -7,7 +7,7 @@ import pytest
 from cmnverify import (AffineChart, CouplingSpec, Graph, HSet,
                        NetworkSpec, NodeSystem, PiecewiseAffineMap, SpecError,
                        TransitionMatrix, check_covering, conjugacy_audit,
-                       fixtures, kronecker, spectral_radius, tau_search,
+                       entry_failures, fixtures, kronecker, spectral_radius, tau_search,
                        theorem1_check, theorem2_check, validate_spec)
 from cmnverify.geometry import AffinePiece, GeometryError
 from conftest import random_transition_matrix
@@ -123,11 +123,9 @@ class TestValidateSpec:
         assert report.warnings == ("per-entry coupling matrices are applied per entry "
                                    "by the unified-family checker: each replaces the "
                                    "shared model at its own entry only",)
-        slack = {(e.source_index, e.target_index): e.slack
-                 for e in theorem2_check(base).entries}
-        changed = {(e.source_index, e.target_index)
-                   for e in theorem2_check(spec).entries
-                   if e.slack != slack[(e.source_index, e.target_index)]}
+        before, after = theorem2_check(base).entries, theorem2_check(spec).entries
+        changed = {(tuple(after.source[n].tolist()), tuple(after.target[n].tolist()))
+                   for n in np.flatnonzero(after.slack != before.slack)}
         assert changed == {entry}
 
     def test_disconnected_graph_rejected(self):
@@ -244,10 +242,10 @@ class TestTheorem2:
         assert len(report.entries) == 9
         assert report.entropy_bound == pytest.approx(2 * math.log(PHI), abs=1e-9)
         assert report.global_eps == pytest.approx(0.5)
-        for entry in report.entries:
-            assert entry.tau == (1, 2)
-            assert entry.certificate.degree.value == 1
-            assert entry.certificate.unstable_margin == pytest.approx(1.0)
+        entries = report.entries
+        assert (entries.tau == (1, 2)).all()
+        assert (entries.degree == 1).all()
+        assert entries.unstable_margin == pytest.approx(np.ones(9))
 
     def test_diffusive_threshold_matches_derivation(self):
         # binding row pairs a shifted-target stretch 2 - 5a against a
@@ -262,14 +260,21 @@ class TestTheorem2:
         for alpha in (0.05, 0.08, 0.0999):
             report = theorem2_check(fixtures.example1(alpha=alpha))
             binding = report.binding_entry()
-            assert binding.slack == pytest.approx(1.0 - 10 * alpha, abs=1e-12)
+            assert report.entries.slack[binding] == pytest.approx(1.0 - 10 * alpha, abs=1e-12)
 
     def test_failure_names_binding_entry(self):
         report = theorem2_check(fixtures.example1(alpha=0.1001))
-        binding = report.binding_entry()
-        assert binding.verdict == "fail"
-        assert binding.slack == pytest.approx(-0.001, abs=1e-12)
-        assert binding.failures
+        entries, binding = report.entries, report.binding_entry()
+        assert entries.verdict[binding] == "fail"
+        assert entries.slack[binding] == pytest.approx(-0.001, abs=1e-12)
+        assert entry_failures(entries.verdict[binding], entries.slack[binding])
+
+    def test_passing_entry_needs_a_nonzero_degree(self, monkeypatch):
+        # every passing entry's composed degree is checked on the table
+        from cmnverify import network
+        monkeypatch.setattr(network, "_perm_sign", lambda tau: 0)
+        with pytest.raises(ValueError, match=r"^certificate degree must be nonzero$"):
+            theorem2_check(fixtures.example1())
 
     def test_shifted_variant_same_verdict_and_bound(self):
         for alpha in (0.05, 0.0999):
@@ -328,12 +333,14 @@ class TestTheorem2:
         result = theorem2_check(spec)
         assert result.passed
         assert result.entropy_bound == pytest.approx(2 * math.log(PHI), abs=1e-9)
-        for entry in result.entries:
+        entries = result.entries
+        for source, target, margin in zip(entries.source.tolist(), entries.target.tolist(),
+                                          entries.stable_margin.tolist()):
             # stable row: |0.3 * r_source| against the target radius
-            r_src = [0.3 * (1.0 if i == 1 else 0.8) for i in entry.source_index]
-            r_tgt = [1.0 if j == 1 else 0.8 for j in entry.target_index]
+            r_src = [0.3 * (1.0 if i == 1 else 0.8) for i in source]
+            r_tgt = [1.0 if j == 1 else 0.8 for j in target]
             want = min(rt - rs for rs, rt in zip(r_src, r_tgt))
-            assert entry.certificate.stable_margin == pytest.approx(want, abs=1e-12)
+            assert margin == pytest.approx(want, abs=1e-12)
 
     def test_infinite_declared_form_is_blamed_on_its_node(self):
         # a declared form whose own size overflows is refused at the node's
@@ -366,7 +373,7 @@ class TestTheorem2:
         # computable, so the verdict must stay inconclusive, never fail
         report = theorem2_check(_sawtooth_spec(), resolution=65)
         assert report.verdict == "inconclusive"
-        assert report.entries[0].tau is None
+        assert not report.entries.tau[0].any()
 
     def test_tables_are_freed_with_the_check(self, monkeypatch):
         # a cell keeps the error of its undefined degree without the
@@ -450,19 +457,18 @@ class TestTheorem1:
         coupling = CouplingSpec("type1", base.coupling.matrix, per_entry=weak)
         report = theorem1_check(NetworkSpec(base.graph, base.nodes, coupling))
         assert report.verdict == "fail"
-        failed = [e for e in report.entries if e.verdict == "fail"]
+        failed = np.flatnonzero(report.entries.verdict == "fail")
         assert len(failed) == 1
-        assert failed[0].source_index == (1, 1)
+        assert tuple(report.entries.source[failed[0]].tolist()) == (1, 1)
 
     def test_stable_factor_enters_rows(self):
         report = theorem1_check(_planar_fixed_pair(np.eye(2)))
         assert report.passed
-        assert report.entries[0].certificate.stable_margin == pytest.approx(0.6)
+        assert report.entries.stable_margin[0] == pytest.approx(0.6)
         # diffusive mixing adds the foreign stable stretch to each row
         report2 = theorem1_check(_planar_fixed_pair(_diffusive(0.2)))
         assert report2.passed
-        assert report2.entries[0].certificate.stable_margin \
-            == pytest.approx(1.0 - 0.4, abs=1e-12)
+        assert report2.entries.stable_margin[0] == pytest.approx(1.0 - 0.4, abs=1e-12)
 
     @pytest.mark.parametrize("branch, transition, failure", [
         ("contracting", "1->2", "min stretch 0.5 <= 1 relative to target center [0.0]"),

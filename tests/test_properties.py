@@ -87,7 +87,8 @@ class TestDesignedUnifiedPairs:
                                CouplingSpec("type2", np.eye(2)))
             report = theorem2_check(spec)
             assert report.verdict == "fail"
-            assert report.binding_entry().slack == pytest.approx(min(margins), abs=1e-9)
+            assert report.entries.slack[report.binding_entry()] \
+                == pytest.approx(min(margins), abs=1e-9)
 
 
 class TestDesignedTriples:
