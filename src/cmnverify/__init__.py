@@ -29,7 +29,7 @@ from .network import (CouplingSpec, EntryTable, Graph, NetworkSpec, NodeSystem,
                       conjugacy_audit, entry_failures, kronecker, tau_search,
                       theorem1_check, theorem2_check, validate_spec)
 from .dynamics import (Itinerary, LoopError, NeutralCompositionError,
-                       NoInvariantSamplesError, PeriodicOrbitCertificate,
+                       NoInvariantSamplesError, OrbitEscapeError, PeriodicOrbitCertificate,
                        Perturbation, empirical_entropy, itinerary,
                        periodic_point, step, step_power)
 from .specio import (SpecFormatError, canonical_json, certificate_document,

@@ -16,9 +16,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .dynamics import (LoopError, NeutralCompositionError, Perturbation,
-                       empirical_entropy, locate_batch, periodic_point, state_vector,
-                       step)
+from .dynamics import (LoopError, NeutralCompositionError, OrbitEscapeError, Perturbation,
+                       empirical_entropy, locate_batch, periodic_point, state_vector, step)
 from .geometry import GeometryError
 from .network import (SpecError, TYPE_I, conjugacy_audit, entry_failures, require_finite_step,
                       theorem1_check, theorem2_check, validate_spec)
@@ -175,8 +174,11 @@ def cmd_simulate(args) -> int:
         state = np.random.default_rng(args.seed).uniform(lo, hi)
     pert = Perturbation(*args.pert) if args.pert else None
     states = [state]
-    for _ in range(args.steps):
-        states.append(step(spec, states[-1], pert))
+    for t in range(1, args.steps + 1):
+        try:
+            states.append(step(spec, states[-1], pert))
+        except OrbitEscapeError as exc:
+            raise OrbitEscapeError(f"step {t} of {args.steps}: {exc}") from None
     # the whole orbit, coordinate-major, located in one batch
     orbit = np.stack(states, axis=1)
     symbols = locate_batch(spec, orbit)

@@ -1,10 +1,12 @@
 """Local Brouwer degree for the map classes the certifier needs.
 
 Two rules, picked by ``degree_for_map``: the crossing count of a
-piecewise-affine map on the line, and the determinant sign of an affine
-map in any dimension.  A target value hit exactly on the domain boundary
-(to within ``EVAL_TIE_TOL``) is a hard error: the degree is undefined
-there and silently nudging the target would fabricate certificates.
+piecewise-affine map on the line, read from its endpoint values
+(``crossing_degrees``, for many maps at once), and the determinant sign
+of an affine map in any dimension.  A target value hit exactly on the
+domain boundary (to within ``EVAL_TIE_TOL``) is a hard error: the degree
+is undefined there and silently nudging the target would fabricate
+certificates.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (EVAL_TIE_TOL, GeometryError, PiecewiseAffineMap, _as_matrix,
-                       _as_vector, _unit_row_det, singular)
+                       _as_vector, _unit_row_det, line_stretch, singular)
 
 
 class DegreeUndefinedError(ValueError):
@@ -54,16 +56,32 @@ def degree_affine(linear, offset, target) -> DegreeValue:
     return DegreeValue(value, "affine-determinant")
 
 
+def crossing_degrees(ends: np.ndarray, targets) -> list[DegreeValue | DegreeUndefinedError]:
+    """Degree over (-1, 1) of each scalar map whose endpoint values less
+    its target are a row (left, right) of ``ends`` (``line_stretch``'s):
+    half the endpoint sign change.  Where an endpoint value is within
+    ``EVAL_TIE_TOL`` of 0 the degree is undefined, and the error saying so
+    takes the degree's place in the list, unraised."""
+    out: list[DegreeValue | DegreeUndefinedError] = []
+    for q, (left, right) in zip(targets, np.reshape(ends, (-1, 2)).tolist()):
+        if abs(left) <= EVAL_TIE_TOL or abs(right) <= EVAL_TIE_TOL:
+            out.append(DegreeUndefinedError(f"target {q} equals a boundary value of the map"))
+        else:
+            out.append(DegreeValue((int(np.sign(right)) - int(np.sign(left))) // 2,
+                                   "one-d-crossing"))
+    return out
+
+
 def degree_1d(U: PiecewiseAffineMap, target: float) -> DegreeValue:
-    """Degree of a scalar map over (-1, 1): half the endpoint sign change."""
+    """Degree of a scalar map over (-1, 1): ``crossing_degrees`` of its
+    endpoint values from ``line_stretch``."""
     if U.dim_in != 1 or U.dim_out != 1:
         raise GeometryError("degree_1d needs a scalar map on the line")
     q = float(target)
-    left, right = (U.apply_batch(np.array([[-1.0, 1.0]]))[0] - q).tolist()
-    if abs(left) <= EVAL_TIE_TOL or abs(right) <= EVAL_TIE_TOL:
-        raise DegreeUndefinedError(f"target {q} equals a boundary value of the map")
-    value = (int(np.sign(right)) - int(np.sign(left))) // 2
-    return DegreeValue(value, "one-d-crossing")
+    (degree,) = crossing_degrees(line_stretch([(U, 1.0, q)]).ends, [q])
+    if isinstance(degree, DegreeUndefinedError):
+        raise degree
+    return degree
 
 
 def degree_for_map(U: PiecewiseAffineMap, target) -> DegreeValue:

@@ -72,6 +72,10 @@ class NeutralCompositionError(ValueError):
     """Composed affine branch has a unit eigenvalue; no isolated fixed point."""
 
 
+class OrbitEscapeError(ValueError):
+    """An iterate of the network map is not finite."""
+
+
 class NoInvariantSamplesError(RuntimeError):
     """Every sampled trajectory escaped; nothing to estimate."""
 
@@ -144,9 +148,9 @@ class PeriodicOrbitCertificate:
 # stepping
 
 
-def _step_batch(spec: NetworkSpec, states: np.ndarray,
-                pert: Perturbation | None = None) -> np.ndarray:
-    """The network map on every column of ``states`` (state_dim, n)."""
+def _local_images(spec: NetworkSpec, states: np.ndarray,
+                  pert: Perturbation | None = None) -> np.ndarray:
+    """Every node's local map on its block of each column of ``states``."""
     block = spec.block_dim
     out = np.empty_like(states)
     for k, node in enumerate(spec.nodes):
@@ -155,10 +159,21 @@ def _step_batch(spec: NetworkSpec, states: np.ndarray,
         if pert is not None and pert.amplitude:
             img = img + pert.local_bump(k, seg)
         out[k * block:(k + 1) * block] = img
+    return out
+
+
+def _couple(spec: NetworkSpec, out: np.ndarray, pert: Perturbation | None = None) -> np.ndarray:
+    """The interaction on every column of the local images ``out``."""
     coupled = spec.ambient_map().apply_batch(out)
     if pert is not None and pert.amplitude:
         coupled = coupled + pert.coupling_bump(out)
     return coupled
+
+
+def _step_batch(spec: NetworkSpec, states: np.ndarray,
+                pert: Perturbation | None = None) -> np.ndarray:
+    """The network map on every column of ``states`` (state_dim, n)."""
+    return _couple(spec, _local_images(spec, states, pert), pert)
 
 
 def state_vector(spec: NetworkSpec, x) -> np.ndarray:
@@ -171,8 +186,19 @@ def state_vector(spec: NetworkSpec, x) -> np.ndarray:
 
 
 def step(spec: NetworkSpec, x, pert: Perturbation | None = None) -> np.ndarray:
-    """One application of the network map (coupling after local maps)."""
-    return _step_batch(spec, state_vector(spec, x).reshape(-1, 1), pert)[:, 0]
+    """One application of the network map (coupling after local maps).
+
+    Raises ``OrbitEscapeError``, and no numpy warning, when the local
+    images or the image are not all finite: past floating-point range no
+    cell test means anything, so none is made on such a value.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        image = _local_images(spec, state_vector(spec, x).reshape(-1, 1), pert)
+        if np.isfinite(image).all():
+            image = _couple(spec, image, pert)
+    if not np.isfinite(image).all():
+        raise OrbitEscapeError("the state leaves floating-point range")
+    return image[:, 0]
 
 
 # ---------------------------------------------------------------------------

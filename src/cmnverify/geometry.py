@@ -15,8 +15,12 @@ rest evaluates the pieces' matrices and offsets against a reference.
 ``CellGeometry`` keeps the cell-only part keyed by cell content, so maps
 that share their cells (a chart form and all its scalings ``U.scale(a)``)
 share it; a checker keeps one ``CellGeometry`` for the length of one check
-and passes it to ``min_stretch`` and ``max_stretch``.  Called without one,
-those functions compute everything afresh, as for a single query.
+and passes it to every stretch function.  Called without one, those
+functions compute everything afresh, as for a single query.
+
+``affine_min_stretch`` and ``line_stretch`` take whole batches, of affine
+maps and of maps on the line; ``min_stretch`` and ``max_stretch`` hand
+them such a map as a batch of one.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -735,10 +740,88 @@ def affine_min_stretch(pairs: list[tuple[PiecewiseAffineMap, np.ndarray]],
     return out
 
 
+class LineStretch(NamedTuple):
+    """``line_stretch``'s bounds: ``ends`` and ``min_rel`` one row per
+    boundary item, ``max_abs`` one per item, the boundary items first."""
+
+    ends: np.ndarray      # (n, 2): a F(-1) - ref and a F(1) - ref
+    min_rel: np.ndarray   # the lesser |end|: the min stretch, exact
+    max_abs: np.ndarray   # max |a F - ref| over [-1, 1], exact, from the cell vertices
+
+
+def line_stretch(boundary, box=(), cells: CellGeometry | None = None) -> LineStretch:
+    """Exact stretch bounds of scaled maps on the line, all in one array pass.
+
+    An item (F, a, ref) stands for the map a F about the reference ref (a
+    number, or a vector of one), with F scalar on the line.  Each
+    ``boundary`` item gets its endpoint values a F(+-1) - ref, each from
+    the first piece holding the endpoint, and its min stretch, the lesser
+    of their absolute values; every item gets its max, the largest
+    |a F - ref| at the vertices of F's cells inside [-1, 1]
+    (``_exact_max``'s).  A value is computed as ``F.scale(a).apply_batch``
+    and ``_exact_max`` compute it, so it is theirs bit for bit: fl(a M) x,
+    plus 0.0, plus fl(a o), less ref.  The endpoint pieces and the
+    vertices come from ``cells``, once per cell structure, since scaling
+    keeps the cells.  A boundary item whose min exceeds its max raises, as
+    ``StretchBounds`` does.
+    """
+    items = [*boundary, *box]
+    if not items:
+        return LineStretch(np.zeros((0, 2)), np.zeros(0), np.zeros(0))
+    cells = CellGeometry() if cells is None else cells
+    forms: list[PiecewiseAffineMap] = []
+    slot: dict[int, int] = {}
+    for F, _, _ in items:
+        if id(F) not in slot:
+            if F.dim_in != 1 or F.dim_out != 1:
+                raise GeometryError("line_stretch needs scalar maps on the line")
+            slot[id(F)] = len(forms)
+            forms.append(F)
+    tables = [cells.table(F) for F in forms]
+    if any(t.points.size == 0 for t in tables):
+        raise GeometryError("no cell of the map meets the unit box")
+    # every piece of every form, numbered form after form; ``first_piece[f]``
+    # is the number of form f's first piece
+    slope = np.array([p.matrix[0, 0] for F in forms for p in F.pieces])
+    height = np.array([p.offset[0] for F in forms for p in F.pieces])
+    first_piece = np.cumsum([0] + [len(F.pieces) for F in forms])
+    form = np.array([slot[id(F)] for F, _, _ in items])
+    coef = np.array([a for _, a, _ in items], dtype=float)
+    ref = np.array([_as_vector(r, 1)[0] for _, _, r in items])
+
+    n = len(boundary)
+    end_piece = np.array([f + t.ends for f, t in zip(first_piece, tables)])[form[:n]]
+    ends = (coef[:n, None] * slope[end_piece]) * np.array([-1.0, 1.0])
+    ends += 0.0
+    ends += coef[:n, None] * height[end_piece]
+    ends -= ref[:n, None]
+    low = np.abs(ends).min(axis=1)
+
+    # the vertices of each item's form, item after item
+    size = np.array([t.points.size for t in tables])
+    count = size[form]
+    start = np.cumsum(count) - count
+    at = np.arange(count.sum()) + np.repeat((np.cumsum(size) - size)[form] - start, count)
+    x = np.concatenate([t.points for t in tables])[at]
+    owner = np.concatenate([f + t.owner for f, t in zip(first_piece, tables)])[at]
+    item = np.repeat(np.arange(len(items)), count)
+    vals = (coef[item] * slope[owner]) * x
+    vals += 0.0
+    vals += coef[item] * height[owner]
+    vals -= ref[item]
+    np.abs(vals, out=vals)
+    top = np.maximum.reduceat(vals, start)
+    if np.any(low > top[:n] + 1e-12):
+        raise GeometryError("min stretch bound exceeds max stretch bound")
+    return LineStretch(ends, low, top)
+
+
 class _CellTable:
     """Cell-only geometry of one cell structure.
 
     ``vertices[i]`` are the vertices of piece i's cell inside the unit box.
+    A map on the line also keeps them flat, ``points`` with the piece
+    ``owner`` of each, and in ``ends`` the first piece holding -1 and 1.
     ``face_rows(pieces, pts, tiles, resolution)`` gives, per piece, the rows
     of the face grid ``pts`` that the piece is the first to hold, sorted
     tile-major by ``tiles``, and the offsets of each tile's run among them:
@@ -754,6 +837,12 @@ class _CellTable:
             for _ in _first_match(F.pieces, box_grid(F.dim_in, 5).T):
                 pass
         self.vertices = [_piece_box_vertices(p, F.dim_in) for p in F.pieces]
+        if F.dim_in == 1:
+            self.points = np.concatenate([v[:, 0] for v in self.vertices])
+            self.owner = np.repeat(np.arange(len(F.pieces)), [len(v) for v in self.vertices])
+            self.ends = np.zeros(2, dtype=np.intp)
+            for i, hit in _first_match(F.pieces, np.array([[-1.0, 1.0]])):
+                self.ends[hit] = i
         self._rows: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
 
     def face_rows(self, pieces: tuple[AffinePiece, ...], pts: np.ndarray,
@@ -935,7 +1024,8 @@ def min_stretch(F: PiecewiseAffineMap, ref, resolution: int = 64,
                 cells: CellGeometry | None = None) -> StretchBounds:
     """Lower-bound min |F(x) - ref| over the boundary of the unit box.
 
-    Exact for 1-d maps (endpoint evaluation).  For affine maps it is
+    Exact for maps on the line: ``line_stretch`` of the one item (F, 1,
+    ref), the lesser endpoint value.  For affine maps it is
     ``affine_min_stretch`` of the one pair (F, ref): the optimum of one
     linear program over all faces, as HiGHS computes it in floating point
     (not one-sided).  Otherwise a face grid with Lipschitz
@@ -949,14 +1039,15 @@ def min_stretch(F: PiecewiseAffineMap, ref, resolution: int = 64,
     """
     ref = _as_vector(ref, F.dim_out)
     cells = CellGeometry() if cells is None else cells
-    if F.is_affine and F.dim_in >= 2:
+    if F.dim_in == 1:
+        line = line_stretch([(F, 1.0, ref)], (), cells)
+        least = float(line.min_rel[0])
+        return StretchBounds(least, float(line.max_abs[0]), True, least)
+    if F.is_affine:
         return affine_min_stretch([(F, ref)], cells)[0]
     table = cells.table(F)
     max_abs = _exact_max(F, ref, table.vertices)
     dim = F.dim_in
-    if dim == 1:
-        m = float(np.abs(F.apply_batch(np.array([[-1.0, 1.0]])) - ref[:, None]).max(axis=0).min())
-        return StretchBounds(m, max_abs, True, m)
     if resolution < 2:
         raise GeometryError("grid resolution must be at least 2")
     pts = cells.face_points(dim, resolution)
@@ -969,9 +1060,14 @@ def min_stretch(F: PiecewiseAffineMap, ref, resolution: int = 64,
 
 
 def max_stretch(F: PiecewiseAffineMap, ref, cells: CellGeometry | None = None) -> StretchBounds:
-    """Exact max |F(x) - ref| over the closed unit box (cell-vertex maximum)."""
-    vertices = (CellGeometry() if cells is None else cells).table(F).vertices
-    return StretchBounds(0.0, _exact_max(F, _as_vector(ref, F.dim_out), vertices), True, 0.0)
+    """Exact max |F(x) - ref| over the closed unit box (cell-vertex maximum);
+    on the line, ``line_stretch`` of the one item (F, 1, ref)."""
+    ref = _as_vector(ref, F.dim_out)
+    cells = CellGeometry() if cells is None else cells
+    if F.dim_in == 1:
+        return StretchBounds(0.0, float(line_stretch((), [(F, 1.0, ref)], cells).max_abs[0]),
+                             True, 0.0)
+    return StretchBounds(0.0, _exact_max(F, ref, cells.table(F).vertices), True, 0.0)
 
 
 def split_product(F: PiecewiseAffineMap, u: int) -> tuple[PiecewiseAffineMap,

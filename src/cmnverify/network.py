@@ -49,7 +49,6 @@ node's choices and the charts whose Lipschitz constant scales eps*.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -59,13 +58,13 @@ import numpy as np
 
 from .covering import (STRICT_MARGIN, CoveringCertificate, CoveringOutcome, ProductFormMap,
                        persistence_bound)
-from .degree import DegreeUndefinedError, DegreeValue, degree_for_map
+from .degree import DegreeUndefinedError, DegreeValue, crossing_degrees, degree_for_map
 from .geometry import (CONTINUITY_TOL, EVAL_TIE_TOL, MAX_GRID_POINTS, MAX_VERTEX_CANDIDATES,
                        AffineChart, AffinePiece, CellGeometry, CenterScale, GeometryError, HSet,
                        PiecewiseAffineMap, UnifiedSet, _piece_box_vertices,
-                       affine_min_stretch, box_grid, face_grid_points, max_face_resolution,
-                       max_stretch, min_stretch, singular, split_product, unified_validate,
-                       vertex_candidates)
+                       affine_min_stretch, box_grid, face_grid_points, line_stretch,
+                       max_face_resolution, max_stretch, min_stretch, singular, split_product,
+                       unified_validate, vertex_candidates)
 from .symbolic import TransitionMatrix, lcm_period, spectral_radius
 
 TYPE_I = "type1"
@@ -788,8 +787,10 @@ class _Tables:
     coupling matrix i (in the order the check lists them), is
     ``col[m, c_m] + coef[i, k, m] + row_u[k, c_k]`` for its stretch bounds
     and degree, and the same with ``row_s`` for its stable diagonal term.
-    ``radius`` and ``form_of`` are indexed [m, c].  ``degrees`` keeps what
-    ``degree_for_map`` gave each cell it was read for: a value or an error.
+    ``radius`` and ``form_of`` are indexed [m, c].  ``degrees`` keeps the
+    degree each cell was read for: a value or an error.  ``maxima[j, f]``
+    is the max stretch about 0 of form f's U (j = 0) or V (j = 1), 0
+    without one: the off-diagonal terms, which no single covering reads.
 
     ``cells`` holds the cell-only geometry (totality probe, cell vertices,
     face-grid partition) of every chart form the tables evaluate.  A form's
@@ -797,10 +798,15 @@ class _Tables:
     cell structure is worked out once and reused by every stretch call of
     the check; the store goes away with the tables.
 
-    ``decide`` fills the stretch bounds of the cells it claims: the affine
-    ones with two or more unstable directions all in one linear program
-    (``affine_min_stretch``), the 1-d and face-grid ones one
-    ``min_stretch`` call each.
+    ``decide`` fills the cells it claims.  Every bound of a factor on the
+    line (U's stretch bounds when u = 1, the stable terms when s = 1, the
+    maxima of such factors) comes from one ``line_stretch`` pass, and the
+    degrees of U on the line from the endpoint values (``ends``) that pass
+    kept, through ``crossing_degrees``.  The affine cells with two or more
+    unstable directions share one linear program (``affine_min_stretch``);
+    a face-grid cell takes one ``min_stretch`` call, a wider stable or
+    off-diagonal term one ``max_stretch`` call, a degree of a wider U one
+    ``degree_for_map`` call.
     """
 
     def __init__(self, forms: list[dict], choices: list[list[_Choice]],
@@ -832,18 +838,12 @@ class _Tables:
         self.abs_a = np.abs(stacked)
         n = math.prod(self.shape)
         self.min_rel, self.min_attained, self.vdiag = np.zeros((3, n))
+        self.ends = np.zeros((n, 2))
         self.deg = np.zeros(n, dtype=np.int64)
         self.degrees: dict[int, DegreeValue | Exception] = {}
         self.deg_known, self._bounds_done, self._vdiag_done, self._deg_done = \
             np.zeros((4, n), dtype=bool)
-
-    @functools.cached_property
-    def maxima(self) -> np.ndarray:
-        """Max stretch about 0 of each column's U and V (0 without one), indexed
-        [factor, m, c]: the off-diagonal terms, which no single covering reads."""
-        return np.array([[0.0 if G is None
-                          else max_stretch(G, np.zeros(G.dim_in), cells=self.cells).max_abs
-                          for G in (F.U, F.V)] for _, F in self.forms]).T[:, self.form_of]
+        self.maxima = None
 
     def _claim(self, cells: np.ndarray, done: np.ndarray, refs: list[np.ndarray]):
         """Mark the cells not yet ``done`` as done; yield (cell, its chart
@@ -855,33 +855,90 @@ class _Tables:
             m, F = self.forms[f]
             yield t, F, self.coef_values[m][c], refs[r]
 
-    def decide(self, cells: np.ndarray, stable: np.ndarray, radius: np.ndarray,
-               off_u, off_v, inflation: float) -> _Rows:
-        """The three covering inequalities of the row cells ``cells``, whose
-        off-diagonal terms are ``off_u`` and, when s > 0, stable cells
-        ``stable``, stable radii ``radius`` and stable terms ``off_v``.  A
-        cell holds (``feas_sure``) when its margins clear ``STRICT_MARGIN +
-        inflation`` and its Brouwer degree, read only where the row can
-        still pass, is known and nonzero; ``feas_maybe`` marks the cells
-        that may hold once a grid bound settles.
-        """
-        bounds, lp = [], []
+    def _fill(self, cells: np.ndarray, stable: np.ndarray | None, maxima: bool) -> None:
+        """Fill the stretch bounds of the row cells ``cells`` not yet filled,
+        the stable terms of ``stable`` and, with ``maxima``, the maxima."""
+        boundary, box, lp = [], [], []     # box: (table, spot in it, item)
         for t, F, a, ref in self._claim(cells, self._bounds_done, self.refs_u):
-            G = F.U.scale(a)
-            if G.is_affine and G.dim_in >= 2:
-                lp.append((t, (G, ref)))
+            if F.U.dim_in == 1:
+                boundary.append((t, (F.U, a, ref)))
+            elif F.U.is_affine:
+                lp.append((t, (F.U.scale(a), ref)))
             else:
-                bounds.append((t, min_stretch(G, ref, resolution=self.resolution,
-                                              cells=self.cells)))
-        bounds += zip([t for t, _ in lp], affine_min_stretch([pair for _, pair in lp], self.cells))
-        for t, mb in bounds:
+                mb = min_stretch(F.U.scale(a), ref, resolution=self.resolution, cells=self.cells)
+                self.min_rel[t], self.min_attained[t] = mb.min_rel, mb.min_attained
+        if stable is not None:
+            for t, F, a, ref in self._claim(stable, self._vdiag_done, self.refs_s):
+                if F.V.dim_in == 1:
+                    box.append((self.vdiag, t, (F.V, a, ref)))
+                else:
+                    self.vdiag[t] = max_stretch(F.V.scale(a), ref, cells=self.cells).max_abs
+        if maxima and self.maxima is None:
+            self.maxima = np.zeros((2, len(self.forms)))
+            for f, (_, F) in enumerate(self.forms):
+                for j, G in enumerate((F.U, F.V)):
+                    if G is None:
+                        continue
+                    if G.dim_in == 1:
+                        box.append((self.maxima, (j, f), (G, 1.0, np.zeros(1))))
+                    else:
+                        self.maxima[j, f] = max_stretch(G, np.zeros(G.dim_in),
+                                                        cells=self.cells).max_abs
+        if boundary or box:
+            line = line_stretch([item for _, item in boundary], [item for *_, item in box],
+                                self.cells)
+            at = [t for t, _ in boundary]
+            self.min_rel[at] = self.min_attained[at] = line.min_rel
+            self.ends[at] = line.ends
+            for (table, spot, _), top in zip(box, line.max_abs[len(at):].tolist()):
+                table[spot] = top
+        for (t, _), mb in zip(lp, affine_min_stretch([pair for _, pair in lp], self.cells)):
             self.min_rel[t], self.min_attained[t] = mb.min_rel, mb.min_attained
+
+    def _read_degrees(self, cells: np.ndarray) -> None:
+        """Read the degree of the row cells ``cells`` not yet read."""
+        read, line, targets = {}, [], []
+        for t, F, a, ref in self._claim(cells, self._deg_done, self.refs_u):
+            if F.U.dim_in == 1:
+                line.append(t)
+                targets.append(float(ref[0]))
+                continue
+            try:
+                read[t] = degree_for_map(F.U.scale(a), ref)
+            except (DegreeUndefinedError, GeometryError) as exc:
+                # without its traceback, whose frames would hold these tables
+                read[t] = exc.with_traceback(None)
+        if line:
+            read.update(zip(line, crossing_degrees(self.ends[line], targets)))
+        self.degrees.update(read)
+        for t, degree in read.items():
+            if isinstance(degree, DegreeValue):
+                self.deg[t], self.deg_known[t] = degree.value, True
+
+    def decide(self, cells: np.ndarray, stable: np.ndarray | None, radius: np.ndarray | None,
+               inflation: float, coupling: tuple[np.ndarray, np.ndarray] | None = None) -> _Rows:
+        """The three covering inequalities of the row cells ``cells``.
+
+        With ``coupling`` = (|a|, the form of each column), of shapes
+        (entries, d, d) and (entries, d), a row's off-diagonal terms are
+        the sums over its other columns of |a| times the column's maxima;
+        without it there are none, as in a single covering.  When s > 0,
+        ``stable`` are the stable cells and ``radius`` the stable radii,
+        else both are None.  A cell holds (``feas_sure``) when its margins clear
+        ``STRICT_MARGIN + inflation`` and its Brouwer degree, read only
+        where the row can still pass, is known and nonzero; ``feas_maybe``
+        marks the cells that may hold once a grid bound settles.
+        """
+        self._fill(cells, stable, coupling is not None)
+        off_u = off_v = 0.0
+        if coupling is not None:
+            abs_a, forms = coupling
+            off_u = _off_diagonal(abs_a, self.maxima[0, forms])
+            if stable is not None:
+                off_v = _off_diagonal(abs_a, self.maxima[1, forms])
         margin_lo = self.min_rel[cells] - off_u - 1.0
         margin_hi = self.min_attained[cells] - off_u - 1.0
-        if self.s > 0:
-            for t, F, a, ref in self._claim(stable, self._vdiag_done, self.refs_s):
-                self.vdiag[t] = (0.0 if F.V is None
-                                 else max_stretch(F.V.scale(a), ref, cells=self.cells).max_abs)
+        if stable is not None:
             margin_s = radius - (self.vdiag[stable] + off_v)
         else:
             margin_s = np.full(margin_lo.shape, math.inf)
@@ -892,13 +949,7 @@ class _Tables:
         ok_u_maybe = margin_hi > threshold
         ok_s = margin_s > threshold
         want_deg = (ok_u_sure | ok_u_maybe) & ok_s & (self.min_rel[cells] > 0)
-        for t, F, a, ref in self._claim(cells[want_deg], self._deg_done, self.refs_u):
-            try:
-                self.degrees[t] = degree = degree_for_map(F.U.scale(a), ref)
-                self.deg[t], self.deg_known[t] = degree.value, True
-            except (DegreeUndefinedError, GeometryError) as exc:
-                # without its traceback, whose frames would hold these tables
-                self.degrees[t] = exc.with_traceback(None)
+        self._read_degrees(cells[want_deg])
         known = want_deg & self.deg_known[cells]
         zero = known & (self.deg[cells] == 0)
         return _Rows(margin_lo, margin_s, slack, ok_u_sure, ok_u_maybe, ok_s, want_deg,
@@ -916,16 +967,12 @@ class _Tables:
         nodes = np.arange(ch.shape[1])
         columns = self.col[nodes, ch][:, None, :] + self.coef[i]
         cells = columns + self.row_u[nodes, ch][:, :, None]
-        abs_a, (umax, vmax0) = self.abs_a[i], self.maxima
-        term_u = abs_a * umax[nodes, ch][:, None, :]
-        off_u = _row_sums(term_u)[:, :, None] - term_u
-        stable = off_v = radius = None
+        stable = radius = None
         if self.s > 0:
             stable = columns + self.row_s[nodes, ch][:, :, None]
             radius = self.radius[nodes, ch][:, :, None]
-            term_v = abs_a * vmax0[nodes, ch][:, None, :]
-            off_v = _row_sums(term_v)[:, :, None] - term_v
-        return self.decide(cells, stable, radius, off_u, off_v, inflation), cells
+        coupling = (self.abs_a[i], self.form_of[nodes, ch])
+        return self.decide(cells, stable, radius, inflation, coupling), cells
 
     def coverings(self, matrix: int, ids: list[list[tuple[str, str]]]
                   ) -> list[list[CoveringOutcome]]:
@@ -935,7 +982,7 @@ class _Tables:
         source and target of node k's choice c, and indexes the outcomes."""
         base = self.col + np.diagonal(self.coef[matrix])[:, None]
         cells, stable = base + self.row_u, base + self.row_s
-        rows = self.decide(cells, stable, self.radius, 0.0, 0.0, 0.0)
+        rows = self.decide(cells, stable if self.s > 0 else None, self.radius, 0.0)
         outcomes = []
         for k, names in enumerate(ids):
             outcomes.append([])
@@ -975,6 +1022,14 @@ def _distinct(keys: list) -> tuple[list[int], list]:
     """Index of each key among the distinct keys, and those in first-use order."""
     index: dict = {}
     return [index.setdefault(key, len(index)) for key in keys], list(index)
+
+
+def _off_diagonal(abs_a: np.ndarray, maxima: np.ndarray) -> np.ndarray:
+    """Each row's off-diagonal terms, (entries, d, d): the sum over its
+    other columns m of |a_km| times column m's maximum (``maxima``,
+    (entries, d))."""
+    terms = abs_a * maxima[:, None, :]
+    return _row_sums(terms)[:, :, None] - terms
 
 
 def _row_sums(terms: np.ndarray) -> np.ndarray:

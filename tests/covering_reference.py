@@ -75,25 +75,41 @@ def reference_check_covering(source, target, f, target_id="", resolution=64):
 GEOMETRY = ("min_stretch", "max_stretch", "degree_for_map")
 
 
-def count_lp_pairs(counts):
-    """``network.affine_min_stretch`` counting each of its (map, reference)
-    pairs in ``counts["min_stretch"]``: the checkers hand their affine
-    cells to it, one linear program for all, where the reference calls
-    ``min_stretch`` once per cell."""
-    original = nw.affine_min_stretch
+BATCHES = ("affine_min_stretch", "line_stretch", "crossing_degrees")
 
-    def call(pairs, *args, **kwargs):
+
+def count_batches(counts):
+    """Wrappers of ``network``'s batch functions, by name, that count each
+    item in ``counts`` as the scalar call it stands for: the (map,
+    reference) pairs of ``affine_min_stretch`` and the boundary items of
+    ``line_stretch`` as ``min_stretch`` calls, its other items as
+    ``max_stretch`` calls, and the rows of ``crossing_degrees`` as
+    ``degree_for_map`` calls.  The checkers hand their affine cells, and
+    their cells on the line, to these in one call for all, where the
+    reference makes one scalar call per cell."""
+    originals = {name: getattr(nw, name) for name in BATCHES}
+
+    def affine(pairs, *args, **kwargs):
         counts["min_stretch"] += len(pairs)
-        return original(pairs, *args, **kwargs)
-    return call
+        return originals["affine_min_stretch"](pairs, *args, **kwargs)
+
+    def line(boundary, box=(), *args, **kwargs):
+        counts["min_stretch"] += len(boundary)
+        counts["max_stretch"] += len(box)
+        return originals["line_stretch"](boundary, box, *args, **kwargs)
+
+    def degrees(ends, targets):
+        counts["degree_for_map"] += len(targets)
+        return originals["crossing_degrees"](ends, targets)
+    return {"affine_min_stretch": affine, "line_stretch": line, "crossing_degrees": degrees}
 
 
 @contextlib.contextmanager
 def counted():
     """Count the calls of ``network``'s geometry and degree functions
-    inside the block, by name, with the pairs of ``affine_min_stretch``
-    as ``min_stretch`` calls."""
-    originals = {name: getattr(nw, name) for name in (*GEOMETRY, "affine_min_stretch")}
+    inside the block, by name, with the items of its batch functions as
+    the calls they stand for (``count_batches``)."""
+    originals = {name: getattr(nw, name) for name in (*GEOMETRY, *BATCHES)}
     calls = {name: 0 for name in GEOMETRY}
 
     def wrapper(name):
@@ -103,7 +119,8 @@ def counted():
         return call
     for name in GEOMETRY:
         setattr(nw, name, wrapper(name))
-    nw.affine_min_stretch = count_lp_pairs(calls)
+    for name, batch in count_batches(calls).items():
+        setattr(nw, name, batch)
     try:
         yield calls
     finally:

@@ -26,9 +26,11 @@ from cmnverify import (AffineChart, CenterScale, CouplingSpec, Graph, HSet, Netw
 from cmnverify import geometry
 from cmnverify import network as nw
 from cmnverify.covering import ProductFormMap
+from cmnverify.degree import DegreeUndefinedError, DegreeValue, crossing_degrees, degree_1d
 from cmnverify.geometry import (AffinePiece, CellGeometry, GeometryError, StretchBounds,
-                                max_stretch, min_stretch)
+                                line_stretch, max_stretch, min_stretch)
 from cmnverify.network import TYPE_II, _resolve_forms
+from conftest import random_interval_map
 from test_properties import designed_node
 
 
@@ -605,6 +607,145 @@ def test_check_without_affine_cells_makes_no_linprog_call(linprog_calls):
     assert theorem2_check(box3, resolution=33).verdict == "inconclusive"
     assert theorem2_check(_box_spec(12), resolution=33).verdict == "inconclusive"
     assert not linprog_calls
+
+
+# ---------------------------------------------------------------------------
+# maps on the line: every item of a table fill in one array pass
+
+
+def _reference_degree_1d(G, q):
+    """The endpoint sign change as ``degree_1d`` computed it on its own,
+    through the masked evaluation."""
+    left, right = (_reference_apply_batch(G, np.array([[-1.0], [1.0]]))[:, 0] - q).tolist()
+    if abs(left) <= geometry.EVAL_TIE_TOL or abs(right) <= geometry.EVAL_TIE_TOL:
+        raise DegreeUndefinedError(f"target {q} equals a boundary value of the map")
+    return DegreeValue((int(np.sign(right)) - int(np.sign(left))) // 2, "one-d-crossing")
+
+
+def _degree(fn):
+    """A degree, or the message of the ``DegreeUndefinedError`` raised instead."""
+    try:
+        return fn()
+    except DegreeUndefinedError as exc:
+        return str(exc)
+
+
+def _end_tie_map(rng, end, reverse):
+    """Two pieces meeting at ``end`` (-1 or 1) that differ there by 5e-10,
+    inside the continuity tolerance: the end goes to the piece listed
+    first, the left one, or with ``reverse`` the right one."""
+    s1, s2 = rng.uniform(-4.0, 4.0, size=2)
+    c1 = float(rng.uniform(-2.0, 2.0))
+    c2 = s1 * end + c1 + 5e-10 - s2 * end
+    F = PiecewiseAffineMap.from_breakpoints([end], [(s1, c1), (s2, c2)])
+    return PiecewiseAffineMap(1, 1, F.pieces[::-1]) if reverse else F
+
+
+def _peak_map(rng):
+    """A tent whose largest |value| lies at an interior breakpoint, a
+    vertex of two cells that is not an end of [-1, 1]."""
+    top, peak = float(rng.uniform(5.0, 9.0)), float(rng.uniform(-0.8, 0.8))
+    up, down = float(rng.uniform(3.0, 6.0)), -float(rng.uniform(3.0, 6.0))
+    return PiecewiseAffineMap.from_breakpoints([peak], [(up, top - up * peak),
+                                                        (down, top - down * peak)])
+
+
+def _line_maps(rng):
+    maps = [random_interval_map(rng, slope_scale=6.0) for _ in range(12)]
+    maps += [_peak_map(rng) for _ in range(4)]
+    return maps + [_end_tie_map(rng, end, reverse)
+                   for end in (-1.0, 1.0) for reverse in (False, True)]
+
+
+def test_line_pass_equals_the_scalar_reference_bit_for_bit():
+    rng = np.random.default_rng(7300)
+    maps = _line_maps(rng)
+    items = [(F, a, ref) for F in maps for a in SCALES
+             for ref in (0.0, float(rng.uniform(-3.0, 3.0)))]
+    # every item once for its boundary, once more for its box only, in one call
+    got = line_stretch(items, items, CellGeometry())
+    assert got.max_abs[:len(items)].tobytes() == got.max_abs[len(items):].tobytes()
+    degrees = crossing_degrees(got.ends, [ref for _, _, ref in items])
+    for n, (F, a, ref) in enumerate(items):
+        G = F.scale(a)
+        want = _reference_stretch(G, ref, 0, True)
+        assert got.min_rel[n].tobytes() == np.float64(want.min_rel).tobytes()
+        assert got.max_abs[n].tobytes() == np.float64(want.max_abs).tobytes()
+        assert want.max_abs == _reference_exact_max(G, np.array([ref]))
+        ends = _reference_apply_batch(G, np.array([[-1.0], [1.0]]))[:, 0] - ref
+        assert (got.ends[n] == ends).all()
+        assert np.abs(got.ends[n]).tobytes() == np.abs(ends).tobytes()
+        degree = str(degrees[n]) if isinstance(degrees[n], Exception) else degrees[n]
+        assert degree == _degree(lambda: _reference_degree_1d(G, ref))
+        # the scalar entry points are the pass of one item
+        _same(min_stretch(G, [ref]), want)
+        assert _degree(lambda: degree_1d(G, ref)) == degree
+
+
+def test_end_on_a_piece_boundary_goes_to_the_first_piece():
+    rng = np.random.default_rng(7301)
+    for end in (-1.0, 1.0):
+        for reverse in (False, True):
+            F = _end_tie_map(rng, end, reverse)
+            (left, right), = line_stretch([(F, 1.0, 0.0)]).ends
+            value = F.pieces[0].matrix[0, 0] * end + F.pieces[0].offset[0]
+            assert (right if end > 0 else left) == value
+            other = F.pieces[1].matrix[0, 0] * end + F.pieces[1].offset[0]
+            assert value != other
+
+
+def test_reference_at_an_end_value_leaves_the_degree_undefined():
+    rng = np.random.default_rng(7302)
+    for F in _line_maps(rng):
+        for a in SCALES:
+            G = F.scale(a)
+            for x in (-1.0, 1.0):
+                q = float(G.apply([x])[0])
+                with pytest.raises(DegreeUndefinedError) as want:
+                    _reference_degree_1d(G, q)
+                (got,) = crossing_degrees(line_stretch([(F, a, q)]).ends, [q])
+                assert isinstance(got, DegreeUndefinedError)
+                message = f"target {q} equals a boundary value of the map"
+                assert str(got) == str(want.value) == message
+                with pytest.raises(DegreeUndefinedError, match="equals a boundary value"):
+                    degree_1d(G, q)
+
+
+@pytest.mark.parametrize("declared", [False, True])
+def test_stable_factors_on_the_line_match_the_reference(declared):
+    # the box forms' V (s = 1) as the tables hand them over: box items,
+    # under every coefficient, about the stable centres and 0
+    spec = _box_spec(12, declared=declared)
+    forms = [f for node in spec.nodes for f in _resolve_forms(node, TYPE_II).values()]
+    items = [(f.V, a, ref) for f in forms for a in SCALES for ref in (0.0, -0.35, 0.6)]
+    assert {f.V.dim_in for f in forms} == {1}
+    got = line_stretch((), items, CellGeometry())
+    for n, (V, a, ref) in enumerate(items):
+        want = _reference_exact_max(V.scale(a), np.array([ref]))
+        assert got.max_abs[n].tobytes() == np.float64(want).tobytes()
+        _same(max_stretch(V.scale(a), [ref]), _reference_stretch(V.scale(a), ref, 0, False))
+    assert got.ends.shape == (0, 2) and got.min_rel.shape == (0,)
+
+
+def test_map_with_no_cell_in_the_box_raises_as_the_reference():
+    outside = PiecewiseAffineMap(1, 1, (AffinePiece(np.array([[2.0]]), np.zeros(1),
+                                                    np.array([[-1.0]]), np.array([-2.0])),))
+    total = random_interval_map(np.random.default_rng(7303))
+    want = _outcome(lambda: _reference_stretch(outside, 0.0, 0, True))
+    assert want == "map undefined at 5 of 5 points"
+    cells = CellGeometry()
+    for call in (lambda: line_stretch([(total, 1.0, 0.0), (outside, 1.0, 0.0)], (), cells),
+                 lambda: line_stretch([(total, 1.0, 0.0)], [(outside, -2.0, 0.5)], cells),
+                 lambda: min_stretch(outside, [0.0], cells=cells),
+                 lambda: max_stretch(outside, [0.0], cells=cells),
+                 lambda: degree_1d(outside, 0.0)):
+        assert _outcome(call) == want
+    assert len(cells._tables) == 1           # the total map's table only
+
+
+def test_empty_line_pass():
+    got = line_stretch([], [])
+    assert got.ends.shape == (0, 2) and got.min_rel.size == got.max_abs.size == 0
 
 
 # ---------------------------------------------------------------------------

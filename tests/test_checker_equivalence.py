@@ -33,7 +33,7 @@ from cmnverify.covering import STRICT_MARGIN, CoveringCertificate
 from cmnverify.degree import DegreeUndefinedError, DegreeValue
 from cmnverify.geometry import GeometryError
 from conftest import random_transition_matrix
-from covering_reference import assert_same_outcome, count_lp_pairs, reference_check_covering
+from covering_reference import assert_same_outcome, count_batches, reference_check_covering
 from test_cell_geometry import _box_spec
 from test_network import _planar_fixed_pair, _planar_golden_pair, _sawtooth_spec
 from test_properties import designed_node
@@ -454,8 +454,8 @@ def _document(report):
 @pytest.fixture
 def calls(monkeypatch):
     """Counts of the geometry, degree and ``tau_search`` calls made through
-    the checker module, each pair of ``affine_min_stretch`` counted as a
-    ``min_stretch`` call."""
+    the checker module, each item of a batch function counted as the call
+    it stands for (``count_batches``)."""
     counts = Counter()
     for name in ("min_stretch", "max_stretch", "degree_for_map", "tau_search"):
         original = getattr(nw, name)
@@ -464,7 +464,8 @@ def calls(monkeypatch):
             counts[_name] += 1
             return _original(*args, **kwargs)
         monkeypatch.setattr(nw, name, counted)
-    monkeypatch.setattr(nw, "affine_min_stretch", count_lp_pairs(counts))
+    for name, batch in count_batches(counts).items():
+        monkeypatch.setattr(nw, name, batch)
     return counts
 
 
@@ -526,6 +527,41 @@ def test_cells_share_calls_exactly(name, calls):
     calls.clear()
     assert _check(spec, resolution=resolution).verdict == verdict
     assert dict(calls) == want
+
+
+@pytest.mark.parametrize("name", sorted(CALL_COUNTS))
+def test_cells_on_the_line_take_one_pass_per_decide(name, monkeypatch):
+    # every cell of a factor on the line that one ``decide`` call claims
+    # goes to one ``line_stretch`` pass; none takes a scalar geometry or
+    # degree call of its own
+    passes, per_decide = [], []
+    decide, line = nw._Tables.decide, nw.line_stretch
+
+    def counted_decide(self, *args, **kwargs):
+        before = len(passes)
+        rows = decide(self, *args, **kwargs)
+        per_decide.append(len(passes) - before)
+        return rows
+
+    def counted_line(boundary, box=(), *args, **kwargs):
+        passes.append(len(boundary) + len(box))
+        return line(boundary, box, *args, **kwargs)
+
+    def wider_only(name):
+        original = getattr(nw, name)
+
+        def call(F, *args, **kwargs):
+            assert F.dim_in >= 2, name
+            return original(F, *args, **kwargs)
+        return call
+    monkeypatch.setattr(nw._Tables, "decide", counted_decide)
+    monkeypatch.setattr(nw, "line_stretch", counted_line)
+    for scalar in ("min_stretch", "max_stretch", "degree_for_map"):
+        monkeypatch.setattr(nw, scalar, wider_only(scalar))
+    make, resolution, verdict, _ = CALL_COUNTS[name]
+    assert _check(make(), resolution=resolution).verdict == verdict
+    assert sum(per_decide) == len(passes) > 0
+    assert max(per_decide) == 1 and min(passes) > 0
 
 
 # ``_CellTable`` constructions in one theorem 1 check.  The transition

@@ -774,6 +774,22 @@ class TestSimulateCommand:
         assert out == ""
         assert err == f"error: state has dimension {x0.count(',') + 1}, expected 2\n"
 
+    @pytest.mark.parametrize("x0, steps", [("50,0", 1019), ("1e307,0", 5)])
+    def test_escaping_orbit_stops_at_its_step(self, x0, steps, fixdir, capsys):
+        # a valid spec whose orbit leaves floating-point range at ``steps``:
+        # exit 1 naming the step, and nothing from numpy (warnings are
+        # errors in this suite); one step fewer is a finite orbit
+        spec = str(fixdir / "example1.json")
+        assert main(["simulate", spec, f"--x0={x0}", "--steps", str(steps + 3)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: step {steps} of {steps + 3}: the state leaves "
+                       f"floating-point range\n")
+        assert main(["simulate", spec, f"--x0={x0}", "--steps", str(steps - 1)]) == 0
+        lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+        assert len(lines) == steps
+        assert all(math.isfinite(v) for line in lines for v in line["state"])
+
     def test_perturbed_trajectory(self, fixdir, capsys):
         code = main(["simulate", str(fixdir / "example1.json"), "--steps", "3",
                      "--x0=-0.6,3.6", "--pert", "0.01", "4"])

@@ -35,8 +35,7 @@ from cmnverify import (AffineChart, CenterScale, HSet, PiecewiseAffineMap, Produ
                        check_covering)
 from cmnverify import network as nw
 from cmnverify.covering import STRICT_MARGIN
-from cmnverify.degree import DegreeUndefinedError
-from cmnverify.geometry import StretchBounds
+from cmnverify.degree import DegreeUndefinedError, DegreeValue
 from conftest import random_interval_map
 from covering_reference import (assert_same_outcome, counted, reference_check_covering,
                                 replaced)
@@ -170,27 +169,31 @@ def test_no_degree_is_read_where_the_stable_inequality_fails():
 
 
 def test_straddling_bound_with_a_zero_degree_fails():
-    # no shipped map class straddles with a known degree (1-d and affine
-    # bounds are exact), so the stretch bound is replaced by a straddling one
-    def straddling(F, ref, resolution=64, cells=None):
-        return StretchBounds(0.9, 5.0, False, 1.5)
-    f = ProductFormMap(VEE)
-    with replaced("min_stretch", straddling):
-        want = reference_check_covering(LINE, CenterScale([0.0], [], 1.0), f)
-        got = check_covering(LINE, CenterScale([0.0], [], 1.0), f)
+    # bounds on the line and affine ones are exact, so only a face grid
+    # straddles; the degree of its genuinely piecewise planar map is not
+    # computable, so it is replaced by a known zero
+    def zero(F, target):
+        return DegreeValue(0, "affine-determinant")
+    f = ProductFormMap(_sawtooth(1.05, 20.0))
+    target = CenterScale([0.0, 0.0], [], 1.0)
+    with replaced("degree_for_map", zero):
+        want = reference_check_covering(SQUARE, target, f, resolution=65)
+        got = check_covering(SQUARE, target, f, resolution=65)
     assert want.verdict == "inconclusive"
     assert got.verdict == "fail"
-    assert got.failures == want.failures + ("degree 0 at target center [0.0]",)
+    assert got.failures == want.failures + ("degree 0 at target center [0.0, 0.0]",)
 
 
 def test_undefined_degree_is_inconclusive():
+    # a planar affine map: its degree goes through ``degree_for_map``
     def undefined(F, target):
         raise DegreeUndefinedError("target on the boundary image")
-    f = ProductFormMap(PiecewiseAffineMap.affine([[3.0]], [0.0]))
+    f = ProductFormMap(PiecewiseAffineMap.affine(3.0 * np.eye(2), [0.0, 0.0]))
+    target = CenterScale([0.0, 0.0], [], 1.0)
     with replaced("degree_for_map", undefined):
         with pytest.raises(DegreeUndefinedError):
-            reference_check_covering(LINE, CenterScale([0.0], [], 1.0), f)
-        got = check_covering(LINE, CenterScale([0.0], [], 1.0), f)
+            reference_check_covering(SQUARE, target, f)
+        got = check_covering(SQUARE, target, f)
     assert got.verdict == "inconclusive"
     assert got.failures == ("cannot certify the crossing degree: target on the boundary image",)
 

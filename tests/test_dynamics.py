@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cmnverify import (AffineChart, CouplingSpec, Graph, HSet, LoopError,
-                       NetworkSpec, NeutralCompositionError, NodeSystem,
+                       NetworkSpec, NeutralCompositionError, NodeSystem, OrbitEscapeError,
                        PiecewiseAffineMap, Perturbation, TransitionMatrix,
                        count_words, empirical_entropy, fixtures, is_admissible,
                        itinerary, kronecker, periodic_point, step, step_power,
@@ -50,6 +50,19 @@ class TestStep:
         bump = pert.local_bump(0, xs.T)
         assert np.max(np.abs(bump)) <= 0.25 + 1e-15
         assert np.max(np.abs(bump)) > 0.25 * (1 - 1e-4)
+
+    def test_image_past_float_range_is_refused(self, monkeypatch):
+        # 3.5 x + 1.5 overflows for x = 1e308: the local image is not
+        # finite, so the interaction (whose cell tests would meet it) is
+        # never applied; warnings are errors in this suite
+        from cmnverify import dynamics
+
+        def no_interaction(*args):
+            raise AssertionError("interaction applied to a local image past float range")
+        spec = fixtures.example1()
+        monkeypatch.setattr(dynamics, "_couple", no_interaction)
+        with pytest.raises(OrbitEscapeError, match="leaves floating-point range"):
+            step(spec, [-1e308, 0.0])
 
     def test_dimension_mismatch(self):
         with pytest.raises(Exception):
