@@ -16,8 +16,9 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .dynamics import (LoopError, NeutralCompositionError, OrbitEscapeError, Perturbation,
-                       empirical_entropy, locate_batch, periodic_point, state_vector, step)
+from .dynamics import (MAX_ORBIT_VALUES, LoopError, NeutralCompositionError, OrbitEscapeError,
+                       Perturbation, empirical_entropy, locate_batch, periodic_point,
+                       state_vector, step)
 from .geometry import GeometryError
 from .network import (SpecError, TYPE_I, conjugacy_audit, entry_failures, require_finite_step,
                       theorem1_check, theorem2_check, validate_spec)
@@ -164,6 +165,10 @@ def cmd_margin(args) -> int:
 
 def cmd_simulate(args) -> int:
     spec, _ = _load(args.spec, iterated=True)
+    values = (args.steps + 1) * spec.state_dim
+    if values > MAX_ORBIT_VALUES:
+        raise SpecError(f"{args.steps} steps keep {args.steps + 1} x {spec.state_dim} = "
+                        f"{values} state values, above the limit of {MAX_ORBIT_VALUES}")
     if args.x0:
         state = state_vector(spec, args.x0)
     else:

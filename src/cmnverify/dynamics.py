@@ -34,19 +34,22 @@ coordinate rows, and each piece, chart or symbol branch is applied once,
 to its columns gathered by index in column order.  So every point meets
 the same operands, in the same order, as in a masked loop over pieces or
 symbols.  The empirical-entropy sampler draws its scrambled Halton
-points itself (``_halton``), picks predecessors and pulls each node's
-points back one symbol group at a time, and its forward extraction keeps
-only the surviving points with their sample indices, packing each
-point's word into int64 keys of mixed-radix product symbols.  A word is
-admissible when each node's symbols follow that node's own transition
-matrix, checked step by step during the extraction, so the n^d x n^d
-product matrix is never built.  Distinct words are counted exactly: the
-keys are sorted lexicographically and adjacent differences counted.
+points itself, each column when a level reads it (``_halton``), picks
+predecessors and pulls each node's points back one symbol group at a
+time, and its forward extraction keeps only the surviving points with
+their finished key rows, packing each point's word into int64 keys of
+mixed-radix product symbols; so its memory grows with the samples, not
+with the depth.  A word is admissible when each node's symbols follow
+that node's own transition matrix, checked step by step during the
+extraction, so the n^d x n^d product matrix is never built.  Distinct
+words are counted exactly: the keys are sorted lexicographically and
+adjacent differences counted.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,11 +60,17 @@ from .symbolic import is_admissible
 
 RESIDUAL_TOL = 1e-10
 # Most quasi-random values one entropy estimate may draw: samples times
-# d + state_dim + d (depth - 1) columns, 2^24 doubles or 128 MiB.  The draw
-# is the sampler's largest array (its states and keys have fewer columns),
-# so this bounds its memory; 12 steps of 100,000 samples on a 2-node
+# d + state_dim + d (depth - 1) columns.  This bounds the sampler's work;
+# its memory grows with samples alone, since it builds one column at a
+# time and drops it once read.  12 steps of 100,000 samples on a 2-node
 # network draw 2.6 million.
 MAX_SAMPLE_DRAWS = 2 ** 24
+# Most state values ``simulate`` may keep, (steps + 1) x state_dim.  It
+# holds every state and its output line until it writes them, about 0.5 KB
+# per value: on a 2-vCPU KVM host, 2^18 values of a 2-d state peak at
+# 170 MB RSS and take 13 s, below the 330 MB of the sampler at its own
+# limit (2.8 million samples of a 2-node network at depth 2).
+MAX_ORBIT_VALUES = 2 ** 18
 
 
 class LoopError(ValueError):
@@ -428,36 +437,48 @@ def _primes(n: int) -> list[int]:
     return primes
 
 
-def _halton(n_cols: int, samples: int, seed: int) -> np.ndarray:
-    """Owen's randomized Halton points, ``samples`` rows by ``n_cols``.
+def _halton(n_cols: int, samples: int, seed: int) -> Iterator[np.ndarray]:
+    """Owen's randomized Halton points, one (samples,) column at a time.
 
-    Column c is the scrambled van der Corput sequence in the c-th prime
-    base: one ``default_rng(seed)`` shuffles, base after base, one copy of
-    ``arange(base)`` per digit that a double resolves, and point n sums
-    perm[j][digit j of n] * base**-(j+1) from the lowest digit up.  The
-    sums are built a digit level at a time (rows q * base**j + r of a
-    level extend row r of the one before) in the same order and with the
-    same rounding as scipy's ``qmc.Halton(d=n_cols, scramble=True,
-    seed=seed).random(samples)``, so the array is identical to scipy's.
+    Yields ``n_cols`` contiguous columns in column order; column c is the
+    scrambled van der Corput sequence in the c-th prime base
+    (``_halton_column``).  One ``default_rng(seed)`` shuffles each base's
+    permutations just before its column is built, base after base as
+    scipy does, and a column depends on no other, so stacked the columns
+    are scipy's ``qmc.Halton(d=n_cols, scramble=True,
+    seed=seed).random(samples)`` bit for bit, and the first k of them its
+    first k columns, whether or not the later ones are ever built.  The
+    generator keeps no reference to a column it has yielded.
     """
     rng = np.random.default_rng(seed)
-    draw = np.empty((n_cols, samples))
-    for c, base in enumerate(_primes(n_cols)):
-        perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
-        for perm in perms:
-            rng.shuffle(perm)
-        vals = np.zeros(1)
-        b2r = 1.0 / base
-        for perm in perms:
-            if vals.size < samples:
-                rows = -(-samples // vals.size)
-                vals = (vals + (perm[:rows] * b2r)[:, None]).ravel()[:samples]
-            else:
-                # every row below ``samples`` has digit 0 from here on
-                vals += perm[0] * b2r
-            b2r /= base
-        draw[c] = vals
-    return draw.T
+    for base in _primes(n_cols):
+        yield _halton_column(rng, base, samples)
+
+
+def _halton_column(rng: np.random.Generator, base: int, samples: int) -> np.ndarray:
+    """The first ``samples`` points of the van der Corput sequence in
+    ``base``, scrambled by ``rng``.
+
+    ``rng`` shuffles one copy of ``arange(base)`` per digit that a double
+    resolves, and point n sums perm[j][digit j of n] * base**-(j+1) from
+    the lowest digit up.  The sums are built a digit level at a time (rows
+    q * base**j + r of a level extend row r of the one before) in the same
+    order and with the same rounding as scipy's generator.
+    """
+    perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
+    for perm in perms:
+        rng.shuffle(perm)
+    vals = np.zeros(1)
+    b2r = 1.0 / base
+    for perm in perms:
+        if vals.size < samples:
+            rows = -(-samples // vals.size)
+            vals = (vals + (perm[:rows] * b2r)[:, None]).ravel()[:samples]
+        else:
+            # every row below ``samples`` has digit 0 from here on
+            vals += perm[0] * b2r
+        b2r /= base
+    return vals
 
 
 def _groups(symbols: np.ndarray, count: int) -> list[tuple[int, np.ndarray]]:
@@ -469,6 +490,81 @@ def _groups(symbols: np.ndarray, count: int) -> list[tuple[int, np.ndarray]]:
         if cols.size:
             groups.append((i, cols))
     return groups
+
+
+def _constructed_states(spec: NetworkSpec, depth: int, samples: int,
+                        draw: Iterator[np.ndarray]) -> np.ndarray:
+    """The sampler's initial states, (state_dim, samples): each a final
+    symbol and position drawn in the product h-sets, pulled back
+    ``depth - 1`` levels through predecessors drawn at each level.
+
+    ``draw`` yields the Halton columns, and they are read in order: the
+    d final symbols (each only until its node's symbol groups exist), each
+    node's block of positions, then d predecessor picks per level, each
+    dropped after its level.  Every array of the pull-back is local here,
+    so none of them outlives the return.
+    """
+    d = spec.d
+    block = spec.block_dim
+    ambient = spec.ambient_map()
+    if not ambient.is_affine:
+        raise GeometryError("entropy sampling needs an affine interaction map")
+    a_lin = ambient.pieces[0].matrix
+    a_off = ambient.pieces[0].offset
+    if singular(a_lin):
+        raise GeometryError("interaction map is not invertible")
+    a_inv = np.linalg.inv(a_lin)
+    inverses = _inverse_branches(spec)
+
+    # final symbols, then positions inside the final product h-set; the
+    # symbol groups of each level serve both its pull-back and the next
+    # level's predecessor pick
+    groups = []
+    for node in spec.nodes:
+        cur = np.minimum((next(draw) * node.count).astype(np.int64), node.count - 1) + 1
+        groups.append(_groups(cur, node.count))
+    states = np.empty((spec.state_dim, samples))
+    for k, node in enumerate(spec.nodes):
+        sl = slice(k * block, (k + 1) * block)
+        pos = np.array([next(draw) for _ in range(block)])
+        for i, cols in groups[k]:
+            xi = 2.0 * np.take(pos, cols, axis=1) - 1.0
+            _scatter(states[sl], cols, node.member_chart(i).invert_batch(xi * (1.0 - 1e-9)))
+    del cur, pos
+
+    # per node and symbol j: the predecessors of j
+    preds = [[np.flatnonzero(node.transition.bits[:, j]) + 1 for j in range(node.count)]
+             for node in spec.nodes]
+
+    inset = 1.0 - 1e-9
+    prev = np.empty((d, samples), dtype=np.int64)
+    for _ in range(depth - 1):
+        for k in range(d):
+            u = next(draw)
+            for j, cols in groups[k]:
+                options = preds[k][j - 1]
+                pick = np.minimum((u[cols] * options.size).astype(np.int64), options.size - 1)
+                prev[k][cols] = options[pick]
+        del u
+        # every column of ``states`` is overwritten below
+        states -= a_off[:, None]
+        pulled = _product(a_inv, states)
+        for k, node in enumerate(spec.nodes):
+            sl = slice(k * block, (k + 1) * block)
+            groups[k] = _groups(prev[k], node.count)
+            for i, cols in groups[k]:
+                inv_lin, inv_off = inverses[k][i]
+                back = _product(inv_lin, np.take(pulled[sl], cols, axis=1))
+                back += inv_off[:, None]
+                # keep pulled-back states inside the source set: a no-op for
+                # expanding branches, a boundary snap where the dynamics
+                # contracts (forward extraction re-derives the actual word)
+                chart = node.member_chart(i)
+                cc = chart.apply_batch(back)
+                np.clip(cc, -inset, inset, out=cc)
+                _scatter(states[sl], cols, chart.invert_batch(cc))
+        del pulled
+    return states
 
 
 def empirical_entropy(spec: NetworkSpec, depth: int, samples: int, seed: int = 0) -> float:
@@ -487,6 +583,13 @@ def empirical_entropy(spec: NetworkSpec, depth: int, samples: int, seed: int = 0
     deterministic for a fixed seed.  A request that would draw more than
     ``MAX_SAMPLE_DRAWS`` values is refused with ``SpecError`` before
     anything is drawn.
+
+    Each Halton column is built when the sampler reads it and dropped
+    after, the pull-back's arrays are released before the forward
+    extraction, and a finished key row is kept only for the samples still
+    alive.  So the sampler holds a small multiple of samples x (d +
+    state_dim) values, and one int64 per finished key row of each
+    surviving sample, at any depth.
 
     States are coordinate-major, (state_dim, samples).  Each node's
     samples are handled one symbol group at a time, a group being the
@@ -513,81 +616,23 @@ def empirical_entropy(spec: NetworkSpec, depth: int, samples: int, seed: int = 0
                         f"{n_cols * samples} quasi-random values, above the limit of "
                         f"{MAX_SAMPLE_DRAWS}")
 
-    block = spec.block_dim
-    ambient = spec.ambient_map()
-    if not ambient.is_affine:
-        raise GeometryError("entropy sampling needs an affine interaction map")
-    a_lin = ambient.pieces[0].matrix
-    a_off = ambient.pieces[0].offset
-    if singular(a_lin):
-        raise GeometryError("interaction map is not invertible")
-    a_inv = np.linalg.inv(a_lin)
-    inverses = _inverse_branches(spec)
-
-    # one contiguous row per column of the Halton points
-    draw = _halton(n_cols, samples, seed).T
-
-    # final symbols, then positions inside the final product h-set; the
-    # symbol groups of each level serve both its pull-back and the next
-    # level's predecessor pick
-    groups = []
-    states = np.empty((spec.state_dim, samples))
-    for k, node in enumerate(spec.nodes):
-        sl = slice(k * block, (k + 1) * block)
-        cur = np.minimum((draw[k] * node.count).astype(np.int64), node.count - 1) + 1
-        groups.append(_groups(cur, node.count))
-        for i, cols in groups[k]:
-            xi = 2.0 * np.take(draw[d + sl.start:d + sl.stop], cols, axis=1) - 1.0
-            _scatter(states[sl], cols, node.member_chart(i).invert_batch(xi * (1.0 - 1e-9)))
-
-    # per node and symbol j: the predecessors of j
-    preds = [[np.flatnonzero(node.transition.bits[:, j]) + 1 for j in range(node.count)]
-             for node in spec.nodes]
-
-    row = d + spec.state_dim
-    inset = 1.0 - 1e-9
-    for _ in range(depth - 1):
-        prev = np.empty((d, samples), dtype=np.int64)
-        for k in range(d):
-            u = draw[row]
-            row += 1
-            for j, cols in groups[k]:
-                options = preds[k][j - 1]
-                pick = np.minimum((u[cols] * options.size).astype(np.int64), options.size - 1)
-                prev[k][cols] = options[pick]
-        pulled = _product(a_inv, states - a_off[:, None])
-        for k, node in enumerate(spec.nodes):
-            sl = slice(k * block, (k + 1) * block)
-            groups[k] = _groups(prev[k], node.count)
-            for i, cols in groups[k]:
-                inv_lin, inv_off = inverses[k][i]
-                back = _product(inv_lin, np.take(pulled[sl], cols, axis=1))
-                back += inv_off[:, None]
-                # keep pulled-back states inside the source set: a no-op for
-                # expanding branches, a boundary snap where the dynamics
-                # contracts (forward extraction re-derives the actual word)
-                chart = node.member_chart(i)
-                cc = chart.apply_batch(back)
-                np.clip(cc, -inset, inset, out=cc)
-                _scatter(states[sl], cols, chart.invert_batch(cc))
+    x = _constructed_states(spec, depth, samples, _halton(n_cols, samples, seed))
 
     # forward extraction: the constructed states are ordinary initial states.
-    # Only the surviving columns are kept (``cols`` holds their sample
-    # indices).  A word stays ``admissible`` while every node's step from
-    # its previous symbol is allowed by that node's own transition matrix.
-    # Step t is digit t % per of key row t // per; a finished key is written
-    # to ``keys`` at the columns' sample indices.
+    # Only the surviving columns are kept, in sample order, and with them
+    # the key rows they have finished (``done``).  A word stays
+    # ``admissible`` while every node's step from its previous symbol is
+    # allowed by that node's own transition matrix.  Step t is digit
+    # t % per of key row t // per.
     radix = [node.count for node in spec.nodes]
     allowed = [node.transition.bits.ravel() == 1 for node in spec.nodes]
     base = math.prod(radix)
     per = 1
     while per < depth and base ** (per + 1) <= 1 << 62:
         per += 1
-    keys = np.empty((-(-depth // per), samples), dtype=np.int64)
-    cols = np.arange(samples)
+    done: list[np.ndarray] = []
     admissible = np.ones(samples, dtype=bool)
     prev = key = None
-    x = states
     for t in range(depth):
         symbols = locate_batch(spec, x)
         ok = symbols[0] > 0
@@ -595,13 +640,16 @@ def empirical_entropy(spec: NetworkSpec, depth: int, samples: int, seed: int = 0
             ok &= symbols[k] > 0
         if not ok.all():
             keep = np.flatnonzero(ok)
-            cols, admissible = cols[keep], admissible[keep]
-            x, symbols = np.take(x, keep, axis=1), np.take(symbols, keep, axis=1)
+            admissible = admissible[keep]
+            done = [row[keep] for row in done]
+            # one array at a time, so each is released before the next is copied
+            x = np.take(x, keep, axis=1)
+            symbols = np.take(symbols, keep, axis=1)
             if t % per:
                 key = key[keep]
             if prev is not None:
                 prev = np.take(prev, keep, axis=1)
-        if cols.size == 0:
+        if x.shape[1] == 0:
             raise NoInvariantSamplesError("no invariant set sampled")
         symbols -= 1
         if prev is not None:
@@ -613,10 +661,10 @@ def empirical_entropy(spec: NetworkSpec, depth: int, samples: int, seed: int = 0
             code = code * radix[k] + symbols[k]
         key = code if t % per == 0 else key * base + code
         if t % per == per - 1 or t == depth - 1:
-            keys[t // per][cols] = key
+            done.append(key)
         if t + 1 < depth:
             x = _step_batch(spec, x)
-    keys = np.take(keys, cols[admissible], axis=1)
+    keys = np.array(done)[:, admissible]
     if keys.shape[1] == 0:
         raise NoInvariantSamplesError("no invariant set sampled")
     # distinct words, exactly: sort them lexicographically (key row 0 the

@@ -790,6 +790,30 @@ class TestSimulateCommand:
         assert len(lines) == steps
         assert all(math.isfinite(v) for line in lines for v in line["state"])
 
+    def test_long_orbit_is_refused_before_the_first_step(self, fixdir, capsys, monkeypatch):
+        # cli calls dynamics.step by the name it imports; the stub fails if a
+        # step is reached, so nothing is iterated here
+        from cmnverify import cli, dynamics
+        limit = dynamics.MAX_ORBIT_VALUES
+
+        def no_step(*args):
+            raise AssertionError("stepped")
+        monkeypatch.setattr(cli, "step", no_step)
+        # one node of dimension 1: STEPS keep STEPS + 1 values
+        spec = str(fixdir / "example1_node1.json")
+        assert main(["simulate", spec, "--steps", str(limit)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: {limit} steps keep {limit + 1} x 1 = {limit + 1} state "
+                       f"values, above the limit of {limit}\n")
+        with pytest.raises(AssertionError, match="stepped"):
+            main(["simulate", spec, "--steps", str(limit - 1)])
+        # an orbit that stays bounded would otherwise run until killed
+        spec = str(fixdir / "theorem1_perm23.json")
+        assert main(["simulate", spec, "--steps", "1000000000000"]) == 2
+        assert ("error: 1000000000000 steps keep 1000000000001 x 2 = 2000000000002 state "
+                "values") in capsys.readouterr().err
+
     def test_perturbed_trajectory(self, fixdir, capsys):
         code = main(["simulate", str(fixdir / "example1.json"), "--steps", "3",
                      "--x0=-0.6,3.6", "--pert", "0.01", "4"])
