@@ -9,7 +9,8 @@ Lipschitz slack).
 
 A stretch bound needs two kinds of work.  The cell-only part depends on a
 map's cells alone (``dim_in`` and every piece's ``normals`` and
-``bounds``): the totality probe, the vertices of each cell inside the unit
+``bounds``): whether the cells cover the box (exact on the line, from the
+intervals of ``line_cells``), the vertices of each cell inside the unit
 box, and for a face grid the first piece that holds each grid point.  The
 rest evaluates the pieces' matrices and offsets against a reference.
 ``CellGeometry`` keeps the cell-only part keyed by cell content, so maps
@@ -542,18 +543,40 @@ class PiecewiseAffineMap:
         raise GeometryError("box is not contained in a single affine piece")
 
     def range_1d(self, lo: float = -1.0, hi: float = 1.0) -> tuple[float, float]:
-        """Exact (min, max) of a scalar 1-d map over [lo, hi]."""
+        """Exact (min, max) of a scalar 1-d map over [lo, hi]: its values at
+        lo, hi and the ends of each cell's interval (``line_cells``)."""
         if self.dim_in != 1 or self.dim_out != 1:
             raise GeometryError("range_1d needs a scalar map on the line")
-        xs = {lo, hi}
-        for p in self.pieces:
-            for n, b in zip(p.normals[:, 0], p.bounds):
-                if abs(n) > 0:
-                    t = b / n
-                    if lo < t < hi:
-                        xs.add(t)
-        vals = self.apply_batch(np.array([sorted(xs)]))[0]
+        xs = np.unique(np.append(np.clip(line_cells(self, lo, hi), lo, hi), [lo, hi]))
+        vals = self.apply_batch(xs[None])
         return float(vals.min()), float(vals.max())
+
+
+def line_cells(F: PiecewiseAffineMap, lo: float = -1.0, hi: float = 1.0) -> np.ndarray:
+    """Rows low and high of each piece's interval for the map F on the line
+    (+-inf where unbounded, low > high where empty): n x <= b bounds x by
+    b / n, and with n = 0 empties the piece when b < -EVAL_TIE_TOL, as
+    evaluation does.  Raises ``GeometryError`` when the intervals leave
+    more than EVAL_TIE_TOL of [lo, hi] uncovered."""
+    ends = []
+    for p in F.pieces:
+        a, b = -math.inf, math.inf
+        for n, c in zip(p.normals[:, 0].tolist(), p.bounds.tolist()):
+            if n > 0:
+                b = min(b, c / n)
+            elif n < 0:
+                a = max(a, c / n)
+            elif c < -EVAL_TIE_TOL:
+                a = math.inf
+        ends.append((a, b))
+    reach = lo          # covered so far, sweeping the pieces that meet [lo, hi] by start
+    for a, b in [*sorted(ends), (hi, hi)]:
+        if max(a, lo) <= min(b, hi):
+            if a > reach + EVAL_TIE_TOL:
+                raise GeometryError(f"map undefined between {reach:.6g} and {a:.6g}, "
+                                    f"inside [{lo:g}, {hi:g}]")
+            reach = max(reach, b)
+    return np.array(ends).T
 
 
 # ---------------------------------------------------------------------------
@@ -778,8 +801,6 @@ def line_stretch(boundary, box=(), cells: CellGeometry | None = None) -> LineStr
             slot[id(F)] = len(forms)
             forms.append(F)
     tables = [cells.table(F) for F in forms]
-    if any(t.points.size == 0 for t in tables):
-        raise GeometryError("no cell of the map meets the unit box")
     # every piece of every form, numbered form after form; ``first_piece[f]``
     # is the number of form f's first piece
     slope = np.array([p.matrix[0, 0] for F in forms for p in F.pieces])
@@ -820,29 +841,38 @@ class _CellTable:
     """Cell-only geometry of one cell structure.
 
     ``vertices[i]`` are the vertices of piece i's cell inside the unit box.
-    A map on the line also keeps them flat, ``points`` with the piece
-    ``owner`` of each, and in ``ends`` the first piece holding -1 and 1.
+    On the line, ``points`` holds them flat instead, with the piece
+    ``owner`` of each: the ends of the piece's interval (``line_cells``)
+    and of [-1, 1] that meet its constraints and the box to 1e-9, as in
+    ``_piece_box_vertices``; ``ends`` are the first pieces holding -1 and 1.
     ``face_rows(pieces, pts, tiles, resolution)`` gives, per piece, the rows
     of the face grid ``pts`` that the piece is the first to hold, sorted
     tile-major by ``tiles``, and the offsets of each tile's run among them:
     the piece's rows in tile t are ``rows[offsets[t]:offsets[t + 1]]``, so
     the tiles ``_grid_min`` keeps are contiguous slices.  Built only for a
-    total map: the totality probe raises before anything is kept.
+    total map, decided by ``line_cells`` on the line and sampled on 5
+    points per axis in 2 to 4 dimensions.
     """
 
     def __init__(self, F: PiecewiseAffineMap):
-        if F.dim_in <= 4:
-            # cheap totality probe; vertex enumeration alone would silently
-            # ignore an uncovered patch of the ball
-            for _ in _first_match(F.pieces, box_grid(F.dim_in, 5).T):
-                pass
-        self.vertices = [_piece_box_vertices(p, F.dim_in) for p in F.pieces]
         if F.dim_in == 1:
-            self.points = np.concatenate([v[:, 0] for v in self.vertices])
-            self.owner = np.repeat(np.arange(len(F.pieces)), [len(v) for v in self.vertices])
+            points = []
+            for p, *ends in zip(F.pieces, *line_cells(F)):
+                x = np.array([*ends, -1.0, 1.0])
+                x = x[np.abs(x) <= 1.0 + 1e-9]
+                points.append(np.unique(np.round(x[p.contains_batch(x[None], 1e-9)], 12)))
+            self.points = np.concatenate(points)
+            self.owner = np.repeat(np.arange(len(F.pieces)), [len(x) for x in points])
             self.ends = np.zeros(2, dtype=np.intp)
             for i, hit in _first_match(F.pieces, np.array([[-1.0, 1.0]])):
                 self.ends[hit] = i
+        else:
+            if F.dim_in <= 4:
+                # cheap totality probe; vertex enumeration alone would silently
+                # ignore an uncovered patch of the ball
+                for _ in _first_match(F.pieces, box_grid(F.dim_in, 5).T):
+                    pass
+            self.vertices = [_piece_box_vertices(p, F.dim_in) for p in F.pieces]
         self._rows: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
 
     def face_rows(self, pieces: tuple[AffinePiece, ...], pts: np.ndarray,
@@ -866,8 +896,9 @@ class CellGeometry:
     its scalings ``F.scale(a)`` share one table; ``compose_affine_inner``
     moves the cells and gets its own.  Face grids and their tiles are kept
     per (dimension, resolution) and shared by every table.  Everything
-    lives as long as the ``CellGeometry`` object, which a checker holds for
-    one check.
+    lives as long as the ``CellGeometry`` object: a check's set-up makes
+    one, builds the tables of its maps on the line (whose ``line_cells``
+    must cover [-1, 1]) and hands it to the check, which holds it to the end.
     """
 
     def __init__(self):

@@ -34,11 +34,12 @@ entry loop; an outcome other than "pass" is a ``SpecError`` naming the
 node, the transition and the failures.  Both checks first refuse, as a
 ``SpecError``, in one set-up (``_prepare``), a chart form that is itself
 past floating-point range, has a cell with too many vertices to
-enumerate or a 1-d factor that is not continuous (at ``$.nodes[k].map``
-or ``$.nodes[k].chart_forms``), and a coupling large enough to scale a
-finite one past that range (at ``$.coupling.matrix``); ``require_finite_step``
-refuses, the same way, an interaction that carries h-set states past that
-range, for the commands that iterate the network map.
+enumerate or a 1-d factor that is not total and continuous on [-1, 1]
+(at ``$.nodes[k].map`` or ``$.nodes[k].chart_forms``), and a coupling
+large enough to scale a finite one past that range (at
+``$.coupling.matrix``); ``require_finite_step`` refuses, the same way, an
+interaction that carries h-set states past that range, for the commands
+that iterate the network map.
 
 The coupling kind decides which charts a chart form composes the local map
 with; ``_form_keys`` and ``_form_charts`` own that decision, and form
@@ -62,7 +63,7 @@ from .degree import DegreeUndefinedError, DegreeValue, crossing_degrees, degree_
 from .geometry import (CONTINUITY_TOL, EVAL_TIE_TOL, MAX_GRID_POINTS, MAX_VERTEX_CANDIDATES,
                        AffineChart, AffinePiece, CellGeometry, CenterScale, GeometryError, HSet,
                        PiecewiseAffineMap, UnifiedSet, _piece_box_vertices,
-                       affine_min_stretch, box_grid, face_grid_points, line_stretch,
+                       affine_min_stretch, box_grid, face_grid_points, line_cells, line_stretch,
                        max_face_resolution, max_stretch, min_stretch, singular, split_product,
                        unified_validate, vertex_candidates)
 from .symbolic import TransitionMatrix, lcm_period, spectral_radius
@@ -523,40 +524,26 @@ def _check_member_charts(node: NodeSystem, k: int, errors: list[str],
                           "describe different sets")
 
 
-def _cells_1d(F: PiecewiseAffineMap) -> list[tuple[float, float, list, list]]:
-    """Each piece of the 1-d map F as (lo, hi, slope, offset): its interval
-    within [-1, 1], with lo > hi when it misses [-1, 1]."""
-    cells = []
-    for p in F.pieces:
-        lo, hi = -1.0, 1.0
-        for n, b in zip(p.normals[:, 0].tolist(), p.bounds.tolist()):
-            if n > 0:
-                hi = min(hi, b / n)
-            elif n < 0:
-                lo = max(lo, b / n)
-            elif b < -EVAL_TIE_TOL:
-                lo = math.inf
-        cells.append((lo, hi, p.matrix[:, 0].tolist(), p.offset.tolist()))
-    return cells
-
-
 def _gap_1d(F: PiecewiseAffineMap, G: PiecewiseAffineMap) -> float:
     """Largest |F - G| at the ends of every meet inside [-1, 1] (to
     ``EVAL_TIE_TOL``, where evaluation counts a point as in both) of a
-    piece of F with a piece of G; 0 when no pieces meet.
+    piece of F with a piece of G (``line_cells``, which raises where a map
+    leaves part of [-1, 1] uncovered); 0 when no pieces meet.
 
     On each meet both pieces are affine, so agreement at its ends is
     agreement on all of it.  ``_gap_1d(F, F)`` is thus F's largest jump
     where two pieces meet, and for continuous F and G that cover [-1, 1],
     ``_gap_1d(F, G)`` is their largest difference there.
     """
-    gaps, cells_g = [], _cells_1d(G)
-    for lo_f, hi_f, slope_f, offset_f in _cells_1d(F):
-        for lo_g, hi_g, slope_g, offset_g in cells_g:
-            lo, hi = max(lo_f, lo_g), min(hi_f, hi_g)
+    # each piece as (lo, hi, slope, offset); cells[-1] is G's, F's own when G is F
+    gaps, cells = [], [[(lo, hi, p.matrix[0, 0].item(), p.offset[0].item())
+                        for p, lo, hi in zip(H.pieces, *line_cells(H).tolist())]
+                       for H in ((F,) if G is F else (F, G))]
+    for lo_f, hi_f, a, c in cells[0]:
+        for lo_g, hi_g, b, e in cells[-1]:
+            lo, hi = max(lo_f, lo_g, -1.0), min(hi_f, hi_g, 1.0)
             if lo <= hi + EVAL_TIE_TOL:
-                gaps += [abs(a * x + c - (b * x + e)) for x in (lo, hi)
-                         for a, c, b, e in zip(slope_f, offset_f, slope_g, offset_g)]
+                gaps += [abs(a * x + c - (b * x + e)) for x in (lo, hi)]
     return float(np.max(gaps, initial=0.0))
 
 
@@ -582,7 +569,11 @@ def _audit_declared_forms(kind: str, node: NodeSystem, k: int, errors: list[str]
                           f"(source, target) pairs, got {key!r}")
             continue
         if node.dim == 1:
-            gap = _gap_1d(form.U, _derive_form(node, kind, key).U)
+            try:
+                gap = _gap_1d(form.U, _derive_form(node, kind, key).U)
+            except GeometryError as exc:    # a form undefined on part of [-1, 1]
+                errors.append(f"$.nodes[{k - 1}].chart_forms: declared chart form {key}: {exc}")
+                continue
             if not gap <= CONTINUITY_TOL:
                 errors.append(f"$.nodes[{k - 1}].chart_forms: declared chart form {key} "
                               f"disagrees with the composed map (gap {gap:.3e})")
@@ -792,11 +783,10 @@ class _Tables:
     is the max stretch about 0 of form f's U (j = 0) or V (j = 1), 0
     without one: the off-diagonal terms, which no single covering reads.
 
-    ``cells`` holds the cell-only geometry (totality probe, cell vertices,
-    face-grid partition) of every chart form the tables evaluate.  A form's
-    scalings by the coupling coefficients keep its cells, so each distinct
-    cell structure is worked out once and reused by every stretch call of
-    the check; the store goes away with the tables.
+    ``cells`` is the check's cell-only geometry store (``_prepare`` has
+    built the tables of its forms on the line in it).  A form's scalings by
+    the coupling coefficients keep its cells, so each distinct cell
+    structure is worked out once per check.
 
     ``decide`` fills the cells it claims.  Every bound of a factor on the
     line (U's stretch bounds when u = 1, the stable terms when s = 1, the
@@ -810,9 +800,8 @@ class _Tables:
     """
 
     def __init__(self, forms: list[dict], choices: list[list[_Choice]],
-                 matrices: list[np.ndarray], s: int, resolution: int):
-        self.s, self.resolution = s, resolution
-        self.cells = CellGeometry()
+                 matrices: list[np.ndarray], s: int, resolution: int, cells: CellGeometry):
+        self.s, self.resolution, self.cells = s, resolution, cells
         self.counts = [len(node) for node in choices]
         d, width = len(choices), max(map(len, choices))
         # each node's choices, padded to ``width`` with its first one (never read)
@@ -1124,11 +1113,13 @@ def _prepare(spec: NetworkSpec, kind: str, resolution: int
     when derived, when one's size (its pieces' largest row sum plus offset)
     is not finite, or a cell has more than ``geometry.MAX_VERTEX_CANDIDATES``
     candidate vertices to enumerate for its stretch bounds, or a 1-d factor
-    (U when u = 1, V when s = 1) is not continuous: two pieces whose
-    intervals meet inside [-1, 1] differ by more than ``CONTINUITY_TOL`` at
-    an end of the meet (``_gap_1d``).  A node with u >= 2 and a form whose
-    U is not affine is refused at ``$.nodes[k]`` when its face grid of
-    2 u resolution^(u - 1) points would pass ``geometry.MAX_GRID_POINTS``.
+    (U when u = 1, V when s = 1) is not total and continuous: building its
+    cell table in the check's store finds part of [-1, 1] uncovered
+    (``line_cells``), or two pieces whose intervals meet inside [-1, 1]
+    differ by more than ``CONTINUITY_TOL`` at an end of the meet
+    (``_gap_1d``).  A node with u >= 2 and a form whose U is not affine is
+    refused at ``$.nodes[k]`` when its face grid of 2 u resolution^(u - 1)
+    points would pass ``geometry.MAX_GRID_POINTS``.
     Last, the coupling's max row sum times the largest form size must be
     finite, or an inf would reach the margins (``$.coupling.matrix``).
     Theorem 1's tables list the identity last, the coupling under which a
@@ -1140,7 +1131,7 @@ def _prepare(spec: NetworkSpec, kind: str, resolution: int
     report = validate_spec(spec)
     if not report.ok:
         raise SpecError("spec fails validation: " + "; ".join(report.errors))
-    forms, size = [], 0.0
+    forms, size, cells = [], 0.0, CellGeometry()
     for k, node in enumerate(spec.nodes):
         try:
             forms.append(_resolve_forms(node, kind))
@@ -1160,8 +1151,12 @@ def _prepare(spec: NetworkSpec, kind: str, resolution: int
                                     f"vertices to enumerate, above the limit of "
                                     f"{MAX_VERTEX_CANDIDATES}")
                 size = max(size, piece_size)
-        for F in factors:
-            if F.dim_in == 1 and not (gap := _gap_1d(F, F)) <= CONTINUITY_TOL:
+        for F in (F for F in factors if F.dim_in == 1):
+            try:
+                cells.table(F)
+            except GeometryError as exc:
+                raise SpecError(f"{where}: {exc}") from exc
+            if not (gap := _gap_1d(F, F)) <= CONTINUITY_TOL:
                 raise SpecError(f"{where}: a chart form jumps by {gap:.3e} where two of "
                                 f"its pieces meet; it must be continuous")
         u = node.dim_u
@@ -1180,7 +1175,7 @@ def _prepare(spec: NetworkSpec, kind: str, resolution: int
     matrices = [spec.coupling.matrix, *own.values()]
     if kind == TYPE_I:
         matrices.append(np.eye(spec.d))
-    return (_Tables(forms, list(choices), matrices, spec.nodes[0].dim_s, resolution), own,
+    return (_Tables(forms, list(choices), matrices, spec.nodes[0].dim_s, resolution, cells), own,
             max(chart.lipschitz() for node_charts in charts for chart in node_charts))
 
 
@@ -1250,7 +1245,7 @@ def check_covering(source: HSet, target: CenterScale, f: ProductFormMap,
         raise GeometryError(f"map ({f.dim_u},{f.dim_s}) and target ({target.dim_u},"
                             f"{target.dim_s}) must split as the source h-set ({u},{s}), u >= 1")
     choice = _Choice(None, 1, 1, target.p_u, target.p_s, target.r)
-    tables = _Tables([{None: f}], [[choice]], [np.eye(1)], s, resolution)
+    tables = _Tables([{None: f}], [[choice]], [np.eye(1)], s, resolution, CellGeometry())
     return tables.coverings(0, [[(source.id, target_id or "target")]])[0][0]
 
 

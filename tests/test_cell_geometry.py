@@ -1,9 +1,10 @@
 """Shared cell-only geometry against the stretch bounds computed afresh.
 
 ``_reference_stretch`` is the stretch computation as it was before cell
-geometry was shared: every call probes totality through a masked
-``apply_batch``, enumerates cell vertices, and evaluates the whole face
-grid through the map.  With a ``CellGeometry`` store the same bounds must
+geometry was shared: every call probes totality (exactly through
+``geometry.line_cells`` on the line, through a masked ``apply_batch`` on
+5 points per axis otherwise), enumerates cell vertices, and evaluates the
+whole face grid through the map.  With a ``CellGeometry`` store the same bounds must
 come out bit for bit, however many maps share the store.
 
 ``_reference_affine_face_min`` is the affine face minimum as one linear
@@ -101,7 +102,9 @@ def _reference_affine_face_min(F, ref):
 
 def _reference_stretch(F, ref, resolution, want_min):
     ref = geometry._as_vector(ref, F.dim_out)
-    if F.dim_in <= 4:
+    if F.dim_in == 1:
+        geometry.line_cells(F)
+    elif F.dim_in <= 4:
         _reference_apply_batch(F, geometry.box_grid(F.dim_in, 5))
     max_abs = _reference_exact_max(F, ref)
     if not want_min:
@@ -732,7 +735,7 @@ def test_map_with_no_cell_in_the_box_raises_as_the_reference():
                                                     np.array([[-1.0]]), np.array([-2.0])),))
     total = random_interval_map(np.random.default_rng(7303))
     want = _outcome(lambda: _reference_stretch(outside, 0.0, 0, True))
-    assert want == "map undefined at 5 of 5 points"
+    assert want == "map undefined between -1 and 1, inside [-1, 1]"
     cells = CellGeometry()
     for call in (lambda: line_stretch([(total, 1.0, 0.0), (outside, 1.0, 0.0)], (), cells),
                  lambda: line_stretch([(total, 1.0, 0.0)], [(outside, -2.0, 0.5)], cells),
@@ -741,6 +744,129 @@ def test_map_with_no_cell_in_the_box_raises_as_the_reference():
                  lambda: degree_1d(outside, 0.0)):
         assert _outcome(call) == want
     assert len(cells._tables) == 1           # the total map's table only
+
+
+# ---------------------------------------------------------------------------
+# the line's cells: one interval per piece (``line_cells``), against the
+# subset enumeration of ``_piece_box_vertices`` and the constraint scan
+# ``range_1d`` had.  The enumeration solves through LAPACK where
+# ``line_cells`` divides, so the comparison holds under any BLAS kernel
+# only after both round to 12 decimals, as both do.
+
+
+def _reference_line_table(F):
+    """points, owner and ends of a table on the line: each piece's cell
+    vertices by subset enumeration, and the first piece holding -1 and 1."""
+    verts = [geometry._piece_box_vertices(p, 1)[:, 0] for p in F.pieces]
+    ends = [next(i for i, p in enumerate(F.pieces)
+                 if np.all(p.normals[:, 0] * x <= p.bounds + geometry.EVAL_TIE_TOL))
+            for x in (-1.0, 1.0)]
+    return (np.concatenate(verts), np.repeat(np.arange(len(verts)), [len(v) for v in verts]),
+            np.array(ends, dtype=np.intp))
+
+
+def _reference_range_1d(F, lo=-1.0, hi=1.0):
+    """``range_1d`` as it scanned the constraints itself: F at lo, hi and
+    every b / n strictly between them."""
+    xs = {lo, hi}
+    for p in F.pieces:
+        for n, b in zip(p.normals[:, 0], p.bounds):
+            if abs(n) > 0:
+                t = b / n
+                if lo < t < hi:
+                    xs.add(t)
+    vals = F.apply_batch(np.array([sorted(xs)]))[0]
+    return float(vals.min()), float(vals.max())
+
+
+def _charted_line_map(rng):
+    """(F, G, bps): a continuous map G on the line with breakpoints
+    ``bps``, placed so that its cells end at chart coordinates y, some
+    outside [-1, 1] and half the time one within 1e-9 of -1 or 1 (on
+    either side), and F, G composed with a random chart inside and a random
+    scaling outside, with up to two redundant constraints: one of a
+    piece's own times a power of two, or a bound past the end of its cell
+    (past 1 or -1 where the cell is unbounded).  A copy scaled by another
+    factor may bound the cell an ulp off the original, where the scan
+    ``range_1d`` had evaluated the piece an ulp past its cell;
+    ``line_cells`` keeps the tighter bound."""
+    ends = rng.uniform(-1.5, 1.5, size=int(rng.integers(0, 4))).tolist()
+    if rng.random() < 0.5:
+        ends.append(float(rng.choice([-1.0, 1.0])) + float(rng.uniform(-1e-9, 1e-9)))
+    lin = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 5.0))
+    off = float(rng.uniform(-3.0, 3.0))
+    bps = np.sort(lin * np.array(ends) + off)
+    slopes = rng.uniform(-6.0, 6.0, size=bps.size + 1)
+    coeffs = [(slopes[0], float(rng.uniform(-2.0, 2.0)))]
+    for i, b in enumerate(bps):
+        value = coeffs[i][0] * b + coeffs[i][1]
+        coeffs.append((slopes[i + 1], value - slopes[i + 1] * b))
+    G = PiecewiseAffineMap.from_breakpoints(bps.tolist(), coeffs)
+    F = G.compose_affine_inner([[lin]], [off]).compose_affine_outer(
+        [[float(rng.uniform(-4.0, 4.0))]], [float(rng.uniform(-1.0, 1.0))])
+    # piece i's cell in chart coordinates lies between y[i] and y[i + 1]
+    y = (np.concatenate([[-np.inf], bps, [np.inf]]) - off) / lin
+    pieces = list(F.pieces)
+    for _ in range(int(rng.integers(0, 3))):
+        i = int(rng.integers(len(pieces)))
+        p = pieces[i]
+        if p.normals.shape[0] and rng.random() < 0.5:
+            j, k = int(rng.integers(p.normals.shape[0])), 2.0 ** int(rng.integers(-3, 4))
+            row, bound = k * p.normals[j], k * p.bounds[j]
+        else:
+            n = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 10.0))
+            edge = max(y[i:i + 2]) if n > 0 else min(y[i:i + 2])
+            edge = edge if np.isfinite(edge) else np.sign(n)
+            row, bound = np.array([n]), n * (edge + np.sign(n) * rng.uniform(1e-6, 0.5))
+        pieces[i] = AffinePiece(p.matrix, p.offset, np.vstack([p.normals, row]),
+                                np.append(p.bounds, bound))
+    return PiecewiseAffineMap(1, 1, tuple(pieces)), G, bps
+
+
+def _fixture_line_factors():
+    from cmnverify import fixtures
+    specs = [fixtures.example1(), fixtures.example1(0.2), fixtures.example2(),
+             fixtures.example1_node1(), fixtures.theorem1_perm23(), _box_spec(12),
+             _box_spec(12, declared=True)]
+    return [F for spec in specs for node in spec.nodes
+            for f in _resolve_forms(node, spec.coupling.kind).values()
+            for F in (f.U, f.V) if F is not None and F.dim_in == 1]
+
+
+def _same_line_cells(F, ranges):
+    """Compare the table and ``range_1d`` with the references; return the
+    table's points."""
+    table = geometry._CellTable(F)
+    points, owner, ends = _reference_line_table(F)
+    assert table.points.tobytes() == points.tobytes()
+    assert table.owner.tobytes() == owner.tobytes()
+    assert table.ends.tobytes() == ends.tobytes()
+    for lo, hi in ranges:
+        got = np.array(F.range_1d(lo, hi))
+        assert got.tobytes() == np.array(_reference_range_1d(F, lo, hi)).tobytes()
+    return table.points
+
+
+def test_fixture_line_cells_equal_the_subset_enumeration():
+    factors = _fixture_line_factors()
+    assert len(factors) == 31
+    for F in factors:
+        _same_line_cells(F, [(-1.0, 1.0), (-0.4, 0.7)])
+
+
+def test_charted_line_cells_equal_the_subset_enumeration():
+    rng = np.random.default_rng(7310)
+    near_end = 0
+    for n in range(10_000):
+        F, G, bps = _charted_line_map(rng)
+        lo, hi = np.sort(rng.uniform(-1.0, 1.0, size=2)).tolist() if n % 2 else (-1.0, 1.0)
+        miss = np.abs(np.abs(_same_line_cells(F, [(lo, hi)])) - 1.0)
+        near_end += bool(np.any((miss > 0) & (miss <= 1e-9)))
+        if n % 10 == 0:
+            # the physical map, over a range around its breakpoints
+            span = np.append(bps, rng.uniform(-8.0, 8.0, size=2))
+            _same_line_cells(G, [(float(span.min()), float(span.max()))])
+    assert near_end > 2000     # a vertex within 1e-9 of -1 or 1, not on it
 
 
 def test_empty_line_pass():

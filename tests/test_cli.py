@@ -538,6 +538,35 @@ class TestHostileSpec:
                     "pieces meet; it must be continuous") in err
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize("declared, where", [
+        (False, "$.nodes[0].map"), (True, "$.nodes[0].chart_forms: declared chart form 1")])
+    def test_map_with_a_gap_in_an_hset_is_refused(self, declared, where, tmp_path, capsys):
+        # example 1 with every node's piece 0 (x <= 1) split into x <= 0.1
+        # and 0.2 <= x <= 1 under the same affine map: no cell holds
+        # (0.1, 0.2), inside h-set 1, though no sample point of the old
+        # 5-point probe falls there; declared, the forms are those of the
+        # original map, and the audit finds the gap in the composed one
+        base = fixtures.example1()
+        nodes = []
+        for node in base.nodes:
+            piece = node.local_map.pieces[0]
+            assert piece.normals.tolist() == [[1.0]] and piece.bounds.tolist() == [1.0]
+            split = (AffinePiece(piece.matrix, piece.offset, np.array([[1.0]]), np.array([0.1])),
+                     AffinePiece(piece.matrix, piece.offset, np.array([[-1.0], [1.0]]),
+                                 np.array([-0.2, 1.0])))
+            nodes.append(NodeSystem(PiecewiseAffineMap(1, 1, (*split, *node.local_map.pieces[1:])),
+                                    node.hsets, node.transition, node.unified,
+                                    chart_forms=_resolve_forms(node, "type2") if declared else None))
+        path = tmp_path / "gap.json"
+        path.write_text(canonical_json(serialize_spec(
+            NetworkSpec(base.graph, tuple(nodes), base.coupling))))
+        for verb in ("verify", "margin"):
+            assert main([verb, str(path)]) == 2
+            captured = capsys.readouterr()
+            assert (f"error: {where}: map undefined between 0.1 and 0.2, inside "
+                    "[-1, 1]") in captured.err
+            assert "Traceback" not in captured.err and "eps*" not in captured.out
+
     def test_declared_forms_hiding_a_tent_are_refused(self, tmp_path, capsys):
         # example 1's node 1 with a tent up to 30 on [0.1, 0.4], between the
         # sample points 0 and 0.5 of a 5-point audit, and declared forms
