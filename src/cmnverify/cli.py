@@ -11,6 +11,7 @@ import argparse
 import io
 import math
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -69,12 +70,11 @@ def _certify(spec, grid: int):
                 reason)
 
 
-def _write(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+def _write(lines, out: str | None) -> None:
+    """Each of ``lines`` and a newline, to the file ``out`` or else to stdout."""
+    with open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout) as fh:
+        for line in lines:
+            fh.write(line + "\n")
 
 
 def _orbit_doc(loop, orbit) -> dict:
@@ -96,7 +96,7 @@ def cmd_verify(args) -> int:
             print(f"conjugacy audit failed (worst residual "
                   f"{audit.worst_residual:.3e})", file=sys.stderr)
     doc = certificate_document(report, digest, __version__, extras)
-    _write(canonical_json(doc), args.out)
+    _write([canonical_json(doc)], args.out)
     summary = f"verdict {report.verdict}"
     if report.entropy_bound is not None:
         summary += f", entropy bound {report.entropy_bound:.6f}"
@@ -137,7 +137,7 @@ def cmd_periodic(args) -> int:
     loop = _auto_loop(spec) if args.auto else args.loop
     cert = periodic_point(spec, loop)
     doc = {"format_version": "1", "spec_digest": digest, **_orbit_doc(loop, cert)}
-    _write(canonical_json(doc), args.out)
+    _write([canonical_json(doc)], args.out)
     print(f"period {cert.period}, residual {cert.residual:.3e}", file=sys.stderr)
     return EXIT_PASS
 
@@ -169,27 +169,27 @@ def cmd_simulate(args) -> int:
     if values > MAX_ORBIT_VALUES:
         raise SpecError(f"{args.steps} steps keep {args.steps + 1} x {spec.state_dim} = "
                         f"{values} state values, above the limit of {MAX_ORBIT_VALUES}")
+    states = np.empty((args.steps + 1, spec.state_dim))
     if args.x0:
-        state = state_vector(spec, args.x0)
+        states[0] = state_vector(spec, args.x0)
     else:
         # uniform on the box hull of each node's h-sets
         boxes = [np.array([h.bounding_box() for h in node.hsets]) for node in spec.nodes]
         lo = np.concatenate([b[:, 0].min(axis=0) for b in boxes])
         hi = np.concatenate([b[:, 1].max(axis=0) for b in boxes])
-        state = np.random.default_rng(args.seed).uniform(lo, hi)
+        states[0] = np.random.default_rng(args.seed).uniform(lo, hi)
     pert = Perturbation(*args.pert) if args.pert else None
-    states = [state]
     for t in range(1, args.steps + 1):
         try:
-            states.append(step(spec, states[-1], pert))
+            states[t] = step(spec, states[t - 1], pert)
         except OrbitEscapeError as exc:
             raise OrbitEscapeError(f"step {t} of {args.steps}: {exc}") from None
-    # the whole orbit, coordinate-major, located in one batch
-    orbit = np.stack(states, axis=1)
-    symbols = locate_batch(spec, orbit)
-    lines = [{"t": t, "state": orbit[:, t].tolist(), "symbols": symbols[:, t].tolist()}
-             for t in range(args.steps + 1)]
-    _write("\n".join(canonical_json(line) for line in lines), args.out)
+    # the whole orbit, coordinate-major, located in one batch; each line is
+    # written as it is formatted
+    symbols = locate_batch(spec, np.ascontiguousarray(states.T))
+    _write((canonical_json({"t": t, "state": states[t].tolist(),
+                            "symbols": symbols[:, t].tolist()})
+            for t in range(args.steps + 1)), args.out)
     return EXIT_PASS
 
 

@@ -66,10 +66,10 @@ RESIDUAL_TOL = 1e-10
 # network draw 2.6 million.
 MAX_SAMPLE_DRAWS = 2 ** 24
 # Most state values ``simulate`` may keep, (steps + 1) x state_dim.  It
-# holds every state and its output line until it writes them, about 0.5 KB
-# per value: on a 2-vCPU KVM host, 2^18 values of a 2-d state peak at
-# 170 MB RSS and take 13 s, below the 330 MB of the sampler at its own
-# limit (2.8 million samples of a 2-node network at depth 2).
+# keeps the orbit twice (as stepped, then coordinate-major) and writes each
+# output line as it formats it: on a 2-vCPU KVM host, 2^18 values of a 2-d
+# state peak at 48 MB RSS (39 MB of it the interpreter and its imports) and
+# take 17 s, one ``step`` call per state.  So the limit bounds the time.
 MAX_ORBIT_VALUES = 2 ** 18
 
 

@@ -620,7 +620,8 @@ def vertex_candidates(piece: AffinePiece, dim: int) -> int:
 
 
 def _piece_box_vertices(piece: AffinePiece, dim: int) -> np.ndarray:
-    """Vertices of (cell of ``piece``) intersected with the unit box.
+    """Vertices of (cell of ``piece``) intersected with the unit box, from
+    one stacked ``det`` and ``solve`` over all constraint subsets.
 
     Refused, before any solve, when there are more than
     ``MAX_VERTEX_CANDIDATES`` constraint subsets to try.
@@ -631,19 +632,14 @@ def _piece_box_vertices(piece: AffinePiece, dim: int) -> np.ndarray:
                             f"limit of {MAX_VERTEX_CANDIDATES}")
     normals = np.vstack([piece.normals, np.eye(dim), -np.eye(dim)])
     bounds = np.concatenate([piece.bounds, np.ones(2 * dim)])
-    n = normals.shape[0]
-    verts = []
-    for combo in itertools.combinations(range(n), dim):
-        a = normals[list(combo)]
-        b = bounds[list(combo)]
-        if abs(np.linalg.det(a)) < 1e-12:
-            continue
-        x = np.linalg.solve(a, b)
-        if np.all(normals @ x <= bounds + 1e-9):
-            verts.append(x)
-    if not verts:
+    combos = np.array(list(itertools.combinations(range(normals.shape[0]), dim)))
+    a, b = normals[combos], bounds[combos]
+    solvable = np.abs(np.linalg.det(a)) >= 1e-12
+    x = np.linalg.solve(a[solvable], b[solvable][:, :, None])
+    verts = x[np.all(normals @ x <= bounds[:, None] + 1e-9, axis=(1, 2)), :, 0]
+    if not verts.shape[0]:
         return np.zeros((0, dim))
-    return np.unique(np.round(np.asarray(verts), 12), axis=0)
+    return np.unique(np.round(verts, 12), axis=0)
 
 
 def _exact_max(F: PiecewiseAffineMap, ref: np.ndarray, vertices: list[np.ndarray]) -> float:
@@ -851,7 +847,8 @@ class _CellTable:
     the piece's rows in tile t are ``rows[offsets[t]:offsets[t + 1]]``, so
     the tiles ``_grid_min`` keeps are contiguous slices.  Built only for a
     total map, decided by ``line_cells`` on the line and sampled on 5
-    points per axis in 2 to 4 dimensions.
+    points per axis in 2 to 4 dimensions, with no cell (checked before any
+    is enumerated) of more than ``MAX_VERTEX_CANDIDATES`` candidate vertices.
     """
 
     def __init__(self, F: PiecewiseAffineMap):
@@ -867,6 +864,10 @@ class _CellTable:
             for i, hit in _first_match(F.pieces, np.array([[-1.0, 1.0]])):
                 self.ends[hit] = i
         else:
+            count = max(vertex_candidates(p, F.dim_in) for p in F.pieces)
+            if count > MAX_VERTEX_CANDIDATES:
+                raise GeometryError(f"a chart-form cell has {count} candidate vertices to "
+                                    f"enumerate, above the limit of {MAX_VERTEX_CANDIDATES}")
             if F.dim_in <= 4:
                 # cheap totality probe; vertex enumeration alone would silently
                 # ignore an uncovered patch of the ball
@@ -897,8 +898,8 @@ class CellGeometry:
     moves the cells and gets its own.  Face grids and their tiles are kept
     per (dimension, resolution) and shared by every table.  Everything
     lives as long as the ``CellGeometry`` object: a check's set-up makes
-    one, builds the tables of its maps on the line (whose ``line_cells``
-    must cover [-1, 1]) and hands it to the check, which holds it to the end.
+    one, builds the table of every factor of its chart forms and hands it
+    to the check, which holds it to the end.
     """
 
     def __init__(self):

@@ -32,11 +32,10 @@ matrix of its tables and checks every transition (i, j) on its own, as
 the covering of h-set j by h-set i, from those diagonal cells before the
 entry loop; an outcome other than "pass" is a ``SpecError`` naming the
 node, the transition and the failures.  Both checks first refuse, as a
-``SpecError``, in one set-up (``_prepare``), a chart form that is itself
-past floating-point range, has a cell with too many vertices to
-enumerate or a 1-d factor that is not total and continuous on [-1, 1]
-(at ``$.nodes[k].map`` or ``$.nodes[k].chart_forms``), and a coupling
-large enough to scale a finite one past that range (at
+``SpecError``, in one set-up (``_prepare``), a node whose chart forms fail
+to be taken or derived, audited and built (``_node_forms``, at
+``$.nodes[k].map`` or ``$.nodes[k].chart_forms``), and a coupling large
+enough to scale a finite form past floating-point range (at
 ``$.coupling.matrix``); ``require_finite_step`` refuses, the same way, an
 interaction that carries h-set states past that range, for the commands
 that iterate the network map.
@@ -60,12 +59,11 @@ import numpy as np
 from .covering import (STRICT_MARGIN, CoveringCertificate, CoveringOutcome, ProductFormMap,
                        persistence_bound)
 from .degree import DegreeUndefinedError, DegreeValue, crossing_degrees, degree_for_map
-from .geometry import (CONTINUITY_TOL, EVAL_TIE_TOL, MAX_GRID_POINTS, MAX_VERTEX_CANDIDATES,
-                       AffineChart, AffinePiece, CellGeometry, CenterScale, GeometryError, HSet,
-                       PiecewiseAffineMap, UnifiedSet, _piece_box_vertices,
-                       affine_min_stretch, box_grid, face_grid_points, line_cells, line_stretch,
-                       max_face_resolution, max_stretch, min_stretch, singular, split_product,
-                       unified_validate, vertex_candidates)
+from .geometry import (CONTINUITY_TOL, EVAL_TIE_TOL, MAX_GRID_POINTS, AffineChart, AffinePiece,
+                       CellGeometry, CenterScale, GeometryError, HSet, PiecewiseAffineMap,
+                       UnifiedSet, _piece_box_vertices, affine_min_stretch, box_grid,
+                       face_grid_points, line_cells, line_stretch, max_face_resolution,
+                       max_stretch, min_stretch, singular, split_product, unified_validate)
 from .symbolic import TransitionMatrix, lcm_period, spectral_radius
 
 TYPE_I = "type1"
@@ -390,8 +388,8 @@ def validate_spec(spec: NetworkSpec) -> ValidationReport:
 
     A node's local map must be finite to evaluate on the box hull of the
     node's h-sets, its images and its cell tests both; one that is not is
-    reported at ``$.nodes[k].map``, and the checks that would evaluate it
-    (the declared-form audit, the type-I image separation) are skipped.
+    reported at ``$.nodes[k].map``, and the type-I image separation, which
+    would evaluate it, is skipped; chart forms are left to ``_prepare``.
     Reports every violation rather than stopping at the first.  Two h-sets
     of a node whose box hulls meet are decided exactly, by ``_hsets_meet``,
     or refused at ``$.nodes[k].hsets[j]`` when that would take more than
@@ -455,12 +453,11 @@ def validate_spec(spec: NetworkSpec) -> ValidationReport:
             all_finite = False
             continue
         image, cells = _local_reach(node.local_map, _hull_radius(boxes))
-        finite = math.isfinite(image) and math.isfinite(cells)
-        if not finite:
+        if not (math.isfinite(image) and math.isfinite(cells)):
             errors.append(f"$.nodes[{k - 1}].map: the local map cannot be evaluated "
                           f"finitely on the node's h-sets (image size {image:g}, "
                           f"cell constraint size {cells:g})")
-        all_finite = all_finite and finite
+            all_finite = False
 
         for i, j in itertools.combinations(range(node.count), 2):
             if _boxes_disjoint(boxes[i], boxes[j]):
@@ -486,15 +483,6 @@ def validate_spec(spec: NetworkSpec) -> ValidationReport:
                                   f"members for {node.count} h-sets")
                 else:
                     _check_member_charts(node, k, errors, warnings)
-
-        # type-II forms land in the unified chart: without one there is
-        # nothing to audit them against, and the error above says so; the
-        # audit evaluates the local map, so it needs a finite one that acts
-        # on the node's space
-        acts = node.local_map.dim_in == node.local_map.dim_out == node.dim
-        if node.chart_forms is not None and finite and acts and (
-                spec.coupling.kind == TYPE_I or node.unified is not None):
-            _audit_declared_forms(spec.coupling.kind, node, k, errors)
 
     if spec.coupling.kind == TYPE_I and all_finite:
         _check_non_overlap(spec, errors, warnings)
@@ -522,72 +510,6 @@ def _check_member_charts(node: NodeSystem, k: int, errors: list[str],
         else:
             errors.append(f"node {k}: unified member {i} and h-set {hset.id} "
                           "describe different sets")
-
-
-def _gap_1d(F: PiecewiseAffineMap, G: PiecewiseAffineMap) -> float:
-    """Largest |F - G| at the ends of every meet inside [-1, 1] (to
-    ``EVAL_TIE_TOL``, where evaluation counts a point as in both) of a
-    piece of F with a piece of G (``line_cells``, which raises where a map
-    leaves part of [-1, 1] uncovered); 0 when no pieces meet.
-
-    On each meet both pieces are affine, so agreement at its ends is
-    agreement on all of it.  ``_gap_1d(F, F)`` is thus F's largest jump
-    where two pieces meet, and for continuous F and G that cover [-1, 1],
-    ``_gap_1d(F, G)`` is their largest difference there.
-    """
-    # each piece as (lo, hi, slope, offset); cells[-1] is G's, F's own when G is F
-    gaps, cells = [], [[(lo, hi, p.matrix[0, 0].item(), p.offset[0].item())
-                        for p, lo, hi in zip(H.pieces, *line_cells(H).tolist())]
-                       for H in ((F,) if G is F else (F, G))]
-    for lo_f, hi_f, a, c in cells[0]:
-        for lo_g, hi_g, b, e in cells[-1]:
-            lo, hi = max(lo_f, lo_g, -1.0), min(hi_f, hi_g, 1.0)
-            if lo <= hi + EVAL_TIE_TOL:
-                gaps += [abs(a * x + c - (b * x + e)) for x in (lo, hi)]
-    return float(np.max(gaps, initial=0.0))
-
-
-def _audit_declared_forms(kind: str, node: NodeSystem, k: int, errors: list[str]) -> None:
-    """Consistency of declared chart forms with the composed map: exact on
-    a node of dimension 1 (``_gap_1d`` against the derived form), sampled
-    on 5 points per axis otherwise."""
-    try:
-        grid = box_grid(node.dim, 5).T
-    except GeometryError as exc:        # too many sample points
-        errors.append(f"$.nodes[{k - 1}].chart_forms: cannot audit the declared forms: {exc}")
-        return
-    u = node.dim_u
-    for key, form in node.chart_forms.items():
-        if kind == TYPE_II:
-            if not isinstance(key, int) or not 1 <= key <= node.count:
-                errors.append(f"node {k}: chart forms must be keyed by source "
-                              f"symbol for a unified family, got {key!r}")
-                continue
-        elif (not isinstance(key, tuple) or len(key) != 2
-                or not all(1 <= t <= node.count for t in key)):
-            errors.append(f"node {k}: chart forms must be keyed by "
-                          f"(source, target) pairs, got {key!r}")
-            continue
-        if node.dim == 1:
-            try:
-                gap = _gap_1d(form.U, _derive_form(node, kind, key).U)
-            except GeometryError as exc:    # a form undefined on part of [-1, 1]
-                errors.append(f"$.nodes[{k - 1}].chart_forms: declared chart form {key}: {exc}")
-                continue
-            if not gap <= CONTINUITY_TOL:
-                errors.append(f"$.nodes[{k - 1}].chart_forms: declared chart form {key} "
-                              f"disagrees with the composed map (gap {gap:.3e})")
-            continue
-        inner, outer = _form_charts(node, kind, key)
-        ambient = inner.invert_batch(grid)
-        want = outer.apply_batch(node.local_map.apply_batch(ambient))
-        got = form.U.apply_batch(grid[:u])
-        if form.V is not None:
-            got = np.vstack([got, form.V.apply_batch(grid[u:])])
-        resid = float(np.max(np.abs(want - got)))
-        if resid > 1e-9:
-            errors.append(f"node {k}: declared chart form {key} disagrees with the "
-                          f"composed map (residual {resid:.3e})")
 
 
 def _check_non_overlap(spec: NetworkSpec, errors: list[str], warnings: list[str]) -> None:
@@ -784,7 +706,7 @@ class _Tables:
     without one: the off-diagonal terms, which no single covering reads.
 
     ``cells`` is the check's cell-only geometry store (``_prepare`` has
-    built the tables of its forms on the line in it).  A form's scalings by
+    built the table of every factor of its forms in it).  A form's scalings by
     the coupling coefficients keep its cells, so each distinct cell
     structure is worked out once per check.
 
@@ -1100,30 +1022,137 @@ def _check_entries(spec: NetworkSpec, tables: _Tables, own: dict[int, np.ndarray
     return table
 
 
+def _gap_1d(F: PiecewiseAffineMap, G: PiecewiseAffineMap) -> float:
+    """Largest |F - G| at the ends of every meet inside [-1, 1] (to
+    ``EVAL_TIE_TOL``, where evaluation counts a point as in both) of a
+    piece of F with a piece of G (``line_cells``, which raises where a map
+    leaves part of [-1, 1] uncovered); 0 when no pieces meet.
+
+    On each meet both pieces are affine, so agreement at its ends is
+    agreement on all of it.  ``_gap_1d(F, F)`` is thus F's largest jump
+    where two pieces meet, and for continuous F and G that cover [-1, 1],
+    ``_gap_1d(F, G)`` is their largest difference there.
+    """
+    def rows(H: PiecewiseAffineMap) -> tuple[np.ndarray, ...]:
+        """H's pieces' intervals cut to [-1, 1], slopes and offsets."""
+        lo, hi = line_cells(H)
+        slope, offset = np.array([(p.matrix[0, 0], p.offset[0]) for p in H.pieces]).T
+        return np.maximum(lo, -1.0), np.minimum(hi, 1.0), slope, offset
+
+    lo_f, hi_f, a, c = rows(F)
+    lo_g, hi_g, b, e = (lo_f, hi_f, a, c) if G is F else rows(G)
+    # x[0, i, j] and x[1, i, j]: the ends of the meet of F's piece i and G's piece j
+    x = np.stack([np.maximum.outer(lo_f, lo_g), np.minimum.outer(hi_f, hi_g)])
+    with np.errstate(over="ignore", invalid="ignore"):    # an empty meet may end at inf
+        gaps = np.abs(a[:, None] * x + c[:, None] - (b * x + e))
+    return float(gaps.max(initial=0.0, where=x[0] <= x[1] + EVAL_TIE_TOL))
+
+
+def _audit_declared_forms(node: NodeSystem, kind: str, k: int, forms: dict) -> None:
+    """Refuse at ``$.nodes[k].chart_forms`` a declared form of node k that
+    is not the composed map: exactly on a node of dimension 1 (``_gap_1d``
+    against the derived form), on 5 points per axis otherwise; or at
+    ``$.nodes[k].map`` a local map that does not compose or evaluate."""
+    where = f"$.nodes[{k}].chart_forms"
+    if node.dim == 1:
+        for key, form in forms.items():
+            try:
+                gap = _gap_1d(form.U, _derive_form(node, kind, key).U)
+            except GeometryError as exc:    # form.U covers [-1, 1], so the map does not
+                raise SpecError(f"$.nodes[{k}].map: {exc}") from exc
+            if not gap <= CONTINUITY_TOL:
+                raise SpecError(f"{where}: declared chart form {key} disagrees with the "
+                                f"composed map (gap {gap:.3e})")
+        return
+    try:
+        grid = box_grid(node.dim, 5).T
+    except GeometryError as exc:        # too many sample points
+        raise SpecError(f"{where}: cannot audit the declared forms: {exc}") from exc
+    u = node.dim_u
+    for key, form in forms.items():
+        inner, outer = _form_charts(node, kind, key)
+        try:
+            want = outer.apply_batch(node.local_map.apply_batch(inner.invert_batch(grid)))
+        except GeometryError as exc:    # the map undefined on part of an h-set
+            raise SpecError(f"$.nodes[{k}].map: {exc}") from exc
+        try:
+            got = form.U.apply_batch(grid[:u])
+            if form.V is not None:
+                got = np.vstack([got, form.V.apply_batch(grid[u:])])
+        except GeometryError as exc:    # a form undefined on part of the box
+            raise SpecError(f"{where}: declared chart form {key}: {exc}") from exc
+        if (resid := float(np.max(np.abs(want - got)))) > 1e-9:
+            raise SpecError(f"{where}: declared chart form {key} disagrees with the "
+                            f"composed map (residual {resid:.3e})")
+
+
+def _node_forms(node: NodeSystem, kind: str, k: int, resolution: int, cells: CellGeometry
+                ) -> tuple[dict, float]:
+    """Node k's chart forms, declared or derived, audited and with every
+    factor's cell table built in ``cells``; and their size, the largest row
+    sum plus offset of a piece.  Refused (at ``$.nodes[k].chart_forms``
+    when declared, else ``$.nodes[k].map``): declared keys other than
+    ``_form_keys``, or a split other than the h-sets'; a size that is not
+    finite; a table that cannot be built (a cell of too many vertices, a
+    map that is not total); a factor on the line that jumps where two
+    pieces meet; a declared form that is not the map.  Then, at
+    ``$.nodes[k]``, a face grid on forms with u >= 2 and a U that is not
+    affine of more than ``geometry.MAX_GRID_POINTS`` points.
+    """
+    declared = node.chart_forms is not None
+    where = f"$.nodes[{k}].{'chart_forms' if declared else 'map'}"
+    try:
+        forms = _resolve_forms(node, kind)
+    except GeometryError as exc:        # a map not of product form
+        raise SpecError(f"{where}: {exc}") from exc
+    if declared:
+        keys = _form_keys(node, kind)
+        if set(forms) != set(keys):
+            raise SpecError(f"{where}: declared forms keyed {list(forms)}, not by the node's "
+                            f"{'source symbols' if kind == TYPE_II else 'transitions'} {keys}")
+        for key, form in forms.items():
+            if (form.dim_u, form.dim_s) != (node.dim_u, node.dim_s):
+                raise SpecError(f"{where}: declared chart form {key} splits as (u, s) = "
+                                f"({form.dim_u}, {form.dim_s}), not ({node.dim_u}, {node.dim_s})")
+    factors = [F for form in forms.values() for F in (form.U, form.V) if F is not None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        size = float(np.max([np.max(np.sum(np.abs(p.matrix), axis=1) + np.abs(p.offset))
+                             for F in factors for p in F.pieces]))
+    if not math.isfinite(size):
+        raise SpecError(f"{where}: chart-form size {size:g} is not a finite number")
+    try:
+        for F in factors:
+            cells.table(F)
+    except GeometryError as exc:
+        raise SpecError(f"{where}: {exc}") from exc
+    for F in factors:
+        if F.dim_in == 1 and not (gap := _gap_1d(F, F)) <= CONTINUITY_TOL:
+            raise SpecError(f"{where}: a chart form jumps by {gap:.3e} where two of "
+                            f"its pieces meet; it must be continuous")
+    if declared:
+        _audit_declared_forms(node, kind, k, forms)
+    u = node.dim_u
+    if (u >= 2 and not all(form.U.is_affine for form in forms.values())
+            and (points := face_grid_points(u, resolution)) > MAX_GRID_POINTS):
+        raise SpecError(f"$.nodes[{k}]: grid resolution {resolution} gives a face grid of "
+                        f"{points} points on this node's non-affine chart forms "
+                        f"(u = {u}), above the limit of {MAX_GRID_POINTS}; the largest "
+                        f"resolution allowed is {max_face_resolution(u)}")
+    return forms, size
+
+
 def _prepare(spec: NetworkSpec, kind: str, resolution: int
              ) -> tuple[_Tables, dict[int, np.ndarray], float]:
     """The tables of a check of coupling ``kind``, the ``per_entry`` matrix
     of each overridden entry, and the largest Lipschitz constant of the
     charts ``_choices`` names.
 
-    First the spec must declare ``kind`` and pass validation, and a node
-    whose chart forms cannot be derived (a map not of product form, or too
-    large to sample) is refused at ``$.nodes[k].map``.  A node's forms are
-    refused at ``$.nodes[k].chart_forms`` when declared, ``$.nodes[k].map``
-    when derived, when one's size (its pieces' largest row sum plus offset)
-    is not finite, or a cell has more than ``geometry.MAX_VERTEX_CANDIDATES``
-    candidate vertices to enumerate for its stretch bounds, or a 1-d factor
-    (U when u = 1, V when s = 1) is not total and continuous: building its
-    cell table in the check's store finds part of [-1, 1] uncovered
-    (``line_cells``), or two pieces whose intervals meet inside [-1, 1]
-    differ by more than ``CONTINUITY_TOL`` at an end of the meet
-    (``_gap_1d``).  A node with u >= 2 and a form whose U is not affine is
-    refused at ``$.nodes[k]`` when its face grid of 2 u resolution^(u - 1)
-    points would pass ``geometry.MAX_GRID_POINTS``.
-    Last, the coupling's max row sum times the largest form size must be
-    finite, or an inf would reach the margins (``$.coupling.matrix``).
-    Theorem 1's tables list the identity last, the coupling under which a
-    transition's diagonal cell is its single covering.
+    The spec must declare ``kind``, pass validation and each node's forms
+    ``_node_forms``, and the coupling's max row sum times the largest form
+    size must be finite, or an inf would reach the margins
+    (``$.coupling.matrix``).  Theorem 1's tables list the identity last,
+    the coupling under which a transition's diagonal cell is its single
+    covering.
     """
     if spec.coupling.kind != kind:
         raise SpecError(f"checker needs coupling kind '{kind}', "
@@ -1131,42 +1160,10 @@ def _prepare(spec: NetworkSpec, kind: str, resolution: int
     report = validate_spec(spec)
     if not report.ok:
         raise SpecError("spec fails validation: " + "; ".join(report.errors))
-    forms, size, cells = [], 0.0, CellGeometry()
-    for k, node in enumerate(spec.nodes):
-        try:
-            forms.append(_resolve_forms(node, kind))
-        except GeometryError as exc:
-            raise SpecError(f"$.nodes[{k}].map: {exc}") from exc
-        where = f"$.nodes[{k}].{'map' if node.chart_forms is None else 'chart_forms'}"
-        factors = [F for form in forms[k].values() for F in (form.U, form.V) if F is not None]
-        with np.errstate(over="ignore", invalid="ignore"):
-            for F, p in ((F, p) for F in factors for p in F.pieces):
-                piece_size = float(np.max(np.sum(np.abs(p.matrix), axis=1) + np.abs(p.offset)))
-                if not math.isfinite(piece_size):
-                    raise SpecError(f"{where}: chart-form size {piece_size:g} "
-                                    f"is not a finite number")
-                count = vertex_candidates(p, F.dim_in)
-                if count > MAX_VERTEX_CANDIDATES:
-                    raise SpecError(f"{where}: a chart-form cell has {count} candidate "
-                                    f"vertices to enumerate, above the limit of "
-                                    f"{MAX_VERTEX_CANDIDATES}")
-                size = max(size, piece_size)
-        for F in (F for F in factors if F.dim_in == 1):
-            try:
-                cells.table(F)
-            except GeometryError as exc:
-                raise SpecError(f"{where}: {exc}") from exc
-            if not (gap := _gap_1d(F, F)) <= CONTINUITY_TOL:
-                raise SpecError(f"{where}: a chart form jumps by {gap:.3e} where two of "
-                                f"its pieces meet; it must be continuous")
-        u = node.dim_u
-        if (u >= 2 and not all(form.U.is_affine for form in forms[k].values())
-                and (points := face_grid_points(u, resolution)) > MAX_GRID_POINTS):
-            raise SpecError(f"$.nodes[{k}]: grid resolution {resolution} gives a face grid of "
-                            f"{points} points on this node's non-affine chart forms "
-                            f"(u = {u}), above the limit of {MAX_GRID_POINTS}; the largest "
-                            f"resolution allowed is {max_face_resolution(u)}")
-    lip = spec.coupling.lipschitz()
+    cells = CellGeometry()
+    forms, sizes = zip(*(_node_forms(node, kind, k, resolution, cells)
+                         for k, node in enumerate(spec.nodes)))
+    lip, size = spec.coupling.lipschitz(), max(sizes)
     if not math.isfinite(lip * size):
         raise SpecError(f"$.coupling.matrix: coupling row sum {lip:g} times chart-form "
                         f"size {size:g} is not a finite number")
@@ -1175,8 +1172,8 @@ def _prepare(spec: NetworkSpec, kind: str, resolution: int
     matrices = [spec.coupling.matrix, *own.values()]
     if kind == TYPE_I:
         matrices.append(np.eye(spec.d))
-    return (_Tables(forms, list(choices), matrices, spec.nodes[0].dim_s, resolution, cells), own,
-            max(chart.lipschitz() for node_charts in charts for chart in node_charts))
+    tables = _Tables(list(forms), list(choices), matrices, spec.nodes[0].dim_s, resolution, cells)
+    return tables, own, max(chart.lipschitz() for node_charts in charts for chart in node_charts)
 
 
 def _hull_radius(boxes: list[tuple[np.ndarray, np.ndarray]]) -> float:
@@ -1320,8 +1317,8 @@ def conjugacy_audit(spec: NetworkSpec, seed: int = 0) -> ConjugacyReport:
     About 200 points, split evenly over the chart-form combinations, are
     drawn in the image of the h-set products under the local maps, pushed
     through the charts, and compared against the linear model; a residual
-    above 1e-9 is a mismatch.  This audits input consistency; it is not a
-    proof.
+    above 1e-9 is a mismatch, and one that is not a finite number counts as
+    inf.  This audits input consistency; it is not a proof.
     """
     rng = np.random.default_rng(seed)
     d = spec.d
@@ -1353,11 +1350,13 @@ def conjugacy_audit(spec: NetworkSpec, seed: int = 0) -> ConjugacyReport:
         model = np.kron(a, np.eye(block))
         xi = rng.uniform(-1.0, 1.0, size=(per, d * block))
         for row in xi:
-            w = blockwise([c.invert for c in charts_in], row)
-            tw = blockwise([n.local_map.apply for n in spec.nodes], w)
-            z = blockwise([c.apply for c in charts_out], tw)
-            lhs = blockwise([c.apply for c in charts_out], ambient.apply(tw))
-            resid = float(np.max(np.abs(lhs - model @ z)))
+            with np.errstate(over="ignore", invalid="ignore"):
+                w = blockwise([c.invert for c in charts_in], row)
+                tw = blockwise([n.local_map.apply for n in spec.nodes], w)
+                z = blockwise([c.apply for c in charts_out], tw)
+                lhs = blockwise([c.apply for c in charts_out], ambient.apply(tw))
+                resid = float(np.max(np.abs(lhs - model @ z)))
+            resid = math.inf if math.isnan(resid) else resid
             worst = max(worst, resid)
             n_done += 1
             if resid > 1e-9 and len(bad) < 16:

@@ -216,7 +216,10 @@ def _node(obj, path: str) -> NodeSystem:
             parts = [_int(t, fpath) for t in str(key).split(",")]
             U = _map(_get(fobj, "U", fpath), f"{fpath}.U")
             V = _map(fobj["V"], f"{fpath}.V") if fobj.get("V") else None
-            forms[parts[0] if len(parts) == 1 else tuple(parts)] = ProductFormMap(U, V)
+            try:
+                forms[parts[0] if len(parts) == 1 else tuple(parts)] = ProductFormMap(U, V)
+            except GeometryError as exc:    # a factor that is not square
+                raise SpecFormatError(f"{fpath}: {exc}") from exc
     try:
         return NodeSystem(local, tuple(hsets), TransitionMatrix(bits.astype(int)),
                           unified=unified, chart_forms=forms)

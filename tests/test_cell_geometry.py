@@ -875,6 +875,129 @@ def test_empty_line_pass():
 
 
 # ---------------------------------------------------------------------------
+# the subset enumeration in one stacked solve, and the gaps between two maps
+# on the line in one array pass, against the loops they replaced
+
+
+def _reference_piece_box_vertices(piece, dim):
+    """``_piece_box_vertices`` as a loop over the constraint subsets: one
+    ``det``, one ``solve`` and one feasibility test each."""
+    normals = np.vstack([piece.normals, np.eye(dim), -np.eye(dim)])
+    bounds = np.concatenate([piece.bounds, np.ones(2 * dim)])
+    verts = []
+    for combo in itertools.combinations(range(normals.shape[0]), dim):
+        a = normals[list(combo)]
+        b = bounds[list(combo)]
+        if abs(np.linalg.det(a)) < 1e-12:
+            continue
+        x = np.linalg.solve(a, b)
+        if np.all(normals @ x <= bounds + 1e-9):
+            verts.append(x)
+    if not verts:
+        return np.zeros((0, dim))
+    return np.unique(np.round(np.asarray(verts), 12), axis=0)
+
+
+def _random_cell(rng):
+    """(piece, dim): a cell in 1 to 4 dimensions with 0 to 4 constraints,
+    of one of four kinds: Gaussian rows and bounds; small integer rows and
+    bounds, with parallel, repeated and zero rows that make subsets
+    singular; hyperplanes through a corner of the box, whose vertices lie
+    on it; or the same moved by 1e-11 to 1e-7 either way, so that the
+    corner meets them within or past the feasibility tolerance 1e-9."""
+    dim, k = int(rng.integers(1, 5)), int(rng.integers(0, 5))
+    kind = int(rng.integers(4))
+    if kind == 1:
+        normals = rng.integers(-2, 3, size=(k, dim)).astype(float)
+        bounds = rng.integers(-2, 3, size=k).astype(float)
+    else:
+        normals = rng.normal(size=(k, dim))
+        bounds = (rng.normal(size=k) if kind == 0
+                  else normals @ rng.choice([-1.0, 1.0], size=dim))
+        if kind == 3:
+            bounds += rng.choice([-1.0, 1.0], size=k) * 10.0 ** rng.uniform(-11, -7, size=k)
+    return AffinePiece(np.eye(dim), np.zeros(dim), normals, bounds), dim
+
+
+def test_batched_box_vertices_equal_the_loop():
+    rng = np.random.default_rng(7320)
+    empty = 0
+    for _ in range(1000):
+        piece, dim = _random_cell(rng)
+        want = _reference_piece_box_vertices(piece, dim)
+        got = geometry._piece_box_vertices(piece, dim)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        empty += want.shape[0] == 0
+    assert 50 < empty < 500
+
+
+def _reference_gap_1d(F, G):
+    """``network._gap_1d`` as a loop over the pairs of pieces, in Python floats."""
+    gaps, cells = [], [[(lo, hi, p.matrix[0, 0].item(), p.offset[0].item())
+                        for p, lo, hi in zip(H.pieces, *geometry.line_cells(H).tolist())]
+                       for H in ((F,) if G is F else (F, G))]
+    for lo_f, hi_f, a, c in cells[0]:
+        for lo_g, hi_g, b, e in cells[-1]:
+            lo, hi = max(lo_f, lo_g, -1.0), min(hi_f, hi_g, 1.0)
+            if lo <= hi + geometry.EVAL_TIE_TOL:
+                gaps += [abs(a * x + c - (b * x + e)) for x in (lo, hi)]
+    return float(np.max(gaps, initial=0.0))
+
+
+def _jumped(rng, F):
+    """F with a random piece's offset moved, so that it jumps where that
+    piece meets another, or left as it is."""
+    pieces = list(F.pieces)
+    if rng.random() < 0.5:
+        i = int(rng.integers(len(pieces)))
+        p = pieces[i]
+        jump = rng.normal(scale=10.0 ** rng.integers(-12, 1))
+        pieces[i] = AffinePiece(p.matrix, p.offset + jump, p.normals, p.bounds)
+    return PiecewiseAffineMap(1, 1, tuple(pieces))
+
+
+def test_gap_in_one_array_pass_equals_the_loop():
+    rng = np.random.default_rng(7321)
+    jumps = 0
+    for _ in range(1000):
+        F, G, _ = _charted_line_map(rng)
+        H = _jumped(rng, random_interval_map(rng))
+        for pair in ((F, F), (H, H), (F, H), (H, _jumped(rng, F)), (G, G)):
+            want = _reference_gap_1d(*pair)
+            assert np.float64(nw._gap_1d(*pair)).tobytes() == np.float64(want).tobytes()
+        jumps += nw._gap_1d(H, H) > 0
+    assert jumps > 250
+    # a piece that holds no point (0 x <= -1) has the interval [inf, inf],
+    # and a slope 0 times inf is NaN, which no meet may read
+    empty = AffinePiece(np.zeros((1, 1)), np.zeros(1), np.zeros((1, 1)), -np.ones(1))
+    E = PiecewiseAffineMap(1, 1, (empty, *H.pieces))
+    for pair in ((E, E), (E, F), (F, E)):
+        want = _reference_gap_1d(*pair)
+        assert np.float64(nw._gap_1d(*pair)).tobytes() == np.float64(want).tobytes()
+    # a map that leaves part of [-1, 1] uncovered raises as the loop does
+    gap = _two_slabs(1, 0.1)
+    assert _outcome(lambda: nw._gap_1d(gap, H)) == _outcome(lambda: _reference_gap_1d(gap, H))
+    message = "map undefined between 0.1 and 0.2, inside [-1, 1]"
+    assert _outcome(lambda: nw._gap_1d(H, gap)) == message
+
+
+def test_vertex_limit_is_refused_before_any_cell_is_enumerated(monkeypatch):
+    # a small cell first, then one of 110 constraints in 3 dimensions:
+    # C(116, 3) = 253,460 candidate vertices
+    small = AffinePiece(np.eye(3), np.zeros(3), np.eye(3)[:1], np.array([0.0]))
+    large = AffinePiece(np.eye(3), np.zeros(3), np.tile(-np.eye(3), (37, 1))[:110],
+                        np.full(110, 0.0))
+    F = PiecewiseAffineMap(3, 3, (small, large))
+
+    def enumerated(piece, dim):
+        raise AssertionError("a cell was enumerated")
+    monkeypatch.setattr(geometry, "_piece_box_vertices", enumerated)
+    with pytest.raises(GeometryError, match="^a chart-form cell has 253460 candidate vertices "
+                                            "to enumerate, above the limit of 200000$"):
+        CellGeometry().table(F)
+
+
+# ---------------------------------------------------------------------------
 # what the store keeps, and what it refuses to keep
 
 

@@ -439,7 +439,7 @@ class TestHostileSpec:
 
     @pytest.mark.parametrize("limit, declared, where", [
         (15, False, "invalid spec: $.nodes[0].hsets: a grid of 2^4 = 16 points"),
-        (624, True, "invalid spec: $.nodes[0].chart_forms: cannot audit the declared forms: "
+        (624, True, "error: $.nodes[0].chart_forms: cannot audit the declared forms: "
                     "a grid of 5^4 = 625 points"),
         (624, False, "error: $.nodes[0].map: a grid of 5^4 = 625 points"),
     ], ids=["hset-corners", "declared-audit", "product-split"])
@@ -539,13 +539,14 @@ class TestHostileSpec:
             assert "Traceback" not in err
 
     @pytest.mark.parametrize("declared, where", [
-        (False, "$.nodes[0].map"), (True, "$.nodes[0].chart_forms: declared chart form 1")])
+        (False, "$.nodes[0].map"), (True, "$.nodes[0].map")])
     def test_map_with_a_gap_in_an_hset_is_refused(self, declared, where, tmp_path, capsys):
         # example 1 with every node's piece 0 (x <= 1) split into x <= 0.1
         # and 0.2 <= x <= 1 under the same affine map: no cell holds
         # (0.1, 0.2), inside h-set 1, though no sample point of the old
         # 5-point probe falls there; declared, the forms are those of the
-        # original map, and the audit finds the gap in the composed one
+        # original map, and the audit finds the gap in the composed one,
+        # which is the map's
         base = fixtures.example1()
         nodes = []
         for node in base.nodes:
@@ -591,8 +592,8 @@ class TestHostileSpec:
             assert "Traceback" not in err
 
     def test_declared_forms_of_a_map_on_another_space(self, tmp_path, capsys):
-        # the audit evaluates the map on the node's space, so it is skipped
-        # for a map that acts on another one, and validation says why
+        # the audit evaluates the map on the node's space, in a check's
+        # set-up, which validation stops first for a map on another space
         base = fixtures.example1(alpha=0.05)
         node = base.nodes[0]
         wide = NodeSystem(PiecewiseAffineMap.affine([[2.0, 0.0]], [0.0]), node.hsets,
@@ -605,6 +606,69 @@ class TestHostileSpec:
         err = capsys.readouterr().err
         assert "error: node 1: local map acts on R^2, h-sets live in R^1" in err
         assert "Traceback" not in err
+
+    @staticmethod
+    def _declared_box(edit) -> dict:
+        """The benchmark's golden ring at d = 1, u = 3, s = 1, with one
+        declared affine form per source symbol, after ``edit`` of its forms."""
+        spec = _bench_gen().golden_ring(np.random.default_rng(1), 1, 0.0, u=3, s=1,
+                                        declared=True)
+        doc = serialize_spec(spec)
+        edit(doc["nodes"][0]["chart_forms"])
+        return doc
+
+    @staticmethod
+    def _affine(rows: int, cols: int) -> dict:
+        return {"dim_in": cols, "dim_out": rows,
+                "pieces": [{"matrix": (2.0 * np.eye(rows, cols)).tolist(), "offset": [0] * rows}]}
+
+    @pytest.mark.parametrize("edit, where", [
+        (lambda f: f.pop("2"),
+         "$.nodes[0].chart_forms: declared forms keyed [1], not by the node's source symbols "
+         "[1, 2]"),
+        (lambda f: f["1"].update(U=TestHostileSpec._affine(2, 2)),
+         "$.nodes[0].chart_forms: declared chart form 1 splits as (u, s) = (2, 1), not (3, 1)"),
+        (lambda f: f["1"].update(V=TestHostileSpec._affine(2, 2)),
+         "$.nodes[0].chart_forms: declared chart form 1 splits as (u, s) = (3, 2), not (3, 1)"),
+        (lambda f: f["1"].pop("V"),
+         "$.nodes[0].chart_forms: declared chart form 1 splits as (u, s) = (3, 0), not (3, 1)"),
+        (lambda f: f["1"].update(U=TestHostileSpec._affine(2, 3)),
+         "$.nodes[0].chart_forms[1]: unstable factor must map R^u to R^u"),
+        (lambda f: f.update({"0": f.pop("1")}),
+         "$.nodes[0].chart_forms: declared forms keyed [2, 0], not by the node's source "
+         "symbols [1, 2]"),
+        (lambda f: f.update({"1,2": f.pop("1")}),
+         "$.nodes[0].chart_forms: declared forms keyed [2, (1, 2)], not by the node's source "
+         "symbols [1, 2]"),
+        # U's one piece split into x0 <= 0.1 and x0 >= 0.6: 25 of the 125
+        # points of the totality probe lie at x0 = 0.5
+        (lambda f: f["1"]["U"].update(pieces=[
+            dict(f["1"]["U"]["pieces"][0], normals=[[1, 0, 0]], bounds=[0.1]),
+            dict(f["1"]["U"]["pieces"][0], normals=[[-1, 0, 0]], bounds=[-0.6])]),
+         "$.nodes[0].chart_forms: map undefined at 25 of 125 points"),
+    ], ids=["missing-key", "2d-U", "2d-V", "no-V", "non-square-U", "key-0", "key-1,2",
+            "3d-U-with-a-gap"])
+    def test_malformed_declared_form_is_refused_at_its_path(self, edit, where, tmp_path,
+                                                            capsys):
+        path = tmp_path / "box.json"
+        path.write_text(json.dumps(self._declared_box(lambda f: None)))
+        assert main(["verify", str(path)]) == 0
+        capsys.readouterr()
+        path.write_text(json.dumps(self._declared_box(edit)))
+        for verb in ("verify", "margin"):
+            assert main([verb, str(path)]) == 2
+            err = capsys.readouterr().err
+            assert f"error: {where}" in err
+            assert "Traceback" not in err
+
+    def test_commands_that_never_read_forms_do_not_refuse_them(self, tmp_path, capsys):
+        # the declared forms are audited in a check's set-up only
+        path = tmp_path / "box.json"
+        path.write_text(json.dumps(self._declared_box(lambda f: f.pop("2"))))
+        assert main(["entropy", str(path)]) == 0
+        assert main(["periodic", str(path), "--loop", "1"]) == 0
+        assert main(["simulate", str(path), "--steps", "2"]) == 0
+        assert "error" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("verb", ["verify", "margin"])
     def test_non_permutation_transition_exits_two_with_path(self, verb, tmp_path, capsys):
@@ -842,6 +906,22 @@ class TestSimulateCommand:
         assert main(["simulate", spec, "--steps", "1000000000000"]) == 2
         assert ("error: 1000000000000 steps keep 1000000000001 x 2 = 2000000000002 state "
                 "values") in capsys.readouterr().err
+
+    def test_output_lines_are_not_kept(self, fixdir, tmp_path):
+        # 3,000 steps of a 2-d state: 47 KB of states, while the 3,001 output
+        # lines as dicts and JSON strings would take about 3 MB of Python
+        # objects; a first call warms the caches of spec loading
+        import tracemalloc
+        spec, out = str(fixdir / "theorem1_perm23.json"), str(tmp_path / "orbit.jsonl")
+        assert main(["simulate", spec, "--steps", "1", "--out", out]) == 0
+        tracemalloc.start()
+        try:
+            assert main(["simulate", spec, "--steps", "3000", "--out", out]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert len((tmp_path / "orbit.jsonl").read_text().splitlines()) == 3001
 
     def test_perturbed_trajectory(self, fixdir, capsys):
         code = main(["simulate", str(fixdir / "example1.json"), "--steps", "3",

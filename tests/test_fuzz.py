@@ -2,7 +2,10 @@
 
 Each example replaces one leaf or subtree of one fixture with a value from
 a fixed set of hostile values and runs ``cli.main(["verify", ...])``
-in-process.  The exit-code contract must hold: no exception escapes, the
+in-process.  Besides the fixtures, the corpus holds a box document: the
+benchmark's golden ring at d = 1 with u = 3, s = 1 and declared chart
+forms, so that mutations reach declared forms and forms of dimension 2 and
+more, which no fixture has.  The exit-code contract must hold: no exception escapes, the
 code is 0, 1 or 2, and exit 1 comes only with a verdict, never with an
 ``error:`` line.
 """
@@ -13,14 +16,15 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from cmnverify import fixtures  # noqa: E402
+from cmnverify import fixtures, serialize_spec  # noqa: E402
 from cmnverify.cli import main  # noqa: E402
-from test_cli import FIXDIR, _mutated  # noqa: E402
+from test_cli import FIXDIR, _bench_gen, _mutated  # noqa: E402
 
 HOSTILE = (None, "x", -1, 0, 2, [], {}, [[1]], 1e308, "nan", "1/0", True, 3.5, [0, 0])
 
@@ -31,7 +35,9 @@ def _documents() -> dict[str, dict]:
         if not (fixdir / "example1.json").exists():
             fixdir = Path(tmp)
             fixtures.write_fixture_files(fixdir)
-        return {p.name: json.loads(p.read_text()) for p in sorted(fixdir.glob("*.json"))}
+        docs = {p.name: json.loads(p.read_text()) for p in sorted(fixdir.glob("*.json"))}
+    box = _bench_gen().golden_ring(np.random.default_rng(1), 1, 0.0, u=3, s=1, declared=True)
+    return {**docs, "box_declared.json": json.loads(json.dumps(serialize_spec(box)))}
 
 
 def _paths(node, prefix=()) -> list[tuple]:

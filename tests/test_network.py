@@ -222,17 +222,19 @@ class TestValidateSpec:
         assert any("overlap" in e or "may not" in e for e in report.errors)
 
     def test_declared_forms_audited(self):
+        # validation does not read chart forms; the check's set-up audits them
         spec = fixtures.example1()
-        wrong = {1: None, 2: None}
         from cmnverify import ProductFormMap
         wrong = {1: ProductFormMap(PiecewiseAffineMap.affine([[1.0]], [0.0])),
                  2: ProductFormMap(PiecewiseAffineMap.affine([[1.0]], [0.0]))}
         node = spec.nodes[0]
         tampered = NodeSystem(node.local_map, node.hsets, node.transition,
                               node.unified, chart_forms=wrong)
-        report = validate_spec(NetworkSpec(spec.graph, (tampered, spec.nodes[1]),
-                                           spec.coupling))
-        assert any("disagrees" in e for e in report.errors)
+        spec = NetworkSpec(spec.graph, (tampered, spec.nodes[1]), spec.coupling)
+        assert validate_spec(spec).ok
+        with pytest.raises(SpecError, match=r"^\$\.nodes\[0\]\.chart_forms: declared chart "
+                                            r"form 1 disagrees with the composed map"):
+            theorem2_check(spec)
 
 
 class TestTheorem2:
