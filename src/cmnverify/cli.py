@@ -319,7 +319,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SpecFormatError, SpecError, GeometryError, FileNotFoundError) as exc:
+    except (SpecFormatError, SpecError, GeometryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (LoopError, NeutralCompositionError, ValueError, RuntimeError) as exc:

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .degree import DegreeValue
-from .geometry import GeometryError, PiecewiseAffineMap
+from .geometry import AffinePiece, GeometryError, PiecewiseAffineMap
 
 STRICT_MARGIN = 1e-12  # inequalities are strict: pass needs margin above this
 
@@ -45,6 +47,20 @@ class ProductFormMap:
             raise GeometryError("unstable factor must map R^u to R^u")
         if self.V is not None and self.V.dim_out != self.V.dim_in:
             raise GeometryError("stable factor must map R^s to R^s")
+
+    def joined(self) -> PiecewiseAffineMap:
+        """U x V as one map of (x, y): a block-diagonal piece on the product
+        of the cells of each pair of a U piece and a V piece."""
+        if self.V is None:
+            return self.U
+        u, s = self.dim_u, self.dim_s
+
+        def diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+            return np.block([[a, np.zeros((len(a), s))], [np.zeros((len(b), u)), b]])
+        return PiecewiseAffineMap(u + s, u + s, tuple(
+            AffinePiece(diag(p.matrix, q.matrix), np.concatenate([p.offset, q.offset]),
+                        diag(p.normals, q.normals), np.concatenate([p.bounds, q.bounds]))
+            for p in self.U.pieces for q in self.V.pieces))
 
 
 @dataclass(frozen=True)

@@ -21,11 +21,13 @@ functions compute everything afresh, as for a single query.
 
 ``affine_min_stretch`` and ``line_stretch`` take whole batches, of affine
 maps and of maps on the line; ``min_stretch`` and ``max_stretch`` hand
-them such a map as a batch of one.
+them such a map as a batch of one.  ``form_gap`` is the one exact rule for
+where two maps, or two pieces of one, differ, in every dimension.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -229,13 +231,10 @@ class HSet:
     def contains(self, point) -> bool:
         return bool(np.max(np.abs(self.chart.apply(point))) <= 1.0 + EVAL_TIE_TOL)
 
-    def vertices(self) -> np.ndarray:
-        """Physical vertices: chart preimages of the unit-box corners."""
-        return self.chart.invert_batch(box_grid(self.dim, 2).T).T
-
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
-        v = self.vertices()
-        return v.min(axis=0), v.max(axis=0)
+        """Box hull of the set: of the chart preimages of the unit-box corners."""
+        v = self.chart.invert_batch(box_grid(self.dim, 2).T)
+        return v.min(axis=1), v.max(axis=1)
 
 
 @dataclass(frozen=True)
@@ -307,32 +306,35 @@ class UnifiedValidation:
 
 
 def unified_validate(n: UnifiedSet) -> UnifiedValidation:
-    """Check the unified-family invariants; report every violated clause."""
+    """Check the unified-family invariants; report every violated clause,
+    each after the path of the ``members`` entry it is about."""
     tol = 1e-9  # centers and spacing are compared to this tolerance
     bad: list[str] = []
     d = n.count
     if d < 1:
-        return UnifiedValidation(("member count must be >= 1",))
+        return UnifiedValidation(("members: member count must be >= 1",))
     u = n.chart.dim_u
     s = n.chart.dim_s
     for i, (mid, cs) in enumerate(n.members):
+        where = f"members[{i}]: member {i + 1} ({mid})"
         if cs.dim_u != u or cs.dim_s != s:
-            bad.append(f"member {i + 1} ({mid}): split ({cs.dim_u},{cs.dim_s}) != ({u},{s})")
+            bad.append(f"{where}: split ({cs.dim_u},{cs.dim_s}) != ({u},{s})")
             continue
         want = np.zeros(u)
         want[0] = 3.0 * i
         if np.max(np.abs(cs.p_u - want)) > tol:
-            bad.append(f"member {i + 1} ({mid}): unstable center {cs.p_u.tolist()} "
+            bad.append(f"{where}: unstable center {cs.p_u.tolist()} "
                        f"!= (3({i + 1}-1), 0, ...) = {want.tolist()}")
         if s > 0:
             if abs(cs.p_s[0]) >= 1.0:
-                bad.append(f"member {i + 1} ({mid}): |stable center| = {abs(cs.p_s[0])} >= 1")
+                bad.append(f"{where}: |stable center| = {abs(cs.p_s[0])} >= 1")
             if s > 1 and np.max(np.abs(cs.p_s[1:])) > tol:
-                bad.append(f"member {i + 1} ({mid}): stable center has nonzero tail")
+                bad.append(f"{where}: stable center has nonzero tail")
     for i, j in itertools.combinations(range(d), 2):
         sep = np.max(np.abs(n.members[i][1].p_u - n.members[j][1].p_u))
         if sep <= 2.0 + tol:
-            bad.append(f"members {i + 1} and {j + 1}: unstable balls overlap (spacing {sep})")
+            bad.append(f"members[{j}]: members {i + 1} and {j + 1}: unstable balls overlap "
+                       f"(spacing {sep})")
     return UnifiedValidation(tuple(bad))
 
 
@@ -612,34 +614,81 @@ class StretchBounds:
             raise GeometryError("min stretch bound exceeds max stretch bound")
 
 
-def vertex_candidates(piece: AffinePiece, dim: int) -> int:
-    """How many constraint subsets ``_piece_box_vertices`` solves for
-    ``piece``: C(n, dim) over the cell's constraints and the 2 dim faces of
-    the unit box."""
-    return math.comb(piece.normals.shape[0] + 2 * dim, dim)
+@functools.cache
+def _subsets(rows: int, dim: int) -> np.ndarray:
+    """The ``dim``-subsets of ``rows`` rows ending in the box's faces x_i <= 1,
+    then -x_i <= 1, less the singular ones with both faces of an axis."""
+    subsets = np.array(list(itertools.combinations(range(rows), dim)), dtype=np.intp)
+    axis = np.where(subsets >= rows - 2 * dim, (subsets - rows) % dim, -1 - np.arange(dim))
+    return subsets[np.all(np.diff(np.sort(axis, axis=1), axis=1) != 0, axis=1)]
 
 
-def _piece_box_vertices(piece: AffinePiece, dim: int) -> np.ndarray:
-    """Vertices of (cell of ``piece``) intersected with the unit box, from
-    one stacked ``det`` and ``solve`` over all constraint subsets.
-
-    Refused, before any solve, when there are more than
-    ``MAX_VERTEX_CANDIDATES`` constraint subsets to try.
-    """
-    count = vertex_candidates(piece, dim)
-    if count > MAX_VERTEX_CANDIDATES:
+def _box_vertices(cells: list[tuple[np.ndarray, np.ndarray]], dim: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices of each cell ``normals @ x <= bounds`` inside the unit box,
+    once per constraint subset that meets there, and each one's cell, in
+    cell order, from one stacked ``det``, ``solve`` and feasibility product.
+    Rows 0 x <= 1 (met by every point, singular in a subset) pad the cells
+    to one count before the box's faces, so each cell solves the matrices
+    of its own enumeration.  Cells go in chunks of ``MAX_VERTEX_CANDIDATES``
+    subsets; refused before any solve when one cell has more than that."""
+    m = max((n.shape[0] for n, _ in cells), default=0)
+    if (count := math.comb(m + 2 * dim, dim)) > MAX_VERTEX_CANDIDATES:
         raise GeometryError(f"{count} candidate cell vertices to enumerate, above the "
                             f"limit of {MAX_VERTEX_CANDIDATES}")
-    normals = np.vstack([piece.normals, np.eye(dim), -np.eye(dim)])
-    bounds = np.concatenate([piece.bounds, np.ones(2 * dim)])
-    combos = np.array(list(itertools.combinations(range(normals.shape[0]), dim)))
-    a, b = normals[combos], bounds[combos]
-    solvable = np.abs(np.linalg.det(a)) >= 1e-12
-    x = np.linalg.solve(a[solvable], b[solvable][:, :, None])
-    verts = x[np.all(normals @ x <= bounds[:, None] + 1e-9, axis=(1, 2)), :, 0]
-    if not verts.shape[0]:
-        return np.zeros((0, dim))
-    return np.unique(np.round(verts, 12), axis=0)
+    normals, bounds = np.zeros((len(cells), m + 2 * dim, dim)), np.ones((len(cells), m + 2 * dim))
+    normals[:, m:] = np.vstack([np.eye(dim), -np.eye(dim)])
+    for c, (n, b) in enumerate(cells):
+        normals[c, :n.shape[0]], bounds[c, :n.shape[0]] = n, b
+    subsets = _subsets(m + 2 * dim, dim)
+    step = max(1, MAX_VERTEX_CANDIDATES // len(subsets))
+    verts, owner = [np.zeros((0, dim))], [np.zeros(0, dtype=np.intp)]
+    for start in range(0, len(cells), step):
+        n, b = normals[start:start + step], bounds[start:start + step]
+        a = n[:, subsets]
+        solvable = np.abs(np.linalg.det(a)) >= 1e-12
+        x = np.zeros((*solvable.shape, dim, 1))
+        x[solvable] = np.linalg.solve(a[solvable], b[:, subsets][solvable][:, :, None])
+        keep = solvable & np.all(n[:, None] @ x <= b[:, None, :, None] + 1e-9, axis=(2, 3))
+        verts.append(x[keep][:, :, 0])
+        owner.append(np.nonzero(keep)[0] + start)
+    return np.concatenate(verts), np.concatenate(owner)
+
+
+def form_gap(F: PiecewiseAffineMap, G: PiecewiseAffineMap) -> float:
+    """Largest |F - G| at the vertices of every nonempty meet inside the
+    unit box of a piece of F with a piece of G (two pieces of F when G is
+    F); 0 when no pieces meet.  Both are affine on a meet, so this is F's
+    largest jump where two pieces meet, or for continuous F and G that
+    cover the box their largest difference.  On the line: the ends of each
+    meet (``line_cells``, which raises where a map leaves part of [-1, 1]
+    uncovered), to ``EVAL_TIE_TOL``, in one array pass; above it, one
+    ``_box_vertices`` over the meets, to its 1e-9."""
+    with np.errstate(over="ignore", invalid="ignore"):    # an empty meet may end at inf
+        if F.dim_in == 1:
+            def rows(H: PiecewiseAffineMap) -> tuple[np.ndarray, ...]:
+                """H's pieces' intervals cut to [-1, 1], slopes and offsets."""
+                lo, hi = line_cells(H)
+                slope, offset = np.array([(p.matrix[0, 0], p.offset[0]) for p in H.pieces]).T
+                return np.maximum(lo, -1.0), np.minimum(hi, 1.0), slope, offset
+
+            lo_f, hi_f, a, c = rows(F)
+            lo_g, hi_g, b, e = (lo_f, hi_f, a, c) if G is F else rows(G)
+            # x[0, i, j] and x[1, i, j]: the ends of the meet of F's piece i and G's piece j
+            x = np.stack([np.maximum.outer(lo_f, lo_g), np.minimum.outer(hi_f, hi_g)])
+            gaps = np.abs(a[:, None] * x + c[:, None] - (b * x + e))
+            return float(gaps.max(initial=0.0, where=x[0] <= x[1] + EVAL_TIE_TOL))
+        pairs = list(itertools.combinations(F.pieces, 2) if G is F
+                     else itertools.product(F.pieces, G.pieces))
+        if not pairs:
+            return 0.0
+        verts, owner = _box_vertices([(np.vstack([p.normals, q.normals]),
+                                       np.concatenate([p.bounds, q.bounds]))
+                                      for p, q in pairs], F.dim_in)
+        diff = np.array([p.matrix - q.matrix for p, q in pairs])
+        shift = np.array([p.offset - q.offset for p, q in pairs])
+        gaps = (diff[owner] @ verts[:, :, None])[:, :, 0] + shift[owner]
+        return float(np.abs(gaps).max(initial=0.0))
 
 
 def _exact_max(F: PiecewiseAffineMap, ref: np.ndarray, vertices: list[np.ndarray]) -> float:
@@ -836,19 +885,20 @@ def line_stretch(boundary, box=(), cells: CellGeometry | None = None) -> LineStr
 class _CellTable:
     """Cell-only geometry of one cell structure.
 
-    ``vertices[i]`` are the vertices of piece i's cell inside the unit box.
-    On the line, ``points`` holds them flat instead, with the piece
-    ``owner`` of each: the ends of the piece's interval (``line_cells``)
-    and of [-1, 1] that meet its constraints and the box to 1e-9, as in
-    ``_piece_box_vertices``; ``ends`` are the first pieces holding -1 and 1.
+    ``vertices[i]`` are the vertices of piece i's cell inside the unit box,
+    from ``_box_vertices`` when first read.  On the line, ``points`` holds
+    them flat instead, with the piece ``owner`` of each: the ends of the
+    piece's interval (``line_cells``) and of [-1, 1] that meet its
+    constraints and the box to 1e-9; ``ends`` are the first pieces holding
+    -1 and 1.
     ``face_rows(pieces, pts, tiles, resolution)`` gives, per piece, the rows
     of the face grid ``pts`` that the piece is the first to hold, sorted
     tile-major by ``tiles``, and the offsets of each tile's run among them:
     the piece's rows in tile t are ``rows[offsets[t]:offsets[t + 1]]``, so
     the tiles ``_grid_min`` keeps are contiguous slices.  Built only for a
     total map, decided by ``line_cells`` on the line and sampled on 5
-    points per axis in 2 to 4 dimensions, with no cell (checked before any
-    is enumerated) of more than ``MAX_VERTEX_CANDIDATES`` candidate vertices.
+    points per axis in 2 to 4 dimensions (a check's one sample), with no
+    cell of more than ``MAX_VERTEX_CANDIDATES`` candidate vertices.
     """
 
     def __init__(self, F: PiecewiseAffineMap):
@@ -864,7 +914,7 @@ class _CellTable:
             for i, hit in _first_match(F.pieces, np.array([[-1.0, 1.0]])):
                 self.ends[hit] = i
         else:
-            count = max(vertex_candidates(p, F.dim_in) for p in F.pieces)
+            count = max(math.comb(p.normals.shape[0] + 2 * F.dim_in, F.dim_in) for p in F.pieces)
             if count > MAX_VERTEX_CANDIDATES:
                 raise GeometryError(f"a chart-form cell has {count} candidate vertices to "
                                     f"enumerate, above the limit of {MAX_VERTEX_CANDIDATES}")
@@ -873,8 +923,14 @@ class _CellTable:
                 # ignore an uncovered patch of the ball
                 for _ in _first_match(F.pieces, box_grid(F.dim_in, 5).T):
                     pass
-            self.vertices = [_piece_box_vertices(p, F.dim_in) for p in F.pieces]
+            self._cells, self._dim = [(p.normals, p.bounds) for p in F.pieces], F.dim_in
         self._rows: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+
+    @functools.cached_property
+    def vertices(self) -> list[np.ndarray]:
+        verts, owner = _box_vertices(self._cells, self._dim)
+        return [np.unique(np.round(v, 12), axis=0) for v in np.split(
+            verts, np.cumsum(np.bincount(owner, minlength=len(self._cells)))[:-1])]
 
     def face_rows(self, pieces: tuple[AffinePiece, ...], pts: np.ndarray,
                   tiles: "_FaceTiles", resolution: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -1106,47 +1162,33 @@ def split_product(F: PiecewiseAffineMap, u: int) -> tuple[PiecewiseAffineMap,
                                                           PiecewiseAffineMap | None]:
     """Split F(x, y) on the unit box into block components (U(x), V(y)).
 
-    Requires every piece touching the box to be block diagonal with cell
-    constraints separating the two blocks; the result is verified against F
-    on a deterministic sample grid.  Raises GeometryError when F is not of
-    product form.
+    Each piece must be block diagonal, each cell constraint act on one
+    block.  U and V take each piece's blocks, once per distinct piece (to 12
+    decimals); U x V is then F wherever F is defined on the box exactly
+    when U and V are continuous, as ``form_gap`` decides (U is F when s =
+    0).  Raises GeometryError when F is not of product form or jumps.
     """
     tol = CONTINUITY_TOL
     s = F.dim_in - u
     if F.dim_out != F.dim_in:
         raise GeometryError("product split needs a square map")
-    if s == 0:
-        return F, None
-
-    def block_pieces(rows, cols):
-        out = {}
+    U, V = F, None
+    if s:
+        blocks, found = (slice(0, u), slice(u, None)), ({}, {})
         for p in F.pieces:
-            if np.max(np.abs(p.matrix[np.ix_(rows, [c for c in range(F.dim_in)
-                                                    if c not in cols])])) > tol:
+            if np.max(np.abs(p.matrix[:u, u:])) > tol or np.max(np.abs(p.matrix[u:, :u])) > tol:
                 raise GeometryError("map mixes unstable and stable blocks")
-            keep = []
-            for n, b in zip(p.normals, p.bounds):
-                on_cols = np.max(np.abs(n[cols])) > tol if len(cols) else False
-                on_other = np.max(np.abs(np.delete(n, cols))) > tol
-                if on_cols and on_other:
-                    raise GeometryError("cell constraint mixes the two blocks")
-                if on_cols:
-                    keep.append((n[cols], b))
-            key_n = np.array([k[0] for k in keep]).reshape(-1, len(cols))
-            key_b = np.array([k[1] for k in keep])
-            key = (np.round(p.matrix[np.ix_(rows, cols)], 12).tobytes(),
-                   np.round(p.offset[rows], 12).tobytes(),
-                   np.round(key_n, 12).tobytes(), np.round(key_b, 12).tobytes())
-            out.setdefault(key, AffinePiece(p.matrix[np.ix_(rows, cols)],
-                                            p.offset[rows], key_n, key_b))
-        return PiecewiseAffineMap(len(cols), len(rows), tuple(out.values()))
-
-    U = block_pieces(list(range(u)), list(range(u)))
-    V = block_pieces(list(range(u, F.dim_in)), list(range(u, F.dim_in)))
-    grid = box_grid(F.dim_in, 5).T
-    full = F.apply_batch(grid)
-    ux = U.apply_batch(grid[:u])
-    vy = V.apply_batch(grid[u:])
-    if np.max(np.abs(full - np.vstack([ux, vy]))) > 10 * tol:
-        raise GeometryError("map is not of product form on the unit box")
+            on = [np.any(np.abs(p.normals[:, b]) > tol, axis=1) for b in blocks]
+            if np.any(on[0] & on[1]):
+                raise GeometryError("cell constraint mixes the two blocks")
+            for b, keep, out in zip(blocks, on, found):
+                part = AffinePiece(p.matrix[b, b].copy(), p.offset[b].copy(),
+                                   p.normals[keep][:, b], p.bounds[keep])
+                out.setdefault(tuple(np.round(a, 12).tobytes() for a in (
+                    part.matrix, part.offset, part.normals, part.bounds)), part)
+        U, V = (PiecewiseAffineMap(n, n, tuple(out.values())) for n, out in zip((u, s), found))
+    for H in (U,) if V is None else (U, V):
+        if not (gap := form_gap(H, H)) <= tol:
+            raise GeometryError(f"a chart form jumps by {gap:.3e} where two of its pieces "
+                                f"meet; it must be continuous")
     return U, V

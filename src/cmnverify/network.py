@@ -59,11 +59,11 @@ import numpy as np
 from .covering import (STRICT_MARGIN, CoveringCertificate, CoveringOutcome, ProductFormMap,
                        persistence_bound)
 from .degree import DegreeUndefinedError, DegreeValue, crossing_degrees, degree_for_map
-from .geometry import (CONTINUITY_TOL, EVAL_TIE_TOL, MAX_GRID_POINTS, AffineChart, AffinePiece,
+from .geometry import (CONTINUITY_TOL, EVAL_TIE_TOL, MAX_GRID_POINTS, AffineChart,
                        CellGeometry, CenterScale, GeometryError, HSet, PiecewiseAffineMap,
-                       UnifiedSet, _piece_box_vertices, affine_min_stretch, box_grid,
-                       face_grid_points, line_cells, line_stretch, max_face_resolution,
-                       max_stretch, min_stretch, singular, split_product, unified_validate)
+                       UnifiedSet, _box_vertices, affine_min_stretch, face_grid_points,
+                       form_gap, line_stretch, max_face_resolution, max_stretch, min_stretch,
+                       singular, split_product, unified_validate)
 from .symbolic import TransitionMatrix, lcm_period, spectral_radius
 
 TYPE_I = "type1"
@@ -275,24 +275,22 @@ def _form_charts(node: NodeSystem, kind: str, key) -> tuple[AffineChart, AffineC
     return node.hsets[i - 1].chart, node.hsets[j - 1].chart
 
 
-def _derive_form(node: NodeSystem, kind: str, key) -> ProductFormMap:
-    """The chart form ``key`` composed from the local map and its charts."""
+def _compose(node: NodeSystem, kind: str, key) -> PiecewiseAffineMap:
+    """The local map in the charts of the chart form ``key``."""
     inner, outer = _form_charts(node, kind, key)
-    # a local map too large for its charts composes to inf entries here;
-    # ``_prepare`` refuses such a form at its node
-    with np.errstate(over="ignore", invalid="ignore"):
-        composed = (node.local_map
-                    .compose_affine_inner(inner.inverse_linear,
-                                          -inner.inverse_linear @ inner.offset)
-                    .compose_affine_outer(outer.linear, outer.offset))
-        return ProductFormMap(*split_product(composed, node.dim_u))
+    return (node.local_map
+            .compose_affine_inner(inner.inverse_linear, -inner.inverse_linear @ inner.offset)
+            .compose_affine_outer(outer.linear, outer.offset))
 
 
 def _resolve_forms(node: NodeSystem, kind: str) -> dict:
-    """Chart-coordinate product forms, declared or derived by composition."""
+    """Chart-coordinate product forms, declared or split from the composed
+    local map."""
     if node.chart_forms is not None:
         return node.chart_forms
-    return {key: _derive_form(node, kind, key) for key in _form_keys(node, kind)}
+    with np.errstate(over="ignore", invalid="ignore"):    # ``_node_forms`` refuses an inf form
+        return {key: ProductFormMap(*split_product(_compose(node, kind, key), node.dim_u))
+                for key in _form_keys(node, kind)}
 
 
 def _choices(node: NodeSystem, kind: str) -> tuple[list[_Choice], list[AffineChart]]:
@@ -313,19 +311,23 @@ def _choices(node: NodeSystem, kind: str) -> tuple[list[_Choice], list[AffineCha
 
 
 def _image_bbox(node: NodeSystem, symbol: int) -> tuple[np.ndarray, np.ndarray]:
-    """Conservative bounding box of the image of an h-set under the local map."""
+    """Bounding box of the image of an h-set under the local map, exact: on
+    the line ``range_1d``; above it each piece's least and largest values
+    at the vertices of its cell inside the h-set (``_box_vertices``, once
+    the h-set's chart carries the cells onto the unit box)."""
     if node.dim == 1:
         lo, hi = node.hsets[symbol - 1].bounding_box()
         lo, hi = node.local_map.range_1d(float(lo[0]), float(hi[0]))
         return np.array([lo]), np.array([hi])
-    corners = node.hsets[symbol - 1].vertices()
-    # box hull of the set, then exact piecewise image box of that hull
-    lo, hi = corners.min(axis=0), corners.max(axis=0)
-    pts = np.where(box_grid(node.dim, 2) > 0, hi, lo)
-    grid = box_grid(node.dim, 4) * (hi - lo) / 2 + (hi + lo) / 2
-    vals = node.local_map.apply_batch(np.vstack([pts, grid]).T)
-    pad = node.local_map.lipschitz() * float(np.max(hi - lo)) / 6.0
-    return vals.min(axis=1) - pad, vals.max(axis=1) + pad
+    chart = node.hsets[symbol - 1].chart
+    F = node.local_map.compose_affine_inner(chart.inverse_linear,
+                                            -chart.inverse_linear @ chart.offset)
+    verts, owner = _box_vertices([(p.normals, p.bounds) for p in F.pieces], node.dim)
+    if not owner.size:
+        raise GeometryError("no cell of the map meets the h-set")
+    vals = (np.array([p.matrix for p in F.pieces])[owner] @ verts[:, :, None])[:, :, 0]
+    vals += np.array([p.offset for p in F.pieces])[owner]
+    return vals.min(axis=0), vals.max(axis=0)
 
 
 def _boxes_disjoint(a: tuple[np.ndarray, np.ndarray],
@@ -340,8 +342,8 @@ def _hsets_meet(a: HSet, b: HSet) -> bool:
     when that polytope has too many vertex candidates to enumerate."""
     lin = b.chart.linear @ a.chart.inverse_linear
     off = b.chart.offset - lin @ a.chart.offset
-    cell = AffinePiece(lin, off, np.vstack([lin, -lin]), np.concatenate([1.0 - off, 1.0 + off]))
-    return _piece_box_vertices(cell, a.dim).shape[0] > 0
+    return _box_vertices([(np.vstack([lin, -lin]), np.concatenate([1.0 - off, 1.0 + off]))],
+                         a.dim)[0].shape[0] > 0
 
 
 def _entry_overrides(spec: NetworkSpec) -> tuple[dict[int, np.ndarray], list[str]]:
@@ -394,10 +396,10 @@ def validate_spec(spec: NetworkSpec) -> ValidationReport:
     of a node whose box hulls meet are decided exactly, by ``_hsets_meet``,
     or refused at ``$.nodes[k].hsets[j]`` when that would take more than
     ``geometry.MAX_VERTEX_CANDIDATES`` candidate vertices; the type-I image
-    separation rests on bounding boxes, exact on the line and a warning in
-    higher dimensions.  The report is kept on the spec, so a later call
-    (the CLI validates on load, a theorem check again before it runs)
-    returns it without a second audit.
+    separation compares exact image boxes, an error on the line and a
+    warning in higher dimensions, where boxes stand in for sets.  The report
+    is kept on the spec, so a later call (the CLI validates on load, a
+    theorem check again before it runs) returns it without a second audit.
     """
     if spec._report is not None:
         return spec._report
@@ -469,7 +471,7 @@ def validate_spec(spec: NetworkSpec) -> ValidationReport:
                               f"meets {node.hsets[i].id}: {exc}")
                 continue
             if meet:
-                errors.append(f"node {k}: h-sets {node.hsets[i].id} and "
+                errors.append(f"$.nodes[{k - 1}].hsets[{j}]: h-sets {node.hsets[i].id} and "
                               f"{node.hsets[j].id} are not disjoint")
 
         if spec.coupling.kind == TYPE_II:
@@ -477,7 +479,7 @@ def validate_spec(spec: NetworkSpec) -> ValidationReport:
                 errors.append(f"node {k}: unified family required for this coupling kind")
             else:
                 rep = unified_validate(node.unified)
-                errors.extend(f"node {k}: {v}" for v in rep.violations)
+                errors.extend(f"$.nodes[{k - 1}].unified.{v}" for v in rep.violations)
                 if node.unified.count != node.count:
                     errors.append(f"node {k}: unified family has {node.unified.count} "
                                   f"members for {node.count} h-sets")
@@ -508,8 +510,8 @@ def _check_member_charts(node: NodeSystem, k: int, errors: list[str],
             warnings.append(f"node {k}: member chart of {hset.id} differs from the "
                             "declared h-set chart by a box symmetry")
         else:
-            errors.append(f"node {k}: unified member {i} and h-set {hset.id} "
-                          "describe different sets")
+            errors.append(f"$.nodes[{k - 1}].unified.members[{i - 1}]: unified member {i} "
+                          f"and h-set {hset.id} describe different sets")
 
 
 def _check_non_overlap(spec: NetworkSpec, errors: list[str], warnings: list[str]) -> None:
@@ -517,16 +519,17 @@ def _check_non_overlap(spec: NetworkSpec, errors: list[str], warnings: list[str]
 
     The image of each source h-set must avoid every non-target h-set and
     every other source's image.  Intervals decide exactly; higher
-    dimensions fall back to conservative boxes, whose findings are warnings.
+    dimensions compare exact image boxes with box hulls, so what they find,
+    or an image box that cannot be computed, is a warning.
     """
     for k, node in enumerate(spec.nodes, start=1):
-        pairs = node.transitions()
+        pairs, exact = node.transitions(), node.dim == 1
         try:
             images = {i: _image_bbox(node, i) for i in {i for i, _ in pairs}}
-        except GeometryError as exc:    # too many sample points
-            errors.append(f"$.nodes[{k - 1}].map: cannot bound the h-set images: {exc}")
+        except GeometryError as exc:    # a cell of too many vertex candidates, or none
+            (errors if exact else warnings).append(f"$.nodes[{k - 1}].map: cannot bound the "
+                                                   f"h-set images: {exc}")
             continue
-        exact = node.dim == 1
         for i, j in pairs:
             for jp in range(1, node.count + 1):
                 if jp == j:
@@ -1022,89 +1025,45 @@ def _check_entries(spec: NetworkSpec, tables: _Tables, own: dict[int, np.ndarray
     return table
 
 
-def _gap_1d(F: PiecewiseAffineMap, G: PiecewiseAffineMap) -> float:
-    """Largest |F - G| at the ends of every meet inside [-1, 1] (to
-    ``EVAL_TIE_TOL``, where evaluation counts a point as in both) of a
-    piece of F with a piece of G (``line_cells``, which raises where a map
-    leaves part of [-1, 1] uncovered); 0 when no pieces meet.
-
-    On each meet both pieces are affine, so agreement at its ends is
-    agreement on all of it.  ``_gap_1d(F, F)`` is thus F's largest jump
-    where two pieces meet, and for continuous F and G that cover [-1, 1],
-    ``_gap_1d(F, G)`` is their largest difference there.
-    """
-    def rows(H: PiecewiseAffineMap) -> tuple[np.ndarray, ...]:
-        """H's pieces' intervals cut to [-1, 1], slopes and offsets."""
-        lo, hi = line_cells(H)
-        slope, offset = np.array([(p.matrix[0, 0], p.offset[0]) for p in H.pieces]).T
-        return np.maximum(lo, -1.0), np.minimum(hi, 1.0), slope, offset
-
-    lo_f, hi_f, a, c = rows(F)
-    lo_g, hi_g, b, e = (lo_f, hi_f, a, c) if G is F else rows(G)
-    # x[0, i, j] and x[1, i, j]: the ends of the meet of F's piece i and G's piece j
-    x = np.stack([np.maximum.outer(lo_f, lo_g), np.minimum.outer(hi_f, hi_g)])
-    with np.errstate(over="ignore", invalid="ignore"):    # an empty meet may end at inf
-        gaps = np.abs(a[:, None] * x + c[:, None] - (b * x + e))
-    return float(gaps.max(initial=0.0, where=x[0] <= x[1] + EVAL_TIE_TOL))
-
-
-def _audit_declared_forms(node: NodeSystem, kind: str, k: int, forms: dict) -> None:
-    """Refuse at ``$.nodes[k].chart_forms`` a declared form of node k that
-    is not the composed map: exactly on a node of dimension 1 (``_gap_1d``
-    against the derived form), on 5 points per axis otherwise; or at
-    ``$.nodes[k].map`` a local map that does not compose or evaluate."""
-    where = f"$.nodes[{k}].chart_forms"
-    if node.dim == 1:
-        for key, form in forms.items():
-            try:
-                gap = _gap_1d(form.U, _derive_form(node, kind, key).U)
-            except GeometryError as exc:    # form.U covers [-1, 1], so the map does not
-                raise SpecError(f"$.nodes[{k}].map: {exc}") from exc
-            if not gap <= CONTINUITY_TOL:
-                raise SpecError(f"{where}: declared chart form {key} disagrees with the "
-                                f"composed map (gap {gap:.3e})")
-        return
-    try:
-        grid = box_grid(node.dim, 5).T
-    except GeometryError as exc:        # too many sample points
-        raise SpecError(f"{where}: cannot audit the declared forms: {exc}") from exc
-    u = node.dim_u
+def _audit_declared_forms(forms: dict, composed: dict) -> None:
+    """Raise ``GeometryError`` for a declared form, joined into one map,
+    whose ``form_gap`` with itself (a jump) or with its composed map is
+    above ``CONTINUITY_TOL``: one rule in every dimension."""
     for key, form in forms.items():
-        inner, outer = _form_charts(node, kind, key)
-        try:
-            want = outer.apply_batch(node.local_map.apply_batch(inner.invert_batch(grid)))
-        except GeometryError as exc:    # the map undefined on part of an h-set
-            raise SpecError(f"$.nodes[{k}].map: {exc}") from exc
-        try:
-            got = form.U.apply_batch(grid[:u])
-            if form.V is not None:
-                got = np.vstack([got, form.V.apply_batch(grid[u:])])
-        except GeometryError as exc:    # a form undefined on part of the box
-            raise SpecError(f"{where}: declared chart form {key}: {exc}") from exc
-        if (resid := float(np.max(np.abs(want - got)))) > 1e-9:
-            raise SpecError(f"{where}: declared chart form {key} disagrees with the "
-                            f"composed map (residual {resid:.3e})")
+        joined = form.joined()
+        for gap, fault in ((form_gap(joined, joined), "jumps where two of its pieces meet"),
+                           (form_gap(composed[key], joined), "disagrees with the composed map")):
+            if not gap <= CONTINUITY_TOL:
+                raise GeometryError(f"declared chart form {key} {fault} (gap {gap:.3e})")
 
 
 def _node_forms(node: NodeSystem, kind: str, k: int, resolution: int, cells: CellGeometry
                 ) -> tuple[dict, float]:
     """Node k's chart forms, declared or derived, audited and with every
     factor's cell table built in ``cells``; and their size, the largest row
-    sum plus offset of a piece.  Refused (at ``$.nodes[k].chart_forms``
-    when declared, else ``$.nodes[k].map``): declared keys other than
-    ``_form_keys``, or a split other than the h-sets'; a size that is not
-    finite; a table that cannot be built (a cell of too many vertices, a
-    map that is not total); a factor on the line that jumps where two
-    pieces meet; a declared form that is not the map.  Then, at
-    ``$.nodes[k]``, a face grid on forms with u >= 2 and a U that is not
-    affine of more than ``geometry.MAX_GRID_POINTS`` points.
+    sum plus offset of a piece.  Refused at ``$.nodes[k].map``: a local map
+    whose composition into a form's charts (finite or not) has no total
+    cell table, or whose derived form ``split_product`` refuses (which
+    decides continuity).  Then (at ``$.nodes[k].chart_forms`` when
+    declared, else ``.map``): keys other than ``_form_keys``, or a split
+    other than the h-sets'; a size that is not finite; a factor with no
+    cell table; a declared form that jumps or is not the composed map
+    (``_audit_declared_forms``).  Then, at ``$.nodes[k]``, a face grid on
+    forms with u >= 2 and a U that is not affine of more than
+    ``geometry.MAX_GRID_POINTS`` points.
     """
     declared = node.chart_forms is not None
     where = f"$.nodes[{k}].{'chart_forms' if declared else 'map'}"
     try:
         forms = _resolve_forms(node, kind)
-    except GeometryError as exc:        # a map not of product form
-        raise SpecError(f"{where}: {exc}") from exc
+        with np.errstate(over="ignore", invalid="ignore"):
+            # when s = 0 a derived form's U is its composed map, tabled below
+            composed = {key: _compose(node, kind, key) for key in _form_keys(node, kind)
+                        if declared or node.dim_s}
+            for F in composed.values():
+                cells.table(F)
+    except GeometryError as exc:
+        raise SpecError(f"$.nodes[{k}].map: {exc}") from exc
     if declared:
         keys = _form_keys(node, kind)
         if set(forms) != set(keys):
@@ -1123,14 +1082,10 @@ def _node_forms(node: NodeSystem, kind: str, k: int, resolution: int, cells: Cel
     try:
         for F in factors:
             cells.table(F)
+        if declared:
+            _audit_declared_forms(forms, composed)
     except GeometryError as exc:
         raise SpecError(f"{where}: {exc}") from exc
-    for F in factors:
-        if F.dim_in == 1 and not (gap := _gap_1d(F, F)) <= CONTINUITY_TOL:
-            raise SpecError(f"{where}: a chart form jumps by {gap:.3e} where two of "
-                            f"its pieces meet; it must be continuous")
-    if declared:
-        _audit_declared_forms(node, kind, k, forms)
     u = node.dim_u
     if (u >= 2 and not all(form.U.is_affine for form in forms.values())
             and (points := face_grid_points(u, resolution)) > MAX_GRID_POINTS):

@@ -62,7 +62,7 @@ def _reference_apply_batch(F, pts):
 def _reference_exact_max(F, ref):
     best = None
     for p in F.pieces:
-        verts = geometry._piece_box_vertices(p, F.dim_in)
+        verts = _per_cell([(p.normals, p.bounds)], F.dim_in)[0]
         if verts.shape[0] == 0:
             continue
         vals = verts @ p.matrix.T + p.offset - ref
@@ -748,7 +748,7 @@ def test_map_with_no_cell_in_the_box_raises_as_the_reference():
 
 # ---------------------------------------------------------------------------
 # the line's cells: one interval per piece (``line_cells``), against the
-# subset enumeration of ``_piece_box_vertices`` and the constraint scan
+# subset enumeration of ``_box_vertices`` and the constraint scan
 # ``range_1d`` had.  The enumeration solves through LAPACK where
 # ``line_cells`` divides, so the comparison holds under any BLAS kernel
 # only after both round to 12 decimals, as both do.
@@ -757,7 +757,7 @@ def test_map_with_no_cell_in_the_box_raises_as_the_reference():
 def _reference_line_table(F):
     """points, owner and ends of a table on the line: each piece's cell
     vertices by subset enumeration, and the first piece holding -1 and 1."""
-    verts = [geometry._piece_box_vertices(p, 1)[:, 0] for p in F.pieces]
+    verts = [_per_cell([(p.normals, p.bounds)], 1)[0][:, 0] for p in F.pieces]
     ends = [next(i for i, p in enumerate(F.pieces)
                  if np.all(p.normals[:, 0] * x <= p.bounds + geometry.EVAL_TIE_TOL))
             for x in (-1.0, 1.0)]
@@ -879,9 +879,9 @@ def test_empty_line_pass():
 # on the line in one array pass, against the loops they replaced
 
 
-def _reference_piece_box_vertices(piece, dim):
-    """``_piece_box_vertices`` as a loop over the constraint subsets: one
-    ``det``, one ``solve`` and one feasibility test each."""
+def _reference_box_vertices(piece, dim):
+    """``_box_vertices`` of one cell as a loop over its constraint subsets:
+    one ``det``, one ``solve`` and one feasibility test each."""
     normals = np.vstack([piece.normals, np.eye(dim), -np.eye(dim)])
     bounds = np.concatenate([piece.bounds, np.ones(2 * dim)])
     verts = []
@@ -919,20 +919,45 @@ def _random_cell(rng):
     return AffinePiece(np.eye(dim), np.zeros(dim), normals, bounds), dim
 
 
+def _per_cell(cells, dim):
+    """``_box_vertices`` of ``cells``, each cell's rounded to 12 decimals
+    and sorted without repeats, as its cell table keeps them."""
+    verts, owner = geometry._box_vertices(cells, dim)
+    return [np.unique(np.round(verts[owner == c], 12), axis=0) for c in range(len(cells))]
+
+
 def test_batched_box_vertices_equal_the_loop():
+    # one cell at a time, then stacks of 2 to 6 cells of one dimension with
+    # different constraint counts, padded to a common one
     rng = np.random.default_rng(7320)
     empty = 0
     for _ in range(1000):
         piece, dim = _random_cell(rng)
-        want = _reference_piece_box_vertices(piece, dim)
-        got = geometry._piece_box_vertices(piece, dim)
+        want = _reference_box_vertices(piece, dim)
+        got, = _per_cell([(piece.normals, piece.bounds)], dim)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         empty += want.shape[0] == 0
     assert 50 < empty < 500
+    counts = set()
+    for _ in range(200):
+        dim = int(rng.integers(1, 5))
+        stack = []
+        while len(stack) < rng.integers(2, 7):
+            piece, d = _random_cell(rng)
+            if d == dim:
+                stack.append(piece)
+        counts.add(len({p.normals.shape[0] for p in stack}))
+        got = _per_cell([(p.normals, p.bounds) for p in stack], dim)
+        assert len(got) == len(stack)
+        for piece, verts in zip(stack, got):
+            want = _reference_box_vertices(piece, dim)
+            assert verts.shape == want.shape and verts.tobytes() == want.tobytes()
+    assert max(counts) >= 3
 
 
 def _reference_gap_1d(F, G):
-    """``network._gap_1d`` as a loop over the pairs of pieces, in Python floats."""
+    """``form_gap`` on the line as a loop over the pairs of pieces, in Python
+    floats."""
     gaps, cells = [], [[(lo, hi, p.matrix[0, 0].item(), p.offset[0].item())
                         for p, lo, hi in zip(H.pieces, *geometry.line_cells(H).tolist())]
                        for H in ((F,) if G is F else (F, G))]
@@ -964,8 +989,8 @@ def test_gap_in_one_array_pass_equals_the_loop():
         H = _jumped(rng, random_interval_map(rng))
         for pair in ((F, F), (H, H), (F, H), (H, _jumped(rng, F)), (G, G)):
             want = _reference_gap_1d(*pair)
-            assert np.float64(nw._gap_1d(*pair)).tobytes() == np.float64(want).tobytes()
-        jumps += nw._gap_1d(H, H) > 0
+            assert np.float64(geometry.form_gap(*pair)).tobytes() == np.float64(want).tobytes()
+        jumps += geometry.form_gap(H, H) > 0
     assert jumps > 250
     # a piece that holds no point (0 x <= -1) has the interval [inf, inf],
     # and a slope 0 times inf is NaN, which no meet may read
@@ -973,12 +998,13 @@ def test_gap_in_one_array_pass_equals_the_loop():
     E = PiecewiseAffineMap(1, 1, (empty, *H.pieces))
     for pair in ((E, E), (E, F), (F, E)):
         want = _reference_gap_1d(*pair)
-        assert np.float64(nw._gap_1d(*pair)).tobytes() == np.float64(want).tobytes()
+        assert np.float64(geometry.form_gap(*pair)).tobytes() == np.float64(want).tobytes()
     # a map that leaves part of [-1, 1] uncovered raises as the loop does
     gap = _two_slabs(1, 0.1)
-    assert _outcome(lambda: nw._gap_1d(gap, H)) == _outcome(lambda: _reference_gap_1d(gap, H))
+    want = _outcome(lambda: _reference_gap_1d(gap, H))
+    assert _outcome(lambda: geometry.form_gap(gap, H)) == want
     message = "map undefined between 0.1 and 0.2, inside [-1, 1]"
-    assert _outcome(lambda: nw._gap_1d(H, gap)) == message
+    assert _outcome(lambda: geometry.form_gap(H, gap)) == message
 
 
 def test_vertex_limit_is_refused_before_any_cell_is_enumerated(monkeypatch):
@@ -989,9 +1015,9 @@ def test_vertex_limit_is_refused_before_any_cell_is_enumerated(monkeypatch):
                         np.full(110, 0.0))
     F = PiecewiseAffineMap(3, 3, (small, large))
 
-    def enumerated(piece, dim):
+    def enumerated(cells, dim):
         raise AssertionError("a cell was enumerated")
-    monkeypatch.setattr(geometry, "_piece_box_vertices", enumerated)
+    monkeypatch.setattr(geometry, "_box_vertices", enumerated)
     with pytest.raises(GeometryError, match="^a chart-form cell has 253460 candidate vertices "
                                             "to enumerate, above the limit of 200000$"):
         CellGeometry().table(F)

@@ -364,12 +364,18 @@ class TestHostileSpec:
         spec.write_text(canonical_json(serialize_spec(
             NetworkSpec(Graph(1, frozenset()), (node,), CouplingSpec("type1", np.eye(1))))))
 
-        def no_solve(*args, **kwargs):
-            raise AssertionError("a vertex candidate was solved")
-        monkeypatch.setattr(np.linalg, "solve", no_solve)
+        # the exact image box of each source h-set solves at most its own
+        # C(16, 8) = 12,870 candidates; none of the meet's may be solved
+        solve, solved = np.linalg.solve, []
+
+        def counted_solve(a, b):
+            solved.append(a.shape[0])
+            return solve(a, b)
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
         start = time.perf_counter()
         assert main(["verify", str(spec)]) == 2
         assert time.perf_counter() - start < 1.0
+        assert sum(solved) <= 2 * math.comb(16, 8)
         err = capsys.readouterr().err
         assert "invalid spec: $.nodes[0].hsets[1]: cannot decide whether it meets A: " \
                "10518300 candidate cell vertices" in err
@@ -417,15 +423,17 @@ class TestHostileSpec:
             network._prepare(box, network.TYPE_II, 81)
 
     def test_high_dimensional_image_separation_is_refused_at_its_node(self, tmp_path, capsys):
-        # two disjoint 12-dimensional h-sets: bounding their images would
-        # evaluate the local map on 4^12 = 16,777,216 sample points
+        # two disjoint 12-dimensional h-sets, each mapped to itself: the
+        # exact box of their images would solve C(24, 12) = 2,704,156 vertex
+        # candidates, so validation only warns, and theorem 1's set-up
+        # refuses the table of the local map in the h-sets' charts
         dim = 12
         offset = np.zeros(dim)
         offset[0] = -10.0
         hsets = (HSet("A", AffineChart.identity(dim)),
                  HSet("B", AffineChart(dim, 0, np.eye(dim), offset)))
         node = NodeSystem(PiecewiseAffineMap.affine(3.0 * np.eye(dim), np.zeros(dim)), hsets,
-                          TransitionMatrix(np.ones((2, 2), dtype=int)))
+                          TransitionMatrix(np.eye(2, dtype=int)))
         spec = tmp_path / "hostile.json"
         spec.write_text(canonical_json(serialize_spec(
             NetworkSpec(Graph(1, frozenset()), (node,), CouplingSpec("type1", np.eye(1))))))
@@ -433,21 +441,23 @@ class TestHostileSpec:
         assert main(["verify", str(spec)]) == 2
         assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
-        assert ("invalid spec: $.nodes[0].map: cannot bound the h-set images: a grid of "
-                "4^12 = 16777216 points is above the limit of 4194304 grid points") in err
+        assert ("warning: $.nodes[0].map: cannot bound the h-set images: 2704156 candidate "
+                "cell vertices to enumerate, above the limit of 200000") in err
+        assert ("error: $.nodes[0].map: a chart-form cell has 2704156 candidate vertices to "
+                "enumerate, above the limit of 200000") in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("limit, declared, where", [
         (15, False, "invalid spec: $.nodes[0].hsets: a grid of 2^4 = 16 points"),
-        (624, True, "error: $.nodes[0].chart_forms: cannot audit the declared forms: "
-                    "a grid of 5^4 = 625 points"),
+        (624, True, "error: $.nodes[0].map: a grid of 5^4 = 625 points"),
         (624, False, "error: $.nodes[0].map: a grid of 5^4 = 625 points"),
     ], ids=["hset-corners", "declared-audit", "product-split"])
     def test_every_sample_grid_is_refused_at_its_node(self, limit, declared, where, tmp_path,
                                                       capsys, monkeypatch):
         # a lowered limit stands in for a high dimension: the corners of
-        # the h-sets, the audit of declared forms and the product split of
-        # derived ones each build a sample grid of the 4-dimensional node
+        # the h-sets, and the totality probe of the local map composed into
+        # each form's charts, declared or derived (s = 1), build a sample
+        # grid of the 4-dimensional node
         from cmnverify import geometry
         from test_cell_geometry import _box_spec
         spec = tmp_path / "box.json"
@@ -590,6 +600,99 @@ class TestHostileSpec:
             assert ("error: $.nodes[0].chart_forms: declared chart form 1 disagrees with the "
                     "composed map (gap 2.762e+01)") in err
             assert "Traceback" not in err
+
+    @staticmethod
+    def _first_piece_in_bands(spec, axis, out, bands):
+        """``spec`` with node 1's local piece 0 cut into ``bands`` along
+        x_axis: for each (lo, hi, slope, shift), the piece on lo <= x_axis <=
+        hi (None: no bound) with slope * x_axis + shift added to output
+        ``out``.  Declared forms are kept."""
+        node = spec.nodes[0]
+        piece = node.local_map.pieces[0]
+        e = np.eye(node.dim)[axis:axis + 1]
+        pieces = []
+        for lo, hi, slope, shift in bands:
+            cuts = [(r, b) for r, b in ((-e, None if lo is None else [-lo]),
+                                        (e, None if hi is None else [hi])) if b is not None]
+            matrix, offset = piece.matrix.copy(), piece.offset.copy()
+            matrix[out, axis] += slope
+            offset[out] += shift
+            pieces.append(AffinePiece(matrix, offset,
+                                      np.vstack([piece.normals, *(r for r, _ in cuts)]),
+                                      np.concatenate([piece.bounds, *(b for _, b in cuts)])))
+        local = PiecewiseAffineMap(node.dim, node.dim, (*pieces, *node.local_map.pieces[1:]))
+        return NetworkSpec(spec.graph, (NodeSystem(local, node.hsets, node.transition,
+                                                   node.unified, node.chart_forms),
+                                        *spec.nodes[1:]), spec.coupling)
+
+    # a continuous tent of height 30 on [0.1, 0.4], between the points -0.5,
+    # 0, 0.5 of a 5-point grid
+    TENT = ((None, 0.1, 0.0, 0.0), (0.1, 0.25, 200.0, -20.0), (0.25, 0.4, -200.0, 80.0),
+            (0.4, None, 0.0, 0.0))
+
+    @pytest.mark.parametrize("u, s, axis, out", [(2, 1, 1, 1), (1, 1, 0, 0)],
+                             ids=["tent-spec", "plane"])
+    def test_declared_forms_missing_a_tent_between_grid_points(self, u, s, axis, out,
+                                                               tmp_path, capsys):
+        # the bench golden ring at d = 3, alpha 0.01 with declared forms, and
+        # node 1's piece 0 (x0 <= 1) carrying a tent along x_axis in output
+        # ``out``: with u = 2, s = 1 this is the tent spec, which a 5-point
+        # audit passed at eps* 0.039996; the forms are not the map
+        spec = _bench_gen().golden_ring(np.random.default_rng(1), 3, 0.01, u=u, s=s,
+                                        declared=True)
+        path = tmp_path / "tent.json"
+        path.write_text(canonical_json(serialize_spec(
+            self._first_piece_in_bands(spec, axis, out, self.TENT))))
+        for verb in ("verify", "margin"):
+            assert main([verb, str(path)]) == 2
+            captured = capsys.readouterr()
+            assert ("error: $.nodes[0].chart_forms: declared chart form 1 disagrees with the "
+                    "composed map (gap 3.000e+01)") in captured.err
+            assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_derived_form_jumping_between_grid_points_is_refused(self, tmp_path, capsys):
+        # the bench golden ring at d = 3, u = 2, s = 0, with node 1's piece 0
+        # lifted by 5 in output 1 where x1 >= 0.3, between the grid points 0
+        # and 0.5: the derived form of source 1 jumps there
+        spec = _bench_gen().golden_ring(np.random.default_rng(1), 3, 0.01, u=2, s=0)
+        path = tmp_path / "jump.json"
+        path.write_text(canonical_json(serialize_spec(self._first_piece_in_bands(
+            spec, 1, 1, ((None, 0.3, 0.0, 0.0), (0.3, None, 0.0, 5.0))))))
+        for verb in ("verify", "margin"):
+            assert main([verb, str(path)]) == 2
+            err = capsys.readouterr().err
+            assert ("error: $.nodes[0].map: a chart form jumps by 5.000e+00 where two of its "
+                    "pieces meet; it must be continuous") in err
+            assert "Traceback" not in err
+
+    @pytest.mark.parametrize("edit, where", [
+        (lambda d: d["hsets"][1]["chart"].update(linear=[[0.5]]),
+         "$.nodes[0].unified.members[1]: unified member 2 and h-set M12 describe different "
+         "sets"),
+        (lambda d: d["unified"]["members"][1].update(p_u=[3.5]),
+         "$.nodes[0].unified.members[1]: member 2 (M12): unstable center [3.5] != "
+         "(3(2-1), 0, ...) = [3.0]"),
+        (lambda d: d["hsets"][1]["chart"].update(offset=[-1.5]),
+         "$.nodes[0].hsets[1]: h-sets M11 and M12 are not disjoint"),
+    ], ids=["member-and-hset", "member-center", "hsets-meet"])
+    def test_validation_refusal_names_its_path(self, edit, where, fixdir, tmp_path, capsys):
+        doc = json.loads((fixdir / "example1.json").read_text())
+        edit(doc["nodes"][0])
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"invalid spec: {where}" in err
+        assert all(line.startswith("invalid spec: $.") for line in err.splitlines()
+                   if line.startswith("invalid spec"))
+        assert "Traceback" not in err
+
+    def test_unwritable_output_is_one_error_line(self, fixdir, tmp_path, capsys):
+        # --out names an existing directory: the write fails after the check
+        assert main(["verify", str(fixdir / "example1.json"), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(tmp_path) in err and "Traceback" not in err
 
     def test_declared_forms_of_a_map_on_another_space(self, tmp_path, capsys):
         # the audit evaluates the map on the node's space, in a check's

@@ -192,7 +192,7 @@ class TestValidateSpec:
         # meet, and so do the sets
         spec = _planar_type1_node(AffineChart(2, 0, np.eye(2), np.array([-0.5, 0.0])))
         report = validate_spec(spec)
-        assert report.errors == ("node 1: h-sets A and B are not disjoint",)
+        assert report.errors == ("$.nodes[0].hsets[1]: h-sets A and B are not disjoint",)
         with pytest.raises(SpecError, match="not disjoint"):
             theorem1_check(spec)
 
