@@ -18,15 +18,20 @@ geometry batch methods it calls (``AffineChart.apply_batch`` and
 ``PiecewiseAffineMap.apply_batch``).  An offset add, a product or a
 gather then runs along rows of length n, not along a short last axis.
 The public ``step``, ``step_power`` and ``itinerary`` take and return
-single states.  Every value is bit for bit the one the row-major (n, dim)
-layout gives, by the rules of ``geometry._product``: a matrix with one
-column (a 1-d block, a 1-d cell's normals) multiplies by broadcasting,
-where each output is one rounded product in any evaluation order; a
-matrix with one row (a cell with one constraint) takes the row-major
-matrix-vector product itself; any other matrix goes through BLAS as
-``M @ pts``, whose products equal the row-major ``pts.T @ M.T`` ones for
-gathered groups of one point as well, on the OpenBLAS kernels measured,
-for matrices up to 7 columns wide.
+single states and step them without the batch machinery: the state is
+one column, and each map finds its piece for it in a plain loop
+(``PiecewiseAffineMap.piece_at``) and evaluates that piece on the column,
+so no mask, gather or scatter is built, and every value is the batch
+path's on that one column, bit for bit.  Every value is bit for bit the
+one the row-major (n, dim) layout gives, by the rules of
+``geometry._product``: a matrix with one column (a 1-d block, a 1-d
+cell's normals) multiplies by broadcasting, where each output is one
+rounded product in any evaluation order; a matrix with one row (a cell
+with one constraint) takes the row-major matrix-vector product itself;
+any other matrix goes through BLAS as ``M @ pts``, whose products equal
+the row-major ``pts.T @ M.T`` ones for gathered groups of one point as
+well, on the OpenBLAS kernels measured, for matrices up to 7 columns
+wide.
 
 Every batch operation works in whole-row passes: a cell test compares
 one constraint row at a time, a max-norm is a running maximum over
@@ -65,11 +70,18 @@ RESIDUAL_TOL = 1e-10
 # time and drops it once read.  12 steps of 100,000 samples on a 2-node
 # network draw 2.6 million.
 MAX_SAMPLE_DRAWS = 2 ** 24
+# Most values the sampler may hold in its states and its first draws,
+# samples x (d + state_dim): this bounds its memory.  On a 2-vCPU x86-64
+# VM, example1 at the limit (1,048,576 samples of 4 values, depth 2) peaks
+# at 147 MB RSS, 35 MB of it the interpreter and its imports; 12 steps of
+# 100,000 samples hold 400,000 values and peak at 51 MB.
+MAX_SAMPLE_VALUES = 2 ** 22
 # Most state values ``simulate`` may keep, (steps + 1) x state_dim.  It
 # keeps the orbit twice (as stepped, then coordinate-major) and writes each
 # output line as it formats it: on a 2-vCPU KVM host, 2^18 values of a 2-d
-# state peak at 48 MB RSS (39 MB of it the interpreter and its imports) and
-# take 17 s, one ``step`` call per state.  So the limit bounds the time.
+# state (theorem1_perm23, whose orbit stays bounded) peak at 48 MB RSS
+# (36 MB of it the interpreter and its imports) and take 5.3 s, one
+# ``step`` call per state.  So the limit bounds the time.
 MAX_ORBIT_VALUES = 2 ** 18
 
 
@@ -197,15 +209,30 @@ def state_vector(spec: NetworkSpec, x) -> np.ndarray:
 def step(spec: NetworkSpec, x, pert: Perturbation | None = None) -> np.ndarray:
     """One application of the network map (coupling after local maps).
 
-    Raises ``OrbitEscapeError``, and no numpy warning, when the local
-    images or the image are not all finite: past floating-point range no
-    cell test means anything, so none is made on such a value.
+    The state is one column, and each map finds its piece for it in a
+    plain loop (``PiecewiseAffineMap.piece_at``) and evaluates that piece
+    on the column: every value is ``_step_batch``'s on the same column,
+    bit for bit.  Raises ``OrbitEscapeError``, and no numpy warning, when
+    the local images or the image are not all finite: past floating-point
+    range no cell test means anything, so none is made on such a value.
     """
+    state = state_vector(spec, x).reshape(-1, 1)
+    block = spec.block_dim
+    bump = pert is not None and pert.amplitude
+    image = np.empty_like(state)
     with np.errstate(over="ignore", invalid="ignore"):
-        image = _local_images(spec, state_vector(spec, x).reshape(-1, 1), pert)
-        if np.isfinite(image).all():
-            image = _couple(spec, image, pert)
-    if not np.isfinite(image).all():
+        for k, node in enumerate(spec.nodes):
+            seg = state[k * block:(k + 1) * block]
+            img = node.local_map.piece_at(seg).evaluate_batch(seg)
+            if bump:
+                img = img + pert.local_bump(k, seg)
+            image[k * block:(k + 1) * block] = img
+        if all(map(math.isfinite, image[:, 0].tolist())):
+            local = image
+            image = spec.ambient_map().piece_at(local).evaluate_batch(local)
+            if bump:
+                image = image + pert.coupling_bump(local)
+    if not all(map(math.isfinite, image[:, 0].tolist())):
         raise OrbitEscapeError("the state leaves floating-point range")
     return image[:, 0]
 
@@ -271,17 +298,22 @@ def itinerary(spec: NetworkSpec, x0, n: int) -> Itinerary:
     """
     if n < 1:
         raise ValueError("need at least one step")
-    state = state_vector(spec, x0).reshape(-1, 1)
+    state = state_vector(spec, x0)
     steps: list[tuple[int, ...]] = []
     ties = 0
     for t in range(n):
-        symbols = locate_batch(spec, state)[:, 0]
-        ties += _ties(spec, state)
+        col = state.reshape(-1, 1)
+        symbols = locate_batch(spec, col)[:, 0]
+        ties += _ties(spec, col)
         if np.any(symbols == 0):
             return Itinerary(tuple(steps), t, ties)
         steps.append(tuple(int(s) for s in symbols))
         if t + 1 < n:
-            state = _step_batch(spec, state)
+            try:
+                state = step(spec, state)
+            except OrbitEscapeError:
+                # a state past floating-point range lies in no h-set
+                return Itinerary(tuple(steps), t + 1, ties)
     return Itinerary(tuple(steps), None, ties)
 
 
@@ -400,11 +432,11 @@ def periodic_point(spec: NetworkSpec, loop,
 
 def step_power(spec: NetworkSpec, x, n: int,
                pert: Perturbation | None = None) -> np.ndarray:
-    """Iterate the network map ``n`` times."""
-    state = state_vector(spec, x).reshape(-1, 1)
+    """Iterate the network map ``n`` times (``step``)."""
+    state = state_vector(spec, x)
     for _ in range(n):
-        state = _step_batch(spec, state, pert)
-    return state[:, 0]
+        state = step(spec, state, pert)
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +613,8 @@ def empirical_entropy(spec: NetworkSpec, depth: int, samples: int, seed: int = 0
     randomized Halton algorithm in R", arXiv:1706.02808, 2017), equal to
     scipy's ``qmc.Halton(scramble=True, seed=seed)``, so the estimate is
     deterministic for a fixed seed.  A request that would draw more than
-    ``MAX_SAMPLE_DRAWS`` values is refused with ``SpecError`` before
+    ``MAX_SAMPLE_DRAWS`` values, or hold more than ``MAX_SAMPLE_VALUES``
+    (samples x (d + state_dim)), is refused with ``SpecError`` before
     anything is drawn.
 
     Each Halton column is built when the sampler reads it and dropped
@@ -615,6 +648,10 @@ def empirical_entropy(spec: NetworkSpec, depth: int, samples: int, seed: int = 0
         raise SpecError(f"{samples} samples at depth {depth} draw {n_cols} x {samples} = "
                         f"{n_cols * samples} quasi-random values, above the limit of "
                         f"{MAX_SAMPLE_DRAWS}")
+    if (held := (d + spec.state_dim) * samples) > MAX_SAMPLE_VALUES:
+        raise SpecError(f"{samples} samples of {d + spec.state_dim} values each (d + "
+                        f"state_dim) hold {held} values, above the limit of "
+                        f"{MAX_SAMPLE_VALUES}")
 
     x = _constructed_states(spec, depth, samples, _halton(n_cols, samples, seed))
 

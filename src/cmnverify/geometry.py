@@ -351,6 +351,12 @@ class AffinePiece:
     normals: np.ndarray
     bounds: np.ndarray
 
+    @functools.cached_property
+    def limits(self) -> np.ndarray:
+        """``bounds + EVAL_TIE_TOL``: the right-hand sides every evaluation
+        compares the constraint values with, computed once per piece."""
+        return self.bounds + EVAL_TIE_TOL
+
     def contains_batch(self, pts: np.ndarray, tol: float = EVAL_TIE_TOL) -> np.ndarray:
         """Columns of the coordinate-major batch ``pts`` (dim, n) in the
         cell, to within ``tol``.
@@ -361,7 +367,7 @@ class AffinePiece:
         if self.normals.shape[0] == 0:
             return np.ones(pts.shape[1], dtype=bool)
         vals = _product(self.normals, pts)
-        lim = self.bounds + tol
+        lim = self.limits if tol == EVAL_TIE_TOL else self.bounds + tol
         inside = vals[0] <= lim[0]
         for j in range(1, lim.shape[0]):
             inside &= vals[j] <= lim[j]
@@ -468,7 +474,39 @@ class PiecewiseAffineMap:
         return len(self.pieces) == 1 and self.pieces[0].normals.shape[0] == 0
 
     def apply(self, x) -> np.ndarray:
-        return self.apply_batch(_as_vector(x, self.dim_in)[:, None])[:, 0]
+        """The map at the single point ``x``, ``apply_batch`` on it as one
+        column bit for bit (``piece_at``)."""
+        col = _as_vector(x, self.dim_in)[:, None]
+        return self.piece_at(col).evaluate_batch(col)[:, 0]
+
+    @functools.cached_property
+    def _line_rows(self) -> tuple[tuple[tuple[float, float], ...], ...]:
+        """Per piece of a map on the line, its (normal, limit) pairs as floats."""
+        return tuple(tuple(zip(p.normals[:, 0].tolist(), p.limits.tolist()))
+                     for p in self.pieces)
+
+    def piece_at(self, col: np.ndarray) -> AffinePiece:
+        """The piece ``apply_batch`` evaluates the one-column batch ``col``
+        (dim_in, 1) with: the first whose cell holds it, found in a plain
+        loop over the pieces with no mask, gather or scatter.  A piece holds
+        the point when every constraint value is at most its limit, as in
+        ``contains_batch``: on the line the one rounded product n x, in
+        Python floats, which ``_product``'s broadcast rounds the same; above
+        it ``_product`` itself.  A NaN coordinate lies in no cell.  Raises
+        ``GeometryError`` when no cell holds the point."""
+        if self.dim_in == 1:
+            x = float(col[0, 0])
+            for p, rows in zip(self.pieces, self._line_rows):
+                for n, lim in rows:
+                    if not n * x <= lim:
+                        break
+                else:
+                    return p
+        else:
+            for p in self.pieces:
+                if not p.normals.shape[0] or (_product(p.normals, col)[:, 0] <= p.limits).all():
+                    return p
+        raise GeometryError("map undefined at 1 of 1 points")
 
     def apply_batch(self, pts: np.ndarray) -> np.ndarray:
         """The map on every column of the coordinate-major batch ``pts``
@@ -655,7 +693,31 @@ def _box_vertices(cells: list[tuple[np.ndarray, np.ndarray]], dim: int
     return np.concatenate(verts), np.concatenate(owner)
 
 
-def form_gap(F: PiecewiseAffineMap, G: PiecewiseAffineMap) -> float:
+def _meets(F: PiecewiseAffineMap, G: PiecewiseAffineMap) -> tuple[np.ndarray, ...]:
+    """The cell-only part of ``form_gap(F, G)``, from F's and G's cells
+    alone.  On the line: ``x``, where x[0, i, j] and x[1, i, j] are the
+    ends of the meet of F's piece i and G's piece j inside [-1, 1], and
+    ``held``, the meets that are not empty (to ``EVAL_TIE_TOL``).  Above
+    it: the vertices of each meet, each one's owner, an index into the
+    piece pairs, and the pairs (i, j) of F's piece i and G's piece j."""
+    if F.dim_in == 1:
+        lo_f, hi_f = line_cells(F)
+        lo_g, hi_g = (lo_f, hi_f) if G is F else line_cells(G)
+        x = np.stack([np.maximum.outer(np.maximum(lo_f, -1.0), np.maximum(lo_g, -1.0)),
+                      np.minimum.outer(np.minimum(hi_f, 1.0), np.minimum(hi_g, 1.0))])
+        return x, x[0] <= x[1] + EVAL_TIE_TOL
+    pairs = list(itertools.combinations(range(len(F.pieces)), 2) if G is F
+                 else itertools.product(range(len(F.pieces)), range(len(G.pieces))))
+    if not pairs:
+        return np.zeros((0, F.dim_in)), np.zeros(0, dtype=np.intp), pairs
+    verts, owner = _box_vertices([(np.vstack([F.pieces[i].normals, G.pieces[j].normals]),
+                                   np.concatenate([F.pieces[i].bounds, G.pieces[j].bounds]))
+                                  for i, j in pairs], F.dim_in)
+    return verts, owner, pairs
+
+
+def form_gap(F: PiecewiseAffineMap, G: PiecewiseAffineMap,
+             cells: CellGeometry | None = None) -> float:
     """Largest |F - G| at the vertices of every nonempty meet inside the
     unit box of a piece of F with a piece of G (two pieces of F when G is
     F); 0 when no pieces meet.  Both are affine on a meet, so this is F's
@@ -663,30 +725,27 @@ def form_gap(F: PiecewiseAffineMap, G: PiecewiseAffineMap) -> float:
     cover the box their largest difference.  On the line: the ends of each
     meet (``line_cells``, which raises where a map leaves part of [-1, 1]
     uncovered), to ``EVAL_TIE_TOL``, in one array pass; above it, one
-    ``_box_vertices`` over the meets, to its 1e-9."""
+    ``_box_vertices`` over the meets, to its 1e-9.  The meets depend on
+    the two maps' cells alone (``_meets``): above the line ``cells`` keeps
+    them, so maps that share their cells take only the differences; on the
+    line they cost less than the key they would be kept by."""
     with np.errstate(over="ignore", invalid="ignore"):    # an empty meet may end at inf
+        meets = cells.meets(F, G) if cells is not None and F.dim_in > 1 else _meets(F, G)
         if F.dim_in == 1:
-            def rows(H: PiecewiseAffineMap) -> tuple[np.ndarray, ...]:
-                """H's pieces' intervals cut to [-1, 1], slopes and offsets."""
-                lo, hi = line_cells(H)
-                slope, offset = np.array([(p.matrix[0, 0], p.offset[0]) for p in H.pieces]).T
-                return np.maximum(lo, -1.0), np.minimum(hi, 1.0), slope, offset
+            def rows(H: PiecewiseAffineMap) -> tuple[np.ndarray, np.ndarray]:
+                """H's pieces' slopes and offsets."""
+                return np.array([(p.matrix[0, 0], p.offset[0]) for p in H.pieces]).T
 
-            lo_f, hi_f, a, c = rows(F)
-            lo_g, hi_g, b, e = (lo_f, hi_f, a, c) if G is F else rows(G)
-            # x[0, i, j] and x[1, i, j]: the ends of the meet of F's piece i and G's piece j
-            x = np.stack([np.maximum.outer(lo_f, lo_g), np.minimum.outer(hi_f, hi_g)])
+            x, held = meets
+            a, c = rows(F)
+            b, e = (a, c) if G is F else rows(G)
             gaps = np.abs(a[:, None] * x + c[:, None] - (b * x + e))
-            return float(gaps.max(initial=0.0, where=x[0] <= x[1] + EVAL_TIE_TOL))
-        pairs = list(itertools.combinations(F.pieces, 2) if G is F
-                     else itertools.product(F.pieces, G.pieces))
+            return float(gaps.max(initial=0.0, where=held))
+        verts, owner, pairs = meets
         if not pairs:
             return 0.0
-        verts, owner = _box_vertices([(np.vstack([p.normals, q.normals]),
-                                       np.concatenate([p.bounds, q.bounds]))
-                                      for p, q in pairs], F.dim_in)
-        diff = np.array([p.matrix - q.matrix for p, q in pairs])
-        shift = np.array([p.offset - q.offset for p, q in pairs])
+        diff = np.array([F.pieces[i].matrix - G.pieces[j].matrix for i, j in pairs])
+        shift = np.array([F.pieces[i].offset - G.pieces[j].offset for i, j in pairs])
         gaps = (diff[owner] @ verts[:, :, None])[:, :, 0] + shift[owner]
         return float(np.abs(gaps).max(initial=0.0))
 
@@ -945,30 +1004,46 @@ class _CellTable:
         return self._rows[resolution]
 
 
+def _cell_key(F: PiecewiseAffineMap) -> tuple:
+    """F's cell content: ``dim_in`` and every piece's ``normals`` and
+    ``bounds``, byte for byte, in piece order."""
+    return (F.dim_in, tuple((a.dtype.str, a.shape, a.tobytes())
+                            for p in F.pieces for a in (p.normals, p.bounds)))
+
+
 class CellGeometry:
     """Cell-only geometry shared by the maps that have the same cells.
 
     Tables are keyed by cell content: ``dim_in`` and every piece's
     ``normals`` and ``bounds``, byte for byte, in piece order.  A map and
     its scalings ``F.scale(a)`` share one table; ``compose_affine_inner``
-    moves the cells and gets its own.  Face grids and their tiles are kept
-    per (dimension, resolution) and shared by every table.  Everything
-    lives as long as the ``CellGeometry`` object: a check's set-up makes
-    one, builds the table of every factor of its chart forms and hands it
-    to the check, which holds it to the end.
+    moves the cells and gets its own.  The meets of two maps' pieces, which
+    ``form_gap`` reads, are kept per pair of cell contents.  Face grids and
+    their tiles are kept per (dimension, resolution) and shared by every
+    table.  Everything lives as long as the ``CellGeometry`` object: a
+    check's set-up makes one, builds the table of every factor of its chart
+    forms and hands it to the check, which holds it to the end.
     """
 
     def __init__(self):
         self._tables: dict = {}
+        self._meets: dict = {}
         self._faces: dict[tuple[int, int], np.ndarray] = {}
         self._tiles: dict[tuple[int, int], _FaceTiles] = {}
 
     def table(self, F: PiecewiseAffineMap) -> _CellTable:
-        key = (F.dim_in, tuple((a.dtype.str, a.shape, a.tobytes())
-                               for p in F.pieces for a in (p.normals, p.bounds)))
+        key = _cell_key(F)
         if key not in self._tables:
             self._tables[key] = _CellTable(F)
         return self._tables[key]
+
+    def meets(self, F: PiecewiseAffineMap, G: PiecewiseAffineMap) -> tuple[np.ndarray, ...]:
+        """``_meets(F, G)``, kept per pair of cell structures (and whether G
+        is F, which pairs each piece with the later ones only)."""
+        key = (_cell_key(F), None if G is F else _cell_key(G))
+        if key not in self._meets:
+            self._meets[key] = _meets(F, G)
+        return self._meets[key]
 
     def face_points(self, dim: int, resolution: int) -> np.ndarray:
         if (dim, resolution) not in self._faces:
@@ -1158,15 +1233,16 @@ def max_stretch(F: PiecewiseAffineMap, ref, cells: CellGeometry | None = None) -
     return StretchBounds(0.0, _exact_max(F, ref, cells.table(F).vertices), True, 0.0)
 
 
-def split_product(F: PiecewiseAffineMap, u: int) -> tuple[PiecewiseAffineMap,
-                                                          PiecewiseAffineMap | None]:
+def split_product(F: PiecewiseAffineMap, u: int, cells: CellGeometry | None = None
+                  ) -> tuple[PiecewiseAffineMap, PiecewiseAffineMap | None]:
     """Split F(x, y) on the unit box into block components (U(x), V(y)).
 
     Each piece must be block diagonal, each cell constraint act on one
     block.  U and V take each piece's blocks, once per distinct piece (to 12
     decimals); U x V is then F wherever F is defined on the box exactly
     when U and V are continuous, as ``form_gap`` decides (U is F when s =
-    0).  Raises GeometryError when F is not of product form or jumps.
+    0), with meets read from ``cells`` when given.  Raises GeometryError
+    when F is not of product form or jumps.
     """
     tol = CONTINUITY_TOL
     s = F.dim_in - u
@@ -1188,7 +1264,7 @@ def split_product(F: PiecewiseAffineMap, u: int) -> tuple[PiecewiseAffineMap,
                     part.matrix, part.offset, part.normals, part.bounds)), part)
         U, V = (PiecewiseAffineMap(n, n, tuple(out.values())) for n, out in zip((u, s), found))
     for H in (U,) if V is None else (U, V):
-        if not (gap := form_gap(H, H)) <= tol:
+        if not (gap := form_gap(H, H, cells)) <= tol:
             raise GeometryError(f"a chart form jumps by {gap:.3e} where two of its pieces "
                                 f"meet; it must be continuous")
     return U, V

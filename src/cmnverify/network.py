@@ -283,14 +283,18 @@ def _compose(node: NodeSystem, kind: str, key) -> PiecewiseAffineMap:
             .compose_affine_outer(outer.linear, outer.offset))
 
 
-def _resolve_forms(node: NodeSystem, kind: str) -> dict:
+def _resolve_forms(node: NodeSystem, kind: str, composed: dict | None = None,
+                   cells: CellGeometry | None = None) -> dict:
     """Chart-coordinate product forms, declared or split from the composed
-    local map."""
+    local map of each key (``composed``, else composed here), whose meets
+    ``split_product`` reads from ``cells`` when given."""
     if node.chart_forms is not None:
         return node.chart_forms
     with np.errstate(over="ignore", invalid="ignore"):    # ``_node_forms`` refuses an inf form
-        return {key: ProductFormMap(*split_product(_compose(node, kind, key), node.dim_u))
-                for key in _form_keys(node, kind)}
+        if composed is None:
+            composed = {key: _compose(node, kind, key) for key in _form_keys(node, kind)}
+        return {key: ProductFormMap(*split_product(F, node.dim_u, cells))
+                for key, F in composed.items()}
 
 
 def _choices(node: NodeSystem, kind: str) -> tuple[list[_Choice], list[AffineChart]]:
@@ -407,14 +411,15 @@ def validate_spec(spec: NetworkSpec) -> ValidationReport:
     warnings: list[str] = []
 
     if not spec.graph.weakly_connected():
-        errors.append("graph is not weakly connected")
+        errors.append("$.graph.edges: graph is not weakly connected")
 
     a = spec.coupling.matrix
     d = spec.d
     ours = [(l, m) for l in range(1, d + 1) for m in range(1, d + 1)
             if l != m and abs(a[l - 1, m - 1]) > 1e-15 and (m, l) not in spec.graph.edges]
     for l, m in ours:
-        errors.append(f"coupling entry a[{l},{m}] is nonzero but edge ({m},{l}) is absent")
+        errors.append(f"$.coupling.matrix[{l - 1}][{m - 1}]: coupling entry a[{l},{m}] is "
+                      f"nonzero but edge ({m},{l}) is absent")
     if ours:
         flipped = [(l, m) for l in range(1, d + 1) for m in range(1, d + 1)
                    if l != m and abs(a[l - 1, m - 1]) > 1e-15
@@ -435,28 +440,29 @@ def validate_spec(spec: NetworkSpec) -> ValidationReport:
     block = spec.nodes[0].dim
     all_finite = True
     for k, node in enumerate(spec.nodes, start=1):
+        at = f"$.nodes[{k - 1}]"
         if node.dim != block:
-            errors.append(f"node {k}: ambient dimension {node.dim} != {block}")
+            errors.append(f"{at}.hsets: ambient dimension {node.dim} != {block}")
         if node.dim_u < 1:
-            errors.append(f"node {k}: needs at least one expanding direction")
+            errors.append(f"{at}.u: needs at least one expanding direction")
         if any(h.dim_u != node.dim_u or h.dim_s != node.dim_s for h in node.hsets):
-            errors.append(f"node {k}: h-sets disagree on the (u, s) split")
+            errors.append(f"{at}.hsets: h-sets disagree on the (u, s) split")
         if node.transition.n != node.count:
-            errors.append(f"node {k}: transition matrix is {node.transition.n}x"
+            errors.append(f"{at}.transition: transition matrix is {node.transition.n}x"
                           f"{node.transition.n} for {node.count} h-sets")
         if node.local_map.dim_in != node.dim or node.local_map.dim_out != node.dim:
-            errors.append(f"node {k}: local map acts on R^{node.local_map.dim_in}, "
+            errors.append(f"{at}.map: local map acts on R^{node.local_map.dim_in}, "
                           f"h-sets live in R^{node.dim}")
 
         try:
             boxes = [h.bounding_box() for h in node.hsets]
         except GeometryError as exc:    # too many corners to list
-            errors.append(f"$.nodes[{k - 1}].hsets: {exc}")
+            errors.append(f"{at}.hsets: {exc}")
             all_finite = False
             continue
         image, cells = _local_reach(node.local_map, _hull_radius(boxes))
         if not (math.isfinite(image) and math.isfinite(cells)):
-            errors.append(f"$.nodes[{k - 1}].map: the local map cannot be evaluated "
+            errors.append(f"{at}.map: the local map cannot be evaluated "
                           f"finitely on the node's h-sets (image size {image:g}, "
                           f"cell constraint size {cells:g})")
             all_finite = False
@@ -467,21 +473,21 @@ def validate_spec(spec: NetworkSpec) -> ValidationReport:
             try:
                 meet = _hsets_meet(node.hsets[i], node.hsets[j])
             except GeometryError as exc:    # too many vertex candidates
-                errors.append(f"$.nodes[{k - 1}].hsets[{j}]: cannot decide whether it "
+                errors.append(f"{at}.hsets[{j}]: cannot decide whether it "
                               f"meets {node.hsets[i].id}: {exc}")
                 continue
             if meet:
-                errors.append(f"$.nodes[{k - 1}].hsets[{j}]: h-sets {node.hsets[i].id} and "
+                errors.append(f"{at}.hsets[{j}]: h-sets {node.hsets[i].id} and "
                               f"{node.hsets[j].id} are not disjoint")
 
         if spec.coupling.kind == TYPE_II:
             if node.unified is None:
-                errors.append(f"node {k}: unified family required for this coupling kind")
+                errors.append(f"{at}.unified: unified family required for this coupling kind")
             else:
                 rep = unified_validate(node.unified)
-                errors.extend(f"$.nodes[{k - 1}].unified.{v}" for v in rep.violations)
+                errors.extend(f"{at}.unified.{v}" for v in rep.violations)
                 if node.unified.count != node.count:
-                    errors.append(f"node {k}: unified family has {node.unified.count} "
+                    errors.append(f"{at}.unified: unified family has {node.unified.count} "
                                   f"members for {node.count} h-sets")
                 else:
                     _check_member_charts(node, k, errors, warnings)
@@ -495,11 +501,13 @@ def validate_spec(spec: NetworkSpec) -> ValidationReport:
 
 def _check_member_charts(node: NodeSystem, k: int, errors: list[str],
                          warnings: list[str]) -> None:
-    """The unified member charts must carve out the same physical sets."""
+    """The unified member charts must carve out the same physical sets; a
+    chart change that is not finite describes a different one."""
     for i, hset in enumerate(node.hsets, start=1):
         q = node.member_chart(i)
-        lin = q.linear @ hset.chart.inverse_linear
-        off = q.offset - lin @ hset.chart.offset
+        with np.errstate(over="ignore", invalid="ignore"):
+            lin = q.linear @ hset.chart.inverse_linear
+            off = q.offset - lin @ hset.chart.offset
         if np.max(np.abs(lin - np.eye(node.dim))) <= 1e-9 and np.max(np.abs(off)) <= 1e-9:
             continue
         signed_perm = (np.max(np.abs(off)) <= 1e-9
@@ -530,19 +538,19 @@ def _check_non_overlap(spec: NetworkSpec, errors: list[str], warnings: list[str]
             (errors if exact else warnings).append(f"$.nodes[{k - 1}].map: cannot bound the "
                                                    f"h-set images: {exc}")
             continue
+        # refused at the map on the line; a warning names the node
+        at, found = (f"$.nodes[{k - 1}].map", errors) if exact else (f"node {k}", warnings)
         for i, j in pairs:
             for jp in range(1, node.count + 1):
                 if jp == j:
                     continue
                 if not _boxes_disjoint(images[i], node.hsets[jp - 1].bounding_box()):
-                    msg = (f"node {k}: image of {node.hsets[i - 1].id} meets "
-                           f"{node.hsets[jp - 1].id} (targets may not overlap)")
-                    (errors if exact else warnings).append(msg)
+                    found.append(f"{at}: image of {node.hsets[i - 1].id} meets "
+                                 f"{node.hsets[jp - 1].id} (targets may not overlap)")
             for ip in images:
                 if ip != i and not _boxes_disjoint(images[i], images[ip]):
-                    msg = (f"node {k}: images of {node.hsets[i - 1].id} and "
-                           f"{node.hsets[ip - 1].id} overlap")
-                    (errors if exact else warnings).append(msg)
+                    found.append(f"{at}: images of {node.hsets[i - 1].id} and "
+                                 f"{node.hsets[ip - 1].id} overlap")
 
 
 # ---------------------------------------------------------------------------
@@ -1025,14 +1033,16 @@ def _check_entries(spec: NetworkSpec, tables: _Tables, own: dict[int, np.ndarray
     return table
 
 
-def _audit_declared_forms(forms: dict, composed: dict) -> None:
+def _audit_declared_forms(forms: dict, composed: dict, cells: CellGeometry) -> None:
     """Raise ``GeometryError`` for a declared form, joined into one map,
     whose ``form_gap`` with itself (a jump) or with its composed map is
-    above ``CONTINUITY_TOL``: one rule in every dimension."""
+    above ``CONTINUITY_TOL``: one rule in every dimension, each pair of
+    cell structures' meets enumerated once in ``cells``."""
     for key, form in forms.items():
         joined = form.joined()
-        for gap, fault in ((form_gap(joined, joined), "jumps where two of its pieces meet"),
-                           (form_gap(composed[key], joined), "disagrees with the composed map")):
+        for gap, fault in ((form_gap(joined, joined, cells), "jumps where two of its pieces meet"),
+                           (form_gap(composed[key], joined, cells),
+                            "disagrees with the composed map")):
             if not gap <= CONTINUITY_TOL:
                 raise GeometryError(f"declared chart form {key} {fault} (gap {gap:.3e})")
 
@@ -1055,12 +1065,11 @@ def _node_forms(node: NodeSystem, kind: str, k: int, resolution: int, cells: Cel
     declared = node.chart_forms is not None
     where = f"$.nodes[{k}].{'chart_forms' if declared else 'map'}"
     try:
-        forms = _resolve_forms(node, kind)
         with np.errstate(over="ignore", invalid="ignore"):
+            composed = {key: _compose(node, kind, key) for key in _form_keys(node, kind)}
+            forms = _resolve_forms(node, kind, composed, cells)
             # when s = 0 a derived form's U is its composed map, tabled below
-            composed = {key: _compose(node, kind, key) for key in _form_keys(node, kind)
-                        if declared or node.dim_s}
-            for F in composed.values():
+            for F in composed.values() if declared or node.dim_s else ():
                 cells.table(F)
     except GeometryError as exc:
         raise SpecError(f"$.nodes[{k}].map: {exc}") from exc
@@ -1083,7 +1092,7 @@ def _node_forms(node: NodeSystem, kind: str, k: int, resolution: int, cells: Cel
         for F in factors:
             cells.table(F)
         if declared:
-            _audit_declared_forms(forms, composed)
+            _audit_declared_forms(forms, composed, cells)
     except GeometryError as exc:
         raise SpecError(f"{where}: {exc}") from exc
     u = node.dim_u
@@ -1283,37 +1292,39 @@ def conjugacy_audit(spec: NetworkSpec, seed: int = 0) -> ConjugacyReport:
     worst = 0.0
     bad: list[str] = []
     n_done = 0
-
-    def blockwise(fns, v):
-        """fns[k] applied to node k's block of the state v."""
-        return np.concatenate([f(x) for f, x in zip(fns, v.reshape(d, -1))])
+    blocks = [slice(k * block, (k + 1) * block) for k in range(d)]
+    # the point's stages, each written one node's block at a time
+    w, tw, z, lhs = (np.empty(d * block) for _ in range(4))
 
     combos = list(itertools.product(*[_form_keys(n, kind) for n in spec.nodes]))
     per = max(1, 200 // max(1, len(combos)))
     own = _entry_overrides(spec)[0] if kind == TYPE_I else {}
-    for flat, combo in enumerate(combos):
-        charts_in, charts_out = zip(*(_form_charts(n, kind, key)
-                                      for n, key in zip(spec.nodes, combo)))
-        if kind == TYPE_II:
-            a = spec.coupling.matrix
-            label = f"sources {combo}"
-        else:
-            i_idx = tuple(i for i, _ in combo)
-            j_idx = tuple(j for _, j in combo)
-            a = own.get(flat, spec.coupling.matrix)
-            label = f"entry {i_idx}->{j_idx}"
-        model = np.kron(a, np.eye(block))
-        xi = rng.uniform(-1.0, 1.0, size=(per, d * block))
-        for row in xi:
-            with np.errstate(over="ignore", invalid="ignore"):
-                w = blockwise([c.invert for c in charts_in], row)
-                tw = blockwise([n.local_map.apply for n in spec.nodes], w)
-                z = blockwise([c.apply for c in charts_out], tw)
-                lhs = blockwise([c.apply for c in charts_out], ambient.apply(tw))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for flat, combo in enumerate(combos):
+            charts_in, charts_out = zip(*(_form_charts(n, kind, key)
+                                          for n, key in zip(spec.nodes, combo)))
+            if kind == TYPE_II:
+                a = spec.coupling.matrix
+                label = f"sources {combo}"
+            else:
+                i_idx = tuple(i for i, _ in combo)
+                j_idx = tuple(j for _, j in combo)
+                a = own.get(flat, spec.coupling.matrix)
+                label = f"entry {i_idx}->{j_idx}"
+            model = np.kron(a, np.eye(block))
+            xi = rng.uniform(-1.0, 1.0, size=(per, d * block))
+            for row in xi:
+                for sl, chart, node in zip(blocks, charts_in, spec.nodes):
+                    w[sl] = chart.invert(row[sl])
+                    tw[sl] = node.local_map.apply(w[sl])
+                coupled = ambient.apply(tw)
+                for sl, chart in zip(blocks, charts_out):
+                    z[sl] = chart.apply(tw[sl])
+                    lhs[sl] = chart.apply(coupled[sl])
                 resid = float(np.max(np.abs(lhs - model @ z)))
-            resid = math.inf if math.isnan(resid) else resid
-            worst = max(worst, resid)
-            n_done += 1
-            if resid > 1e-9 and len(bad) < 16:
-                bad.append(f"{label}: residual {resid:.3e}")
+                resid = math.inf if math.isnan(resid) else resid
+                worst = max(worst, resid)
+                n_done += 1
+                if resid > 1e-9 and len(bad) < 16:
+                    bad.append(f"{label}: residual {resid:.3e}")
     return ConjugacyReport(worst, n_done, tuple(bad))

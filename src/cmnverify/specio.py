@@ -37,8 +37,8 @@ import numpy as np
 from .covering import ProductFormMap
 from .geometry import (AffineChart, AffinePiece, CenterScale, GeometryError, HSet,
                        PiecewiseAffineMap, UnifiedSet)
-from .network import (CouplingSpec, Graph, NetworkSpec, NodeSystem, TheoremReport, TYPE_I,
-                      TYPE_II, entry_failures)
+from .network import (CouplingSpec, Graph, NetworkSpec, NodeSystem, SpecError, TheoremReport,
+                      TYPE_I, TYPE_II, entry_failures)
 from .symbolic import TransitionMatrix
 
 FORMAT_VERSION = "1"
@@ -239,15 +239,22 @@ def parse_spec(doc: dict) -> NetworkSpec:
     gpath = f"{path}.graph"
     edges = frozenset(_pair(e, f"{gpath}.edges[{i}]")
                       for i, e in enumerate(_list(_get(gobj, "edges", gpath), f"{gpath}.edges")))
-    graph = Graph(_int(_get(gobj, "d", gpath), f"{gpath}.d"), edges)
+    d = _int(_get(gobj, "d", gpath), f"{gpath}.d")
+    try:
+        graph = Graph(d, edges)
+    except SpecError as exc:
+        raise SpecFormatError(f"{gpath}.{'d' if d < 1 else 'edges'}: {exc}") from exc
     nodes = tuple(_node(n, f"{path}.nodes[{i}]")
                   for i, n in enumerate(_list(_get(doc, "nodes", path), f"{path}.nodes")))
+    if len(nodes) != d:
+        raise SpecFormatError(f"{path}.nodes: {len(nodes)} nodes for a {d}-node graph")
     cobj = _get(doc, "coupling", path)
     cpath = f"{path}.coupling"
     kind = str(_get(cobj, "kind", cpath))
     if kind not in (TYPE_I, TYPE_II):
         raise SpecFormatError(f"{cpath}.kind: expected 'type1' or 'type2', got {kind!r}")
-    matrix = _matrix(_get(cobj, "matrix", cpath), f"{cpath}.matrix")
+    matrix = _shaped(_matrix(_get(cobj, "matrix", cpath), f"{cpath}.matrix"), (d, d),
+                     f"{cpath}.matrix")
     ambient = _map(cobj["ambient"], f"{cpath}.ambient") if cobj.get("ambient") else None
     per_entry = None
     if cobj.get("per_entry"):

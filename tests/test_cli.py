@@ -18,7 +18,7 @@ from cmnverify import (AffineChart, CouplingSpec, Graph, HSet, NetworkSpec, Node
                        parse_spec, serialize_spec, specs_equal)
 from cmnverify.cli import main
 from cmnverify.geometry import AffinePiece
-from cmnverify.network import SpecError, _resolve_forms
+from cmnverify.network import SpecError, _resolve_forms, validate_spec
 from cmnverify.specio import SpecFormatError
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -223,6 +223,31 @@ class TestHostileSpec:
         err = capsys.readouterr().err
         assert f"error: {where}:" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in FIXDIR.glob("*.json")))
+    def test_every_refusal_of_a_one_leaf_mutation_names_its_path(self, name):
+        # every leaf of the fixture set to each of a few hostile values: what
+        # parsing or validation refuses (the refusals before any check) names
+        # a JSON path first
+        doc = json.loads((FIXDIR / name).read_text())
+
+        def leaves(node, prefix=()):
+            items = node.items() if isinstance(node, dict) else enumerate(node)
+            for key, child in items:
+                if isinstance(child, (dict, list)):
+                    yield from leaves(child, prefix + (key,))
+                else:
+                    yield prefix + (key,)
+
+        unnamed = []
+        for path in leaves(doc):
+            for value in (None, "x", -1, 0, 2, 3.5, 1e308):
+                try:
+                    refusals = validate_spec(parse_spec(_mutated(doc, path, value))).errors
+                except (SpecFormatError, SpecError) as exc:
+                    refusals = (str(exc),)
+                unnamed += [(path, value, r) for r in refusals if not r.startswith("$.")]
+        assert unnamed == []
 
     @pytest.mark.parametrize("overrides, message", [
         ([{"i": [1], "j": [2]}],
@@ -493,6 +518,28 @@ class TestHostileSpec:
         with pytest.raises(AssertionError, match=f"drew 26 x {most}"):
             main(["entropy", spec, "--empirical", "12", str(most), "1"])
 
+    def test_sampler_memory_is_bounded_before_drawing(self, capsys, monkeypatch):
+        # example1 holds d + state_dim = 4 values per sample, and at depth 2
+        # draws 6: the draws stay under their limit, the values do not.
+        # Nothing large is allocated: the draw fails if it is reached
+        from cmnverify import dynamics
+        limit = dynamics.MAX_SAMPLE_VALUES
+        most = limit // 4
+        assert 4 * most == limit and 6 * (most + 1) <= dynamics.MAX_SAMPLE_DRAWS
+
+        def no_draw(n_cols, samples, seed):
+            raise AssertionError(f"drew {n_cols} x {samples}")
+        monkeypatch.setattr(dynamics, "_halton", no_draw)
+        spec = str(FIXDIR / "example1.json")
+        assert main(["entropy", spec, "--empirical", "2", str(most + 1), "1"]) == 2
+        err = capsys.readouterr().err
+        assert (f"error: {most + 1} samples of 4 values each (d + state_dim) hold "
+                f"{4 * (most + 1)} values, above the limit of {limit}") in err
+        assert "Traceback" not in err
+        # exactly at the limit the request goes on to the draw
+        with pytest.raises(AssertionError, match=f"drew 6 x {most}"):
+            main(["entropy", spec, "--empirical", "2", str(most), "1"])
+
     def test_unconfirmed_orbit_is_inconclusive(self, fixdir, tmp_path, capsys):
         # theorem 1 holds for the chart-coordinate model, but under the
         # default coupling the network map's orbit leaves the h-set product
@@ -707,7 +754,7 @@ class TestHostileSpec:
             NetworkSpec(base.graph, (wide, base.nodes[1]), base.coupling))))
         assert main(["verify", str(path)]) == 2
         err = capsys.readouterr().err
-        assert "error: node 1: local map acts on R^2, h-sets live in R^1" in err
+        assert "error: $.nodes[0].map: local map acts on R^2, h-sets live in R^1" in err
         assert "Traceback" not in err
 
     @staticmethod
@@ -833,7 +880,8 @@ class TestHostileSpec:
         result = subprocess.run([sys.executable, "-m", "cmnverify", "verify", str(path)],
                                 capture_output=True, text=True, env=env)
         assert result.returncode == 2
-        assert "node 1: unified family required for this coupling kind" in result.stderr
+        assert ("$.nodes[0].unified: unified family required for this coupling kind"
+                in result.stderr)
         assert "Traceback" not in result.stderr
 
 

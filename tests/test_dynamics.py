@@ -55,12 +55,10 @@ class TestStep:
         # 3.5 x + 1.5 overflows for x = 1e308: the local image is not
         # finite, so the interaction (whose cell tests would meet it) is
         # never applied; warnings are errors in this suite
-        from cmnverify import dynamics
-
         def no_interaction(*args):
             raise AssertionError("interaction applied to a local image past float range")
         spec = fixtures.example1()
-        monkeypatch.setattr(dynamics, "_couple", no_interaction)
+        monkeypatch.setattr(NetworkSpec, "ambient_map", no_interaction)
         with pytest.raises(OrbitEscapeError, match="leaves floating-point range"):
             step(spec, [-1e308, 0.0])
 
