@@ -17,13 +17,11 @@ geometry batch methods it calls (``AffineChart.apply_batch`` and
 ``invert_batch``, ``AffinePiece.contains_batch``,
 ``PiecewiseAffineMap.apply_batch``).  An offset add, a product or a
 gather then runs along rows of length n, not along a short last axis.
-The public ``step``, ``step_power`` and ``itinerary`` take and return
-single states and step them without the batch machinery: the state is
-one column, and each map finds its piece for it in a plain loop
-(``PiecewiseAffineMap.piece_at``) and evaluates that piece on the column,
-so no mask, gather or scatter is built, and every value is the batch
-path's on that one column, bit for bit.  Every value is bit for bit the
-one the row-major (n, dim) layout gives, by the rules of
+The network map is written once, ``_local_images`` then ``_couple``; the
+public ``step``, ``step_power`` and ``itinerary`` run it on a single
+state as one column, whose piece each map finds in a plain loop
+(``PiecewiseAffineMap.piece_at``).  Every value is bit for bit the one
+the row-major (n, dim) layout gives, by the rules of
 ``geometry._product``: a matrix with one column (a 1-d block, a 1-d
 cell's normals) multiplies by broadcasting, where each output is one
 rounded product in any evaluation order; a matrix with one row (a cell
@@ -41,21 +39,19 @@ the same operands, in the same order, as in a masked loop over pieces or
 symbols.  The empirical-entropy sampler draws its scrambled Halton
 points itself, each column when a level reads it (``_halton``), picks
 predecessors and pulls each node's points back one symbol group at a
-time, and its forward extraction keeps only the surviving points with
-their finished key rows, packing each point's word into int64 keys of
-mixed-radix product symbols; so its memory grows with the samples, not
-with the depth.  A word is admissible when each node's symbols follow
+time, and its forward extraction keeps only the surviving points, each
+with one int64 key of its word; so its memory grows with the samples,
+not with the depth.  A word is admissible when each node's symbols follow
 that node's own transition matrix, checked step by step during the
 extraction, so the n^d x n^d product matrix is never built.  Distinct
-words are counted exactly: the keys are sorted lexicographically and
-adjacent differences counted.
+words are counted exactly, as the distinct keys of one sort.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -112,16 +108,22 @@ class Perturbation:
 
     amplitude: float
     seed: int = 0
+    _drawn: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.amplitude < 0:
             raise ValueError("perturbation amplitude must be nonnegative")
 
     def _params(self, role: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
-        rng = np.random.default_rng([int(self.seed), role])
-        freq = rng.uniform(0.5, 2.5, size=dim)
-        phase = rng.uniform(0.0, 2.0 * math.pi, size=dim)
-        return freq, phase
+        """Frequencies and phases of ``role``'s bump on ``dim`` coordinates,
+        drawn from ``default_rng([seed, role])`` on first use and kept."""
+        params = self._drawn.get((role, dim))
+        if params is None:
+            rng = np.random.default_rng([int(self.seed), role])
+            freq = rng.uniform(0.5, 2.5, size=dim)
+            phase = rng.uniform(0.0, 2.0 * math.pi, size=dim)
+            params = self._drawn[role, dim] = (freq, phase)
+        return params
 
     def local_bump(self, node_index: int, pts: np.ndarray) -> np.ndarray:
         """Displacement added to node ``node_index`` (0-based) local images,
@@ -207,31 +209,18 @@ def state_vector(spec: NetworkSpec, x) -> np.ndarray:
 
 
 def step(spec: NetworkSpec, x, pert: Perturbation | None = None) -> np.ndarray:
-    """One application of the network map (coupling after local maps).
-
-    The state is one column, and each map finds its piece for it in a
-    plain loop (``PiecewiseAffineMap.piece_at``) and evaluates that piece
-    on the column: every value is ``_step_batch``'s on the same column,
-    bit for bit.  Raises ``OrbitEscapeError``, and no numpy warning, when
-    the local images or the image are not all finite: past floating-point
-    range no cell test means anything, so none is made on such a value.
+    """One application of the network map (coupling after local maps):
+    ``_step_batch`` on the state as one column, where each map evaluates
+    the piece of its one point (``PiecewiseAffineMap.apply_batch``).
+    Raises ``OrbitEscapeError``, and no numpy warning, when the local
+    images or the image are not all finite: past floating-point range no
+    cell test means anything, so none is made on such a value.
     """
     state = state_vector(spec, x).reshape(-1, 1)
-    block = spec.block_dim
-    bump = pert is not None and pert.amplitude
-    image = np.empty_like(state)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, node in enumerate(spec.nodes):
-            seg = state[k * block:(k + 1) * block]
-            img = node.local_map.piece_at(seg).evaluate_batch(seg)
-            if bump:
-                img = img + pert.local_bump(k, seg)
-            image[k * block:(k + 1) * block] = img
+        image = _local_images(spec, state, pert)
         if all(map(math.isfinite, image[:, 0].tolist())):
-            local = image
-            image = spec.ambient_map().piece_at(local).evaluate_batch(local)
-            if bump:
-                image = image + pert.coupling_bump(local)
+            image = _couple(spec, image, pert)
     if not all(map(math.isfinite, image[:, 0].tolist())):
         raise OrbitEscapeError("the state leaves floating-point range")
     return image[:, 0]
@@ -619,10 +608,9 @@ def empirical_entropy(spec: NetworkSpec, depth: int, samples: int, seed: int = 0
 
     Each Halton column is built when the sampler reads it and dropped
     after, the pull-back's arrays are released before the forward
-    extraction, and a finished key row is kept only for the samples still
+    extraction, and a word's key is kept only for the samples still
     alive.  So the sampler holds a small multiple of samples x (d +
-    state_dim) values, and one int64 per finished key row of each
-    surviving sample, at any depth.
+    state_dim) values at any depth.
 
     States are coordinate-major, (state_dim, samples).  Each node's
     samples are handled one symbol group at a time, a group being the
@@ -630,13 +618,14 @@ def empirical_entropy(spec: NetworkSpec, depth: int, samples: int, seed: int = 0
     operands as in a masked loop over symbols.  A group's samples choose
     their predecessors from that symbol's list and are pulled back
     through that symbol's branch.  The forward extraction keeps only the
-    surviving samples and packs each one's word into int64 keys: a step's
-    product symbol is one mixed-radix digit in base prod_k count_k, and
-    one key holds as many steps as fit below 2**62.  A word is
-    admissible when each node's symbols follow that node's own transition
-    matrix, so the n^d x n^d product matrix is never built.  Distinct
-    words are counted exactly, as the places where adjacent words of the
-    lexicographically sorted keys differ.
+    surviving samples and one int64 key of each one's word: a step's
+    product symbol is one mixed-radix digit in base b = prod_k count_k,
+    appended as key * b + code while every key stays below 2**62.  Past
+    that, the key becomes rank(key) * n + rank(code) among the n
+    survivors, which tells the same words apart.  A word is admissible
+    when each node's symbols follow that node's own transition matrix, so
+    the n^d x n^d product matrix is never built.  Distinct words are
+    counted exactly, as the places where adjacent sorted keys differ.
     """
     if depth < 2:
         raise ValueError("depth must be at least 2")
@@ -656,18 +645,13 @@ def empirical_entropy(spec: NetworkSpec, depth: int, samples: int, seed: int = 0
     x = _constructed_states(spec, depth, samples, _halton(n_cols, samples, seed))
 
     # forward extraction: the constructed states are ordinary initial states.
-    # Only the surviving columns are kept, in sample order, and with them
-    # the key rows they have finished (``done``).  A word stays
-    # ``admissible`` while every node's step from its previous symbol is
-    # allowed by that node's own transition matrix.  Step t is digit
-    # t % per of key row t // per.
+    # Only the surviving columns are kept, in sample order, each with one
+    # int64 ``key`` of its word so far, below the Python int ``bound``.  A
+    # word stays ``admissible`` while every node's step from its previous
+    # symbol is allowed by that node's own transition matrix.
     radix = [node.count for node in spec.nodes]
     allowed = [node.transition.bits.ravel() == 1 for node in spec.nodes]
     base = math.prod(radix)
-    per = 1
-    while per < depth and base ** (per + 1) <= 1 << 62:
-        per += 1
-    done: list[np.ndarray] = []
     admissible = np.ones(samples, dtype=bool)
     prev = key = None
     for t in range(depth):
@@ -678,13 +662,11 @@ def empirical_entropy(spec: NetworkSpec, depth: int, samples: int, seed: int = 0
         if not ok.all():
             keep = np.flatnonzero(ok)
             admissible = admissible[keep]
-            done = [row[keep] for row in done]
             # one array at a time, so each is released before the next is copied
             x = np.take(x, keep, axis=1)
             symbols = np.take(symbols, keep, axis=1)
-            if t % per:
-                key = key[keep]
             if prev is not None:
+                key = key[keep]
                 prev = np.take(prev, keep, axis=1)
         if x.shape[1] == 0:
             raise NoInvariantSamplesError("no invariant set sampled")
@@ -696,23 +678,23 @@ def empirical_entropy(spec: NetworkSpec, depth: int, samples: int, seed: int = 0
         code = symbols[0]
         for k in range(1, d):
             code = code * radix[k] + symbols[k]
-        key = code if t % per == 0 else key * base + code
-        if t % per == per - 1 or t == depth - 1:
-            done.append(key)
+        if key is None:
+            key, bound = code, base
+        elif bound * base <= 1 << 62:
+            key, bound = key * base + code, bound * base
+        else:
+            # the word's rank and the step's among the n survivors: one key
+            # per distinct (word, step) pair, below n^2 (n < 2^22 samples)
+            n = key.size
+            key = (np.unique(key, return_inverse=True)[1] * n
+                   + np.unique(code, return_inverse=True)[1])
+            bound = n * n
         if t + 1 < depth:
             x = _step_batch(spec, x)
-    keys = np.array(done)[:, admissible]
-    if keys.shape[1] == 0:
+    keys = key[admissible]
+    if keys.size == 0:
         raise NoInvariantSamplesError("no invariant set sampled")
-    # distinct words, exactly: sort them lexicographically (key row 0 the
-    # primary key), least significant row first and every later pass
-    # stable, and count the places where adjacent words differ
-    order = np.argsort(keys[-1])
-    for c in range(keys.shape[0] - 2, -1, -1):
-        order = order[np.argsort(keys[c, order], kind="stable")]
-    keys = np.take(keys, order, axis=1)
-    differ = keys[0, 1:] != keys[0, :-1]
-    for c in range(1, keys.shape[0]):
-        differ |= keys[c, 1:] != keys[c, :-1]
-    distinct = 1 + int(np.count_nonzero(differ))
+    # distinct words, exactly: the places where adjacent sorted keys differ
+    keys.sort()
+    distinct = 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
     return math.log(distinct) / (depth - 1)

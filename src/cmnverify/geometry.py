@@ -474,10 +474,8 @@ class PiecewiseAffineMap:
         return len(self.pieces) == 1 and self.pieces[0].normals.shape[0] == 0
 
     def apply(self, x) -> np.ndarray:
-        """The map at the single point ``x``, ``apply_batch`` on it as one
-        column bit for bit (``piece_at``)."""
-        col = _as_vector(x, self.dim_in)[:, None]
-        return self.piece_at(col).evaluate_batch(col)[:, 0]
+        """The map at the single point ``x``: ``apply_batch`` on it as one column."""
+        return self.apply_batch(_as_vector(x, self.dim_in)[:, None])[:, 0]
 
     @functools.cached_property
     def _line_rows(self) -> tuple[tuple[tuple[float, float], ...], ...]:
@@ -486,10 +484,11 @@ class PiecewiseAffineMap:
                      for p in self.pieces)
 
     def piece_at(self, col: np.ndarray) -> AffinePiece:
-        """The piece ``apply_batch`` evaluates the one-column batch ``col``
-        (dim_in, 1) with: the first whose cell holds it, found in a plain
-        loop over the pieces with no mask, gather or scatter.  A piece holds
-        the point when every constraint value is at most its limit, as in
+        """The first piece whose cell holds the one-column batch ``col``
+        (dim_in, 1), found in a plain loop over the pieces with no mask,
+        gather or scatter: ``apply_batch``'s lookup for one column, and
+        the piece ``_first_match`` picks for it.  A piece holds the point
+        when every constraint value is at most its limit, as in
         ``contains_batch``: on the line the one rounded product n x, in
         Python floats, which ``_product``'s broadcast rounds the same; above
         it ``_product`` itself.  A NaN coordinate lies in no cell.  Raises
@@ -513,12 +512,16 @@ class PiecewiseAffineMap:
         (dim_in, n), each column by its first matching piece; the result
         is (dim_out, n).
 
-        Each piece is applied once, to its columns gathered by index in
-        column order (several times faster than by boolean mask); when one
-        piece holds every column, to all of ``pts`` as one contiguous
-        block, the same operands as that gather.  Products follow
-        ``_product``, so every value is the row-major layout's bit for bit.
+        A one-column ndarray, a single point, is evaluated by its piece
+        (``piece_at``), with no mask, gather or scatter.  Otherwise each
+        piece is applied once, to its columns gathered by index in column
+        order (several times faster than by boolean mask); when one piece
+        holds every column, to all of ``pts`` as one contiguous block, the
+        same operands as that gather.  Products follow ``_product``, so
+        every value is the row-major layout's bit for bit.
         """
+        if isinstance(pts, np.ndarray) and pts.shape[1:] == (1,):
+            return self.piece_at(pts).evaluate_batch(pts)
         pts = np.asarray(pts, dtype=float)
         first = self.pieces[0]
         if first.normals.shape[0] == 0:

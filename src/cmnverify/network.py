@@ -30,15 +30,16 @@ coupling, with no off-diagonal terms and no inflation.  ``check_covering``
 is that one-node case.  Theorem 1 lists the identity as one more coupling
 matrix of its tables and checks every transition (i, j) on its own, as
 the covering of h-set j by h-set i, from those diagonal cells before the
-entry loop; an outcome other than "pass" is a ``SpecError`` naming the
-node, the transition and the failures.  Both checks first refuse, as a
-``SpecError``, in one set-up (``_prepare``), a node whose chart forms fail
-to be taken or derived, audited and built (``_node_forms``, at
-``$.nodes[k].map`` or ``$.nodes[k].chart_forms``), and a coupling large
-enough to scale a finite form past floating-point range (at
-``$.coupling.matrix``); ``require_finite_step`` refuses, the same way, an
-interaction that carries h-set states past that range, for the commands
-that iterate the network map.
+entry loop; an outcome other than "pass" is a ``SpecError`` at the first
+such node's ``$.nodes[k].map``, naming each of its failing transitions
+and their failures.  Both checks first refuse, as a ``SpecError``, in one
+set-up (``_prepare``), a node whose chart forms fail to be taken or
+derived, audited and built (``_node_forms``, at ``$.nodes[k].map`` or
+``$.nodes[k].chart_forms``), and a coupling large enough to scale a
+finite form past floating-point range (at ``$.coupling.matrix``);
+``require_finite_step`` refuses, the same way, an interaction that
+carries h-set states past that range, for the commands that iterate the
+network map.
 
 The coupling kind decides which charts a chart form composes the local map
 with; ``_form_keys`` and ``_form_charts`` own that decision, and form
@@ -49,6 +50,7 @@ node's choices and the charts whose Lipschitz constant scales eps*.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -225,11 +227,11 @@ class NetworkSpec:
     def d(self) -> int:
         return self.graph.d
 
-    @property
+    @functools.cached_property
     def block_dim(self) -> int:
         return self.nodes[0].dim
 
-    @property
+    @functools.cached_property
     def state_dim(self) -> int:
         return self.d * self.block_dim
 
@@ -1083,9 +1085,7 @@ def _node_forms(node: NodeSystem, kind: str, k: int, resolution: int, cells: Cel
                 raise SpecError(f"{where}: declared chart form {key} splits as (u, s) = "
                                 f"({form.dim_u}, {form.dim_s}), not ({node.dim_u}, {node.dim_s})")
     factors = [F for form in forms.values() for F in (form.U, form.V) if F is not None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        size = float(np.max([np.max(np.sum(np.abs(p.matrix), axis=1) + np.abs(p.offset))
-                             for F in factors for p in F.pieces]))
+    size = float(np.max([_local_reach(F, 1.0)[0] for F in factors]))
     if not math.isfinite(size):
         raise SpecError(f"{where}: chart-form size {size:g} is not a finite number")
     try:
@@ -1169,20 +1169,15 @@ def require_finite_step(spec: NetworkSpec) -> None:
     """Refuse an interaction that carries h-set states past floating-point range.
 
     ``simulate``, ``periodic`` and ``entropy`` iterate the network map from
-    states in the node h-sets.  On the box hull of a node's h-sets,
-    |local image| is at most each piece's largest row sum times the hull's
-    largest |coordinate| plus its |offset|, and the interaction map bounds
-    the coupled image the same way; that bound must be finite, or inf
+    states in the node h-sets of a spec that passed ``validate_spec``,
+    which bounds each node's local image on the box hull of its h-sets
+    (``_local_reach``).  The interaction map bounds the coupled image of
+    the largest of them the same way; that bound must be finite, or inf
     states would reach the output.
     """
-    local = 0.0
-    for k, node in enumerate(spec.nodes):
-        size, _ = _local_reach(node.local_map,
-                               _hull_radius([h.bounding_box() for h in node.hsets]))
-        if not math.isfinite(size):
-            raise SpecError(f"$.nodes[{k}].map: the local map carries h-set states "
-                            f"past floating-point range")
-        local = max(local, size)
+    local = max(_local_reach(node.local_map,
+                             _hull_radius([h.bounding_box() for h in node.hsets]))[0]
+                for node in spec.nodes)
     coupled, _ = _local_reach(spec.ambient_map(), local)
     if not math.isfinite(coupled):
         where = "$.coupling.ambient" if spec.coupling.ambient is not None else "$.coupling.matrix"
@@ -1226,11 +1221,13 @@ def theorem1_check(spec: NetworkSpec, resolution: int = 64,
     tables, own, chart_lip = _prepare(spec, TYPE_I, resolution)
     ids = [[(node.hsets[i - 1].id, node.hsets[j - 1].id) for i, j in node.transitions()]
            for node in spec.nodes]
-    structural = [f"node {k + 1} transition {i}->{j}: " + "; ".join(outcome.failures)
-                  for k, (node, outcomes) in enumerate(zip(spec.nodes, tables.coverings(-1, ids)))
-                  for (i, j), outcome in zip(node.transitions(), outcomes) if not outcome.passed]
-    if structural:
-        raise SpecError("local covering structure fails: " + "; ".join(structural))
+    for k, (node, outcomes) in enumerate(zip(spec.nodes, tables.coverings(-1, ids))):
+        structural = [f"transition {i}->{j}: " + "; ".join(outcome.failures)
+                      for (i, j), outcome in zip(node.transitions(), outcomes)
+                      if not outcome.passed]
+        if structural:
+            raise SpecError(f"$.nodes[{k}].map: local covering structure fails: "
+                            + "; ".join(structural))
     entries = _check_entries(spec, tables, own, chart_lip, pert_amplitude)
     verdict, eps = _aggregate(entries)
     period = (lcm_period([n.transition.cycle_length(1) for n in spec.nodes])

@@ -249,6 +249,19 @@ class TestHostileSpec:
                 unnamed += [(path, value, r) for r in refusals if not r.startswith("$.")]
         assert unnamed == []
 
+    def test_local_covering_failure_names_its_node(self, fixdir, tmp_path, capsys):
+        # h-set P11 of node 1 halved through its chart: its branch no longer
+        # stretches across P12, which theorem 1 refuses before any entry
+        doc = json.loads((fixdir / "theorem1_perm23.json").read_text())
+        spec = tmp_path / "halved.json"
+        spec.write_text(json.dumps(
+            _mutated(doc, ("nodes", 0, "hsets", 0, "chart", "linear", 0, 0), 2)))
+        assert main(["verify", str(spec)]) == 2
+        out = capsys.readouterr()
+        assert out.err.startswith("error: $.nodes[0].map: local covering structure fails: "
+                                  "transition 1->2: min stretch 0.75 <= 1")
+        assert out.out == "" and "Traceback" not in out.err
+
     @pytest.mark.parametrize("overrides, message", [
         ([{"i": [1], "j": [2]}],
          "$.coupling.per_entry[0]: i and j must name one symbol for each of the 2 nodes"),

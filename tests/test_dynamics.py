@@ -51,6 +51,23 @@ class TestStep:
         assert np.max(np.abs(bump)) <= 0.25 + 1e-15
         assert np.max(np.abs(bump)) > 0.25 * (1 - 1e-4)
 
+    def test_perturbation_draws_its_bumps_once(self, monkeypatch):
+        # one generator per bump (each node's and the coupling's), not one
+        # per bump per step
+        built = []
+        default_rng = np.random.default_rng
+
+        def counting(seed):
+            built.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        spec = fixtures.example1()
+        pert = Perturbation(0.01, 3)
+        for _ in range(1000):
+            step(spec, [-0.6, 3.6], pert)
+        assert len(built) <= spec.d + 1
+
     def test_image_past_float_range_is_refused(self, monkeypatch):
         # 3.5 x + 1.5 overflows for x = 1e308: the local image is not
         # finite, so the interaction (whose cell tests would meet it) is

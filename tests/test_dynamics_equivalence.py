@@ -237,8 +237,8 @@ def _cases():
         for seed in range(4):
             for depth, samples in SMALL + ((12, 20_000),):
                 yield name, depth, samples, seed
-    # product radix 2 * 2 * 3 = 12: one int64 key holds 17 steps, so
-    # depth 20 needs two key columns
+    # product radix 2 * 2 * 3 = 12: one int64 key holds 17 steps, so at
+    # depth 20 the keys are ranked
     for seed in range(2):
         yield "designed2_d3_weak", 20, 20_000, seed
     for name in EMPTY:
@@ -257,12 +257,25 @@ def test_estimate_matches_reference(name, depth, samples, seed):
     assert got == want
 
 
-def test_deep_cases_pack_several_key_columns():
-    # the depth-20 cases above count words over more than one key column
+def test_deep_cases_rank_their_keys(monkeypatch):
+    # the depth-20 cases above outgrow an int64 key at their 18th step,
+    # where the sampler replaces each key by ranks among the survivors
     spec = OTHERS["designed2_d3_weak"]()
     base = math.prod(node.count for node in spec.nodes)
     assert base ** 17 <= 2 ** 62 < base ** 18
-    assert isinstance(empirical_entropy(spec, 20, 20_000, 0), float)
+    ranked = []
+    unique = np.unique
+
+    def counting(values, **kwargs):
+        ranked.append(values.size)
+        return unique(values, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counting)
+    got = empirical_entropy(spec, 20, 20_000, 0)
+    monkeypatch.undo()
+    # the word so far and the step, once, over the same survivors
+    assert len(ranked) == 2 and ranked[0] == ranked[1] > 0
+    assert got == reference_entropy(spec, 20, 20_000, 0)
 
 
 def test_empty_cases_raise_in_both():

@@ -484,8 +484,8 @@ class TestTheorem1:
         from cmnverify.cli import main
         spec = _bad_branch_spec(branch)
         assert validate_spec(spec).ok
-        message = (f"local covering structure fails: node 1 transition {transition}: "
-                   f"{failure}")
+        message = (f"$.nodes[0].map: local covering structure fails: "
+                   f"transition {transition}: {failure}")
         with pytest.raises(SpecError) as exc:
             theorem1_check(spec)
         assert str(exc.value) == message

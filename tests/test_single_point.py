@@ -1,14 +1,16 @@
-"""Single points and states against the batch path on one column, bit for bit.
+"""Single points and states: the single-point piece lookup against the
+batch lookup, bit for bit.
 
-``PiecewiseAffineMap.apply`` finds the piece of one point in a plain loop
-(``piece_at``) and evaluates it on that one column; ``dynamics.step``
-applies every node's local map and then the interaction that way.  Both
-must give exactly what ``apply_batch`` and ``_step_batch`` give on the same
-point as a one-column batch, or raise the same error: on every map of the
-fixtures, of the ``CASES`` networks of ``tests/test_checker_equivalence.py``
-(among them the block-2 ``_planar_golden_pair``), at random points and at
-points on a cell boundary or within a few ``EVAL_TIE_TOL`` of it, where
-the earlier piece wins a tie.
+``PiecewiseAffineMap.apply_batch`` evaluates a one-column batch by the
+piece ``piece_at`` finds in a plain loop; ``apply``, ``dynamics.step`` and
+everything that steps one state go through it.  That piece, and its
+value, must be the one ``geometry._first_match``, the lookup of a batch of
+many points, picks for the same point, or the same error must be raised:
+on every map of the fixtures, of the ``CASES`` networks of
+``tests/test_checker_equivalence.py`` (among them the block-2
+``_planar_golden_pair``), at random points and at points on a cell
+boundary or within a few ``EVAL_TIE_TOL`` of it, where the earlier piece
+wins a tie, and at NaN and infinite coordinates.
 """
 
 import math
@@ -17,7 +19,7 @@ import numpy as np
 import pytest
 
 from cmnverify import dynamics as dy, geometry
-from cmnverify.geometry import GeometryError
+from cmnverify.geometry import GeometryError, PiecewiseAffineMap
 from test_checker_equivalence import CASES
 
 TIE = geometry.EVAL_TIE_TOL
@@ -68,6 +70,13 @@ def _same(got, want):
         assert np.array_equal(_bits(got), _bits(want))
 
 
+def _matched_piece(F, col):
+    """The piece ``_first_match`` picks for the one-column batch ``col``:
+    ``piece_at``'s reference."""
+    (i, _), = geometry._first_match(F.pieces, col)
+    return F.pieces[i]
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_apply_is_bit_equal_to_a_one_column_batch(name):
     spec = CASES[name]()
@@ -76,8 +85,17 @@ def test_apply_is_bit_equal_to_a_one_column_batch(name):
     with np.errstate(over="ignore", invalid="ignore"):
         for F in maps:
             for x in _points(F, rng):
-                want = _outcome(lambda: F.apply_batch(x[:, None])[:, 0])
-                _same(_outcome(lambda: F.apply(x)), want)
+                col = x[:, None]
+                want = _outcome(lambda: _matched_piece(F, col))
+                got = _outcome(lambda: F.piece_at(col))
+                if isinstance(want, tuple):
+                    assert got == want
+                    assert _outcome(lambda: F.apply(x)) == want
+                    continue
+                assert got is want
+                value = want.evaluate_batch(np.ascontiguousarray(col))
+                _same(F.apply_batch(col), value)
+                _same(F.apply(x), value[:, 0])
 
 
 def _states(spec, rng):
@@ -106,10 +124,13 @@ def _states(spec, rng):
 
 @pytest.mark.parametrize("pert", PERTS, ids=["plain", "pert"])
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_step_is_bit_equal_to_a_one_column_batch(name, pert):
+def test_step_is_bit_equal_to_a_one_column_batch(name, pert, monkeypatch):
+    # the reference steps the same column with every piece looked up by
+    # _first_match
     spec = CASES[name]()
     for x in _states(spec, np.random.default_rng(2801)):
-        with np.errstate(over="ignore", invalid="ignore"):
+        with monkeypatch.context() as m, np.errstate(over="ignore", invalid="ignore"):
+            m.setattr(PiecewiseAffineMap, "piece_at", _matched_piece)
             want = _outcome(lambda: dy._step_batch(spec, x.reshape(-1, 1), pert)[:, 0])
         got = _outcome(lambda: dy.step(spec, x, pert))
         if isinstance(want, np.ndarray) and not np.isfinite(want).all():
@@ -120,13 +141,14 @@ def test_step_is_bit_equal_to_a_one_column_batch(name, pert):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_itinerary_and_step_power_follow_the_batch_map(name):
+def test_itinerary_and_step_power_follow_the_batch_map(name, monkeypatch):
     # the orbit of one state, stepped a column at a time through
-    # _step_batch and located in batches, as both were computed before
+    # _step_batch with _first_match's pieces and located in batches
     spec = CASES[name]()
     for x in _states(spec, np.random.default_rng(2802))[:6]:
         state, steps, escaped = x.reshape(-1, 1), [], None
-        with np.errstate(over="ignore", invalid="ignore"):
+        with monkeypatch.context() as m, np.errstate(over="ignore", invalid="ignore"):
+            m.setattr(PiecewiseAffineMap, "piece_at", _matched_piece)
             for t in range(8):
                 symbols = dy.locate_batch(spec, state)[:, 0]
                 if np.any(symbols == 0):
