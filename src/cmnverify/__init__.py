@@ -23,7 +23,7 @@ from .covering import (CoveringCertificate, CoveringOutcome, ProductFormMap,
                        persistence_bound)
 from .symbolic import (SymbolSequence, TransitionMatrix, TransitionError,
                        closed_loops, count_words, entropy_lower_bound,
-                       is_admissible, lcm_period, spectral_radius)
+                       is_admissible, permutation_loop, spectral_radius)
 from .network import (CouplingSpec, EntryTable, Graph, NetworkSpec, NodeSystem,
                       SpecError, TheoremReport, ValidationReport, check_covering,
                       conjugacy_audit, entry_failures, kronecker, tau_search,

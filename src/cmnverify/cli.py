@@ -23,9 +23,9 @@ from .dynamics import (MAX_ORBIT_VALUES, LoopError, NeutralCompositionError, Orb
 from .geometry import GeometryError
 from .network import (SpecError, TYPE_I, conjugacy_audit, entry_failures, require_finite_step,
                       theorem1_check, theorem2_check, validate_spec)
-from .specio import (SpecFormatError, canonical_json, certificate_document,
+from .specio import (FORMAT_VERSION, SpecFormatError, canonical_json, certificate_document,
                      load_spec, spec_digest)
-from .symbolic import spectral_radius
+from .symbolic import permutation_loop, spectral_radius
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -60,7 +60,7 @@ def _certify(spec, grid: int):
     report = theorem1_check(spec, resolution=grid)
     if not report.passed:
         return report, [], None
-    loop = _auto_loop(spec)
+    loop = permutation_loop([node.transition for node in spec.nodes])
     try:
         return report, [_orbit_doc(loop, periodic_point(spec, loop))], None
     except (LoopError, NeutralCompositionError) as exc:
@@ -117,26 +117,11 @@ def cmd_entropy(args) -> int:
     return EXIT_PASS
 
 
-def _auto_loop(spec) -> list[tuple[int, ...]]:
-    """Canonical closed loop through the first symbols of every node."""
-    perms = []
-    for k, node in enumerate(spec.nodes, start=1):
-        if not node.transition.is_permutation():
-            raise LoopError(f"node {k}: --auto needs permutation transitions")
-        perms.append(node.transition.permutation())
-    loop = [tuple(1 for _ in spec.nodes)]
-    while True:
-        nxt = tuple(perms[k][loop[-1][k] - 1] for k in range(spec.d))
-        if nxt == loop[0]:
-            return loop
-        loop.append(nxt)
-
-
 def cmd_periodic(args) -> int:
     spec, digest = _load(args.spec, iterated=True)
-    loop = _auto_loop(spec) if args.auto else args.loop
+    loop = args.loop or permutation_loop([node.transition for node in spec.nodes])
     cert = periodic_point(spec, loop)
-    doc = {"format_version": "1", "spec_digest": digest, **_orbit_doc(loop, cert)}
+    doc = {"format_version": FORMAT_VERSION, "spec_digest": digest, **_orbit_doc(loop, cert)}
     _write([canonical_json(doc)], args.out)
     print(f"period {cert.period}, residual {cert.residual:.3e}", file=sys.stderr)
     return EXIT_PASS

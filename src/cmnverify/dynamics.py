@@ -4,7 +4,11 @@ The network map applies every node's local map blockwise and then the
 coupling.  Periodic points come from exact affine composition along a
 declared symbol loop (the piecewise-affine restriction makes the closed
 loop solvable in closed form); perturbed networks refine that solution by
-damped fixed-point iteration.
+damped fixed-point iteration.  The loop and the sampler's pull-back read
+each node's affine branch on an h-set by the checkers' own rules
+(``_branch``): the piece that evaluation picks at the h-set's centre
+(``piece_at``), accepted when ``form_gap``, the vertex rule that audits
+chart forms, finds the local map equal to it on the whole h-set.
 
 Stepping and locating read tables built once per spec: each node keeps its
 member charts in a per-symbol table filled on first use
@@ -55,7 +59,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import EVAL_TIE_TOL, GeometryError, _product, _scatter, box_grid, singular
+from .geometry import (CONTINUITY_TOL, EVAL_TIE_TOL, GeometryError, PiecewiseAffineMap, _product,
+                       _scatter, form_gap, singular)
 from .network import NetworkSpec, SpecError
 from .symbolic import is_admissible
 
@@ -82,7 +87,8 @@ MAX_ORBIT_VALUES = 2 ** 18
 
 
 class LoopError(ValueError):
-    """Symbol loop is not admissible for the transition structure."""
+    """Symbol loop is not admissible for the transition structure, or a
+    node's local map is not one affine map on an h-set it visits."""
 
 
 class NeutralCompositionError(ValueError):
@@ -313,18 +319,29 @@ def itinerary(spec: NetworkSpec, x0, n: int) -> Itinerary:
 def _branch(spec: NetworkSpec, k: int, symbol: int):
     """Affine piece of node k's local map on h-set ``symbol``.
 
-    Raises when the set straddles a cell boundary; the loop would need
-    subdivision before an affine branch exists.
+    The piece is the one that holds the h-set's centre (``piece_at`` at
+    the chart's preimage of 0).  It is the branch when, both carried onto
+    the unit box by the h-set's chart, its ``form_gap`` with the local map
+    is at most ``CONTINUITY_TOL``: the exact vertex rule that audits
+    declared chart forms, so the map is that one affine map wherever it is
+    defined on the h-set.  A map undefined at the centre, or on the line
+    on any part of the h-set (``line_cells``), is a ``SpecError`` at
+    ``$.nodes[k].map``; above the line a step into a hole between cells
+    raises where it lands.  A map that is not one affine map there is a
+    ``LoopError`` naming the node and the h-set.
     """
     node = spec.nodes[k]
     chart = node.member_chart(symbol)
-    corners = chart.invert_batch(box_grid(node.dim, 2).T)
-    lo, hi = corners.min(axis=1), corners.max(axis=1)
     try:
-        idx = node.local_map.single_piece_on_box(lo, hi)
+        piece = node.local_map.piece_at(chart.invert_batch(np.zeros((node.dim, 1))))
+        gap = form_gap(node.local_map.in_chart(chart),
+                       PiecewiseAffineMap.affine(piece.matrix, piece.offset).in_chart(chart))
     except GeometryError as exc:
-        raise GeometryError(f"node {k + 1}, h-set {symbol}: {exc}") from exc
-    return node.local_map.pieces[idx]
+        raise SpecError(f"$.nodes[{k}].map: h-set {symbol}: {exc}") from exc
+    if not gap <= CONTINUITY_TOL:
+        raise LoopError(f"node {k + 1}, h-set {symbol}: the local map is not one affine "
+                        f"map on the h-set (gap {gap:.3e})")
+    return piece
 
 
 def _loop_affine(spec: NetworkSpec, loop) -> tuple[np.ndarray, np.ndarray]:
@@ -336,13 +353,16 @@ def _loop_affine(spec: NetworkSpec, loop) -> tuple[np.ndarray, np.ndarray]:
         raise GeometryError("loop composition needs an affine interaction map")
     a_lin = ambient.pieces[0].matrix
     a_off = ambient.pieces[0].offset
+    # one branch per (node, symbol) the loop visits, found in order of first visit
+    branches = {key: _branch(spec, *key)
+                for key in dict.fromkeys((k, s) for multi in loop for k, s in enumerate(multi))}
     lin = np.eye(dim)
     off = np.zeros(dim)
     for multi in loop:
         t_lin = np.zeros((dim, dim))
         t_off = np.zeros(dim)
         for k in range(spec.d):
-            piece = _branch(spec, k, multi[k])
+            piece = branches[k, multi[k]]
             sl = slice(k * block, (k + 1) * block)
             t_lin[sl, sl] = piece.matrix
             t_off[sl] = piece.offset

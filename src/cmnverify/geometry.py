@@ -561,6 +561,12 @@ class PiecewiseAffineMap:
                                     p.normals @ lin, p.bounds - p.normals @ off))
         return PiecewiseAffineMap(lin.shape[1], self.dim_out, tuple(reps))
 
+    def in_chart(self, chart: AffineChart) -> "PiecewiseAffineMap":
+        """The map on ``chart``'s coordinates, x -> F(chart^-1(x)): on the
+        unit box, the map on the set the chart carries there."""
+        return self.compose_affine_inner(chart.inverse_linear,
+                                         -chart.inverse_linear @ chart.offset)
+
     def compose_affine_outer(self, linear, offset) -> "PiecewiseAffineMap":
         """The map x -> linear @ F(x) + offset."""
         lin = _as_matrix(linear)
@@ -570,20 +576,6 @@ class PiecewiseAffineMap:
         reps = tuple(AffinePiece(lin @ p.matrix, lin @ p.offset + off, p.normals, p.bounds)
                      for p in self.pieces)
         return PiecewiseAffineMap(self.dim_in, lin.shape[0], reps)
-
-    def single_piece_on_box(self, lo, hi) -> int:
-        """Index of the unique piece whose cell contains the whole box [lo, hi].
-
-        Raises if the box straddles a cell boundary (the map is not affine
-        there), which callers treat as a subdivision error.
-        """
-        lo = _as_vector(lo, self.dim_in)
-        hi = _as_vector(hi, self.dim_in)
-        corners = np.where(box_grid(self.dim_in, 2) > 0, hi, lo).T
-        for i, p in enumerate(self.pieces):
-            if bool(np.all(p.contains_batch(corners, tol=1e-9))):
-                return i
-        raise GeometryError("box is not contained in a single affine piece")
 
     def range_1d(self, lo: float = -1.0, hi: float = 1.0) -> tuple[float, float]:
         """Exact (min, max) of a scalar 1-d map over [lo, hi]: its values at

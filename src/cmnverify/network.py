@@ -66,7 +66,7 @@ from .geometry import (CONTINUITY_TOL, EVAL_TIE_TOL, MAX_GRID_POINTS, AffineChar
                        UnifiedSet, _box_vertices, affine_min_stretch, face_grid_points,
                        form_gap, line_stretch, max_face_resolution, max_stretch, min_stretch,
                        singular, split_product, unified_validate)
-from .symbolic import TransitionMatrix, lcm_period, spectral_radius
+from .symbolic import TransitionMatrix, permutation_loop, spectral_radius
 
 TYPE_I = "type1"
 TYPE_II = "type2"
@@ -280,9 +280,7 @@ def _form_charts(node: NodeSystem, kind: str, key) -> tuple[AffineChart, AffineC
 def _compose(node: NodeSystem, kind: str, key) -> PiecewiseAffineMap:
     """The local map in the charts of the chart form ``key``."""
     inner, outer = _form_charts(node, kind, key)
-    return (node.local_map
-            .compose_affine_inner(inner.inverse_linear, -inner.inverse_linear @ inner.offset)
-            .compose_affine_outer(outer.linear, outer.offset))
+    return node.local_map.in_chart(inner).compose_affine_outer(outer.linear, outer.offset)
 
 
 def _resolve_forms(node: NodeSystem, kind: str, composed: dict | None = None,
@@ -316,18 +314,17 @@ def _choices(node: NodeSystem, kind: str) -> tuple[list[_Choice], list[AffineCha
              for i, j in node.transitions()], [h.chart for h in node.hsets])
 
 
-def _image_bbox(node: NodeSystem, symbol: int) -> tuple[np.ndarray, np.ndarray]:
+def _image_bbox(node: NodeSystem, symbol: int, box: tuple[np.ndarray, np.ndarray]
+                ) -> tuple[np.ndarray, np.ndarray]:
     """Bounding box of the image of an h-set under the local map, exact: on
-    the line ``range_1d``; above it each piece's least and largest values
-    at the vertices of its cell inside the h-set (``_box_vertices``, once
-    the h-set's chart carries the cells onto the unit box)."""
+    the line ``range_1d`` over the h-set's bounding ``box``; above it each
+    piece's least and largest values at the vertices of its cell inside the
+    h-set (``_box_vertices``, once the h-set's chart carries the cells onto
+    the unit box)."""
     if node.dim == 1:
-        lo, hi = node.hsets[symbol - 1].bounding_box()
-        lo, hi = node.local_map.range_1d(float(lo[0]), float(hi[0]))
+        lo, hi = node.local_map.range_1d(float(box[0][0]), float(box[1][0]))
         return np.array([lo]), np.array([hi])
-    chart = node.hsets[symbol - 1].chart
-    F = node.local_map.compose_affine_inner(chart.inverse_linear,
-                                            -chart.inverse_linear @ chart.offset)
+    F = node.local_map.in_chart(node.hsets[symbol - 1].chart)
     verts, owner = _box_vertices([(p.normals, p.bounds) for p in F.pieces], node.dim)
     if not owner.size:
         raise GeometryError("no cell of the map meets the h-set")
@@ -441,6 +438,7 @@ def validate_spec(spec: NetworkSpec) -> ValidationReport:
 
     block = spec.nodes[0].dim
     all_finite = True
+    hulls = []      # per node, the bounding box of each of its h-sets
     for k, node in enumerate(spec.nodes, start=1):
         at = f"$.nodes[{k - 1}]"
         if node.dim != block:
@@ -462,6 +460,7 @@ def validate_spec(spec: NetworkSpec) -> ValidationReport:
             errors.append(f"{at}.hsets: {exc}")
             all_finite = False
             continue
+        hulls.append(boxes)
         image, cells = _local_reach(node.local_map, _hull_radius(boxes))
         if not (math.isfinite(image) and math.isfinite(cells)):
             errors.append(f"{at}.map: the local map cannot be evaluated "
@@ -495,7 +494,7 @@ def validate_spec(spec: NetworkSpec) -> ValidationReport:
                     _check_member_charts(node, k, errors, warnings)
 
     if spec.coupling.kind == TYPE_I and all_finite:
-        _check_non_overlap(spec, errors, warnings)
+        _check_non_overlap(spec, hulls, errors, warnings)
 
     object.__setattr__(spec, "_report", ValidationReport(tuple(errors), tuple(warnings)))
     return spec._report
@@ -524,18 +523,20 @@ def _check_member_charts(node: NodeSystem, k: int, errors: list[str],
                           f"and h-set {hset.id} describe different sets")
 
 
-def _check_non_overlap(spec: NetworkSpec, errors: list[str], warnings: list[str]) -> None:
+def _check_non_overlap(spec: NetworkSpec, hulls: list[list[tuple[np.ndarray, np.ndarray]]],
+                       errors: list[str], warnings: list[str]) -> None:
     """Image-separation condition for locally linear coupling.
 
     The image of each source h-set must avoid every non-target h-set and
     every other source's image.  Intervals decide exactly; higher
     dimensions compare exact image boxes with box hulls, so what they find,
-    or an image box that cannot be computed, is a warning.
+    or an image box that cannot be computed, is a warning.  ``hulls`` holds
+    each node's h-set bounding boxes, as ``validate_spec`` built them.
     """
-    for k, node in enumerate(spec.nodes, start=1):
+    for k, (node, boxes) in enumerate(zip(spec.nodes, hulls), start=1):
         pairs, exact = node.transitions(), node.dim == 1
         try:
-            images = {i: _image_bbox(node, i) for i in {i for i, _ in pairs}}
+            images = {i: _image_bbox(node, i, boxes[i - 1]) for i in {i for i, _ in pairs}}
         except GeometryError as exc:    # a cell of too many vertex candidates, or none
             (errors if exact else warnings).append(f"$.nodes[{k - 1}].map: cannot bound the "
                                                    f"h-set images: {exc}")
@@ -546,7 +547,7 @@ def _check_non_overlap(spec: NetworkSpec, errors: list[str], warnings: list[str]
             for jp in range(1, node.count + 1):
                 if jp == j:
                     continue
-                if not _boxes_disjoint(images[i], node.hsets[jp - 1].bounding_box()):
+                if not _boxes_disjoint(images[i], boxes[jp - 1]):
                     found.append(f"{at}: image of {node.hsets[i - 1].id} meets "
                                  f"{node.hsets[jp - 1].id} (targets may not overlap)")
             for ip in images:
@@ -1205,16 +1206,26 @@ def check_covering(source: HSet, target: CenterScale, f: ProductFormMap,
     return tables.coverings(0, [[(source.id, target_id or "target")]])[0][0]
 
 
+def _require_amplitude(pert_amplitude: float) -> None:
+    """Refuse a perturbation amplitude that is negative or not finite: it
+    would loosen every inequality, or turn every margin into NaN."""
+    if not (math.isfinite(pert_amplitude) and pert_amplitude >= 0):
+        raise ValueError(f"pert_amplitude must be a nonnegative finite number, "
+                         f"got {pert_amplitude!r}")
+
+
 def theorem1_check(spec: NetworkSpec, resolution: int = 64,
                    pert_amplitude: float = 0.0) -> TheoremReport:
     """Certify the permutation-structure hypotheses (periodic-point check).
 
     Every node transition matrix must be a permutation.  On a pass the
     report carries eps* and the period of the orbit through symbol 1 of
-    every node (the lcm of the W_k's cycle lengths).  ``pert_amplitude`` re-runs
-    the check with every row inequality tightened by the worst-case
-    chart-level displacement of a perturbation of that sup-norm.
+    every node, the length of ``symbolic.permutation_loop``.
+    ``pert_amplitude`` re-runs the check with every row inequality
+    tightened by the worst-case chart-level displacement of a perturbation
+    of that sup-norm; a negative or non-finite one is a ``ValueError``.
     """
+    _require_amplitude(pert_amplitude)
     for k, node in enumerate(spec.nodes):
         if not node.transition.is_permutation():
             raise SpecError(f"$.nodes[{k}].transition: theorem 1 needs a permutation matrix")
@@ -1230,7 +1241,7 @@ def theorem1_check(spec: NetworkSpec, resolution: int = 64,
                             + "; ".join(structural))
     entries = _check_entries(spec, tables, own, chart_lip, pert_amplitude)
     verdict, eps = _aggregate(entries)
-    period = (lcm_period([n.transition.cycle_length(1) for n in spec.nodes])
+    period = (len(permutation_loop([n.transition for n in spec.nodes]))
               if verdict == "pass" else None)
     return TheoremReport(1, verdict, entries, eps, period=period)
 
@@ -1241,8 +1252,10 @@ def theorem2_check(spec: NetworkSpec, resolution: int = 64,
 
     On a pass the report carries the entropy lower bound, the sum of the
     log Perron roots of the node transition matrices, and the global
-    admissible perturbation radius.
+    admissible perturbation radius.  ``pert_amplitude`` is read as in
+    ``theorem1_check``.
     """
+    _require_amplitude(pert_amplitude)
     entries = _check_entries(spec, *_prepare(spec, TYPE_II, resolution), pert_amplitude)
     verdict, eps = _aggregate(entries)
     bound = float(sum(math.log(spectral_radius(n.transition)) for n in spec.nodes))

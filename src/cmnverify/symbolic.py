@@ -2,7 +2,10 @@
 
 Symbols are 1-based in every public signature (symbol ``i`` indexes row
 ``i-1`` of the matrix), matching how transitions are written in reports
-and loop arguments.
+and loop arguments.  ``permutation_loop`` builds theorem 1's loop of
+product symbols through (1, ..., 1): the period a theorem 1 pass reports
+is its length, and the orbit that ``verify``, ``margin`` and ``periodic
+--auto`` solve for follows it.
 """
 
 from __future__ import annotations
@@ -60,13 +63,6 @@ class TransitionMatrix:
         if not self.is_permutation():
             raise TransitionError("matrix is not a permutation")
         return [int(np.flatnonzero(row)[0]) + 1 for row in self.bits]
-
-    def cycle_length(self, symbol: int) -> int:
-        """Length of a permutation's cycle through ``symbol`` (1-based)."""
-        perm, length, at = self.permutation(), 1, symbol
-        while perm[at - 1] != symbol:
-            length, at = length + 1, perm[at - 1]
-        return length
 
 
 @dataclass(frozen=True)
@@ -210,8 +206,20 @@ def closed_loops(W: TransitionMatrix, length: int) -> Iterator[SymbolSequence]:
         yield from extend((start,))
 
 
-def lcm_period(dims: list[int] | tuple[int, ...]) -> int:
-    """Least common multiple of the factor periods (cycle lengths, say)."""
-    if not dims:
-        raise TransitionError("need at least one dimension")
-    return math.lcm(*[int(d) for d in dims])
+def permutation_loop(Ws: list[TransitionMatrix] | tuple[TransitionMatrix, ...]
+                     ) -> list[tuple[int, ...]]:
+    """The closed loop of product symbols through (1, ..., 1) under the
+    permutations ``Ws``, one per node: step t holds each node's t-th image
+    of symbol 1, and the loop ends before its first return to (1, ..., 1),
+    so its length is the lcm of the nodes' cycle lengths through 1.
+    ``TransitionError`` names the first node whose matrix is not a
+    permutation."""
+    perms = []
+    for k, W in enumerate(Ws, start=1):
+        if not W.is_permutation():
+            raise TransitionError(f"node {k}: transition matrix is not a permutation")
+        perms.append(W.permutation())
+    loop = [(1,) * len(perms)]
+    while (nxt := tuple(perm[s - 1] for perm, s in zip(perms, loop[-1]))) != loop[0]:
+        loop.append(nxt)
+    return loop

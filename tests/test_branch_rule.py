@@ -1,0 +1,184 @@
+"""One branch rule and one loop rule for periodic orbits and the sampler.
+
+A node's affine branch on an h-set is the piece that holds the h-set's
+centre, accepted when ``form_gap`` finds the local map equal to it on the
+whole h-set.  So a breakpoint that does not change the map changes no
+output; a real kink inside an h-set is a failed operation (exit 1), and
+a map undefined on part of an h-set a spec error at its JSON path
+(exit 2).  Theorem 1's loop through (1, ..., 1) is
+``symbolic.permutation_loop``: its length is the period a pass reports.
+"""
+
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from cmnverify import (TransitionError, TransitionMatrix, load_spec, permutation_loop,
+                       theorem1_check)
+from cmnverify.cli import main
+from cmnverify.specio import spec_digest
+
+FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
+
+# every verb that reads a branch, and simulate, with the loop each spec admits
+VERBS = {
+    "theorem1_perm23.json": [["verify"], ["margin"], ["periodic", "--auto"],
+                             ["entropy", "--empirical", "8", "20000", "1"],
+                             ["simulate", "--steps", "50"]],
+    "example1.json": [["verify"], ["margin"], ["periodic", "--loop", "1.2,2.1"],
+                      ["entropy", "--empirical", "8", "20000", "1"],
+                      ["simulate", "--steps", "50"]],
+}
+
+
+def _split(doc: dict, node: int, piece: int, at: float) -> dict:
+    """``doc`` with piece ``piece`` of node ``node``'s map on the line cut in
+    two at ``at``, each half with the same matrix and offset: the same map."""
+    pieces = doc["nodes"][node]["map"]["pieces"]
+    p = pieces[piece]
+    left = dict(p, normals=[*p["normals"], [1]], bounds=[*p["bounds"], at])
+    right = dict(p, normals=[*p["normals"], [-1]], bounds=[*p["bounds"], -at])
+    pieces[piece:piece + 1] = [left, right]
+    return doc
+
+
+def _kinked(doc: dict, node: int, piece: int, at: float, slope: float) -> dict:
+    """``doc`` cut as ``_split`` does, with the left half's slope set to
+    ``slope`` and its offset chosen so the map stays continuous at ``at``."""
+    doc = _split(doc, node, piece, at)
+    left = doc["nodes"][node]["map"]["pieces"][piece]
+    value = left["matrix"][0][0] * at + left["offset"][0]
+    left["matrix"], left["offset"] = [[slope]], [value - slope * at]
+    return doc
+
+
+def _fixture(name: str) -> dict:
+    return json.loads((FIXDIR / name).read_text())
+
+
+def _run(path: Path, argv: list[str], capsys) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one command on ``path``, with the
+    spec's digest replaced, so two specs' outputs compare byte for byte."""
+    code = main([argv[0], str(path), *argv[1:]])
+    out, digest = capsys.readouterr(), spec_digest(path.read_bytes())
+    return code, out.out.replace(digest, "DIGEST"), out.err.replace(digest, "DIGEST")
+
+
+class TestRedundantBreakpoint:
+    # P22 = [2, 4] of theorem1_perm23 lies in node 2's piece 2; M11 = [-1, 1]
+    # of example1 in node 1's piece 0
+    CASES = [("theorem1_perm23.json", 1, 2, 3.0), ("example1.json", 0, 0, 0.0)]
+
+    @pytest.mark.parametrize("name, node, piece, at", CASES)
+    def test_changes_no_output_byte(self, name, node, piece, at, tmp_path, capsys):
+        plain, split = tmp_path / "plain.json", tmp_path / "split.json"
+        plain.write_text(json.dumps(_fixture(name)))
+        split.write_text(json.dumps(_split(_fixture(name), node, piece, at)))
+        for argv in VERBS[name]:
+            want = _run(plain, argv, capsys)
+            got = _run(split, argv, capsys)
+            assert want[0] == 0, argv
+            assert got == want, argv
+
+
+class TestKink:
+    # a continuous map with two slopes inside one h-set: a valid spec, and
+    # theorem 1 still holds on it, but no single affine branch exists there
+    def _spec(self, tmp_path, name, node, piece, at, slope) -> Path:
+        path = tmp_path / "kinked.json"
+        path.write_text(json.dumps(_kinked(_fixture(name), node, piece, at, slope)))
+        return path
+
+    @pytest.mark.parametrize("name, node, piece, at, slope, loop", [
+        ("example1.json", 0, 0, 0.0, 3.0, ["--loop", "1.2,2.1"]),
+        ("theorem1_perm23.json", 0, 0, 0.0, 1.2, ["--auto"]),
+    ])
+    def test_periodic_and_entropy_exit_one(self, name, node, piece, at, slope, loop,
+                                           tmp_path, capsys):
+        spec = self._spec(tmp_path, name, node, piece, at, slope)
+        for argv in (["periodic", str(spec), *loop],
+                     ["entropy", str(spec), "--empirical", "6", "2000", "1"]):
+            assert main(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert f"error: node {node + 1}, h-set 1: the local map is not one affine map" in err
+            assert "Traceback" not in err
+
+    def test_theorem1_reads_inconclusive(self, tmp_path, capsys):
+        spec = self._spec(tmp_path, "theorem1_perm23.json", 0, 0, 0.0, 1.2)
+        assert theorem1_check(load_spec(spec)).verdict == "pass"
+        reason = "periodic orbit not confirmed: node 1, h-set 1: the local map is not one"
+        assert main(["verify", str(spec)]) == 1
+        out = capsys.readouterr()
+        assert json.loads(out.out)["verdict"] == "inconclusive"
+        assert reason in out.err and "verdict inconclusive" in out.err
+        assert main(["margin", str(spec)]) == 1
+        assert f"certification fails: verdict inconclusive, {reason}" in capsys.readouterr().out
+
+    def test_valid_specs_never_exit_two(self, tmp_path, capsys):
+        spec = self._spec(tmp_path, "example1.json", 0, 0, 0.0, 3.0)
+        for argv in VERBS["example1.json"]:
+            assert main([argv[0], str(spec), *argv[1:]]) != 2, argv
+            capsys.readouterr()
+
+
+class TestGap:
+    # node 2's piece 0 of example1 ends at 0.5 instead of 1, so the map is
+    # undefined on (0.5, 1), inside h-set M21 = [-1, 1]
+    def test_exits_two_at_the_map(self, tmp_path, capsys):
+        doc = _fixture("example1.json")
+        doc["nodes"][1]["map"]["pieces"][0]["bounds"] = [0.5]
+        spec = tmp_path / "gap.json"
+        spec.write_text(json.dumps(doc))
+        for argv in (["periodic", str(spec), "--loop", "1.2,2.1"],
+                     ["entropy", str(spec), "--empirical", "6", "2000", "1"]):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert "error: $.nodes[1].map: h-set 1: map undefined between 0.5 and 1" in err
+            assert "Traceback" not in err
+
+
+def _permutation(rng, n: int) -> TransitionMatrix:
+    bits = np.zeros((n, n), dtype=int)
+    bits[np.arange(n), rng.permutation(n)] = 1
+    return TransitionMatrix(bits)
+
+
+def _cycle_length(W: TransitionMatrix) -> int:
+    """Length of W's cycle through symbol 1, walked on the matrix rows."""
+    length, at = 1, int(np.flatnonzero(W.bits[0])[0])
+    while at != 0:
+        length, at = length + 1, int(np.flatnonzero(W.bits[at])[0])
+    return length
+
+
+class TestPermutationLoop:
+    def test_length_is_the_lcm_of_the_cycle_lengths(self):
+        rng = np.random.default_rng(30)
+        for _ in range(200):
+            Ws = [_permutation(rng, int(rng.integers(1, 8)))
+                  for _ in range(int(rng.integers(1, 5)))]
+            loop = permutation_loop(Ws)
+            assert len(loop) == math.lcm(*[_cycle_length(W) for W in Ws])
+            assert loop[0] == (1,) * len(Ws)
+            assert len(set(loop)) == len(loop)
+            # each step, and the closing one, follows every node's matrix
+            for now, nxt in zip(loop, loop[1:] + loop[:1]):
+                assert all(W.allows(a, b) for W, a, b in zip(Ws, now, nxt))
+
+    def test_names_the_first_node_that_is_not_a_permutation(self):
+        Ws = [TransitionMatrix(np.eye(2, dtype=int)), TransitionMatrix([[1, 1], [1, 0]])]
+        with pytest.raises(TransitionError, match="node 2: transition matrix is not a "
+                                                  "permutation"):
+            permutation_loop(Ws)
+
+    def test_theorem1_period_is_its_length(self):
+        spec = load_spec(FIXDIR / "theorem1_perm23.json")
+        loop = permutation_loop([node.transition for node in spec.nodes])
+        assert theorem1_check(spec).period == len(loop) == 6
+
+    def test_auto_loop_on_a_non_permutation_node_exits_one(self, capsys):
+        assert main(["periodic", str(FIXDIR / "example1.json"), "--auto"]) == 1
+        assert "error: node 1: transition matrix is not a permutation" in capsys.readouterr().err

@@ -9,6 +9,7 @@ from cmnverify import (AffineChart, CouplingSpec, Graph, HSet,
                        TransitionMatrix, check_covering, conjugacy_audit,
                        entry_failures, fixtures, kronecker, spectral_radius, tau_search,
                        theorem1_check, theorem2_check, validate_spec)
+from cmnverify import network
 from cmnverify.geometry import AffinePiece, GeometryError
 from conftest import random_transition_matrix
 
@@ -220,6 +221,14 @@ class TestValidateSpec:
                            CouplingSpec("type1", np.eye(1)))
         report = validate_spec(spec)
         assert any("overlap" in e or "may not" in e for e in report.errors)
+
+    def test_each_hset_box_is_read_once(self, monkeypatch):
+        # the image separation reads the boxes validation built, not its own
+        calls, box = [], HSet.bounding_box
+        monkeypatch.setattr(HSet, "bounding_box", lambda h: calls.append(h.id) or box(h))
+        spec = fixtures.theorem1_perm23()
+        assert validate_spec(spec).ok
+        assert sorted(calls) == sorted(h.id for node in spec.nodes for h in node.hsets)
 
     def test_declared_forms_audited(self):
         # validation does not read chart forms; the check's set-up audits them
@@ -493,6 +502,22 @@ class TestTheorem1:
         path.write_text(canonical_json(serialize_spec(spec)))
         assert main(["verify", str(path)]) == 2
         assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("amplitude", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("check, make", [(theorem1_check, fixtures.theorem1_perm23),
+                                         (theorem2_check, lambda: fixtures.example1(0.2))])
+def test_bad_perturbation_amplitude_is_refused_before_any_work(check, make, amplitude,
+                                                               monkeypatch):
+    # a negative amplitude loosens every inequality, and NaN turns every
+    # margin into NaN; neither reaches the set-up
+    def prepare(*args):
+        raise AssertionError("the check started")
+
+    monkeypatch.setattr(network, "_prepare", prepare)
+    with pytest.raises(ValueError, match=rf"^pert_amplitude must be a nonnegative finite "
+                                         rf"number, got {amplitude!r}$"):
+        check(make(), pert_amplitude=amplitude)
 
 
 def _diffusive(alpha):

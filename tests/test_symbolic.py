@@ -5,7 +5,7 @@ import pytest
 
 from cmnverify import (SymbolSequence, TransitionError, TransitionMatrix,
                        closed_loops, count_words, entropy_lower_bound,
-                       is_admissible, kronecker, lcm_period, spectral_radius)
+                       is_admissible, kronecker, permutation_loop, spectral_radius)
 from conftest import enumerate_words, random_transition_matrix
 
 GOLDEN = TransitionMatrix([[1, 1], [1, 0]])
@@ -160,8 +160,14 @@ class TestClosedLoops:
                 assert len(list(closed_loops(W, p))) == int(np.trace(power))
 
 
-class TestLcm:
+def _cycle(n: int) -> TransitionMatrix:
+    """The permutation i -> i + 1 (mod n) on n symbols: one n-cycle."""
+    return TransitionMatrix(np.roll(np.eye(n, dtype=int), 1, axis=1))
+
+
+class TestPermutationLoop:
     def test_values(self):
-        assert lcm_period([2, 3]) == 6
-        assert lcm_period([4]) == 4
-        assert lcm_period([2, 2]) == 2
+        # the period of a loop of product symbols is the lcm of the cycles'
+        assert len(permutation_loop([_cycle(2), _cycle(3)])) == 6
+        assert len(permutation_loop([_cycle(4)])) == 4
+        assert len(permutation_loop([_cycle(2), _cycle(2)])) == 2
