@@ -21,8 +21,8 @@ from .dynamics import (MAX_ORBIT_VALUES, LoopError, NeutralCompositionError, Orb
                        Perturbation, empirical_entropy, locate_batch, periodic_point,
                        state_vector, step)
 from .geometry import GeometryError
-from .network import (SpecError, TYPE_I, conjugacy_audit, entry_failures, require_finite_step,
-                      theorem1_check, theorem2_check, validate_spec)
+from .network import (SpecError, TYPE_I, conjugacy_audit, entry_failures, set_up, theorem1_check,
+                      theorem2_check, validate_spec)
 from .specio import (FORMAT_VERSION, SpecFormatError, canonical_json, certificate_document,
                      load_spec, spec_digest)
 from .symbolic import permutation_loop, spectral_radius
@@ -32,21 +32,18 @@ EXIT_FAIL = 1
 EXIT_INVALID = 2
 
 
-def _load(path: str, iterated: bool = False):
-    """Spec and digest of the file at ``path``; ``iterated``: the command
-    iterates the network map, so its interaction must stay finite."""
+def _load(path: str):
+    """Spec and digest of the file at ``path``, with its ``set_up`` built:
+    every command refuses a spec the same way, before any work."""
     with open(path, "rb") as fh:
         raw = fh.read()
     spec = load_spec(io.BytesIO(raw))
     report = validate_spec(spec)
-    if not report.ok:
-        for err in report.errors:
-            print(f"invalid spec: {err}", file=sys.stderr)
-        raise SpecFormatError("; ".join(report.errors))
-    for warning in report.warnings:
+    for err in report.errors:
+        print(f"invalid spec: {err}", file=sys.stderr)
+    for warning in () if report.errors else report.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    if iterated:
-        require_finite_step(spec)
+    set_up(spec)    # refuses an invalid spec with its errors
     return spec, spec_digest(raw)
 
 
@@ -107,18 +104,18 @@ def cmd_verify(args) -> int:
 
 
 def cmd_entropy(args) -> int:
-    spec, _ = _load(args.spec, iterated=args.empirical is not None)
+    spec, _ = _load(args.spec)
     bound = sum(math.log(spectral_radius(n.transition)) for n in spec.nodes)
-    print(f"bound {bound:.6f}")
+    lines = [f"bound {bound:.6f}"]     # printed after the estimate: a failure prints none
     if args.empirical:
         est = empirical_entropy(spec, *args.empirical)
-        print(f"empirical {est:.6f}")
-        print(f"gap {est - bound:+.6f}")
+        lines += [f"empirical {est:.6f}", f"gap {est - bound:+.6f}"]
+    _write(lines, None)
     return EXIT_PASS
 
 
 def cmd_periodic(args) -> int:
-    spec, digest = _load(args.spec, iterated=True)
+    spec, digest = _load(args.spec)
     loop = args.loop or permutation_loop([node.transition for node in spec.nodes])
     cert = periodic_point(spec, loop)
     doc = {"format_version": FORMAT_VERSION, "spec_digest": digest, **_orbit_doc(loop, cert)}
@@ -149,7 +146,7 @@ def cmd_margin(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    spec, _ = _load(args.spec, iterated=True)
+    spec, _ = _load(args.spec)
     values = (args.steps + 1) * spec.state_dim
     if values > MAX_ORBIT_VALUES:
         raise SpecError(f"{args.steps} steps keep {args.steps + 1} x {spec.state_dim} = "
@@ -158,8 +155,8 @@ def cmd_simulate(args) -> int:
     if args.x0:
         states[0] = state_vector(spec, args.x0)
     else:
-        # uniform on the box hull of each node's h-sets
-        boxes = [np.array([h.bounding_box() for h in node.hsets]) for node in spec.nodes]
+        # uniform on the box hull of each node's h-sets, as validation built them
+        boxes = [np.array(node_boxes) for node_boxes in set_up(spec).report.boxes]
         lo = np.concatenate([b[:, 0].min(axis=0) for b in boxes])
         hi = np.concatenate([b[:, 1].max(axis=0) for b in boxes])
         states[0] = np.random.default_rng(args.seed).uniform(lo, hi)

@@ -87,8 +87,8 @@ MAX_ORBIT_VALUES = 2 ** 18
 
 
 class LoopError(ValueError):
-    """Symbol loop is not admissible for the transition structure, or a
-    node's local map is not one affine map on an h-set it visits."""
+    """A loop or the sampler cannot run on a valid spec: an inadmissible
+    loop, or no (invertible) affine branch of a map where one is needed."""
 
 
 class NeutralCompositionError(ValueError):
@@ -96,7 +96,7 @@ class NeutralCompositionError(ValueError):
 
 
 class OrbitEscapeError(ValueError):
-    """An iterate of the network map is not finite."""
+    """An iterate of the network map is not finite, or is undefined."""
 
 
 class NoInvariantSamplesError(RuntimeError):
@@ -177,6 +177,14 @@ class PeriodicOrbitCertificate:
 # stepping
 
 
+def _apply(F: PiecewiseAffineMap, pts: np.ndarray, name: str) -> np.ndarray:
+    """``F.apply_batch(pts)``, or an ``OrbitEscapeError`` naming the map ``name``."""
+    try:
+        return F.apply_batch(pts)
+    except GeometryError as exc:
+        raise OrbitEscapeError(f"{name}: {exc}") from None
+
+
 def _local_images(spec: NetworkSpec, states: np.ndarray,
                   pert: Perturbation | None = None) -> np.ndarray:
     """Every node's local map on its block of each column of ``states``."""
@@ -184,7 +192,7 @@ def _local_images(spec: NetworkSpec, states: np.ndarray,
     out = np.empty_like(states)
     for k, node in enumerate(spec.nodes):
         seg = states[k * block:(k + 1) * block]
-        img = node.local_map.apply_batch(seg)
+        img = _apply(node.local_map, seg, f"node {k + 1}")
         if pert is not None and pert.amplitude:
             img = img + pert.local_bump(k, seg)
         out[k * block:(k + 1) * block] = img
@@ -193,7 +201,7 @@ def _local_images(spec: NetworkSpec, states: np.ndarray,
 
 def _couple(spec: NetworkSpec, out: np.ndarray, pert: Perturbation | None = None) -> np.ndarray:
     """The interaction on every column of the local images ``out``."""
-    coupled = spec.ambient_map().apply_batch(out)
+    coupled = _apply(spec.ambient_map(), out, "the interaction map")
     if pert is not None and pert.amplitude:
         coupled = coupled + pert.coupling_bump(out)
     return coupled
@@ -218,9 +226,10 @@ def step(spec: NetworkSpec, x, pert: Perturbation | None = None) -> np.ndarray:
     """One application of the network map (coupling after local maps):
     ``_step_batch`` on the state as one column, where each map evaluates
     the piece of its one point (``PiecewiseAffineMap.apply_batch``).
-    Raises ``OrbitEscapeError``, and no numpy warning, when the local
-    images or the image are not all finite: past floating-point range no
-    cell test means anything, so none is made on such a value.
+    Raises ``OrbitEscapeError``, and no numpy warning, when a map is
+    undefined at its argument (``_apply``) or the local images or the image
+    are not all finite: past floating-point range no cell test means
+    anything, so none is made on such a value.
     """
     state = state_vector(spec, x).reshape(-1, 1)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -324,10 +333,10 @@ def _branch(spec: NetworkSpec, k: int, symbol: int):
     the unit box by the h-set's chart, its ``form_gap`` with the local map
     is at most ``CONTINUITY_TOL``: the exact vertex rule that audits
     declared chart forms, so the map is that one affine map wherever it is
-    defined on the h-set.  A map undefined at the centre, or on the line
-    on any part of the h-set (``line_cells``), is a ``SpecError`` at
-    ``$.nodes[k].map``; above the line a step into a hole between cells
-    raises where it lands.  A map that is not one affine map there is a
+    defined on the h-set.  On the line the set-up refuses a map undefined
+    on part of an h-set; above it, one undefined at the centre is a
+    ``SpecError`` at ``$.nodes[k].map``, and a step into another hole an
+    ``OrbitEscapeError``.  A map that is not one affine map there is a
     ``LoopError`` naming the node and the h-set.
     """
     node = spec.nodes[k]
@@ -344,15 +353,20 @@ def _branch(spec: NetworkSpec, k: int, symbol: int):
     return piece
 
 
+def _interaction(spec: NetworkSpec, purpose: str) -> tuple[np.ndarray, np.ndarray]:
+    """The interaction's linear part and offset, or a ``LoopError`` naming ``purpose``."""
+    ambient = spec.ambient_map()
+    if not ambient.is_affine:
+        raise LoopError(f"$.coupling.ambient: {purpose} needs an interaction map of one "
+                        "affine piece on all of space")
+    return ambient.pieces[0].matrix, ambient.pieces[0].offset
+
+
 def _loop_affine(spec: NetworkSpec, loop) -> tuple[np.ndarray, np.ndarray]:
     """Compose the affine branches of the network map along the loop."""
     block = spec.block_dim
     dim = spec.state_dim
-    ambient = spec.ambient_map()
-    if not ambient.is_affine:
-        raise GeometryError("loop composition needs an affine interaction map")
-    a_lin = ambient.pieces[0].matrix
-    a_off = ambient.pieces[0].offset
+    a_lin, a_off = _interaction(spec, "loop composition")
     # one branch per (node, symbol) the loop visits, found in order of first visit
     branches = {key: _branch(spec, *key)
                 for key in dict.fromkeys((k, s) for multi in loop for k, s in enumerate(multi))}
@@ -374,14 +388,15 @@ def _loop_affine(spec: NetworkSpec, loop) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _interior_margin(spec: NetworkSpec, state: np.ndarray,
-                     multi: tuple[int, ...]) -> float:
+                     multi: tuple[int, ...]) -> tuple[float, int]:
     block = spec.block_dim
-    worst = math.inf
+    worst, at = math.inf, 0
     for k in range(spec.d):
         chart = spec.nodes[k].member_chart(multi[k])
         ext = float(np.max(np.abs(chart.apply(state[k * block:(k + 1) * block]))))
-        worst = min(worst, 1.0 - ext)
-    return worst
+        if 1.0 - ext < worst:
+            worst, at = 1.0 - ext, k
+    return worst, at
 
 
 def periodic_point(spec: NetworkSpec, loop,
@@ -429,10 +444,10 @@ def periodic_point(spec: NetworkSpec, loop,
     margins = []
     state = z.copy()
     for t, multi in enumerate(loop):
-        margin = _interior_margin(spec, state, multi)
+        margin, k = _interior_margin(spec, state, multi)
         if margin <= 0:
-            raise LoopError(f"orbit leaves h-set product at step {t} "
-                            f"(margin {margin:.3e})")
+            raise LoopError(f"orbit leaves h-set product at step {t}: node {k + 1}, h-set "
+                            f"{multi[k]} (margin {margin:.3e})")
         margins.append(margin)
         state = step(spec, state, pert)
     residual = float(np.max(np.abs(state - z)))
@@ -460,7 +475,7 @@ def _inverse_branches(spec: NetworkSpec):
         for i in range(1, node.count + 1):
             piece = _branch(spec, k, i)
             if singular(piece.matrix):
-                raise GeometryError(f"node {k + 1}, h-set {i}: branch not invertible")
+                raise LoopError(f"node {k + 1}, h-set {i}: branch not invertible")
             inv = np.linalg.inv(piece.matrix)
             per_symbol[i] = (inv, -inv @ piece.offset)
         inverses.append(per_symbol)
@@ -547,13 +562,9 @@ def _constructed_states(spec: NetworkSpec, depth: int, samples: int,
     """
     d = spec.d
     block = spec.block_dim
-    ambient = spec.ambient_map()
-    if not ambient.is_affine:
-        raise GeometryError("entropy sampling needs an affine interaction map")
-    a_lin = ambient.pieces[0].matrix
-    a_off = ambient.pieces[0].offset
+    a_lin, a_off = _interaction(spec, "entropy sampling")
     if singular(a_lin):
-        raise GeometryError("interaction map is not invertible")
+        raise LoopError("$.coupling.ambient: the interaction map is not invertible")
     a_inv = np.linalg.inv(a_lin)
     inverses = _inverse_branches(spec)
 

@@ -1016,8 +1016,9 @@ class CellGeometry:
     ``form_gap`` reads, are kept per pair of cell contents.  Face grids and
     their tiles are kept per (dimension, resolution) and shared by every
     table.  Everything lives as long as the ``CellGeometry`` object: a
-    check's set-up makes one, builds the table of every factor of its chart
-    forms and hands it to the check, which holds it to the end.
+    spec's set-up (``network.set_up``) makes one, builds the table of every
+    factor of its chart forms and keeps it on the spec, so every check of
+    that spec shares it, with a face grid for each resolution it used.
     """
 
     def __init__(self):

@@ -32,14 +32,13 @@ matrix of its tables and checks every transition (i, j) on its own, as
 the covering of h-set j by h-set i, from those diagonal cells before the
 entry loop; an outcome other than "pass" is a ``SpecError`` at the first
 such node's ``$.nodes[k].map``, naming each of its failing transitions
-and their failures.  Both checks first refuse, as a ``SpecError``, in one
-set-up (``_prepare``), a node whose chart forms fail to be taken or
-derived, audited and built (``_node_forms``, at ``$.nodes[k].map`` or
-``$.nodes[k].chart_forms``), and a coupling large enough to scale a
-finite form past floating-point range (at ``$.coupling.matrix``);
-``require_finite_step`` refuses, the same way, an interaction that
-carries h-set states past that range, for the commands that iterate the
-network map.
+and their failures.  Every command reads a spec through one set-up
+(``set_up``), kept on the spec: ``validate_spec``, then each node's chart
+forms taken or derived, audited and built (``_node_forms``, refused at
+``$.nodes[k].map`` or ``$.nodes[k].chart_forms``), and a coupling large
+enough to scale a finite form past floating-point range (at
+``$.coupling.matrix``), each refusal a ``SpecError``.  A check's tables
+(``_prepare``) start from it.
 
 The coupling kind decides which charts a chart form composes the local map
 with; ``_form_keys`` and ``_form_charts`` own that decision, and form
@@ -215,6 +214,7 @@ class NetworkSpec:
                                                 compare=False)
     _report: ValidationReport | None = field(default=None, init=False, repr=False,
                                              compare=False)
+    _setup: SetUp | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
@@ -251,6 +251,7 @@ class NetworkSpec:
 class ValidationReport:
     errors: tuple[str, ...]
     warnings: tuple[str, ...]
+    boxes: tuple = ()     # per node, the (lo, hi) bounding box of each of its h-sets
 
     @property
     def ok(self) -> bool:
@@ -394,15 +395,18 @@ def validate_spec(spec: NetworkSpec) -> ValidationReport:
     A node's local map must be finite to evaluate on the box hull of the
     node's h-sets, its images and its cell tests both; one that is not is
     reported at ``$.nodes[k].map``, and the type-I image separation, which
-    would evaluate it, is skipped; chart forms are left to ``_prepare``.
-    Reports every violation rather than stopping at the first.  Two h-sets
-    of a node whose box hulls meet are decided exactly, by ``_hsets_meet``,
-    or refused at ``$.nodes[k].hsets[j]`` when that would take more than
+    would evaluate it, is skipped; chart forms are left to ``set_up``.
+    Else the interaction map must carry the largest images finitely too,
+    or iterated states would reach inf (``$.coupling.matrix``, or
+    ``.ambient`` when declared).  Reports every violation rather than
+    stopping at the first.  Two h-sets of a node whose box hulls meet are
+    decided exactly, by ``_hsets_meet``, or refused at
+    ``$.nodes[k].hsets[j]`` when that would take more than
     ``geometry.MAX_VERTEX_CANDIDATES`` candidate vertices; the type-I image
     separation compares exact image boxes, an error on the line and a
-    warning in higher dimensions, where boxes stand in for sets.  The report
-    is kept on the spec, so a later call (the CLI validates on load, a
-    theorem check again before it runs) returns it without a second audit.
+    warning in higher dimensions, where boxes stand in for sets.  The
+    report, with the h-set boxes it built, is kept on the spec, so a later
+    call returns it without a second audit.
     """
     if spec._report is not None:
         return spec._report
@@ -439,6 +443,7 @@ def validate_spec(spec: NetworkSpec) -> ValidationReport:
     block = spec.nodes[0].dim
     all_finite = True
     hulls = []      # per node, the bounding box of each of its h-sets
+    reach = 0.0     # the largest bound on a node's local image over its h-sets
     for k, node in enumerate(spec.nodes, start=1):
         at = f"$.nodes[{k - 1}]"
         if node.dim != block:
@@ -460,8 +465,10 @@ def validate_spec(spec: NetworkSpec) -> ValidationReport:
             errors.append(f"{at}.hsets: {exc}")
             all_finite = False
             continue
-        hulls.append(boxes)
-        image, cells = _local_reach(node.local_map, _hull_radius(boxes))
+        hulls.append(tuple(boxes))
+        radius = max(max(float(hi.max()), -float(lo.min())) for lo, hi in boxes)
+        image, cells = _local_reach(node.local_map, radius)
+        reach = max(reach, image)
         if not (math.isfinite(image) and math.isfinite(cells)):
             errors.append(f"{at}.map: the local map cannot be evaluated "
                           f"finitely on the node's h-sets (image size {image:g}, "
@@ -493,10 +500,15 @@ def validate_spec(spec: NetworkSpec) -> ValidationReport:
                 else:
                     _check_member_charts(node, k, errors, warnings)
 
+    if all_finite and not math.isfinite(_local_reach(spec.ambient_map(), reach)[0]):
+        errors.append(f"$.coupling.{'matrix' if spec.coupling.ambient is None else 'ambient'}: "
+                      f"the interaction map carries h-set states of local image size {reach:g} "
+                      "past floating-point range")
     if spec.coupling.kind == TYPE_I and all_finite:
         _check_non_overlap(spec, hulls, errors, warnings)
 
-    object.__setattr__(spec, "_report", ValidationReport(tuple(errors), tuple(warnings)))
+    object.__setattr__(spec, "_report",
+                       ValidationReport(tuple(errors), tuple(warnings), tuple(hulls)))
     return spec._report
 
 
@@ -719,7 +731,7 @@ class _Tables:
     is the max stretch about 0 of form f's U (j = 0) or V (j = 1), 0
     without one: the off-diagonal terms, which no single covering reads.
 
-    ``cells`` is the check's cell-only geometry store (``_prepare`` has
+    ``cells`` is the spec's cell-only geometry store (``set_up`` has
     built the table of every factor of its forms in it).  A form's scalings by
     the coupling coefficients keep its cells, so each distinct cell
     structure is worked out once per check.
@@ -1050,8 +1062,7 @@ def _audit_declared_forms(forms: dict, composed: dict, cells: CellGeometry) -> N
                 raise GeometryError(f"declared chart form {key} {fault} (gap {gap:.3e})")
 
 
-def _node_forms(node: NodeSystem, kind: str, k: int, resolution: int, cells: CellGeometry
-                ) -> tuple[dict, float]:
+def _node_forms(node: NodeSystem, kind: str, k: int, cells: CellGeometry) -> tuple[dict, float]:
     """Node k's chart forms, declared or derived, audited and with every
     factor's cell table built in ``cells``; and their size, the largest row
     sum plus offset of a piece.  Refused at ``$.nodes[k].map``: a local map
@@ -1061,9 +1072,7 @@ def _node_forms(node: NodeSystem, kind: str, k: int, resolution: int, cells: Cel
     declared, else ``.map``): keys other than ``_form_keys``, or a split
     other than the h-sets'; a size that is not finite; a factor with no
     cell table; a declared form that jumps or is not the composed map
-    (``_audit_declared_forms``).  Then, at ``$.nodes[k]``, a face grid on
-    forms with u >= 2 and a U that is not affine of more than
-    ``geometry.MAX_GRID_POINTS`` points.
+    (``_audit_declared_forms``).
     """
     declared = node.chart_forms is not None
     where = f"$.nodes[{k}].{'chart_forms' if declared else 'map'}"
@@ -1096,42 +1105,63 @@ def _node_forms(node: NodeSystem, kind: str, k: int, resolution: int, cells: Cel
             _audit_declared_forms(forms, composed, cells)
     except GeometryError as exc:
         raise SpecError(f"{where}: {exc}") from exc
-    u = node.dim_u
-    if (u >= 2 and not all(form.U.is_affine for form in forms.values())
-            and (points := face_grid_points(u, resolution)) > MAX_GRID_POINTS):
-        raise SpecError(f"$.nodes[{k}]: grid resolution {resolution} gives a face grid of "
-                        f"{points} points on this node's non-affine chart forms "
-                        f"(u = {u}), above the limit of {MAX_GRID_POINTS}; the largest "
-                        f"resolution allowed is {max_face_resolution(u)}")
     return forms, size
+
+
+class SetUp(NamedTuple):
+    """What every command reads of a valid spec, built once (``set_up``)."""
+
+    report: ValidationReport
+    forms: tuple[dict, ...]     # per node, its audited chart forms (``_node_forms``)
+    cells: CellGeometry         # holds the cell table of every factor of those forms
+
+
+def set_up(spec: NetworkSpec) -> SetUp:
+    """The spec's set-up, built on the first call and kept on the spec.
+
+    The spec must pass validation and each node's forms ``_node_forms``,
+    and the coupling's max row sum times the largest form size must be
+    finite, or an inf would reach a check's margins (``$.coupling.matrix``);
+    each refusal is a ``SpecError``.  Every CLI command builds it on load.
+    """
+    if spec._setup is None:
+        report = validate_spec(spec)
+        if not report.ok:
+            raise SpecError("; ".join(report.errors))
+        cells = CellGeometry()
+        forms, sizes = zip(*(_node_forms(node, spec.coupling.kind, k, cells)
+                             for k, node in enumerate(spec.nodes)))
+        lip, size = spec.coupling.lipschitz(), max(sizes)
+        if not math.isfinite(lip * size):
+            raise SpecError(f"$.coupling.matrix: coupling row sum {lip:g} times chart-form "
+                            f"size {size:g} is not a finite number")
+        object.__setattr__(spec, "_setup", SetUp(report, forms, cells))
+    return spec._setup
 
 
 def _prepare(spec: NetworkSpec, kind: str, resolution: int
              ) -> tuple[_Tables, dict[int, np.ndarray], float]:
-    """The tables of a check of coupling ``kind``, the ``per_entry`` matrix
-    of each overridden entry, and the largest Lipschitz constant of the
-    charts ``_choices`` names.
+    """The tables of a check of coupling ``kind``, on the spec's
+    ``set_up``; the ``per_entry`` matrix of each overridden entry; and the
+    largest Lipschitz constant of the charts ``_choices`` names.
 
-    The spec must declare ``kind``, pass validation and each node's forms
-    ``_node_forms``, and the coupling's max row sum times the largest form
-    size must be finite, or an inf would reach the margins
-    (``$.coupling.matrix``).  Theorem 1's tables list the identity last,
-    the coupling under which a transition's diagonal cell is its single
-    covering.
+    The spec must declare ``kind``; a node with u >= 2 and a non-affine U
+    is refused at ``$.nodes[k]`` when ``resolution`` gives its face grid
+    more than ``geometry.MAX_GRID_POINTS`` points.  Theorem 1's tables list
+    the identity last: under it a transition's diagonal cell is its covering.
     """
     if spec.coupling.kind != kind:
         raise SpecError(f"checker needs coupling kind '{kind}', "
                         f"spec declares '{spec.coupling.kind}'")
-    report = validate_spec(spec)
-    if not report.ok:
-        raise SpecError("spec fails validation: " + "; ".join(report.errors))
-    cells = CellGeometry()
-    forms, sizes = zip(*(_node_forms(node, kind, k, resolution, cells)
-                         for k, node in enumerate(spec.nodes)))
-    lip, size = spec.coupling.lipschitz(), max(sizes)
-    if not math.isfinite(lip * size):
-        raise SpecError(f"$.coupling.matrix: coupling row sum {lip:g} times chart-form "
-                        f"size {size:g} is not a finite number")
+    _, forms, cells = set_up(spec)
+    for k, (node, node_forms) in enumerate(zip(spec.nodes, forms)):
+        u = node.dim_u
+        if (u >= 2 and not all(form.U.is_affine for form in node_forms.values())
+                and (points := face_grid_points(u, resolution)) > MAX_GRID_POINTS):
+            raise SpecError(f"$.nodes[{k}]: grid resolution {resolution} gives a face grid of "
+                            f"{points} points on this node's non-affine chart forms "
+                            f"(u = {u}), above the limit of {MAX_GRID_POINTS}; the largest "
+                            f"resolution allowed is {max_face_resolution(u)}")
     choices, charts = zip(*(_choices(node, kind) for node in spec.nodes))
     own = _entry_overrides(spec)[0]
     matrices = [spec.coupling.matrix, *own.values()]
@@ -1139,11 +1169,6 @@ def _prepare(spec: NetworkSpec, kind: str, resolution: int
         matrices.append(np.eye(spec.d))
     tables = _Tables(list(forms), list(choices), matrices, spec.nodes[0].dim_s, resolution, cells)
     return tables, own, max(chart.lipschitz() for node_charts in charts for chart in node_charts)
-
-
-def _hull_radius(boxes: list[tuple[np.ndarray, np.ndarray]]) -> float:
-    """Largest |coordinate| over the (lo, hi) bounding boxes of a node's h-sets."""
-    return max(max(float(hi.max()), -float(lo.min())) for lo, hi in boxes)
 
 
 def _local_reach(F: PiecewiseAffineMap, radius: float) -> tuple[float, float]:
@@ -1164,26 +1189,6 @@ def _local_reach(F: PiecewiseAffineMap, radius: float) -> tuple[float, float]:
                       np.concatenate([p.offset for p in pieces])),
                 reach(np.concatenate([p.normals for p in pieces]),
                       np.concatenate([p.bounds for p in pieces])))
-
-
-def require_finite_step(spec: NetworkSpec) -> None:
-    """Refuse an interaction that carries h-set states past floating-point range.
-
-    ``simulate``, ``periodic`` and ``entropy`` iterate the network map from
-    states in the node h-sets of a spec that passed ``validate_spec``,
-    which bounds each node's local image on the box hull of its h-sets
-    (``_local_reach``).  The interaction map bounds the coupled image of
-    the largest of them the same way; that bound must be finite, or inf
-    states would reach the output.
-    """
-    local = max(_local_reach(node.local_map,
-                             _hull_radius([h.bounding_box() for h in node.hsets]))[0]
-                for node in spec.nodes)
-    coupled, _ = _local_reach(spec.ambient_map(), local)
-    if not math.isfinite(coupled):
-        where = "$.coupling.ambient" if spec.coupling.ambient is not None else "$.coupling.matrix"
-        raise SpecError(f"{where}: the interaction map carries h-set states of local "
-                        f"image size {local:g} past floating-point range")
 
 
 def check_covering(source: HSet, target: CenterScale, f: ProductFormMap,

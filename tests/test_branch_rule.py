@@ -5,8 +5,9 @@ centre, accepted when ``form_gap`` finds the local map equal to it on the
 whole h-set.  So a breakpoint that does not change the map changes no
 output; a real kink inside an h-set is a failed operation (exit 1), and
 a map undefined on part of an h-set a spec error at its JSON path
-(exit 2).  Theorem 1's loop through (1, ..., 1) is
-``symbolic.permutation_loop``: its length is the period a pass reports.
+(exit 2), which every verb's set-up refuses on load.  Theorem 1's loop
+through (1, ..., 1) is ``symbolic.permutation_loop``: its length is the
+period a pass reports.
 """
 
 import json
@@ -128,16 +129,54 @@ class TestGap:
     # node 2's piece 0 of example1 ends at 0.5 instead of 1, so the map is
     # undefined on (0.5, 1), inside h-set M21 = [-1, 1]
     def test_exits_two_at_the_map(self, tmp_path, capsys):
+        # every verb's set-up refuses it on load, with the same line
         doc = _fixture("example1.json")
         doc["nodes"][1]["map"]["pieces"][0]["bounds"] = [0.5]
         spec = tmp_path / "gap.json"
         spec.write_text(json.dumps(doc))
-        for argv in (["periodic", str(spec), "--loop", "1.2,2.1"],
-                     ["entropy", str(spec), "--empirical", "6", "2000", "1"]):
-            assert main(argv) == 2, argv
-            err = capsys.readouterr().err
-            assert "error: $.nodes[1].map: h-set 1: map undefined between 0.5 and 1" in err
-            assert "Traceback" not in err
+        for argv in (["verify"], ["margin"], ["periodic", "--loop", "1.2,2.1"],
+                     ["entropy", "--empirical", "6", "2000", "1"], ["simulate", "--steps", "3"]):
+            assert main([argv[0], str(spec), *argv[1:]]) == 2, argv
+            out = capsys.readouterr()
+            assert out.err == ("error: $.nodes[1].map: map undefined between 0.5 and 1, "
+                               "inside [-1, 1]\n"), argv
+            assert out.out == "", argv
+
+
+class TestOperationFailure:
+    # valid specs on which the sampler or a loop cannot run: each exits 1,
+    # with nothing on stdout, naming the node and the h-set or the coupling
+    def test_singular_branch(self, tmp_path, capsys):
+        # node 2's piece 0 of example1 (x <= 1) set to the constant 5: the
+        # map stays continuous, and verify reads "fail"
+        doc = _fixture("example1.json")
+        doc["nodes"][1]["map"]["pieces"][0].update(matrix=[[0]], offset=[5])
+        spec = tmp_path / "constant.json"
+        spec.write_text(json.dumps(doc))
+        assert main(["verify", str(spec)]) == 1
+        capsys.readouterr()
+        assert main(["entropy", str(spec), "--empirical", "6", "2000", "1"]) == 1
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", "error: node 2, h-set 1: branch not invertible\n")
+
+    def test_interaction_of_two_pieces(self, tmp_path, capsys):
+        # example2's interaction map cut at x0 = 0 into two pieces of the
+        # same affine map, which verify passes
+        doc = _fixture("example2.json")
+        piece = doc["coupling"]["ambient"]["pieces"][0]
+        doc["coupling"]["ambient"]["pieces"] = [dict(piece, normals=[[1, 0]], bounds=[0]),
+                                                dict(piece, normals=[[-1, 0]], bounds=[0])]
+        spec = tmp_path / "cut.json"
+        spec.write_text(json.dumps(doc))
+        assert main(["verify", str(spec)]) == 0
+        capsys.readouterr()
+        for argv, purpose in ((["entropy", "--empirical", "6", "2000", "1"], "entropy sampling"),
+                              (["periodic", "--loop", "1.2,2.1"], "loop composition")):
+            assert main([argv[0], str(spec), *argv[1:]]) == 1, argv
+            out = capsys.readouterr()
+            assert (out.out, out.err) == ("", f"error: $.coupling.ambient: {purpose} needs an "
+                                              "interaction map of one affine piece on all of "
+                                              "space\n"), argv
 
 
 def _permutation(rng, n: int) -> TransitionMatrix:

@@ -18,7 +18,7 @@ from cmnverify import (AffineChart, CouplingSpec, Graph, HSet, NetworkSpec, Node
                        parse_spec, serialize_spec, specs_equal)
 from cmnverify.cli import main
 from cmnverify.geometry import AffinePiece
-from cmnverify.network import SpecError, _resolve_forms, validate_spec
+from cmnverify.network import SpecError, _resolve_forms, set_up, validate_spec
 from cmnverify.specio import SpecFormatError
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -161,6 +161,16 @@ class TestVerifyCommand:
         assert compute(spec_path.read_bytes()) != digest
 
 
+def _leaves(node, prefix=()):
+    """Path (keys and indices) of every leaf of a parsed JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        if isinstance(child, (dict, list)):
+            yield from _leaves(child, prefix + (key,))
+        else:
+            yield prefix + (key,)
+
+
 def _mutated(doc, path, value):
     """Copy of ``doc`` with the entry at ``path`` (keys and indices) set to ``value``."""
     doc = json.loads(json.dumps(doc))
@@ -230,17 +240,8 @@ class TestHostileSpec:
         # parsing or validation refuses (the refusals before any check) names
         # a JSON path first
         doc = json.loads((FIXDIR / name).read_text())
-
-        def leaves(node, prefix=()):
-            items = node.items() if isinstance(node, dict) else enumerate(node)
-            for key, child in items:
-                if isinstance(child, (dict, list)):
-                    yield from leaves(child, prefix + (key,))
-                else:
-                    yield prefix + (key,)
-
         unnamed = []
-        for path in leaves(doc):
+        for path in _leaves(doc):
             for value in (None, "x", -1, 0, 2, 3.5, 1e308):
                 try:
                     refusals = validate_spec(parse_spec(_mutated(doc, path, value))).errors
@@ -248,6 +249,45 @@ class TestHostileSpec:
                     refusals = (str(exc),)
                 unnamed += [(path, value, r) for r in refusals if not r.startswith("$.")]
         assert unnamed == []
+
+    @pytest.mark.parametrize("name", ["example1.json", "theorem1_perm23.json"])
+    def test_every_verb_refuses_a_one_leaf_mutation_alike(self, name, tmp_path, capsys):
+        # every leaf set to each of a few hostile values, through the five
+        # verbs at their cheapest options (which keep each verb's option
+        # limits out of reach): a spec that parsing, validation or the
+        # set-up refuses gets the same first error line, with its JSON
+        # path, from every verb; on a spec they accept, no verb exits 2
+        # without a path, and an operation that fails (exit 1) names its
+        # node or the coupling.  A traceback that escapes ``main`` fails here
+        doc = json.loads((FIXDIR / name).read_text())
+        spec = tmp_path / "mutant.json"
+        for path in _leaves(doc):
+            for value in (0, -1, 3.5, 1e308):
+                mutant = _mutated(doc, path, value)
+                spec.write_text(json.dumps(mutant))
+                try:
+                    parsed = parse_spec(mutant)
+                    refused = "; ".join(validate_spec(parsed).errors) or None
+                    if refused is None:
+                        set_up(parsed)
+                except (SpecFormatError, SpecError) as exc:
+                    refused = str(exc)
+                for verb, *options in (["verify"], ["margin"], ["periodic", "--auto"],
+                                       ["simulate", "--steps", "1"],
+                                       ["entropy", "--empirical", "2", "8", "0"]):
+                    code = main([verb, str(spec), *options])
+                    err = capsys.readouterr().err
+                    first = next((line for line in err.splitlines()
+                                  if line.startswith("error: ")), "")
+                    where = (path, value, verb)
+                    assert "Traceback" not in err, where
+                    if refused is not None:
+                        assert refused.startswith("$."), where
+                        assert (code, first) == (2, f"error: {refused}"), where
+                    elif code == 2:
+                        assert first.startswith("error: $."), where
+                    elif code == 1 and first:
+                        assert re.search(r"node \d|\$\.coupling", first), where
 
     def test_local_covering_failure_names_its_node(self, fixdir, tmp_path, capsys):
         # h-set P11 of node 1 halved through its chart: its branch no longer
@@ -326,6 +366,22 @@ class TestHostileSpec:
         assert main(["simulate", str(spec), "--steps", "5"]) == 2
         out = capsys.readouterr()
         assert "error: $.nodes[1].map:" in out.err and out.out == ""
+
+    def test_state_where_a_local_map_is_undefined_exits_one(self, fixdir, tmp_path, capsys):
+        # node 2's piece 1 of theorem1_perm23 (1 <= x <= 2) made empty: the
+        # map is undefined between its h-sets P21 = [-1, 1] and P22 = [2, 4],
+        # a valid spec that verify passes; a step from there is an
+        # operation that cannot run, named by its step and node
+        doc = json.loads((fixdir / "theorem1_perm23.json").read_text())
+        spec = tmp_path / "hole.json"
+        spec.write_text(json.dumps(_mutated(doc, ("nodes", 1, "map", "pieces", 1, "bounds", 1),
+                                            -1)))
+        assert main(["verify", str(spec)]) == 0
+        capsys.readouterr()
+        assert main(["simulate", str(spec), "--steps", "3", "--x0=0,1.5"]) == 1
+        out = capsys.readouterr()
+        assert out.err == "error: step 1 of 3: node 2: map undefined at 1 of 1 points\n"
+        assert out.out == ""
 
     def test_overflowing_local_map_is_blamed_on_its_node(self, fixdir, tmp_path, capsys):
         # node 1's chart form is infinite before any coupling scales it, so
@@ -824,14 +880,20 @@ class TestHostileSpec:
             assert f"error: {where}" in err
             assert "Traceback" not in err
 
-    def test_commands_that_never_read_forms_do_not_refuse_them(self, tmp_path, capsys):
-        # the declared forms are audited in a check's set-up only
+    def test_every_command_refuses_them_as_verify_does(self, tmp_path, capsys):
+        # the declared forms are audited in the set-up every command builds
+        # on load, so the commands that never read them refuse them too
         path = tmp_path / "box.json"
         path.write_text(json.dumps(self._declared_box(lambda f: f.pop("2"))))
-        assert main(["entropy", str(path)]) == 0
-        assert main(["periodic", str(path), "--loop", "1"]) == 0
-        assert main(["simulate", str(path), "--steps", "2"]) == 0
-        assert "error" not in capsys.readouterr().err
+        errors = set()
+        for argv in (["verify"], ["margin"], ["entropy"], ["periodic", "--loop", "1"],
+                     ["simulate", "--steps", "2"]):
+            assert main([argv[0], str(path), *argv[1:]]) == 2, argv
+            out = capsys.readouterr()
+            assert out.out == "", argv
+            errors.add(out.err)
+        assert errors == {"error: $.nodes[0].chart_forms: declared forms keyed [1], not by the "
+                          "node's source symbols [1, 2]\n"}
 
     @pytest.mark.parametrize("verb", ["verify", "margin"])
     def test_non_permutation_transition_exits_two_with_path(self, verb, tmp_path, capsys):

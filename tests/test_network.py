@@ -1,5 +1,7 @@
 import itertools
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from cmnverify.geometry import AffinePiece, GeometryError
 from conftest import random_transition_matrix
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
+FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 class TestKronecker:
@@ -222,13 +225,41 @@ class TestValidateSpec:
         report = validate_spec(spec)
         assert any("overlap" in e or "may not" in e for e in report.errors)
 
-    def test_each_hset_box_is_read_once(self, monkeypatch):
-        # the image separation reads the boxes validation built, not its own
+    @pytest.mark.parametrize("declared", [False, True], ids=["matrix", "ambient"])
+    def test_interaction_past_floating_point_range(self, declared):
+        # example2 with one interaction entry at 1e308, in the coupling
+        # matrix or in a declared ambient map: the local images of the
+        # h-sets are finite, their coupled image is not
+        base = fixtures.example2()
+        huge = base.coupling.matrix.copy()
+        huge[1, 0] = 1e308
+        coupling = (CouplingSpec(base.coupling.kind, base.coupling.matrix,
+                                 PiecewiseAffineMap.affine(huge, np.zeros(2))) if declared
+                    else CouplingSpec(base.coupling.kind, huge))
+        errors = validate_spec(NetworkSpec(base.graph, base.nodes, coupling)).errors
+        where = "ambient" if declared else "matrix"
+        assert len(errors) == 1 and re.fullmatch(
+            rf"\$\.coupling\.{where}: the interaction map carries h-set states of local image "
+            r"size [0-9.]+ past floating-point range", errors[0])
+
+    def test_each_hset_box_is_read_once(self, monkeypatch, capsys):
+        # the image separation reads the boxes validation built, not its
+        # own, and so does every command: its set-up, the finite-step rule
+        # and simulate's random start
+        from cmnverify.cli import main
         calls, box = [], HSet.bounding_box
         monkeypatch.setattr(HSet, "bounding_box", lambda h: calls.append(h.id) or box(h))
         spec = fixtures.theorem1_perm23()
         assert validate_spec(spec).ok
-        assert sorted(calls) == sorted(h.id for node in spec.nodes for h in node.hsets)
+        ids = sorted(h.id for node in spec.nodes for h in node.hsets)
+        assert sorted(calls) == ids
+        path = FIXDIR / "theorem1_perm23.json"
+        for argv in (["verify"], ["margin"], ["periodic", "--auto"], ["simulate", "--steps", "3"],
+                     ["entropy", "--empirical", "4", "200", "1"]):
+            calls.clear()
+            assert main([argv[0], str(path), *argv[1:]]) == 0, argv
+            assert sorted(calls) == ids, argv
+        capsys.readouterr()
 
     def test_declared_forms_audited(self):
         # validation does not read chart forms; the check's set-up audits them
