@@ -40,15 +40,18 @@ one constraint row at a time, a max-norm is a running maximum over
 coordinate rows, and each piece, chart or symbol branch is applied once,
 to its columns gathered by index in column order.  So every point meets
 the same operands, in the same order, as in a masked loop over pieces or
-symbols.  The empirical-entropy sampler draws its scrambled Halton
-points itself, each column when a level reads it (``_halton``), picks
+symbols.  The empirical-entropy sampler runs in blocks of
+``SAMPLE_BLOCK`` samples.  Each block draws its own rows of the scrambled
+Halton points, each column when a level reads it (``_halton``), picks
 predecessors and pulls each node's points back one symbol group at a
 time, and its forward extraction keeps only the surviving points, each
-with one int64 key of its word; so its memory grows with the samples,
-not with the depth.  A word is admissible when each node's symbols follow
-that node's own transition matrix, checked step by step during the
-extraction, so the n^d x n^d product matrix is never built.  Distinct
-words are counted exactly, as the distinct keys of one sort.
+with the int64 limbs of its word; only those limbs outlive the block.  So
+the sampler holds one block's arrays plus one key per kept word, whatever
+the depth and the number of samples.  A word is admissible when each
+node's symbols follow that node's own transition matrix, checked step by
+step during the extraction, so the n^d x n^d product matrix is never
+built.  Distinct words are counted exactly over all blocks: one sort of
+the keys when a word fits one limb, the distinct rows of limbs otherwise.
 """
 
 from __future__ import annotations
@@ -67,16 +70,12 @@ from .symbolic import is_admissible
 RESIDUAL_TOL = 1e-10
 # Most quasi-random values one entropy estimate may draw: samples times
 # d + state_dim + d (depth - 1) columns.  This bounds the sampler's work;
-# its memory grows with samples alone, since it builds one column at a
-# time and drops it once read.  12 steps of 100,000 samples on a 2-node
-# network draw 2.6 million.
+# its memory is one block of samples plus the kept words' keys.  12 steps
+# of 100,000 samples on a 2-node network draw 2.6 million.
 MAX_SAMPLE_DRAWS = 2 ** 24
-# Most values the sampler may hold in its states and its first draws,
-# samples x (d + state_dim): this bounds its memory.  On a 2-vCPU x86-64
-# VM, example1 at the limit (1,048,576 samples of 4 values, depth 2) peaks
-# at 147 MB RSS, 35 MB of it the interpreter and its imports; 12 steps of
-# 100,000 samples hold 400,000 values and peak at 51 MB.
-MAX_SAMPLE_VALUES = 2 ** 22
+# Samples the sampler draws, constructs and extracts at a time: one block's
+# arrays are all it holds besides the kept words' int64 limbs.
+SAMPLE_BLOCK = 2 ** 14
 # Most state values ``simulate`` may keep, (steps + 1) x state_dim.  It
 # keeps the orbit twice (as stepped, then coordinate-major) and writes each
 # output line as it formats it: on a 2-vCPU KVM host, 2^18 values of a 2-d
@@ -493,46 +492,64 @@ def _primes(n: int) -> list[int]:
     return primes
 
 
-def _halton(n_cols: int, samples: int, seed: int) -> Iterator[np.ndarray]:
-    """Owen's randomized Halton points, one (samples,) column at a time.
+def _halton(n_cols: int, lo: int, hi: int, seed: int) -> Iterator[np.ndarray]:
+    """Rows [lo, hi) of Owen's randomized Halton points, one column at a time.
 
-    Yields ``n_cols`` contiguous columns in column order; column c is the
-    scrambled van der Corput sequence in the c-th prime base
-    (``_halton_column``).  One ``default_rng(seed)`` shuffles each base's
-    permutations just before its column is built, base after base as
-    scipy does, and a column depends on no other, so stacked the columns
-    are scipy's ``qmc.Halton(d=n_cols, scramble=True,
-    seed=seed).random(samples)`` bit for bit, and the first k of them its
-    first k columns, whether or not the later ones are ever built.  The
-    generator keeps no reference to a column it has yielded.
+    Yields ``n_cols`` contiguous (hi - lo,) columns in column order; column
+    c holds points lo..hi-1 of the scrambled van der Corput sequence in
+    the c-th prime base (``_halton_column``).  A fresh ``default_rng(seed)``
+    shuffles each base's permutations just before its column is built,
+    base after base as scipy does, and point n depends on n alone.  So the
+    columns are rows [lo, hi) of scipy's ``qmc.Halton(d=n_cols,
+    scramble=True, seed=seed).random(hi)`` bit for bit, whatever the other
+    blocks, and the first k of them its first k columns, whether or not
+    the later ones are ever built.  The generator keeps no reference to a
+    column it has yielded.
     """
     rng = np.random.default_rng(seed)
     for base in _primes(n_cols):
-        yield _halton_column(rng, base, samples)
+        yield _halton_column(rng, base, lo, hi)
 
 
-def _halton_column(rng: np.random.Generator, base: int, samples: int) -> np.ndarray:
-    """The first ``samples`` points of the van der Corput sequence in
-    ``base``, scrambled by ``rng``.
+def _halton_column(rng: np.random.Generator, base: int, lo: int, hi: int) -> np.ndarray:
+    """Points lo..hi-1 of the van der Corput sequence in ``base``,
+    scrambled by ``rng``.
 
     ``rng`` shuffles one copy of ``arange(base)`` per digit that a double
-    resolves, and point n sums perm[j][digit j of n] * base**-(j+1) from
-    the lowest digit up.  The sums are built a digit level at a time (rows
-    q * base**j + r of a level extend row r of the one before) in the same
-    order and with the same rounding as scipy's generator.
+    resolves, and point n is the left fold, from 0.0 and the lowest digit
+    up, of perm[j][digit j of n] * base**-(j+1), in the same order and with
+    the same rounding as scipy's generator.  The fold of the low m digits,
+    base**m <= hi - lo, is tabulated for every remainder mod base**m (rows
+    q * base**j + r of a level extend row r of the one before) and read at
+    each n; each higher level j then adds one term per run of equal
+    n // base**j, a single one once the block lies in one run.
     """
-    perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
-    for perm in perms:
-        rng.shuffle(perm)
-    vals = np.zeros(1)
+    # ``permuted`` shuffles the rows in order, as scipy's loop of ``shuffle``
+    # calls does, and draws the same stream in one call
+    perms = rng.permuted(np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1,
+                                   axis=0), axis=1)
+    rows = hi - lo
+    table = np.zeros(1)
     b2r = 1.0 / base
-    for perm in perms:
-        if vals.size < samples:
-            rows = -(-samples // vals.size)
-            vals = (vals + (perm[:rows] * b2r)[:, None]).ravel()[:samples]
+    level = 0
+    while table.size * base <= rows:
+        table = (table + (perms[level] * b2r)[:, None]).ravel()
+        b2r /= base
+        level += 1
+    size = table.size
+    start = lo % size
+    vals = np.tile(table, -(-(start + rows) // size))[start:start + rows]
+    for perm in perms[level:]:
+        first, last = lo // size, (hi - 1) // size
+        if first == last:
+            vals += perm[first % base] * b2r
         else:
-            # every row below ``samples`` has digit 0 from here on
-            vals += perm[0] * b2r
+            # run q holds the rows n with n // size == q
+            edges = np.arange(first, last + 2) * size - lo
+            edges[0], edges[-1] = 0, rows
+            vals += np.repeat(perm[np.arange(first, last + 1) % base] * b2r,
+                              edges[1:] - edges[:-1])
+        size *= base
         b2r /= base
     return vals
 
@@ -549,11 +566,14 @@ def _groups(symbols: np.ndarray, count: int) -> list[tuple[int, np.ndarray]]:
 
 
 def _constructed_states(spec: NetworkSpec, depth: int, samples: int,
-                        draw: Iterator[np.ndarray]) -> np.ndarray:
+                        draw: Iterator[np.ndarray],
+                        inverse: tuple[np.ndarray, np.ndarray, list]) -> np.ndarray:
     """The sampler's initial states, (state_dim, samples): each a final
     symbol and position drawn in the product h-sets, pulled back
     ``depth - 1`` levels through predecessors drawn at each level.
 
+    ``inverse`` holds the inverse of the interaction's linear part, its
+    offset and the nodes' inverse branches (``_inverse_branches``).
     ``draw`` yields the Halton columns, and they are read in order: the
     d final symbols (each only until its node's symbol groups exist), each
     node's block of positions, then d predecessor picks per level, each
@@ -562,11 +582,7 @@ def _constructed_states(spec: NetworkSpec, depth: int, samples: int,
     """
     d = spec.d
     block = spec.block_dim
-    a_lin, a_off = _interaction(spec, "entropy sampling")
-    if singular(a_lin):
-        raise LoopError("$.coupling.ambient: the interaction map is not invertible")
-    a_inv = np.linalg.inv(a_lin)
-    inverses = _inverse_branches(spec)
+    a_inv, a_off, inverses = inverse
 
     # final symbols, then positions inside the final product h-set; the
     # symbol groups of each level serve both its pull-back and the next
@@ -619,6 +635,65 @@ def _constructed_states(spec: NetworkSpec, depth: int, samples: int,
     return states
 
 
+def _word_keys(spec: NetworkSpec, x: np.ndarray, depth: int) -> np.ndarray:
+    """The words of the columns of ``x`` (state_dim, n) that survive
+    ``depth`` steps and are admissible, as int64 limbs, (words, limbs).
+
+    Forward extraction: the constructed states are ordinary initial
+    states.  Only the surviving columns are kept, in column order, each
+    with the int64 limbs of its word so far.  A step's product symbol is
+    one mixed-radix digit in base b = prod_k count_k, appended to the last
+    limb as key * b + code while the limb's bound stays at most 2**62, and
+    starting a new limb past that; so the limbs depend on the depth alone,
+    and equal words have equal limbs.  A word stays admissible while every
+    node's step from its previous symbol is allowed by that node's own
+    transition matrix, so the n^d x n^d product matrix is never built.
+    Returns a (0, 0) array when no column survives.
+    """
+    d = spec.d
+    radix = [node.count for node in spec.nodes]
+    allowed = [node.transition.bits.ravel() == 1 for node in spec.nodes]
+    base = math.prod(radix)
+    admissible = np.ones(x.shape[1], dtype=bool)
+    limbs: list[np.ndarray] = []
+    key, bound = np.zeros(x.shape[1], dtype=np.int64), 1
+    prev = None
+    for t in range(depth):
+        symbols = locate_batch(spec, x)
+        ok = symbols[0] > 0
+        for k in range(1, d):
+            ok &= symbols[k] > 0
+        if not ok.all():
+            keep = np.flatnonzero(ok)
+            admissible = admissible[keep]
+            # one array at a time, so each is released before the next is copied
+            x = np.take(x, keep, axis=1)
+            symbols = np.take(symbols, keep, axis=1)
+            key = key[keep]
+            limbs = [limb[keep] for limb in limbs]
+            if prev is not None:
+                prev = np.take(prev, keep, axis=1)
+        if x.shape[1] == 0:
+            return np.empty((0, 0), dtype=np.int64)
+        symbols -= 1
+        if prev is not None:
+            for k in range(d):
+                admissible &= allowed[k][prev[k] * radix[k] + symbols[k]]
+        prev = symbols
+        code = symbols[0]
+        for k in range(1, d):
+            code = code * radix[k] + symbols[k]
+        if bound * base > 1 << 62:
+            limbs.append(key)
+            key, bound = code, base
+        else:
+            key, bound = key * base + code, bound * base
+        if t + 1 < depth:
+            x = _step_batch(spec, x)
+    limbs.append(key)
+    return np.stack(limbs, axis=1)[admissible]
+
+
 def empirical_entropy(spec: NetworkSpec, depth: int, samples: int, seed: int = 0) -> float:
     """log(distinct depth-n itineraries observed) / (n - 1).
 
@@ -633,99 +708,55 @@ def empirical_entropy(spec: NetworkSpec, depth: int, samples: int, seed: int = 0
     randomized Halton algorithm in R", arXiv:1706.02808, 2017), equal to
     scipy's ``qmc.Halton(scramble=True, seed=seed)``, so the estimate is
     deterministic for a fixed seed.  A request that would draw more than
-    ``MAX_SAMPLE_DRAWS`` values, or hold more than ``MAX_SAMPLE_VALUES``
-    (samples x (d + state_dim)), is refused with ``SpecError`` before
+    ``MAX_SAMPLE_DRAWS`` values is refused with ``SpecError`` before
     anything is drawn.
 
-    Each Halton column is built when the sampler reads it and dropped
-    after, the pull-back's arrays are released before the forward
-    extraction, and a word's key is kept only for the samples still
-    alive.  So the sampler holds a small multiple of samples x (d +
-    state_dim) values at any depth.
+    The samples run in blocks of ``SAMPLE_BLOCK``: each block draws its
+    own rows of the stream (``_halton``), constructs its states and
+    extracts its words (``_word_keys``), and only the words' int64 limbs
+    outlive it.  Point n of the stream depends on n alone, so the estimate
+    is the one of a single pass over all samples, bit for bit, and the
+    sampler holds one block's arrays plus the limbs of each kept word,
+    whatever the depth and the number of samples.
 
-    States are coordinate-major, (state_dim, samples).  Each node's
-    samples are handled one symbol group at a time, a group being the
-    indices of its samples in order, so every sample meets the same
-    operands as in a masked loop over symbols.  A group's samples choose
-    their predecessors from that symbol's list and are pulled back
-    through that symbol's branch.  The forward extraction keeps only the
-    surviving samples and one int64 key of each one's word: a step's
-    product symbol is one mixed-radix digit in base b = prod_k count_k,
-    appended as key * b + code while every key stays below 2**62.  Past
-    that, the key becomes rank(key) * n + rank(code) among the n
-    survivors, which tells the same words apart.  A word is admissible
-    when each node's symbols follow that node's own transition matrix, so
-    the n^d x n^d product matrix is never built.  Distinct words are
-    counted exactly, as the places where adjacent sorted keys differ.
+    States are coordinate-major, (state_dim, rows).  Each node's samples
+    are handled one symbol group at a time, a group being the indices of
+    its samples in order, so every sample meets the same operands as in a
+    masked loop over symbols.  A group's samples choose their predecessors
+    from that symbol's list and are pulled back through that symbol's
+    branch.  Distinct words are counted exactly over all blocks: the
+    places where adjacent sorted keys differ when a word fits one limb,
+    else the distinct rows of limbs.
     """
     if depth < 2:
         raise ValueError("depth must be at least 2")
     if samples < 1:
         raise ValueError("need at least one sample")
-    d = spec.d
-    n_cols = d + spec.state_dim + d * (depth - 1)
+    n_cols = spec.d + spec.state_dim + spec.d * (depth - 1)
     if n_cols * samples > MAX_SAMPLE_DRAWS:
         raise SpecError(f"{samples} samples at depth {depth} draw {n_cols} x {samples} = "
                         f"{n_cols * samples} quasi-random values, above the limit of "
                         f"{MAX_SAMPLE_DRAWS}")
-    if (held := (d + spec.state_dim) * samples) > MAX_SAMPLE_VALUES:
-        raise SpecError(f"{samples} samples of {d + spec.state_dim} values each (d + "
-                        f"state_dim) hold {held} values, above the limit of "
-                        f"{MAX_SAMPLE_VALUES}")
+    a_lin, a_off = _interaction(spec, "entropy sampling")
+    if singular(a_lin):
+        raise LoopError("$.coupling.ambient: the interaction map is not invertible")
+    inverse = (np.linalg.inv(a_lin), a_off, _inverse_branches(spec))
 
-    x = _constructed_states(spec, depth, samples, _halton(n_cols, samples, seed))
-
-    # forward extraction: the constructed states are ordinary initial states.
-    # Only the surviving columns are kept, in sample order, each with one
-    # int64 ``key`` of its word so far, below the Python int ``bound``.  A
-    # word stays ``admissible`` while every node's step from its previous
-    # symbol is allowed by that node's own transition matrix.
-    radix = [node.count for node in spec.nodes]
-    allowed = [node.transition.bits.ravel() == 1 for node in spec.nodes]
-    base = math.prod(radix)
-    admissible = np.ones(samples, dtype=bool)
-    prev = key = None
-    for t in range(depth):
-        symbols = locate_batch(spec, x)
-        ok = symbols[0] > 0
-        for k in range(1, d):
-            ok &= symbols[k] > 0
-        if not ok.all():
-            keep = np.flatnonzero(ok)
-            admissible = admissible[keep]
-            # one array at a time, so each is released before the next is copied
-            x = np.take(x, keep, axis=1)
-            symbols = np.take(symbols, keep, axis=1)
-            if prev is not None:
-                key = key[keep]
-                prev = np.take(prev, keep, axis=1)
-        if x.shape[1] == 0:
-            raise NoInvariantSamplesError("no invariant set sampled")
-        symbols -= 1
-        if prev is not None:
-            for k in range(d):
-                admissible &= allowed[k][prev[k] * radix[k] + symbols[k]]
-        prev = symbols
-        code = symbols[0]
-        for k in range(1, d):
-            code = code * radix[k] + symbols[k]
-        if key is None:
-            key, bound = code, base
-        elif bound * base <= 1 << 62:
-            key, bound = key * base + code, bound * base
-        else:
-            # the word's rank and the step's among the n survivors: one key
-            # per distinct (word, step) pair, below n^2 (n < 2^22 samples)
-            n = key.size
-            key = (np.unique(key, return_inverse=True)[1] * n
-                   + np.unique(code, return_inverse=True)[1])
-            bound = n * n
-        if t + 1 < depth:
-            x = _step_batch(spec, x)
-    keys = key[admissible]
-    if keys.size == 0:
+    kept = []
+    for lo in range(0, samples, SAMPLE_BLOCK):
+        hi = min(lo + SAMPLE_BLOCK, samples)
+        draw = _halton(n_cols, lo, hi, seed)
+        words = _word_keys(spec, _constructed_states(spec, depth, hi - lo, draw, inverse), depth)
+        if words.size:
+            kept.append(words)
+    if not kept:
         raise NoInvariantSamplesError("no invariant set sampled")
-    # distinct words, exactly: the places where adjacent sorted keys differ
+    keys = np.concatenate(kept)
+    del kept
+    if keys.shape[1] > 1:
+        return math.log(np.unique(keys, axis=0).shape[0]) / (depth - 1)
+    # one limb: the places where adjacent sorted keys differ
+    keys = keys.ravel()
     keys.sort()
     distinct = 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
     return math.log(distinct) / (depth - 1)

@@ -404,7 +404,8 @@ def validate_spec(spec: NetworkSpec) -> ValidationReport:
     ``$.nodes[k].hsets[j]`` when that would take more than
     ``geometry.MAX_VERTEX_CANDIDATES`` candidate vertices; the type-I image
     separation compares exact image boxes, an error on the line and a
-    warning in higher dimensions, where boxes stand in for sets.  The
+    warning in higher dimensions, where boxes stand in for sets.  A declared
+    ``ambient`` map must act on the network state, R^state_dim.  The
     report, with the h-set boxes it built, is kept on the spec, so a later
     call returns it without a second audit.
     """
@@ -439,6 +440,10 @@ def validate_spec(spec: NetworkSpec) -> ValidationReport:
     if singular(a):
         errors.append("$.coupling.matrix: numerically singular")
     errors.extend(_entry_overrides(spec)[1])
+    ambient = spec.coupling.ambient
+    if ambient is not None and not ambient.dim_in == ambient.dim_out == spec.state_dim:
+        errors.append(f"$.coupling.ambient: the interaction map acts from R^{ambient.dim_in} "
+                      f"to R^{ambient.dim_out}, the network state lives in R^{spec.state_dim}")
 
     block = spec.nodes[0].dim
     all_finite = True
@@ -1296,8 +1301,9 @@ def conjugacy_audit(spec: NetworkSpec, seed: int = 0) -> ConjugacyReport:
     About 200 points, split evenly over the chart-form combinations, are
     drawn in the image of the h-set products under the local maps, pushed
     through the charts, and compared against the linear model; a residual
-    above 1e-9 is a mismatch, and one that is not a finite number counts as
-    inf.  This audits input consistency; it is not a proof.
+    above 1e-9 is a mismatch, and one that is not a finite number, or taken
+    where the interaction map is undefined, counts as inf.  This audits
+    input consistency; it is not a proof.
     """
     rng = np.random.default_rng(seed)
     d = spec.d
@@ -1332,7 +1338,10 @@ def conjugacy_audit(spec: NetworkSpec, seed: int = 0) -> ConjugacyReport:
                 for sl, chart, node in zip(blocks, charts_in, spec.nodes):
                     w[sl] = chart.invert(row[sl])
                     tw[sl] = node.local_map.apply(w[sl])
-                coupled = ambient.apply(tw)
+                try:
+                    coupled = ambient.apply(tw)
+                except GeometryError:   # undefined here: a NaN residual, counted as inf
+                    coupled = np.full(d * block, math.nan)
                 for sl, chart in zip(blocks, charts_out):
                     z[sl] = chart.apply(tw[sl])
                     lhs[sl] = chart.apply(coupled[sl])

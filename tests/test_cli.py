@@ -570,8 +570,8 @@ class TestHostileSpec:
         limit = dynamics.MAX_SAMPLE_DRAWS
         assert 26 * 100_000 < limit
 
-        def no_draw(n_cols, samples, seed):
-            raise AssertionError(f"drew {n_cols} x {samples}")
+        def no_draw(n_cols, lo, hi, seed):
+            raise AssertionError(f"drew {n_cols} x rows [{lo}, {hi})")
         monkeypatch.setattr(dynamics, "_halton", no_draw)
         spec = str(FIXDIR / "example1.json")
         most = limit // 26
@@ -583,31 +583,45 @@ class TestHostileSpec:
         # a huge depth with a single sample
         assert main(["entropy", spec, "--empirical", "1000000000", "1", "1"]) == 2
         assert "draw 2000000002 x 1 = 2000000002 quasi-random values" in capsys.readouterr().err
-        # the largest request under the limit goes on to the draw
-        with pytest.raises(AssertionError, match=f"drew 26 x {most}"):
+        # the largest request under the limit goes on to draw its first block
+        with pytest.raises(AssertionError,
+                           match=re.escape(f"drew 26 x rows [0, {dynamics.SAMPLE_BLOCK})")):
             main(["entropy", spec, "--empirical", "12", str(most), "1"])
 
-    def test_sampler_memory_is_bounded_before_drawing(self, capsys, monkeypatch):
-        # example1 holds d + state_dim = 4 values per sample, and at depth 2
-        # draws 6: the draws stay under their limit, the values do not.
-        # Nothing large is allocated: the draw fails if it is reached
-        from cmnverify import dynamics
-        limit = dynamics.MAX_SAMPLE_VALUES
-        most = limit // 4
-        assert 4 * most == limit and 6 * (most + 1) <= dynamics.MAX_SAMPLE_DRAWS
+    @pytest.mark.parametrize("matrix", [np.eye(3).tolist(), [[1, 0, 0], [0, 1, 0]],
+                                        [[1, 0], [0, 1], [0, 0]]],
+                             ids=["3-to-3", "3-to-2", "2-to-3"])
+    def test_ambient_of_another_dimension_is_refused(self, matrix, fixdir, tmp_path, capsys):
+        # example2's state lives in R^2; an interaction map of another
+        # domain or range is refused on load by every verb, at its path
+        doc = json.loads((fixdir / "example2.json").read_text())
+        rows, cols = len(matrix), len(matrix[0])
+        doc["coupling"]["ambient"] = {"dim_in": cols, "dim_out": rows, "pieces": [
+            {"matrix": matrix, "offset": [0] * rows, "normals": [], "bounds": []}]}
+        spec = tmp_path / "ambient.json"
+        spec.write_text(json.dumps(doc))
+        for verb, *options in (["verify"], ["margin"], ["periodic", "--auto"],
+                               ["simulate", "--steps", "2"],
+                               ["entropy", "--empirical", "4", "200", "1"]):
+            assert main([verb, str(spec), *options]) == 2, verb
+            out = capsys.readouterr()
+            assert (f"error: $.coupling.ambient: the interaction map acts from R^{cols} to "
+                    f"R^{rows}, the network state lives in R^2\n") in out.err, verb
+            assert out.out == "" and "Traceback" not in out.err, verb
 
-        def no_draw(n_cols, samples, seed):
-            raise AssertionError(f"drew {n_cols} x {samples}")
-        monkeypatch.setattr(dynamics, "_halton", no_draw)
-        spec = str(FIXDIR / "example1.json")
-        assert main(["entropy", spec, "--empirical", "2", str(most + 1), "1"]) == 2
+    def test_undefined_ambient_fails_the_conjugacy_audit(self, fixdir, tmp_path, capsys):
+        # example2's interaction defined only where x0 >= 100: verify still
+        # gives its verdict, and the audit reports the undefined samples
+        doc = json.loads((fixdir / "example2.json").read_text())
+        doc["coupling"]["ambient"]["pieces"][0].update(normals=[[-1, 0]], bounds=[-100])
+        spec = tmp_path / "half.json"
+        spec.write_text(json.dumps(doc))
+        out = tmp_path / "cert.json"
+        assert main(["verify", str(spec), "--out", str(out)]) == 0
         err = capsys.readouterr().err
-        assert (f"error: {most + 1} samples of 4 values each (d + state_dim) hold "
-                f"{4 * (most + 1)} values, above the limit of {limit}") in err
-        assert "Traceback" not in err
-        # exactly at the limit the request goes on to the draw
-        with pytest.raises(AssertionError, match=f"drew 6 x {most}"):
-            main(["entropy", spec, "--empirical", "2", str(most), "1"])
+        assert "conjugacy audit failed (worst residual inf)\n" in err
+        assert "verdict pass" in err and "error:" not in err
+        assert json.loads(out.read_text())["conjugacy_residual"] == "inf"
 
     def test_unconfirmed_orbit_is_inconclusive(self, fixdir, tmp_path, capsys):
         # theorem 1 holds for the chart-coordinate model, but under the

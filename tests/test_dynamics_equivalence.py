@@ -9,10 +9,11 @@ coordinate-major: points are the rows of (n, dim) arrays, maps are applied
 by a masked loop over pieces (``_reference_step``) and states are located
 by a row max (``_reference_locate_batch``).  The sampler must return
 exactly the same estimate (``==``, not approximately) and raise
-``NoInvariantSamplesError`` in exactly the same cases.  The simulate
-digests were recorded before the rework too.  scipy's scrambled Halton
-generator is the oracle both for the reference and for the sampler's own
-``_halton``.
+``NoInvariantSamplesError`` in exactly the same cases, whether the
+samples fill one block or several.  The simulate digests were recorded
+before the rework too.  scipy's scrambled Halton generator is the oracle
+both for the reference and for the sampler's own ``_halton``, whose blocks
+of rows stack to scipy's points.
 """
 
 import hashlib
@@ -258,23 +259,26 @@ def test_estimate_matches_reference(name, depth, samples, seed):
 
 
 def test_deep_cases_rank_their_keys(monkeypatch):
-    # the depth-20 cases above outgrow an int64 key at their 18th step,
-    # where the sampler replaces each key by ranks among the survivors
+    # the depth-20 cases above outgrow one int64 key at their 18th step,
+    # where the sampler starts a second limb of each word's key; the
+    # distinct words are then the distinct rows of limbs
     spec = OTHERS["designed2_d3_weak"]()
     base = math.prod(node.count for node in spec.nodes)
     assert base ** 17 <= 2 ** 62 < base ** 18
-    ranked = []
+    counted = []
     unique = np.unique
 
     def counting(values, **kwargs):
-        ranked.append(values.size)
+        counted.append((values.shape, kwargs))
         return unique(values, **kwargs)
 
     monkeypatch.setattr(np, "unique", counting)
     got = empirical_entropy(spec, 20, 20_000, 0)
     monkeypatch.undo()
-    # the word so far and the step, once, over the same survivors
-    assert len(ranked) == 2 and ranked[0] == ranked[1] > 0
+    # one count, over the kept words of both blocks, two limbs each
+    assert len(counted) == 1
+    (words, limbs), kwargs = counted[0]
+    assert limbs == 2 and 0 < words <= 20_000 and kwargs == {"axis": 0}
     assert got == reference_entropy(spec, 20, 20_000, 0)
 
 
@@ -290,7 +294,8 @@ def test_empty_cases_raise_in_both():
 
 def test_dead_rows_are_dropped(monkeypatch):
     # survivors fall step by step on the diffusive alpha = 0.2 network, so
-    # forward extraction locates ever smaller batches and still agrees
+    # within each block forward extraction locates ever smaller batches,
+    # and the two blocks still agree with the single pass of the reference
     sizes = []
     locate = dy.locate_batch
 
@@ -301,8 +306,11 @@ def test_dead_rows_are_dropped(monkeypatch):
     monkeypatch.setattr(dy, "locate_batch", counting)
     spec = fixtures.example1(alpha=0.2)
     got = empirical_entropy(spec, 12, 20_000, 1)
-    assert sizes[0] == 20_000 and sizes[-1] < sizes[0]
-    assert sizes == sorted(sizes, reverse=True)
+    blocks = [sizes[:12], sizes[12:]]
+    assert len(sizes) == 24
+    assert [b[0] for b in blocks] == [dy.SAMPLE_BLOCK, 20_000 - dy.SAMPLE_BLOCK]
+    for b in blocks:
+        assert b == sorted(b, reverse=True) and b[-1] < b[0]
     monkeypatch.setattr(dy, "locate_batch", locate)
     assert got == reference_entropy(spec, 12, 20_000, 1)
 
@@ -314,25 +322,53 @@ HALTON_CASES = [(1, 1, 0), (3, 1, 0), (60, 1, 4), (5, 64, 1), (7, 243, 5), (4, 7
                 (60, 12_345, 3)]
 
 
+def _block_starts(samples: int, rows: int) -> list[int]:
+    """First rows of the blocks of ``rows`` over [0, samples): every one
+    when there are at most 200, else the first 100 and 100 spread evenly up
+    to the last, since each block replays every base's permutations."""
+    starts = list(range(0, samples, rows))
+    if len(starts) <= 200:
+        return starts
+    spread = np.linspace(100, len(starts) - 1, 100).astype(int)
+    return starts[:100] + [starts[i] for i in spread]
+
+
 @pytest.mark.parametrize("n_cols,samples,seed", HALTON_CASES)
 def test_halton_matches_scipy(n_cols, samples, seed):
     from scipy.stats import qmc
 
     want = qmc.Halton(d=n_cols, scramble=True, seed=seed).random(samples)
-    columns = list(dy._halton(n_cols, samples, seed))
+    columns = list(dy._halton(n_cols, 0, samples, seed))
     assert all(c.shape == (samples,) and c.flags.c_contiguous for c in columns)
     assert np.array_equal(np.stack(columns, axis=1), want)
     # columns are built on demand: the first k alone are scipy's first k
     k = (n_cols + 1) // 2
-    first = list(itertools.islice(dy._halton(n_cols, samples, seed), k))
+    first = list(itertools.islice(dy._halton(n_cols, 0, samples, seed), k))
     assert np.array_equal(np.stack(first, axis=1), want[:, :k])
+    # a block's rows are scipy's rows, where its bounds split every base's
+    # runs of equal digits (1 and 7 rows) or only the low digits' (1000)
+    for rows in (1, 7, 1000):
+        for lo in _block_starts(samples, rows):
+            hi = min(lo + rows, samples)
+            block = np.stack(list(dy._halton(n_cols, lo, hi, seed)), axis=1)
+            assert np.array_equal(block, want[lo:hi]), (rows, lo)
 
 
-def _sampler_peak(depth: int) -> int:
+@pytest.mark.parametrize("name", ["example1", "planar_golden_pair"])
+@pytest.mark.parametrize("samples", [dy.SAMPLE_BLOCK - 1, dy.SAMPLE_BLOCK, dy.SAMPLE_BLOCK + 1,
+                                     2 * dy.SAMPLE_BLOCK + 1])
+def test_estimate_across_block_boundaries(name, samples):
+    # one short block, one full one, a full one and a block of one sample,
+    # two full ones and one of one sample; planar_golden_pair has 2-d blocks
+    spec = SPECS[name]()
+    assert empirical_entropy(spec, 6, samples, 1) == reference_entropy(spec, 6, samples, 1)
+
+
+def _sampler_peak(depth: int, samples: int = 20_000) -> int:
     spec = fixtures.example1()
     tracemalloc.start()
     try:
-        empirical_entropy(spec, depth, 20_000, 1)
+        empirical_entropy(spec, depth, samples, 1)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -345,6 +381,14 @@ def test_sampler_memory_does_not_grow_with_depth():
     empirical_entropy(fixtures.example1(), 6, 1000, 1)  # fill one-time caches
     shallow, deep = _sampler_peak(6), _sampler_peak(40)
     assert deep <= 1.1 * shallow, (shallow, deep)
+
+
+def test_sampler_memory_grows_by_the_kept_keys_alone():
+    # past one block, each added sample costs its word's key and no more:
+    # 8 bytes here, against 102 when every stage was a full-width array
+    empirical_entropy(fixtures.example1(), 6, 1000, 1)  # fill one-time caches
+    two, eight = _sampler_peak(6, 2 * dy.SAMPLE_BLOCK), _sampler_peak(6, 8 * dy.SAMPLE_BLOCK)
+    assert eight - two <= 32 * 6 * dy.SAMPLE_BLOCK, (two, eight)
 
 
 def test_example1_estimate_at_seed_1():

@@ -679,6 +679,21 @@ class TestConjugacyAudit:
         audit = conjugacy_audit(fixtures.theorem1_perm23())
         assert audit.ok
 
+    def test_undefined_interaction_is_a_mismatch(self):
+        # the declared ambient map defined only where x0 >= 100: every
+        # sample's coupled image is undefined, a residual of inf
+        spec = fixtures.example2()
+        piece = spec.coupling.ambient.pieces[0]
+        half = PiecewiseAffineMap(2, 2, (AffinePiece(piece.matrix, piece.offset,
+                                                     np.array([[-1.0, 0.0]]),
+                                                     np.array([-100.0])),))
+        audit = conjugacy_audit(NetworkSpec(spec.graph, spec.nodes,
+                                            CouplingSpec("type2", spec.coupling.matrix,
+                                                         ambient=half)))
+        assert audit.worst_residual == math.inf and not audit.ok
+        assert len(audit.mismatches) == 16 and audit.samples > 16
+        assert all(m.endswith("residual inf") for m in audit.mismatches)
+
     # the audit evaluates one sample at a time; a batched evaluation rounds
     # differently and would change verify's certificates, so the last bit holds
     @pytest.mark.parametrize("seed, worst", [(0, 8.881784197001252e-16),
