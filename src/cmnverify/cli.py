@@ -49,14 +49,17 @@ def _load(path: str):
 
 def _certify(spec, grid: int):
     """Theorem 1 for type-I coupling, theorem 2 for type-II, and the orbit
-    documents of a theorem 1 pass; an orbit of the network map itself that
-    is not confirmed makes that pass "inconclusive", and the third value
-    (None otherwise) says why, as it is printed on stderr."""
+    documents of a theorem 1 pass.  A failed local covering makes theorem 1
+    "fail", and an orbit of the network map itself that is not confirmed
+    makes its pass "inconclusive"; the third value (None otherwise) says
+    why, as it is printed on stderr."""
     if spec.coupling.kind != TYPE_I:
         return theorem2_check(spec, resolution=grid), [], None
     report = theorem1_check(spec, resolution=grid)
+    if report.hypothesis is not None:
+        print(report.hypothesis, file=sys.stderr)
     if not report.passed:
-        return report, [], None
+        return report, [], report.hypothesis
     loop = permutation_loop([node.transition for node in spec.nodes])
     try:
         return report, [_orbit_doc(loop, periodic_point(spec, loop))], None
@@ -128,7 +131,7 @@ def cmd_margin(args) -> int:
     spec, _ = _load(args.spec)
     report, _, reason = _certify(spec, args.grid)
     if reason is not None:
-        # every entry passed: no entry binds, the orbit decides
+        # a hypothesis or the orbit decides, not an entry
         print(f"certification fails: verdict {report.verdict}, {reason}")
         return EXIT_FAIL
     entries, b = report.entries, report.binding_entry()

@@ -5,10 +5,8 @@ coupling.  Periodic points come from exact affine composition along a
 declared symbol loop (the piecewise-affine restriction makes the closed
 loop solvable in closed form); perturbed networks refine that solution by
 damped fixed-point iteration.  The loop and the sampler's pull-back read
-each node's affine branch on an h-set by the checkers' own rules
-(``_branch``): the piece that evaluation picks at the h-set's centre
-(``piece_at``), accepted when ``form_gap``, the vertex rule that audits
-chart forms, finds the local map equal to it on the whole h-set.
+each node's affine branch on an h-set from the spec's set-up, which owns
+the branch rule (``network._branch``): nothing here composes a chart.
 
 Stepping and locating read tables built once per spec: each node keeps its
 member charts in a per-symbol table filled on first use
@@ -62,16 +60,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (CONTINUITY_TOL, EVAL_TIE_TOL, GeometryError, PiecewiseAffineMap, _product,
-                       _scatter, form_gap, singular)
-from .network import NetworkSpec, SpecError
+from .geometry import EVAL_TIE_TOL, GeometryError, _product, _scatter, singular
+from .network import LoopError, NetworkSpec, SpecError, _branch
 from .symbolic import is_admissible
 
 RESIDUAL_TOL = 1e-10
-# Most quasi-random values one entropy estimate may draw: samples times
-# d + state_dim + d (depth - 1) columns.  This bounds the sampler's work;
-# its memory is one block of samples plus the kept words' keys.  12 steps
-# of 100,000 samples on a 2-node network draw 2.6 million.
+# Most values one entropy estimate may draw or build: samples times d +
+# state_dim + d (depth - 1) columns of quasi-random draws, plus, in each
+# block, the scramble permutations of every column, digits(b) x b values
+# for the column in prime base b (``_digits``).  This bounds the sampler's
+# work before anything is drawn; its memory is one block of samples plus
+# the kept words' keys.  12 steps of 100,000 samples on a 2-node network
+# draw 2.6 million values and build 73,927 in seven blocks.
 MAX_SAMPLE_DRAWS = 2 ** 24
 # Samples the sampler draws, constructs and extracts at a time: one block's
 # arrays are all it holds besides the kept words' int64 limbs.
@@ -83,11 +83,6 @@ SAMPLE_BLOCK = 2 ** 14
 # (36 MB of it the interpreter and its imports) and take 5.3 s, one
 # ``step`` call per state.  So the limit bounds the time.
 MAX_ORBIT_VALUES = 2 ** 18
-
-
-class LoopError(ValueError):
-    """A loop or the sampler cannot run on a valid spec: an inadmissible
-    loop, or no (invertible) affine branch of a map where one is needed."""
 
 
 class NeutralCompositionError(ValueError):
@@ -176,7 +171,7 @@ class PeriodicOrbitCertificate:
 # stepping
 
 
-def _apply(F: PiecewiseAffineMap, pts: np.ndarray, name: str) -> np.ndarray:
+def _apply(F, pts: np.ndarray, name: str) -> np.ndarray:
     """``F.apply_batch(pts)``, or an ``OrbitEscapeError`` naming the map ``name``."""
     try:
         return F.apply_batch(pts)
@@ -324,34 +319,6 @@ def itinerary(spec: NetworkSpec, x0, n: int) -> Itinerary:
 # periodic points
 
 
-def _branch(spec: NetworkSpec, k: int, symbol: int):
-    """Affine piece of node k's local map on h-set ``symbol``.
-
-    The piece is the one that holds the h-set's centre (``piece_at`` at
-    the chart's preimage of 0).  It is the branch when, both carried onto
-    the unit box by the h-set's chart, its ``form_gap`` with the local map
-    is at most ``CONTINUITY_TOL``: the exact vertex rule that audits
-    declared chart forms, so the map is that one affine map wherever it is
-    defined on the h-set.  On the line the set-up refuses a map undefined
-    on part of an h-set; above it, one undefined at the centre is a
-    ``SpecError`` at ``$.nodes[k].map``, and a step into another hole an
-    ``OrbitEscapeError``.  A map that is not one affine map there is a
-    ``LoopError`` naming the node and the h-set.
-    """
-    node = spec.nodes[k]
-    chart = node.member_chart(symbol)
-    try:
-        piece = node.local_map.piece_at(chart.invert_batch(np.zeros((node.dim, 1))))
-        gap = form_gap(node.local_map.in_chart(chart),
-                       PiecewiseAffineMap.affine(piece.matrix, piece.offset).in_chart(chart))
-    except GeometryError as exc:
-        raise SpecError(f"$.nodes[{k}].map: h-set {symbol}: {exc}") from exc
-    if not gap <= CONTINUITY_TOL:
-        raise LoopError(f"node {k + 1}, h-set {symbol}: the local map is not one affine "
-                        f"map on the h-set (gap {gap:.3e})")
-    return piece
-
-
 def _interaction(spec: NetworkSpec, purpose: str) -> tuple[np.ndarray, np.ndarray]:
     """The interaction's linear part and offset, or a ``LoopError`` naming ``purpose``."""
     ambient = spec.ambient_map()
@@ -482,14 +449,21 @@ def _inverse_branches(spec: NetworkSpec):
 
 
 def _primes(n: int) -> list[int]:
-    """The first ``n`` primes."""
-    primes: list[int] = []
-    cand = 2
-    while len(primes) < n:
-        if all(cand % p for p in primes if p * p <= cand):
-            primes.append(cand)
-        cand += 1
-    return primes
+    """The first ``n`` primes: a sieve of Eratosthenes up to Rosser's bound
+    n (ln n + ln ln n) on the n-th prime, for n >= 6."""
+    limit = 13 if n < 6 else int(n * (math.log(n) + math.log(math.log(n)))) + 1
+    sieve = np.ones(limit + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = False
+    return np.flatnonzero(sieve)[:n].tolist()
+
+
+def _digits(base: int) -> int:
+    """Digits of ``base`` a double resolves, each scrambled by its own
+    permutation of ``arange(base)``, as scipy's generator does."""
+    return math.ceil(54 / math.log2(base)) - 1
 
 
 def _halton(n_cols: int, lo: int, hi: int, seed: int) -> Iterator[np.ndarray]:
@@ -526,8 +500,7 @@ def _halton_column(rng: np.random.Generator, base: int, lo: int, hi: int) -> np.
     """
     # ``permuted`` shuffles the rows in order, as scipy's loop of ``shuffle``
     # calls does, and draws the same stream in one call
-    perms = rng.permuted(np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1,
-                                   axis=0), axis=1)
+    perms = rng.permuted(np.repeat(np.arange(base)[None], _digits(base), axis=0), axis=1)
     rows = hi - lo
     table = np.zeros(1)
     b2r = 1.0 / base
@@ -707,9 +680,9 @@ def empirical_entropy(spec: NetworkSpec, depth: int, samples: int, seed: int = 0
     The stream is Owen's randomized Halton sequence (A. B. Owen, "A
     randomized Halton algorithm in R", arXiv:1706.02808, 2017), equal to
     scipy's ``qmc.Halton(scramble=True, seed=seed)``, so the estimate is
-    deterministic for a fixed seed.  A request that would draw more than
-    ``MAX_SAMPLE_DRAWS`` values is refused with ``SpecError`` before
-    anything is drawn.
+    deterministic for a fixed seed.  A request whose draws and scramble
+    permutations would pass ``MAX_SAMPLE_DRAWS`` values is refused with
+    ``SpecError`` before anything is drawn.
 
     The samples run in blocks of ``SAMPLE_BLOCK``: each block draws its
     own rows of the stream (``_halton``), constructs its states and
@@ -733,10 +706,14 @@ def empirical_entropy(spec: NetworkSpec, depth: int, samples: int, seed: int = 0
     if samples < 1:
         raise ValueError("need at least one sample")
     n_cols = spec.d + spec.state_dim + spec.d * (depth - 1)
-    if n_cols * samples > MAX_SAMPLE_DRAWS:
+    # the c-th prime exceeds c, so the permutations of the first
+    # isqrt(2 MAX_SAMPLE_DRAWS) + 1 columns alone pass the limit
+    bases = _primes(min(n_cols, math.isqrt(2 * MAX_SAMPLE_DRAWS) + 1))
+    perms = -(-samples // SAMPLE_BLOCK) * sum(_digits(b) * b for b in bases)
+    if n_cols * samples + perms > MAX_SAMPLE_DRAWS:
         raise SpecError(f"{samples} samples at depth {depth} draw {n_cols} x {samples} = "
-                        f"{n_cols * samples} quasi-random values, above the limit of "
-                        f"{MAX_SAMPLE_DRAWS}")
+                        f"{n_cols * samples} quasi-random values and build at least {perms} "
+                        f"permutation values, above the limit of {MAX_SAMPLE_DRAWS}")
     a_lin, a_off = _interaction(spec, "entropy sampling")
     if singular(a_lin):
         raise LoopError("$.coupling.ambient: the interaction map is not invertible")

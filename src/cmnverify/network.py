@@ -30,15 +30,15 @@ coupling, with no off-diagonal terms and no inflation.  ``check_covering``
 is that one-node case.  Theorem 1 lists the identity as one more coupling
 matrix of its tables and checks every transition (i, j) on its own, as
 the covering of h-set j by h-set i, from those diagonal cells before the
-entry loop; an outcome other than "pass" is a ``SpecError`` at the first
-such node's ``$.nodes[k].map``, naming each of its failing transitions
-and their failures.  Every command reads a spec through one set-up
-(``set_up``), kept on the spec: ``validate_spec``, then each node's chart
-forms taken or derived, audited and built (``_node_forms``, refused at
-``$.nodes[k].map`` or ``$.nodes[k].chart_forms``), and a coupling large
-enough to scale a finite form past floating-point range (at
-``$.coupling.matrix``), each refusal a ``SpecError``.  A check's tables
-(``_prepare``) start from it.
+entry loop; an outcome other than "pass" fails the check, its report
+naming the first such node's ``$.nodes[k].map``, each of its failing
+transitions and their failures.  Every command reads a spec through one
+set-up (``set_up``), kept on the spec: ``validate_spec``, then each
+node's chart forms taken or derived, audited and built (``_node_forms``,
+refused at ``$.nodes[k].map`` or ``$.nodes[k].chart_forms``), and a
+coupling large enough to scale a finite form past floating-point range
+(at ``$.coupling.matrix``), each refusal a ``SpecError``.  A check's
+tables (``_prepare``) start from it.
 
 The coupling kind decides which charts a chart form composes the local map
 with; ``_form_keys`` and ``_form_charts`` own that decision, and form
@@ -60,7 +60,7 @@ import numpy as np
 from .covering import (STRICT_MARGIN, CoveringCertificate, CoveringOutcome, ProductFormMap,
                        persistence_bound)
 from .degree import DegreeUndefinedError, DegreeValue, crossing_degrees, degree_for_map
-from .geometry import (CONTINUITY_TOL, EVAL_TIE_TOL, MAX_GRID_POINTS, AffineChart,
+from .geometry import (CONTINUITY_TOL, EVAL_TIE_TOL, MAX_GRID_POINTS, AffineChart, AffinePiece,
                        CellGeometry, CenterScale, GeometryError, HSet, PiecewiseAffineMap,
                        UnifiedSet, _box_vertices, affine_min_stretch, face_grid_points,
                        form_gap, line_stretch, max_face_resolution, max_stretch, min_stretch,
@@ -73,6 +73,11 @@ TYPE_II = "type2"
 
 class SpecError(ValueError):
     """Network data violates a structural precondition."""
+
+
+class LoopError(ValueError):
+    """A loop or the sampler cannot run on a valid spec: an inadmissible
+    loop, or no (invertible) affine branch of a map where one is needed."""
 
 
 @dataclass(frozen=True)
@@ -278,10 +283,11 @@ def _form_charts(node: NodeSystem, kind: str, key) -> tuple[AffineChart, AffineC
     return node.hsets[i - 1].chart, node.hsets[j - 1].chart
 
 
-def _compose(node: NodeSystem, kind: str, key) -> PiecewiseAffineMap:
-    """The local map in the charts of the chart form ``key``."""
+def _compose(node: NodeSystem, kind: str, key, charted: dict) -> PiecewiseAffineMap:
+    """The local map in the chart form ``key``'s charts, its inner step kept in ``charted``."""
     inner, outer = _form_charts(node, kind, key)
-    return node.local_map.in_chart(inner).compose_affine_outer(outer.linear, outer.offset)
+    F = charted[key if kind == TYPE_II else key[0]] = node.local_map.in_chart(inner)
+    return F.compose_affine_outer(outer.linear, outer.offset)
 
 
 def _resolve_forms(node: NodeSystem, kind: str, composed: dict | None = None,
@@ -293,7 +299,7 @@ def _resolve_forms(node: NodeSystem, kind: str, composed: dict | None = None,
         return node.chart_forms
     with np.errstate(over="ignore", invalid="ignore"):    # ``_node_forms`` refuses an inf form
         if composed is None:
-            composed = {key: _compose(node, kind, key) for key in _form_keys(node, kind)}
+            composed = {key: _compose(node, kind, key, {}) for key in _form_keys(node, kind)}
         return {key: ProductFormMap(*split_product(F, node.dim_u, cells))
                 for key, F in composed.items()}
 
@@ -405,9 +411,11 @@ def validate_spec(spec: NetworkSpec) -> ValidationReport:
     ``geometry.MAX_VERTEX_CANDIDATES`` candidate vertices; the type-I image
     separation compares exact image boxes, an error on the line and a
     warning in higher dimensions, where boxes stand in for sets.  A declared
-    ``ambient`` map must act on the network state, R^state_dim.  The
-    report, with the h-set boxes it built, is kept on the spec, so a later
-    call returns it without a second audit.
+    ``ambient`` map must act on the network state, R^state_dim.  A type-I
+    node's transition matrix must be a permutation, theorem 1's hypothesis
+    (``$.nodes[k].transition``).  The report, with the h-set boxes it
+    built, is kept on the spec, so a later call returns it without a second
+    audit.
     """
     if spec._report is not None:
         return spec._report
@@ -460,6 +468,8 @@ def validate_spec(spec: NetworkSpec) -> ValidationReport:
         if node.transition.n != node.count:
             errors.append(f"{at}.transition: transition matrix is {node.transition.n}x"
                           f"{node.transition.n} for {node.count} h-sets")
+        elif spec.coupling.kind == TYPE_I and not node.transition.is_permutation():
+            errors.append(f"{at}.transition: theorem 1 needs a permutation matrix")
         if node.local_map.dim_in != node.dim or node.local_map.dim_out != node.dim:
             errors.append(f"{at}.map: local map acts on R^{node.local_map.dim_in}, "
                           f"h-sets live in R^{node.dim}")
@@ -679,6 +689,7 @@ class TheoremReport:
     global_eps: float
     entropy_bound: float | None = None
     period: int | None = None
+    hypothesis: str | None = None   # theorem 1's failed local covering, when one fails
 
     @property
     def passed(self) -> bool:
@@ -1067,23 +1078,25 @@ def _audit_declared_forms(forms: dict, composed: dict, cells: CellGeometry) -> N
                 raise GeometryError(f"declared chart form {key} {fault} (gap {gap:.3e})")
 
 
-def _node_forms(node: NodeSystem, kind: str, k: int, cells: CellGeometry) -> tuple[dict, float]:
+def _node_forms(node: NodeSystem, kind: str, k: int, cells: CellGeometry) -> tuple:
     """Node k's chart forms, declared or derived, audited and with every
-    factor's cell table built in ``cells``; and their size, the largest row
-    sum plus offset of a piece.  Refused at ``$.nodes[k].map``: a local map
-    whose composition into a form's charts (finite or not) has no total
-    cell table, or whose derived form ``split_product`` refuses (which
-    decides continuity).  Then (at ``$.nodes[k].chart_forms`` when
-    declared, else ``.map``): keys other than ``_form_keys``, or a split
-    other than the h-sets'; a size that is not finite; a factor with no
-    cell table; a declared form that jumps or is not the composed map
-    (``_audit_declared_forms``).
+    factor's cell table built in ``cells``; their size, the largest row sum
+    plus offset of a piece; and its ``SetUp.charted`` and ``.centres``.
+    Refused at ``$.nodes[k].map``: a local map whose composition into a
+    form's charts (finite or not) has no total cell table, or whose derived
+    form ``split_product`` refuses (which decides continuity).  Then (at
+    ``$.nodes[k].chart_forms`` when declared, else ``.map``): keys other
+    than ``_form_keys``, or a split other than the h-sets'; a size that is
+    not finite; a factor with no cell table; a declared form that jumps or
+    is not the composed map (``_audit_declared_forms``).  Last, at
+    ``.map``: a map undefined at an h-set's centre.
     """
     declared = node.chart_forms is not None
     where = f"$.nodes[{k}].{'chart_forms' if declared else 'map'}"
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            composed = {key: _compose(node, kind, key) for key in _form_keys(node, kind)}
+            charted = {}
+            composed = {key: _compose(node, kind, key, charted) for key in _form_keys(node, kind)}
             forms = _resolve_forms(node, kind, composed, cells)
             # when s = 0 a derived form's U is its composed map, tabled below
             for F in composed.values() if declared or node.dim_s else ():
@@ -1110,7 +1123,31 @@ def _node_forms(node: NodeSystem, kind: str, k: int, cells: CellGeometry) -> tup
             _audit_declared_forms(forms, composed, cells)
     except GeometryError as exc:
         raise SpecError(f"{where}: {exc}") from exc
-    return forms, size
+    origin, centres = np.zeros((node.dim, 1)), []
+    for i in range(1, node.count + 1):
+        try:
+            centres.append(node.local_map.piece_at(node.member_chart(i).invert_batch(origin)))
+        except GeometryError as exc:
+            raise SpecError(f"$.nodes[{k}].map: h-set {i}: {exc}") from exc
+    return forms, size, charted, centres
+
+
+def _branch(spec: NetworkSpec, k: int, symbol: int) -> AffinePiece:
+    """Node k's affine branch on h-set ``symbol``, as the set-up owns it:
+    the piece at the h-set's centre (``SetUp.centres``), if its ``form_gap``
+    with the local map, both in the member chart (``SetUp.charted``), is at
+    most ``CONTINUITY_TOL``, so the map is that affine map wherever it is
+    defined there.  Else a ``LoopError`` names the node and the h-set."""
+    node, setup = spec.nodes[k], set_up(spec)
+    chart, piece, F = node.member_chart(symbol), setup.centres[k][symbol - 1], setup.charted[k]
+    if spec.coupling.kind == TYPE_I and node.unified is not None:
+        F = {symbol: node.local_map.in_chart(chart)}    # its forms read the h-set charts
+    gap = form_gap(F[symbol], PiecewiseAffineMap.affine(piece.matrix, piece.offset).in_chart(chart),
+                   setup.cells)
+    if not gap <= CONTINUITY_TOL:
+        raise LoopError(f"node {k + 1}, h-set {symbol}: the local map is not one affine "
+                        f"map on the h-set (gap {gap:.3e})")
+    return piece
 
 
 class SetUp(NamedTuple):
@@ -1119,6 +1156,8 @@ class SetUp(NamedTuple):
     report: ValidationReport
     forms: tuple[dict, ...]     # per node, its audited chart forms (``_node_forms``)
     cells: CellGeometry         # holds the cell table of every factor of those forms
+    charted: tuple[dict, ...]   # per node and symbol (one form's source), its map in its chart
+    centres: tuple[list, ...]   # per node, the piece of its map at each h-set's centre
 
 
 def set_up(spec: NetworkSpec) -> SetUp:
@@ -1134,13 +1173,13 @@ def set_up(spec: NetworkSpec) -> SetUp:
         if not report.ok:
             raise SpecError("; ".join(report.errors))
         cells = CellGeometry()
-        forms, sizes = zip(*(_node_forms(node, spec.coupling.kind, k, cells)
-                             for k, node in enumerate(spec.nodes)))
+        forms, sizes, charted, centres = zip(*(_node_forms(node, spec.coupling.kind, k, cells)
+                                               for k, node in enumerate(spec.nodes)))
         lip, size = spec.coupling.lipschitz(), max(sizes)
         if not math.isfinite(lip * size):
             raise SpecError(f"$.coupling.matrix: coupling row sum {lip:g} times chart-form "
                             f"size {size:g} is not a finite number")
-        object.__setattr__(spec, "_setup", SetUp(report, forms, cells))
+        object.__setattr__(spec, "_setup", SetUp(report, forms, cells, charted, centres))
     return spec._setup
 
 
@@ -1158,7 +1197,7 @@ def _prepare(spec: NetworkSpec, kind: str, resolution: int
     if spec.coupling.kind != kind:
         raise SpecError(f"checker needs coupling kind '{kind}', "
                         f"spec declares '{spec.coupling.kind}'")
-    _, forms, cells = set_up(spec)
+    _, forms, cells, *_ = set_up(spec)
     for k, (node, node_forms) in enumerate(zip(spec.nodes, forms)):
         u = node.dim_u
         if (u >= 2 and not all(form.U.is_affine for form in node_forms.values())
@@ -1228,32 +1267,35 @@ def theorem1_check(spec: NetworkSpec, resolution: int = 64,
                    pert_amplitude: float = 0.0) -> TheoremReport:
     """Certify the permutation-structure hypotheses (periodic-point check).
 
-    Every node transition matrix must be a permutation.  On a pass the
-    report carries eps* and the period of the orbit through symbol 1 of
-    every node, the length of ``symbolic.permutation_loop``.
-    ``pert_amplitude`` re-runs the check with every row inequality
-    tightened by the worst-case chart-level displacement of a perturbation
-    of that sup-norm; a negative or non-finite one is a ``ValueError``.
+    Validation refuses a node whose transition matrix is not a permutation.
+    Each transition (i, j) must be a single covering of h-set j by h-set
+    i; when one is not, the report reads "fail", with ``hypothesis`` naming
+    the first such node's ``$.nodes[k].map`` and each of its failing
+    transitions, and its entries are still checked.  On a pass the report
+    carries eps* and the period of the orbit through symbol 1 of every
+    node, the length of ``symbolic.permutation_loop``.  ``pert_amplitude``
+    re-runs the check with every row inequality tightened by the worst-case
+    chart-level displacement of a perturbation of that sup-norm; a negative
+    or non-finite one is a ``ValueError``.
     """
     _require_amplitude(pert_amplitude)
-    for k, node in enumerate(spec.nodes):
-        if not node.transition.is_permutation():
-            raise SpecError(f"$.nodes[{k}].transition: theorem 1 needs a permutation matrix")
     tables, own, chart_lip = _prepare(spec, TYPE_I, resolution)
     ids = [[(node.hsets[i - 1].id, node.hsets[j - 1].id) for i, j in node.transitions()]
            for node in spec.nodes]
+    hypothesis = None
     for k, (node, outcomes) in enumerate(zip(spec.nodes, tables.coverings(-1, ids))):
         structural = [f"transition {i}->{j}: " + "; ".join(outcome.failures)
                       for (i, j), outcome in zip(node.transitions(), outcomes)
                       if not outcome.passed]
         if structural:
-            raise SpecError(f"$.nodes[{k}].map: local covering structure fails: "
-                            + "; ".join(structural))
+            hypothesis = (f"$.nodes[{k}].map: local covering structure fails: "
+                          + "; ".join(structural))
+            break
     entries = _check_entries(spec, tables, own, chart_lip, pert_amplitude)
-    verdict, eps = _aggregate(entries)
+    verdict, eps = _aggregate(entries) if hypothesis is None else ("fail", 0.0)
     period = (len(permutation_loop([n.transition for n in spec.nodes]))
               if verdict == "pass" else None)
-    return TheoremReport(1, verdict, entries, eps, period=period)
+    return TheoremReport(1, verdict, entries, eps, period=period, hypothesis=hypothesis)
 
 
 def theorem2_check(spec: NetworkSpec, resolution: int = 64,

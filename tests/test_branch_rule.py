@@ -5,9 +5,15 @@ centre, accepted when ``form_gap`` finds the local map equal to it on the
 whole h-set.  So a breakpoint that does not change the map changes no
 output; a real kink inside an h-set is a failed operation (exit 1), and
 a map undefined on part of an h-set a spec error at its JSON path
-(exit 2), which every verb's set-up refuses on load.  Theorem 1's loop
-through (1, ..., 1) is ``symbolic.permutation_loop``: its length is the
-period a pass reports.
+(exit 2), which every verb's set-up refuses on load.  The set-up owns the
+rule: it composes each local map into each source h-set's chart once, for
+the checks and the branches alike, and looks up the piece at every h-set's
+centre.  Theorem 1's loop through (1, ..., 1) is
+``symbolic.permutation_loop``: its length is the period a pass reports.
+Its two hypotheses are one contract for every verb: a transition matrix
+that is not a permutation is a malformed type-I spec (exit 2 from all
+five verbs), and a transition that is no single covering a failed
+hypothesis, which ``verify`` and ``margin`` read as "fail" (exit 1).
 """
 
 import json
@@ -17,10 +23,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cmnverify import (TransitionError, TransitionMatrix, load_spec, permutation_loop,
-                       theorem1_check)
+from cmnverify import (PiecewiseAffineMap, TransitionError, TransitionMatrix, load_spec,
+                       permutation_loop, theorem1_check)
+from cmnverify import cli
 from cmnverify.cli import main
 from cmnverify.specio import spec_digest
+from test_cli import _mutated
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -221,3 +229,103 @@ class TestPermutationLoop:
     def test_auto_loop_on_a_non_permutation_node_exits_one(self, capsys):
         assert main(["periodic", str(FIXDIR / "example1.json"), "--auto"]) == 1
         assert "error: node 1: transition matrix is not a permutation" in capsys.readouterr().err
+
+
+class TestSetUpOwnsTheBranches:
+    # each (node, source h-set chart) composition of the local map, counted
+    # over one command; the spec is caught as the command loads it
+    @pytest.mark.parametrize("name, argv", [
+        ("theorem1_perm23.json", ["verify"]),
+        ("theorem1_perm23.json", ["periodic", "--auto"]),
+        ("example1.json", ["entropy", "--empirical", "8", "2000", "1"]),
+    ])
+    def test_each_local_map_is_composed_into_each_chart_once(self, name, argv, monkeypatch,
+                                                             capsys):
+        loaded, calls = [], []
+        load, in_chart = cli.load_spec, PiecewiseAffineMap.in_chart
+
+        def catch(*args, **kwargs):
+            loaded.append(load(*args, **kwargs))
+            return loaded[-1]
+
+        def counted(self, chart):
+            calls.append((self, chart))
+            return in_chart(self, chart)
+        monkeypatch.setattr(cli, "load_spec", catch)
+        monkeypatch.setattr(PiecewiseAffineMap, "in_chart", counted)
+        assert main([argv[0], str(FIXDIR / name), *argv[1:]]) == 0
+        capsys.readouterr()
+        (spec,) = loaded
+        for node in spec.nodes:
+            charts = [chart for F, chart in calls if F is node.local_map]
+            sources = [node.member_chart(i) for i in range(1, node.count + 1)]
+            assert len(charts) == len(sources)
+            assert all(any(c is chart for c in charts) for chart in sources)
+
+
+def _hole5() -> dict:
+    """One type-I node in R^5 mapping the unit box by 3x on the cells
+    x0 <= -0.5 and x0 >= 0.5: undefined at the h-set's centre.  Above four
+    dimensions the set-up samples no totality grid, so only the centre
+    lookup finds the hole."""
+    eye = np.eye(5)
+    pieces = [{"matrix": (3 * eye).tolist(), "offset": [0] * 5,
+               "normals": [(sign * eye[0]).tolist()], "bounds": [-0.5]} for sign in (-1, 1)]
+    return {"format_version": "1", "graph": {"d": 1, "edges": []},
+            "coupling": {"kind": "type1", "matrix": [[1]]},
+            "nodes": [{"u": 5, "s": 0, "transition": [[1]],
+                       "map": {"dim_in": 5, "dim_out": 5, "pieces": pieces},
+                       "hsets": [{"id": "Q", "chart": {"linear": eye.tolist(),
+                                                       "offset": [0] * 5}}]}]}
+
+
+FIVE_VERBS = (["verify"], ["margin"], ["periodic", "--auto"], ["simulate", "--steps", "3"],
+              ["entropy", "--empirical", "6", "2000", "1"])
+
+
+def test_map_undefined_at_a_centre_exits_two_from_every_verb(tmp_path, capsys):
+    spec = tmp_path / "hole5.json"
+    spec.write_text(json.dumps(_hole5()))
+    for argv in FIVE_VERBS:
+        assert main([argv[0], str(spec), *argv[1:]]) == 2, argv
+        out = capsys.readouterr()
+        assert out.err == "error: $.nodes[0].map: h-set 1: map undefined at 1 of 1 points\n", argv
+        assert out.out == "", argv
+
+
+class TestTheorem1Hypotheses:
+    def _mutant(self, tmp_path, path, value) -> Path:
+        spec = tmp_path / "mutant.json"
+        spec.write_text(json.dumps(_mutated(_fixture("theorem1_perm23.json"), path, value)))
+        return spec
+
+    def test_a_failed_local_covering_fails_verify_and_margin(self, tmp_path, capsys):
+        # node 1's first h-set shrunk 3.5 times through its chart: its branch
+        # no longer covers the second one; the spec is well formed
+        spec = self._mutant(tmp_path, ("nodes", 0, "hsets", 0, "chart", "linear", 0, 0), 3.5)
+        reason = "$.nodes[0].map: local covering structure fails: transition 1->2: min stretch"
+        for argv in FIVE_VERBS:
+            code = main([argv[0], str(spec), *argv[1:]])
+            out = capsys.readouterr()
+            assert "Traceback" not in out.err, argv
+            if argv[0] in ("verify", "margin"):
+                assert code == 1 and out.err.startswith(reason), argv
+                if argv[0] == "verify":
+                    assert json.loads(out.out)["verdict"] == "fail"
+                    assert out.err.endswith("\nverdict fail\n")
+                else:
+                    assert out.out.startswith(f"certification fails: verdict fail, {reason}")
+            else:
+                assert code == 0 and out.err.count("error") == 0, argv
+
+    def test_a_non_permutation_is_refused_by_every_verb(self, tmp_path, capsys):
+        spec = self._mutant(tmp_path, ("nodes", 0, "transition"), [[1, 1], [1, 0]])
+        lines = set()
+        for argv in FIVE_VERBS:
+            assert main([argv[0], str(spec), *argv[1:]]) == 2, argv
+            out = capsys.readouterr()
+            assert out.out == "", argv
+            lines.add(out.err.splitlines()[-1])
+        (line,) = lines
+        assert line.startswith("error: $.nodes[0].transition: theorem 1 needs a permutation "
+                               "matrix")

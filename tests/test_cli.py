@@ -291,16 +291,22 @@ class TestHostileSpec:
 
     def test_local_covering_failure_names_its_node(self, fixdir, tmp_path, capsys):
         # h-set P11 of node 1 halved through its chart: its branch no longer
-        # stretches across P12, which theorem 1 refuses before any entry
+        # stretches across P12, a failed hypothesis of theorem 1 on a valid
+        # spec, so verify and margin read "fail" (exit 1) and name it
         doc = json.loads((fixdir / "theorem1_perm23.json").read_text())
         spec = tmp_path / "halved.json"
         spec.write_text(json.dumps(
             _mutated(doc, ("nodes", 0, "hsets", 0, "chart", "linear", 0, 0), 2)))
-        assert main(["verify", str(spec)]) == 2
+        reason = ("$.nodes[0].map: local covering structure fails: transition 1->2: "
+                  "min stretch 0.75 <= 1")
+        assert main(["verify", str(spec)]) == 1
         out = capsys.readouterr()
-        assert out.err.startswith("error: $.nodes[0].map: local covering structure fails: "
-                                  "transition 1->2: min stretch 0.75 <= 1")
-        assert out.out == "" and "Traceback" not in out.err
+        assert out.err.startswith(reason) and out.err.endswith("\nverdict fail\n")
+        assert json.loads(out.out)["verdict"] == "fail" and "Traceback" not in out.err
+        assert main(["margin", str(spec)]) == 1
+        out = capsys.readouterr()
+        assert out.out.startswith(f"certification fails: verdict fail, {reason}")
+        assert "Traceback" not in out.err
 
     @pytest.mark.parametrize("overrides, message", [
         ([{"i": [1], "j": [2]}],
@@ -564,21 +570,26 @@ class TestHostileSpec:
 
     def test_oversized_empirical_request_is_refused_before_drawing(self, capsys,
                                                                   monkeypatch):
-        # example1 at depth 12 draws 2 + 2 + 2 * 11 = 26 values per sample;
+        # example1 at depth 12 draws 2 + 2 + 2 * 11 = 26 values per sample,
+        # and each block of samples builds the scramble permutations of the
+        # first 26 prime bases, 10,561 values (digits(b) x b, b = 2 .. 101);
         # nothing large is allocated here: the draw fails if it is reached
         from cmnverify import dynamics
         limit = dynamics.MAX_SAMPLE_DRAWS
-        assert 26 * 100_000 < limit
+        assert 26 * 100_000 + 7 * 10_561 < limit
 
         def no_draw(n_cols, lo, hi, seed):
             raise AssertionError(f"drew {n_cols} x rows [{lo}, {hi})")
         monkeypatch.setattr(dynamics, "_halton", no_draw)
         spec = str(FIXDIR / "example1.json")
-        most = limit // 26
+        # 629,436 samples are 39 blocks: 26 x 629,436 + 39 x 10,561 = 2^24 - 1
+        most = 629_436
+        assert 26 * most + 39 * 10_561 == limit - 1 < 26 * (most + 1) + 39 * 10_561
         assert main(["entropy", spec, "--empirical", "12", str(most + 1), "1"]) == 2
         err = capsys.readouterr().err
         assert (f"error: {most + 1} samples at depth 12 draw 26 x {most + 1} = "
-                f"{26 * (most + 1)} quasi-random values, above the limit of {limit}") in err
+                f"{26 * (most + 1)} quasi-random values and build at least {39 * 10_561} "
+                f"permutation values, above the limit of {limit}") in err
         assert "Traceback" not in err
         # a huge depth with a single sample
         assert main(["entropy", spec, "--empirical", "1000000000", "1", "1"]) == 2
@@ -587,6 +598,27 @@ class TestHostileSpec:
         with pytest.raises(AssertionError,
                            match=re.escape(f"drew 26 x rows [0, {dynamics.SAMPLE_BLOCK})")):
             main(["entropy", spec, "--empirical", "12", str(most), "1"])
+
+    def test_halton_set_up_is_bounded_before_any_draw(self, capsys, monkeypatch):
+        # one sample at depth 10^6 draws 2,000,002 values, inside the limit,
+        # but would scramble 2,000,002 columns in prime bases up to 3.3e7;
+        # the permutations of the first 5,793 columns alone pass the limit,
+        # so no larger prime is sought and no row is drawn
+        from cmnverify import dynamics
+
+        def no_draw(n_cols, lo, hi, seed):
+            raise AssertionError(f"drew {n_cols} x rows [{lo}, {hi})")
+        monkeypatch.setattr(dynamics, "_halton", no_draw)
+        start = time.perf_counter()
+        code = main(["entropy", str(FIXDIR / "example1.json"), "--empirical", "1000000", "1",
+                     "1"])
+        seconds = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 2 and seconds < 1.0
+        assert err.startswith("error: 1 samples at depth 1000000 draw 2000002 x 1 = 2000002 "
+                              "quasi-random values and build at least ")
+        assert err.endswith(f" permutation values, above the limit of "
+                            f"{dynamics.MAX_SAMPLE_DRAWS}\n")
 
     @pytest.mark.parametrize("matrix", [np.eye(3).tolist(), [[1, 0, 0], [0, 1, 0]],
                                         [[1, 0], [0, 1], [0, 0]]],

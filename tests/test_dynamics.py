@@ -198,11 +198,12 @@ class TestPeriodicPoint:
 
 class TestEmpiricalEntropy:
     def test_single_fixed_point_trap_gives_zero(self):
+        # a valid spec: the sampler reads its branches from the set-up
         contraction = PiecewiseAffineMap.affine([[0.5]], [0.0])
         node = NodeSystem(contraction, (HSet("M", AffineChart.shift_1d(0.0)),),
                           TransitionMatrix([[1]]))
         spec = NetworkSpec(Graph(1, frozenset()), (node,),
-                           CouplingSpec("type2", np.eye(1)))
+                           CouplingSpec("type1", np.eye(1)))
         assert empirical_entropy(spec, depth=6, samples=500, seed=1) == 0.0
 
     def test_deterministic_in_the_seed(self):

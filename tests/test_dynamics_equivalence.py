@@ -29,6 +29,7 @@ from cmnverify import NoInvariantSamplesError, TransitionMatrix, empirical_entro
 from cmnverify import dynamics as dy
 from cmnverify.cli import main
 from cmnverify.geometry import EVAL_TIE_TOL as TIE, GeometryError
+from cmnverify.network import set_up
 from test_cell_geometry import _reference_apply_batch
 from test_checker_equivalence import _designed, _ring
 from test_network import _planar_golden_pair
@@ -265,6 +266,7 @@ def test_deep_cases_rank_their_keys(monkeypatch):
     spec = OTHERS["designed2_d3_weak"]()
     base = math.prod(node.count for node in spec.nodes)
     assert base ** 17 <= 2 ** 62 < base ** 18
+    set_up(spec)    # built on load by every command, so only the sampler is counted
     counted = []
     unique = np.unique
 
@@ -331,6 +333,17 @@ def _block_starts(samples: int, rows: int) -> list[int]:
         return starts
     spread = np.linspace(100, len(starts) - 1, 100).astype(int)
     return starts[:100] + [starts[i] for i in spread]
+
+
+def test_primes_sieve_equals_trial_division():
+    # the sieve's Rosser bound holds for n >= 6; below it a fixed one
+    primes, cand = [], 2
+    while len(primes) < 3000:
+        if all(cand % p for p in primes if p * p <= cand):
+            primes.append(cand)
+        cand += 1
+    for n in (*range(12), 26, 100, 1000, 2999, 3000):
+        assert dy._primes(n) == primes[:n], n
 
 
 @pytest.mark.parametrize("n_cols,samples,seed", HALTON_CASES)

@@ -518,21 +518,21 @@ class TestTheorem1:
         ("planar-piecewise", "1->1", "cannot certify the crossing degree: degree is "
                                      "only computed for 1-d piecewise or affine maps"),
     ])
-    def test_local_covering_failure_is_a_spec_error(self, branch, transition, failure,
-                                                    tmp_path, capsys):
+    def test_local_covering_failure_is_a_failed_hypothesis(self, branch, transition, failure,
+                                                           tmp_path, capsys):
+        # a well-formed spec on which theorem 1 does not hold: "fail", not exit 2
         from cmnverify import canonical_json, serialize_spec
         from cmnverify.cli import main
         spec = _bad_branch_spec(branch)
         assert validate_spec(spec).ok
         message = (f"$.nodes[0].map: local covering structure fails: "
                    f"transition {transition}: {failure}")
-        with pytest.raises(SpecError) as exc:
-            theorem1_check(spec)
-        assert str(exc.value) == message
+        report = theorem1_check(spec)
+        assert (report.verdict, report.hypothesis, report.global_eps) == ("fail", message, 0.0)
         path = tmp_path / f"{branch}.json"
         path.write_text(canonical_json(serialize_spec(spec)))
-        assert main(["verify", str(path)]) == 2
-        assert f"error: {message}" in capsys.readouterr().err
+        assert main(["verify", str(path)]) == 1
+        assert f"{message}\nverdict fail\n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("amplitude", [-1.0, math.nan, math.inf])
