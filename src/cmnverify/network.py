@@ -257,6 +257,7 @@ class ValidationReport:
     errors: tuple[str, ...]
     warnings: tuple[str, ...]
     boxes: tuple = ()     # per node, the (lo, hi) bounding box of each of its h-sets
+    charted: tuple = ()   # per node, its map in each source h-set chart the image test composed
 
     @property
     def ok(self) -> bool:
@@ -284,10 +285,13 @@ def _form_charts(node: NodeSystem, kind: str, key) -> tuple[AffineChart, AffineC
 
 
 def _compose(node: NodeSystem, kind: str, key, charted: dict) -> PiecewiseAffineMap:
-    """The local map in the chart form ``key``'s charts, its inner step kept in ``charted``."""
+    """The local map in the chart form ``key``'s charts, its inner step read
+    from ``charted`` by source symbol, or composed and kept there."""
     inner, outer = _form_charts(node, kind, key)
-    F = charted[key if kind == TYPE_II else key[0]] = node.local_map.in_chart(inner)
-    return F.compose_affine_outer(outer.linear, outer.offset)
+    source = key if kind == TYPE_II else key[0]
+    if source not in charted:
+        charted[source] = node.local_map.in_chart(inner)
+    return charted[source].compose_affine_outer(outer.linear, outer.offset)
 
 
 def _resolve_forms(node: NodeSystem, kind: str, composed: dict | None = None,
@@ -321,17 +325,17 @@ def _choices(node: NodeSystem, kind: str) -> tuple[list[_Choice], list[AffineCha
              for i, j in node.transitions()], [h.chart for h in node.hsets])
 
 
-def _image_bbox(node: NodeSystem, symbol: int, box: tuple[np.ndarray, np.ndarray]
-                ) -> tuple[np.ndarray, np.ndarray]:
+def _image_bbox(node: NodeSystem, symbol: int, box: tuple[np.ndarray, np.ndarray],
+                charted: dict) -> tuple[np.ndarray, np.ndarray]:
     """Bounding box of the image of an h-set under the local map, exact: on
     the line ``range_1d`` over the h-set's bounding ``box``; above it each
     piece's least and largest values at the vertices of its cell inside the
     h-set (``_box_vertices``, once the h-set's chart carries the cells onto
-    the unit box)."""
+    the unit box, a composition kept in ``charted`` by symbol)."""
     if node.dim == 1:
         lo, hi = node.local_map.range_1d(float(box[0][0]), float(box[1][0]))
         return np.array([lo]), np.array([hi])
-    F = node.local_map.in_chart(node.hsets[symbol - 1].chart)
+    F = charted[symbol] = node.local_map.in_chart(node.hsets[symbol - 1].chart)
     verts, owner = _box_vertices([(p.normals, p.bounds) for p in F.pieces], node.dim)
     if not owner.size:
         raise GeometryError("no cell of the map meets the h-set")
@@ -503,27 +507,27 @@ def validate_spec(spec: NetworkSpec) -> ValidationReport:
                 errors.append(f"{at}.hsets[{j}]: h-sets {node.hsets[i].id} and "
                               f"{node.hsets[j].id} are not disjoint")
 
-        if spec.coupling.kind == TYPE_II:
-            if node.unified is None:
-                errors.append(f"{at}.unified: unified family required for this coupling kind")
+        if node.unified is not None:
+            rep = unified_validate(node.unified)
+            errors.extend(f"{at}.unified.{v}" for v in rep.violations)
+            if node.unified.count != node.count:
+                errors.append(f"{at}.unified: unified family has {node.unified.count} "
+                              f"members for {node.count} h-sets")
             else:
-                rep = unified_validate(node.unified)
-                errors.extend(f"{at}.unified.{v}" for v in rep.violations)
-                if node.unified.count != node.count:
-                    errors.append(f"{at}.unified: unified family has {node.unified.count} "
-                                  f"members for {node.count} h-sets")
-                else:
-                    _check_member_charts(node, k, errors, warnings)
+                _check_member_charts(node, k, errors, warnings)
+        elif spec.coupling.kind == TYPE_II:
+            errors.append(f"{at}.unified: unified family required for this coupling kind")
 
     if all_finite and not math.isfinite(_local_reach(spec.ambient_map(), reach)[0]):
         errors.append(f"$.coupling.{'matrix' if spec.coupling.ambient is None else 'ambient'}: "
                       f"the interaction map carries h-set states of local image size {reach:g} "
                       "past floating-point range")
+    charted = tuple({} for _ in spec.nodes)
     if spec.coupling.kind == TYPE_I and all_finite:
-        _check_non_overlap(spec, hulls, errors, warnings)
+        _check_non_overlap(spec, hulls, charted, errors, warnings)
 
     object.__setattr__(spec, "_report",
-                       ValidationReport(tuple(errors), tuple(warnings), tuple(hulls)))
+                       ValidationReport(tuple(errors), tuple(warnings), tuple(hulls), charted))
     return spec._report
 
 
@@ -551,19 +555,22 @@ def _check_member_charts(node: NodeSystem, k: int, errors: list[str],
 
 
 def _check_non_overlap(spec: NetworkSpec, hulls: list[list[tuple[np.ndarray, np.ndarray]]],
-                       errors: list[str], warnings: list[str]) -> None:
+                       charted: tuple[dict, ...], errors: list[str],
+                       warnings: list[str]) -> None:
     """Image-separation condition for locally linear coupling.
 
     The image of each source h-set must avoid every non-target h-set and
     every other source's image.  Intervals decide exactly; higher
     dimensions compare exact image boxes with box hulls, so what they find,
     or an image box that cannot be computed, is a warning.  ``hulls`` holds
-    each node's h-set bounding boxes, as ``validate_spec`` built them.
+    each node's h-set bounding boxes, as ``validate_spec`` built them; the
+    local maps composed into the source h-set charts go into ``charted``.
     """
-    for k, (node, boxes) in enumerate(zip(spec.nodes, hulls), start=1):
+    for k, (node, boxes, node_charted) in enumerate(zip(spec.nodes, hulls, charted), start=1):
         pairs, exact = node.transitions(), node.dim == 1
         try:
-            images = {i: _image_bbox(node, i, boxes[i - 1]) for i in {i for i, _ in pairs}}
+            images = {i: _image_bbox(node, i, boxes[i - 1], node_charted)
+                      for i in {i for i, _ in pairs}}
         except GeometryError as exc:    # a cell of too many vertex candidates, or none
             (errors if exact else warnings).append(f"$.nodes[{k - 1}].map: cannot bound the "
                                                    f"h-set images: {exc}")
@@ -1078,10 +1085,12 @@ def _audit_declared_forms(forms: dict, composed: dict, cells: CellGeometry) -> N
                 raise GeometryError(f"declared chart form {key} {fault} (gap {gap:.3e})")
 
 
-def _node_forms(node: NodeSystem, kind: str, k: int, cells: CellGeometry) -> tuple:
+def _node_forms(node: NodeSystem, kind: str, k: int, cells: CellGeometry,
+                charted: dict) -> tuple:
     """Node k's chart forms, declared or derived, audited and with every
     factor's cell table built in ``cells``; their size, the largest row sum
-    plus offset of a piece; and its ``SetUp.charted`` and ``.centres``.
+    plus offset of a piece; and its ``SetUp.charted`` and ``.centres``,
+    which start from the compositions validation kept (``charted``).
     Refused at ``$.nodes[k].map``: a local map whose composition into a
     form's charts (finite or not) has no total cell table, or whose derived
     form ``split_product`` refuses (which decides continuity).  Then (at
@@ -1095,7 +1104,7 @@ def _node_forms(node: NodeSystem, kind: str, k: int, cells: CellGeometry) -> tup
     where = f"$.nodes[{k}].{'chart_forms' if declared else 'map'}"
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            charted = {}
+            charted = dict(charted)
             composed = {key: _compose(node, kind, key, charted) for key in _form_keys(node, kind)}
             forms = _resolve_forms(node, kind, composed, cells)
             # when s = 0 a derived form's U is its composed map, tabled below
@@ -1173,8 +1182,9 @@ def set_up(spec: NetworkSpec) -> SetUp:
         if not report.ok:
             raise SpecError("; ".join(report.errors))
         cells = CellGeometry()
-        forms, sizes, charted, centres = zip(*(_node_forms(node, spec.coupling.kind, k, cells)
-                                               for k, node in enumerate(spec.nodes)))
+        forms, sizes, charted, centres = zip(*(
+            _node_forms(node, spec.coupling.kind, k, cells, report.charted[k])
+            for k, node in enumerate(spec.nodes)))
         lip, size = spec.coupling.lipschitz(), max(sizes)
         if not math.isfinite(lip * size):
             raise SpecError(f"$.coupling.matrix: coupling row sum {lip:g} times chart-form "

@@ -4,11 +4,14 @@ Spec files may write any real as a JSON number, a decimal string, or an
 exact rational "p/q"; rationals are converted to the nearest double on
 input.  Serialization is canonical (sorted keys, repr-shortest floats,
 "inf" for infinities) so certificates are byte-reproducible for a given
-tool version.  The builders of certificate documents write an infinite
-float as the string "inf" or "-inf" where they emit it, so
-``canonical_json`` writes their documents in one pass of the stdlib C
-encoder; its recursive clean-up walk is only the fallback for documents a
-caller built with raw infinities.
+tool version.  The builders of documents write an infinite float as the
+string "inf" or "-inf" where they emit it, so ``canonical_json`` writes
+their values with the stdlib C encoder alone; its recursive clean-up walk
+is only the fallback for documents a caller built with raw infinities.
+A certificate's entry list, one object per Kronecker entry, is written
+straight from the report's columns (``EntryTable``) as JSON text, each
+distinct value of a column formatted once; ``canonical_json`` puts that
+text between the document's sorted keys as it is.
 
 Top-level spec keys::
 
@@ -28,6 +31,7 @@ node entries carry the (u, s) split.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -37,8 +41,8 @@ import numpy as np
 from .covering import ProductFormMap
 from .geometry import (AffineChart, AffinePiece, CenterScale, GeometryError, HSet,
                        PiecewiseAffineMap, UnifiedSet)
-from .network import (CouplingSpec, Graph, NetworkSpec, NodeSystem, SpecError, TheoremReport,
-                      TYPE_I, TYPE_II, entry_failures)
+from .network import (CouplingSpec, EntryTable, Graph, NetworkSpec, NodeSystem, SpecError,
+                      TheoremReport, TYPE_I, TYPE_II, entry_failures)
 from .symbolic import TransitionMatrix
 
 FORMAT_VERSION = "1"
@@ -378,21 +382,51 @@ def _clean(obj):
     return obj
 
 
+def _dumps(obj) -> str:
+    """One stdlib ``json.dumps`` call, and the ``_clean`` fallback when it
+    meets a raw infinity (NaN raises ``ValueError`` either way)."""
+    try:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False,
+                          default=_scalar)
+    except ValueError:
+        return json.dumps(_clean(obj), sort_keys=True, separators=(",", ":"),
+                          allow_nan=False)
+
+
+class _Encoded:
+    """JSON text that ``canonical_json`` writes as it is.  Not a ``str``:
+    anywhere but a top-level value of the document the encoder refuses it
+    (``TypeError``) rather than quote it."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+
 def canonical_json(doc) -> str:
     """Deterministic serialization: sorted keys, fixed separators, "inf".
 
     Numpy scalars are written as Python numbers.  The package's document
-    builders tag infinities themselves (``_tag``), so their documents take
-    one ``json.dumps`` call.  A caller's document with a raw infinity makes
-    that call raise; it is then written again through ``_clean``, which
-    tags every infinity, and NaN still raises ``ValueError``.
+    builders tag infinities themselves (``_tag``), so each of their values
+    takes one ``json.dumps`` call.  A caller's document with a raw infinity
+    makes that call raise; it is then written again through ``_clean``,
+    which tags every infinity, and NaN still raises ``ValueError``.  A
+    top-level value of a document with string keys that is pre-encoded
+    JSON text (``_Encoded``, as ``certificate_document`` writes its entry
+    list) goes between the sorted keys as it is; each run of other keys
+    between such values is written by one call, as a dict.
     """
-    try:
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False,
-                          default=_scalar)
-    except ValueError:
-        return json.dumps(_clean(doc), sort_keys=True, separators=(",", ":"),
-                          allow_nan=False)
+    if not (isinstance(doc, dict) and any(isinstance(v, _Encoded) for v in doc.values())):
+        return _dumps(doc)
+    parts = []
+    for encoded, items in itertools.groupby(sorted(doc.items()),
+                                            key=lambda item: isinstance(item[1], _Encoded)):
+        if encoded:
+            parts += [f"{_dumps(key)}:{value.text}" for key, value in items]
+        else:
+            parts.append(_dumps(dict(items))[1:-1])
+    return "{" + ",".join(parts) + "}"
 
 
 def spec_digest(raw: bytes) -> str:
@@ -409,24 +443,72 @@ def _tag(x):
     return x
 
 
+class _Texts(dict):
+    """The JSON text of each distinct value of one column, written on first
+    use by ``encode``.  A zero is kept under its sign, not its value, since
+    0.0 == -0.0 while their texts differ."""
+
+    def __init__(self, encode):
+        super().__init__()
+        self.encode = encode
+
+    def __missing__(self, value):
+        key = (math.copysign(1.0, value),) if value == 0 else value
+        text = self.get(key)
+        if text is None:
+            text = self[key] = self.encode(value)
+        return text
+
+
+def _number(x) -> str:
+    """The JSON text of a number: an int or a finite float as the encoder
+    writes it (``repr``), anything else through ``_tag`` and ``_dumps``."""
+    if type(x) is int or type(x) is float and math.isfinite(x):
+        return repr(x)
+    return _dumps(_tag(x))
+
+
+def _row(row: tuple) -> str:
+    """The JSON text of a row of symbols (integers)."""
+    return "[" + ",".join(map(_number, row)) + "]"
+
+
+def _notes(verdict: str) -> _Texts:
+    """The failure notes of an entry of ``verdict``, by slack."""
+    return _Texts(lambda slack: _dumps(list(entry_failures(verdict, slack))))
+
+
+def _entry_list(table: EntryTable) -> str:
+    """The JSON text of the certificate's entry list, one object per row of
+    ``table`` with its keys in sorted order; an entry's degree, margins and
+    radius only when it passes.  Each column formats each of its distinct
+    values once (``_Texts``), the failure notes by verdict and slack."""
+    source, target, tau = (_Texts(_row) for _ in range(3))
+    slack, unstable, stable, eps, degree = (_Texts(_number) for _ in range(5))
+    verdicts, notes = _Texts(_dumps), _Texts(_notes)
+    rows = []
+    for i, j, v, s, t, deg, um, sm, e in zip(
+            map(tuple, table.source.tolist()), map(tuple, table.target.tolist()),
+            table.verdict.tolist(), table.slack.tolist(), map(tuple, table.tau.tolist()),
+            table.degree.tolist(), table.unstable_margin.tolist(),
+            table.stable_margin.tolist(), table.admissible_eps.tolist()):
+        ijs = f'"i":{source[i]},"j":{target[j]},"slack":{slack[s]}'
+        if v == "pass":
+            rows.append(f'{{"admissible_eps":{eps[e]},"degree":{degree[deg]},"failures":[],'
+                        f'{ijs},"stable_margin":{stable[sm]},"tau":{tau[t]},'
+                        f'"unstable_margin":{unstable[um]},"verdict":"pass"}}')
+        else:
+            rows.append(f'{{"failures":{notes[v][s]},{ijs},"tau":null,'
+                        f'"verdict":{verdicts[v]}}}')
+    return "[" + ",".join(rows) + "]"
+
+
 def certificate_document(report: TheoremReport, digest: str,
                          tool_version: str, extras: dict | None = None) -> dict:
-    """Assemble the certificate payload for a theorem report: one object
-    per entry, read from the columns of ``report.entries``; an entry's
-    degree, margins and radius only when it passes."""
+    """Assemble the certificate payload for a theorem report; its entry
+    list, one object per row of ``report.entries``, is pre-encoded JSON
+    text (``_entry_list``) that ``canonical_json`` writes as it is."""
     table, binding = report.entries, report.binding_entry()
-    entries = []
-    for i, j, verdict, slack, tau, degree, unstable, stable, eps in zip(
-            *(column.tolist() for column in (
-                table.source, table.target, table.verdict, table.slack, table.tau,
-                table.degree, table.unstable_margin, table.stable_margin,
-                table.admissible_eps))):
-        entry = {"i": i, "j": j, "verdict": verdict, "tau": None, "slack": _tag(slack),
-                 "failures": list(entry_failures(verdict, slack))}
-        if verdict == "pass":
-            entry.update(tau=tau, degree=degree, unstable_margin=_tag(unstable),
-                         stable_margin=_tag(stable), admissible_eps=_tag(eps))
-        entries.append(entry)
     doc = {
         "format_version": FORMAT_VERSION,
         "tool": {"name": TOOL_NAME, "version": tool_version},
@@ -439,7 +521,7 @@ def certificate_document(report: TheoremReport, digest: str,
         "binding_entry": {"i": table.source[binding].tolist(),
                           "j": table.target[binding].tolist(),
                           "slack": _tag(table.slack[binding].item())},
-        "entries": entries,
+        "entries": _Encoded(_entry_list(table)),
     }
     if extras:
         doc.update(extras)

@@ -23,12 +23,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cmnverify import (PiecewiseAffineMap, TransitionError, TransitionMatrix, load_spec,
-                       permutation_loop, theorem1_check)
+from cmnverify import (PiecewiseAffineMap, TransitionError, TransitionMatrix, canonical_json,
+                       load_spec, permutation_loop, serialize_spec, theorem1_check)
 from cmnverify import cli
 from cmnverify.cli import main
 from cmnverify.specio import spec_digest
 from test_cli import _mutated
+from test_network import _planar_fixed_pair
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -233,14 +234,22 @@ class TestPermutationLoop:
 
 class TestSetUpOwnsTheBranches:
     # each (node, source h-set chart) composition of the local map, counted
-    # over one command; the spec is caught as the command loads it
+    # over one command; the spec is caught as the command loads it.  The
+    # planar type-I pair's h-set images are bounded in validation, whose
+    # compositions the set-up reads
     @pytest.mark.parametrize("name, argv", [
         ("theorem1_perm23.json", ["verify"]),
         ("theorem1_perm23.json", ["periodic", "--auto"]),
         ("example1.json", ["entropy", "--empirical", "8", "2000", "1"]),
+        ("planar_fixed_pair", ["verify"]),
+        ("planar_fixed_pair", ["periodic", "--auto"]),
     ])
     def test_each_local_map_is_composed_into_each_chart_once(self, name, argv, monkeypatch,
-                                                             capsys):
+                                                             capsys, tmp_path):
+        path = FIXDIR / name
+        if name == "planar_fixed_pair":
+            path = tmp_path / "planar.json"
+            path.write_text(canonical_json(serialize_spec(_planar_fixed_pair(np.eye(2)))))
         loaded, calls = [], []
         load, in_chart = cli.load_spec, PiecewiseAffineMap.in_chart
 
@@ -253,7 +262,7 @@ class TestSetUpOwnsTheBranches:
             return in_chart(self, chart)
         monkeypatch.setattr(cli, "load_spec", catch)
         monkeypatch.setattr(PiecewiseAffineMap, "in_chart", counted)
-        assert main([argv[0], str(FIXDIR / name), *argv[1:]]) == 0
+        assert main([argv[0], str(path), *argv[1:]]) == 0
         capsys.readouterr()
         (spec,) = loaded
         for node in spec.nodes:
@@ -281,6 +290,24 @@ def _hole5() -> dict:
 
 FIVE_VERBS = (["verify"], ["margin"], ["periodic", "--auto"], ["simulate", "--steps", "3"],
               ["entropy", "--empirical", "6", "2000", "1"])
+
+
+def test_a_type1_unified_family_is_audited_by_every_verb(tmp_path, capsys):
+    # members shifted off the h-sets [-1, 1] and [2, 4]: the checks would
+    # read the h-set charts, the branches and located states the members'
+    doc = json.loads((FIXDIR / "theorem1_perm23.json").read_text())
+    doc["nodes"][0]["unified"] = {"chart": {"linear": [[1]], "offset": [0]},
+                                  "members": [{"id": "P11", "p_u": [0.5], "r": 1},
+                                              {"id": "P12", "p_u": [3.5], "r": 1}]}
+    spec = tmp_path / "shifted.json"
+    spec.write_text(json.dumps(doc))
+    for argv in FIVE_VERBS:
+        assert main([argv[0], str(spec), *argv[1:]]) == 2, argv
+        out = capsys.readouterr()
+        error = out.err.splitlines()[-1]
+        assert error.startswith("error: $.nodes[0].unified.members[0]: "), argv
+        assert "unified member 1 and h-set P11 describe different sets" in error, argv
+        assert out.out == "", argv
 
 
 def test_map_undefined_at_a_centre_exits_two_from_every_verb(tmp_path, capsys):
