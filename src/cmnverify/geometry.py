@@ -2,10 +2,9 @@
 
 Everything here uses the max-norm: unit balls are boxes, the boundary of
 the unstable ball is the union of the box faces.  That choice makes every
-bound in this module either exact (interval endpoints, cell vertices),
-a HiGHS linear-program optimum in floating point (affine face minima, not
-one-sided), or conservatively certified (face grids with an explicit
-Lipschitz slack).
+bound in this module either exact (interval endpoints, cell vertices, the
+vertices of each affine face program) or conservatively certified (face
+grids with an explicit Lipschitz slack).
 
 A stretch bound needs two kinds of work.  The cell-only part depends on a
 map's cells alone (``dim_in`` and every piece's ``normals`` and
@@ -623,8 +622,10 @@ class StretchBounds:
     """Bounds on |F - ref| over the unit box and its boundary.
 
     min_rel:      lower bound on min over the boundary: exact for 1-d maps,
-                  HiGHS's floating-point LP optimum for affine maps (not
-                  one-sided), grid minimum less Lipschitz slack otherwise
+                  the least value at the vertices of the face programs for
+                  affine maps (no solver tolerance, only the rounding of
+                  each vertex's solve and evaluation), grid minimum less
+                  Lipschitz slack otherwise
     max_abs:      exact max over the closed box
     certified:    True for 1-d and affine maps, where min_rel is the
                   minimum itself; False when it carries grid-plus-Lipschitz
@@ -648,11 +649,12 @@ class StretchBounds:
 
 
 @functools.cache
-def _subsets(rows: int, dim: int) -> np.ndarray:
-    """The ``dim``-subsets of ``rows`` rows ending in the box's faces x_i <= 1,
-    then -x_i <= 1, less the singular ones with both faces of an axis."""
-    subsets = np.array(list(itertools.combinations(range(rows), dim)), dtype=np.intp)
-    axis = np.where(subsets >= rows - 2 * dim, (subsets - rows) % dim, -1 - np.arange(dim))
+def _subsets(rows: int, size: int, axes: int) -> np.ndarray:
+    """The ``size``-subsets of ``rows`` rows ending in the box's faces x_i
+    <= 1, then -x_i <= 1, of ``axes`` axes, less the singular ones with
+    both faces of an axis."""
+    subsets = np.array(list(itertools.combinations(range(rows), size)), dtype=np.intp)
+    axis = np.where(subsets >= rows - 2 * axes, (subsets - rows) % axes, -1 - np.arange(size))
     return subsets[np.all(np.diff(np.sort(axis, axis=1), axis=1) != 0, axis=1)]
 
 
@@ -673,7 +675,7 @@ def _box_vertices(cells: list[tuple[np.ndarray, np.ndarray]], dim: int
     normals[:, m:] = np.vstack([np.eye(dim), -np.eye(dim)])
     for c, (n, b) in enumerate(cells):
         normals[c, :n.shape[0]], bounds[c, :n.shape[0]] = n, b
-    subsets = _subsets(m + 2 * dim, dim)
+    subsets = _subsets(m + 2 * dim, dim, dim)
     step = max(1, MAX_VERTEX_CANDIDATES // len(subsets))
     verts, owner = [np.zeros((0, dim))], [np.zeros(0, dtype=np.intp)]
     for start in range(0, len(cells), step):
@@ -791,75 +793,133 @@ def _face_points(dim: int, resolution: int) -> np.ndarray:
                       for i in range(dim) for sign in (-1.0, 1.0)])
 
 
-def _face_blocks(piece: AffinePiece, ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The 2 dim face programs of one affine piece about ``ref``: A, of
-    shape (2 dim, 2 m, dim), and b, of shape (2 dim, 2 m).
+def face_candidates(u: int) -> int:
+    """Candidate vertices of one face program of an affine map with u
+    unstable directions (``affine_min_stretch``), counted without
+    enumerating them: the u-subsets of its rows with k >= 1 of the 2u
+    residual rows and one bound on each of u - k of the u - 1 free axes.
+    Raises ``GeometryError`` above ``MAX_VERTEX_CANDIDATES`` (u >= 7)."""
+    count = sum(math.comb(2 * u, k) * math.comb(u - 1, u - k) * 2 ** (u - k)
+                for k in range(1, u + 1))
+    if count > MAX_VERTEX_CANDIDATES:
+        raise GeometryError(f"an affine map with u = {u} has {count} candidate vertices per "
+                            f"face, above the limit of {MAX_VERTEX_CANDIDATES}")
+    return count
 
-    Face k = (i, sign), i-major with sign -1 before +1, pins coordinate i
-    to sign; its variables are the other coordinates, in [-1, 1], then t
-    >= 0, and its rows say (F(x) - ref)_j <= t (first m) and -(F(x) -
-    ref)_j <= t (last m), each as A[k] @ (x, t) <= b[k].
+
+def _face_minima(groups: list[list[tuple[PiecewiseAffineMap, np.ndarray]]]) -> np.ndarray:
+    """The least stretch over the box boundary of each (F, ref) of
+    ``groups``, shape (groups, pairs per group): every group has as many
+    pairs, and all pairs of a group share one u x u matrix A.
+
+    Face (i, sign) pins x_i to sign.  Its program in (y, t), y the other
+    coordinates, has the rows (M y + c)_j <= t, then -(M y + c)_j <= t,
+    then y_l <= 1 and -y_l <= 1, with M = A less column i and c =
+    A[:, i] * sign + offset - ref, rounded in that order.  Its least t
+    sits at a vertex, where u rows hold with equality, so every u-subset
+    of the rows (``_subsets``, less the structurally singular ones) is
+    solved with ``np.linalg.solve``, and each solution y in the box (to
+    1e-9) is clipped to it and evaluated: max_j |M_j y + c_j|, summed in
+    column order before c.  A face's least value is the minimum; the
+    pair's is the least over its 2u faces.
+
+    A subset counts as solvable when its matrix, with every column of M
+    scaled by the power of two that brings its largest entry into [0.5,
+    1) (a factor from 2^-1021 to 2^1021) and every row to unit length, has
+    |det| of at least ``DET_TOL``: no scaling of the map or of a
+    coordinate changes that decision, and the power-of-two scaling, which
+    the solve keeps, changes no bit of a solution short of underflow.
+    The two signs of an axis share the matrices, and so do the pairs of a
+    group: each matrix is factored once, for 2 right-hand sides per pair.
+    Work goes in chunks of at most ``MAX_VERTEX_CANDIDATES`` solutions,
+    or one block (one group, one pinned axis).
     """
-    m, dim = piece.matrix.shape
-    axes, signs = np.repeat(np.arange(dim), 2), np.tile([-1.0, 1.0], dim)
-    free = np.stack([np.delete(piece.matrix, i, axis=1) for i in axes])
-    a = np.empty((2 * dim, 2 * m, dim))
-    a[:, :m, :-1] = free
-    a[:, m:, :-1] = -free
-    a[:, :, -1] = -1.0
-    base = piece.matrix.T[axes] * signs[:, None] + piece.offset - ref
-    return a, np.concatenate([-base, base], axis=1)
+    u, pairs = groups[0][0][0].dim_in, len(groups[0])
+    a = np.array([g[0][0].pieces[0].matrix for g in groups])
+    offset = np.array([[F.pieces[0].offset for F, _ in g] for g in groups])
+    ref = np.array([[r for _, r in g] for g in groups])
+    # block (g, i): group g's programs with x_i pinned; column 2 p + k of
+    # their right-hand sides is pair p's face with sign -1 (k = 0) or +1
+    cols = np.array([np.delete(np.arange(u), i) for i in range(u)])
+    free = np.moveaxis(a[:, :, cols], 2, 1).reshape(-1, u, u - 1)
+    c = (a.transpose(0, 2, 1)[:, :, :, None, None] * np.array([-1.0, 1.0])
+         + offset.transpose(0, 2, 1)[:, None, :, :, None])
+    c -= ref.transpose(0, 2, 1)[:, None, :, :, None]
+    c = c.reshape(free.shape[0], u, 2 * pairs)
+    scale = np.ldexp(1.0, -np.clip(np.frexp(np.abs(free).max(axis=1))[1], -1021, 1021))
+    bounds = np.vstack([np.eye(u - 1), -np.eye(u - 1)])
+    rows = np.zeros((free.shape[0], 4 * u - 2, u))
+    rows[:, :u, :-1] = free * scale[:, None]
+    rows[:, u:2 * u, :-1] = -rows[:, :u, :-1]
+    rows[:, :2 * u, -1] = -1.0
+    normed = rows.copy()
+    normed[:, :2 * u] /= np.linalg.norm(rows[:, :2 * u], axis=2, keepdims=True)
+    normed[:, 2 * u:, :-1] = bounds
+    rows[:, 2 * u:, :-1] = bounds * scale[:, None]
+    rhs = np.concatenate([-c, c, np.ones((free.shape[0], 2 * u - 2, 2 * pairs))], axis=1)
+    subsets = _subsets(4 * u - 2, u, u - 1)
+    least = np.empty((free.shape[0], 2 * pairs))
+    step = max(1, MAX_VERTEX_CANDIDATES // (len(subsets) * 2 * pairs))
+    for start in range(0, free.shape[0], step):
+        solvable = np.abs(np.linalg.det(normed[start:start + step][:, subsets])) >= DET_TOL
+        # every block of a finite map has solvable subsets: one residual
+        # row and u - 1 bounds have |det| = that row's unit t coefficient
+        block, subset = np.nonzero(solvable)
+        block += start
+        picked = block[:, None], subsets[subset]
+        z = np.linalg.solve(rows[picked], rhs[picked])
+        # y[l]: coordinate l of every solution, (solutions, right-hand sides)
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = np.moveaxis(z[:, :-1], 1, 0) * scale[block].T[:, :, None]
+            keep = np.all(np.abs(y) <= 1.0 + 1e-9, axis=0)
+        np.clip(y, -1.0, 1.0, out=y)
+        m, cj = free[block], c[block]
+        top = np.zeros(y.shape[1:])
+        for j in range(u):
+            v = m[:, j, 0, None] * y[0]
+            for k in range(1, u - 1):
+                v += m[:, j, k, None] * y[k]
+            v += cj[:, j]
+            np.maximum(top, np.abs(v, out=v), out=top)
+        top[~keep] = np.inf
+        count = solvable.sum(axis=1)
+        least[start:start + step] = np.minimum.reduceat(top, np.cumsum(count) - count, axis=0)
+    return least.reshape(len(groups), u, pairs, 2).min(axis=(1, 3))
 
 
 def affine_min_stretch(pairs: list[tuple[PiecewiseAffineMap, np.ndarray]],
                        cells: CellGeometry | None = None) -> list[StretchBounds]:
-    """``min_stretch`` of every affine map F, dim_in >= 2, about its
-    reference, for each (F, ref) in ``pairs``, with one HiGHS call for all.
-
-    Each face of each pair is a small linear program (``_face_blocks``):
-    minimize t subject to |F(x) - ref| <= t with one coordinate of x
-    pinned to a sign and the others in [-1, 1].  The faces are independent
-    blocks of one block-diagonal program, held as a sparse matrix, and a
-    pair's minimum is the least of its blocks' t.  That is HiGHS's
-    floating-point optimum, not a one-sided bound.  ``max_abs`` comes from
-    the cell vertices, as in ``max_stretch``.
+    """``min_stretch`` of every affine map F, dim_in = u >= 2, about its
+    reference, for each (F, ref) in ``pairs``: the least |F(x) - ref| at
+    the vertices of the face programs (``_face_minima``).  A linear
+    program's optimum sits at a vertex, so that is the minimum, with no
+    solver tolerance: each vertex carries the rounding of one ``solve``
+    and one evaluation only.  Pairs whose maps share one matrix share its
+    programs, up to ``MAX_VERTEX_CANDIDATES`` solutions per face program;
+    the groups of one u and as many pairs go through one stack of ``det``
+    and ``solve`` calls.  Refused before any work when a face has more than
+    ``MAX_VERTEX_CANDIDATES`` candidate vertices (``face_candidates``).
+    ``max_abs`` comes from the cell vertices, as in ``max_stretch``.
     """
     if not pairs:
         return []
-    from scipy.optimize import linprog
-    from scipy.sparse import csc_array
-
     cells = CellGeometry() if cells is None else cells
     pairs = [(F, _as_vector(ref, F.dim_out)) for F, ref in pairs]
+    runs: dict[bytes, list[list[int]]] = {}
+    for n, (F, _) in enumerate(pairs):
+        count = face_candidates(F.dim_in)
+        shared = runs.setdefault(F.pieces[0].matrix.tobytes(), [[]])
+        if 2 * count * (len(shared[-1]) + 1) > MAX_VERTEX_CANDIDATES:
+            shared.append([])
+        shared[-1].append(n)
     max_abs = [_exact_max(F, ref, cells.table(F).vertices) for F, ref in pairs]
-    rows, cols, data, b_ub, cost, bounds = [], [], [], [], [], []
-    n_rows = n_cols = 0
-    for F, ref in pairs:
-        a, b = _face_blocks(F.pieces[0], ref)
-        faces, height, width = a.shape
-        # the nonzeros only, the pattern scipy keeps of a dense matrix
-        k, r, c = np.nonzero(a)
-        rows.append(n_rows + k * height + r)
-        cols.append(n_cols + k * width + c)
-        data.append(a[k, r, c])
-        b_ub.append(b.ravel())
-        t = np.arange(width) == width - 1     # a face's last variable is its t
-        cost.append(np.tile(t, faces).astype(float))
-        bounds.append(np.tile(np.where(t[:, None], (0.0, np.inf), (-1.0, 1.0)), (faces, 1)))
-        n_rows, n_cols = n_rows + faces * height, n_cols + faces * width
-    a_ub = csc_array((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-                     shape=(n_rows, n_cols))
-    res = linprog(np.concatenate(cost), A_ub=a_ub, b_ub=np.concatenate(b_ub),
-                  bounds=np.concatenate(bounds), method="highs")
-    if not res.success:
-        raise GeometryError(f"face minimization failed: {res.message}")
-    out, start = [], 0
-    for (F, _), top in zip(pairs, max_abs):
-        dim = F.dim_in
-        least = float(np.min(res.x[start + dim - 1:start + 2 * dim * dim:dim]))
-        out.append(StretchBounds(least, top, True, least))
-        start += 2 * dim * dim
-    return out
+    stacks: dict[tuple[int, int], list[list[int]]] = {}
+    for run in itertools.chain.from_iterable(runs.values()):
+        stacks.setdefault((pairs[run[0]][0].dim_in, len(run)), []).append(run)
+    least = np.empty(len(pairs))
+    for stack in stacks.values():
+        least[np.ravel(stack)] = _face_minima([[pairs[n] for n in run] for run in stack]).ravel()
+    return [StretchBounds(v, top, True, v) for v, top in zip(least.tolist(), max_abs)]
 
 
 class LineStretch(NamedTuple):
@@ -1185,9 +1245,8 @@ def min_stretch(F: PiecewiseAffineMap, ref, resolution: int = 64,
 
     Exact for maps on the line: ``line_stretch`` of the one item (F, 1,
     ref), the lesser endpoint value.  For affine maps it is
-    ``affine_min_stretch`` of the one pair (F, ref): the optimum of one
-    linear program over all faces, as HiGHS computes it in floating point
-    (not one-sided).  Otherwise a face grid with Lipschitz
+    ``affine_min_stretch`` of the one pair (F, ref): the least value at the
+    vertices of the 2u face programs.  Otherwise a face grid with Lipschitz
     slack, flagged certified=False.  The grid minimum is a branch and bound
     over tiles of ``TILE`` points per free axis: each (piece, tile) is
     bounded below by |g(c)| - sum_l |M_jl| h_l less a rounding cushion,

@@ -62,9 +62,9 @@ from .covering import (STRICT_MARGIN, CoveringCertificate, CoveringOutcome, Prod
 from .degree import DegreeUndefinedError, DegreeValue, crossing_degrees, degree_for_map
 from .geometry import (CONTINUITY_TOL, EVAL_TIE_TOL, MAX_GRID_POINTS, AffineChart, AffinePiece,
                        CellGeometry, CenterScale, GeometryError, HSet, PiecewiseAffineMap,
-                       UnifiedSet, _box_vertices, affine_min_stretch, face_grid_points,
-                       form_gap, line_stretch, max_face_resolution, max_stretch, min_stretch,
-                       singular, split_product, unified_validate)
+                       UnifiedSet, _box_vertices, affine_min_stretch, face_candidates,
+                       face_grid_points, form_gap, line_stretch, max_face_resolution,
+                       max_stretch, min_stretch, singular, split_product, unified_validate)
 from .symbolic import TransitionMatrix, permutation_loop, spectral_radius
 
 TYPE_I = "type1"
@@ -764,7 +764,8 @@ class _Tables:
     maxima of such factors) comes from one ``line_stretch`` pass, and the
     degrees of U on the line from the endpoint values (``ends``) that pass
     kept, through ``crossing_degrees``.  The affine cells with two or more
-    unstable directions share one linear program (``affine_min_stretch``);
+    unstable directions share one vertex enumeration of their face
+    programs (``affine_min_stretch``);
     a face-grid cell takes one ``min_stretch`` call, a wider stable or
     off-diagonal term one ``max_stretch`` call, a degree of a wider U one
     ``degree_for_map`` call.
@@ -1094,11 +1095,15 @@ def _node_forms(node: NodeSystem, kind: str, k: int, cells: CellGeometry,
     Refused at ``$.nodes[k].map``: a local map whose composition into a
     form's charts (finite or not) has no total cell table, or whose derived
     form ``split_product`` refuses (which decides continuity).  Then (at
-    ``$.nodes[k].chart_forms`` when declared, else ``.map``): keys other
-    than ``_form_keys``, or a split other than the h-sets'; a size that is
-    not finite; a factor with no cell table; a declared form that jumps or
-    is not the composed map (``_audit_declared_forms``).  Last, at
-    ``.map``: a map undefined at an h-set's centre.
+    ``$.nodes[k].chart_forms`` when declared, else ``.map``): a declared
+    V of dimension 0 (at ``.chart_forms[key].V.dim_in``, where the parser
+    refuses it), keys other than ``_form_keys``, or a split other than the
+    h-sets'; a size that is not finite; a factor with no cell table; an
+    affine U whose face programs have too many candidate vertices
+    (``geometry.face_candidates``: u >= 7), before a check enumerates
+    them; a declared form that jumps or is not the composed map
+    (``_audit_declared_forms``).  Last, at ``.map``: a map undefined at an
+    h-set's centre.
     """
     declared = node.chart_forms is not None
     where = f"$.nodes[{k}].{'chart_forms' if declared else 'map'}"
@@ -1113,6 +1118,10 @@ def _node_forms(node: NodeSystem, kind: str, k: int, cells: CellGeometry,
     except GeometryError as exc:
         raise SpecError(f"$.nodes[{k}].map: {exc}") from exc
     if declared:
+        for key, form in forms.items():
+            if form.V is not None and form.V.dim_in == 0:
+                name = ",".join(map(str, key)) if isinstance(key, tuple) else key
+                raise SpecError(f"{where}[{name}].V.dim_in: dimension must be positive, got 0")
         keys = _form_keys(node, kind)
         if set(forms) != set(keys):
             raise SpecError(f"{where}: declared forms keyed {list(forms)}, not by the node's "
@@ -1128,6 +1137,8 @@ def _node_forms(node: NodeSystem, kind: str, k: int, cells: CellGeometry,
     try:
         for F in factors:
             cells.table(F)
+        if any(form.U.is_affine for form in forms.values()):
+            face_candidates(node.dim_u)
         if declared:
             _audit_declared_forms(forms, composed, cells)
     except GeometryError as exc:

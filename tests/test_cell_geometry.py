@@ -7,9 +7,10 @@ geometry was shared: every call probes totality (exactly through
 whole face grid through the map.  With a ``CellGeometry`` store the same bounds must
 come out bit for bit, however many maps share the store.
 
-``_reference_affine_face_min`` is the affine face minimum as one linear
-program per face; the package solves all faces of all the affine maps of
-one call as blocks of one program.
+``_reference_affine_face_min`` is the affine face minimum as one HiGHS
+linear program per face; the package enumerates the vertices of every
+face program instead, and must give the same minimum, bit for bit, on
+diagonal forms like ``box4``'s.
 """
 
 import importlib.util
@@ -22,8 +23,8 @@ import numpy as np
 import pytest
 
 from cmnverify import (AffineChart, CenterScale, CouplingSpec, Graph, HSet, NetworkSpec,
-                       NodeSystem, PiecewiseAffineMap, TransitionMatrix, UnifiedSet,
-                       parse_spec, serialize_spec, theorem2_check)
+                       NodeSystem, PiecewiseAffineMap, SpecError, SpecFormatError,
+                       TransitionMatrix, UnifiedSet, parse_spec, serialize_spec, theorem2_check)
 from cmnverify import geometry
 from cmnverify import network as nw
 from cmnverify.covering import ProductFormMap
@@ -453,7 +454,7 @@ def test_grid_limit_arithmetic(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# affine maps: one linear program for all faces against one per face
+# affine maps: the vertex enumeration against one linear program per face
 
 
 def _diagonal_forms(u):
@@ -471,7 +472,7 @@ def _diagonal_forms(u):
     return forms
 
 
-def _one_lp(pairs):
+def _batched(pairs):
     """The face minimum of every (map, reference) pair, from one
     ``affine_min_stretch`` call."""
     return [mb.min_rel for mb in geometry.affine_min_stretch(pairs)]
@@ -488,9 +489,9 @@ def _diagonal_pairs(u):
 def test_one_lp_face_min_equals_per_face_lps_on_diagonal_forms(u):
     pairs = _diagonal_pairs(u)
     want = [_reference_affine_face_min(G, ref) for G, ref in pairs]
-    assert [_one_lp([pair])[0] for pair in pairs] == want
+    assert [_batched([pair])[0] for pair in pairs] == want
     # every pair a block of one program
-    assert _one_lp(pairs) == want
+    assert _batched(pairs) == want
 
 
 DEGENERATE = 1.794448982322085    # the value box4's seed-1 certificate carries
@@ -498,10 +499,10 @@ DEGENERATE = 1.794448982322085    # the value box4's seed-1 certificate carries
 
 def test_degenerate_box4_face_keeps_its_value():
     pair = (_diagonal_forms(3)[-1], np.array([3.0, 0.0, 0.0]))
-    assert _one_lp([pair]) == [DEGENERATE]
+    assert _batched([pair]) == [DEGENERATE]
     # stacked before, between and after other pairs of both dimensions
     others = _diagonal_pairs(3)[:30] + _diagonal_pairs(2)[:10]
-    got = _one_lp(others[:17] + [pair] + others[17:] + [pair])
+    got = _batched(others[:17] + [pair] + others[17:] + [pair])
     assert got[17] == got[-1] == DEGENERATE
 
 
@@ -517,8 +518,8 @@ def _dense_pairs(seed, count):
 
 
 def _assert_dense_minima(pairs, got):
-    # both answers are HiGHS optima of the same face programs; on dense
-    # forms they may differ by rounding; the LP value never exceeds a
+    # the enumeration evaluates each vertex, HiGHS solves the program: on
+    # dense forms they may differ by rounding; the minimum never exceeds a
     # sampled boundary value
     for (F, ref), value in zip(pairs, got):
         want = _reference_affine_face_min(F, ref)
@@ -530,45 +531,69 @@ def _assert_dense_minima(pairs, got):
 
 def test_one_lp_face_min_on_dense_maps():
     pairs = _dense_pairs(8200, 40)
-    _assert_dense_minima(pairs, [_one_lp([pair])[0] for pair in pairs])
+    _assert_dense_minima(pairs, [_batched([pair])[0] for pair in pairs])
 
 
 def test_dense_maps_in_one_batch():
     pairs = _dense_pairs(8201, 40)
-    _assert_dense_minima(pairs, _one_lp(pairs))
-
-
-@pytest.fixture
-def linprog_calls(monkeypatch):
-    """Calls of ``scipy.optimize.linprog``, where the package looks it up."""
-    import scipy.optimize
-    calls = []
-    linprog = scipy.optimize.linprog
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return linprog(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.optimize, "linprog", counted)
-    return calls
+    _assert_dense_minima(pairs, _batched(pairs))
 
 
 @pytest.mark.parametrize("u", [2, 3])
-def test_affine_min_stretch_is_one_linprog_call(u, linprog_calls):
-    forms = _diagonal_forms(u)
-    for F in forms:
-        min_stretch(F, np.zeros(u))
-    assert len(linprog_calls) == len(forms)
+def test_min_stretch_of_an_affine_form_equals_per_face_programs(u):
+    # the single-map entry point takes the same path as a batch
+    for G, ref in _diagonal_pairs(u):
+        mb = min_stretch(G, ref)
+        want = _reference_affine_face_min(G, ref)
+        assert mb.min_rel == mb.min_attained == want
+        assert mb.certified
 
 
-def test_empty_batch_makes_no_linprog_call(linprog_calls):
+@pytest.mark.parametrize("scale", [1e-9, 1e12])
+def test_scaled_forms_keep_their_minima(scale):
+    # scaling a form and its reference scales every face program's t and
+    # nothing else: no vertex may be lost to a scale-dependent
+    # solvability test.  HiGHS's absolute tolerances make it no oracle at
+    # these scales, so the oracle is the unscaled program, scaled.
+    pairs = [pair for u in (2, 3) for pair in _diagonal_pairs(u)[::7]] + _dense_pairs(8202, 12)
+    got = _batched([(F.scale(scale), ref * scale) for F, ref in pairs])
+    for (F, ref), value in zip(pairs, got):
+        p = F.pieces[0]
+        size = np.abs(p.matrix).sum() + np.abs(p.offset).sum() + np.abs(ref).sum()
+        assert abs(value - scale * _reference_affine_face_min(F, ref)) <= 1e-12 * scale * size
+
+
+def test_face_candidates_counts_without_enumerating(monkeypatch):
+    # the closed count is the enumeration's, up to the largest u allowed
+    for u in range(2, 7):
+        assert geometry.face_candidates(u) == len(geometry._subsets(4 * u - 2, u, u - 1))
+    assert geometry.face_candidates(6) == 51_908
+
+    # u = 7 is refused before anything is enumerated, factored or solved
+    def nothing(*args, **kwargs):
+        raise AssertionError("the face programs were set up")
+    for name in ("det", "solve"):
+        monkeypatch.setattr(np.linalg, name, nothing)
+    monkeypatch.setattr(geometry, "_subsets", nothing)
+    monkeypatch.setattr(geometry, "_face_minima", nothing)
+    refused = ("an affine map with u = 7 has 425476 candidate vertices per face, above the "
+               "limit of 200000")
+    with pytest.raises(GeometryError, match=refused):
+        geometry.face_candidates(7)
+    F = PiecewiseAffineMap.affine(np.eye(7), np.zeros(7))
+    with pytest.raises(GeometryError, match=refused):
+        geometry.affine_min_stretch([(F, np.zeros(7))])
+
+
+def test_empty_batch_solves_nothing(monkeypatch):
+    def nothing(*args, **kwargs):
+        raise AssertionError("a face program was set up")
+    monkeypatch.setattr(geometry, "_face_minima", nothing)
     assert geometry.affine_min_stretch([]) == []
-    assert not linprog_calls
 
 
-def _bench_box_specs(seed):
-    """``bench/gen.py``'s box3 and box4 networks of ``bench/workloads.py``
-    at ``seed``, through a serialized round trip as the CLI reads them."""
+def _bench_gen():
+    """``bench/gen.py``, loaded without writing bytecode next to it."""
     path = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
     spec = importlib.util.spec_from_file_location("bench_gen", path)
     gen = importlib.util.module_from_spec(spec)
@@ -577,6 +602,13 @@ def _bench_box_specs(seed):
         spec.loader.exec_module(gen)
     finally:
         sys.dont_write_bytecode = keep
+    return gen
+
+
+def _bench_box_specs(seed):
+    """``bench/gen.py``'s box3 and box4 networks of ``bench/workloads.py``
+    at ``seed``, through a serialized round trip as the CLI reads them."""
+    gen = _bench_gen()
     rng = np.random.default_rng(seed)
     box3 = gen.golden_ring(rng, 3, 0.01, u=3, s=1)
     box4 = gen.golden_ring(rng, 4, 0.01, u=3, s=1, declared=True)
@@ -584,9 +616,9 @@ def _bench_box_specs(seed):
 
 
 @pytest.mark.parametrize("seed", [1, 2, 7])
-def test_box4_check_is_one_linprog_call(seed, linprog_calls, monkeypatch):
-    # every affine cell of the check is a block of one program, and each
-    # block's minimum is the one per-face programs give, bit for bit
+def test_box4_check_minima_equal_per_face_programs(seed, monkeypatch):
+    # every affine cell of the check is a pair of one batch, and each
+    # pair's minimum is the one per-face programs give, bit for bit
     pairs = []
     batched = nw.affine_min_stretch
 
@@ -597,7 +629,6 @@ def test_box4_check_is_one_linprog_call(seed, linprog_calls, monkeypatch):
     monkeypatch.setattr(nw, "affine_min_stretch", captured)
     _, box4 = _bench_box_specs(seed)
     assert theorem2_check(box4).verdict == "pass"
-    assert len(linprog_calls) == 1
     assert len(pairs) == 44
     for (G, ref), mb in pairs:
         want = _reference_affine_face_min(G, ref)
@@ -605,11 +636,46 @@ def test_box4_check_is_one_linprog_call(seed, linprog_calls, monkeypatch):
         assert mb.certified and mb.max_abs == max_stretch(G, ref).max_abs
 
 
-def test_check_without_affine_cells_makes_no_linprog_call(linprog_calls):
+def test_check_without_affine_cells_enumerates_no_face(monkeypatch):
+    calls = []
+    enumerate_faces = geometry._face_minima
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return enumerate_faces(*args, **kwargs)
+    monkeypatch.setattr(geometry, "_face_minima", counted)
     box3, _ = _bench_box_specs(1)
     assert theorem2_check(box3, resolution=33).verdict == "inconclusive"
     assert theorem2_check(_box_spec(12), resolution=33).verdict == "inconclusive"
-    assert not linprog_calls
+    assert not calls
+
+
+def test_affine_forms_past_the_vertex_limit_are_refused_at_set_up(monkeypatch):
+    # u = 7: 425,476 candidate vertices per face; refused when the spec is
+    # set up, at the node's forms, before a face program is enumerated
+    def nothing(*args, **kwargs):
+        raise AssertionError("a face program was set up")
+    monkeypatch.setattr(geometry, "_face_minima", nothing)
+    spec = _bench_gen().golden_ring(np.random.default_rng(1), 1, 0.0, u=7, s=1, declared=True)
+    where = (r"^\$\.nodes\[0\]\.chart_forms: an affine map with u = 7 has 425476 "
+             r"candidate vertices per face, above the limit of 200000$")
+    with pytest.raises(SpecError, match=where):
+        nw.set_up(spec)
+    with pytest.raises(SpecError, match=where):
+        theorem2_check(spec)
+
+
+def test_declared_stable_factor_of_dimension_zero_is_refused_at_set_up():
+    # the parser refuses a V with dim_in 0; a spec built in memory is
+    # refused by the set-up at the same path, not inside a check
+    spec = _bench_gen().golden_ring(np.random.default_rng(1), 3, 0.01, u=2, s=0, declared=True)
+    where = r"^\$\.nodes\[0\]\.chart_forms\[1\]\.V\.dim_in: dimension must be positive, got 0$"
+    with pytest.raises(SpecFormatError, match=where):
+        parse_spec(json.loads(json.dumps(serialize_spec(spec))))
+    with pytest.raises(SpecError, match=where):
+        nw.set_up(spec)
+    with pytest.raises(SpecError, match=where):
+        theorem2_check(spec)
 
 
 # ---------------------------------------------------------------------------

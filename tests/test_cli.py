@@ -1319,33 +1319,47 @@ class TestSpecRead:
 
 
 class TestImports:
-    def test_paper_commands_import_no_scipy(self, fixdir):
-        # scipy is imported only on the LP path (affine min_stretch with
-        # u >= 2); the paper's fixtures are 1-d, so every verb on them runs
-        # without it, and an eager import would cost each command its load
-        runs = [[verb, str(fixdir / name), *options]
-                for name in ("example1.json", "example1_alpha_0.2.json",
-                             "example1_node1.json", "example2.json",
-                             "theorem1_perm23.json")
-                for verb, *options in (["verify"], ["margin"], ["simulate", "--steps", "5"])]
-        runs += [["periodic", str(fixdir / "theorem1_perm23.json"), "--auto"],
-                 ["entropy", str(fixdir / "example1.json"), "--empirical", "4", "200", "1"]]
+    def test_paper_commands_import_no_scipy(self, tmp_path):
+        # the package never imports scipy: with it blocked, every verb on
+        # every shipped fixture, and verify on the benchmark's box4 network
+        # (seed 1: declared affine forms with u = 3), exit as before and
+        # write the same certificate bytes
+        from test_cell_geometry import _bench_gen
+        gen = _bench_gen()
+        rng = np.random.default_rng(1)
+        gen.golden_ring(rng, 3, 0.01, u=3, s=1)
+        gen.write_spec(gen.golden_ring(rng, 4, 0.01, u=3, s=1, declared=True),
+                       tmp_path / "box4.json")
+        golden = TestVerifyCommand.GOLDEN
+        runs = [[verb, str(FIXDIR / name), *options]
+                for name in sorted(golden)
+                for verb, *options in (["verify", "--out", str(tmp_path / f"{name}.cert")],
+                                       ["margin"], ["simulate", "--steps", "5"],
+                                       ["periodic", "--auto"],
+                                       ["entropy", "--empirical", "4", "200", "1"])]
+        runs.append(["verify", "box4.json", "--out", "box4.cert.json"])
         script = ("import contextlib, io, json, sys\n"
+                  "sys.modules['scipy'] = None\n"
                   "from cmnverify.cli import main\n"
                   "with contextlib.redirect_stdout(io.StringIO()):\n"
                   f"    codes = [main(argv) for argv in {runs!r}]\n"
-                  "print(json.dumps([codes, sorted(m for m in sys.modules\n"
-                  "                                if m.partition('.')[0] == 'scipy')]))\n")
+                  "print(json.dumps(codes))\n")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(FIXDIR.parent / "src"),
                                                            env.get("PYTHONPATH")]))
-        result = subprocess.run([sys.executable, "-c", script],
+        result = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
                                 capture_output=True, text=True, env=env)
         assert result.returncode == 0, result.stderr
-        codes, scipy_modules = json.loads(result.stdout.splitlines()[-1])
-        # example1_alpha_0.2 fails theorem 2 under verify and margin
-        assert codes == [0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
-        assert scipy_modules == []
+        codes = json.loads(result.stdout.splitlines()[-1])
+        # per fixture: verify, margin, simulate, periodic --auto (a loop
+        # only under theorem 1), entropy; example1_alpha_0.2 fails theorem 2
+        assert codes == [0, 0, 0, 1, 0,  1, 1, 0, 1, 0,  0, 0, 0, 1, 0,  0, 0, 0, 1, 0,
+                         0, 0, 0, 0, 0,  0]
+        for name, digest in golden.items():
+            assert hashlib.sha256((tmp_path / f"{name}.cert").read_bytes()).hexdigest() == digest
+        recorded = json.loads((FIXDIR.parent / "bench" / "expected" / "seed1.json")
+                              .read_text(encoding="utf-8"))["box_u3"]["verify box4"]["sha256"]
+        assert hashlib.sha256((tmp_path / "box4.cert.json").read_bytes()).hexdigest() == recorded
 
 
 class TestConsoleEntryPoint:
