@@ -260,7 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the certificate here")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("entropy", help="print the certified entropy lower bound")
+    p = sub.add_parser("entropy", help="print sum log rho(W_k), the entropy of the "
+                                       "unperturbed shift, a lower bound only where "
+                                       "verify passes")
     p.add_argument("spec", help=spec_help)
     p.add_argument("--empirical", nargs=3, metavar=("DEPTH", "SAMPLES", "SEED"),
                    action=_fields(_integer("DEPTH", 2), _integer("SAMPLES", 1), seed),

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (EVAL_TIE_TOL, GeometryError, PiecewiseAffineMap, _as_matrix,
-                       _as_vector, _unit_row_det, line_stretch, singular)
+                       _as_vector, _unit_rows, line_stretch, singular)
 
 
 class DegreeUndefinedError(ValueError):
@@ -52,7 +52,7 @@ def degree_affine(linear, offset, target) -> DegreeValue:
     extent = float(np.max(np.abs(pre)))
     if abs(extent - 1.0) <= EVAL_TIE_TOL:
         raise DegreeUndefinedError(f"preimage {pre.tolist()} lies on the box boundary")
-    value = int(np.sign(_unit_row_det(lin))) if extent < 1.0 else 0
+    value = int(np.sign(np.linalg.det(_unit_rows(lin)))) if extent < 1.0 else 0
     return DegreeValue(value, "affine-determinant")
 
 

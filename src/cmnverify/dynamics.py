@@ -8,10 +8,9 @@ damped fixed-point iteration.  The loop and the sampler's pull-back read
 each node's affine branch on an h-set from the spec's set-up, which owns
 the branch rule (``network._branch``): nothing here composes a chart.
 
-Stepping and locating read tables built once per spec: each node keeps its
-member charts in a per-symbol table filled on first use
-(``NodeSystem.member_chart``), and the spec keeps its ambient interaction
-map (``NetworkSpec.ambient_map``).
+Stepping and locating read tables built once per spec: each node builds
+its one chart per symbol with the node (``NodeSystem.member_chart``), and
+the spec keeps its ambient interaction map (``NetworkSpec.ambient_map``).
 
 Every batch of points is coordinate-major: a (dim, n) array with one
 contiguous row per coordinate and one column per point, here and in the

@@ -70,22 +70,23 @@ def _as_matrix(m) -> np.ndarray:
     return a
 
 
-def _unit_row_det(a: np.ndarray) -> float:
-    """det(a) with every row scaled to unit length, 0 for a zero row; each
-    row is divided by its largest absolute entry first, so no norm overflows."""
-    top = np.max(np.abs(a), axis=1, keepdims=True)
-    if not np.all(top > 0):
-        return 0.0
-    a = a / top
-    return float(np.linalg.det(a / np.linalg.norm(a, axis=1, keepdims=True)))
+def _unit_rows(a: np.ndarray) -> np.ndarray:
+    """``a`` with every row (along the last axis) scaled to unit length, a
+    zero or NaN row to 0; each row is divided by its largest absolute entry
+    first, so no norm overflows."""
+    top = np.max(np.abs(a), axis=-1, keepdims=True)
+    a = np.divide(a, top, out=np.zeros_like(a), where=top > 0)
+    norm = np.linalg.norm(a, axis=-1, keepdims=True)
+    return np.divide(a, norm, out=a, where=norm > 0)
 
 
 def singular(matrix) -> bool:
     """Whether a square matrix counts as singular: a zero row, or |det| below
     ``DET_TOL`` (or NaN) once every row is scaled to unit length, where
     Hadamard's bound makes |det| at most 1.  Scaling a row never changes
-    the answer.  Every invertibility test of the package is this one."""
-    return not abs(_unit_row_det(_as_matrix(matrix))) >= DET_TOL
+    the answer.  Every invertibility test of the package is this one, and
+    ``_box_vertices`` applies it to its stacked constraint subsets."""
+    return not abs(np.linalg.det(_unit_rows(_as_matrix(matrix)))) >= DET_TOL
 
 
 def _require_grid(points: int, what: str) -> None:
@@ -576,22 +577,13 @@ class PiecewiseAffineMap:
                      for p in self.pieces)
         return PiecewiseAffineMap(self.dim_in, lin.shape[0], reps)
 
-    def range_1d(self, lo: float = -1.0, hi: float = 1.0) -> tuple[float, float]:
-        """Exact (min, max) of a scalar 1-d map over [lo, hi]: its values at
-        lo, hi and the ends of each cell's interval (``line_cells``)."""
-        if self.dim_in != 1 or self.dim_out != 1:
-            raise GeometryError("range_1d needs a scalar map on the line")
-        xs = np.unique(np.append(np.clip(line_cells(self, lo, hi), lo, hi), [lo, hi]))
-        vals = self.apply_batch(xs[None])
-        return float(vals.min()), float(vals.max())
 
-
-def line_cells(F: PiecewiseAffineMap, lo: float = -1.0, hi: float = 1.0) -> np.ndarray:
+def line_cells(F: PiecewiseAffineMap) -> np.ndarray:
     """Rows low and high of each piece's interval for the map F on the line
     (+-inf where unbounded, low > high where empty): n x <= b bounds x by
     b / n, and with n = 0 empties the piece when b < -EVAL_TIE_TOL, as
     evaluation does.  Raises ``GeometryError`` when the intervals leave
-    more than EVAL_TIE_TOL of [lo, hi] uncovered."""
+    more than EVAL_TIE_TOL of [-1, 1] uncovered."""
     ends = []
     for p in F.pieces:
         a, b = -math.inf, math.inf
@@ -603,12 +595,12 @@ def line_cells(F: PiecewiseAffineMap, lo: float = -1.0, hi: float = 1.0) -> np.n
             elif c < -EVAL_TIE_TOL:
                 a = math.inf
         ends.append((a, b))
-    reach = lo          # covered so far, sweeping the pieces that meet [lo, hi] by start
-    for a, b in [*sorted(ends), (hi, hi)]:
-        if max(a, lo) <= min(b, hi):
+    reach = -1.0        # covered so far, sweeping the pieces that meet [-1, 1] by start
+    for a, b in [*sorted(ends), (1.0, 1.0)]:
+        if max(a, -1.0) <= min(b, 1.0):
             if a > reach + EVAL_TIE_TOL:
                 raise GeometryError(f"map undefined between {reach:.6g} and {a:.6g}, "
-                                    f"inside [{lo:g}, {hi:g}]")
+                                    "inside [-1, 1]")
             reach = max(reach, b)
     return np.array(ends).T
 
@@ -663,10 +655,14 @@ def _box_vertices(cells: list[tuple[np.ndarray, np.ndarray]], dim: int
     """Vertices of each cell ``normals @ x <= bounds`` inside the unit box,
     once per constraint subset that meets there, and each one's cell, in
     cell order, from one stacked ``det``, ``solve`` and feasibility product.
-    Rows 0 x <= 1 (met by every point, singular in a subset) pad the cells
-    to one count before the box's faces, so each cell solves the matrices
-    of its own enumeration.  Cells go in chunks of ``MAX_VERTEX_CANDIDATES``
-    subsets; refused before any solve when one cell has more than that."""
+    A subset is solved when its rows, each scaled by its largest entry and
+    then to unit length, have |det| of at least ``DET_TOL``, as in
+    ``singular``, so scaling a constraint never changes the vertices; the
+    solve reads the rows as given.  Rows 0 x <= 1 (met by every point,
+    singular in a subset) pad the cells to one count before the box's
+    faces, so each cell solves the matrices of its own enumeration.  Cells
+    go in chunks of ``MAX_VERTEX_CANDIDATES`` subsets; refused before any
+    solve when one cell has more than that."""
     m = max((n.shape[0] for n, _ in cells), default=0)
     if (count := math.comb(m + 2 * dim, dim)) > MAX_VERTEX_CANDIDATES:
         raise GeometryError(f"{count} candidate cell vertices to enumerate, above the "
@@ -675,16 +671,18 @@ def _box_vertices(cells: list[tuple[np.ndarray, np.ndarray]], dim: int
     normals[:, m:] = np.vstack([np.eye(dim), -np.eye(dim)])
     for c, (n, b) in enumerate(cells):
         normals[c, :n.shape[0]], bounds[c, :n.shape[0]] = n, b
+    unit = _unit_rows(normals)
     subsets = _subsets(m + 2 * dim, dim, dim)
     step = max(1, MAX_VERTEX_CANDIDATES // len(subsets))
     verts, owner = [np.zeros((0, dim))], [np.zeros(0, dtype=np.intp)]
     for start in range(0, len(cells), step):
         n, b = normals[start:start + step], bounds[start:start + step]
         a = n[:, subsets]
-        solvable = np.abs(np.linalg.det(a)) >= 1e-12
+        solvable = np.abs(np.linalg.det(unit[start:start + step][:, subsets])) >= DET_TOL
         x = np.zeros((*solvable.shape, dim, 1))
         x[solvable] = np.linalg.solve(a[solvable], b[:, subsets][solvable][:, :, None])
-        keep = solvable & np.all(n[:, None] @ x <= b[:, None, :, None] + 1e-9, axis=(2, 3))
+        with np.errstate(over="ignore", invalid="ignore"):  # a vertex past range fails a box face
+            keep = solvable & np.all(n[:, None] @ x <= b[:, None, :, None] + 1e-9, axis=(2, 3))
         verts.append(x[keep][:, :, 0])
         owner.append(np.nonzero(keep)[0] + start)
     return np.concatenate(verts), np.concatenate(owner)

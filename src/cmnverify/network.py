@@ -8,8 +8,8 @@ matrices, a coupled crossing inequality made diagonally dominant by a node
 reassignment tau, found as a bipartite perfect matching.
 
 Both checkers share one entry loop, ``_check_entries``.  A theorem
-supplies only each node's *choices* (a transition (i, j) for theorem 2, a
-source symbol and its permutation image for theorem 1) with the reference
+supplies only each node's *choices*, one per transition (i, j) (for
+theorem 1 a source symbol and its permutation image), with the reference
 center and stable radius that a row uses under each choice.  An entry is
 one choice per node.  The loop keeps one set of dense tables per check
 (``_Tables``).  A cell of them, holding stretch bounds, a stable term and
@@ -40,11 +40,17 @@ coupling large enough to scale a finite form past floating-point range
 (at ``$.coupling.matrix``), each refusal a ``SpecError``.  A check's
 tables (``_prepare``) start from it.
 
-The coupling kind decides which charts a chart form composes the local map
-with; ``_form_keys`` and ``_form_charts`` own that decision, and form
-derivation, the declared-form audit and the conjugacy audit all read it
-from them.  ``_choices`` owns what else a theorem reads by kind: each
-node's choices and the charts whose Lipschitz constant scales eps*.
+Symbol i of a node has one chart, ``NodeSystem.member_chart(i)``, built
+with the node: its unified member chart when a family is declared, else
+its h-set's chart.  Validation's image boxes, the chart forms, the
+Lipschitz constant that scales eps*, the branches and the iterating verbs
+all read symbol i through it, and the set-up composes the local map into
+it once (``SetUp.charted``).  Chart forms, choices' forms and conjugacy
+audit combinations are keyed by source symbol for both coupling kinds;
+the kind decides only the chart a form composes into after that
+(``_outer_chart``): the shared unified chart (type II) or the member
+chart of the symbol's permutation image (type I).  ``_choices`` owns what
+else a theorem reads by kind: each choice's target reference and radius.
 """
 
 from __future__ import annotations
@@ -122,9 +128,9 @@ class Graph:
 class NodeSystem:
     """One node: local map, h-set family, transition structure, chart forms.
 
-    ``chart_forms`` may be declared explicitly (keyed by source symbol for a
-    unified family, by (source, target) otherwise); when absent the forms
-    are derived exactly by composing the local map with the affine charts.
+    ``chart_forms`` may be declared explicitly, keyed by source symbol;
+    when absent the forms are derived exactly by composing the local map
+    with the affine charts.  Each symbol's chart is built with the node.
     """
 
     local_map: PiecewiseAffineMap
@@ -132,14 +138,16 @@ class NodeSystem:
     transition: TransitionMatrix
     unified: UnifiedSet | None = None
     chart_forms: dict | None = None
-    _charts: list = field(init=False, repr=False, compare=False)
+    _charts: tuple[AffineChart, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.hsets:
             raise SpecError("node needs at least one h-set")
         object.__setattr__(self, "hsets", tuple(self.hsets))
-        members = self.unified.members if self.unified is not None else self.hsets
-        object.__setattr__(self, "_charts", [None] * len(members))
+        with np.errstate(over="ignore", invalid="ignore"):     # a chart past range is singular
+            charts = (tuple(map(self.unified.member_chart, range(self.unified.count)))
+                      if self.unified is not None else tuple(h.chart for h in self.hsets))
+        object.__setattr__(self, "_charts", charts)
 
     @property
     def count(self) -> int:
@@ -158,20 +166,9 @@ class NodeSystem:
         return self.dim_u + self.dim_s
 
     def member_chart(self, symbol: int) -> AffineChart:
-        """Chart taking h-set ``symbol`` (1-based) onto the unit box.
-
-        Each chart is built on its first request and kept in a per-symbol
-        table, so a chart that cannot be built raises at that request and
-        later ones reuse the same object.  The table is indexed exactly
-        like the member tuple it mirrors.
-        """
-        index = symbol - 1
-        chart = self._charts[index]
-        if chart is None:
-            chart = (self.unified.member_chart(index) if self.unified is not None
-                     else self.hsets[index].chart)
-            self._charts[index] = chart
-        return chart
+        """Chart taking h-set ``symbol`` (1-based) onto the unit box: the
+        unified member chart when a family is declared, else the h-set's."""
+        return self._charts[symbol - 1]
 
     def transitions(self) -> list[tuple[int, int]]:
         return [(int(i) + 1, int(j) + 1) for i, j in zip(*np.nonzero(self.transition.bits))]
@@ -257,91 +254,77 @@ class ValidationReport:
     errors: tuple[str, ...]
     warnings: tuple[str, ...]
     boxes: tuple = ()     # per node, the (lo, hi) bounding box of each of its h-sets
-    charted: tuple = ()   # per node, its map in each source h-set chart the image test composed
+    charted: tuple = ()   # per node, its map in each member chart the image test composed
 
     @property
     def ok(self) -> bool:
         return not self.errors
 
 
-def _form_keys(node: NodeSystem, kind: str) -> list:
-    """Keys of the chart forms a node's checks use: source symbols 1..count
-    for a unified family (type II), transitions (i, j) otherwise."""
+def _outer_chart(node: NodeSystem, kind: str, symbol: int) -> AffineChart:
+    """The chart that the chart form of source ``symbol`` composes the local
+    map into after its member chart: the shared unified chart (type II), or
+    the member chart of the symbol's image under the node's permutation
+    (type I)."""
     if kind == TYPE_II:
-        if node.unified is None:
-            raise SpecError("unified family required to derive chart forms")
-        return list(range(1, node.count + 1))
-    return node.transitions()
+        return node.unified.chart
+    return node.member_chart(node.transition.permutation()[symbol - 1])
 
 
-def _form_charts(node: NodeSystem, kind: str, key) -> tuple[AffineChart, AffineChart]:
-    """(inner, outer) charts that the chart form ``key`` composes the local
-    map with: a member chart into the shared unified chart (type II), or
-    source h-set chart into target h-set chart (type I)."""
-    if kind == TYPE_II:
-        return node.member_chart(key), node.unified.chart
-    i, j = key
-    return node.hsets[i - 1].chart, node.hsets[j - 1].chart
-
-
-def _compose(node: NodeSystem, kind: str, key, charted: dict) -> PiecewiseAffineMap:
-    """The local map in the chart form ``key``'s charts, its inner step read
-    from ``charted`` by source symbol, or composed and kept there."""
-    inner, outer = _form_charts(node, kind, key)
-    source = key if kind == TYPE_II else key[0]
-    if source not in charted:
-        charted[source] = node.local_map.in_chart(inner)
-    return charted[source].compose_affine_outer(outer.linear, outer.offset)
+def _compose(node: NodeSystem, kind: str, symbol: int, charted: dict) -> PiecewiseAffineMap:
+    """The local map in the charts of the chart form of source ``symbol``,
+    its inner step read from ``charted``, or composed and kept there."""
+    if symbol not in charted:
+        charted[symbol] = node.local_map.in_chart(node.member_chart(symbol))
+    outer = _outer_chart(node, kind, symbol)
+    return charted[symbol].compose_affine_outer(outer.linear, outer.offset)
 
 
 def _resolve_forms(node: NodeSystem, kind: str, composed: dict | None = None,
                    cells: CellGeometry | None = None) -> dict:
-    """Chart-coordinate product forms, declared or split from the composed
-    local map of each key (``composed``, else composed here), whose meets
-    ``split_product`` reads from ``cells`` when given."""
+    """Chart-coordinate product forms by source symbol, declared or split
+    from the composed local map of each symbol (``composed``, else composed
+    here), whose meets ``split_product`` reads from ``cells`` when given."""
     if node.chart_forms is not None:
         return node.chart_forms
     with np.errstate(over="ignore", invalid="ignore"):    # ``_node_forms`` refuses an inf form
         if composed is None:
-            composed = {key: _compose(node, kind, key, {}) for key in _form_keys(node, kind)}
-        return {key: ProductFormMap(*split_product(F, node.dim_u, cells))
-                for key, F in composed.items()}
+            composed = {i: _compose(node, kind, i, {}) for i in range(1, node.count + 1)}
+        return {i: ProductFormMap(*split_product(F, node.dim_u, cells))
+                for i, F in composed.items()}
 
 
-def _choices(node: NodeSystem, kind: str) -> tuple[list[_Choice], list[AffineChart]]:
-    """A node's choices, one per transition in ``node.transitions()`` order
-    (the order ``_entry_overrides`` assumes), and the charts whose largest
-    Lipschitz constant scales eps*.  Type II: transition (i, j) reads
-    source i's form against member j's center and stable radius, and the
-    charts are the member charts.  Type I: it reads form (i, j) against the
-    centre of h-set j's unit box, radius 1, and the charts are the h-sets'."""
+def _choices(node: NodeSystem, kind: str) -> list[_Choice]:
+    """A node's choices, one per transition (i, j) in ``node.transitions()``
+    order (the order ``_entry_overrides`` assumes), each reading source i's
+    form: against member j's center and stable radius (type II), or the
+    centre of h-set j's unit box, radius 1 (type I)."""
     if kind == TYPE_II:
         members = [center for _, center in node.unified.members]
-        return ([_Choice(i, i, j, members[j - 1].p_u, members[j - 1].p_s,
-                         members[j - 1].r if node.dim_s > 0 else 1.0)
-                 for i, j in node.transitions()],
-                [node.member_chart(j) for j in range(1, node.count + 1)])
-    return ([_Choice((i, j), i, j, np.zeros(node.dim_u), np.zeros(node.dim_s), 1.0)
-             for i, j in node.transitions()], [h.chart for h in node.hsets])
+        return [_Choice(i, j, members[j - 1].p_u, members[j - 1].p_s,
+                        members[j - 1].r if node.dim_s > 0 else 1.0)
+                for i, j in node.transitions()]
+    return [_Choice(i, j, np.zeros(node.dim_u), np.zeros(node.dim_s), 1.0)
+            for i, j in node.transitions()]
 
 
-def _image_bbox(node: NodeSystem, symbol: int, box: tuple[np.ndarray, np.ndarray],
-                charted: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Bounding box of the image of an h-set under the local map, exact: on
-    the line ``range_1d`` over the h-set's bounding ``box``; above it each
-    piece's least and largest values at the vertices of its cell inside the
-    h-set (``_box_vertices``, once the h-set's chart carries the cells onto
-    the unit box, a composition kept in ``charted`` by symbol)."""
-    if node.dim == 1:
-        lo, hi = node.local_map.range_1d(float(box[0][0]), float(box[1][0]))
-        return np.array([lo]), np.array([hi])
-    F = charted[symbol] = node.local_map.in_chart(node.hsets[symbol - 1].chart)
-    verts, owner = _box_vertices([(p.normals, p.bounds) for p in F.pieces], node.dim)
-    if not owner.size:
-        raise GeometryError("no cell of the map meets the h-set")
-    vals = (np.array([p.matrix for p in F.pieces])[owner] @ verts[:, :, None])[:, :, 0]
-    vals += np.array([p.offset for p in F.pieces])[owner]
-    return vals.min(axis=0), vals.max(axis=0)
+def _image_boxes(node: NodeSystem, charted: dict) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Bounding box of the image of each h-set under the local map, by
+    symbol, exact in every dimension: each piece's least and largest values
+    at the vertices of its cell inside the h-set, once the symbol's chart
+    carries the cells onto the unit box (a composition kept in ``charted``
+    by symbol), from one ``_box_vertices`` over every symbol's cells."""
+    maps = [node.local_map.in_chart(node.member_chart(i)) for i in range(1, node.count + 1)]
+    charted.update(enumerate(maps, start=1))
+    pieces = [p for F in maps for p in F.pieces]
+    verts, owner = _box_vertices([(p.normals, p.bounds) for p in pieces], node.dim)
+    vals = (np.array([p.matrix for p in pieces])[owner] @ verts[:, :, None])[:, :, 0]
+    vals += np.array([p.offset for p in pieces])[owner]
+    symbol = np.repeat(np.arange(1, node.count + 1), [len(F.pieces) for F in maps])[owner]
+    if np.unique(symbol).size < node.count:
+        raise GeometryError("no cell of the map meets an h-set")
+    return {i: (vals[symbol == i].min(axis=0), vals[symbol == i].max(axis=0))
+            for i in range(1, node.count + 1)}
 
 
 def _boxes_disjoint(a: tuple[np.ndarray, np.ndarray],
@@ -564,13 +547,14 @@ def _check_non_overlap(spec: NetworkSpec, hulls: list[list[tuple[np.ndarray, np.
     dimensions compare exact image boxes with box hulls, so what they find,
     or an image box that cannot be computed, is a warning.  ``hulls`` holds
     each node's h-set bounding boxes, as ``validate_spec`` built them; the
-    local maps composed into the source h-set charts go into ``charted``.
+    local maps composed into the member charts go into ``charted``.
     """
     for k, (node, boxes, node_charted) in enumerate(zip(spec.nodes, hulls, charted), start=1):
+        if node.count != node.transition.n or node.count != len(node._charts):
+            continue    # a symbol count validation reports, with no chart or box for some
         pairs, exact = node.transitions(), node.dim == 1
         try:
-            images = {i: _image_bbox(node, i, boxes[i - 1], node_charted)
-                      for i in {i for i, _ in pairs}}
+            images = _image_boxes(node, node_charted)
         except GeometryError as exc:    # a cell of too many vertex candidates, or none
             (errors if exact else warnings).append(f"$.nodes[{k - 1}].map: cannot bound the "
                                                    f"h-set images: {exc}")
@@ -708,18 +692,23 @@ class TheoremReport:
 
 
 BLOCK = 256  # entries per vectorized block; bounds the (entries, d, d) tensors
+# Most Kronecker entries one check may enumerate, refused before any table
+# is built.  On a 2-vCPU x86-64 VM ``verify`` of the benchmark's golden ring
+# peaks at 147 MB with 59,049 entries (d = 10) and 309 MB with 177,147
+# (d = 11), about 1.4 kB more per entry, so this keeps a check under 1 GB:
+# d = 12 (531,441 entries, 790 MB, 7.8 s) runs, d = 13 (1,594,323) does not.
+MAX_ENTRIES = 700_000
 
 
 @dataclass(frozen=True)
 class _Choice:
     """One node's share of a Kronecker entry, as a theorem supplies it.
 
-    ``key`` picks the node's chart form; ``ref_u``, ``ref_s`` and ``radius``
-    are the target center and stable radius that row k uses when node k
-    takes this choice.
+    ``source`` picks the node's chart form; ``ref_u``, ``ref_s`` and
+    ``radius`` are the target center and stable radius that row k uses when
+    node k takes this choice.
     """
 
-    key: object
     source: int
     target: int
     ref_u: np.ndarray
@@ -778,7 +767,7 @@ class _Tables:
         d, width = len(choices), max(map(len, choices))
         # each node's choices, padded to ``width`` with its first one (never read)
         self.grid = grid = [node + node[:1] * (width - len(node)) for node in choices]
-        form_of, keys = _distinct([(m, ch.key) for m, node in enumerate(grid) for ch in node])
+        form_of, keys = _distinct([(m, ch.source) for m, node in enumerate(grid) for ch in node])
         self.forms = [(m, forms[m][key]) for m, key in keys]
         self.form_of = np.reshape(form_of, (d, width))
         self.radius = np.array([[ch.radius for ch in node] for node in grid])
@@ -1097,11 +1086,11 @@ def _node_forms(node: NodeSystem, kind: str, k: int, cells: CellGeometry,
     form ``split_product`` refuses (which decides continuity).  Then (at
     ``$.nodes[k].chart_forms`` when declared, else ``.map``): a declared
     V of dimension 0 (at ``.chart_forms[key].V.dim_in``, where the parser
-    refuses it), keys other than ``_form_keys``, or a split other than the
-    h-sets'; a size that is not finite; a factor with no cell table; an
-    affine U whose face programs have too many candidate vertices
-    (``geometry.face_candidates``: u >= 7), before a check enumerates
-    them; a declared form that jumps or is not the composed map
+    refuses it), keys other than the source symbols 1..count, or a split
+    other than the h-sets'; a size that is not finite; a factor with no
+    cell table; an affine U whose face programs have too many candidate
+    vertices (``geometry.face_candidates``: u >= 7), before a check
+    enumerates them; a declared form that jumps or is not the composed map
     (``_audit_declared_forms``).  Last, at ``.map``: a map undefined at an
     h-set's centre.
     """
@@ -1110,7 +1099,7 @@ def _node_forms(node: NodeSystem, kind: str, k: int, cells: CellGeometry,
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             charted = dict(charted)
-            composed = {key: _compose(node, kind, key, charted) for key in _form_keys(node, kind)}
+            composed = {i: _compose(node, kind, i, charted) for i in range(1, node.count + 1)}
             forms = _resolve_forms(node, kind, composed, cells)
             # when s = 0 a derived form's U is its composed map, tabled below
             for F in composed.values() if declared or node.dim_s else ():
@@ -1120,12 +1109,10 @@ def _node_forms(node: NodeSystem, kind: str, k: int, cells: CellGeometry,
     if declared:
         for key, form in forms.items():
             if form.V is not None and form.V.dim_in == 0:
-                name = ",".join(map(str, key)) if isinstance(key, tuple) else key
-                raise SpecError(f"{where}[{name}].V.dim_in: dimension must be positive, got 0")
-        keys = _form_keys(node, kind)
-        if set(forms) != set(keys):
+                raise SpecError(f"{where}[{key}].V.dim_in: dimension must be positive, got 0")
+        if set(forms) != set(composed):
             raise SpecError(f"{where}: declared forms keyed {list(forms)}, not by the node's "
-                            f"{'source symbols' if kind == TYPE_II else 'transitions'} {keys}")
+                            f"source symbols {list(composed)}")
         for key, form in forms.items():
             if (form.dim_u, form.dim_s) != (node.dim_u, node.dim_s):
                 raise SpecError(f"{where}: declared chart form {key} splits as (u, s) = "
@@ -1159,10 +1146,9 @@ def _branch(spec: NetworkSpec, k: int, symbol: int) -> AffinePiece:
     most ``CONTINUITY_TOL``, so the map is that affine map wherever it is
     defined there.  Else a ``LoopError`` names the node and the h-set."""
     node, setup = spec.nodes[k], set_up(spec)
-    chart, piece, F = node.member_chart(symbol), setup.centres[k][symbol - 1], setup.charted[k]
-    if spec.coupling.kind == TYPE_I and node.unified is not None:
-        F = {symbol: node.local_map.in_chart(chart)}    # its forms read the h-set charts
-    gap = form_gap(F[symbol], PiecewiseAffineMap.affine(piece.matrix, piece.offset).in_chart(chart),
+    chart, piece = node.member_chart(symbol), setup.centres[k][symbol - 1]
+    gap = form_gap(setup.charted[k][symbol],
+                   PiecewiseAffineMap.affine(piece.matrix, piece.offset).in_chart(chart),
                    setup.cells)
     if not gap <= CONTINUITY_TOL:
         raise LoopError(f"node {k + 1}, h-set {symbol}: the local map is not one affine "
@@ -1176,7 +1162,7 @@ class SetUp(NamedTuple):
     report: ValidationReport
     forms: tuple[dict, ...]     # per node, its audited chart forms (``_node_forms``)
     cells: CellGeometry         # holds the cell table of every factor of those forms
-    charted: tuple[dict, ...]   # per node and symbol (one form's source), its map in its chart
+    charted: tuple[dict, ...]   # per node and symbol, its map in the symbol's member chart
     centres: tuple[list, ...]   # per node, the piece of its map at each h-set's centre
 
 
@@ -1208,17 +1194,23 @@ def _prepare(spec: NetworkSpec, kind: str, resolution: int
              ) -> tuple[_Tables, dict[int, np.ndarray], float]:
     """The tables of a check of coupling ``kind``, on the spec's
     ``set_up``; the ``per_entry`` matrix of each overridden entry; and the
-    largest Lipschitz constant of the charts ``_choices`` names.
+    largest Lipschitz constant of the member charts, which scales eps*.
 
-    The spec must declare ``kind``; a node with u >= 2 and a non-affine U
-    is refused at ``$.nodes[k]`` when ``resolution`` gives its face grid
-    more than ``geometry.MAX_GRID_POINTS`` points.  Theorem 1's tables list
-    the identity last: under it a transition's diagonal cell is its covering.
+    The spec must declare ``kind``; more than ``MAX_ENTRIES`` Kronecker
+    entries, the product of the nodes' transition counts, are refused at
+    ``$.nodes``, and a node with u >= 2 and a non-affine U at
+    ``$.nodes[k]`` when ``resolution`` gives its face grid more than
+    ``geometry.MAX_GRID_POINTS`` points.  Theorem 1's tables list the
+    identity last: under it a transition's diagonal cell is its covering.
     """
     if spec.coupling.kind != kind:
         raise SpecError(f"checker needs coupling kind '{kind}', "
                         f"spec declares '{spec.coupling.kind}'")
     _, forms, cells, *_ = set_up(spec)
+    entries = math.prod(int(np.count_nonzero(node.transition.bits)) for node in spec.nodes)
+    if entries > MAX_ENTRIES:
+        raise SpecError(f"$.nodes: the transition matrices give {entries} Kronecker entries "
+                        f"to check, above the limit of {MAX_ENTRIES}")
     for k, (node, node_forms) in enumerate(zip(spec.nodes, forms)):
         u = node.dim_u
         if (u >= 2 and not all(form.U.is_affine for form in node_forms.values())
@@ -1227,13 +1219,14 @@ def _prepare(spec: NetworkSpec, kind: str, resolution: int
                             f"{points} points on this node's non-affine chart forms "
                             f"(u = {u}), above the limit of {MAX_GRID_POINTS}; the largest "
                             f"resolution allowed is {max_face_resolution(u)}")
-    choices, charts = zip(*(_choices(node, kind) for node in spec.nodes))
+    choices = [_choices(node, kind) for node in spec.nodes]
     own = _entry_overrides(spec)[0]
     matrices = [spec.coupling.matrix, *own.values()]
     if kind == TYPE_I:
         matrices.append(np.eye(spec.d))
-    tables = _Tables(list(forms), list(choices), matrices, spec.nodes[0].dim_s, resolution, cells)
-    return tables, own, max(chart.lipschitz() for node_charts in charts for chart in node_charts)
+    tables = _Tables(list(forms), choices, matrices, spec.nodes[0].dim_s, resolution, cells)
+    return tables, own, max(node.member_chart(i).lipschitz()
+                            for node in spec.nodes for i in range(1, node.count + 1))
 
 
 def _local_reach(F: PiecewiseAffineMap, radius: float) -> tuple[float, float]:
@@ -1271,8 +1264,8 @@ def check_covering(source: HSet, target: CenterScale, f: ProductFormMap,
     if u == 0 or (f.dim_u, f.dim_s, target.dim_u, target.dim_s) != (u, s, u, s):
         raise GeometryError(f"map ({f.dim_u},{f.dim_s}) and target ({target.dim_u},"
                             f"{target.dim_s}) must split as the source h-set ({u},{s}), u >= 1")
-    choice = _Choice(None, 1, 1, target.p_u, target.p_s, target.r)
-    tables = _Tables([{None: f}], [[choice]], [np.eye(1)], s, resolution, CellGeometry())
+    choice = _Choice(1, 1, target.p_u, target.p_s, target.r)
+    tables = _Tables([{1: f}], [[choice]], [np.eye(1)], s, resolution, CellGeometry())
     return tables.coverings(0, [[(source.id, target_id or "target")]])[0][0]
 
 
@@ -1380,22 +1373,17 @@ def conjugacy_audit(spec: NetworkSpec, seed: int = 0) -> ConjugacyReport:
     # the point's stages, each written one node's block at a time
     w, tw, z, lhs = (np.empty(d * block) for _ in range(4))
 
-    combos = list(itertools.product(*[_form_keys(n, kind) for n in spec.nodes]))
+    # per node and source symbol, the (inner, outer) charts of its chart form
+    charts = [[(n.member_chart(i), _outer_chart(n, kind, i)) for i in range(1, n.count + 1)]
+              for n in spec.nodes]
+    combos = list(itertools.product(*[range(1, n.count + 1) for n in spec.nodes]))
     per = max(1, 200 // max(1, len(combos)))
+    # a type-I entry is its sources, so its override is the combination's
     own = _entry_overrides(spec)[0] if kind == TYPE_I else {}
     with np.errstate(over="ignore", invalid="ignore"):
         for flat, combo in enumerate(combos):
-            charts_in, charts_out = zip(*(_form_charts(n, kind, key)
-                                          for n, key in zip(spec.nodes, combo)))
-            if kind == TYPE_II:
-                a = spec.coupling.matrix
-                label = f"sources {combo}"
-            else:
-                i_idx = tuple(i for i, _ in combo)
-                j_idx = tuple(j for _, j in combo)
-                a = own.get(flat, spec.coupling.matrix)
-                label = f"entry {i_idx}->{j_idx}"
-            model = np.kron(a, np.eye(block))
+            charts_in, charts_out = zip(*(charts[k][i - 1] for k, i in enumerate(combo)))
+            model = np.kron(own.get(flat, spec.coupling.matrix), np.eye(block))
             xi = rng.uniform(-1.0, 1.0, size=(per, d * block))
             for row in xi:
                 for sl, chart, node in zip(blocks, charts_in, spec.nodes):
@@ -1413,5 +1401,5 @@ def conjugacy_audit(spec: NetworkSpec, seed: int = 0) -> ConjugacyReport:
                 worst = max(worst, resid)
                 n_done += 1
                 if resid > 1e-9 and len(bad) < 16:
-                    bad.append(f"{label}: residual {resid:.3e}")
+                    bad.append(f"sources {combo}: residual {resid:.3e}")
     return ConjugacyReport(worst, n_done, tuple(bad))

@@ -25,7 +25,9 @@ Top-level spec keys::
 A map is either {"breakpoints": [...], "pieces": [[slope, intercept],...]}
 on the line, or {"dim_in", "dim_out", "pieces": [{"matrix", "offset",
 "normals", "bounds"}, ...]} in general.  A chart is {"linear", "offset"};
-node entries carry the (u, s) split.
+node entries carry the (u, s) split.  ``chart_forms`` maps each source
+symbol, written as an integer key such as "1", to {"U", "V"?}, for both
+coupling kinds.
 """
 
 from __future__ import annotations
@@ -217,11 +219,11 @@ def _node(obj, path: str) -> NodeSystem:
             raise SpecFormatError(f"{path}.chart_forms: expected an object")
         for key, fobj in obj["chart_forms"].items():
             fpath = f"{path}.chart_forms[{key}]"
-            parts = [_int(t, fpath) for t in str(key).split(",")]
+            symbol = _int(key, fpath)
             U = _map(_get(fobj, "U", fpath), f"{fpath}.U")
             V = _map(fobj["V"], f"{fpath}.V") if fobj.get("V") else None
             try:
-                forms[parts[0] if len(parts) == 1 else tuple(parts)] = ProductFormMap(U, V)
+                forms[symbol] = ProductFormMap(U, V)
             except GeometryError as exc:    # a factor that is not square
                 raise SpecFormatError(f"{fpath}: {exc}") from exc
     try:
@@ -348,12 +350,10 @@ def serialize_spec(spec: NetworkSpec) -> dict:
                              "p_s": _emit_vector(cs.p_s), "r": _emit_num(cs.r)}
                             for mid, cs in node.unified.members]}
         if node.chart_forms is not None:
-            forms = {}
-            for key, form in node.chart_forms.items():
-                name = ",".join(str(t) for t in key) if isinstance(key, tuple) else str(key)
-                forms[name] = {"U": _emit_map(form.U),
-                               "V": _emit_map(form.V) if form.V is not None else None}
-            nobj["chart_forms"] = forms
+            nobj["chart_forms"] = {
+                str(symbol): {"U": _emit_map(form.U),
+                              "V": _emit_map(form.V) if form.V is not None else None}
+                for symbol, form in node.chart_forms.items()}
         doc["nodes"].append(nobj)
     return doc
 

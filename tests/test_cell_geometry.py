@@ -814,10 +814,10 @@ def test_map_with_no_cell_in_the_box_raises_as_the_reference():
 
 # ---------------------------------------------------------------------------
 # the line's cells: one interval per piece (``line_cells``), against the
-# subset enumeration of ``_box_vertices`` and the constraint scan
-# ``range_1d`` had.  The enumeration solves through LAPACK where
-# ``line_cells`` divides, so the comparison holds under any BLAS kernel
-# only after both round to 12 decimals, as both do.
+# subset enumeration of ``_box_vertices``, and the image boxes against a
+# scan of the constraints (``_reference_range_1d``).  The enumeration solves
+# through LAPACK where ``line_cells`` divides, so the comparison holds
+# under any BLAS kernel only after both round to 12 decimals, as both do.
 
 
 def _reference_line_table(F):
@@ -831,15 +831,15 @@ def _reference_line_table(F):
             np.array(ends, dtype=np.intp))
 
 
-def _reference_range_1d(F, lo=-1.0, hi=1.0):
-    """``range_1d`` as it scanned the constraints itself: F at lo, hi and
-    every b / n strictly between them."""
-    xs = {lo, hi}
+def _reference_range_1d(F):
+    """The exact range of the scalar map F on the line over [-1, 1]: its
+    least and largest values at -1, 1 and every b / n strictly between."""
+    xs = {-1.0, 1.0}
     for p in F.pieces:
         for n, b in zip(p.normals[:, 0], p.bounds):
             if abs(n) > 0:
                 t = b / n
-                if lo < t < hi:
+                if -1.0 < t < 1.0:
                     xs.add(t)
     vals = F.apply_batch(np.array([sorted(xs)]))[0]
     return float(vals.min()), float(vals.max())
@@ -853,9 +853,8 @@ def _charted_line_map(rng):
     scaling outside, with up to two redundant constraints: one of a
     piece's own times a power of two, or a bound past the end of its cell
     (past 1 or -1 where the cell is unbounded).  A copy scaled by another
-    factor may bound the cell an ulp off the original, where the scan
-    ``range_1d`` had evaluated the piece an ulp past its cell;
-    ``line_cells`` keeps the tighter bound."""
+    factor may bound the cell an ulp off the original; ``line_cells`` keeps
+    the tighter bound."""
     ends = rng.uniform(-1.5, 1.5, size=int(rng.integers(0, 4))).tolist()
     if rng.random() < 0.5:
         ends.append(float(rng.choice([-1.0, 1.0])) + float(rng.uniform(-1e-9, 1e-9)))
@@ -899,17 +898,29 @@ def _fixture_line_factors():
             for F in (f.U, f.V) if F is not None and F.dim_in == 1]
 
 
-def _same_line_cells(F, ranges):
-    """Compare the table and ``range_1d`` with the references; return the
+def _image_box(F):
+    """The image box validation takes of the local map F on the h-set [-1, 1]
+    (``network._image_boxes``), whose identity chart changes no bit of F."""
+    node = NodeSystem(F, (HSet("A", AffineChart.shift_1d(0.0)),), TransitionMatrix([[1]]))
+    return nw._image_boxes(node, {})[1]
+
+
+def _same_line_cells(F):
+    """Compare the table and the image box with the references; return the
     table's points."""
     table = geometry._CellTable(F)
     points, owner, ends = _reference_line_table(F)
     assert table.points.tobytes() == points.tobytes()
     assert table.owner.tobytes() == owner.tobytes()
     assert table.ends.tobytes() == ends.tobytes()
-    for lo, hi in ranges:
-        got = np.array(F.range_1d(lo, hi))
-        assert got.tobytes() == np.array(_reference_range_1d(F, lo, hi)).tobytes()
+    (lo,), (hi,) = _image_box(F)
+    want_lo, want_hi = _reference_range_1d(F)
+    # the box holds the exact range, and passes it by at most what a piece
+    # changes over the 1e-9 outside its cell that the vertex test admits,
+    # where a neighbour's slope may lie the other way
+    tie = 1e-12 * max(1.0, abs(want_lo), abs(want_hi))
+    assert lo <= want_lo + tie and hi >= want_hi - tie
+    assert max(want_lo - lo, hi - want_hi) <= 2e-9 * F.lipschitz() + tie
     return table.points
 
 
@@ -917,21 +928,18 @@ def test_fixture_line_cells_equal_the_subset_enumeration():
     factors = _fixture_line_factors()
     assert len(factors) == 31
     for F in factors:
-        _same_line_cells(F, [(-1.0, 1.0), (-0.4, 0.7)])
+        _same_line_cells(F)
 
 
 def test_charted_line_cells_equal_the_subset_enumeration():
     rng = np.random.default_rng(7310)
     near_end = 0
     for n in range(10_000):
-        F, G, bps = _charted_line_map(rng)
-        lo, hi = np.sort(rng.uniform(-1.0, 1.0, size=2)).tolist() if n % 2 else (-1.0, 1.0)
-        miss = np.abs(np.abs(_same_line_cells(F, [(lo, hi)])) - 1.0)
+        F, G, _ = _charted_line_map(rng)
+        miss = np.abs(np.abs(_same_line_cells(F)) - 1.0)
         near_end += bool(np.any((miss > 0) & (miss <= 1e-9)))
         if n % 10 == 0:
-            # the physical map, over a range around its breakpoints
-            span = np.append(bps, rng.uniform(-8.0, 8.0, size=2))
-            _same_line_cells(G, [(float(span.min()), float(span.max()))])
+            _same_line_cells(G)     # the physical map
     assert near_end > 2000     # a vertex within 1e-9 of -1 or 1, not on it
 
 
@@ -954,7 +962,7 @@ def _reference_box_vertices(piece, dim):
     for combo in itertools.combinations(range(normals.shape[0]), dim):
         a = normals[list(combo)]
         b = bounds[list(combo)]
-        if abs(np.linalg.det(a)) < 1e-12:
+        if geometry.singular(a):
             continue
         x = np.linalg.solve(a, b)
         if np.all(normals @ x <= bounds + 1e-9):
@@ -1019,6 +1027,29 @@ def test_batched_box_vertices_equal_the_loop():
             want = _reference_box_vertices(piece, dim)
             assert verts.shape == want.shape and verts.tobytes() == want.tobytes()
     assert max(counts) >= 3
+
+
+def test_cell_vertices_do_not_depend_on_the_scale_of_a_row():
+    # x0 + x1 + x2 <= 0.5, x0 - x1 <= 0.2, x2 - x0 <= 0.1 meets the unit box
+    # in 10 vertices, every one of them kept at any scale of its rows:
+    # dropping (0.2, 0, 0.3) would understate the exact max of
+    # |x0 + 2 x2 + 10|, 10.8 there, as 9.3
+    normals = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0], [-1.0, 0.0, 1.0]])
+    bounds = np.array([0.5, 0.2, 0.1])
+    want, = _per_cell([(normals, bounds)], 3)
+    assert len(want) == 10 and [0.2, 0.0, 0.3] in want.tolist()
+    F = PiecewiseAffineMap(3, 3, (AffinePiece(np.array([[1.0, 0, 2], [0, 0, 0], [0, 0, 0]]),
+                                              np.zeros(3), normals, bounds),))
+    ref = np.array([-10.0, 0.0, 0.0])
+    assert geometry._exact_max(F, ref, [want]) == pytest.approx(10.8, abs=1e-12)
+    rng = np.random.default_rng(7322)
+    scales = [np.full(3, 10.0 ** e) for e in range(-6, 7)]
+    scales += [10.0 ** rng.uniform(-6, 6, size=3) for _ in range(50)]
+    for scale in scales:
+        got, = _per_cell([(normals * scale[:, None], bounds * scale)], 3)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-11)
+        assert geometry._exact_max(F, ref, [got]) == pytest.approx(10.8, abs=1e-10)
 
 
 def _reference_gap_1d(F, G):

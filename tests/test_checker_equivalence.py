@@ -34,7 +34,7 @@ from cmnverify.degree import DegreeUndefinedError, DegreeValue
 from cmnverify.geometry import GeometryError
 from conftest import random_transition_matrix
 from covering_reference import assert_same_outcome, count_batches, reference_check_covering
-from test_cell_geometry import _box_spec
+from test_cell_geometry import _box_spec, _reference_range_1d
 from test_network import _planar_fixed_pair, _planar_golden_pair, _sawtooth_spec
 from test_properties import designed_node
 
@@ -95,7 +95,7 @@ class _ReferenceTables:
     def image_1d(self, node, key, a):
         k = (node, key, round(a, 15))
         if k not in self._rng1d:
-            self._rng1d[k] = self.forms[node][key].U.scale(a).range_1d()
+            self._rng1d[k] = _reference_range_1d(self.forms[node][key].U.scale(a))
         return self._rng1d[k]
 
     def membership(self, node, key, a, ref, inflation):
@@ -273,7 +273,7 @@ def reference_theorem1(spec, resolution=64, pert_amplitude=0.0, membership=False
     structural = []
     for k, node in enumerate(spec.nodes):
         for (i, j) in node.transitions():
-            f = forms[k][(i, j)]
+            f = forms[k][i]
             mb = nw.min_stretch(f.U, np.zeros(u), resolution=resolution)
             if not mb.min_rel > 1.0 + STRICT_MARGIN:
                 structural.append(f"node {k + 1} transition {i}->{j}: "
@@ -300,7 +300,7 @@ def reference_theorem1(spec, resolution=64, pert_amplitude=0.0, membership=False
         j_idx = tuple(perms[k][i_idx[k] - 1] for k in range(d))
         entries.append(_reference_entry(
             spec, tables, i_idx, j_idx,
-            form_key=lambda l, i_idx=i_idx, j_idx=j_idx: (i_idx[l], j_idx[l]),
+            form_key=lambda l, i_idx=i_idx: i_idx[l],
             refs_u=[zero_u] * d, refs_s=[zero_s] * d, radii=[1.0] * d,
             chart_lip=chart_lip, inflation=inflation, need_membership=membership))
 
@@ -607,7 +607,7 @@ def test_precheck_outcomes_do_not_depend_on_the_store(name, monkeypatch):
     target = CenterScale(np.zeros(spec.nodes[0].dim_u), np.zeros(spec.nodes[0].dim_s), 1.0)
     for node, node_forms, got in zip(spec.nodes, forms, outcomes, strict=True):
         for (i, j), outcome in zip(node.transitions(), got, strict=True):
-            want = reference_check_covering(node.hsets[i - 1], target, node_forms[(i, j)],
+            want = reference_check_covering(node.hsets[i - 1], target, node_forms[i],
                                             target_id=node.hsets[j - 1].id)
             assert want.passed
             assert_same_outcome(outcome, want)

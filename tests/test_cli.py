@@ -903,8 +903,7 @@ class TestHostileSpec:
          "$.nodes[0].chart_forms: declared forms keyed [2, 0], not by the node's source "
          "symbols [1, 2]"),
         (lambda f: f.update({"1,2": f.pop("1")}),
-         "$.nodes[0].chart_forms: declared forms keyed [2, (1, 2)], not by the node's source "
-         "symbols [1, 2]"),
+         "$.nodes[0].chart_forms[1,2]: expected an integer, got '1,2'"),
         # U's one piece split into x0 <= 0.1 and x0 >= 0.6: 25 of the 125
         # points of the totality probe lie at x0 = 0.5
         (lambda f: f["1"]["U"].update(pieces=[
@@ -1374,3 +1373,87 @@ class TestConsoleEntryPoint:
             capture_output=True, text=True, env=env)
         assert result.returncode == 0
         assert "bound 0.962424" in result.stdout
+
+
+VERBS = (["verify"], ["margin"], ["periodic", "--auto"], ["simulate", "--steps", "2"],
+         ["entropy", "--empirical", "2", "8", "0"])
+
+
+class TestOneChartPerSymbol:
+    def test_each_member_chart_is_built_once_per_loaded_spec(self, fixdir, monkeypatch,
+                                                             capsys):
+        # every phase reads symbol i through the chart its node built with
+        # it: validation, the set-up, the checks and the iterating verbs
+        from cmnverify.geometry import CenterScale
+        original, calls = CenterScale.compose_chart, []
+
+        def counted(self, chart):
+            calls.append(self)
+            return original(self, chart)
+        monkeypatch.setattr(CenterScale, "compose_chart", counted)
+        path = str(fixdir / "example1.json")
+        for verb, *options in VERBS:
+            calls.clear()
+            assert main([verb, path, *options]) in (0, 1), verb
+            assert len(calls) == 4 == len(set(map(id, calls))), verb
+        capsys.readouterr()
+
+    def test_a_member_chart_past_range_is_refused_at_its_node(self, tmp_path, capsys):
+        # member 0 of node 0 with stable radius 1e-300 under a unified chart
+        # scaled by 1e9: its chart overflows, so it is singular; refused
+        # while the node is read, with its path and without a numpy warning
+        spec = _bench_gen().golden_ring(np.random.default_rng(1), 2, 0.01, u=1, s=1)
+        doc = serialize_spec(spec)
+        unified = doc["nodes"][0]["unified"]
+        unified["members"][0]["r"] = 1e-300
+        unified["chart"]["linear"] = [[1e9 * float(x) for x in row]
+                                      for row in unified["chart"]["linear"]]
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for verb, *options in VERBS:
+                assert main([verb, str(path), *options]) == 2, verb
+                assert capsys.readouterr().err == \
+                    "error: $.nodes[0]: chart is numerically singular\n", verb
+
+    def test_type1_forms_are_keyed_by_source_symbol(self, fixdir, tmp_path):
+        spec = load_spec(fixdir / "theorem1_perm23.json")
+        forms = set_up(spec).forms
+        assert [list(f) for f in forms] == [list(range(1, n.count + 1)) for n in spec.nodes]
+        # declared as the set-up derives them, they are written and read
+        # back by source symbol and check as the derived forms do
+        nodes = tuple(NodeSystem(n.local_map, n.hsets, n.transition, chart_forms=f)
+                      for n, f in zip(spec.nodes, forms))
+        doc = serialize_spec(NetworkSpec(spec.graph, nodes, spec.coupling))
+        assert [list(n["chart_forms"]) for n in doc["nodes"]] == [["1", "2"], ["1", "2", "3"]]
+        declared, plain = tmp_path / "declared.json", tmp_path / "plain.json"
+        declared.write_text(json.dumps(doc))
+        plain.write_text(json.dumps(serialize_spec(spec)))
+        certs = []
+        for path in (plain, declared):
+            assert main(["verify", str(path), "--out", str(path) + ".cert"]) == 0
+            cert = json.loads(Path(str(path) + ".cert").read_text())
+            certs.append({k: v for k, v in cert.items() if k != "spec_digest"})
+        assert certs[0] == certs[1]
+
+
+class TestEntryLimit:
+    @pytest.mark.parametrize("verb", ["verify", "margin"])
+    def test_an_exploding_entry_count_is_refused_before_the_entry_loop(
+            self, verb, tmp_path, capsys, monkeypatch):
+        # 16 golden-mean nodes have 3^16 = 43,046,721 Kronecker entries,
+        # whose index table alone would ask for 5.13 GiB
+        from cmnverify import network
+
+        def never(*args):
+            raise AssertionError("the entry loop ran")
+        monkeypatch.setattr(network, "_check_entries", never)
+        path = tmp_path / "ring16.json"
+        _bench_gen().write_spec(
+            _bench_gen().golden_ring(np.random.default_rng(1), 16, 0.01), path)
+        assert main([verb, str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == ("error: $.nodes: the transition matrices give 43046721 Kronecker "
+                           f"entries to check, above the limit of {network.MAX_ENTRIES}\n")

