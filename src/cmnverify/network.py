@@ -22,8 +22,17 @@ fill when a row first references them.  ``_Tables.decide`` is the one
 implementation of the covering inequalities: margins against
 ``STRICT_MARGIN`` plus the perturbation inflation, then the Brouwer degree,
 read only where a row can still pass and feasible when known and nonzero.
-The row margins of a block of entries are whole-array operations, and
-``tau_search`` runs once per distinct feasibility matrix.
+Row k of an entry reads only the choices of the nodes in S_k =
+supp(a[k, :]) | {k}: a zero coefficient scales its column's form to the
+zero map, the same at any choice, so ``_Tables.evaluate`` reads that cell
+at the column's choice 0.  When the patterns of choices over the distinct
+supports are fewer than the entries, the loop evaluates each pattern
+once, the other nodes at choice 0, and gathers every entry's rows from
+those by integer indices; otherwise it evaluates the entries, a block at
+a time.  Either way the row margins are whole-array operations, an
+entry's verdict, slack, margins and degree are exact reductions of its
+gathered rows, and ``tau_search`` runs once per distinct feasibility
+matrix, found by integer keys of its rows.
 
 A single covering is the diagonal cell of a row under the identity
 coupling, with no off-diagonal terms and no inflation.  ``check_covering``
@@ -629,10 +638,9 @@ def tau_search(row_feasibility) -> tuple[int, ...] | None:
     return tuple(tau)
 
 
-def _perm_sign(tau) -> np.ndarray:
-    """Sign of each permutation tau[..., :] (1-based images): (-1) ** (number of inversions)."""
-    tau = np.asarray(tau)
-    return 1 - 2 * (np.triu(tau[..., :, None] > tau[..., None, :]).sum(axis=(-2, -1)) % 2)
+def _perm_sign(tau) -> int:
+    """Sign of the permutation tau (1-based images): (-1) ** (number of inversions)."""
+    return 1 - 2 * (sum(a > b for a, b in itertools.combinations(tau, 2)) % 2)
 
 
 # ---------------------------------------------------------------------------
@@ -691,12 +699,14 @@ class TheoremReport:
         return int(np.argmin(self.entries.slack))
 
 
-BLOCK = 256  # entries per vectorized block; bounds the (entries, d, d) tensors
+BLOCK = 256  # entries or patterns per ``_Tables.evaluate`` call; bounds its (n, d, d) tensors
+GATHER = 2 ** 14  # entries per pass over row patterns; bounds its (entries, d) arrays
 # Most Kronecker entries one check may enumerate, refused before any table
 # is built.  On a 2-vCPU x86-64 VM ``verify`` of the benchmark's golden ring
-# peaks at 147 MB with 59,049 entries (d = 10) and 309 MB with 177,147
-# (d = 11), about 1.4 kB more per entry, so this keeps a check under 1 GB:
-# d = 12 (531,441 entries, 790 MB, 7.8 s) runs, d = 13 (1,594,323) does not.
+# (alpha 0.02, certificate written) peaks at 146 MB with 59,049 entries
+# (d = 10) and 296 MB with 177,147 (d = 11), about 1.3 kB more per entry, so
+# this keeps a check under 1 GB: d = 12 (531,441 entries, 790 MB, 5.8 s)
+# runs, d = 13 (1,594,323) does not.
 MAX_ENTRIES = 700_000
 
 
@@ -737,7 +747,9 @@ class _Tables:
     The cell of row k and column m, in an entry with choices c under
     coupling matrix i (in the order the check lists them), is
     ``col[m, c_m] + coef[i, k, m] + row_u[k, c_k]`` for its stretch bounds
-    and degree, and the same with ``row_s`` for its stable diagonal term.
+    and degree, and the same with ``row_s`` for its stable diagonal term;
+    where a_km is 0 (``zero``), c_m reads as 0, since the zero map is the
+    same at every choice.
     ``radius`` and ``form_of`` are indexed [m, c].  ``degrees`` keeps the
     degree each cell was read for: a value or an error.  ``maxima[j, f]``
     is the max stretch about 0 of form f's U (j = 0) or V (j = 1), 0
@@ -748,6 +760,10 @@ class _Tables:
     the coupling coefficients keep its cells, so each distinct cell
     structure is worked out once per check.
 
+    ``evaluate`` gives every row of a block of entries, or of the
+    patterns of choices over a row's support (``_check_entries``): each
+    pattern is a real entry, its other nodes at choice 0, under the shared
+    coupling matrix.
     ``decide`` fills the cells it claims.  Every bound of a factor on the
     line (U's stretch bounds when u = 1, the stable terms when s = 1, the
     maxima of such factors) comes from one ``line_stretch`` pass, and the
@@ -786,6 +802,7 @@ class _Tables:
                              axis=2) * self.shape[2]
         self.row_u, self.row_s = np.reshape([row_u, row_s], (2, d, width))
         self.abs_a = np.abs(stacked)
+        self.zero = stacked == 0
         n = math.prod(self.shape)
         self.min_rel, self.min_attained, self.vdiag = np.zeros((3, n))
         self.ends = np.zeros((n, 2))
@@ -910,12 +927,14 @@ class _Tables:
         inequality tightened by ``inflation``.
 
         ``ch[e, m]`` is node m's choice index in entry e, and ``i[e]`` the
-        index of the coupling matrix of entry e.  Returns the rows
+        index of the coupling matrix of entry e; a column of coefficient 0
+        is read at choice 0.  Returns the rows
         (``decide``'s arrays, of shape (entries, d, d)) and the cell of
         every row and column; rows are k, columns m.
         """
         nodes = np.arange(ch.shape[1])
-        columns = self.col[nodes, ch][:, None, :] + self.coef[i]
+        columns = np.where(self.zero[i], self.col[:, 0], self.col[nodes, ch][:, None, :])
+        columns += self.coef[i]
         cells = columns + self.row_u[nodes, ch][:, :, None]
         stable = radius = None
         if self.s > 0:
@@ -963,6 +982,9 @@ class _Tables:
         return outcomes
 
 
+VERDICTS = np.array(["fail", "inconclusive", "pass"])   # 2 if sure to hold, else 1 if maybe
+
+
 def _verdict(sure: bool, maybe: bool) -> str:
     """Pass when ``sure`` to hold, inconclusive when it ``maybe`` holds, else fail."""
     return "pass" if sure else "inconclusive" if maybe else "fail"
@@ -999,65 +1021,199 @@ class _Margins(NamedTuple):
     target_radius: float
 
 
+class _RowTable(NamedTuple):
+    """Every row of a run of evaluated entries (``_rows``), each over the d columns."""
+
+    best: np.ndarray       # (entries, d) the row's largest slack over its columns
+    sure: np.ndarray       # (entries, d, d) ``feas_sure`` of each row and column
+    maybe: np.ndarray      # ``feas_maybe``
+    unstable: np.ndarray   # ``margin_lo``
+    stable: np.ndarray     # ``margin_s``
+    degree: np.ndarray     # the degree of each cell
+
+
+def _rows(tables: _Tables, matrix: np.ndarray, choices: np.ndarray,
+          inflation: float) -> _RowTable:
+    """The rows of the entries ``choices`` (``_Tables.evaluate``'s ``ch``)
+    under the coupling matrices ``matrix``, ``BLOCK`` at a time."""
+    parts = []
+    for start in range(0, len(choices), BLOCK):
+        block = slice(start, start + BLOCK)
+        rows, cells = tables.evaluate(matrix[block], choices[block], inflation)
+        parts.append(_RowTable(rows.slack.max(axis=2), rows.feas_sure, rows.feas_maybe,
+                               rows.margin_lo, rows.margin_s, tables.deg[cells]))
+    return parts[0] if len(parts) == 1 else _RowTable(*map(np.concatenate, zip(*parts)))
+
+
+def _patterns(counts: list[int], supports: list[tuple[int, ...]], support_of: list[int]
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Every pattern of choices over each support, the other nodes at
+    choice 0, support after support and each in ``itertools.product``
+    order; and ``step``, of shape (d + 1, d): row k of the entry of
+    choices c is row k of pattern c @ step[:d] + step[d], the one of its
+    choices over row k's support (``support_of[k]``)."""
+    d = len(counts)
+    stride, sizes = np.zeros((len(supports), d), dtype=int), []
+    for g, support in enumerate(supports):
+        size = 1
+        for m in reversed(support):
+            stride[g, m], size = size, size * counts[m]
+        sizes.append(size)
+    start = np.cumsum([0, *sizes])
+    group = np.repeat(np.arange(len(supports)), sizes)
+    local = np.arange(start[-1])[:, None] - start[group, None]
+    # a node outside the support, of stride 0, stays at choice 0
+    patterns = local // np.where(stride > 0, stride, start[-1])[group] % counts
+    return patterns, np.vstack([stride[support_of].T, start[support_of]])
+
+
+def _row_keys(ids: np.ndarray, n: int) -> np.ndarray:
+    """One integer per row of ``ids``, whose values lie below ``n``, equal
+    exactly where two rows are equal: the row's values side by side in
+    fields of ``(n - 1).bit_length()`` bits, as many as 62 bits hold, each
+    further run of them renumbered with the key so far."""
+    bits = max(1, (n - 1).bit_length())
+    width = max(1, 62 // bits)
+    key = None
+    for lo in range(0, ids.shape[1], width):
+        part = ids[:, lo:lo + width] @ (1 << bits * np.arange(min(width, ids.shape[1] - lo)))
+        if key is not None:
+            part = (np.unique(key, return_inverse=True)[1] * len(ids)
+                    + np.unique(part, return_inverse=True)[1])
+        key = part
+    return key
+
+
+def _taus(rows: _RowTable, at: np.ndarray, taus: dict
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The taus of the entries whose row k is row k of entry at[e, k] of
+    ``rows``: ``tau_search`` of each distinct ``feas_sure`` matrix, and of
+    each distinct ``feas_maybe`` matrix of an entry without one, kept in
+    ``taus`` by the matrix's bytes.
+
+    Returns each distinct matrix's tau (zeros where there is none) and its
+    sign, and which matrix each entry's sure (``which[:n]``) and maybe
+    (``which[n:]``) matrix is.  A matrix's key is its rows' integer codes
+    side by side (``_row_keys``); past d = 7 the codes are first numbered
+    among the evaluated rows', so that a key needs fewer bits.
+    """
+    n, d = at.shape
+    nodes = np.arange(d)
+    flags = np.array([rows.sure, rows.maybe])
+    code, codes = _row_keys(flags.reshape(-1, d), 2), 1 << d
+    if d * d > 62:
+        kinds, code = np.unique(code, return_inverse=True)
+        codes = len(kinds)
+    keys = _row_keys(code.reshape(2, -1, d)[:, at, nodes].reshape(2 * n, d), codes)
+    distinct = np.unique(keys)
+    which = np.searchsorted(distinct, keys)
+    some = np.empty(len(distinct), dtype=int)   # any one entry of each matrix
+    some[which] = np.arange(2 * n)
+    found, sign = np.zeros((len(distinct), d), dtype=int), np.ones(len(distinct), dtype=int)
+
+    def solve(needed: np.ndarray) -> None:
+        for j in np.unique(needed).tolist():
+            feasibility = flags[some[j] // n, at[some[j] % n], nodes]
+            key = feasibility.tobytes()
+            if key not in taus:
+                taus[key] = tau_search(feasibility)
+            if taus[key] is not None:
+                found[j], sign[j] = taus[key], _perm_sign(taus[key])
+
+    solve(which[:n])
+    solve(which[n:][found[which[:n], 0] == 0])
+    return found, sign, which
+
+
 def _check_entries(spec: NetworkSpec, tables: _Tables, own: dict[int, np.ndarray],
                    chart_lip: float, pert_amplitude: float) -> EntryTable:
     """Evaluate the coupled row inequalities for every nonzero Kronecker entry.
 
     An entry picks one choice per node; entries run in ``itertools.product``
-    order over the choices, and are evaluated in numpy blocks of ``BLOCK``,
-    each entry under its own ``per_entry`` matrix (``own``, which ``tables``
-    lists in order after the shared one) or the shared one.
-    ``tau_search`` runs once per distinct feasibility matrix; each block
-    fills its rows of the table's columns, and its passing entries must
-    have positive margins and a nonzero degree.
+    order over the choices.  Row k reads only the choices of the nodes in
+    S_k = supp(a[k, :]) | {k}: a column of coefficient 0 scales its form to
+    the zero map, whose cell ``_Tables.evaluate`` reads at choice 0.  So
+    when the patterns of choices over the distinct supports, sum_S
+    prod_{m in S} w_m, are fewer than the entries, each pattern is
+    evaluated once, the other nodes at choice 0, and an entry's row k is
+    gathered from the pattern of its choices over S_k (``_patterns``),
+    ``GATHER`` entries at a time; an overridden entry (``own``, whose
+    matrices ``tables`` lists in order after the shared one) is evaluated
+    whole.  Otherwise the entries themselves are evaluated, ``BLOCK`` at a
+    time, each under its own matrix.  ``tau_search`` runs once per distinct
+    feasibility matrix (``_taus``).  An entry's slack, margins and radius
+    are minima over its rows and its degree a product, so they equal the
+    whole entry's bit for bit; the passing entries must have positive
+    margins and a nonzero degree.
     """
     d, u = spec.d, spec.nodes[0].dim_u
     coupling_lip = spec.coupling.lipschitz()
     inflation = pert_amplitude * chart_lip * (1.0 + coupling_lip)
     total = math.prod(tables.counts)
     nodes = np.arange(d)
-    # the coupling matrix of each entry: 0 the shared one, n the n-th override
-    matrix_of = np.zeros(total, dtype=int)
-    matrix_of[list(own)] = np.arange(1, len(own) + 1)
-    choice = np.stack(np.unravel_index(np.arange(total), tables.counts), axis=1)
     sources, targets = (np.array([[getattr(ch, attr) for ch in node] for node in tables.grid])
                         for attr in ("source", "target"))
-    table = EntryTable(sources[nodes, choice], targets[nodes, choice],
+    table = EntryTable(np.empty((total, d), dtype=int), np.empty((total, d), dtype=int),
                        np.empty(total, dtype="<U12"), np.empty(total),
                        np.zeros((total, d), dtype=int), np.zeros(total, dtype=int),
                        *np.full((3, total), math.nan))
     taus: dict = {}
 
-    def tau_for(feasibility: np.ndarray) -> tuple[int, ...] | None:
-        key = feasibility.tobytes()
-        if key not in taus:
-            taus[key] = tau_search(feasibility)
-        return taus[key]
-
-    for start in range(0, total, BLOCK):
-        block = slice(start, min(start + BLOCK, total))
-        rows, cells = tables.evaluate(matrix_of[block], choice[block], inflation)
-        found = [tau_for(f) for f in rows.feas_sure]
-        table.verdict[block] = [_verdict(tau is not None, tau is None and tau_for(f) is not None)
-                                for tau, f in zip(found, rows.feas_maybe)]
-        table.slack[block] = np.min(np.max(rows.slack, axis=2), axis=1)
-        pe = np.flatnonzero(table.verdict[block] == "pass")[:, None]
-        cols = np.array([tau for tau in found if tau is not None], dtype=int).reshape(-1, d) - 1
-        unstable = rows.margin_lo[pe, nodes, cols].min(axis=1)
-        stable = rows.margin_s[pe, nodes, cols].min(axis=1)
-        degree = _perm_sign(cols + 1) ** u * np.prod(tables.deg[cells[pe, nodes, cols]], axis=1)
-        if not (np.all(unstable > 0) and np.all(stable > 0)):
+    def fill(block: slice, choice: np.ndarray, at: np.ndarray, rows: _RowTable) -> None:
+        """Fill the entries ``block``, of choices ``choice``, whose row k is
+        row k of entry at[e, k] of ``rows``."""
+        n = len(at)
+        table.source[block], table.target[block] = sources[nodes, choice], targets[nodes, choice]
+        found, sign, which = _taus(rows, at, taus)
+        passed = found[which[:n], 0] > 0
+        table.verdict[block] = VERDICTS[np.maximum(2 * passed, found[which[n:], 0] > 0)]
+        table.slack[block] = rows.best[at, nodes].min(axis=1)
+        pe = passed.nonzero()[0]
+        kind = which[pe]   # each passing entry's distinct feasibility matrix
+        cols, flat = found[kind] - 1, at[pe]
+        unstable = rows.unstable[flat, nodes, cols].min(axis=1)
+        stable = rows.stable[flat, nodes, cols].min(axis=1)
+        degree = sign[kind] ** u * rows.degree[flat, nodes, cols].prod(axis=1)
+        radius = tables.radius[nodes, choice[pe]].min(axis=1)
+        if not ((unstable > 0).all() and (stable > 0).all()):
             raise ValueError("certificate margins must be strictly positive")
-        if np.any(degree == 0):
+        if (degree == 0).any():
             raise ValueError("certificate degree must be nonzero")
-        at = start + pe[:, 0]
-        radius = tables.radius[nodes, choice[at]].min(axis=1)
-        table.slack[at] = np.minimum(unstable, stable) - inflation
-        table.tau[at], table.degree[at] = cols + 1, degree
-        table.unstable_margin[at], table.stable_margin[at] = unstable, stable
-        table.admissible_eps[at] = [
+        pe += block.start
+        table.slack[pe] = np.minimum(unstable, stable) - inflation
+        table.tau[pe], table.degree[pe] = cols + 1, degree
+        table.unstable_margin[pe], table.stable_margin[pe] = unstable, stable
+        table.admissible_eps[pe] = [
             persistence_bound(_Margins(*margins), chart_lip, coupling_lip)
             for margins in zip(unstable.tolist(), stable.tolist(), radius.tolist())]
+
+    support_of, supports = _distinct([tuple(m for m, a in enumerate(row) if a or m == k)
+                                      for k, row in enumerate(spec.coupling.matrix.tolist())])
+    patterned = sum(math.prod(tables.counts[m] for m in support) for support in supports) < total
+    overridden = np.array(list(own), dtype=int)
+    if patterned:
+        # the patterns, then each overridden entry, whole, under its own matrix
+        patterns, step = _patterns(tables.counts, supports, support_of)
+        first = len(patterns)
+        whole = np.array(np.unravel_index(overridden, tables.counts)).T.reshape(-1, d)
+        matrix = np.concatenate([np.zeros(first, dtype=int), np.arange(1, len(own) + 1)])
+        rows = _rows(tables, matrix, np.concatenate([patterns, whole]), inflation)
+    else:
+        # the coupling matrix of each entry: 0 the shared one, n the n-th override
+        matrix = np.zeros(total, dtype=int)
+        matrix[overridden] = np.arange(1, len(own) + 1)
+    size = GATHER if patterned else BLOCK
+    for start in range(0, total, size):
+        block = slice(start, min(start + size, total))
+        choice = np.array(np.unravel_index(np.arange(block.start, block.stop), tables.counts)).T
+        if patterned:
+            at = choice @ step[:d] + step[d]
+            mine = (overridden >= block.start) & (overridden < block.stop)
+            at[overridden[mine] - block.start] = first + np.flatnonzero(mine)[:, None]
+            fill(block, choice, at, rows)
+        else:
+            fill(block, choice, np.broadcast_to(np.arange(len(choice))[:, None], choice.shape),
+                 _rows(tables, matrix[block], choice, inflation))
     return table
 
 

@@ -34,6 +34,7 @@ from cmnverify.degree import DegreeUndefinedError, DegreeValue
 from cmnverify.geometry import GeometryError
 from conftest import random_transition_matrix
 from covering_reference import assert_same_outcome, count_batches, reference_check_covering
+from entry_reference import BLOCK, reference_check_entries
 from test_cell_geometry import _box_spec, _reference_range_1d
 from test_network import _planar_fixed_pair, _planar_golden_pair, _sawtooth_spec
 from test_properties import designed_node
@@ -418,8 +419,8 @@ CASES = {
                                               [((1, 1), (2, 2)), ((2, 3), (1, 1))]),
     "type2_override": lambda: _with_overrides(fixtures.example1(alpha=0.05),
                                               [((1, 2), (2, 1))]),
-    # 729 entries: three blocks, with overridden entries on either side of
-    # the first block seam
+    # 729 entries, overridden at 255 and 256: on either side of the first
+    # block seam of the whole-entry loop (``entry_reference.BLOCK``)
     "perm_ring6_overrides": lambda: _with_overrides(
         _golden_ring(6, 0.02, unified=False),
         [((2, 1, 1, 2, 2, 1), (3, 2, 2, 3, 3, 2)), ((2, 1, 1, 2, 2, 2), (3, 2, 2, 3, 3, 3))]),
@@ -503,15 +504,17 @@ def test_coarse_grid_inconclusive_matches_reference(calls):
 # count includes the transition pre-check, which reads the same tables: on
 # perm_ring6_overrides, whose coupling has no diagonal coefficient 1, its
 # 18 coverings add 18 min_stretch and 18 degree_for_map calls of their own.
+# A cell of coupling coefficient 0 is read at its column's choice 0 only
+# (``_Tables.evaluate``), which took 12 min_stretch calls off each ring.
 CALL_COUNTS = {
     "golden_ring6_pass": (lambda: _golden_ring(6, 0.02, unified=True), 64, "pass",
-                          {"min_stretch": 66, "max_stretch": 12, "degree_for_map": 18,
+                          {"min_stretch": 54, "max_stretch": 12, "degree_for_map": 18,
                            "tau_search": 1}),
     "golden_ring6_fail": (lambda: _golden_ring(6, 0.03, unified=True), 64, "fail",
-                          {"min_stretch": 66, "max_stretch": 12, "degree_for_map": 18,
+                          {"min_stretch": 54, "max_stretch": 12, "degree_for_map": 18,
                            "tau_search": 64}),
     "perm_ring6_overrides": (CASES["perm_ring6_overrides"], 64, "fail",
-                             {"min_stretch": 79, "max_stretch": 18, "degree_for_map": 36,
+                             {"min_stretch": 67, "max_stretch": 18, "degree_for_map": 36,
                               "tau_search": 2}),
     # u = 3 face-grid stretch bounds with a stable direction
     "box3_grid33": (lambda: _box_spec(12), 33, "inconclusive",
@@ -616,9 +619,11 @@ def test_precheck_outcomes_do_not_depend_on_the_store(name, monkeypatch):
 def test_overrides_straddle_a_block_seam():
     spec = CASES["perm_ring6_overrides"]()
     entries = _check(spec).entries
-    assert len(entries) == 729 > nw.BLOCK
+    assert len(entries) == 729 > BLOCK == 256
     overridden = [list(i) for i, _, _ in spec.coupling.per_entry]
-    assert entries.source[nw.BLOCK - 1:nw.BLOCK + 1].tolist() == overridden
+    assert entries.source[255:257].tolist() == overridden
+    want = reference_check_entries(spec, *nw._prepare(spec, nw.TYPE_I, 64), 0.0)
+    assert entries.verdict[255:257].tolist() == want.verdict[255:257].tolist()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
