@@ -25,14 +25,15 @@ read only where a row can still pass and feasible when known and nonzero.
 Row k of an entry reads only the choices of the nodes in S_k =
 supp(a[k, :]) | {k}: a zero coefficient scales its column's form to the
 zero map, the same at any choice, so ``_Tables.evaluate`` reads that cell
-at the column's choice 0.  When the patterns of choices over the distinct
-supports are fewer than the entries, the loop evaluates each pattern
-once, the other nodes at choice 0, and gathers every entry's rows from
-those by integer indices; otherwise it evaluates the entries, a block at
-a time.  Either way the row margins are whole-array operations, an
-entry's verdict, slack, margins and degree are exact reductions of its
-gathered rows, and ``tau_search`` runs once per distinct feasibility
-matrix, found by integer keys of its rows.
+at the column's choice 0.  So row k of an entry is row k of its *masked
+entry*, the entry with every node outside S_k at choice 0.  A pass of
+entries evaluates only the distinct masked entries its rows read and
+gathers every entry's rows from them by integer indices: one loop, in
+which a ring evaluates its few patterns of neighbours' choices and a
+complete graph its own entries.  The row margins are whole-array
+operations, an entry's verdict, slack, margins and degree are exact
+reductions of its gathered rows, and ``tau_search`` runs once per
+distinct feasibility matrix, found by integer keys of its rows.
 
 A single covering is the diagonal cell of a row under the identity
 coupling, with no off-diagonal terms and no inflation.  ``check_covering``
@@ -699,8 +700,11 @@ class TheoremReport:
         return int(np.argmin(self.entries.slack))
 
 
-BLOCK = 256  # entries or patterns per ``_Tables.evaluate`` call; bounds its (n, d, d) tensors
-GATHER = 2 ** 14  # entries per pass over row patterns; bounds its (entries, d) arrays
+BLOCK = 256  # masked entries per ``_Tables.evaluate`` call; bounds its (n, d, d) tensors
+# A pass of ``_check_entries`` takes GATHER // max_k |S_k| entries, so a dense
+# coupling, which evaluates every entry it gathers, keeps a pass's
+# (entries, d, d) rows near GATHER * d cells.
+GATHER = 2 ** 14
 # Most Kronecker entries one check may enumerate, refused before any table
 # is built.  On a 2-vCPU x86-64 VM ``verify`` of the benchmark's golden ring
 # (alpha 0.02, certificate written) peaks at 146 MB with 59,049 entries
@@ -760,10 +764,10 @@ class _Tables:
     the coupling coefficients keep its cells, so each distinct cell
     structure is worked out once per check.
 
-    ``evaluate`` gives every row of a block of entries, or of the
-    patterns of choices over a row's support (``_check_entries``): each
-    pattern is a real entry, its other nodes at choice 0, under the shared
-    coupling matrix.
+    ``evaluate`` gives every row of a block of entries.  In a check
+    (``_check_entries``) these are masked entries, each a real entry with
+    the nodes outside some row's support S_k at choice 0, under the shared
+    coupling matrix, and overridden entries, whole, under their own.
     ``decide`` fills the cells it claims.  Every bound of a factor on the
     line (U's stretch bounds when u = 1, the stable terms when s = 1, the
     maxima of such factors) comes from one ``line_stretch`` pass, and the
@@ -1045,28 +1049,6 @@ def _rows(tables: _Tables, matrix: np.ndarray, choices: np.ndarray,
     return parts[0] if len(parts) == 1 else _RowTable(*map(np.concatenate, zip(*parts)))
 
 
-def _patterns(counts: list[int], supports: list[tuple[int, ...]], support_of: list[int]
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """Every pattern of choices over each support, the other nodes at
-    choice 0, support after support and each in ``itertools.product``
-    order; and ``step``, of shape (d + 1, d): row k of the entry of
-    choices c is row k of pattern c @ step[:d] + step[d], the one of its
-    choices over row k's support (``support_of[k]``)."""
-    d = len(counts)
-    stride, sizes = np.zeros((len(supports), d), dtype=int), []
-    for g, support in enumerate(supports):
-        size = 1
-        for m in reversed(support):
-            stride[g, m], size = size, size * counts[m]
-        sizes.append(size)
-    start = np.cumsum([0, *sizes])
-    group = np.repeat(np.arange(len(supports)), sizes)
-    local = np.arange(start[-1])[:, None] - start[group, None]
-    # a node outside the support, of stride 0, stays at choice 0
-    patterns = local // np.where(stride > 0, stride, start[-1])[group] % counts
-    return patterns, np.vstack([stride[support_of].T, start[support_of]])
-
-
 def _row_keys(ids: np.ndarray, n: int) -> np.ndarray:
     """One integer per row of ``ids``, whose values lie below ``n``, equal
     exactly where two rows are equal: the row's values side by side in
@@ -1133,14 +1115,14 @@ def _check_entries(spec: NetworkSpec, tables: _Tables, own: dict[int, np.ndarray
     order over the choices.  Row k reads only the choices of the nodes in
     S_k = supp(a[k, :]) | {k}: a column of coefficient 0 scales its form to
     the zero map, whose cell ``_Tables.evaluate`` reads at choice 0.  So
-    when the patterns of choices over the distinct supports, sum_S
-    prod_{m in S} w_m, are fewer than the entries, each pattern is
-    evaluated once, the other nodes at choice 0, and an entry's row k is
-    gathered from the pattern of its choices over S_k (``_patterns``),
-    ``GATHER`` entries at a time; an overridden entry (``own``, whose
-    matrices ``tables`` lists in order after the shared one) is evaluated
-    whole.  Otherwise the entries themselves are evaluated, ``BLOCK`` at a
-    time, each under its own matrix.  ``tau_search`` runs once per distinct
+    row k of entry c is row k of its masked entry, c with every node
+    outside S_k at choice 0, named by its own flat index c @ step[:, k];
+    every row of the n-th overridden entry (``own``, whose matrices
+    ``tables`` lists in order after the shared one) is read from that
+    entry, whole under its own matrix, named total + n.  A pass of
+    ``GATHER // max_k |S_k|`` entries evaluates only the names it reads,
+    ranked through the dense ``used`` and ``rank`` tables, and gathers
+    every entry's rows from them.  ``tau_search`` runs once per distinct
     feasibility matrix (``_taus``).  An entry's slack, margins and radius
     are minima over its rows and its degree a product, so they equal the
     whole entry's bit for bit; the passing entries must have positive
@@ -1159,9 +1141,29 @@ def _check_entries(spec: NetworkSpec, tables: _Tables, own: dict[int, np.ndarray
                        *np.full((3, total), math.nan))
     taus: dict = {}
 
-    def fill(block: slice, choice: np.ndarray, at: np.ndarray, rows: _RowTable) -> None:
-        """Fill the entries ``block``, of choices ``choice``, whose row k is
-        row k of entry at[e, k] of ``rows``."""
+    # step[m, k]: node m's radix in product order where it is in S_k, else 0
+    support = ~tables.zero[0] | np.eye(d, dtype=bool)
+    step = np.where(support.T, [[math.prod(tables.counts[m + 1:])] for m in range(d)], 0)
+    overridden = np.array(list(own), dtype=int)
+    used = np.zeros(total + len(own), dtype=bool)
+    rank = np.zeros(total + len(own), dtype=int)
+    size = GATHER // int(support.sum(axis=1).max())
+    for start in range(0, total, size):
+        block = slice(start, min(start + size, total))
+        choice = np.array(np.unravel_index(np.arange(block.start, block.stop), tables.counts)).T
+        at = choice @ step
+        mine = (overridden >= block.start) & (overridden < block.stop)
+        at[overridden[mine] - block.start] = total + np.flatnonzero(mine)[:, None]
+        used[at] = True
+        ids = np.flatnonzero(used)
+        used[ids] = False
+        rank[ids] = np.arange(len(ids))
+        at = rank[at]
+        # the masked entries under the shared matrix, then the overridden ones under their own
+        over = ids[ids >= total] - total
+        whole = np.concatenate([ids[:len(ids) - len(over)], overridden[over]])
+        rows = _rows(tables, np.maximum(ids - total + 1, 0),
+                     np.array(np.unravel_index(whole, tables.counts)).T, inflation)
         n = len(at)
         table.source[block], table.target[block] = sources[nodes, choice], targets[nodes, choice]
         found, sign, which = _taus(rows, at, taus)
@@ -1186,34 +1188,7 @@ def _check_entries(spec: NetworkSpec, tables: _Tables, own: dict[int, np.ndarray
         table.admissible_eps[pe] = [
             persistence_bound(_Margins(*margins), chart_lip, coupling_lip)
             for margins in zip(unstable.tolist(), stable.tolist(), radius.tolist())]
-
-    support_of, supports = _distinct([tuple(m for m, a in enumerate(row) if a or m == k)
-                                      for k, row in enumerate(spec.coupling.matrix.tolist())])
-    patterned = sum(math.prod(tables.counts[m] for m in support) for support in supports) < total
-    overridden = np.array(list(own), dtype=int)
-    if patterned:
-        # the patterns, then each overridden entry, whole, under its own matrix
-        patterns, step = _patterns(tables.counts, supports, support_of)
-        first = len(patterns)
-        whole = np.array(np.unravel_index(overridden, tables.counts)).T.reshape(-1, d)
-        matrix = np.concatenate([np.zeros(first, dtype=int), np.arange(1, len(own) + 1)])
-        rows = _rows(tables, matrix, np.concatenate([patterns, whole]), inflation)
-    else:
-        # the coupling matrix of each entry: 0 the shared one, n the n-th override
-        matrix = np.zeros(total, dtype=int)
-        matrix[overridden] = np.arange(1, len(own) + 1)
-    size = GATHER if patterned else BLOCK
-    for start in range(0, total, size):
-        block = slice(start, min(start + size, total))
-        choice = np.array(np.unravel_index(np.arange(block.start, block.stop), tables.counts)).T
-        if patterned:
-            at = choice @ step[:d] + step[d]
-            mine = (overridden >= block.start) & (overridden < block.stop)
-            at[overridden[mine] - block.start] = first + np.flatnonzero(mine)[:, None]
-            fill(block, choice, at, rows)
-        else:
-            fill(block, choice, np.broadcast_to(np.arange(len(choice))[:, None], choice.shape),
-                 _rows(tables, matrix[block], choice, inflation))
+        del rows   # before the next pass evaluates its own
     return table
 
 

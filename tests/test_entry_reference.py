@@ -1,24 +1,28 @@
-"""The row-pattern entry loop against the whole-entry loop it replaced.
+"""The masked-entry loop against the whole-entry loop it replaced.
 
 ``reference_check_entries`` (in ``entry_reference.py``) evaluates every
 Kronecker entry whole, all d rows and d columns.  ``network._check_entries``
-evaluates each row once per pattern of choices over its support S_k =
-supp(a[k, :]) | {k} when those patterns are fewer than the entries, and
-gathers every entry's rows from them.  Both run on tables of their own from
-``_prepare``, and every ``EntryTable`` column must be equal bit for bit,
-NaN where NaN, with the same dtype.
+reads row k of an entry from its masked entry, the entry with every node
+outside S_k = supp(a[k, :]) | {k} at choice 0, evaluates each distinct
+masked entry a pass reads, and gathers every entry's rows from them.  Both
+run on tables of their own from ``_prepare``, and every ``EntryTable``
+column must be equal bit for bit, NaN where NaN, with the same dtype.
 
 The networks: the checker-equivalence cases, each at its pass radius
 eps* scaled by 0, 0.9 and 10; ``bench/gen.py``'s golden and permutation
 rings at a passing and a failing coupling over three seeds; the bench's
-box3 and box4; and four supports the rings do not have: a star whose hub
+box3 and box4; four supports the rings do not have: a star whose hub
 row reads every node, a ring row with a zero diagonal coefficient, a node
 with no neighbours, and ``per_entry`` overrides whose rows fall in
-different patterns or, where the entries are evaluated whole, on either
-side of a block seam.  Both loops read a cell of coefficient 0 at its
+different patterns or on either side of a block seam; and complete graphs
+of bench golden nodes, whose every entry is its own masked entry, over
+one pass and over several.  Both loops read a cell of coefficient 0 at its
 column's choice 0 (``_Tables.evaluate``); what that rests on, the same
 margins, flags and degree at every choice, is checked cell by cell.
 """
+
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,12 +107,23 @@ def _patterned_overrides():
 
 
 def _star_overrides():
-    """A six-node star, 729 entries evaluated whole in three blocks, with
-    entries 255 and 256 overridden on either side of the first seam."""
+    """A six-node star, whose hub row reads each of its 729 entries whole,
+    with entries 255 and 256 overridden on either side of the whole-entry
+    loop's first block seam."""
     spec = _star(6)
     entries = _check(spec).entries
     return _with_overrides(spec, [(tuple(entries.source[n].tolist()),
                                    tuple(entries.target[n].tolist())) for n in (255, 256)])
+
+
+def _complete(d, alpha):
+    """Bench golden nodes coupled all to all: alpha off the diagonal, the
+    rest of each unit row sum on it."""
+    nodes = _bench_gen().golden_ring(np.random.default_rng(1), d, alpha).nodes
+    a = np.full((d, d), alpha)
+    a[np.diag_indices(d)] = 0.0
+    a[np.diag_indices(d)] = 1.0 - a.sum(axis=1)
+    return NetworkSpec(Graph.complete(d), nodes, CouplingSpec("type2", a))
 
 
 SUPPORTS = {"star": _star, "zero_diagonal": _zero_diagonal, "isolated": _isolated,
@@ -150,6 +165,32 @@ def test_supports_match_the_whole_entry_loop(name):
     report = _check(spec)
     for factor in (0.0, 0.9, 10.0):
         _assert_same_table(spec, factor * report.global_eps)
+
+
+@pytest.mark.parametrize("alpha, verdicts", [(0.01, {"pass"}), (0.02, {"pass", "fail"})])
+def test_complete_graph_matches_the_whole_entry_loop(alpha, verdicts):
+    table = _assert_same_table(_complete(5, alpha))
+    assert set(table.verdict.tolist()) == verdicts
+
+
+def test_complete_graph_over_several_passes_matches_the_whole_entry_loop(monkeypatch):
+    # 19,683 entries, 2,000 // 9 = 222 to a pass: 89 passes, the last short
+    monkeypatch.setattr(nw, "GATHER", 2000)
+    assert set(_assert_same_table(_complete(9, 0.002)).verdict.tolist()) == {"pass"}
+
+
+def test_complete_graph_check_memory_is_bounded():
+    # a pass takes GATHER // 9 entries, each its own masked entry: about
+    # 14 MiB at the peak, where passes of GATHER entries would take 78 MiB
+    spec = _complete(9, 0.002)
+    nw.set_up(spec)
+    tracemalloc.start()
+    try:
+        assert _check(spec).verdict == "pass"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
 
 
 @pytest.mark.parametrize("name", ["perm_ring6_overrides", "patterned_overrides",
@@ -225,21 +266,34 @@ def _bench_rings():
     return gen.golden_ring(rng, 7, 0.02), gen.permutation_ring(rng, 6, 0.02)
 
 
-# Pseudo-entries one check hands to ``_Tables.evaluate``: one per pattern
-# of choices over each distinct support, while those are fewer than the
-# entries, else the entries; plus one per overridden entry in the first case.
+# Entries one check hands to ``_Tables.evaluate``, in one pass each: the
+# distinct masked entries, fewer than the patterns of choices over each
+# support where rows share them (every row's all-zero one, each choice of
+# one node alone shared by the rows that read it), plus each overridden
+# entry whole.  A hub row that reads every node makes every entry its own
+# masked entry.
 EVALUATED = {
-    "ring7": (lambda: _bench_rings()[0], 64, 7 * 27),
-    "perm6": (lambda: _bench_rings()[1], 64, 6 * 27),
+    "ring7": (lambda: _bench_rings()[0], 64, 127),
+    "perm6": (lambda: _bench_rings()[1], 64, 109),
     "box3": (lambda: _bench_box_specs(1)[0], 33, 27),
-    # 4 supports of 27 patterns: 108 >= 81 entries, so the entries
-    "box4": (lambda: _bench_box_specs(1)[1], 64, 81),
-    "perm_ring6_overrides": (CASES["perm_ring6_overrides"], 64, 6 * 27 + 2),
-    "patterned_overrides": (_patterned_overrides, 64, 5 * 27 + 3),
+    "box4": (lambda: _bench_box_specs(1)[1], 64, 65),
+    "perm_ring6_overrides": (CASES["perm_ring6_overrides"], 64, 109 + 2),
+    "patterned_overrides": (_patterned_overrides, 64, 91 + 3),
     "star": (_star, 64, 3 ** 5),
     "star_overrides": (_star_overrides, 64, 3 ** 6),
-    "isolated": (_isolated, 64, 4 * 27 + 3),
+    "isolated": (_isolated, 64, 67),
 }
+
+
+def _cheaper_old_path(spec):
+    """Rows the pattern and the whole-entry loops would evaluate, whichever
+    is fewer: min(entries, sum_S prod_{m in S} w_m over the distinct
+    supports), plus one per override."""
+    counts = [int(np.count_nonzero(node.transition.bits)) for node in spec.nodes]
+    support = (spec.coupling.matrix != 0) | np.eye(spec.d, dtype=bool)
+    patterns = sum(math.prod(w for w, read in zip(counts, row) if read)
+                   for row in {tuple(row) for row in support.tolist()})
+    return min(math.prod(counts), patterns) + len(spec.coupling.per_entry or ())
 
 
 @pytest.mark.parametrize("name", sorted(EVALUATED))
@@ -254,5 +308,5 @@ def test_evaluated_rows_are_exact(name, monkeypatch):
         return evaluate(self, i, ch, inflation)
     monkeypatch.setattr(nw._Tables, "evaluate", counted)
     _check(spec, resolution=resolution)
-    assert sum(seen) == want
+    assert sum(seen) == want <= _cheaper_old_path(spec)
     assert max(seen) <= nw.BLOCK
